@@ -11,7 +11,10 @@ CHAOS_SEED ?= 1337
 SIM_SEED ?= 42
 SIM_RUNS ?= 8
 
-.PHONY: all build test bench bench-par bench-serve chaos crash-recovery scrub-sweep serve-smoke sim check clean
+PAIRS ?= 10
+SEED ?= 100
+
+.PHONY: all build test bench bench-ab bench-par bench-serve chaos crash-recovery scrub-sweep serve-smoke sim check clean
 
 all: build
 
@@ -95,6 +98,14 @@ bench-serve: build
 	bad=[r['io'] for r in rs if not (r['ledger_balanced'] and r['req_per_s'] > 0 and 0 < r['p50_us'] <= r['p99_us'] <= r['p999_us'])]; \
 	sys.exit(0 if len(rs) == 2 and not bad else sys.stderr.write('bench-serve: failed sanity for %s\n' % (bad or 'missing runtimes')) or 1); \
 	" && echo "bench-serve: OK (see $(BENCH_SERVE_JSON): threads + evloop)"
+
+# Alternating A/B of the working tree against REV over the repository
+# benchmark (BENCHMARK.json, bench/perf/): PAIRS pairs per
+# workload, pair i on seed SEED+i, with each metric's verdict (gain, no
+# change, regression, unresolved) by the rule in bench/perf/README.md.
+bench-ab:
+	@test -n "$(REV)" || { echo "usage: make bench-ab REV=<rev> [PAIRS=10] [SEED=100]"; exit 2; }
+	bash bench/perf/ab.sh $(REV) $(PAIRS) $(SEED)
 
 check: build test chaos crash-recovery scrub-sweep serve-smoke sim bench-par bench-serve
 	BENCH_SCALE=quick BENCH_PERSO_OUT=$(BENCH_PERSO_JSON) dune exec bench/main.exe -- perso

@@ -33,11 +33,11 @@ let registry_cap = 16
 
      PROFILE_REVS(username string, revision int)
 
-   rewritten on every effective mutation, so they travel with CSV dumps
-   exactly like the profiles themselves.  A fresh registry entry seeds
-   from that table: a reloaded server resumes {e above} the old marks
-   instead of restarting at 0 and silently revalidating stale
-   [Perso_cache] keys. *)
+   with the user's row replaced on every effective mutation, so they
+   travel with CSV dumps exactly like the profiles themselves.  A fresh
+   registry entry seeds from that table: a reloaded server resumes
+   {e above} the old marks instead of restarting at 0 and silently
+   revalidating stale [Perso_cache] keys. *)
 let initial_revs db =
   match Database.find_table db revs_table_name with
   | None -> SMap.empty
@@ -81,14 +81,21 @@ let revisions db = SMap.bindings (Atomic.get (reg_for db).revs)
 
 let subscribe db hook = atomic_update (reg_for db).hooks (fun hs -> hook :: hs)
 
-let install_revs db =
-  if not (Database.mem_table db revs_table_name) then
-    Database.add_table db
-      (Schema.make ~name:revs_table_name
-         ~cols:[ ("username", Value.TStr); ("revision", Value.TInt) ]
-         ())
+(* Both relations carry a hash index on [username] from the moment
+   [install]/[install_revs] creates or adopts them (a table loaded from a
+   dump has none), so a load or a keyed replace touches only the user's
+   rows.  Only mutations and bulk loads install; a [load] under a read
+   lock never builds the index, and on an unindexed table it scans. *)
+let install_table db name cols =
+  if not (Database.mem_table db name) then
+    Database.add_table db (Schema.make ~name ~cols ());
+  Table.build_index (Database.table db name) "username"
 
-(* Raw rewrite — deliberately no chaos crossings: the revision table is
+let install_revs db =
+  install_table db revs_table_name
+    [ ("username", Value.TStr); ("revision", Value.TInt) ]
+
+(* Raw writes — deliberately no chaos crossings: the revision table is
    bookkeeping riding on a mutation whose fault points already fired. *)
 let write_revs_rows db rows =
   install_revs db;
@@ -100,15 +107,9 @@ let write_revs_rows db rows =
 
 let set_rev_row db user rev =
   install_revs db;
-  let t = Database.table db revs_table_name in
-  let others =
-    List.filter
-      (fun row -> not (Value.equal row.(0) (Value.Str user)))
-      (Table.to_list t)
-  in
-  Table.clear t;
-  List.iter (Table.insert t) others;
-  Table.insert t [| Value.Str user; Value.Int rev |]
+  Table.replace (Database.table db revs_table_name) "username"
+    (Value.Str user)
+    [ [| Value.Str user; Value.Int rev |] ]
 
 let seed_revisions db pairs =
   let r = reg_for db in
@@ -131,63 +132,27 @@ let notify db ~user event =
   List.iter (fun hook -> hook ~user event) (Atomic.get r.hooks)
 
 let install db =
-  if not (Database.mem_table db table_name) then
-    Database.add_table db
-      (Schema.make ~name:table_name
-         ~cols:
-           [
-             ("username", Value.TStr); ("condition", Value.TStr);
-             ("degree", Value.TFloat);
-           ]
-         ())
+  install_table db table_name
+    [
+      ("username", Value.TStr); ("condition", Value.TStr);
+      ("degree", Value.TFloat);
+    ]
 
-(* The table is append-only storage; user-level replace rewrites it.
-   Cardinalities are small (profiles), so the rebuild is cheap.
+let user_rows t user = Table.lookup t "username" (Value.Str user)
 
-   The rewrite is all-or-nothing: a fault between the clear and the last
-   insert (the {!Chaos.Store_mutate} point is crossed once per row) rolls
-   the table back to its pre-rewrite rows before re-raising, so a
-   concurrent or subsequent [load] sees either the old or the new profile
-   — never an empty or partial one.  The snapshot is safe to restore
-   because [Table.clear] drops the backing batch rather than reusing its
-   row arrays. *)
-let rewrite db keep_rows =
-  let t = Database.table db table_name in
-  let before = Table.to_list t in
-  Table.clear t;
-  try
-    List.iter
-      (fun row ->
-        Chaos.point Chaos.Store_mutate;
-        Table.insert t row)
-      keep_rows
-  with e ->
-    Table.clear t;
-    List.iter (Table.insert t) before;
-    raise e
+(* A user-level mutation is one keyed replace of the user's rows, which
+   crosses {!Chaos.Store_mutate} once per row written and is
+   all-or-nothing: a fault at any crossing restores the user's old rows
+   before re-raising, so a concurrent or subsequent [load] sees either the
+   old or the new profile — never an empty or partial one.  Each user's
+   rows keep the order of [Profile.entries] at their last save. *)
+let replace_rows ?hook t user rows =
+  Table.replace ?hook t "username" (Value.Str user) rows
 
-let rows_for db user keep =
-  match Database.find_table db table_name with
-  | None -> []
-  | Some t ->
-      List.filter
-        (fun row -> Value.equal row.(0) (Value.Str user) = keep)
-        (Table.to_list t)
-
-let rows_except db user = rows_for db user false
-let rows_of db user = rows_for db user true
+let mutate () = Chaos.point Chaos.Store_mutate
 
 let row_equal a b =
   Array.length a = Array.length b && Array.for_all2 Value.equal a b
-
-(* Raw rollback used when a durable-backend append fails after the
-   table rewrite: restore the exact previous rows without crossing
-   chaos points again (the failure being handled may itself be an
-   injected fault; the rollback must not roll a second coin). *)
-let restore_rows db rows =
-  let t = Database.table db table_name in
-  Table.clear t;
-  List.iter (Table.insert t) rows
 
 let entries_of_profile profile =
   List.map
@@ -202,20 +167,24 @@ let attached db = Atomic.get (reg_for db).backend
 (* Write-through: the in-memory table mutates first (it rolls itself
    back on faults), then the WAL append makes the mutation durable,
    then the revision bump + hooks acknowledge it.  A backend failure
-   unwinds the table so memory never claims what the disk refused. *)
-let backend_apply db ~user before f =
+   re-applies the user's old rows so memory never claims what the disk
+   refused — through the same keyed replace but with no hook: the failure
+   being handled may itself be an injected fault, and the rollback must
+   not roll a second coin. *)
+let backend_apply db t ~user before f =
   match Atomic.get (reg_for db).backend with
   | None -> ()
   | Some b -> (
       let next = 1 + revision db ~user in
       try f b ~next
       with e ->
-        restore_rows db before;
+        replace_rows t user before;
         raise e)
 
 let save db ~user profile =
   install db;
   let user = String.lowercase_ascii user in
+  let t = Database.table db table_name in
   let mine =
     List.map
       (fun (atom, deg) ->
@@ -226,13 +195,13 @@ let save db ~user profile =
         |])
       (Profile.entries profile)
   in
-  (* Re-saving a semantically identical profile is a no-op: no table
-     rewrite (so no dump churn), no revision bump (so cached plans for
+  (* Re-saving a semantically identical profile is a no-op: no row
+     written (so no dump churn), no revision bump (so cached plans for
      the user stay valid). *)
-  if not (List.equal row_equal (rows_of db user) mine) then begin
-    let before = Table.to_list (Database.table db table_name) in
-    rewrite db (rows_except db user @ mine);
-    backend_apply db ~user before (fun b ~next ->
+  let before = user_rows t user in
+  if not (List.equal row_equal before mine) then begin
+    replace_rows ~hook:mutate t user mine;
+    backend_apply db t ~user before (fun b ~next ->
         b.Perso_store.Backend.save ~user ~revision:next
           (entries_of_profile profile));
     notify db ~user Saved
@@ -246,25 +215,25 @@ let load db ~user =
   | Some t ->
       let errors = ref [] in
       let profile = ref Profile.empty in
-      Table.iter t (fun row ->
-          if Value.equal row.(0) (Value.Str user) then begin
-            match (row.(1), row.(2)) with
-            | Value.Str cond, Value.Float deg -> (
-                match
-                  ( Atom.of_pred (Sql_parser.parse_pred cond),
-                    Degree.of_float_opt deg )
-                with
-                | Ok atom, Some d when not (Degree.equal d Degree.zero) ->
-                    profile := Profile.add !profile atom d
-                | Ok _, _ ->
-                    errors := Printf.sprintf "bad degree %g for %s" deg cond :: !errors
-                | Error e, _ -> errors := e :: !errors
-                | exception Sql_parser.Parse_error e ->
-                    errors := Printf.sprintf "%s: %s" cond e :: !errors
-                | exception Sql_lexer.Lex_error (e, _) ->
-                    errors := Printf.sprintf "%s: %s" cond e :: !errors)
-            | _ -> errors := "malformed profile row" :: !errors
-          end);
+      List.iter
+        (fun row ->
+          match (row.(1), row.(2)) with
+          | Value.Str cond, Value.Float deg -> (
+              match
+                ( Atom.of_pred (Sql_parser.parse_pred cond),
+                  Degree.of_float_opt deg )
+              with
+              | Ok atom, Some d when not (Degree.equal d Degree.zero) ->
+                  profile := Profile.add !profile atom d
+              | Ok _, _ ->
+                  errors := Printf.sprintf "bad degree %g for %s" deg cond :: !errors
+              | Error e, _ -> errors := e :: !errors
+              | exception Sql_parser.Parse_error e ->
+                  errors := Printf.sprintf "%s: %s" cond e :: !errors
+              | exception Sql_lexer.Lex_error (e, _) ->
+                  errors := Printf.sprintf "%s: %s" cond e :: !errors)
+          | _ -> errors := "malformed profile row" :: !errors)
+        (user_rows t user);
       if !errors = [] then Ok !profile else Error (List.rev !errors)
 
 let load_r db ~user =
@@ -281,14 +250,19 @@ let users db =
           match row.(0) with Value.Str u -> u :: acc | _ -> acc)
       |> List.sort_uniq String.compare
 
+(* A delete writes no row, so it crosses no [Store_mutate] point. *)
 let delete db ~user =
   let user = String.lowercase_ascii user in
-  if Database.mem_table db table_name && rows_of db user <> [] then begin
-    let before = Table.to_list (Database.table db table_name) in
-    rewrite db (rows_except db user);
-    backend_apply db ~user before (fun b ~next ->
-        b.Perso_store.Backend.delete ~user ~revision:next);
-    notify db ~user Deleted
+  if Database.mem_table db table_name then begin
+    install db;
+    let t = Database.table db table_name in
+    let before = user_rows t user in
+    if before <> [] then begin
+      replace_rows t user [];
+      backend_apply db t ~user before (fun b ~next ->
+          b.Perso_store.Backend.delete ~user ~revision:next);
+      notify db ~user Deleted
+    end
   end
 
 (* ------------------------- durable backends ------------------------- *)
@@ -306,6 +280,8 @@ let malformed_export user =
                 user;
           }))
 
+(* One linear pass groups each user's entries newest-first; reversing each
+   group restores the user's physical row order. *)
 let export db backend =
   let groups : (string, Perso_store.Codec.entry list) Hashtbl.t =
     Hashtbl.create 64
@@ -318,10 +294,10 @@ let export db backend =
           | Value.Str user, Value.Str cond, Value.Float degree ->
               let prev = Option.value ~default:[] (Hashtbl.find_opt groups user) in
               Hashtbl.replace groups user
-                (prev @ [ { Perso_store.Codec.cond; degree } ])
+                ({ Perso_store.Codec.cond; degree } :: prev)
           | Value.Str user, _, _ -> malformed_export user
           | _ -> malformed_export "<non-string username>"));
-  Hashtbl.fold (fun user entries acc -> (user, entries) :: acc) groups []
+  Hashtbl.fold (fun user entries acc -> (user, List.rev entries) :: acc) groups []
   |> List.sort compare
   |> List.iter (fun (user, entries) ->
          backend.Perso_store.Backend.save ~user

@@ -16,16 +16,19 @@ val table_name : string
 
 val revs_table_name : string
 (** ["profile_revs"] — the revision high-water marks as a catalog table,
-    [PROFILE_REVS(username string, revision int)], rewritten on every
-    effective mutation so it travels with CSV dumps.  See {!revision}. *)
+    [PROFILE_REVS(username string, revision int)]; the user's row is
+    replaced on every effective mutation, so the marks travel with CSV
+    dumps.  See {!revision}. *)
 
 val install : Relal.Database.t -> unit
-(** Create the profiles table if absent (idempotent). *)
+(** Create the profiles table if absent, and give it (or a table adopted
+    from a dump) its hash index on [username] (idempotent).  Bulk loaders
+    call this before inserting, so the index follows every row. *)
 
 val save : Relal.Database.t -> user:string -> Profile.t -> unit
 (** Replace the user's stored preferences with the given profile
     ({!install}s the table if needed).  Saving a profile semantically
-    identical to the stored one is a no-op: no table rewrite, no
+    identical to the stored one is a no-op: no row written, no
     {!revision} bump, no subscriber notification — identical re-saves
     must not invalidate cached personalization plans. *)
 
@@ -83,8 +86,9 @@ val subscribe : Relal.Database.t -> (user:string -> event -> unit) -> unit
 
     A database can be attached to a {!Perso_store.Backend.t}; every
     effective [save]/[delete] then writes through to it {e between} the
-    table rewrite and the revision bump, with the table rolled back if
-    the append fails — memory never acknowledges what the disk refused.
+    replace of the user's rows and the revision bump, with the user's old
+    rows put back if the append fails — memory never acknowledges what
+    the disk refused.
     The in-memory table remains the read path (it is the paper's own
     storage model and the executor scans it); the backend is the
     durable tier. *)

@@ -23,6 +23,31 @@ let get b i =
   if i < 0 || i >= b.len then invalid_arg "Batch.get: row id out of bounds";
   b.data.(i)
 
+let set b i row =
+  if i < 0 || i >= b.len then invalid_arg "Batch.set: row id out of bounds";
+  b.data.(i) <- row
+
+(* Slide each run of survivors left over the removed ids, then clear the
+   vacated tail so it pins no rows. *)
+let remove b ids =
+  let n = Array.length ids in
+  let next j = if j + 1 < n then ids.(j + 1) else b.len in
+  Array.iteri
+    (fun j i ->
+      if i < 0 || next j <= i then
+        invalid_arg "Batch.remove: ids not ascending or out of bounds")
+    ids;
+  if n > 0 then begin
+    let w = ref ids.(0) in
+    for j = 0 to n - 1 do
+      let lo = ids.(j) + 1 in
+      Array.blit b.data lo b.data !w (next j - lo);
+      w := !w + (next j - lo)
+    done;
+    Array.fill b.data !w (b.len - !w) [||];
+    b.len <- !w
+  end
+
 let unsafe_rows b = b.data
 
 let of_rows rows = { data = rows; len = Array.length rows }

@@ -22,6 +22,16 @@ val get : t -> int -> Value.t array
 (** [get b i] is row [i] (0-based).  The returned array must not be
     mutated.  @raise Invalid_argument if out of bounds. *)
 
+val set : t -> int -> Value.t array -> unit
+(** [set b i row] replaces row [i].  @raise Invalid_argument if out of
+    bounds. *)
+
+val remove : t -> int array -> unit
+(** [remove b ids] deletes the rows at [ids] (strictly ascending), keeping
+    the survivors' relative order: each survivor's id drops by the number
+    of removed ids below it.  @raise Invalid_argument if [ids] is not
+    strictly ascending within bounds. *)
+
 val unsafe_rows : t -> Value.t array array
 (** The physical storage.  Only indices [0 .. length b - 1] hold live
     rows; the tail is garbage.  Callers must not mutate it — exposed so

@@ -6,7 +6,9 @@ module H = Hashtbl.Make (struct
 end)
 
 type index = { col : int; buckets : int list ref H.t }
-(* Buckets store row ids (positions in the batch) most-recent first. *)
+(* Buckets store row ids (positions in the batch) in strictly descending
+   order — the order appends produce — and every mutation below keeps it
+   so, which is what lets [lookup_ids] answer in row order. *)
 
 type t = { sch : Schema.t; batch : Batch.t; mutable indexes : index list }
 
@@ -35,16 +37,40 @@ let check_row t row =
                  (Value.ty_name ty)))
     row
 
+(* [rowid] must exceed every id already indexed: appends only. *)
 let index_add idx rowid v =
   match H.find_opt idx.buckets v with
   | Some l -> l := rowid :: !l
   | None -> H.add idx.buckets v (ref [ rowid ])
 
-let insert t row =
-  check_row t row;
+(* Overwrites move a slot between buckets at an arbitrary id, so these
+   two keep the descending order explicitly. *)
+let index_insert idx rowid v =
+  match H.find_opt idx.buckets v with
+  | None -> H.add idx.buckets v (ref [ rowid ])
+  | Some l ->
+      let rec go acc = function
+        | i :: tl when i > rowid -> go (i :: acc) tl
+        | tl -> List.rev_append acc (rowid :: tl)
+      in
+      l := go [] !l
+
+let index_remove idx rowid v =
+  match H.find_opt idx.buckets v with
+  | None -> ()
+  | Some l -> (
+      match List.filter (fun i -> i <> rowid) !l with
+      | [] -> H.remove idx.buckets v
+      | rest -> l := rest)
+
+let append t row =
   let rowid = Batch.length t.batch in
   Batch.add t.batch row;
   List.iter (fun idx -> index_add idx rowid row.(idx.col)) t.indexes
+
+let insert t row =
+  check_row t row;
+  append t row
 
 let insert_values t vs = insert t (Array.of_list vs)
 
@@ -57,22 +83,25 @@ let iter t f = Batch.iter f t.batch
 let fold t ~init ~f = Batch.fold f init t.batch
 let to_list t = Batch.to_list t.batch
 
-let build_index t col =
+let col_index_exn fn t col =
   match Schema.col_index t.sch col with
+  | Some ci -> ci
   | None ->
       invalid_arg
-        (Printf.sprintf "Table.build_index: no column %s in %s" col
+        (Printf.sprintf "Table.%s: no column %s in %s" fn col
            (Schema.name t.sch))
-  | Some ci ->
-      if not (List.exists (fun idx -> idx.col = ci) t.indexes) then begin
-        let n = Batch.length t.batch in
-        let idx = { col = ci; buckets = H.create (max 16 n) } in
-        let rows = Batch.unsafe_rows t.batch in
-        for i = 0 to n - 1 do
-          index_add idx i rows.(i).(ci)
-        done;
-        t.indexes <- idx :: t.indexes
-      end
+
+let build_index t col =
+  let ci = col_index_exn "build_index" t col in
+  if not (List.exists (fun idx -> idx.col = ci) t.indexes) then begin
+    let n = Batch.length t.batch in
+    let idx = { col = ci; buckets = H.create (max 16 n) } in
+    let rows = Batch.unsafe_rows t.batch in
+    for i = 0 to n - 1 do
+      index_add idx i rows.(i).(ci)
+    done;
+    t.indexes <- idx :: t.indexes
+  end
 
 let has_index t col =
   match Schema.col_index t.sch col with
@@ -80,24 +109,19 @@ let has_index t col =
   | Some ci -> List.exists (fun idx -> idx.col = ci) t.indexes
 
 let lookup_ids t col v =
-  match Schema.col_index t.sch col with
+  let ci = col_index_exn "lookup" t col in
+  match List.find_opt (fun idx -> idx.col = ci) t.indexes with
+  | Some idx -> (
+      match H.find_opt idx.buckets v with
+      | None -> []
+      | Some ids -> List.rev !ids)
   | None ->
-      invalid_arg
-        (Printf.sprintf "Table.lookup: no column %s in %s" col
-           (Schema.name t.sch))
-  | Some ci -> (
-      match List.find_opt (fun idx -> idx.col = ci) t.indexes with
-      | Some idx -> (
-          match H.find_opt idx.buckets v with
-          | None -> []
-          | Some ids -> List.rev !ids)
-      | None ->
-          let rows = Batch.unsafe_rows t.batch in
-          let acc = ref [] in
-          for i = Batch.length t.batch - 1 downto 0 do
-            if Value.equal rows.(i).(ci) v then acc := i :: !acc
-          done;
-          !acc)
+      let rows = Batch.unsafe_rows t.batch in
+      let acc = ref [] in
+      for i = Batch.length t.batch - 1 downto 0 do
+        if Value.equal rows.(i).(ci) v then acc := i :: !acc
+      done;
+      !acc
 
 let lookup t col v =
   let rows = Batch.unsafe_rows t.batch in
@@ -118,6 +142,92 @@ let prober t col =
               match H.find idx.buckets v with
               | ids -> !ids
               | exception Not_found -> []))
+
+(* ---------------------------- keyed replace -------------------------- *)
+
+let overwrite t i row =
+  let old = Batch.get t.batch i in
+  List.iter
+    (fun idx ->
+      let a = old.(idx.col) and b = row.(idx.col) in
+      if not (Value.equal a b) then begin
+        index_remove idx i a;
+        index_insert idx i b
+      end)
+    t.indexes;
+  Batch.set t.batch i row
+
+(* Order-preserving compaction: [dead] is strictly ascending.  Only ids at
+   or above [dead.(0)] change, and bucket lists are descending, so each
+   bucket rewrites just its prefix above that id — dropping dead ids and
+   shifting survivors down by the dead ids below them. *)
+let remove_ids t dead =
+  let n = Array.length dead in
+  if n > 0 then begin
+    Batch.remove t.batch dead;
+    let below i =
+      (* dead ids < i: binary search *)
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if dead.(mid) < i then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    in
+    let rec remap acc = function
+      | i :: tl when i >= dead.(0) ->
+          let k = below i in
+          if k < n && dead.(k) = i then remap acc tl
+          else remap ((i - k) :: acc) tl
+      | tl -> List.rev_append acc tl
+    in
+    List.iter
+      (fun idx ->
+        H.filter_map_inplace
+          (fun _ l ->
+            match !l with
+            | i :: _ when i >= dead.(0) -> (
+                match remap [] !l with
+                | [] -> None
+                | ids ->
+                    l := ids;
+                    Some l)
+            | _ -> Some l)
+          idx.buckets)
+      t.indexes
+  end
+
+let replace ?(hook = ignore) t col key rows =
+  let ci = col_index_exn "replace" t col in
+  List.iter
+    (fun row ->
+      check_row t row;
+      if not (Value.equal row.(ci) key) then
+        invalid_arg
+          (Printf.sprintf "Table.replace: row with %s.%s = %s, expected %s"
+             (Schema.name t.sch) col
+             (Value.to_string row.(ci))
+             (Value.to_string key)))
+    rows;
+  let slots = Array.of_list (lookup_ids t col key) in
+  let n_old = Array.length slots and n0 = cardinality t in
+  let undo = ref [] in
+  (try
+     List.iteri
+       (fun j row ->
+         hook ();
+         if j < n_old then begin
+           undo := (slots.(j), Batch.get t.batch slots.(j)) :: !undo;
+           overwrite t slots.(j) row
+         end
+         else append t row)
+       rows
+   with e ->
+     remove_ids t (Array.init (cardinality t - n0) (fun j -> n0 + j));
+     List.iter (fun (i, row) -> overwrite t i row) !undo;
+     raise e);
+  let n_new = List.length rows in
+  if n_new < n_old then remove_ids t (Array.sub slots n_new (n_old - n_new))
 
 let clear t =
   Batch.clear t.batch;

@@ -32,16 +32,18 @@ val get : t -> int -> Value.t array
     mutated.  @raise Invalid_argument if out of bounds. *)
 
 val iter : t -> (Value.t array -> unit) -> unit
-(** Iterate all rows in insertion order. *)
+(** Iterate all rows in row order: insertion order, except where
+    {!replace} overwrote or compacted slots. *)
 
 val fold : t -> init:'a -> f:('a -> Value.t array -> 'a) -> 'a
 
 val to_list : t -> Value.t array list
-(** All rows, insertion order.  Shares row arrays with the table. *)
+(** All rows, in row order.  Shares row arrays with the table. *)
 
 val build_index : t -> string -> unit
 (** Ensure a hash index exists on the named column.  Indexes stay in sync
-    with subsequent inserts.  @raise Invalid_argument on unknown column. *)
+    with subsequent inserts and replaces.  @raise Invalid_argument on
+    unknown column. *)
 
 val has_index : t -> string -> bool
 (** Does a hash index exist on the named column?  (The executor only
@@ -53,17 +55,36 @@ val lookup : t -> string -> Value.t -> Value.t array list
     one exists (building is the caller's choice), otherwise scanning. *)
 
 val lookup_ids : t -> string -> Value.t -> int list
-(** Like {!lookup} but returns row ids into {!batch} (insertion order)
+(** Like {!lookup} but returns row ids into {!batch} (ascending: row order)
     instead of materializing rows — the late-materialization access path.
     @raise Invalid_argument on unknown column. *)
 
 val prober : t -> string -> (Value.t -> int list) option
 (** [prober t col] resolves the column and its hash index {e once} and
     returns a probe closure mapping a value to the matching row ids
-    (most-recent-first, shared with the index — do not mutate), or [None]
+    (descending, shared with the index — do not mutate), or [None]
     when the column has no index.  This is the inner loop of the
     index-nested-loop join: per-probe cost is one hash lookup, with no
     string resolution or list copying. *)
+
+val replace :
+  ?hook:(unit -> unit) -> t -> string -> Value.t -> Value.t array list -> unit
+(** [replace ?hook t col key rows] makes [rows] the rows of [t] with
+    [col = key], in that order — the keyed replace.  The key's existing
+    slots are overwritten in row order, rows beyond them are appended, and
+    slots left over when the key shrinks (an empty [rows] deletes the key)
+    are closed by an order-preserving compaction; every other row keeps
+    its relative order.  With a hash index on [col] the cost is the key's
+    rows, plus the rows after its first freed slot when it shrinks;
+    without one, a scan finds the slots.
+
+    [hook] runs before each row is written, overwrite or append, never
+    during the compaction.  If it raises, the writes made so far are
+    undone — rows and indexes are exactly as before — and the exception
+    propagates.
+    @raise Invalid_argument on an unknown column, or a row that fails
+    {!insert}'s checks or whose [col] is not [key] (checked before any
+    write). *)
 
 val clear : t -> unit
 (** Remove all rows (indexes retained but emptied). *)

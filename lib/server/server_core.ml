@@ -80,16 +80,17 @@ let gov_of budget =
 
 let is_storage_fault = function Perso.Error.Storage _ -> true | _ -> false
 
-(* Split "[ a, 0.9 ] [ b, 1 ]" into the line-per-entry form
+(* Split "[ a, 0.9 ] [ b, 1 ]" into the per-entry lines
    Profile.of_string expects.  Entries cannot contain ']' outside a
    quoted literal ending in ']', which we accept as unsupported on the
    wire. *)
-let entries_to_profile_text entries =
+let profile_entry_lines entries =
   String.split_on_char ']' entries
   |> List.filter_map (fun chunk ->
          let chunk = String.trim chunk in
          if chunk = "" then None else Some (chunk ^ " ]"))
-  |> String.concat "\n"
+
+let max_profile_entries = 4096
 
 module Make (R : Runtime.S) = struct
   module Rl = Rwlock.Make (R)
@@ -245,9 +246,15 @@ module Make (R : Runtime.S) = struct
           ~notes:[ "unpersonalized: profile-store circuit breaker open" ]
 
   let exec_profile_save t user entries =
+    let lines = profile_entry_lines entries in
+    let n = List.length lines in
     match
-      if String.trim entries = "" then Ok Perso.Profile.empty
-      else Perso.Profile.of_string (entries_to_profile_text entries)
+      if n > max_profile_entries then
+        Error
+          (Printf.sprintf "PROFILE SAVE carries %d entries; at most %d allowed"
+             n max_profile_entries)
+      else if String.trim entries = "" then Ok Perso.Profile.empty
+      else Perso.Profile.of_string (String.concat "\n" lines)
     with
     | Error e -> R_error (Perso.Error.Profile e)
     | Ok profile ->

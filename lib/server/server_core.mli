@@ -83,6 +83,12 @@ val mutate_drop_completed_ok : bool ref
     invariant audits catch ledger bugs (mutation testing).  Never set
     in production. *)
 
+val max_profile_entries : int
+(** The most entries one PROFILE SAVE may carry (4,096).  A larger save is
+    refused with a typed [Error.Profile] before it touches the breaker or
+    a shard lock, so the stored profile and its revision stay as they
+    were. *)
+
 val cap_budget : config -> Protocol.header -> Relal.Governor.budget
 (** Client-requested budgets capped by the server's own limits. *)
 

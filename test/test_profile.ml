@@ -292,6 +292,80 @@ let test_store_queryable_and_survives_dump () =
         (Profile.to_string p)
   | Error es -> Alcotest.failf "load errors: %s" (String.concat "; " es)
 
+let test_store_index_differential () =
+  (* A seeded mix of saves (grow, shrink, reorder), deletes and
+     hand-inserted unparseable rows leaves the profiles table indexed; its
+     CSV dump reloads unindexed.  Loads through the index and by scan must
+     agree user for user, typed errors included, in the same order. *)
+  let db = Moviedb.Personas.tiny_db () in
+  let pool = Array.of_list (Profile.entries (Moviedb.Personas.julie ())) in
+  let users = [| "ann"; "bob"; "cy"; "dee"; "eve" |] in
+  let bad_rows =
+    [|
+      (Relal.Value.Str "((not sql", 0.5);
+      (Relal.Value.Str "genre.genre = 'comedy'", 1.5);
+      (Relal.Value.Str "genre.genre =", 0.7);
+    |]
+  in
+  let rng = Random.State.make [| 11 |] in
+  let bad user =
+    let cond, deg = bad_rows.(Random.State.int rng (Array.length bad_rows)) in
+    Relal.Database.insert db Profile_store.table_name
+      [ Relal.Value.Str user; cond; Relal.Value.Float deg ]
+  in
+  let save user =
+    let picked =
+      Array.to_list pool
+      |> List.filter (fun _ -> Random.State.bool rng)
+      |> List.map (fun (a, _) -> (Random.State.int rng 1000, a))
+      |> List.sort compare
+      |> List.map (fun (r, a) -> (a, d (0.1 +. (float_of_int (r mod 9) /. 10.))))
+    in
+    Profile_store.save db ~user (Profile.of_list picked)
+  in
+  for _ = 1 to 400 do
+    let user = users.(Random.State.int rng (Array.length users)) in
+    match Random.State.int rng 10 with
+    | 0 -> Profile_store.delete db ~user
+    | 1 | 2 | 3 | 4 -> bad user
+    | _ -> save user
+  done;
+  (* End on a known mix: every user saved, every other one then broken
+     by two bad rows interleaved with the others' rows. *)
+  Array.iter save users;
+  Array.iteri (fun i user -> if i mod 2 = 0 then bad user) users;
+  Array.iteri (fun i user -> if i mod 2 = 0 then bad user) users;
+  let has_index db =
+    Relal.Table.has_index
+      (Relal.Database.table db Profile_store.table_name)
+      "username"
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "perdb_index_diff_%d" (Unix.getpid ()))
+  in
+  Relal.Csv.save_db ~dir db;
+  let db2 = Relal.Csv.load_db ~dir in
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  Alcotest.(check bool) "saved table is indexed" true (has_index db);
+  Alcotest.(check bool) "reloaded table is not" false (has_index db2);
+  let render = function
+    | Ok p -> "ok " ^ Profile.to_string p
+    | Error es -> "error " ^ String.concat " | " es
+  in
+  let outcomes =
+    List.map
+      (fun user ->
+        let indexed = render (Profile_store.load db ~user) in
+        Alcotest.(check string) ("load " ^ user) indexed
+          (render (Profile_store.load db2 ~user));
+        indexed)
+      ("nobody" :: Array.to_list users)
+  in
+  let has prefix = List.exists (String.starts_with ~prefix) outcomes in
+  Alcotest.(check bool) "some loads fail, some succeed" true
+    (has "error " && has "ok ")
+
 let () =
   Alcotest.run "profile"
     [
@@ -319,6 +393,8 @@ let () =
           Alcotest.test_case "replace/delete" `Quick test_store_replace_and_delete;
           Alcotest.test_case "unknown user / bad rows" `Quick
             test_store_unknown_user_and_bad_rows;
+          Alcotest.test_case "index = scan after dump" `Quick
+            test_store_index_differential;
           Alcotest.test_case "queryable + dumps" `Quick
             test_store_queryable_and_survives_dump;
         ] );

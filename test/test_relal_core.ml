@@ -145,6 +145,166 @@ let test_table_clear () =
   Alcotest.(check int) "empty" 0 (Table.cardinality t);
   Alcotest.(check int) "index emptied" 0 (List.length (Table.lookup t "mid" (Int 1)))
 
+(* --------------------------- keyed replace -------------------------- *)
+
+let kv_table indexes =
+  let t =
+    Table.create
+      (Schema.make ~name:"kv" ~cols:[ ("k", Value.TInt); ("v", Value.TInt) ] ())
+  in
+  List.iter (Table.build_index t) indexes;
+  t
+
+let kv k v = [| Value.Int k; Value.Int v |]
+
+let kv_rows t =
+  List.map
+    (function [| Value.Int k; Value.Int v |] -> (k, v) | _ -> (-1, -1))
+    (Table.to_list t)
+
+let test_table_replace_in_place () =
+  let t = kv_table [ "k" ] in
+  List.iter
+    (fun (k, v) -> Table.insert t (kv k v))
+    [ (1, 10); (2, 20); (1, 11); (3, 30); (1, 12) ];
+  let rows () = kv_rows t in
+  let pairs = Alcotest.(list (pair int int)) in
+  Table.replace t "k" (Value.Int 1) [ kv 1 7; kv 1 8 ];
+  Alcotest.(check pairs) "shrink overwrites in place, compacts the rest"
+    [ (1, 7); (2, 20); (1, 8); (3, 30) ]
+    (rows ());
+  Table.replace t "k" (Value.Int 2) [ kv 2 21; kv 2 22 ];
+  Alcotest.(check pairs) "grow appends the extra row"
+    [ (1, 7); (2, 21); (1, 8); (3, 30); (2, 22) ]
+    (rows ());
+  Table.replace t "k" (Value.Int 1) [];
+  Alcotest.(check pairs) "empty rows delete the key"
+    [ (2, 21); (3, 30); (2, 22) ]
+    (rows ());
+  Alcotest.(check (list int)) "index follows the compaction" [ 0; 2 ]
+    (Table.lookup_ids t "k" (Value.Int 2));
+  Alcotest.check_raises "rows must carry the key"
+    (Invalid_argument "Table.replace: row with kv.k = 3, expected 2")
+    (fun () -> Table.replace t "k" (Value.Int 2) [ kv 2 1; kv 3 1 ]);
+  Alcotest.(check pairs) "a rejected replace writes nothing"
+    [ (2, 21); (3, 30); (2, 22) ]
+    (rows ())
+
+(* Model test: random inserts and replaces over five keys, on tables
+   with no index, a key index, or key and value indexes.  The model is
+   the exact physical order: the key's j-th slot takes the j-th new row,
+   leftover slots vanish, extra rows go to the end.  A hook that raises
+   at a chosen crossing must leave rows and indexes untouched. *)
+type kv_op = Ins of int * int | Rep of int * int list * int option
+
+exception Hook_fault
+
+let show_op = function
+  | Ins (k, v) -> Printf.sprintf "ins %d=%d" k v
+  | Rep (k, vs, f) ->
+      Printf.sprintf "rep %d=[%s]%s" k
+        (String.concat ";" (List.map string_of_int vs))
+        (match f with Some i -> Printf.sprintf " fail@%d" i | None -> "")
+
+let model_replace rows k vs =
+  let rec go vs = function
+    | [] -> List.map (fun v -> (k, v)) vs
+    | (k', _) :: tl when k' = k -> (
+        match vs with v :: vs -> (k, v) :: go vs tl | [] -> go [] tl)
+    | r :: tl -> r :: go vs tl
+  in
+  go vs rows
+
+let kv_ops_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (2, map2 (fun k v -> Ins (k, v)) (int_bound 4) (int_bound 5));
+        ( 3,
+          map3
+            (fun k vs f -> Rep (k, vs, f))
+            (int_bound 4)
+            (list_size (int_bound 6) (int_bound 5))
+            (opt (int_bound 6)) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun (variant, ops) ->
+      Printf.sprintf "variant %d: %s" variant
+        (String.concat ", " (List.map show_op ops)))
+    (pair (int_bound 2) (list_size (int_range 1 40) op))
+
+let prop_replace_model =
+  QCheck.Test.make ~name:"keyed replace = list model, index = scan" ~count:300
+    kv_ops_arb (fun (variant, ops) ->
+      let indexes = List.filteri (fun i _ -> i < variant) [ "k"; "v" ] in
+      let t = kv_table indexes in
+      (* Every key and value probe, through the table and by list scan. *)
+      let probes () =
+        List.concat_map
+          (fun col -> List.init 7 (fun x -> Table.lookup_ids t col (Value.Int x)))
+          [ "k"; "v" ]
+      in
+      let scans model =
+        List.concat_map
+          (fun proj ->
+            List.init 7 (fun x ->
+                List.concat
+                  (List.mapi (fun i r -> if proj r = x then [ i ] else []) model)))
+          [ fst; snd ]
+      in
+      let check step model =
+        if kv_rows t <> model then
+          QCheck.Test.fail_reportf "%s: rows differ from the model" step;
+        if probes () <> scans model then
+          QCheck.Test.fail_reportf "%s: lookup_ids differs from a scan" step;
+        List.iter
+          (fun col ->
+            match Table.prober t col with
+            | None -> ()
+            | Some probe ->
+                for x = 0 to 6 do
+                  if probe (Value.Int x) <> List.rev (Table.lookup_ids t col (Value.Int x))
+                  then QCheck.Test.fail_reportf "%s: bucket of %s=%d out of order" step col x
+                done)
+          indexes
+      in
+      ignore
+        (List.fold_left
+           (fun model op ->
+             let step = show_op op in
+             let model =
+               match op with
+               | Ins (k, v) ->
+                   Table.insert t (kv k v);
+                   model @ [ (k, v) ]
+               | Rep (k, vs, fail_at) -> (
+                   let crossings = ref 0 in
+                   let hook () =
+                     if Some !crossings = fail_at then raise Hook_fault;
+                     incr crossings
+                   in
+                   let before = probes () in
+                   match
+                     Table.replace ~hook t "k" (Value.Int k)
+                       (List.map (kv k) vs)
+                   with
+                   | () ->
+                       if !crossings <> List.length vs then
+                         QCheck.Test.fail_reportf "%s: %d hook crossings" step
+                           !crossings;
+                       model_replace model k vs
+                   | exception Hook_fault ->
+                       if probes () <> before then
+                         QCheck.Test.fail_reportf "%s: a raising hook moved the index" step;
+                       model)
+             in
+             check step model;
+             model)
+           [] ops);
+      true)
+
 (* ----------------------------- Database ----------------------------- *)
 
 let test_database_catalog () =
@@ -215,6 +375,8 @@ let () =
           Alcotest.test_case "type checks" `Quick test_table_type_checks;
           Alcotest.test_case "lookup scan vs index" `Quick test_table_lookup_scan_vs_index;
           Alcotest.test_case "clear" `Quick test_table_clear;
+          Alcotest.test_case "replace in place" `Quick test_table_replace_in_place;
+          QCheck_alcotest.to_alcotest prop_replace_model;
         ] );
       ( "database",
         [

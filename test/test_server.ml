@@ -119,10 +119,12 @@ let fresh_socket =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "perso_test_%d_%d.sock" (Unix.getpid ()) !n)
 
-let with_server ?(movies = 0) cfg_of f =
+let with_server ?(movies = 0) ?db cfg_of f =
   let db =
-    if movies = 0 then Moviedb.Personas.tiny_db ()
-    else Moviedb.Datagen.(generate (scale ~seed:7 movies))
+    match db with
+    | Some db -> db
+    | None when movies = 0 -> Moviedb.Personas.tiny_db ()
+    | None -> Moviedb.Datagen.(generate (scale ~seed:7 movies))
   in
   let socket_path = fresh_socket () in
   let t = Server.start (cfg_of (Server.default_config ~socket_path)) db in
@@ -343,6 +345,48 @@ let test_breaker_serves_unpersonalized () =
               Alcotest.(check (list string)) "personalization recovered"
                 [ "title"; "doi" ] cols
           | _ -> Alcotest.fail "breaker must close after a good probe"))
+
+(* --------------------------- profile bounds -------------------------- *)
+
+let test_profile_save_bounded () =
+  (* A PROFILE SAVE over the entry limit is refused with a typed profile
+     error before the breaker or a shard lock: the stored profile and its
+     revision stay as they were and the breaker stays closed.  A save at
+     the limit is accepted. *)
+  let db = Moviedb.Personas.tiny_db () in
+  let save user n =
+    "PROFILE SAVE " ^ user ^ " "
+    ^ String.concat " "
+        (List.init n (fun i -> Printf.sprintf "[ GENRE.genre = 'g%d', 0.5 ]" i))
+  in
+  let stored =
+    with_server ~db Fun.id (fun _t socket ->
+        let c = Client.connect socket in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            ignore
+              (request_exn c "PROFILE SAVE julie [ GENRE.genre = 'comedy', 0.9 ]");
+            let stored = request_exn c "PROFILE LOAD julie" in
+            (match
+               request_exn c (save "julie" (Server_core.max_profile_entries + 1))
+             with
+            | Protocol.Failed { family = "profile"; _ } -> ()
+            | _ -> Alcotest.fail "an over-limit save must fail with a profile error");
+            Alcotest.(check bool) "stored profile unchanged" true
+              (request_exn c "PROFILE LOAD julie" = stored);
+            Alcotest.(check string) "breaker closed" "closed"
+              (List.assoc "breaker_state" (health_of socket));
+            (match request_exn c (save "rob" Server_core.max_profile_entries) with
+            | Protocol.Message _ -> ()
+            | _ -> Alcotest.fail "a save at the limit is accepted");
+            stored))
+  in
+  (* The stop merged the shards' revisions back into [db]. *)
+  Alcotest.(check int) "revision unchanged" 1
+    (Perso.Profile_store.revision db ~user:"julie");
+  Alcotest.(check bool) "one stored entry" true
+    (match stored with Protocol.Rows { rows = [ _ ]; _ } -> true | _ -> false)
 
 (* ---------------------------- graceful drain ------------------------- *)
 
@@ -609,6 +653,11 @@ let () =
         [
           Alcotest.test_case "open breaker serves unpersonalized" `Quick
             test_breaker_serves_unpersonalized;
+        ] );
+      ( "profile-bounds",
+        [
+          Alcotest.test_case "over-limit save refused" `Quick
+            test_profile_save_bounded;
         ] );
       ( "drain",
         [ Alcotest.test_case "graceful drain" `Quick test_graceful_drain ] );
