@@ -86,9 +86,9 @@ bench-par: build
 	" && echo "bench-par: OK (see $(BENCH_JSON): parallel + sharded_store)"
 
 # Serve-path load benchmark: open-loop Poisson arrivals with Zipf users
-# through a real socket, once per I/O runtime (threads and evloop).  The
-# gate is sanity, never absolute throughput (this may be a 1-core box):
-# the JSON must parse, both runtimes' client tallies must reconcile
+# through a real socket into the thread-per-connection server.  The gate
+# is sanity, never absolute throughput (this may be a 1-core box): the
+# JSON must parse, its one runtime's client tallies must reconcile
 # exactly with the server's HEALTH ledger delta (ledger_balanced), and
 # the latency quantiles must be monotone (p999 >= p50 > 0).
 bench-serve: build
@@ -96,8 +96,8 @@ bench-serve: build
 	python3 -m json.tool $(BENCH_SERVE_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_SERVE_JSON)')); rs=d['runtimes']; \
 	bad=[r['io'] for r in rs if not (r['ledger_balanced'] and r['req_per_s'] > 0 and 0 < r['p50_us'] <= r['p99_us'] <= r['p999_us'])]; \
-	sys.exit(0 if len(rs) == 2 and not bad else sys.stderr.write('bench-serve: failed sanity for %s\n' % (bad or 'missing runtimes')) or 1); \
-	" && echo "bench-serve: OK (see $(BENCH_SERVE_JSON): threads + evloop)"
+	sys.exit(0 if len(rs) == 1 and not bad else sys.stderr.write('bench-serve: failed sanity for %s\n' % (bad or 'missing runtimes')) or 1); \
+	" && echo "bench-serve: OK (see $(BENCH_SERVE_JSON): threads)"
 
 # Alternating A/B of the working tree against REV over the repository
 # benchmark (BENCHMARK.json, bench/perf/): PAIRS pairs per

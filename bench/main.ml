@@ -1099,19 +1099,19 @@ let bench_store () =
 (* Serve-path benchmark — machine-readable (BENCH_SERVE.json)            *)
 (* --------------------------------------------------------------------- *)
 
-(* End-to-end: a real [perso_cli serve]-shaped server (socket and all),
-   driven by {!Perso_server.Loadgen}'s open-loop Poisson arrivals with
-   Zipf-skewed users, once per I/O runtime (`threads` and `evloop`).
-   Latency quantiles come from the mergeable log-bucketed histogram;
-   every client-side tally is cross-checked against the server's own
-   HEALTH ledger delta, so a dropped or double-counted request anywhere
-   in either runtime fails the ledger_balanced gate in `make check`.
+(* End-to-end: a real [perso_cli serve]-shaped server (socket and all,
+   thread-per-connection), driven by {!Perso_server.Loadgen}'s open-loop
+   Poisson arrivals with Zipf-skewed users.  Latency quantiles come from
+   the mergeable log-bucketed histogram; every client-side tally is
+   cross-checked against the server's own HEALTH ledger delta, so a
+   dropped or double-counted request anywhere on the serve path fails
+   the ledger_balanced gate in `make check`.
 
-   On a one-core container threads-vs-evloop throughput is noise — the
-   client threads and the server share the core — so the JSON records
-   the host's core count and `make check` gates only on sanity
-   (ledger balance, quantile monotonicity), never absolute numbers.
-   Writes BENCH_SERVE.json; override with BENCH_SERVE_OUT. *)
+   The load generator's client threads share the host's cores with the
+   server, so the JSON records the core count and `make check` gates
+   only on sanity (ledger balance, quantile monotonicity), never
+   absolute numbers.  Writes BENCH_SERVE.json; override with
+   BENCH_SERVE_OUT. *)
 
 let bench_serve () =
   let open Perso_server in
@@ -1149,7 +1149,8 @@ let bench_serve () =
     | Some v -> ( match int_of_string_opt v with Some i -> i | None -> 0)
     | None -> 0
   in
-  let run_io (io, start_server) =
+  let io = "threads" in
+  let run () =
     let socket_path = Filename.temp_file "bench_serve" ".sock" in
     Sys.remove socket_path;
     let cfg =
@@ -1161,8 +1162,10 @@ let bench_serve () =
         deadline_ms = None;
       }
     in
-    let stop_server = start_server cfg in
-    Fun.protect ~finally:stop_server (fun () ->
+    let t = Server.start cfg sdb in
+    Fun.protect
+      ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
+      (fun () ->
         (* Preseed every user's profile so PERSONALIZE and PROFILE LOAD
            hit real data, then snapshot the ledger: the benchmark is
            reconciled against the delta, not absolute counters. *)
@@ -1267,17 +1270,7 @@ let bench_serve () =
     rate requests clients users;
   Printf.printf "%-8s %9s %9s %9s %9s %9s %6s %6s %6s\n" "io" "offered"
     "achieved" "p50_ms" "p99_ms" "p999_ms" "ok" "shed" "ledger";
-  let rows =
-    List.map run_io
-      [
-        ("threads", fun cfg ->
-            let t = Server.start cfg sdb in
-            fun () -> ignore (Server.stop t : Server.drain_outcome));
-        ("evloop", fun cfg ->
-            let t = Server_ev.start cfg sdb in
-            fun () -> ignore (Server_ev.stop t : Server_ev.drain_outcome));
-      ]
-  in
+  let row = run () in
   let path =
     Option.value ~default:"BENCH_SERVE.json" (Sys.getenv_opt "BENCH_SERVE_OUT")
   in
@@ -1298,7 +1291,7 @@ let bench_serve () =
     scale.label
     (Domain.recommended_domain_count ())
     movies rate requests clients users
-    (String.concat ",\n" rows);
+    row;
   close_out oc;
   Printf.printf "# wrote %s\n%!" path
 

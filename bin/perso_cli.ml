@@ -386,24 +386,14 @@ let parse_store = function
       Error
         (Printf.sprintf "--store must be 'memory' or 'disk:DIR' (got %S)" s)
 
-(* "--io threads" (an OS thread per connection) or "--io evloop" (the
-   single-domain event loop); same wire behavior either way. *)
-let parse_io = function
-  | "threads" -> Ok `Threads
-  | "evloop" -> Ok `Evloop
-  | s ->
-      Error (Printf.sprintf "--io must be 'threads' or 'evloop' (got %S)" s)
-
 let serve movies seed data_dir deadline max_rows max_expansions socket tcp
     workers queue drain_ms breaker_threshold breaker_cooldown dump_dir
     chaos_seed chaos_p no_cache cache_entries cache_mb domains shards store
-    replicas profile_lru io =
+    replicas profile_lru =
   let store_dir = parse_store store in
-  let io = parse_io io in
   validated
     [
       (match store_dir with Error m -> Some m | Ok _ -> None);
-      (match io with Error m -> Some m | Ok _ -> None);
       pos_int "workers" workers;
       pos_int "queue" queue;
       pos_int "cache-entries" cache_entries;
@@ -418,7 +408,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
     ]
   @@ fun () ->
   let store_dir = Result.get_ok store_dir in
-  let io = Result.get_ok io in
   guarded (fun () ->
       with_pool domains @@ fun () ->
       let db = db_of ?data_dir ~movies ~seed () in
@@ -449,62 +438,40 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
           profile_lru_entries = profile_lru;
         }
       in
+      let t = Perso_server.Server.start cfg db in
       (* Recovery surfaced in the startup log: silent on clean opens so
          scripted output stays stable, loud whenever the store tier
          truncated torn WAL tails, failed over, or quarantined files. *)
-      let print_recovery h =
-        let hv k = Option.value ~default:"0" (List.assoc_opt k h) in
-        let torn = hv "store_torn_truncated" in
-        if torn <> "0" then
-          Printf.eprintf "recovery: truncated %s torn WAL tail(s)\n%!" torn;
-        let fo = hv "store_failover" and q = hv "store_quarantined" in
-        if fo <> "0" || q <> "0" then
-          Printf.eprintf
-            "recovery: failover=%s quarantined=%s salvaged=%s catchups=%s\n%!"
-            fo q (hv "store_salvaged") (hv "store_catchups")
-      in
-      let print_serving suffix =
-        Printf.eprintf "serving on %s%s (workers=%d queue=%d)%s\n%!" socket
-          (match tcp with
-          | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
-          | None -> "")
-          workers queue suffix
-      in
-      let set_signals on_signal =
-        (* SIGTERM/SIGINT begin the drain; the runtime completes it. *)
-        (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-         with Invalid_argument _ -> ());
-        try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-        with Invalid_argument _ -> ()
-      in
-      let print_outcome (outcome : Perso_server.Server.drain_outcome) =
-        Printf.eprintf "drained=%b shed_at_stop=%d%s\n%!"
-          outcome.Perso_server.Server.drained
-          outcome.Perso_server.Server.shed_at_stop
-          (match outcome.Perso_server.Server.dump with
-          | Some (Ok dir) -> Printf.sprintf " dumped=%s" dir
-          | Some (Error e) -> Printf.sprintf " dump-failed=%s" e
-          | None -> "");
-        if outcome.Perso_server.Server.drained then 0 else 1
-      in
-      match io with
-      | `Threads ->
-          let t = Perso_server.Server.start cfg db in
-          print_recovery (Perso_server.Server.health t);
-          set_signals (fun _ -> Perso_server.Server.request_stop t);
-          print_serving "";
-          print_outcome (Perso_server.Server.wait t)
-      | `Evloop ->
-          (* The loop runs on this very thread; the signal handler only
-             flips an atomic the supervisor task polls. *)
-          let stop_flag = Atomic.make false in
-          set_signals (fun _ -> Atomic.set stop_flag true);
-          let on_started h =
-            print_recovery h;
-            print_serving " io=evloop"
-          in
-          print_outcome
-            (Perso_server.Server_ev.run ~stop_flag ~on_started cfg db))
+      (let h = Perso_server.Server.health t in
+       let hv k = Option.value ~default:"0" (List.assoc_opt k h) in
+       let torn = hv "store_torn_truncated" in
+       if torn <> "0" then
+         Printf.eprintf "recovery: truncated %s torn WAL tail(s)\n%!" torn;
+       let fo = hv "store_failover" and q = hv "store_quarantined" in
+       if fo <> "0" || q <> "0" then
+         Printf.eprintf
+           "recovery: failover=%s quarantined=%s salvaged=%s catchups=%s\n%!"
+           fo q (hv "store_salvaged") (hv "store_catchups"));
+      (* SIGTERM/SIGINT begin the drain; [wait] completes it. *)
+      let on_signal _ = Perso_server.Server.request_stop t in
+      (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
+       with Invalid_argument _ -> ());
+      (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
+       with Invalid_argument _ -> ());
+      Printf.eprintf "serving on %s%s (workers=%d queue=%d)\n%!" socket
+        (match tcp with
+        | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
+        | None -> "")
+        workers queue;
+      let outcome = Perso_server.Server.wait t in
+      Printf.eprintf "drained=%b shed_at_stop=%d%s\n%!"
+        outcome.Perso_server.Server.drained
+        outcome.Perso_server.Server.shed_at_stop
+        (match outcome.Perso_server.Server.dump with
+        | Some (Ok dir) -> Printf.sprintf " dumped=%s" dir
+        | Some (Error e) -> Printf.sprintf " dump-failed=%s" e
+        | None -> "");
+      if outcome.Perso_server.Server.drained then 0 else 1)
 
 let socket_arg =
   let doc = "Unix-domain socket path to listen on." in
@@ -596,14 +563,6 @@ let profile_lru_arg =
   in
   Arg.(value & opt int 512 & info [ "profile-lru" ] ~docv:"N" ~doc)
 
-let io_arg =
-  let doc =
-    "I/O runtime: $(b,threads) (default; one OS thread per connection) or \
-     $(b,evloop) (single-domain event loop over nonblocking sockets, \
-     byte-identical wire behavior)."
-  in
-  Arg.(value & opt string "threads" & info [ "io" ] ~docv:"RUNTIME" ~doc)
-
 let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
@@ -616,7 +575,7 @@ let serve_cmd =
       $ queue_arg $ drain_arg $ breaker_threshold_arg $ breaker_cooldown_arg
       $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg $ no_cache_arg
       $ cache_entries_arg $ cache_mb_arg $ domains_arg $ shards_arg
-      $ store_arg $ replicas_arg $ profile_lru_arg $ io_arg)
+      $ store_arg $ replicas_arg $ profile_lru_arg)
 
 (* ---------------- scrub ---------------- *)
 

@@ -16,6 +16,8 @@ type header = {
 
 let empty_header = { deadline_ms = None; max_rows = None; max_expansions = None }
 
+let max_line_bytes = 1 lsl 20
+
 (* First whitespace-delimited word, uppercased, plus the trimmed rest. *)
 let split_word s =
   let s = String.trim s in
@@ -91,10 +93,9 @@ let one_line s =
   String.concat "; "
     (List.filter (fun l -> l <> "") (String.split_on_char '\n' s))
 
-(* Responses render into a Buffer first: the thread shell writes the
-   buffer to an out_channel, the event-loop shell writes the same bytes
-   to a nonblocking fd in one batch.  Byte-identity across runtimes is
-   by construction — there is exactly one renderer. *)
+(* Responses render into a Buffer first, then go out in one write; the
+   serve benchmark's traced replay renders through the same printers, so
+   its reply bytes are the server's by construction. *)
 
 let bprint_rows b ~notes (res : Relal.Exec.result) =
   Printf.bprintf b "OK rows=%d\n" (List.length res.Relal.Exec.rows);

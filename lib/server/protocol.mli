@@ -68,6 +68,12 @@ type header = {
 
 val empty_header : header
 
+val max_line_bytes : int
+(** The longest request line the server reads: 1 MiB, newline
+    excluded.  A longer line is answered with one [ERR parse] and the
+    connection is closed, so a client that never sends a newline cannot
+    grow the server's heap. *)
+
 val parse_header_line : string -> (header -> header) option
 (** [Some update] when the line is a budget header, [None] when it is a
     command (or garbage) line. *)
@@ -94,8 +100,8 @@ val one_line : string -> string
 
 val bprint_rows : Buffer.t -> notes:string list -> Relal.Exec.result -> unit
 (** Render a row response into a buffer.  The [write_*] channel writers
-    and the event-loop shell both go through these renderers, so replies
-    are byte-identical across I/O runtimes by construction. *)
+    go through these renderers, and so does anything else that needs
+    the server's exact reply bytes. *)
 
 val bprint_stats : Buffer.t -> (string * string) list -> unit
 val bprint_message : Buffer.t -> string -> unit

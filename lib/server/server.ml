@@ -59,9 +59,70 @@ let unregister_conn t fd =
   locked t.cm (fun () ->
       t.conns <- List.filter (fun (fd', _) -> fd' <> fd) t.conns)
 
-let read_request ic =
+(* Each connection reads through its own chunk buffer.  A line is cut
+   at the first '\n' found by scanning the chunk; only a line that spans
+   chunks is assembled in [partial], and one longer than
+   {!Protocol.max_line_bytes} raises [Line_too_long] instead of growing
+   the heap. *)
+exception Line_too_long
+
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;  (* next unread byte of [chunk] *)
+  mutable len : int;  (* bytes of [chunk] filled by the last read *)
+  partial : Buffer.t;
+}
+
+let reader fd =
+  { fd; chunk = Bytes.create 65536; pos = 0; len = 0; partial = Buffer.create 256 }
+
+let rec scan_newline b i stop =
+  if i = stop || Bytes.unsafe_get b i = '\n' then i
+  else scan_newline b (i + 1) stop
+
+let take_partial r =
+  let line = Buffer.contents r.partial in
+  Buffer.reset r.partial;
+  line
+
+(* The next line without its '\n'; [None] at EOF.  A final line the
+   client never terminated is still returned, as [input_line] does. *)
+let rec input_line r =
+  if r.pos = r.len then
+    match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+    | 0 -> if Buffer.length r.partial = 0 then None else Some (take_partial r)
+    | n ->
+        r.pos <- 0;
+        r.len <- n;
+        input_line r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> input_line r
+  else begin
+    let nl = scan_newline r.chunk r.pos r.len in
+    let n = nl - r.pos in
+    if Buffer.length r.partial + n > Protocol.max_line_bytes then
+      raise Line_too_long;
+    if nl = r.len then begin
+      Buffer.add_subbytes r.partial r.chunk r.pos n;
+      r.pos <- r.len;
+      input_line r
+    end
+    else begin
+      let line =
+        if Buffer.length r.partial = 0 then Bytes.sub_string r.chunk r.pos n
+        else begin
+          Buffer.add_subbytes r.partial r.chunk r.pos n;
+          take_partial r
+        end
+      in
+      r.pos <- nl + 1;
+      Some line
+    end
+  end
+
+let read_request r =
   let rec go hdr =
-    match In_channel.input_line ic with
+    match input_line r with
     | None -> None
     | Some line ->
         let line = String.trim line in
@@ -74,7 +135,7 @@ let read_request ic =
   go Protocol.empty_header
 
 let handle_connection t fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let r = reader fd in
   let oc = Unix.out_channel_of_descr fd in
   let finally () =
     unregister_conn t fd;
@@ -83,7 +144,13 @@ let handle_connection t fd =
   Fun.protect ~finally (fun () ->
       try
         let rec loop () =
-          match read_request ic with
+          match read_request r with
+          | exception Line_too_long ->
+              (* The rest of the line is never read: answer once, close. *)
+              Protocol.write_error oc
+                (Perso.Error.Parse
+                   (Printf.sprintf "protocol: request line exceeds %d bytes"
+                      Protocol.max_line_bytes))
           | None -> ()
           | Some (_, Error msg) ->
               Protocol.write_error oc (Perso.Error.Parse ("protocol: " ^ msg));
@@ -110,8 +177,9 @@ let handle_connection t fd =
         in
         loop ()
       with
-      | End_of_file | Sys_error _ -> ()
-      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
+      (* A failed socket read (Unix_error) or channel write (Sys_error)
+         ends this connection and nothing else. *)
+      | End_of_file | Sys_error _ | Unix.Unix_error _ -> ())
 
 (* ------------------------------ acceptor ----------------------------- *)
 

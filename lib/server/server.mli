@@ -28,6 +28,9 @@
       rejected with [Overloaded]; the breaker half-opens on a timer.
     - {b Isolation}: queries hold a shared read lock on the database;
       [PROFILE SAVE] holds the exclusive write lock (see {!Rwlock}).
+    - {b Bounded reads}: each connection reads through its own chunk
+      buffer; a request line longer than {!Protocol.max_line_bytes} is
+      answered with one [ERR parse] and the connection is closed.
     - {b Graceful drain}: {!request_stop} (wired to SIGTERM by the CLI
       and to the [SHUTDOWN] command) stops admission; {!stop} waits up
       to [drain_ms] for queued and in-flight work, sheds whatever

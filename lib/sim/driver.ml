@@ -62,20 +62,6 @@ let run_scenarios ~seed ~runs =
   done;
   !ok
 
-(* The event-loop runtime under virtual time: same core, second
-   scheduler, same audits (see {!Evloop_check}). *)
-let run_evloop_checks ~seed ~runs =
-  let ok = ref true in
-  for i = 0 to runs - 1 do
-    let s = seed + i in
-    match Evloop_check.run ~seed:s with
-    | Ok () -> Printf.printf "sim: evloop seed=%d PASS\n%!" s
-    | Error e ->
-        Printf.printf "sim: evloop seed=%d FAIL: %s\n%!" s e;
-        ok := false
-  done;
-  !ok
-
 let run_oracle ~seed ~cases ~movies ~selections =
   if cases <= 0 then true
   else begin
@@ -175,12 +161,11 @@ let main opts =
         else 1
       else begin
         let sc_ok = run_scenarios ~seed:opts.seed ~runs:opts.runs in
-        let ev_ok = run_evloop_checks ~seed:opts.seed ~runs:opts.runs in
         let or_ok =
           run_oracle ~seed:opts.seed ~cases:opts.oracle_cases
             ~movies:opts.oracle_movies ~selections:opts.oracle_selections
         in
-        if sc_ok && ev_ok && or_ok then begin
+        if sc_ok && or_ok then begin
           Printf.printf "sim: OK (runs=%d oracle-cases=%d)\n%!" opts.runs
             opts.oracle_cases;
           0

@@ -1,9 +1,9 @@
-(* The two I/O runtimes must be indistinguishable on the wire: an
-   identical request script against `--io threads` and `--io evloop`
-   (memory and disk backends) must produce byte-identical reply
-   transcripts — including the final HEALTH block, so every ledger
-   counter matches too.  Plus direct unit checks on the Evloop scheduler
-   under its virtual clock. *)
+(* The serving shell must be deterministic on the wire: an identical
+   request script replayed against two fresh servers (memory and disk
+   backends) must produce byte-identical reply transcripts — including
+   the final HEALTH block, so every ledger counter matches too — and
+   each transcript's ledger must balance.  Plus liveness and shape
+   checks on the load generator the serve benchmark drives. *)
 
 open Perso_server
 
@@ -17,98 +17,6 @@ let fresh_name =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "%s_%d_%d%s" prefix (Unix.getpid ()) !n suffix)
-
-(* ------------------------- evloop scheduler -------------------------- *)
-
-let test_evloop_order () =
-  let order = ref [] in
-  let log x = order := x :: !order in
-  let r =
-    Evloop.run ~clock:`Virtual (fun () ->
-        let t1 =
-          Evloop.spawn (fun () ->
-              Evloop.sleep 0.2;
-              log "t1")
-        in
-        let t2 =
-          Evloop.spawn (fun () ->
-              Evloop.sleep 0.1;
-              log "t2")
-        in
-        Evloop.join t1;
-        Evloop.join t2;
-        log "main";
-        Alcotest.(check (float 1e-9)) "virtual now" 0.2 (Evloop.now ()))
-  in
-  (match r with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "evloop failed: %s" e);
-  Alcotest.(check (list string))
-    "timer order" [ "main"; "t1"; "t2" ] !order
-
-let test_evloop_mutex_cond () =
-  let got = ref [] in
-  let r =
-    Evloop.run ~clock:`Virtual (fun () ->
-        let m = Evloop.R.mutex_create () in
-        let c = Evloop.R.cond_create () in
-        let box = ref None in
-        let consumer =
-          Evloop.spawn (fun () ->
-              Evloop.R.lock m;
-              while !box = None do
-                Evloop.R.wait c m
-              done;
-              got := [ Option.get !box ];
-              Evloop.R.unlock m)
-        in
-        let producer =
-          Evloop.spawn (fun () ->
-              Evloop.sleep 0.05;
-              Evloop.R.lock m;
-              box := Some 42;
-              Evloop.R.signal c;
-              Evloop.R.unlock m)
-        in
-        Evloop.join consumer;
-        Evloop.join producer)
-  in
-  (match r with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "evloop failed: %s" e);
-  Alcotest.(check (list int)) "handoff" [ 42 ] !got
-
-let test_evloop_deadlock_detected () =
-  match
-    Evloop.run ~clock:`Virtual (fun () ->
-        let m = Evloop.R.mutex_create () in
-        let t =
-          Evloop.spawn (fun () ->
-              Evloop.R.lock m;
-              (* never unlocked *)
-              ())
-        in
-        Evloop.join t;
-        Evloop.R.lock m;
-        Evloop.R.lock m (* self-deadlock: parks forever *))
-  with
-  | Ok () -> Alcotest.fail "expected a deadlock report"
-  | Error e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "mentions deadlock: %s" e)
-        true
-        (String.length e >= 8 && String.sub e 0 8 = "deadlock")
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
-let test_evloop_crash_is_fatal () =
-  match Evloop.run ~clock:`Virtual (fun () -> failwith "boom") with
-  | Ok () -> Alcotest.fail "expected loop failure"
-  | Error e ->
-      Alcotest.(check bool) "names the crash" true (contains e "boom")
 
 (* -------------------------- raw-byte client -------------------------- *)
 
@@ -161,7 +69,7 @@ let profile_wire db =
 (* A request is the full wire text (headers included).  The script mixes
    every command family, a cache hit, an identical re-save, a protocol
    error, and budget headers — all deterministic, so even the trailing
-   HEALTH counters must agree across runtimes. *)
+   HEALTH counters must agree across replays. *)
 let script db =
   let wire = profile_wire db in
   let sqls =
@@ -228,17 +136,16 @@ let with_store_dir backend f =
       Unix.mkdir dir 0o755;
       f (Some dir)
 
-let run_threads cfg db requests =
-  let t = Server.start cfg db in
-  Fun.protect
-    ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
-    (fun () -> transcript_of cfg.Server.socket_path requests)
-
-let run_evloop (cfg : Server.config) db requests =
-  let t = Server_ev.start cfg db in
-  Fun.protect
-    ~finally:(fun () -> ignore (Server_ev.stop t : Server_ev.drain_outcome))
-    (fun () -> transcript_of cfg.Server.socket_path requests)
+(* One replay: a fresh database, store directory and server. *)
+let replay backend requests =
+  with_store_dir backend (fun store_dir ->
+      let cfg =
+        mk_cfg ~socket_path:(fresh_name "perso_io" ".sock") ~store_dir
+      in
+      let t = Server.start cfg (mk_db ()) in
+      Fun.protect
+        ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
+        (fun () -> transcript_of cfg.Server.socket_path requests))
 
 (* Parse the trailing HEALTH block out of a transcript and audit the
    ledger: everything accepted is accounted, nothing is left queued. *)
@@ -268,32 +175,20 @@ let audit_ledger label transcript =
 
 let diff_backend backend () =
   let requests = script (mk_db ()) in
-  let t_threads =
-    with_store_dir backend (fun store_dir ->
-        let cfg =
-          mk_cfg ~socket_path:(fresh_name "perso_io_t" ".sock") ~store_dir
-        in
-        run_threads cfg (mk_db ()) requests)
-  in
-  let t_evloop =
-    with_store_dir backend (fun store_dir ->
-        let cfg =
-          mk_cfg ~socket_path:(fresh_name "perso_io_e" ".sock") ~store_dir
-        in
-        run_evloop cfg (mk_db ()) requests)
-  in
-  audit_ledger "threads" t_threads;
-  audit_ledger "evloop" t_evloop;
-  if not (String.equal t_threads t_evloop) then begin
+  let t_first = replay backend requests in
+  let t_second = replay backend requests in
+  audit_ledger "first" t_first;
+  audit_ledger "second" t_second;
+  if not (String.equal t_first t_second) then begin
     (* Pinpoint the first differing line for the failure message. *)
-    let a = String.split_on_char '\n' t_threads
-    and b = String.split_on_char '\n' t_evloop in
+    let a = String.split_on_char '\n' t_first
+    and b = String.split_on_char '\n' t_second in
     let rec first_diff i = function
       | x :: xs, y :: ys ->
           if String.equal x y then first_diff (i + 1) (xs, ys)
-          else Alcotest.failf "line %d differs:\n  threads: %s\n  evloop:  %s" i x y
-      | [], y :: _ -> Alcotest.failf "evloop has extra line %d: %s" i y
-      | x :: _, [] -> Alcotest.failf "threads has extra line %d: %s" i x
+          else Alcotest.failf "line %d differs:\n  first:  %s\n  second: %s" i x y
+      | [], y :: _ -> Alcotest.failf "second has extra line %d: %s" i y
+      | x :: _, [] -> Alcotest.failf "first has extra line %d: %s" i x
       | [], [] -> Alcotest.fail "transcripts differ but no line does?"
     in
     first_diff 0 (a, b)
@@ -365,20 +260,11 @@ let test_loadgen_script_shape () =
 let () =
   Alcotest.run "serve_io"
     [
-      ( "evloop",
-        [
-          Alcotest.test_case "timer/join order" `Quick test_evloop_order;
-          Alcotest.test_case "mutex + condvar" `Quick test_evloop_mutex_cond;
-          Alcotest.test_case "deadlock detected" `Quick
-            test_evloop_deadlock_detected;
-          Alcotest.test_case "task crash is fatal" `Quick
-            test_evloop_crash_is_fatal;
-        ] );
       ( "differential",
         [
-          Alcotest.test_case "threads = evloop (memory)" `Quick
+          Alcotest.test_case "replay = replay (memory)" `Quick
             (diff_backend `Memory);
-          Alcotest.test_case "threads = evloop (disk)" `Quick
+          Alcotest.test_case "replay = replay (disk)" `Quick
             (diff_backend `Disk);
         ] );
       ( "loadgen",
@@ -389,16 +275,5 @@ let () =
             test_loadgen_never_accepts;
           Alcotest.test_case "script: seeded, monotone arrivals" `Quick
             test_loadgen_script_shape;
-        ] );
-      ( "sim",
-        [
-          Alcotest.test_case "evloop under virtual time (seeds 1-3)" `Quick
-            (fun () ->
-              List.iter
-                (fun seed ->
-                  match Perso_sim.Evloop_check.run ~seed with
-                  | Ok () -> ()
-                  | Error e -> Alcotest.failf "seed %d: %s" seed e)
-                [ 1; 2; 3 ]);
         ] );
     ]

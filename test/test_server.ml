@@ -1,6 +1,7 @@
 (* Concurrent personalization server: breaker state machine, reader/
-   writer isolation, admission control + shedding, graceful drain, and
-   the N-thread chaos hammer of the resilience contract. *)
+   writer isolation, admission control + shedding, request-line bounds,
+   graceful drain, and the N-thread chaos hammer of the resilience
+   contract. *)
 
 open Perso_server
 
@@ -388,6 +389,69 @@ let test_profile_save_bounded () =
   Alcotest.(check bool) "one stored entry" true
     (match stored with Protocol.Rows { rows = [ _ ]; _ } -> true | _ -> false)
 
+(* ----------------------------- wire bounds --------------------------- *)
+
+(* A raw connection: the tests below send bytes no {!Client} would.  A
+   receive timeout turns a server that never answers into a failure
+   instead of a hang. *)
+let with_raw_conn socket f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      f fd (Unix.in_channel_of_descr fd) (Unix.out_channel_of_descr fd))
+
+(* The next [n] reply lines, [None] past EOF. *)
+let input_lines ic n = List.init n (fun _ -> In_channel.input_line ic)
+
+let test_request_line_bounded () =
+  (* A line of exactly Protocol.max_line_bytes is served; one byte more
+     gets a single typed parse error and the connection is closed, so a
+     client streaming bytes without a newline cannot grow the heap.  The
+     refused line never reaches admission, the server keeps serving, and
+     an unterminated final line is still answered at EOF. *)
+  with_server Fun.id (fun _t socket ->
+      let c = Client.connect socket in
+      ignore (request_exn c "RUN select count(*) as n from movie m");
+      with_raw_conn socket (fun _fd ic oc ->
+          let pad n = String.make n ' ' in
+          output_string oc ("PING" ^ pad (Protocol.max_line_bytes - 4) ^ "\n");
+          flush oc;
+          Alcotest.(check (list (option string)))
+            "a line at the limit is served"
+            [ Some "OK pong"; Some "END" ]
+            (input_lines ic 2);
+          output_string oc ("PING" ^ pad (Protocol.max_line_bytes - 3));
+          flush oc;
+          (match In_channel.input_line ic with
+          | Some line ->
+              Alcotest.(check bool)
+                (Printf.sprintf "typed parse error: %s" line)
+                true
+                (String.starts_with ~prefix:"ERR parse 1 " line)
+          | None -> Alcotest.fail "an over-limit line must get a reply");
+          Alcotest.(check (option string))
+            "then the server closes" None (In_channel.input_line ic));
+      with_raw_conn socket (fun fd ic oc ->
+          output_string oc "PING";
+          flush oc;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          Alcotest.(check (list (option string)))
+            "an unterminated line is served at EOF"
+            [ Some "OK pong"; Some "END"; None ]
+            (input_lines ic 3));
+      Alcotest.(check bool) "a new connection answers PING" true
+        (request_exn c "PING" = Protocol.Message "pong");
+      Client.close c;
+      let stats = health_of socket in
+      Alcotest.(check int) "only the RUN was admitted" 1 (stat "accepted" stats);
+      Alcotest.(check int) "ledger balanced" (stat "accepted" stats)
+        (stat "completed_ok" stats + stat "completed_err" stats
+        + stat "shed_expired" stats + stat "queue_depth" stats
+        + stat "in_flight" stats))
+
 (* ---------------------------- graceful drain ------------------------- *)
 
 let test_graceful_drain () =
@@ -658,6 +722,11 @@ let () =
         [
           Alcotest.test_case "over-limit save refused" `Quick
             test_profile_save_bounded;
+        ] );
+      ( "wire-bounds",
+        [
+          Alcotest.test_case "over-limit request line refused" `Quick
+            test_request_line_bounded;
         ] );
       ( "drain",
         [ Alcotest.test_case "graceful drain" `Quick test_graceful_drain ] );
