@@ -56,14 +56,16 @@ let table_to_string t =
 
 (* ------------------------------ parsing ------------------------------ *)
 
-(* Split CSV text into records of (field, was_quoted) lists. *)
-let parse_records text =
-  let records = ref [] in
-  let fields = ref [] in
-  let buf = Buffer.create 32 in
-  let quoted = ref false in
-  let in_quotes = ref false in
-  let n = String.length text in
+(* The one CSV scanner: a single pass over [text] that hands each record
+   to [on_record] as soon as its line ends, so no file is ever held as a
+   list of records.  A field is a run of segments — plain text outside
+   quotes, quoted text with [""] for a quote — copied into [buf] a
+   segment at a time; a [\r] outside quotes is dropped (CRLF tolerance).
+   A last line without a newline is still a record. *)
+let scan text on_record =
+  let len = String.length text in
+  let fields = ref [] and buf = Buffer.create 64 and quoted = ref false in
+  let segment a b = Buffer.add_substring buf text a (b - a) in
   let flush_field () =
     fields := (Buffer.contents buf, !quoted) :: !fields;
     Buffer.clear buf;
@@ -71,45 +73,51 @@ let parse_records text =
   in
   let flush_record () =
     flush_field ();
-    records := List.rev !fields :: !records;
+    on_record (Array.of_list (List.rev !fields));
     fields := []
   in
   let i = ref 0 in
-  while !i < n do
-    let c = text.[!i] in
-    if !in_quotes then begin
-      if c = '"' then
-        if !i + 1 < n && text.[!i + 1] = '"' then begin
-          Buffer.add_char buf '"';
-          i := !i + 2
-        end
-        else begin
-          in_quotes := false;
-          incr i
-        end
-      else begin
-        Buffer.add_char buf c;
-        incr i
-      end
-    end
-    else begin
-      (match c with
-      | '"' ->
-          in_quotes := true;
-          quoted := true
-      | ',' -> flush_field ()
-      | '\n' -> flush_record ()
-      | '\r' -> () (* tolerate CRLF *)
-      | c -> Buffer.add_char buf c);
-      incr i
-    end
+  while !i < len do
+    let j = ref !i in
+    while
+      !j < len
+      &&
+      match text.[!j] with
+      | ',' | '\n' | '\r' | '"' -> false
+      | _ -> true
+    do
+      incr j
+    done;
+    segment !i !j;
+    if !j = len then i := len
+    else
+      match text.[!j] with
+      | ',' ->
+          flush_field ();
+          i := !j + 1
+      | '\n' ->
+          flush_record ();
+          i := !j + 1
+      | '\r' -> i := !j + 1
+      | _ ->
+          (* '"': a quoted segment, up to the next lone quote; a doubled
+             quote keeps one. *)
+          quoted := true;
+          let rec quoted_segment k =
+            match String.index_from_opt text k '"' with
+            | None -> err "unterminated quoted field"
+            | Some q when q + 1 < len && text.[q + 1] = '"' ->
+                segment k (q + 1);
+                quoted_segment (q + 2)
+            | Some q ->
+                segment k q;
+                i := q + 1
+          in
+          quoted_segment (!j + 1)
   done;
-  if !in_quotes then err "unterminated quoted field";
-  (* Final record without trailing newline. *)
-  if Buffer.length buf > 0 || !fields <> [] then flush_record ();
-  List.rev !records
+  if !fields <> [] || Buffer.length buf > 0 || !quoted then flush_record ()
 
-let value_of_field ty (s, was_quoted) =
+let value_of_field ty s was_quoted =
   if s = "" && not was_quoted then Value.Null
   else
     match ty with
@@ -132,36 +140,49 @@ let value_of_field ty (s, was_quoted) =
         | Some d -> d
         | None -> err "bad date field %S" s)
 
+(* Append [text]'s rows to [t]: the header is checked against the
+   schema, and each row is typed under it and goes through
+   [Table.insert]'s own checks.  Rows are numbered by record, the header
+   being row 1. *)
+let load_rows t text =
+  let schema = Table.schema t in
+  let name = Schema.name schema in
+  let cols = Schema.columns schema in
+  let arity = Array.length cols in
+  let records = ref 0 in
+  scan text (fun fields ->
+      incr records;
+      let row_no = !records in
+      if row_no = 1 then begin
+        let lc_names a = Array.to_list (Array.map String.lowercase_ascii a) in
+        let expected = lc_names (Array.map (fun c -> c.Schema.cname) cols)
+        and got = lc_names (Array.map fst fields) in
+        if got <> expected then
+          err "header mismatch for %s: expected %s, got %s" name
+            (String.concat "," expected) (String.concat "," got)
+      end
+      else begin
+        let n = Array.length fields in
+        if n <> arity then
+          err "row %d of %s has %d fields, expected %d" row_no name n arity;
+        let row =
+          Array.mapi
+            (fun i (s, was_quoted) ->
+              try value_of_field cols.(i).Schema.cty s was_quoted
+              with Csv_error e ->
+                err "row %d of %s, column %s: %s" row_no name
+                  cols.(i).Schema.cname e)
+            fields
+        in
+        try Table.insert t row
+        with Invalid_argument e -> err "row %d of %s: %s" row_no name e
+      end);
+  if !records = 0 then err "missing header line"
+
 let table_of_string schema text =
-  match parse_records text with
-  | [] -> err "missing header line"
-  | header :: rows ->
-      let cols = Schema.columns schema in
-      let expected = Array.to_list (Array.map (fun c -> String.lowercase_ascii c.Schema.cname) cols) in
-      let got = List.map (fun (f, _) -> String.lowercase_ascii f) header in
-      if got <> expected then
-        err "header mismatch for %s: expected %s, got %s" (Schema.name schema)
-          (String.concat "," expected) (String.concat "," got);
-      let t = Table.create schema in
-      List.iteri
-        (fun lineno fields ->
-          if List.length fields <> Array.length cols then
-            err "row %d of %s has %d fields, expected %d" (lineno + 2)
-              (Schema.name schema) (List.length fields) (Array.length cols);
-          let row =
-            Array.of_list
-              (List.mapi
-                 (fun i f ->
-                   try value_of_field cols.(i).Schema.cty f
-                   with Csv_error e ->
-                     err "row %d of %s, column %s: %s" (lineno + 2)
-                       (Schema.name schema) cols.(i).Schema.cname e)
-                 fields)
-          in
-          try Table.insert t row
-          with Invalid_argument e -> err "row %d of %s: %s" (lineno + 2) (Schema.name schema) e)
-        rows;
-      t
+  let t = Table.create schema in
+  load_rows t text;
+  t
 
 (* ----------------------------- databases ----------------------------- *)
 
@@ -270,7 +291,10 @@ let save_db ~dir db =
   | Ok () -> ()
   | Error e -> err "saving %s: %s" dir e
 
-let verify_manifest ~dir =
+(* Read every file the manifest lists and check its size and MD5,
+   returning the verified bytes by name: the loader parses exactly the
+   bytes it checked, and checks them all before parsing any. *)
+let read_verified ~dir =
   let path = Filename.concat dir manifest_file in
   let parse_line lineno line =
     match String.index_opt line ' ' with
@@ -287,6 +311,7 @@ let verify_manifest ~dir =
             | None -> err "manifest line %d unparseable" (lineno + 1)
             | Some size -> (digest, size, name)))
   in
+  let verified = Hashtbl.create 16 in
   let check (digest, size, name) =
     let fpath = Filename.concat dir name in
     if not (Sys.file_exists fpath) then err "missing file %s" name;
@@ -294,7 +319,8 @@ let verify_manifest ~dir =
     if String.length contents <> size then
       err "%s has %d bytes, manifest says %d" name (String.length contents) size;
     if Digest.to_hex (Digest.string contents) <> digest then
-      err "checksum mismatch on %s" name
+      err "checksum mismatch on %s" name;
+    Hashtbl.replace verified name contents
   in
   let lines =
     In_channel.with_open_bin path In_channel.input_all
@@ -305,7 +331,8 @@ let verify_manifest ~dir =
      only be a truncated write — reject it instead of "verifying"
      nothing and then trusting whatever files happen to be present. *)
   if lines = [] then err "empty manifest";
-  List.iteri (fun i l -> check (parse_line i l)) lines
+  List.iteri (fun i l -> check (parse_line i l)) lines;
+  verified
 
 let load_db_r ~dir =
   let recover () =
@@ -317,27 +344,37 @@ let load_db_r ~dir =
     if (not (Sys.file_exists dir)) && Sys.file_exists old then
       Sys.rename old dir
   in
-  let parse_tables () =
-    let ddl_path = Filename.concat dir "schema.ddl" in
-    if not (Sys.file_exists ddl_path) then
-      Error (Torn_dump { dir; detail = "no schema.ddl" })
-    else begin
-      let schema_db =
-        Ddl.parse (In_channel.with_open_text ddl_path In_channel.input_all)
-      in
-      List.iter
-        (fun t ->
-          let schema = Table.schema t in
-          let path = Filename.concat dir (Schema.name schema ^ ".csv") in
-          if Sys.file_exists path then begin
-            let text = In_channel.with_open_text path In_channel.input_all in
-            let parsed = table_of_string schema text in
-            Table.iter parsed (fun row -> Table.insert t (Array.copy row))
-          end)
-        (Database.tables schema_db);
-      Database.index_fk_columns schema_db;
-      Ok schema_db
-    end
+  let parse_tables verified =
+    (* A verified file's bytes are taken (and dropped once parsed); a
+       file the manifest does not list is read from disk unverified. *)
+    let read name =
+      match Hashtbl.find_opt verified name with
+      | Some contents ->
+          Hashtbl.remove verified name;
+          Some contents
+      | None ->
+          let path = Filename.concat dir name in
+          if Sys.file_exists path then
+            Some (In_channel.with_open_bin path In_channel.input_all)
+          else None
+    in
+    match read "schema.ddl" with
+    | None -> Error (Torn_dump { dir; detail = "no schema.ddl" })
+    | Some ddl ->
+        let db, indexes = Ddl.parse_deferred ddl in
+        List.iter
+          (fun t ->
+            match read (Schema.name (Table.schema t) ^ ".csv") with
+            | Some text -> load_rows t text
+            | None -> ())
+          (Database.tables db);
+        (* Each index is built once over the loaded rows, which is
+           cheaper than maintaining it through every insert. *)
+        List.iter
+          (fun (t, c) -> Table.build_index (Database.table db t) c)
+          indexes;
+        Database.index_fk_columns db;
+        Ok db
   in
   try
     recover ();
@@ -347,17 +384,17 @@ let load_db_r ~dir =
          load unverified, as before. *)
       let verified =
         if Sys.file_exists (Filename.concat dir manifest_file) then
-          match verify_manifest ~dir with
-          | () -> Ok ()
+          match read_verified ~dir with
+          | v -> Ok v
           | exception Csv_error e -> Error (Torn_dump { dir; detail = e })
-        else Ok ()
+        else Ok (Hashtbl.create 1)
       in
       match verified with
       | Error _ as e -> e
-      | Ok () -> (
+      | Ok verified -> (
           (* Content errors past a verified manifest are a malformed dump
              (bad values written in the first place), not a torn one. *)
-          match parse_tables () with
+          match parse_tables verified with
           | r -> r
           | exception Csv_error e -> Error (Malformed e)
           | exception Ddl.Ddl_error e -> Error (Malformed e))

@@ -10,7 +10,9 @@
     A database directory holds [schema.ddl] (see {!Ddl}) plus one
     [<table>.csv] per table — a human-editable on-disk database the CLI
     can load with [--data-dir] — and a [manifest.sum] with per-file MD5
-    checksums and sizes.
+    checksums and sizes.  [schema.ddl] declares the catalog's indexes
+    ([create index on t (c)], one per indexed column), so a reload has
+    the access paths the saved catalog had.
 
     Dumps are crash-safe: {!save_db} writes everything into a fresh
     temp directory, fsyncs each file, writes the manifest last, and
@@ -26,7 +28,10 @@ val table_to_string : Table.t -> string
 (** Header plus one line per row. *)
 
 val table_of_string : Schema.t -> string -> Table.t
-(** Parse rows under the given schema (header validated).
+(** Parse rows under the given schema (header validated), with the same
+    one-pass scanner {!load_db_r} uses: each record is checked and
+    inserted as soon as its line ends, so an error in an earlier record
+    is reported before, say, an unterminated quote further on.
     @raise Csv_error on malformed CSV, a header mismatch, arity
     mismatches, or unparseable typed fields. *)
 
@@ -70,7 +75,14 @@ val load_db_r : dir:string -> (Database.t, load_error) result
     dump parked by a save interrupted between its commit renames.
     Tables listed in the DDL but missing a CSV load empty when no
     manifest is present (a manifest makes every listed file mandatory).
-    Foreign-key columns are hash-indexed after loading. *)
+
+    Each file is read once.  With a manifest, every listed file is read
+    and its size and MD5 checked before any file is parsed, and the
+    parser gets those same bytes.  Each CSV's rows go straight into the
+    catalog table.  Once all rows are in, each index the DDL declares
+    and each foreign-key column's index is built once over the loaded
+    rows (a DDL without index lines gets the foreign-key indexes
+    only). *)
 
 val load_db : dir:string -> Database.t
 (** {!load_db_r}, raising.  @raise Csv_error on any load error. *)

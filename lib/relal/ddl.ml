@@ -92,9 +92,11 @@ let parse_coldef st =
   done;
   { cd_name = name; cd_ty = ty; cd_pk = !pk; cd_unique = !uniq; cd_ref = !reference }
 
+type statement =
+  | Create_table of string * coldef list * string list
+  | Create_index of string * string
+
 let parse_table st =
-  expect_ident st "create";
-  expect_ident st "table";
   let tname = ident st "table name" in
   expect st Sql_lexer.LPAREN "'('";
   let cols = ref [] in
@@ -118,60 +120,101 @@ let parse_table st =
       finished := true
     end
   done;
-  (* Optional trailing semicolon: the lexer has no ';', so scripts are
-     pre-split on ';' by [parse]. *)
-  (tname, List.rev !cols, !table_pk)
+  Create_table (tname, List.rev !cols, !table_pk)
 
-let parse text =
+(* The lexer has no ';', so scripts are pre-split on ';' by
+   [parse_deferred]. *)
+let parse_statement st =
+  expect_ident st "create";
+  let stmt =
+    if accept_ident st "index" then begin
+      expect_ident st "on";
+      let t = ident st "table name" in
+      expect st Sql_lexer.LPAREN "'('";
+      let c = ident st "index column" in
+      expect st Sql_lexer.RPAREN "')'";
+      Create_index (t, c)
+    end
+    else begin
+      expect_ident st "table";
+      parse_table st
+    end
+  in
+  (match peek st with
+  | Sql_lexer.EOF -> ()
+  | t ->
+      let what =
+        match stmt with
+        | Create_table (t, _, _) -> "table " ^ t
+        | Create_index (t, c) -> Printf.sprintf "index on %s (%s)" t c
+      in
+      err "trailing input after %s (%s)" what
+        (Format.asprintf "%a" Sql_lexer.pp_token t));
+  stmt
+
+let add_table db fks tname cols table_pk =
+  let key =
+    if table_pk <> [] then table_pk
+    else List.filter_map (fun c -> if c.cd_pk then Some c.cd_name else None) cols
+  in
+  let unique =
+    List.filter_map (fun c -> if c.cd_unique then Some c.cd_name else None) cols
+  in
+  let schema =
+    try
+      Schema.make ~name:tname
+        ~cols:(List.map (fun c -> (c.cd_name, c.cd_ty)) cols)
+        ~key ~unique ()
+    with Invalid_argument e -> err "%s" e
+  in
+  (try Database.add_table db schema with Invalid_argument e -> err "%s" e);
+  List.iter
+    (fun c ->
+      match c.cd_ref with
+      | Some (t, rc) -> fks := (tname, c.cd_name, t, rc) :: !fks
+      | None -> ())
+    cols
+
+let check_index db (t, c) =
+  match Database.find_table db t with
+  | None -> err "create index: unknown table %s" t
+  | Some tbl ->
+      if not (Schema.mem_col (Table.schema tbl) c) then
+        err "create index: unknown column %s.%s" t c
+
+let parse_deferred text =
   let db = Database.create () in
   let statements =
     String.split_on_char ';' (strip_comments text)
     |> List.map String.trim
     |> List.filter (fun s -> s <> "")
   in
-  let fks = ref [] in
+  let fks = ref [] and indexes = ref [] in
   List.iter
     (fun stmt ->
       let toks =
         try Sql_lexer.tokenize stmt
         with Sql_lexer.Lex_error (e, _) -> err "lexical error: %s" e
       in
-      let st = { toks } in
-      let tname, cols, table_pk = parse_table st in
-      (match peek st with
-      | Sql_lexer.EOF -> ()
-      | t -> err "trailing input after table %s (%s)" tname
-               (Format.asprintf "%a" Sql_lexer.pp_token t));
-      let key =
-        if table_pk <> [] then table_pk
-        else List.filter_map (fun c -> if c.cd_pk then Some c.cd_name else None) cols
-      in
-      let unique =
-        List.filter_map (fun c -> if c.cd_unique then Some c.cd_name else None) cols
-      in
-      let schema =
-        try
-          Schema.make ~name:tname
-            ~cols:(List.map (fun c -> (c.cd_name, c.cd_ty)) cols)
-            ~key ~unique ()
-        with Invalid_argument e -> err "%s" e
-      in
-      (try Database.add_table db schema
-       with Invalid_argument e -> err "%s" e);
-      List.iter
-        (fun c ->
-          match c.cd_ref with
-          | Some (t, rc) -> fks := (tname, c.cd_name, t, rc) :: !fks
-          | None -> ())
-        cols)
+      match parse_statement { toks } with
+      | Create_table (tname, cols, table_pk) -> add_table db fks tname cols table_pk
+      | Create_index (t, c) ->
+          if not (List.mem (t, c) !indexes) then indexes := (t, c) :: !indexes)
     statements;
-  (* Register foreign keys after all tables exist, so forward references
-     between tables are legal. *)
+  (* Register foreign keys and check index declarations after all tables
+     exist, so forward references between statements are legal. *)
   List.iter
     (fun (t1, c1, t2, c2) ->
       try Database.add_fk db ~from_:(t1, c1) ~to_:(t2, c2)
       with Invalid_argument e -> err "%s" e)
     (List.rev !fks);
+  let indexes = List.rev !indexes in
+  List.iter (check_index db) indexes;
+  (db, indexes)
+
+let parse text =
+  let db, indexes = parse_deferred text in
+  List.iter (fun (t, c) -> Table.build_index (Database.table db t) c) indexes;
   db
 
 let to_string db =
@@ -212,5 +255,15 @@ let to_string db =
       in
       Buffer.add_string b (String.concat ",\n" (col_lines @ constraint_lines));
       Buffer.add_string b "\n);\n")
+    (Database.tables db);
+  List.iter
+    (fun t ->
+      List.iter
+        (fun c ->
+          Buffer.add_string b
+            (Printf.sprintf "create index on %s (%s);\n"
+               (Schema.name (Table.schema t))
+               (String.lowercase_ascii c)))
+        (Table.indexed_columns t))
     (Database.tables db);
   Buffer.contents b

@@ -108,6 +108,11 @@ let has_index t col =
   | None -> false
   | Some ci -> List.exists (fun idx -> idx.col = ci) t.indexes
 
+let indexed_columns t =
+  Schema.columns t.sch |> Array.to_list
+  |> List.filteri (fun ci _ -> List.exists (fun idx -> idx.col = ci) t.indexes)
+  |> List.map (fun c -> c.Schema.cname)
+
 let lookup_ids t col v =
   let ci = col_index_exn "lookup" t col in
   match List.find_opt (fun idx -> idx.col = ci) t.indexes with

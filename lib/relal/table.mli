@@ -50,6 +50,10 @@ val has_index : t -> string -> bool
     chooses index access paths — selection pushdown into an index probe,
     index-nested-loop joins — where one exists.) *)
 
+val indexed_columns : t -> string list
+(** Names of the columns carrying a hash index, in schema order — what a
+    dump declares ({!Ddl.to_string}) so a reload rebuilds them. *)
+
 val lookup : t -> string -> Value.t -> Value.t array list
 (** [lookup t col v] returns the rows with [col = v], using an index when
     one exists (building is the caller's choice), otherwise scanning. *)

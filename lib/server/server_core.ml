@@ -357,9 +357,16 @@ module Make (R : Runtime.S) = struct
             | _ -> ());
         reply
 
+  (* A running worker pops only while a slot is free: jobs run inline by
+     {!submit_inline} hold slots too, so [in_flight] never exceeds
+     [workers].  Only workers take slots in {!submit}'s queued path, so
+     there a waiting worker always finds one free. *)
   let rec worker_loop t =
     R.lock t.qm;
-    while Queue.is_empty t.queue && t.phase = Running do
+    while
+      (Queue.is_empty t.queue || t.in_flight >= t.cfg.workers)
+      && t.phase = Running
+    do
       R.wait t.qc t.qm
     done;
     (* Draining workers finish the queue; a stopped server's queue has
@@ -383,42 +390,65 @@ module Make (R : Runtime.S) = struct
 
   (* ----------------------------- admission --------------------------- *)
 
-  let submit t (hdr : Protocol.header) command =
+  let admit t (hdr : Protocol.header) command ~inline =
     let budget = cap_budget t.cfg hdr in
     let deadline_at =
       Option.map (fun ms -> R.now () +. (ms /. 1000.)) budget.Governor.deadline_ms
     in
-    let decision =
-      locked t.qm (fun () ->
-          if t.phase <> Running then begin
-            t.c.shed_draining <- t.c.shed_draining + 1;
-            Error (Perso.Error.Overloaded "server draining; not accepting work")
-          end
-          else if Queue.length t.queue >= t.cfg.queue_capacity then begin
-            t.c.shed_queue_full <- t.c.shed_queue_full + 1;
-            Error
-              (Perso.Error.Overloaded
-                 (Printf.sprintf "admission queue full (%d queued)"
-                    t.cfg.queue_capacity))
-          end
-          else begin
-            t.c.accepted <- t.c.accepted + 1;
-            let job =
-              {
-                command;
-                budget;
-                deadline_at;
-                jm = R.mutex_create ();
-                jc = R.cond_create ();
-                answer = None;
-              }
-            in
-            Queue.push job t.queue;
-            R.signal t.qc;
-            Ok job
-          end)
+    let new_job () =
+      {
+        command;
+        budget;
+        deadline_at;
+        jm = R.mutex_create ();
+        jc = R.cond_create ();
+        answer = None;
+      }
     in
-    match decision with Error e -> R_error e | Ok job -> job_take job
+    locked t.qm (fun () ->
+        if t.phase <> Running then begin
+          t.c.shed_draining <- t.c.shed_draining + 1;
+          Error (Perso.Error.Overloaded "server draining; not accepting work")
+        end
+        else if
+          inline && Queue.is_empty t.queue && t.in_flight < t.cfg.workers
+        then begin
+          t.c.accepted <- t.c.accepted + 1;
+          t.in_flight <- t.in_flight + 1;
+          Ok (`Inline (new_job ()))
+        end
+        else if Queue.length t.queue >= t.cfg.queue_capacity then begin
+          t.c.shed_queue_full <- t.c.shed_queue_full + 1;
+          Error
+            (Perso.Error.Overloaded
+               (Printf.sprintf "admission queue full (%d queued)"
+                  t.cfg.queue_capacity))
+        end
+        else begin
+          t.c.accepted <- t.c.accepted + 1;
+          let job = new_job () in
+          Queue.push job t.queue;
+          R.signal t.qc;
+          Ok (`Queued job)
+        end)
+
+  (* With [~inline], the job runs on the caller's thread when a slot is
+     free and nothing is queued, so a request costs no handoff to a
+     worker and back.  Its slot is released like a worker's, and a job
+     queued meanwhile gets a worker. *)
+  let submit_with ~inline t hdr command =
+    match admit t hdr command ~inline with
+    | Error e -> R_error e
+    | Ok (`Queued job) -> job_take job
+    | Ok (`Inline job) ->
+        let reply = process t job in
+        locked t.qm (fun () ->
+            t.in_flight <- t.in_flight - 1;
+            if not (Queue.is_empty t.queue) then R.signal t.qc);
+        reply
+
+  let submit = submit_with ~inline:false
+  let submit_inline = submit_with ~inline:true
 
   (* ------------------------------ health ----------------------------- *)
 

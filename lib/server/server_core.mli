@@ -102,6 +102,14 @@ module Make (_ : Runtime.S) : sig
   (** Admission (shed when draining or the queue is full), then block
       until a worker answers the job's one-shot mailbox. *)
 
+  val submit_inline : t -> Protocol.header -> Protocol.command -> reply
+  (** {!submit}, except that a job admitted while nothing is queued and
+      fewer than [workers] jobs are in flight runs on the calling thread,
+      holding a worker slot, instead of going through the queue.  The
+      slot bound, shedding, deadlines, drain and the ledger are
+      {!submit}'s: workers take queued jobs only while a slot is free.
+      The socket front end uses this; the simulation drives {!submit}. *)
+
   val health : t -> (string * string) list
   val request_stop : t -> unit
   val stop_requested : t -> bool

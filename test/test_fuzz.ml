@@ -1,7 +1,8 @@
 (* Parser fuzzing: on arbitrary byte strings the SQL front end may
    accept or reject, but the only permitted rejections are the typed
    Lex_error / Parse_error — no Invalid_argument, no Failure, no
-   assertion from deep inside the lexer. *)
+   assertion from deep inside the lexer.  The dump decoders (CSV tables,
+   schema.ddl) are held to the same contract with their own errors. *)
 
 open Relal
 
@@ -67,6 +68,102 @@ let test_adversarial () =
         true (front_end_total s))
     adversarial_corpus
 
+(* Decoders of on-disk dumps: a table's CSV and schema.ddl.  On any
+   bytes each must load or fail with its own typed error — Csv_error,
+   Ddl_error — and nothing else. *)
+
+let all_types =
+  Schema.make ~name:"t"
+    ~cols:
+      [
+        ("i", Value.TInt); ("f", Value.TFloat); ("s", Value.TStr);
+        ("b", Value.TBool); ("d", Value.TDate);
+      ]
+    ()
+
+let csv_total text =
+  match Csv.table_of_string all_types text with
+  | (_ : Table.t) -> true
+  | exception Csv.Csv_error _ -> true
+  | exception _ -> false
+
+let ddl_total text =
+  match Ddl.parse text with
+  | (_ : Database.t) -> true
+  | exception Ddl.Ddl_error _ -> true
+  | exception _ -> false
+
+let fuzz_csv_random_bytes =
+  QCheck.Test.make ~count:2000 ~name:"csv decoder total on random bytes"
+    QCheck.(string_gen Gen.char)
+    csv_total
+
+let fuzz_csv_rows =
+  (* Behind a valid header, so the bytes reach row typing and
+     Table.insert rather than stopping at the header check. *)
+  let fragment =
+    QCheck.Gen.oneofl
+      [
+        ","; "\""; "\"\""; "\r"; "\n"; "\r\n"; ""; "1"; "-7"; "2.5"; "1e308";
+        "nan"; "true"; "F"; "2003-07-02"; "2/7/2003"; "2003-02-30"; "abc";
+        "\x00"; "\xff"; " ";
+      ]
+  in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun parts -> "i,f,s,b,d\n" ^ String.concat "" parts)
+        (list_size (int_range 0 40) fragment))
+  in
+  QCheck.Test.make ~count:2000 ~name:"csv decoder total on CSV-ish rows"
+    (QCheck.make ~print:String.escaped gen)
+    csv_total
+
+let fuzz_ddl_random_bytes =
+  QCheck.Test.make ~count:2000 ~name:"ddl decoder total on random bytes"
+    QCheck.(string_gen Gen.char)
+    ddl_total
+
+let fuzz_ddl_edits =
+  (* A valid script with one to three token edits (replace, insert,
+     delete): near-valid input reaches every clause of the grammar, where
+     uniform fragments rarely get past the first keyword. *)
+  let valid =
+    String.split_on_char ' '
+      "create table t ( a int primary key , b string unique , c date ) ; \
+       create table u ( a int references t(a) , d float , primary key ( a \
+       , d ) ) ; create index on t ( b ) ; create index on u ( d ) ;"
+  in
+  let fragment =
+    QCheck.Gen.oneofl
+      [
+        "create"; "table"; "index"; "on"; "t"; "u"; "nosuch"; "a"; "int";
+        "blob"; "primary"; "key"; "unique"; "references"; "("; ")"; ",";
+        ";"; "--"; "\n"; "'"; "1"; "\xff"; "";
+      ]
+  in
+  let edit toks =
+    let open QCheck.Gen in
+    let* i = int_bound (List.length toks) in
+    let* f = fragment in
+    oneofl
+      [
+        List.mapi (fun j t -> if j = i then f else t) toks;
+        List.concat (List.mapi (fun j t -> if j = i then [ f; t ] else [ t ]) toks)
+        @ if i = List.length toks then [ f ] else [];
+        List.filteri (fun j _ -> j <> i) toks;
+      ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let* n = int_range 1 3 in
+    let rec go k toks = if k = 0 then return toks else edit toks >>= go (k - 1) in
+    map (String.concat " ") (go n valid)
+  in
+  QCheck.Test.make ~count:2000 ~name:"ddl decoder total on edited scripts"
+    (QCheck.make ~print:String.escaped gen)
+    ddl_total
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -75,5 +172,12 @@ let () =
           QCheck_alcotest.to_alcotest fuzz_random_bytes;
           QCheck_alcotest.to_alcotest fuzz_almost_sql;
           Alcotest.test_case "adversarial corpus" `Quick test_adversarial;
+        ] );
+      ( "dump decoders",
+        [
+          QCheck_alcotest.to_alcotest fuzz_csv_random_bytes;
+          QCheck_alcotest.to_alcotest fuzz_csv_rows;
+          QCheck_alcotest.to_alcotest fuzz_ddl_random_bytes;
+          QCheck_alcotest.to_alcotest fuzz_ddl_edits;
         ] );
     ]

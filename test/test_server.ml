@@ -153,7 +153,7 @@ let health_of socket =
 
 (* A six-way cross product with no join predicate: the executor grinds
    cartesian batches until the governor's deadline trips, so the request
-   occupies a worker for roughly its deadline (a second or two naturally
+   holds a worker slot for roughly its deadline (a second or two naturally
    at 12–15 movies — large enough to sequence other requests against,
    small enough that its biggest selection vector stays tens of MB).
    The tests that use it disable the server's row cap so the deadline is
@@ -192,7 +192,8 @@ let test_shed_and_expiry () =
         max_expansions = None;
       })
     (fun _t socket ->
-      (* A occupies the single worker until its 800 ms deadline trips. *)
+      (* A holds the single worker slot until its 800 ms deadline trips.
+         It runs on its connection's thread, so the one worker idles. *)
       let result_a = ref (Error "unset") in
       let ta =
         Thread.create
@@ -203,8 +204,9 @@ let test_shed_and_expiry () =
           ()
       in
       wait_for_stat socket "in_flight" 1;
-      (* B fills the only queue slot; its 10 ms deadline will have
-         expired long before the worker frees up. *)
+      (* B fills the only queue slot: the idle worker must leave it
+         there while A holds the slot, and B's 10 ms deadline will have
+         expired long before the slot frees up. *)
       let result_b = ref (Error "unset") in
       let tb =
         Thread.create
