@@ -800,20 +800,14 @@ let bench_exec () =
 (* Cold / warm / edited personalization cost under a Zipf-skewed
    (user, query-template) workload.  Personalization only — no query
    execution — since the cache saves the pipeline, not the executor.
-   Four passes over the same request sequence:
+   Three passes over the same request sequence:
 
      cold         every request runs the full §4 pipeline, no cache
      warm         a primed {!Perso.Perso_cache}; every request hits
-     invalidate   primed cache with the patcher OFF, but every 10th
-                  request first retunes one of that user's selections
-                  and saves it to {!Perso.Profile_store} — consults
-                  after an edit recompute cold
-     incremental  the same edit sequence with the patcher ON — consults
-                  after an edit are spliced when provably sound
-
-   The two edited passes replay the identical edit sequence from the
-   same starting profiles (snapshot/restore + a dedicated edit RNG), so
-   invalidate vs incremental isolates exactly the patcher's effect.
+     invalidate   a primed cache, but every 10th request first retunes
+                  one of that user's selections and saves it to
+                  {!Perso.Profile_store} — the save drops the user's
+                  cached plans, so consults after an edit recompute cold
 
    Writes BENCH_PERSO.json (override with BENCH_PERSO_OUT); `make check`
    gates on warm being >= 5x faster than cold. *)
@@ -847,9 +841,8 @@ let bench_perso () =
     List.init n_req (fun _ ->
         (Putil.Zipf.sample zu rng, Putil.Zipf.sample zt rng))
   in
-  (* K above the profiles' related-path count: the donor top-K is not
-     cut off, so single-selection retunes take the patcher's rescale
-     fast path (a full top-K forces its sound cold fallback). *)
+  (* K above the profiles' related-path count, so selection emits every
+     related path: the setting of every committed BENCH_PERSO.json. *)
   let params = { Personalize.default_params with k = Criteria.top_r 50 } in
   let pass ?cache ?erng ?(edit_every = 0) () =
     (* One sweep over [reqs]; returns total ms inside personalization. *)
@@ -891,40 +884,25 @@ let bench_perso () =
         acc +. ms)
       0. reqs
   in
-  let snapshot = Array.map (fun p -> !p) profiles in
-  let restore () =
-    Array.iteri
-      (fun i p ->
-        p := snapshot.(i);
-        Profile_store.save pdb ~user:users.(i) snapshot.(i))
-      profiles
-  in
-  (* One edited pass: restore profiles, prime a fresh cache, then replay
-     the edit sequence.  Returns (ms, hits, patched, cold). *)
-  let edited ~incremental () =
-    restore ();
-    let c = Perso_cache.create ~incremental pdb in
+  (* Prime a fresh cache, then time one pass through it; returns
+     (ms, hits, misses) of the timed pass. *)
+  let cached ?erng ?edit_every () =
+    let c = Perso_cache.create pdb in
     ignore (pass ~cache:c () : float) (* prime *);
     let st0 = Perso_cache.stats c in
-    let ms = pass ~cache:c ~erng:(Putil.Rng.create 777) ~edit_every:10 () in
+    let ms = pass ~cache:c ?erng ?edit_every () in
     let st1 = Perso_cache.stats c in
     ( ms,
       st1.Perso_cache.hits - st0.Perso_cache.hits,
-      st1.Perso_cache.incremental - st0.Perso_cache.incremental,
       st1.Perso_cache.misses - st0.Perso_cache.misses )
   in
   let ms_cold = pass () in
-  let warm_cache = Perso_cache.create pdb in
-  ignore (pass ~cache:warm_cache () : float) (* prime *);
-  let warm_st0 = Perso_cache.stats warm_cache in
-  let ms_warm = pass ~cache:warm_cache () in
-  let warm_st = Perso_cache.stats warm_cache in
-  let warm_hits = warm_st.Perso_cache.hits - warm_st0.Perso_cache.hits in
-  let ms_inv, inv_hits, _, inv_cold = edited ~incremental:false () in
-  let ms_inc, inc_hits, inc_patched, inc_cold = edited ~incremental:true () in
+  let ms_warm, warm_hits, _ = cached () in
+  let ms_inv, inv_hits, inv_cold =
+    cached ~erng:(Putil.Rng.create 777) ~edit_every:10 ()
+  in
   let per ms = ms /. float_of_int n_req in
   let speedup_warm = per ms_cold /. per ms_warm in
-  let speedup_inc = per ms_inv /. per ms_inc in
   Printf.printf
     "\n## Plan cache (%d movies, %d users x %d templates, %d requests, Zipf \
      s=1.1)\n"
@@ -936,12 +914,7 @@ let bench_perso () =
     (Printf.sprintf "%d hits" warm_hits);
   Printf.printf "%-12s %12.3f %14.4f %30s\n" "invalidate" ms_inv (per ms_inv)
     (Printf.sprintf "%d hits, %d cold" inv_hits inv_cold);
-  Printf.printf "%-12s %12.3f %14.4f %30s\n%!" "incremental" ms_inc (per ms_inc)
-    (Printf.sprintf "%d hits, %d patched, %d cold" inc_hits inc_patched
-       inc_cold);
-  Printf.printf "# speedup: warm %.1fx vs cold, incremental %.2fx vs \
-                 invalidate\n%!"
-    speedup_warm speedup_inc;
+  Printf.printf "# speedup: warm %.1fx vs cold\n%!" speedup_warm;
   let path =
     Option.value ~default:"BENCH_PERSO.json" (Sys.getenv_opt "BENCH_PERSO_OUT")
   in
@@ -966,15 +939,9 @@ let bench_perso () =
     ms_warm (per ms_warm) warm_hits;
   Printf.fprintf oc
     "    {\"name\": \"invalidate\", \"ms_total\": %.3f, \"ms_per_query\": \
-     %.4f, \"hits\": %d, \"misses\": %d},\n"
+     %.4f, \"hits\": %d, \"misses\": %d}\n"
     ms_inv (per ms_inv) inv_hits inv_cold;
-  Printf.fprintf oc
-    "    {\"name\": \"incremental\", \"ms_total\": %.3f, \"ms_per_query\": \
-     %.4f, \"hits\": %d, \"incremental\": %d, \"misses\": %d}\n"
-    ms_inc (per ms_inc) inc_hits inc_patched inc_cold;
-  Printf.fprintf oc
-    "  ],\n  \"speedup_warm\": %.2f,\n  \"speedup_incremental\": %.2f\n}\n"
-    speedup_warm speedup_inc;
+  Printf.fprintf oc "  ],\n  \"speedup_warm\": %.2f\n}\n" speedup_warm;
   close_out oc;
   Printf.printf "# wrote %s\n%!" path
 

@@ -63,8 +63,8 @@ let cache_of s =
       c
 
 (* A db switch orphans the cache (entries personalize against the old
-   schema); a profile edit just moves the revision so stale entries
-   become patch donors. *)
+   schema); a profile edit just moves the revision, so no entry computed
+   before it is served again. *)
 let switched_db s = s.cache <- None
 let edited_profile s = s.rev <- s.rev + 1
 
@@ -135,8 +135,7 @@ let run_personalized s sql =
         (List.length outcome.Perso.Personalize.selected)
         (match src with
         | Perso.Perso_cache.Hit -> "hit"
-        | Perso.Perso_cache.Incremental -> "incremental"
-        | Perso.Perso_cache.Miss -> "miss"
+        | Perso.Perso_cache.Miss | Perso.Perso_cache.Incremental -> "miss"
         | Perso.Perso_cache.Bypass -> "bypass");
       print_result (Perso.Personalize.execute s.db outcome)
     end
@@ -193,10 +192,10 @@ let cache_command s arg =
           | None -> Perso.Perso_cache.stats (cache_of s)
         in
         Printf.printf
-          "cache on: %d hits, %d incremental, %d misses, %d evictions, %d \
-           invalidations, %d entries\n"
-          st.Perso.Perso_cache.hits st.Perso.Perso_cache.incremental
-          st.Perso.Perso_cache.misses st.Perso.Perso_cache.evictions
+          "cache on: %d hits, %d misses, %d evictions, %d invalidations, %d \
+           entries\n"
+          st.Perso.Perso_cache.hits st.Perso.Perso_cache.misses
+          st.Perso.Perso_cache.evictions
           st.Perso.Perso_cache.invalidations st.Perso.Perso_cache.entries
   | other -> report_error "unknown cache argument" other
 

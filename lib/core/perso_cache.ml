@@ -4,6 +4,9 @@ type locker = { with_lock : 'a. (unit -> 'a) -> 'a }
 
 let no_lock = { with_lock = (fun f -> f ()) }
 
+(* [Incremental] and [stats.incremental] are never produced since the
+   cache stopped patching stale plans; they stay until the benchmark's
+   tracer stops reading them. *)
 type source = Hit | Incremental | Miss | Bypass
 
 type stats = {
@@ -18,17 +21,16 @@ type stats = {
 }
 
 (* Entries form a doubly-linked LRU list (head = most recently used)
-   indexed by the hashtable.  A stale entry (revision behind the user's
-   current one) is not dropped on invalidation: it stays as the donor
-   for incremental re-personalization and is replaced in place by the
-   next store under its key. *)
+   indexed by the hashtable.  An entry remembers the revision it was
+   computed under: a profile mutation drops the user's entries, and an
+   entry stored by a consult that raced a mutation is never served under
+   the newer revision. *)
 type entry = {
   key : string;
   e_user : string;
-  mutable e_rev : int;
-  mutable e_profile : Profile.t;
-  mutable e_outcome : Personalize.outcome;
-  mutable e_bytes : int;
+  e_rev : int;
+  e_outcome : Personalize.outcome;
+  e_bytes : int;
   mutable prev : entry option;
   mutable next : entry option;
 }
@@ -42,12 +44,10 @@ type t = {
   lock : locker;
   max_entries : int;
   max_bytes : int;
-  incremental_on : bool;
   tbl : (string, entry) Hashtbl.t;
   mutable head : entry option;
   mutable tail : entry option;
   mutable c_hits : int;
-  mutable c_inc : int;
   mutable c_miss : int;
   mutable c_byp : int;
   mutable c_evict : int;
@@ -80,10 +80,6 @@ let drop t e =
   Hashtbl.remove t.tbl e.key;
   t.c_bytes <- t.c_bytes - e.e_bytes
 
-(* Byte accounting: a typed structural estimate ([Size_est]) — the
-   exact [Obj.reachable_words] walk was ~20% of a patched consult. *)
-let measure key profile outcome = Size_est.entry_bytes ~key profile outcome
-
 let rec enforce t =
   if Hashtbl.length t.tbl > t.max_entries || t.c_bytes > t.max_bytes then
     match t.tail with
@@ -93,54 +89,41 @@ let rec enforce t =
         t.c_evict <- t.c_evict + 1;
         enforce t
 
-let store t ~key ~user ~rev profile outcome =
-  (match Hashtbl.find_opt t.tbl key with
-  | Some e ->
-      t.c_bytes <- t.c_bytes - e.e_bytes;
-      e.e_rev <- rev;
-      e.e_profile <- profile;
-      e.e_outcome <- outcome;
-      e.e_bytes <- measure key profile outcome;
-      t.c_bytes <- t.c_bytes + e.e_bytes;
-      touch t e
-  | None ->
-      let e =
-        {
-          key;
-          e_user = user;
-          e_rev = rev;
-          e_profile = profile;
-          e_outcome = outcome;
-          e_bytes = measure key profile outcome;
-          prev = None;
-          next = None;
-        }
-      in
-      Hashtbl.replace t.tbl key e;
-      push_front t e;
-      t.c_bytes <- t.c_bytes + e.e_bytes);
+(* Byte accounting: a typed structural estimate ([Size_est]) instead of
+   an exact [Obj.reachable_words] walk. *)
+let store t ~key ~user ~rev outcome =
+  Option.iter (drop t) (Hashtbl.find_opt t.tbl key);
+  let e =
+    {
+      key;
+      e_user = user;
+      e_rev = rev;
+      e_outcome = outcome;
+      e_bytes = Size_est.entry_bytes ~key outcome;
+      prev = None;
+      next = None;
+    }
+  in
+  Hashtbl.replace t.tbl key e;
+  push_front t e;
+  t.c_bytes <- t.c_bytes + e.e_bytes;
   enforce t
 
-let entries_of t user =
-  Hashtbl.fold (fun _ e acc -> if e.e_user = user then e :: acc else acc) t.tbl []
-
-(* A mutation makes the user's previously-fresh entries stale; count
-   those as invalidations exactly once (an entry already stale from an
-   earlier revision was counted then).  Saved keeps them as patch
-   donors; Deleted drops them — an empty profile personalizes trivially
-   and patching towards it is pointless. *)
-let on_event t ~user event =
+(* A mutation drops the user's entries.  The ones fresh until this
+   mutation count as invalidations; an entry already behind an earlier
+   revision was counted then. *)
+let on_mutation t ~user =
   t.lock.with_lock (fun () ->
       let rev = Profile_store.revision t.store_db ~user in
-      let mine = entries_of t user in
-      let was_fresh = List.filter (fun e -> e.e_rev = rev - 1) mine in
-      t.c_inval <- t.c_inval + List.length was_fresh;
-      match event with
-      | Profile_store.Saved -> ()
-      | Profile_store.Deleted -> List.iter (drop t) mine)
+      Hashtbl.fold
+        (fun _ e acc -> if e.e_user = user then e :: acc else acc)
+        t.tbl []
+      |> List.iter (fun e ->
+             if e.e_rev = rev - 1 then t.c_inval <- t.c_inval + 1;
+             drop t e))
 
 let create ?(lock = no_lock) ?(max_entries = 512)
-    ?(max_bytes = 32 * 1024 * 1024) ?(incremental = true) ?store_db db =
+    ?(max_bytes = 32 * 1024 * 1024) ?store_db db =
   let store_db = Option.value store_db ~default:db in
   let t =
     {
@@ -149,12 +132,10 @@ let create ?(lock = no_lock) ?(max_entries = 512)
       lock;
       max_entries = max 1 max_entries;
       max_bytes = max 0 max_bytes;
-      incremental_on = incremental;
       tbl = Hashtbl.create 64;
       head = None;
       tail = None;
       c_hits = 0;
-      c_inc = 0;
       c_miss = 0;
       c_byp = 0;
       c_evict = 0;
@@ -162,7 +143,7 @@ let create ?(lock = no_lock) ?(max_entries = 512)
       c_bytes = 0;
     }
   in
-  Profile_store.subscribe store_db (fun ~user event -> on_event t ~user event);
+  Profile_store.subscribe store_db (fun ~user -> on_mutation t ~user);
   t
 
 (* ------------------------------ keys -------------------------------- *)
@@ -187,207 +168,12 @@ let params_fp (p : Personalize.params) =
       (if p.rank then "rank" else "norank");
     ]
 
-(* --------------------- incremental re-personalization ---------------
-
-   Patch rules for a single atomic-selection diff against the donor
-   snapshot, each applied only when the result is provably the same
-   path list a cold run would select.  Notation: [selected] is the
-   donor's P_K, [full] means it reached the Top-K cutoff (so unknown
-   candidates may hide beyond the frontier), [has_sel s] means one of
-   its paths ends in selection [s].
-
-   - remove s, s unselected: P_K unchanged — s's paths were all below
-     the cutoff and removing a selection leaves every other path's
-     degree alone (selections terminate paths; only s-paths contain s).
-   - remove s, selected, not full: the donor emitted {e every} related
-     path, so dropping s's paths is complete — nothing was hidden.
-   - remove s, selected, full: cold — the freed slots admit paths
-     beyond the old frontier that the donor never materialized.
-   - retune s, selected, not full: no graph search at all.  Not full
-     means the donor emitted {e every} related path, so s's paths are
-     exactly the donor's s-paths; rebuild each with the new selection
-     degree ({e rescaling} — join degrees are untouched and
-     [Path.extend_*] recomputes the product along the same
-     multiplication sequence, so degrees are bit-identical to a cold
-     run's).  Rescaling can reorder, so re-sort the rescaled paths by
-     decreasing degree (stable, preserving the donor's relative order)
-     and merge into the non-s paths.  Any degree tie — among the
-     rescaled paths or against an old one — bails to cold: FIFO order
-     across lists is unknowable without a joint run.
-   - add/retune s otherwise: recompute s's paths with a {e restricted}
-     selection over a graph that keeps every join edge (so join-path
-     expansion order — and hence FIFO tie order among s-paths — matches
-     what a joint run would do) but only selection [s]; then merge by
-     decreasing degree into the donor's non-s paths and cut at K.
-     Sound unless s was selected while full (same hidden-frontier
-     problem as removal), or some new path ties an old one in degree —
-     cross-list FIFO order is unknowable without a joint run, so ties
-     bail to cold.  A joint run's s-paths are always a prefix of the
-     restricted run's emission (both emit s-paths in the same relative
-     order and the joint cutoff only truncates), so merging and cutting
-     reconstructs the joint P_K exactly.
-
-   The rebuilt outcome re-runs integration ({!Personalize.
-   integrate_selected}) on the patched path list — integration is the
-   cheap phase (paper Fig. 8); the graph traversal is what's skipped. *)
-
-let sel_matches s p =
-  match Path.selection p with Some (s', _) -> s' = s | None -> false
-
-let has_sel selected s = List.exists (sel_matches s) selected
-let drop_sel selected s = List.filter (fun p -> not (sel_matches s p)) selected
-let take k l = List.filteri (fun i _ -> i < k) l
-
-type pdiff =
-  | D_same
-  | D_sel_removed of Atom.selection
-  | D_sel_changed of Atom.selection * Degree.t  (** added or retuned *)
-  | D_other
-
-let diff donor current =
-  let change = ref None and many = ref false in
-  let note c =
-    match !change with None -> change := Some c | Some _ -> many := true
-  in
-  List.iter
-    (fun (a, d_old) ->
-      match Profile.find current a with
-      | None -> note (`Rem a)
-      | Some d_new when not (Degree.equal d_old d_new) -> note (`Chg (a, d_new))
-      | Some _ -> ())
-    (Profile.entries donor);
-  List.iter
-    (fun (a, d_new) ->
-      match Profile.find donor a with
-      | None -> note (`Chg (a, d_new))
-      | Some _ -> ())
-    (Profile.entries current);
-  if !many then D_other
-  else
-    match !change with
-    | None -> D_same
-    | Some (`Rem (Atom.Sel s)) -> D_sel_removed s
-    | Some (`Chg (Atom.Sel s, d)) -> D_sel_changed (s, d)
-    | Some (`Rem (Atom.Join _) | `Chg (Atom.Join _, _)) -> D_other
-
-let restricted_select t ?gov ~qg ~k profile s d =
-  let base =
-    List.fold_left
-      (fun acc (j, jd) -> Profile.add acc (Atom.Join j) jd)
-      Profile.empty (Profile.joins profile)
-  in
-  let pf = Profile.add base (Atom.Sel s) d in
-  Select.select ?gov t.db (Pgraph.of_profile pf) qg (Criteria.top_r k)
-
-let cross_tie news olds =
-  List.exists
-    (fun np ->
-      List.exists (fun op -> Degree.equal np.Path.degree op.Path.degree) olds)
-    news
-
-let rec internal_tie = function
-  | [] | [ _ ] -> false
-  | p :: rest ->
-      List.exists (fun q -> Degree.equal p.Path.degree q.Path.degree) rest
-      || internal_tie rest
-
-(* Rebuild a donor s-path with the retuned selection degree.  Join
-   degrees are carried over verbatim and the path is re-extended in the
-   same order, so the resulting degree goes through the exact
-   multiplication sequence a cold run would. *)
-let rescale_path p s d =
-  let open Path in
-  let base = start ~anchor_tv:p.anchor_tv ~anchor_rel:p.anchor_rel in
-  let joined =
-    List.fold_left
-      (fun acc (j, jd) ->
-        match acc with
-        | Error _ as e -> e
-        | Ok q -> extend_join q j jd)
-      (Ok base) p.joins
-  in
-  match joined with
-  | Error _ -> None
-  | Ok q -> ( match extend_sel q s d with Ok q' -> Some q' | Error _ -> None)
-
-(* Merge two decreasing path lists with no cross ties, preserving each
-   list's internal (FIFO) order: the joint emission order. *)
-let rec merge_desc news olds =
-  match (news, olds) with
-  | [], l | l, [] -> l
-  | n :: ns, o :: os ->
-      if Degree.compare_desc n.Path.degree o.Path.degree < 0 then
-        n :: merge_desc ns olds
-      else o :: merge_desc news os
-
-let try_patch t ?gov ~params ~qg ~donor_profile ~donor_outcome profile =
-  if not t.incremental_on then None
-  else
-    match (params.Personalize.k : Criteria.t) with
-    | Above _ | Disj_above _ | Conj_above _ -> None
-    | Top_r k when k <= 0 -> None
-    | Top_r k -> (
-        let selected = donor_outcome.Personalize.selected in
-        let full = List.length selected >= k in
-        let rebuild selected' =
-          Some
-            (Personalize.integrate_selected ~params t.db qg
-               ~stats:(Select.fresh_stats ()) selected')
-        in
-        let splice s d =
-          if has_sel selected s then
-            if full then None
-            else
-              let olds = drop_sel selected s in
-              (* Not full: the donor holds every s-path — rescale them
-                 in place of a restricted re-expansion. *)
-              let rescaled =
-                List.filter_map
-                  (fun p ->
-                    if sel_matches s p then rescale_path p s d else None)
-                  selected
-              in
-              if
-                List.length rescaled
-                <> List.length selected - List.length olds
-              then None
-              else
-                let news =
-                  List.stable_sort
-                    (fun a b ->
-                      Degree.compare_desc a.Path.degree b.Path.degree)
-                    rescaled
-                in
-                if internal_tie news || cross_tie news olds then None
-                else rebuild (take k (merge_desc news olds))
-          else if
-            (* Retune of an unselected preference on a not-full donor:
-               the emission was complete, so s provably has no related
-               paths and its degree cannot matter. *)
-            (not full) && Profile.find donor_profile (Atom.Sel s) <> None
-          then Some donor_outcome
-          else
-            let news = restricted_select t ?gov ~qg ~k profile s d in
-            if news = [] then Some donor_outcome
-            else if cross_tie news selected then None
-            else rebuild (take k (merge_desc news selected))
-        in
-        match diff donor_profile profile with
-        | D_same -> Some donor_outcome
-        | D_other -> None
-        | D_sel_removed s ->
-            if not (has_sel selected s) then Some donor_outcome
-            else if full then None
-            else rebuild (drop_sel selected s)
-        | D_sel_changed (s, d) -> splice s d)
-
 (* ------------------------------ lookup ------------------------------ *)
 
 let personalize t ?(params = Personalize.default_params) ?gov ~user ?revision
     profile q =
   let user = String.lowercase_ascii user in
   let bound = Binder.bind t.db q in
-  let qg = Qgraph.of_query t.db bound in
   let key =
     String.concat "\x01" [ user; params_fp params; Sql_print.query_to_key bound ]
   in
@@ -396,44 +182,33 @@ let personalize t ?(params = Personalize.default_params) ?gov ~user ?revision
     | Some r -> r
     | None -> Profile_store.revision t.store_db ~user
   in
-  let state =
+  let fresh =
     t.lock.with_lock (fun () ->
         match Hashtbl.find_opt t.tbl key with
         | Some e when e.e_rev = rev ->
             t.c_hits <- t.c_hits + 1;
             touch t e;
-            `Fresh e.e_outcome
-        | Some e -> `Stale (e.e_profile, e.e_outcome)
-        | None -> `Cold)
+            Some e.e_outcome
+        | _ -> None)
   in
-  match state with
-  | `Fresh outcome -> (outcome, Hit)
-  | (`Stale _ | `Cold) as state ->
+  match fresh with
+  | Some outcome -> (outcome, Hit)
+  | None ->
       (* Compute outside the lock; a racing computation for the same key
          just overwrites with an identical outcome. *)
-      let patched =
-        match state with
-        | `Stale (donor_profile, donor_outcome) ->
-            try_patch t ?gov ~params ~qg ~donor_profile ~donor_outcome profile
-        | `Cold -> None
+      let qg = Qgraph.of_query t.db bound in
+      let stats = Select.fresh_stats () in
+      let selected =
+        Select.select ~stats ?gov t.db (Pgraph.of_profile profile) qg
+          params.Personalize.k
       in
-      let outcome, src =
-        match patched with
-        | Some o -> (o, Incremental)
-        | None ->
-            let stats = Select.fresh_stats () in
-            let selected =
-              Select.select ~stats ?gov t.db (Pgraph.of_profile profile) qg
-                params.Personalize.k
-            in
-            (Personalize.integrate_selected ~params t.db qg ~stats selected, Miss)
+      let outcome =
+        Personalize.integrate_selected ~params t.db qg ~stats selected
       in
       t.lock.with_lock (fun () ->
-          (match src with
-          | Incremental -> t.c_inc <- t.c_inc + 1
-          | _ -> t.c_miss <- t.c_miss + 1);
-          store t ~key ~user ~rev profile outcome);
-      (outcome, src)
+          t.c_miss <- t.c_miss + 1;
+          store t ~key ~user ~rev outcome);
+      (outcome, Miss)
 
 let personalize_sql_r ?cache ?user ?revision ?params ?budget ?related db
     profile sql =
@@ -469,13 +244,13 @@ let personalize_sql_r ?cache ?user ?revision ?params ?budget ?related db
   | _ -> ());
   (result, src)
 
-(* ---------------------------- maintenance --------------------------- *)
+(* ------------------------------ stats ------------------------------- *)
 
 let stats t =
   t.lock.with_lock (fun () ->
       {
         hits = t.c_hits;
-        incremental = t.c_inc;
+        incremental = 0;
         misses = t.c_miss;
         bypasses = t.c_byp;
         evictions = t.c_evict;
@@ -483,23 +258,3 @@ let stats t =
         entries = Hashtbl.length t.tbl;
         bytes = t.c_bytes;
       })
-
-let invalidate_user t ~user =
-  let user = String.lowercase_ascii user in
-  t.lock.with_lock (fun () ->
-      let rev = Profile_store.revision t.store_db ~user in
-      let mine = entries_of t user in
-      let fresh = List.filter (fun e -> e.e_rev = rev) mine in
-      t.c_inval <- t.c_inval + List.length fresh;
-      List.iter (drop t) mine;
-      List.length mine)
-
-let clear t =
-  t.lock.with_lock (fun () ->
-      let all = Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl [] in
-      List.iter
-        (fun e ->
-          if e.e_rev = Profile_store.revision t.store_db ~user:e.e_user then
-            t.c_inval <- t.c_inval + 1;
-          drop t e)
-        all)

@@ -1,6 +1,4 @@
-(** Keyed cache of compiled personalization outcomes, with an
-    incremental re-personalization path for single-preference profile
-    edits.
+(** Keyed cache of compiled personalization outcomes.
 
     Every PERSONALIZE request otherwise redoes the whole §4 pipeline —
     personalization-graph traversal, top-K preference selection,
@@ -11,25 +9,11 @@
     {v (user, K/M/L/method/rank params, normalized query template) v}
 
     where the template is {!Relal.Sql_print.query_to_key} applied to
-    the {e bound} AST.  Entry validity is carried by the user's
-    {!Profile_store.revision}: a stored entry remembers the revision
-    (and profile snapshot) it was computed under, so a profile mutation
-    invalidates all the user's entries implicitly — no key enumeration
-    — while keeping the stale outcome available as a donor for
-    patching.
-
-    {b Incremental re-personalization} (Chomicki's query-modification
-    frame, PAPERS.md): when the profile diff against the donor snapshot
-    is a single atomic {e selection} add / remove / retune, the cached
-    top-K frontier is patched — the affected selection's paths are
-    spliced out and/or recomputed by a bounded re-expansion restricted
-    to that selection, merged by degree — and the outcome rebuilt via
-    {!Personalize.integrate_selected}, skipping the full graph
-    traversal.  The patch is applied only when provably equivalent to a
-    cold run (criterion is [Top_r], no relatedness filter, no
-    cross-list degree ties that would make FIFO tie-breaking
-    unknowable, no cut-off frontier hiding successors); anything else
-    falls back to a cold run.  Warm and incremental outputs are
+    the {e bound} AST.  An entry remembers the user's
+    {!Profile_store.revision} it was computed under and is served only
+    at that revision.  A profile mutation drops all the user's entries
+    (no key enumeration: the store's hook names the user), and the next
+    consult for each key recomputes cold.  Cached outputs are
     byte-identical to cold ones — enforced by the oracle relation in
     [lib/sim/oracle.ml].
 
@@ -51,17 +35,20 @@ type t
 
 type source =
   | Hit  (** served unchanged from a fresh entry *)
-  | Incremental  (** patched from a stale entry's outcome *)
+  | Incremental
+      (** never produced: the cache no longer patches stale plans.  Kept
+          until the benchmark's tracer ([bench/perf/trace.ml]) stops
+          matching it. *)
   | Miss  (** computed cold (and stored) *)
   | Bypass  (** cache not consulted *)
 
 type stats = {
   hits : int;
-  incremental : int;
+  incremental : int;  (** always [0], kept like {!Incremental} *)
   misses : int;
   bypasses : int;  (** only counted by {!personalize_sql_r} *)
   evictions : int;  (** entries dropped by the LRU bound *)
-  invalidations : int;  (** fresh entries staled or dropped by mutations *)
+  invalidations : int;  (** fresh entries dropped by mutations *)
   entries : int;  (** current occupancy *)
   bytes : int;  (** approximate current footprint *)
 }
@@ -70,16 +57,12 @@ val create :
   ?lock:locker ->
   ?max_entries:int ->
   ?max_bytes:int ->
-  ?incremental:bool ->
   ?store_db:Relal.Database.t ->
   Relal.Database.t ->
   t
-(** A cache over [db], subscribed to {!Profile_store} mutation events
-    against it ([save] stales the user's entries in place;
-    [delete] drops them).  Defaults: [max_entries = 512],
-    [max_bytes = 32 MiB], [incremental = true] ([false] disables the
-    patch path — stale entries then always recompute cold, which the
-    oracle uses as the plain-cached control).
+(** A cache over [db], subscribed to {!Profile_store} mutations against
+    it: each effective [save] or [delete] drops the user's entries.
+    Defaults: [max_entries = 512], [max_bytes = 32 MiB].
 
     [store_db] (default [db]) is where profiles, revisions, and
     mutation events live: a sharded server binds each shard's cache to
@@ -101,9 +84,10 @@ val personalize :
     current revision is read from {!Profile_store.revision} unless
     [revision] overrides it (the REPL keys its session-local, never
     stored profile this way).  A [Hit] returns the cached outcome
-    (including the donor run's [selection_stats]); [gov] meters only
-    cold and patch computation.  Raises exactly as [personalize] does
-    (nothing is cached on a raise). *)
+    (including the cold run's [selection_stats]); anything else is a
+    [Miss], computed cold and stored.  [gov] meters only the cold
+    computation.  Raises exactly as [personalize] does (nothing is
+    cached on a raise). *)
 
 val personalize_sql_r :
   ?cache:t ->
@@ -125,12 +109,3 @@ val personalize_sql_r :
 
 val stats : t -> stats
 (** Snapshot of the counters (taken under the lock). *)
-
-val invalidate_user : t -> user:string -> int
-(** Drop all of a user's entries (stale or fresh), returning how many
-    were removed; fresh ones count as invalidations.  Mutations via
-    {!Profile_store} do this automatically — this is for explicit
-    administrative invalidation. *)
-
-val clear : t -> unit
-(** Drop every entry (counted as invalidations of the fresh ones). *)

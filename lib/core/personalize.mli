@@ -41,11 +41,11 @@ val integrate_selected :
   outcome
 (** The integration half of {!personalize}: instantiate the given
     selected paths against the query graph, split mandatory/optional,
-    and build the rewritten query.  Exposed so {!Perso_cache}'s
-    incremental path can rebuild an outcome from a patched [P_K]
-    without re-running preference selection; given equal [selected],
-    the resulting [personalized] query is byte-identical to a cold
-    {!personalize} run. *)
+    and build the rewritten query.  Exposed so {!Perso_cache} can run
+    the pipeline on the query it already bound for its key, and so
+    tracing can time integration apart from selection; given equal
+    [selected], the resulting [personalized] query is byte-identical to
+    a cold {!personalize} run. *)
 
 val personalize :
   ?params:params ->

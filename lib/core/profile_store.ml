@@ -7,35 +7,32 @@ let revs_table_name = "profile_revs"
 
    Per-(database, user) monotonic revision counters, bumped on every
    {e effective} mutation, plus subscriber hooks — the invalidation
-   signal for {!Perso_cache}.  The state lives outside [Database.t]
-   (the catalog is a relalgebra concern), in a small registry keyed by
-   physical database identity.  All registry state is held in [Atomic]
-   cells over immutable values so concurrent readers (personalize
-   workers under the server's read lock) never observe a half-updated
-   structure while a writer (save/delete under the write lock, or a
-   different server entirely) mutates it. *)
+   signal for {!Perso_cache} — and the attached durable backend.  The
+   state lives in the database's extension slot rather than in the
+   catalog proper (the catalog is a relalgebra concern), so it lives
+   and dies with its database.  All of it is held in [Atomic] cells over
+   immutable values so concurrent readers (personalize workers under the
+   server's read lock) never observe a half-updated structure while a
+   writer (save/delete under the write lock) mutates it. *)
 
 module SMap = Map.Make (String)
 
-type event = Saved | Deleted
-
 type reg = {
-  reg_db : Database.t;
   revs : int SMap.t Atomic.t;
-  hooks : (user:string -> event -> unit) list Atomic.t;
+  hooks : (user:string -> unit) list Atomic.t;
   backend : Perso_store.Backend.t option Atomic.t;
 }
 
-let registry : reg list Atomic.t = Atomic.make []
-let registry_cap = 16
+type Database.extension += Profile_registry of reg
 
 (* The revision high-water marks persist as an ordinary catalog table,
 
      PROFILE_REVS(username string, revision int)
 
    with the user's row replaced on every effective mutation, so they
-   travel with CSV dumps exactly like the profiles themselves.  A fresh
-   registry entry seeds from that table: a reloaded server resumes
+   travel with CSV dumps exactly like the profiles themselves.  A
+   database's registry, made on first touch, seeds from that table: a
+   reloaded server resumes
    {e above} the old marks instead of restarting at 0 and silently
    revalidating stale [Perso_cache] keys. *)
 let initial_revs db =
@@ -49,23 +46,22 @@ let initial_revs db =
           | _ -> acc)
 
 let rec reg_for db =
-  let regs = Atomic.get registry in
-  match List.find_opt (fun r -> r.reg_db == db) regs with
-  | Some r -> r
+  let slot = Database.extension db in
+  match Atomic.get slot with
+  | Some (Profile_registry r) -> r
+  | Some _ -> invalid_arg "Profile_store: the database's extension slot is taken"
   | None ->
       let r =
         {
-          reg_db = db;
           revs = Atomic.make (initial_revs db);
           hooks = Atomic.make [];
           backend = Atomic.make None;
         }
       in
-      (* Newest first; drop the oldest beyond the cap so long-lived
-         processes cycling through throwaway databases (tests, sim
-         scenarios) do not pin them all. *)
-      let next = r :: List.filteri (fun i _ -> i < registry_cap - 1) regs in
-      if Atomic.compare_and_set registry regs next then r else reg_for db
+      (* A racing filler may win; either way the slot now holds the
+         one registry every caller shares. *)
+      ignore (Atomic.compare_and_set slot None (Some (Profile_registry r)));
+      reg_for db
 
 let rec atomic_update cell f =
   let v = Atomic.get cell in
@@ -82,10 +78,11 @@ let revisions db = SMap.bindings (Atomic.get (reg_for db).revs)
 let subscribe db hook = atomic_update (reg_for db).hooks (fun hs -> hook :: hs)
 
 (* Both relations carry a hash index on [username] from the moment
-   [install]/[install_revs] creates or adopts them (a table loaded from a
-   dump has none), so a load or a keyed replace touches only the user's
-   rows.  Only mutations and bulk loads install; a [load] under a read
-   lock never builds the index, and on an unindexed table it scans. *)
+   [install]/[install_revs] creates or adopts them (a dump declares its
+   indexes, so only one without index lines arrives without it), so a
+   load or a keyed replace touches only the user's rows.  Only mutations
+   and bulk loads install; a [load] under a read lock never builds the
+   index, and on an unindexed table it scans. *)
 let install_table db name cols =
   if not (Database.mem_table db name) then
     Database.add_table db (Schema.make ~name ~cols ());
@@ -122,14 +119,14 @@ let seed_revisions db pairs =
         m pairs);
   write_revs_rows db (SMap.bindings (Atomic.get r.revs))
 
-let notify db ~user event =
+let notify db ~user =
   let r = reg_for db in
   atomic_update r.revs (fun m ->
       SMap.add user (1 + Option.value ~default:0 (SMap.find_opt user m)) m);
   (match SMap.find_opt user (Atomic.get r.revs) with
   | Some rev -> set_rev_row db user rev
   | None -> ());
-  List.iter (fun hook -> hook ~user event) (Atomic.get r.hooks)
+  List.iter (fun hook -> hook ~user) (Atomic.get r.hooks)
 
 let install db =
   install_table db table_name
@@ -204,7 +201,7 @@ let save db ~user profile =
     backend_apply db t ~user before (fun b ~next ->
         b.Perso_store.Backend.save ~user ~revision:next
           (entries_of_profile profile));
-    notify db ~user Saved
+    notify db ~user
   end
 
 let load db ~user =
@@ -261,7 +258,7 @@ let delete db ~user =
       replace_rows t user [];
       backend_apply db t ~user before (fun b ~next ->
           b.Perso_store.Backend.delete ~user ~revision:next);
-      notify db ~user Deleted
+      notify db ~user
     end
   end
 

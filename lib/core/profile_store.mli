@@ -55,15 +55,15 @@ val delete : Relal.Database.t -> user:string -> unit
     [delete] of an existing user) bumps a per-(database, user)
     monotonic revision counter and fires subscriber hooks — the cache
     invalidation signal consumed by {!Perso_cache}.  Live revision
-    state is keyed by physical database identity in a small bounded
-    registry outside the catalog; each bump is also mirrored into the
-    {!revs_table_name} catalog table, and a fresh registry entry seeds
-    from that table, so the high-water marks survive dump/reload and
-    process restarts — a reloaded server can never hand out a revision
-    number an earlier incarnation already used for a different profile
-    (the [Perso_cache]-key validity contract). *)
-
-type event = Saved | Deleted
+    state, hooks and the attached backend sit in the database's
+    {!Relal.Database.extension} slot, so they last exactly as long as
+    the database, whatever the number of databases in the process; each
+    bump is also mirrored into the {!revs_table_name} catalog table, and
+    the state seeds from that table when first touched, so the
+    high-water marks survive dump/reload and process restarts — a
+    reloaded server can never hand out a revision number an earlier
+    incarnation already used for a different profile (the
+    [Perso_cache]-key validity contract). *)
 
 val revision : Relal.Database.t -> user:string -> int
 (** Current revision for the user; [0] before any effective mutation
@@ -78,9 +78,10 @@ val seed_revisions : Relal.Database.t -> (string * int) list -> unit
     how shard revisions are merged back into the main database at server
     shutdown. *)
 
-val subscribe : Relal.Database.t -> (user:string -> event -> unit) -> unit
+val subscribe : Relal.Database.t -> (user:string -> unit) -> unit
 (** Register a hook fired (in the mutating thread, after the revision
-    bump) on each effective [save]/[delete] against this database. *)
+    bump) on each effective [save]/[delete] against this database, with
+    the mutated user. *)
 
 (** {1 Durable backends}
 

@@ -2,10 +2,10 @@
 
    The plan cache used [Obj.reachable_words] for its byte accounting —
    exact sharing-aware sizes, but a generic graph walk with a visited
-   table, measured at ~20% of a patched consult.  This module replaces
-   it with a typed walk that prices each constructor from the known
-   64-bit runtime layout (header word + fields; 3 words per list cons;
-   [1 + (len+8)/8] words per string).
+   table, measured at ~20% of a consult back when the cache patched
+   stale plans.  This module replaces it with a typed walk that prices
+   each constructor from the known 64-bit runtime layout (header word +
+   fields; 3 words per list cons; [1 + (len+8)/8] words per string).
 
    The walk is sharing-naive, so it prices structure, not the heap
    graph.  Two deliberate choices keep it within a small factor of the
@@ -100,10 +100,6 @@ let selection_atom (s : Atom.selection) =
 let join_atom (j : Atom.join) =
   5 + str j.j_from_rel + str j.j_from_att + str j.j_to_rel + str j.j_to_att
 
-let atom = function
-  | Atom.Sel s -> 2 + selection_atom s
-  | Atom.Join j -> 2 + join_atom j
-
 let path (p : Path.t) =
   7
   + str p.anchor_tv
@@ -113,16 +109,13 @@ let path (p : Path.t) =
   + boxed_degree
   + list str p.rels
 
-let profile (p : Profile.t) =
-  list (fun (a, _) -> 3 + atom a + boxed_degree) (Profile.entries p)
-
 (* Priced as an opaque handle: path/pred/trefs are shared with
    [selected] and the personalized query (see the module header). *)
 let instantiated (_ : Integrate.instantiated) = 5
 
-let outcome_words ~key p (o : Personalize.outcome) =
+let outcome_words ~key (o : Personalize.outcome) =
   (* The cache entry tuple itself plus the key string. *)
-  4 + str key + profile p
+  4 + str key
   + 6
   + list path o.selected
   + list instantiated o.mandatory
@@ -130,4 +123,4 @@ let outcome_words ~key p (o : Personalize.outcome) =
   + query o.personalized
   + 7 (* selection_stats: six mutable ints *)
 
-let entry_bytes ~key p o = outcome_words ~key p o * word_bytes
+let entry_bytes ~key o = outcome_words ~key o * word_bytes

@@ -1,12 +1,18 @@
 let lc = String.lowercase_ascii
 
+type extension = ..
+
 type t = {
   tbl : (string, Table.t) Hashtbl.t;
   mutable order : string list; (* registration order, reversed *)
   mutable fk_list : Schema.fk list; (* reversed *)
+  ext : extension option Atomic.t;
 }
 
-let create () = { tbl = Hashtbl.create 16; order = []; fk_list = [] }
+let create () =
+  { tbl = Hashtbl.create 16; order = []; fk_list = []; ext = Atomic.make None }
+
+let extension db = db.ext
 
 let add_table db sch =
   let key = lc (Schema.name sch) in

@@ -11,6 +11,16 @@ type t
 
 val create : unit -> t
 
+type extension = ..
+(** State a layer above the catalog keeps per database (the profile
+    store's revisions, hooks and durable backend), declared there by
+    extending this type so the catalog stays agnostic of it. *)
+
+val extension : t -> extension option Atomic.t
+(** The database's one extension slot, [None] until an owner fills it
+    (by compare-and-set, so racing owners agree on one value).  Its
+    lifetime is the database's: nothing outside the database pins it. *)
+
 val add_table : t -> Schema.t -> unit
 (** Register an empty table.  @raise Invalid_argument if a table with the
     same (case-insensitive) name already exists. *)

@@ -139,13 +139,12 @@ module Make (R : Runtime.S) = struct
     mutable unpersonalized_breaker : int;
     (* Strict personalization sub-ledger: every completed PERSONALIZE
        reply is accounted exactly once on each side, so
-       pers_ok + pers_err = cache_hit + cache_miss + cache_incremental
-       + cache_bypass — audited by the sim scenario runner. *)
+       pers_ok + pers_err = cache_hit + cache_miss + cache_bypass —
+       audited by the sim scenario runner. *)
     mutable pers_ok : int;
     mutable pers_err : int;
     mutable cache_hit : int;
     mutable cache_miss : int;
-    mutable cache_incremental : int;
     mutable cache_bypass : int;
   }
 
@@ -184,9 +183,8 @@ module Make (R : Runtime.S) = struct
     locked t.qm (fun () ->
         match src with
         | Perso.Perso_cache.Hit -> t.c.cache_hit <- t.c.cache_hit + 1
-        | Perso.Perso_cache.Incremental ->
-            t.c.cache_incremental <- t.c.cache_incremental + 1
-        | Perso.Perso_cache.Miss -> t.c.cache_miss <- t.c.cache_miss + 1
+        | Perso.Perso_cache.Miss | Perso.Perso_cache.Incremental ->
+            t.c.cache_miss <- t.c.cache_miss + 1
         | Perso.Perso_cache.Bypass -> t.c.cache_bypass <- t.c.cache_bypass + 1)
 
   let exec_personalize t ~budget user sql =
@@ -506,7 +504,6 @@ module Make (R : Runtime.S) = struct
           ("pers_err", string_of_int t.c.pers_err);
           ("cache_hit", string_of_int t.c.cache_hit);
           ("cache_miss", string_of_int t.c.cache_miss);
-          ("cache_incremental", string_of_int t.c.cache_incremental);
           ("cache_bypass", string_of_int t.c.cache_bypass);
           ("cache_invalidate", string_of_int cache_stats.invalidations);
           ("profile_lru_hit", string_of_int plru_stats.Profile_lru.hits);
@@ -625,7 +622,6 @@ module Make (R : Runtime.S) = struct
             pers_err = 0;
             cache_hit = 0;
             cache_miss = 0;
-            cache_incremental = 0;
             cache_bypass = 0;
           };
         stop_flag = Atomic.make false;

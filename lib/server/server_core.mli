@@ -19,13 +19,12 @@
     {- [accepted = completed_ok + completed_err + shed_expired +
        shed_at_stop + queue_depth + in_flight], with [queue_depth] and
        [in_flight] both 0 after {!Make.stop} returns;}
-    {- [pers_ok + pers_err = cache_hit + cache_miss + cache_incremental
-       + cache_bypass]: every completed PERSONALIZE reply is accounted
-       exactly once by outcome and exactly once by where its plan came
-       from ({!Perso.Perso_cache.source}; [Bypass] covers a disabled
-       cache, breaker-degraded unpersonalized replies, degraded-rung
-       answers, and pre-personalization failures such as parse
-       errors).}} *)
+    {- [pers_ok + pers_err = cache_hit + cache_miss + cache_bypass]:
+       every completed PERSONALIZE reply is accounted exactly once by
+       outcome and exactly once by where its plan came from
+       ({!Perso.Perso_cache.source}; [Bypass] covers a disabled cache,
+       breaker-degraded unpersonalized replies, degraded-rung answers,
+       and pre-personalization failures such as parse errors).}} *)
 
 type config = {
   socket_path : string;

@@ -102,7 +102,7 @@ module Make (R : Runtime.S) = struct
          against staleness; this keeps dead profiles from lingering). *)
       Option.iter
         (fun lru ->
-          Perso.Profile_store.subscribe sdb (fun ~user _ ->
+          Perso.Profile_store.subscribe sdb (fun ~user ->
               Profile_lru.remove lru ~user))
         plru;
       {

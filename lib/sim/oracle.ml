@@ -216,16 +216,16 @@ let case_checks ~movies ~selections case_seed tag =
 
   List.rev !checks
 
-(* ----- cache: cold / cached / incremental byte-equality -------------
+(* ----- cache: cold / cached byte-equality ---------------------------
 
-   The plan-cache relation (ISSUE 6): drive the same (profile-edit,
-   query) sequence through three paths — cold-only, a cache with the
-   incremental patcher disabled, and a cache with it enabled — saving
-   each edited profile to the store (the revision/invalidation signal)
-   and asserting the personalized SQL and the executed rows are
-   byte-identical across all three on every step.  Repeat consults must
-   be served as [Hit].  Runs at a reduced scale: each step costs a cold
-   pipeline plus four cache consults and five executions. *)
+   The plan-cache relation: drive the same (profile-edit, query)
+   sequence cold and through a cache, saving each edited profile to the
+   store (the revision/invalidation signal) and asserting the
+   personalized SQL and the executed rows are byte-identical on every
+   step.  Repeat consults must be served as [Hit], and the first consult
+   after every effective save must recompute ([Miss]).  Runs at a
+   reduced scale: each step costs a cold pipeline plus two cache
+   consults and three executions. *)
 let cache_checks ~movies ~selections case_seed tag =
   let movies = max 120 (movies / 4) in
   let selections = max 8 (selections / 3) in
@@ -233,9 +233,9 @@ let cache_checks ~movies ~selections case_seed tag =
   let user = "oracle" in
   let params =
     {
-      (* Alternate the cutoff regime by seed: a tight K keeps the donor
-         top-K full (restricted re-expansion, cold fallbacks); a K above
-         the path count leaves it not-full (the rescale fast path). *)
+      (* Alternate the cutoff regime by seed: a tight K cuts the
+         selection off at the top-K; a K above the path count selects
+         every related path. *)
       Personalize.k =
         (if case_seed land 1 = 0 then Criteria.top_r 5 else Criteria.top_r 40);
       m = `Count 0;
@@ -244,8 +244,7 @@ let cache_checks ~movies ~selections case_seed tag =
       rank = false;
     }
   in
-  let plain = Perso_cache.create ~incremental:false db in
-  let inc = Perso_cache.create db in
+  let cache = Perso_cache.create db in
   let rng = Putil.Rng.create (case_seed + 77) in
   (* Withhold a few selections from the starting profile so the edit
      sequence has fresh atoms to add back. *)
@@ -260,7 +259,7 @@ let cache_checks ~movies ~selections case_seed tag =
     (Profile.selections profile0);
   let checks = ref [] in
   let add name ok detail = checks := { name = tag ^ ":" ^ name; ok; detail } :: !checks in
-  let n_inc = ref 0 and n_cold = ref 0 in
+  let n_edits = ref 0 and n_recomputed = ref 0 in
   let render o =
     ( Sql_print.query_to_string o.Personalize.personalized,
       (Personalize.execute db o).Exec.rows
@@ -270,8 +269,7 @@ let cache_checks ~movies ~selections case_seed tag =
   in
   let src_name = function
     | Perso_cache.Hit -> "hit"
-    | Perso_cache.Incremental -> "incremental"
-    | Perso_cache.Miss -> "miss"
+    | Perso_cache.Miss | Perso_cache.Incremental -> "miss"
     | Perso_cache.Bypass -> "bypass"
   in
   let random_degree () =
@@ -300,7 +298,7 @@ let cache_checks ~movies ~selections case_seed tag =
         stash := (a, d) :: !stash;
         profile := Profile.remove !profile a
     | 7 when joins <> [] ->
-        (* join retune: the incremental path must refuse and fall back *)
+        (* join retune: moves the degree of every path through it *)
         let a, _ = pick joins in
         profile := Profile.add !profile a (random_degree ())
     | _ when sels <> [] ->
@@ -311,28 +309,26 @@ let cache_checks ~movies ~selections case_seed tag =
   let steps = 6 in
   for i = 0 to steps - 1 do
     if i > 0 then edit ();
+    let rev = Profile_store.revision db ~user in
     Profile_store.save db ~user !profile;
+    let edited = i > 0 && Profile_store.revision db ~user > rev in
     match
       Error.guard (fun () ->
           let cold = render (Personalize.personalize ~params db !profile q) in
-          let consult cname c =
-            let o1, s1 = Perso_cache.personalize c ~params ~user !profile q in
-            let o2, s2 = Perso_cache.personalize c ~params ~user !profile q in
-            (match s1 with
-            | Perso_cache.Incremental -> incr n_inc
-            | Perso_cache.Miss -> incr n_cold
-            | _ -> ());
-            add
-              (Printf.sprintf "cache-%s-bytes-%d" cname i)
-              (render o1 = cold && render o2 = cold)
-              (Printf.sprintf "sources %s,%s" (src_name s1) (src_name s2));
-            add
-              (Printf.sprintf "cache-%s-hit-%d" cname i)
-              (s2 = Perso_cache.Hit)
-              ("repeat consult served as " ^ src_name s2)
-          in
-          consult "plain" plain;
-          consult "inc" inc)
+          let o1, s1 = Perso_cache.personalize cache ~params ~user !profile q in
+          let o2, s2 = Perso_cache.personalize cache ~params ~user !profile q in
+          if edited then begin
+            incr n_edits;
+            if s1 = Perso_cache.Miss then incr n_recomputed
+          end;
+          add
+            (Printf.sprintf "cache-bytes-%d" i)
+            (render o1 = cold && render o2 = cold)
+            (Printf.sprintf "sources %s,%s" (src_name s1) (src_name s2));
+          add
+            (Printf.sprintf "cache-hit-%d" i)
+            (s2 = Perso_cache.Hit)
+            ("repeat consult served as " ^ src_name s2))
     with
     | Ok () -> ()
     | Error e ->
@@ -341,8 +337,10 @@ let cache_checks ~movies ~selections case_seed tag =
           false
           ("cache oracle step failed: " ^ Error.to_string e)
   done;
-  add "cache-exercised" true
-    (Printf.sprintf "incremental=%d cold=%d over %d steps" !n_inc !n_cold steps);
+  add "cache-exercised"
+    (!n_recomputed = !n_edits)
+    (Printf.sprintf "recomputed=%d edits=%d over %d steps" !n_recomputed
+       !n_edits steps);
   List.rev !checks
 
 let run ?(movies = 1200) ?(selections = 120) ?(cases = 2) ~seed () =

@@ -17,10 +17,10 @@
     {- {b subset}: with every preference optional and "at least one"
        required, personalized answers are a sub-multiset of the plain
        query's answers;}
-    {- {b cache}: the same (profile-edit, query) sequence driven
-       through cold-only, cached, and incremental-cache paths yields
-       byte-identical personalized SQL and result rows, and repeat
-       consults are served as cache hits ({!cache_checks}).}} *)
+    {- {b cache}: the same (profile-edit, query) sequence driven cold
+       and through the plan cache yields byte-identical personalized SQL
+       and result rows, repeat consults are served as cache hits, and
+       the first consult after an edit recomputes ({!cache_checks}).}} *)
 
 type check = { name : string; ok : bool; detail : string }
 
@@ -41,14 +41,16 @@ val cache_checks :
   movies:int -> selections:int -> int -> string -> check list
 (** [cache_checks ~movies ~selections seed tag]: the plan-cache
     relation alone, at a scale reduced from the given one (each step
-    costs a cold pipeline, four cache consults and five executions).
+    costs a cold pipeline, two cache consults and three executions).
     Drives a seeded single-preference edit sequence — adds, removals,
-    retunes, the occasional join retune to force the cold fallback —
-    through {!Perso.Perso_cache} with the incremental patcher off and
-    on, saving each edit to {!Perso.Profile_store} (the invalidation
+    retunes, the occasional join retune — through {!Perso.Perso_cache},
+    saving each edit to {!Perso.Profile_store} (the invalidation
     signal), and checks byte-identical personalized SQL and rows
-    against cold runs, plus [Hit] service on repeat consults.  Exposed
-    separately so the unit suite can sweep it across many seeds. *)
+    against cold runs, [Hit] service on repeat consults, and a [Miss]
+    on the first consult after every effective save (the
+    ["cache-exercised"] check, whose detail reads
+    ["recomputed=R edits=E over N steps"]).  Exposed separately so the
+    unit suite can sweep it across many seeds. *)
 
 val all_ok : report -> bool
 val failures : report -> check list

@@ -491,14 +491,12 @@ let run ~seed steps =
     let pers_err = hstat h "pers_err" in
     let cache_hit = hstat h "cache_hit" in
     let cache_miss = hstat h "cache_miss" in
-    let cache_incremental = hstat h "cache_incremental" in
     let cache_bypass = hstat h "cache_bypass" in
-    if pers_ok + pers_err <> cache_hit + cache_miss + cache_incremental + cache_bypass
-    then
+    if pers_ok + pers_err <> cache_hit + cache_miss + cache_bypass then
       audit "ledger"
         "pers_ok %d + pers_err %d <> cache_hit %d + cache_miss %d + \
-         cache_incremental %d + cache_bypass %d"
-        pers_ok pers_err cache_hit cache_miss cache_incremental cache_bypass;
+         cache_bypass %d"
+        pers_ok pers_err cache_hit cache_miss cache_bypass;
     if pers_ok + pers_err > completed_ok + completed_err then
       audit "ledger" "personalize completions %d exceed total completions %d"
         (pers_ok + pers_err)

@@ -1,6 +1,6 @@
 (* The personalization plan cache: profile-store revisions and
-   invalidation hooks, LRU bounds, hit/incremental/miss sources, the
-   resilient cached ladder, and the cold/cached/incremental
+   invalidation hooks, LRU bounds, hit/miss sources, recomputation after
+   profile edits, the resilient cached ladder, and the cold/cached
    byte-equality oracle swept across many seeds. *)
 
 open Perso
@@ -16,7 +16,7 @@ let q db sql = Binder.bind db (Sql_parser.parse sql)
 
 let src_name = function
   | Perso_cache.Hit -> "hit"
-  | Perso_cache.Incremental -> "incremental"
+  | Perso_cache.Incremental -> "incremental"  (* never produced *)
   | Perso_cache.Miss -> "miss"
   | Perso_cache.Bypass -> "bypass"
 
@@ -36,7 +36,7 @@ let test_revision_bumps () =
   let db = Moviedb.Personas.tiny_db () in
   let julie = Moviedb.Personas.julie () in
   let events = ref [] in
-  Profile_store.subscribe db (fun ~user ev -> events := (user, ev) :: !events);
+  Profile_store.subscribe db (fun ~user -> events := user :: !events);
   Alcotest.(check int) "fresh user at 0" 0 (Profile_store.revision db ~user:"julie");
   Profile_store.save db ~user:"julie" julie;
   Alcotest.(check int) "save bumps" 1 (Profile_store.revision db ~user:"julie");
@@ -45,10 +45,11 @@ let test_revision_bumps () =
   Profile_store.save db ~user:"Julie" (Profile.add julie a (d 0.5));
   Alcotest.(check int) "changed save bumps (case-folded)" 2
     (Profile_store.revision db ~user:"julie");
+  Alcotest.(check int) "changed save fires" 2 (List.length !events);
   Profile_store.delete db ~user:"julie";
   Alcotest.(check int) "delete bumps" 3 (Profile_store.revision db ~user:"julie");
-  Alcotest.(check bool) "delete event" true
-    (match !events with ("julie", Profile_store.Deleted) :: _ -> true | _ -> false);
+  Alcotest.(check (list string)) "one hook call per mutation, naming the user"
+    [ "julie"; "julie"; "julie" ] !events;
   Profile_store.delete db ~user:"julie";
   Alcotest.(check int) "deleting an absent user is a no-op" 3
     (Profile_store.revision db ~user:"julie");
@@ -60,7 +61,7 @@ let test_identical_save_noop () =
   let db = Moviedb.Personas.tiny_db () in
   let julie = Moviedb.Personas.julie () in
   let events = ref 0 in
-  Profile_store.subscribe db (fun ~user:_ _ -> incr events);
+  Profile_store.subscribe db (fun ~user:_ -> incr events);
   Profile_store.save db ~user:"julie" julie;
   Alcotest.(check int) "first save fires" 1 !events;
   (* Any table rewrite crosses Chaos.Store_mutate; with faults armed at
@@ -153,85 +154,63 @@ let test_invalidation_on_save_and_delete () =
   let st = Perso_cache.stats cache in
   Alcotest.(check int) "save invalidates the fresh entry" 1
     st.Perso_cache.invalidations;
-  Alcotest.(check int) "entry stays as a patch donor" 1 st.Perso_cache.entries;
+  Alcotest.(check int) "save drops the user's entry" 0 st.Perso_cache.entries;
   let o, s = Perso_cache.personalize cache ~user:"julie" julie' query in
-  Alcotest.(check bool) "stale entry is not served as a hit" true
-    (s <> Perso_cache.Hit);
+  check_src "next consult recomputes" Perso_cache.Miss s;
   let cold = Personalize.personalize db julie' query in
   Alcotest.(check string) "recomputed = cold" (sql_of cold) (sql_of o);
   Profile_store.delete db ~user:"julie";
   Alcotest.(check int) "delete drops the user's entries" 0
     (Perso_cache.stats cache).Perso_cache.entries
 
-let test_incremental_retune () =
+(* -------------------------- after an edit --------------------------- *)
+
+(* Every kind of profile edit drops the user's cached plans: the next
+   consult is a [Miss] whose SQL and rows equal a cold run on the edited
+   profile, and the consult after it is a [Hit].  One table of edits
+   drives the "incremental" cases, each a one-preference edit (or a
+   delete) of julie's saved profile.  K=50 is above julie's related-path
+   count (every related path selected); the default K=5 cuts her
+   selection off at the top 5. *)
+let edit_cases =
+  let comedy = Atom.sel "genre" "genre" (Value.Str "comedy") in
+  let drama = Atom.sel "genre" "genre" (Value.Str "drama") in
+  let k50 = { Personalize.default_params with k = Criteria.top_r 50 } in
+  let dflt = Personalize.default_params in
+  [
+    ( "retune",
+      [ ("retune a selected preference at K=50", k50,
+         fun p -> Profile.add p comedy (d 0.65)) ] );
+    ( "retune at cutoff falls back",
+      [ ("retune at the cutoff", dflt, fun p -> Profile.add p comedy (d 0.7)) ] );
+    ( "add / remove",
+      [
+        ("add", dflt, fun p -> Profile.add p drama (d 0.45));
+        ("remove", dflt, fun p -> Profile.remove p comedy);
+      ] );
+    ( "join edit falls back",
+      [ ("retune a join", dflt,
+         fun p -> Profile.add p (Atom.join ("movie", "mid") ("genre", "mid")) (d 0.55)) ] );
+    ("delete", [ ("delete", dflt, fun _ -> Profile.empty) ]);
+  ]
+
+let test_edit_recomputes_cold (name, params, edit) =
   let db, julie, cache = setup () in
   let query = q db motivating_sql in
-  (* K far above the number of related paths: the donor P_K is not cut
-     off, so retuning a selected preference is patchable.  (Under the
-     default K=5 julie's P_K is full and the patcher must — and does —
-     fall back cold; see the fallback test.) *)
-  let params = { Personalize.default_params with k = Criteria.top_r 50 } in
   ignore (Perso_cache.personalize cache ~params ~user:"julie" julie query);
-  (* 0.65 rather than 0.7: julie already holds thriller at 0.7, and a
-     cross-list degree tie makes the merge order ambiguous, so the
-     patcher would (rightly) refuse and go cold. *)
-  let julie' =
-    Profile.add julie (Atom.sel "genre" "genre" (Value.Str "comedy")) (d 0.65)
-  in
-  Profile_store.save db ~user:"julie" julie';
-  let o, s = Perso_cache.personalize cache ~params ~user:"julie" julie' query in
-  check_src "single-selection retune patches" Perso_cache.Incremental s;
-  let cold = Personalize.personalize ~params db julie' query in
-  Alcotest.(check string) "patched sql = cold sql" (sql_of cold) (sql_of o);
-  Alcotest.(check (list string)) "patched rows = cold rows" (rows_of db cold)
+  let edited = edit julie in
+  if Profile.cardinal edited = 0 then Profile_store.delete db ~user:"julie"
+  else Profile_store.save db ~user:"julie" edited;
+  Alcotest.(check int) (name ^ ": the edit bumps the revision") 2
+    (Profile_store.revision db ~user:"julie");
+  let o, s = Perso_cache.personalize cache ~params ~user:"julie" edited query in
+  check_src (name ^ ": next consult misses") Perso_cache.Miss s;
+  let cold = Personalize.personalize ~params db edited query in
+  Alcotest.(check string) (name ^ ": sql = cold") (sql_of cold) (sql_of o);
+  Alcotest.(check (list string)) (name ^ ": rows = cold") (rows_of db cold)
     (rows_of db o);
-  let _, s2 = Perso_cache.personalize cache ~params ~user:"julie" julie' query in
-  check_src "patched entry then hits" Perso_cache.Hit s2
-
-let test_retune_selected_at_cutoff_falls_back () =
-  let db, julie, cache = setup () in
-  let query = q db motivating_sql in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie query);
-  let julie' =
-    Profile.add julie (Atom.sel "genre" "genre" (Value.Str "comedy")) (d 0.7)
-  in
-  Profile_store.save db ~user:"julie" julie';
-  (* comedy is in the donor's full top-5: slots freed at the cutoff may
-     admit paths the donor never materialized, so this must go cold. *)
-  let o, s = Perso_cache.personalize cache ~user:"julie" julie' query in
-  check_src "retune of a cut-off selection recomputes" Perso_cache.Miss s;
-  let cold = Personalize.personalize db julie' query in
-  Alcotest.(check string) "fallback = cold" (sql_of cold) (sql_of o)
-
-let test_incremental_add_remove () =
-  let db, julie, cache = setup () in
-  let query = q db motivating_sql in
-  let extra = Atom.sel "genre" "genre" (Value.Str "drama") in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie query);
-  let with_extra = Profile.add julie extra (d 0.45) in
-  Profile_store.save db ~user:"julie" with_extra;
-  let o_add, s_add = Perso_cache.personalize cache ~user:"julie" with_extra query in
-  check_src "adding a selection patches" Perso_cache.Incremental s_add;
-  let cold_add = Personalize.personalize db with_extra query in
-  Alcotest.(check string) "add = cold" (sql_of cold_add) (sql_of o_add);
-  Profile_store.save db ~user:"julie" julie;
-  let o_rem, s_rem = Perso_cache.personalize cache ~user:"julie" julie query in
-  check_src "removing it patches back" Perso_cache.Incremental s_rem;
-  let cold_rem = Personalize.personalize db julie query in
-  Alcotest.(check string) "remove = cold" (sql_of cold_rem) (sql_of o_rem)
-
-let test_join_edit_falls_back_cold () =
-  let db, julie, cache = setup () in
-  let query = q db motivating_sql in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie query);
-  let join_edit =
-    Profile.add julie (Atom.join ("movie", "mid") ("genre", "mid")) (d 0.55)
-  in
-  Profile_store.save db ~user:"julie" join_edit;
-  let o, s = Perso_cache.personalize cache ~user:"julie" join_edit query in
-  check_src "join retune is never patched" Perso_cache.Miss s;
-  let cold = Personalize.personalize db join_edit query in
-  Alcotest.(check string) "fallback = cold" (sql_of cold) (sql_of o)
+  let _, s2 = Perso_cache.personalize cache ~params ~user:"julie" edited query in
+  check_src (name ^ ": the consult after it hits") Perso_cache.Hit s2
 
 let test_sql_r_sources_and_bypass () =
   let db, julie, cache = setup () in
@@ -264,16 +243,6 @@ let test_sql_r_sources_and_bypass () =
   (* The no-cache call has no stats object to tick: 3, not 4. *)
   Alcotest.(check int) "bypasses counted on the cache" 3 st.Perso_cache.bypasses
 
-let test_clear_and_invalidate_user () =
-  let db, julie, cache = setup () in
-  ignore (Perso_cache.personalize cache ~user:"julie" julie (q db motivating_sql));
-  Alcotest.(check int) "explicit invalidation drops entries" 1
-    (Perso_cache.invalidate_user cache ~user:"julie");
-  ignore (Perso_cache.personalize cache ~user:"julie" julie (q db motivating_sql));
-  Perso_cache.clear cache;
-  Alcotest.(check int) "clear empties" 0
-    (Perso_cache.stats cache).Perso_cache.entries
-
 (* ------------------------ size estimate ----------------------------- *)
 
 (* The structural estimate that replaced [Obj.reachable_words] in the
@@ -283,8 +252,8 @@ let test_clear_and_invalidate_user () =
    under both integration methods and several K. *)
 let test_size_estimate () =
   let word_bytes = Sys.word_size / 8 in
-  let exact key profile outcome =
-    Obj.reachable_words (Obj.repr (key, profile, outcome)) * word_bytes
+  let exact key outcome =
+    Obj.reachable_words (Obj.repr (key, outcome)) * word_bytes
   in
   let cases = ref 0 in
   let check_case name db profile params sql =
@@ -292,8 +261,8 @@ let test_size_estimate () =
       Personalize.personalize ~params db profile (Sql_parser.parse sql)
     in
     let key = "julie\x01mq|top#5\x01" ^ sql in
-    let est = Size_est.entry_bytes ~key profile outcome in
-    let ex = exact key profile outcome in
+    let est = Size_est.entry_bytes ~key outcome in
+    let ex = exact key outcome in
     let ratio = float_of_int est /. float_of_int (max 1 ex) in
     incr cases;
     (if Sys.getenv_opt "SIZE_EST_DEBUG" <> None then
@@ -338,7 +307,7 @@ let test_size_estimate () =
 (* -------------------- oracle sweep: 100 seeded runs ----------------- *)
 
 let test_oracle_sweep () =
-  let n_inc = ref 0 and n_cold = ref 0 in
+  let n_recomputed = ref 0 and n_edits = ref 0 in
   for seed = 1 to 100 do
     let checks = Perso_sim.Oracle.cache_checks ~movies:120 ~selections:12 seed "sweep" in
     List.iter
@@ -346,17 +315,18 @@ let test_oracle_sweep () =
         if not c.Perso_sim.Oracle.ok then
           Alcotest.failf "seed %d: %s: %s" seed c.Perso_sim.Oracle.name
             c.Perso_sim.Oracle.detail;
-        Scanf.sscanf_opt c.Perso_sim.Oracle.detail "incremental=%d cold=%d"
+        Scanf.sscanf_opt c.Perso_sim.Oracle.detail "recomputed=%d edits=%d"
           (fun a b -> (a, b))
         |> Option.iter (fun (a, b) ->
-               n_inc := !n_inc + a;
-               n_cold := !n_cold + b))
+               n_recomputed := !n_recomputed + a;
+               n_edits := !n_edits + b))
       checks
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "incremental path exercised (%d incremental, %d cold)"
-       !n_inc !n_cold)
-    true (!n_inc > 0)
+    (Printf.sprintf "post-edit consults recomputed (%d of %d edits)"
+       !n_recomputed !n_edits)
+    true
+    (!n_edits > 0 && !n_recomputed = !n_edits)
 
 let () =
   Alcotest.run "perso_cache"
@@ -376,8 +346,6 @@ let () =
           Alcotest.test_case "byte bound" `Quick test_byte_bound_evicts;
           Alcotest.test_case "invalidation" `Quick
             test_invalidation_on_save_and_delete;
-          Alcotest.test_case "clear / invalidate_user" `Quick
-            test_clear_and_invalidate_user;
         ] );
       ( "size-estimate",
         [
@@ -385,14 +353,11 @@ let () =
             test_size_estimate;
         ] );
       ( "incremental",
-        [
-          Alcotest.test_case "retune" `Quick test_incremental_retune;
-          Alcotest.test_case "retune at cutoff falls back" `Quick
-            test_retune_selected_at_cutoff_falls_back;
-          Alcotest.test_case "add / remove" `Quick test_incremental_add_remove;
-          Alcotest.test_case "join edit falls back" `Quick
-            test_join_edit_falls_back_cold;
-        ] );
+        List.map
+          (fun (case, edits) ->
+            Alcotest.test_case case `Quick (fun () ->
+                List.iter test_edit_recomputes_cold edits))
+          edit_cases );
       ( "resilient",
         [
           Alcotest.test_case "sources and bypass" `Quick

@@ -324,7 +324,6 @@ let test_sharded_hammer () =
     (stat "pers_ok" stats + stat "pers_err" stats)
     (stat "cache_hit" stats
     + stat "cache_miss" stats
-    + stat "cache_incremental" stats
     + stat "cache_bypass" stats);
   let outcome = Server.stop t in
   Alcotest.(check bool) "drains clean" true outcome.Server.drained

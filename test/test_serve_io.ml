@@ -171,7 +171,7 @@ let audit_ledger label transcript =
   Alcotest.(check int)
     (label ^ ": pers ledger")
     (n "pers_ok" + n "pers_err")
-    (n "cache_hit" + n "cache_miss" + n "cache_incremental" + n "cache_bypass")
+    (n "cache_hit" + n "cache_miss" + n "cache_bypass")
 
 let diff_backend backend () =
   let requests = script (mk_db ()) in

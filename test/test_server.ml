@@ -689,7 +689,46 @@ let test_disk_memory_differential () =
         run_script socket [ "PROFILE LOAD julie"; "PERSONALIZE julie " ^ pers_sql ])
   in
   Alcotest.(check string) "personalize after restart" (List.nth mem 5)
-    (List.nth after_restart 1)
+    (List.nth after_restart 1);
+  (* Durability does not depend on the shard count: at 20 shards (more
+     databases than a process-wide registry once held) every
+     acknowledged save reaches its shard's store and loads after a
+     restart. *)
+  let root20 = fresh_store_root () in
+  Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root20)))
+  @@ fun () ->
+  let cfg20 cfg = { cfg with Server.shards = 20; store_dir = Some root20 } in
+  let users = List.init 64 (Printf.sprintf "user%02d") in
+  let loads = List.map (fun u -> "PROFILE LOAD " ^ u) users in
+  let saved, appends =
+    with_server cfg20 (fun _t socket ->
+        let acks =
+          run_script socket
+            (List.mapi
+               (fun i u ->
+                 Printf.sprintf "PROFILE SAVE %s [ GENRE.genre = 'comedy', %.2f ]"
+                   u (float_of_int (i + 1) /. 100.))
+               users)
+        in
+        List.iter
+          (fun a ->
+            if String.length a < 4 || String.sub a 0 4 <> "msg:" then
+              Alcotest.failf "20-shard save not acknowledged: %s" a)
+          acks;
+        (run_script socket loads, stat "store_appends" (health_of socket)))
+  in
+  Alcotest.(check int) "20 shards: one durable append per save" 64 appends;
+  let reloaded = with_server cfg20 (fun _t socket -> run_script socket loads) in
+  List.iteri
+    (fun i (before, after) ->
+      Alcotest.(check string)
+        (Printf.sprintf "20 shards: %s loads after restart" (List.nth users i))
+        before after)
+    (List.combine saved reloaded);
+  Alcotest.(check bool) "20 shards: every loaded profile holds its entry" true
+    (List.for_all
+       (fun r -> List.length (String.split_on_char '\n' r) = 2)
+       reloaded)
 
 let () =
   Alcotest.run "server"

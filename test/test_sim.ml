@@ -156,8 +156,8 @@ let test_oracle_10x () =
   (* 1200 movies / 120 selections — 10× test_select's random_setting. *)
   let report = Oracle.run ~movies:1200 ~selections:120 ~cases:2 ~seed:42 () in
   (* 9 theorem/metamorphic checks per case, plus the plan-cache
-     relation: 6 edit steps × 4 byte-identity/hit checks + 1 summary. *)
-  Alcotest.(check int) "68 checks" 68 (List.length report.Oracle.checks);
+     relation: 6 edit steps × 2 byte-identity/hit checks + 1 summary. *)
+  Alcotest.(check int) "44 checks" 44 (List.length report.Oracle.checks);
   match Oracle.failures report with
   | [] -> ()
   | fs ->
