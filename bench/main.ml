@@ -42,6 +42,17 @@ let avg = function
 
 let pct x = 100. *. x
 
+(* The checkout's [git describe --always --dirty], the [commit] of a
+   committed BENCH_*.json header; "unknown" outside a git checkout. *)
+let commit () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, l when l <> "" -> l
+      | _ -> "unknown")
+
 (* --------------------------------------------------------------------- *)
 (* Shared setup                                                          *)
 (* --------------------------------------------------------------------- *)
@@ -648,48 +659,6 @@ let bench_exec () =
       figures
   in
   let total_ms = List.fold_left (fun a (_, _, ms, _) -> a +. ms) 0. results in
-  (* ---- multicore scaling: fig7 K=60 across domain counts ---------- *)
-  (* The heaviest §7 workload re-timed under the domain pool.  Results
-     are byte-identical at every domain count (enforced by test_par);
-     what this records is the wall-clock scaling, which only shows on
-     hardware that actually has the cores — so the physical core count
-     travels with the figures and `make bench-par` gates on speedup
-     only when cores >= 4. *)
-  let cores = Domain.recommended_domain_count () in
-  let par_figure = "fig7_mq_k60_l1" in
-  let par_qs = List.assoc par_figure figures in
-  let par_run () =
-    List.fold_left
-      (fun acc q ->
-        acc + List.length (Relal.Engine.run_query db q).Relal.Exec.rows)
-      0 par_qs
-  in
-  let time_at_domains d =
-    let timed () =
-      ignore (par_run () : int) (* warm-up *);
-      avg (List.init reps (fun _ -> snd (time (fun () -> ignore (par_run (): int)))))
-    in
-    if d <= 1 then timed ()
-    else begin
-      let pool = Putil.Dpool.create ~domains:d in
-      Relal.Exec.set_pool (Some pool);
-      Fun.protect
-        ~finally:(fun () ->
-          Relal.Exec.set_pool None;
-          Putil.Dpool.shutdown pool)
-        timed
-    end
-  in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let par_results = List.map (fun d -> (d, time_at_domains d)) domain_counts in
-  let par_base = List.assoc 1 par_results in
-  Printf.printf "\n## Multicore scaling — %s (%d cores on this host)\n"
-    par_figure cores;
-  Printf.printf "%-10s %12s %10s\n" "domains" "ms_total" "speedup";
-  List.iter
-    (fun (d, ms) ->
-      Printf.printf "%-10d %12.3f %9.2fx\n%!" d ms (par_base /. ms))
-    par_results;
   (* ---- sharded profile store: serve-path throughput ---------------- *)
   (* Mixed PROFILE SAVE / PROFILE LOAD pressure through the server core
      (no sockets): with one shard every save excludes everything; with
@@ -754,9 +723,11 @@ let bench_exec () =
     Option.value ~default:"BENCH_EXEC.json" (Sys.getenv_opt "BENCH_EXEC_OUT")
   in
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"exec\",\n  \"scale\": %S,\n  \"reps\": %d,\n"
+  Printf.fprintf oc
+    "{\n  \"bench\": \"exec\",\n  \"commit\": %S,\n  \"cores\": %d,\n  \"scale\": %S,\n  \"reps\": %d,\n"
+    (commit ())
+    (Domain.recommended_domain_count ())
     scale.label reps;
-  Printf.fprintf oc "  \"cores\": %d,\n" cores;
   Printf.fprintf oc "  \"figures\": [\n";
   List.iteri
     (fun i (name, n, ms, rows) ->
@@ -769,16 +740,6 @@ let bench_exec () =
         (if i = List.length results - 1 then "" else ","))
     results;
   Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"parallel\": {\"figure\": %S, \"queries\": %d, \"domains\": [\n"
-    par_figure (List.length par_qs);
-  List.iteri
-    (fun i (d, ms) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"ms_total\": %.3f, \"speedup\": %.3f}%s\n" d ms
-        (par_base /. ms)
-        (if i = List.length par_results - 1 then "" else ","))
-    par_results;
-  Printf.fprintf oc "  ]},\n";
   Printf.fprintf oc
     "  \"sharded_store\": {\"threads\": %d, \"requests\": %d, \"configs\": [\n"
     store_threads store_reqs;
@@ -1063,206 +1024,6 @@ let bench_store () =
   Printf.printf "# wrote %s\n%!" path
 
 (* --------------------------------------------------------------------- *)
-(* Serve-path benchmark — machine-readable (BENCH_SERVE.json)            *)
-(* --------------------------------------------------------------------- *)
-
-(* End-to-end: a real [perso_cli serve]-shaped server (socket and all,
-   thread-per-connection), driven by {!Perso_server.Loadgen}'s open-loop
-   Poisson arrivals with Zipf-skewed users.  Latency quantiles come from
-   the mergeable log-bucketed histogram; every client-side tally is
-   cross-checked against the server's own HEALTH ledger delta, so a
-   dropped or double-counted request anywhere on the serve path fails
-   the ledger_balanced gate in `make check`.
-
-   The load generator's client threads share the host's cores with the
-   server, so the JSON records the core count and `make check` gates
-   only on sanity (ledger balance, quantile monotonicity), never
-   absolute numbers.  Writes BENCH_SERVE.json; override with
-   BENCH_SERVE_OUT. *)
-
-let bench_serve () =
-  let open Perso_server in
-  let rate, requests, clients, users =
-    match scale.label with
-    | "quick" -> (300., 600, 4, 50)
-    | "paper" -> (800., 10_000, 8, 200)
-    | _ -> (400., 2_000, 4, 100)
-  in
-  let movies = min 500 scale.movies in
-  let sdb = Moviedb.Datagen.generate (Moviedb.Datagen.scale ~seed:11 movies) in
-  let sqls =
-    Moviedb.Workload.queries sdb ~n:6 ~seed:77
-    |> List.map Relal.Sql_print.query_to_string
-    |> Array.of_list
-  in
-  (* Wire-format profile entry lists (one line) for PROFILE SAVE. *)
-  let profile_wires =
-    Array.init 4 (fun i ->
-        Moviedb.Profile_gen.generate sdb
-          { Moviedb.Profile_gen.default with seed = 50 + i; n_selections = 15 }
-        |> Perso.Profile.to_string
-        |> String.split_on_char '\n'
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "")
-        |> String.concat " ")
-  in
-  let health_of c =
-    match Client.request c "HEALTH" with
-    | Ok (Protocol.Stats kvs) -> kvs
-    | _ -> failwith "bench serve: HEALTH request failed"
-  in
-  let stat kvs k =
-    match List.assoc_opt k kvs with
-    | Some v -> ( match int_of_string_opt v with Some i -> i | None -> 0)
-    | None -> 0
-  in
-  let io = "threads" in
-  let run () =
-    let socket_path = Filename.temp_file "bench_serve" ".sock" in
-    Sys.remove socket_path;
-    let cfg =
-      {
-        (Server.default_config ~socket_path) with
-        Server.workers = 4;
-        queue_capacity = 64;
-        shards = 4;
-        deadline_ms = None;
-      }
-    in
-    let t = Server.start cfg sdb in
-    Fun.protect
-      ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
-      (fun () ->
-        (* Preseed every user's profile so PERSONALIZE and PROFILE LOAD
-           hit real data, then snapshot the ledger: the benchmark is
-           reconciled against the delta, not absolute counters. *)
-        let c = Client.connect ~wait_ms:5_000. socket_path in
-        for u = 0 to users - 1 do
-          match
-            Client.request c
-              (Printf.sprintf "PROFILE SAVE u%d %s" u
-                 profile_wires.(u mod Array.length profile_wires))
-          with
-          | Ok (Protocol.Message _) -> ()
-          | _ -> failwith "bench serve: preseed save failed"
-        done;
-        let h0 = health_of c in
-        Client.close c;
-        let lcfg =
-          {
-            (Loadgen.default_config ~socket_path) with
-            Loadgen.rate;
-            requests;
-            clients;
-            users;
-            seed = 1234;
-          }
-        in
-        let r =
-          match Loadgen.run lcfg ~sqls ~profiles:profile_wires with
-          | Ok r -> r
-          | Error e -> failwith ("bench serve: " ^ Perso.Error.to_string e)
-        in
-        let c = Client.connect ~wait_ms:5_000. socket_path in
-        let h1 = health_of c in
-        Client.close c;
-        let d k = stat h1 k - stat h0 k in
-        (* Client tallies vs the server's ledger delta.  HEALTH probes
-           are control-plane (answered off-queue), hence data_sent;
-           shed_breaker replies are errors the server also counts in
-           completed_err, hence the subtraction. *)
-        let shed_total =
-          d "shed_queue_full" + d "shed_expired" + d "shed_draining"
-          + d "shed_breaker"
-        in
-        let checks =
-          [
-            ("ok = completed_ok", r.Loadgen.ok, d "completed_ok");
-            ("overloaded = sheds", r.Loadgen.err_overloaded, shed_total);
-            ( "err_other = completed_err - shed_breaker",
-              r.Loadgen.err_other,
-              d "completed_err" - d "shed_breaker" );
-            ( "data_sent = accepted + pre-admission sheds",
-              r.Loadgen.data_sent,
-              d "accepted" + d "shed_queue_full" + d "shed_draining" );
-            ("hist count = sent", Putil.Histogram.count r.Loadgen.hist,
-              r.Loadgen.sent);
-            ("no transport errors", r.Loadgen.err_transport, 0);
-          ]
-        in
-        let balanced =
-          List.for_all
-            (fun (what, got, want) ->
-              if got <> want then
-                Printf.printf "# LEDGER MISMATCH (%s): %s: client %d vs server %d\n%!"
-                  io what got want;
-              got = want)
-            checks
-        in
-        let q p = Putil.Histogram.quantile r.Loadgen.hist p in
-        let row =
-          Printf.sprintf
-            "    {\"io\": %S, \"req_per_s\": %.1f, \"elapsed_s\": %.3f, \
-             \"sent\": %d, \"ok\": %d, \"ok_health\": %d, \
-             \"err_overloaded\": %d, \"err_other\": %d, \
-             \"err_transport\": %d, \"p50_us\": %d, \"p99_us\": %d, \
-             \"p999_us\": %d, \"max_us\": %d, \"mean_us\": %.1f, \
-             \"shed_queue_full\": %d, \"shed_expired\": %d, \
-             \"shed_draining\": %d, \"shed_breaker\": %d, \
-             \"ledger_balanced\": %b}"
-            io
-            (float_of_int r.Loadgen.sent /. r.Loadgen.elapsed_s)
-            r.Loadgen.elapsed_s r.Loadgen.sent r.Loadgen.ok
-            r.Loadgen.ok_health r.Loadgen.err_overloaded r.Loadgen.err_other
-            r.Loadgen.err_transport (q 0.50) (q 0.99) (q 0.999)
-            (Putil.Histogram.max_value r.Loadgen.hist)
-            (Putil.Histogram.mean r.Loadgen.hist)
-            (d "shed_queue_full") (d "shed_expired") (d "shed_draining")
-            (d "shed_breaker") balanced
-        in
-        Printf.printf
-          "%-8s %9.1f %9.1f %9.3f %9.3f %9.3f %6d %6d %6s\n%!" io rate
-          (float_of_int r.Loadgen.sent /. r.Loadgen.elapsed_s)
-          (float_of_int (q 0.50) /. 1e3)
-          (float_of_int (q 0.99) /. 1e3)
-          (float_of_int (q 0.999) /. 1e3)
-          r.Loadgen.ok r.Loadgen.err_overloaded
-          (if balanced then "yes" else "NO");
-        row)
-  in
-  Printf.printf
-    "\n\
-     ## Serve benchmark — open-loop Poisson @ %.0f req/s, %d requests, %d \
-     clients, %d Zipf users\n"
-    rate requests clients users;
-  Printf.printf "%-8s %9s %9s %9s %9s %9s %6s %6s %6s\n" "io" "offered"
-    "achieved" "p50_ms" "p99_ms" "p999_ms" "ok" "shed" "ledger";
-  let row = run () in
-  let path =
-    Option.value ~default:"BENCH_SERVE.json" (Sys.getenv_opt "BENCH_SERVE_OUT")
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"serve\",\n\
-    \  \"scale\": %S,\n\
-    \  \"cores\": %d,\n\
-    \  \"movies\": %d,\n\
-    \  \"rate\": %.1f,\n\
-    \  \"requests\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"users\": %d,\n\
-    \  \"zipf_s\": 1.1,\n\
-    \  \"runtimes\": [\n%s\n  ]\n\
-     }\n"
-    scale.label
-    (Domain.recommended_domain_count ())
-    movies rate requests clients users
-    row;
-  close_out oc;
-  Printf.printf "# wrote %s\n%!" path
-
-(* --------------------------------------------------------------------- *)
 (* Driver                                                                *)
 (* --------------------------------------------------------------------- *)
 
@@ -1273,7 +1034,7 @@ let all_figs =
     ("perso", bench_perso); ("kernels", kernels);
     ("ablation-funcs", ablation_funcs); ("ablation-topn", ablation_topn);
     ("ablation-index", ablation_index); ("ablation-planner", ablation_planner);
-    ("store", bench_store); ("serve", bench_serve);
+    ("store", bench_store);
   ]
 
 let () =

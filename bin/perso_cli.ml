@@ -95,27 +95,6 @@ let gov_of budget =
   if Relal.Governor.is_unlimited budget then None
   else Some (Relal.Governor.start budget)
 
-(* ---------------- execution domains ---------------- *)
-
-let with_pool domains f =
-  if domains <= 1 then f ()
-  else begin
-    let pool = Putil.Dpool.create ~domains in
-    Relal.Exec.set_pool (Some pool);
-    Fun.protect
-      ~finally:(fun () ->
-        Relal.Exec.set_pool None;
-        Putil.Dpool.shutdown pool)
-      f
-  end
-
-let domains_arg =
-  let doc =
-    "Evaluate large scans and joins across this many domains (cores); \
-     results are byte-identical to sequential execution (1 = sequential)."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
 (* ---------------- demo ---------------- *)
 
 let demo () =
@@ -140,14 +119,12 @@ let demo_cmd =
 
 (* ---------------- run-sql ---------------- *)
 
-let run_sql movies seed data_dir deadline max_rows max_expansions domains sql =
-  validated [ pos_int "domains" domains ] @@ fun () ->
+let run_sql movies seed data_dir deadline max_rows max_expansions sql =
   guarded (fun () ->
-      with_pool domains (fun () ->
-          let db = db_of ?data_dir ~movies ~seed () in
-          let gov = gov_of (budget_of deadline max_rows max_expansions) in
-          print_result (Relal.Engine.run_sql ?gov db sql);
-          0))
+      let db = db_of ?data_dir ~movies ~seed () in
+      let gov = gov_of (budget_of deadline max_rows max_expansions) in
+      print_result (Relal.Engine.run_sql ?gov db sql);
+      0)
 
 let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"SQL text.")
@@ -156,15 +133,13 @@ let run_sql_cmd =
   Cmd.v (Cmd.info "run-sql" ~doc:"Execute SQL on a synthetic movie database")
     Term.(
       const run_sql $ movies_arg $ seed_arg $ data_dir_arg $ deadline_arg
-      $ max_rows_arg $ max_expansions_arg $ domains_arg $ sql_arg)
+      $ max_rows_arg $ max_expansions_arg $ sql_arg)
 
 (* ---------------- personalize ---------------- *)
 
-let personalize movies seed data_dir deadline max_rows max_expansions domains
+let personalize movies seed data_dir deadline max_rows max_expansions
     profile_path sql k l m method_ topn semantic =
-  validated [ pos_int "domains" domains ] @@ fun () ->
   guarded (fun () ->
-      with_pool domains @@ fun () ->
       let db = db_of ?data_dir ~movies ~seed () in
       match Perso.Profile.load profile_path with
       | Error e -> handle_error (Perso.Error.Profile e)
@@ -265,7 +240,7 @@ let personalize_cmd =
     (Cmd.info "personalize" ~doc:"Personalize and execute a query under a profile")
     Term.(
       const personalize $ movies_arg $ seed_arg $ data_dir_arg $ deadline_arg
-      $ max_rows_arg $ max_expansions_arg $ domains_arg $ profile_arg $ sql_arg
+      $ max_rows_arg $ max_expansions_arg $ profile_arg $ sql_arg
       $ k_arg $ l_arg $ m_arg $ method_arg $ topn_arg $ semantic_arg)
 
 (* ---------------- gen-profile ---------------- *)
@@ -388,7 +363,7 @@ let parse_store = function
 
 let serve movies seed data_dir deadline max_rows max_expansions socket tcp
     workers queue drain_ms breaker_threshold breaker_cooldown dump_dir
-    chaos_seed chaos_p no_cache cache_entries cache_mb domains shards store
+    chaos_seed chaos_p no_cache cache_entries cache_mb shards store
     replicas profile_lru =
   let store_dir = parse_store store in
   validated
@@ -398,7 +373,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
       pos_int "queue" queue;
       pos_int "cache-entries" cache_entries;
       pos_float "cache-mb" cache_mb;
-      pos_int "domains" domains;
       pos_int "shards" shards;
       pos_int "replicas" replicas;
       (if profile_lru >= 0 then None
@@ -409,7 +383,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
   @@ fun () ->
   let store_dir = Result.get_ok store_dir in
   guarded (fun () ->
-      with_pool domains @@ fun () ->
       let db = db_of ?data_dir ~movies ~seed () in
       (match chaos_p with
       | Some p when p > 0. ->
@@ -574,7 +547,7 @@ let serve_cmd =
       $ max_rows_arg $ max_expansions_arg $ socket_arg $ tcp_arg $ workers_arg
       $ queue_arg $ drain_arg $ breaker_threshold_arg $ breaker_cooldown_arg
       $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg $ no_cache_arg
-      $ cache_entries_arg $ cache_mb_arg $ domains_arg $ shards_arg
+      $ cache_entries_arg $ cache_mb_arg $ shards_arg
       $ store_arg $ replicas_arg $ profile_lru_arg)
 
 (* ---------------- scrub ---------------- *)

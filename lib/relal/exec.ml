@@ -23,61 +23,6 @@ let g_poll () = match !governor with None -> () | Some g -> Governor.poll g
 let g_rows n = match !governor with None -> () | Some g -> Governor.add_rows g n
 
 (* --------------------------------------------------------------------- *)
-(* Data-parallel layer                                                    *)
-(* --------------------------------------------------------------------- *)
-
-(* Like the governor, the domain pool is ambient: armed once per process
-   (CLI flag / server config), consulted by the operators that can
-   partition their row loops.  Every parallel path splits rows into
-   contiguous index ranges, computes per-range results on the pool, and
-   concatenates them in range order — so output is byte-identical to the
-   sequential loop and the sequential code remains the [None] /
-   pool-busy fallback, not a separate semantics.
-
-   The compiled readers and predicates the ranges share are pure row ->
-   value closures over immutable storage batches; worker domains only
-   ever read them.  Budget accounting inside a range goes through a
-   [Governor.fork] of the ambient governor (shared atomic counters, a
-   per-domain poll stride) — the ambient [ref] itself is never touched
-   from a worker domain. *)
-let pool : Putil.Dpool.t option ref = ref None
-
-let set_pool p = pool := p
-
-(* Below this many rows the chunk dispatch overhead beats the win. *)
-let min_par_rows = 2048
-
-(* Chunk geometry: a few chunks per lane so the atomic-cursor stealing
-   evens out skew, but never chunks so small the dispatch dominates. *)
-let plan_chunks lanes n =
-  let csize = max 512 ((n + (lanes * 4) - 1) / (lanes * 4)) in
-  (csize, (n + csize - 1) / csize)
-
-let par_pool n =
-  match !pool with
-  | Some p when Putil.Dpool.size p > 1 && n >= min_par_rows -> Some p
-  | _ -> None
-
-(* A forked-governor (poll, charge) pair for one chunk. *)
-let fork_hooks parent =
-  match parent with
-  | None -> (ignore, fun (_ : int) -> ())
-  | Some g ->
-      let g = Governor.fork g in
-      ((fun () -> Governor.poll g), fun n -> Governor.add_rows g n)
-
-let concat_int_arrays (parts : int array array) =
-  let total = Array.fold_left (fun a p -> a + Array.length p) 0 parts in
-  let out = Array.make total 0 in
-  let off = ref 0 in
-  Array.iter
-    (fun p ->
-      Array.blit p 0 out !off (Array.length p);
-      off := !off + Array.length p)
-    parts;
-  out
-
-(* --------------------------------------------------------------------- *)
 (* Working relations: array-backed views with late materialization        *)
 (* --------------------------------------------------------------------- *)
 
@@ -360,41 +305,15 @@ and materialize_from ?cost db item : vrel =
 and filter_vrel v preds =
   match preds with
   | [] -> v
-  | _ -> (
+  | _ ->
       let f = compile_pred v (conj preds) in
-      match par_filter v f with
-      | Some sel ->
-          if Array.length sel = v.nrows then v else select_rows v sel
-      | None ->
-          let sel = Ibuf.create () in
-          for r = 0 to v.nrows - 1 do
-            g_poll ();
-            if f r then Ibuf.add sel r
-          done;
-          g_rows sel.Ibuf.n;
-          if sel.Ibuf.n = v.nrows then v else select_rows v (Ibuf.to_array sel))
-
-(* Partitioned scan: contiguous row ranges filtered on the pool, their
-   selection vectors concatenated in range order — the very same row
-   order the sequential loop emits. *)
-and par_filter v f =
-  match par_pool v.nrows with
-  | None -> None
-  | Some p ->
-      let csize, nchunks = plan_chunks (Putil.Dpool.size p) v.nrows in
-      let parent = !governor in
-      let chunk i =
-        let poll, charge = fork_hooks parent in
-        let lo = i * csize and hi = min v.nrows ((i + 1) * csize) in
-        let sel = Ibuf.create () in
-        for r = lo to hi - 1 do
-          poll ();
-          if f r then Ibuf.add sel r
-        done;
-        charge sel.Ibuf.n;
-        Ibuf.to_array sel
-      in
-      Option.map concat_int_arrays (Putil.Dpool.try_map p nchunks chunk)
+      let sel = Ibuf.create () in
+      for r = 0 to v.nrows - 1 do
+        g_poll ();
+        if f r then Ibuf.add sel r
+      done;
+      g_rows sel.Ibuf.n;
+      if sel.Ibuf.n = v.nrows then v else select_rows v (Ibuf.to_array sel)
 
 (* Hash join producing row-id pairs.  The build side is bucketed by a
    combined int hash of its key columns (no per-row key arrays); probe
@@ -423,137 +342,76 @@ and hash_join left right keys =
     !h land max_int
   in
   Chaos.point Chaos.Join_build;
-  (* Partitioned build: the build rows are carved into contiguous index
-     ranges, one private table per range — no shared mutable table, no
-     locks.  A range's bucket lists are in *descending* build-row order
-     (rows inserted ascending, consed onto the list), exactly like the
-     single sequential table's; because the ranges are contiguous and
-     probed from the last partition down to the first, the candidate
-     order each probe row sees is globally descending — the same
-     candidate sequence, hence the same emission bytes, as the
-     one-table sequential build. *)
-  let build_range poll lo hi =
-    let h = IH.create (max 16 (hi - lo)) in
-    if nk = 1 then begin
-      let bread0 = bread.(0) in
-      for r = lo to hi - 1 do
-        poll ();
-        let k = Value.hash (bread0 r) land max_int in
-        match IH.find h k with
-        | l -> l := r :: !l
-        | exception Not_found -> IH.add h k (ref [ r ])
-      done
-    end
-    else
-      for r = lo to hi - 1 do
-        poll ();
-        let k = hash_row bread r in
-        match IH.find h k with
-        | l -> l := r :: !l
-        | exception Not_found -> IH.add h k (ref [ r ])
-      done;
-    h
-  in
-  let tables =
-    match par_pool bn with
-    | None -> [| build_range g_poll 0 bn |]
-    | Some p -> (
-        (* One partition per lane (not per chunk): every probe row
-           visits every partition, so the partition count is a probe
-           cost, not a stealing knob. *)
-        let lanes = Putil.Dpool.size p in
-        let csize = max 1 ((bn + lanes - 1) / lanes) in
-        let nparts = (bn + csize - 1) / csize in
-        let parent = !governor in
-        let part i =
-          let poll, _ = fork_hooks parent in
-          build_range poll (i * csize) (min bn ((i + 1) * csize))
-        in
-        match Putil.Dpool.try_map p nparts part with
-        | Some ts -> ts
-        | None -> [| build_range g_poll 0 bn |])
-  in
-  let ntab = Array.length tables in
+  let h = IH.create (max 16 bn) in
+  if nk = 1 then begin
+    let bread0 = bread.(0) in
+    for r = 0 to bn - 1 do
+      g_poll ();
+      let k = Value.hash (bread0 r) land max_int in
+      match IH.find h k with
+      | l -> l := r :: !l
+      | exception Not_found -> IH.add h k (ref [ r ])
+    done
+  end
+  else
+    for r = 0 to bn - 1 do
+      g_poll ();
+      let k = hash_row bread r in
+      match IH.find h k with
+      | l -> l := r :: !l
+      | exception Not_found -> IH.add h k (ref [ r ])
+    done;
   Chaos.point Chaos.Join_probe;
   (* Single-key joins (the overwhelmingly common case) skip the key loop:
      one hash, one reader call, one equality per candidate.  [find] +
      exception rather than [find_opt] so probe hits allocate nothing, and
      the emit loops take the probe row as an argument so their closures
      are built once, not per row. *)
-  let probe_range poll lo hi =
-    let bsel = Ibuf.create () and psel = Ibuf.create () in
-    if nk = 1 then begin
-      let bread0 = bread.(0) and pread0 = pread.(0) in
-      let rec emit pr pv = function
-        | [] -> ()
-        | br :: tl ->
-            if Value.equal (bread0 br) pv then begin
-              Ibuf.add bsel br;
-              Ibuf.add psel pr
-            end;
-            emit pr pv tl
-      in
-      for pr = lo to hi - 1 do
-        poll ();
-        let pv = pread0 pr in
-        let k = Value.hash pv land max_int in
-        for ti = ntab - 1 downto 0 do
-          match IH.find tables.(ti) k with
-          | cands -> emit pr pv !cands
-          | exception Not_found -> ()
-        done
-      done
-    end
-    else begin
-      let rec keys_eq br pr i =
-        i >= nk
-        || (Value.equal (bread.(i) br) (pread.(i) pr) && keys_eq br pr (i + 1))
-      in
-      let rec emit pr = function
-        | [] -> ()
-        | br :: tl ->
-            if keys_eq br pr 0 then begin
-              Ibuf.add bsel br;
-              Ibuf.add psel pr
-            end;
-            emit pr tl
-      in
-      for pr = lo to hi - 1 do
-        poll ();
-        let k = hash_row pread pr in
-        for ti = ntab - 1 downto 0 do
-          match IH.find tables.(ti) k with
-          | cands -> emit pr !cands
-          | exception Not_found -> ()
-        done
-      done
-    end;
-    (bsel, psel)
-  in
-  let seq_probe () =
-    let bsel, psel = probe_range g_poll 0 pn in
-    g_rows psel.Ibuf.n;
-    (Ibuf.to_array bsel, Ibuf.to_array psel)
-  in
-  let pairs =
-    match par_pool pn with
-    | None -> [| seq_probe () |]
-    | Some p -> (
-        let csize, nchunks = plan_chunks (Putil.Dpool.size p) pn in
-        let parent = !governor in
-        let chunk i =
-          let poll, charge = fork_hooks parent in
-          let lo = i * csize and hi = min pn ((i + 1) * csize) in
-          let bsel, psel = probe_range poll lo hi in
-          charge psel.Ibuf.n;
-          (Ibuf.to_array bsel, Ibuf.to_array psel)
-        in
-        match Putil.Dpool.try_map p nchunks chunk with
-        | Some parts -> parts
-        | None -> [| seq_probe () |])
-  in
-  let bsel = concat_int_arrays (Array.map fst pairs)
-  and psel = concat_int_arrays (Array.map snd pairs) in
+  let bsel = Ibuf.create () and psel = Ibuf.create () in
+  if nk = 1 then begin
+    let bread0 = bread.(0) and pread0 = pread.(0) in
+    let rec emit pr pv = function
+      | [] -> ()
+      | br :: tl ->
+          if Value.equal (bread0 br) pv then begin
+            Ibuf.add bsel br;
+            Ibuf.add psel pr
+          end;
+          emit pr pv tl
+    in
+    for pr = 0 to pn - 1 do
+      g_poll ();
+      let pv = pread0 pr in
+      let k = Value.hash pv land max_int in
+      match IH.find h k with
+      | cands -> emit pr pv !cands
+      | exception Not_found -> ()
+    done
+  end
+  else begin
+    let rec keys_eq br pr i =
+      i >= nk
+      || (Value.equal (bread.(i) br) (pread.(i) pr) && keys_eq br pr (i + 1))
+    in
+    let rec emit pr = function
+      | [] -> ()
+      | br :: tl ->
+          if keys_eq br pr 0 then begin
+            Ibuf.add bsel br;
+            Ibuf.add psel pr
+          end;
+          emit pr tl
+    in
+    for pr = 0 to pn - 1 do
+      g_poll ();
+      let k = hash_row pread pr in
+      match IH.find h k with
+      | cands -> emit pr !cands
+      | exception Not_found -> ()
+    done
+  end;
+  g_rows psel.Ibuf.n;
+  let bsel = Ibuf.to_array bsel and psel = Ibuf.to_array psel in
   let lsel, rsel = if swap then (psel, bsel) else (bsel, psel) in
   join_vrels left lsel right rsel
 
@@ -636,76 +494,46 @@ and index_nl_join current keys alias tbl : vrel option =
       in
       Chaos.point Chaos.Join_probe;
       (* The emit loops take [r] as an argument so the closures are
-         allocated once, not per probed row.  The index prober is a pure
-         hash lookup over the (immutable) table index, so probe ranges
-         parallelize like scan ranges: contiguous chunks, concatenated
-         in chunk order. *)
-      let probe_range poll lo hi =
-        let csel = Ibuf.create () and bsel = Ibuf.create () in
-        if nc = 0 then begin
-          let rec emit r = function
-            | [] -> ()
-            | bi :: tl ->
+         allocated once, not per probed row. *)
+      let csel = Ibuf.create () and bsel = Ibuf.create () in
+      if nc = 0 then begin
+        let rec emit r = function
+          | [] -> ()
+          | bi :: tl ->
+              Ibuf.add csel r;
+              Ibuf.add bsel bi;
+              emit r tl
+        in
+        for r = 0 to current.nrows - 1 do
+          g_poll ();
+          emit r (probe (pread r))
+        done
+      end
+      else begin
+        let rec check_ok r bi i =
+          i >= nc
+          ||
+          let cread, bci = checks.(i) in
+          Value.equal (cread r) brows.(bi).(bci) && check_ok r bi (i + 1)
+        in
+        let rec emit r = function
+          | [] -> ()
+          | bi :: tl ->
+              if check_ok r bi 0 then begin
                 Ibuf.add csel r;
-                Ibuf.add bsel bi;
-                emit r tl
-          in
-          for r = lo to hi - 1 do
-            poll ();
-            emit r (probe (pread r))
-          done
-        end
-        else begin
-          let rec check_ok r bi i =
-            i >= nc
-            ||
-            let cread, bci = checks.(i) in
-            Value.equal (cread r) brows.(bi).(bci) && check_ok r bi (i + 1)
-          in
-          let rec emit r = function
-            | [] -> ()
-            | bi :: tl ->
-                if check_ok r bi 0 then begin
-                  Ibuf.add csel r;
-                  Ibuf.add bsel bi
-                end;
-                emit r tl
-          in
-          for r = lo to hi - 1 do
-            poll ();
-            emit r (probe (pread r))
-          done
-        end;
-        (csel, bsel)
-      in
-      let seq_probe () =
-        let csel, bsel = probe_range g_poll 0 current.nrows in
-        g_rows csel.Ibuf.n;
-        (Ibuf.to_array csel, Ibuf.to_array bsel)
-      in
-      let pairs =
-        match par_pool current.nrows with
-        | None -> [| seq_probe () |]
-        | Some p -> (
-            let csize, nchunks =
-              plan_chunks (Putil.Dpool.size p) current.nrows
-            in
-            let parent = !governor in
-            let chunk i =
-              let poll, charge = fork_hooks parent in
-              let lo = i * csize
-              and hi = min current.nrows ((i + 1) * csize) in
-              let csel, bsel = probe_range poll lo hi in
-              charge csel.Ibuf.n;
-              (Ibuf.to_array csel, Ibuf.to_array bsel)
-            in
-            match Putil.Dpool.try_map p nchunks chunk with
-            | Some parts -> parts
-            | None -> [| seq_probe () |])
-      in
-      let csel = concat_int_arrays (Array.map fst pairs)
-      and bsel = concat_int_arrays (Array.map snd pairs) in
-      Some (append_base current csel bh (Table.batch tbl) bsel)
+                Ibuf.add bsel bi
+              end;
+              emit r tl
+        in
+        for r = 0 to current.nrows - 1 do
+          g_poll ();
+          emit r (probe (pread r))
+        done
+      end;
+      g_rows csel.Ibuf.n;
+      Some
+        (append_base current (Ibuf.to_array csel) bh (Table.batch tbl)
+           (Ibuf.to_array bsel))
 
 (* Evaluate a conjunctive block: [sources] is an association
    (tv -> source) — base tables lazy, derived tables materialized;
@@ -1035,52 +863,21 @@ and post_pipeline (q : query) (w : vrel) : result =
     in
     let ni = Array.length item_fns in
     let project r = Array.init ni (fun i -> (item_fns.(i)) r) in
-    (* Projection is embarrassingly parallel (readers are pure); the
-       DISTINCT hash insertion is order-dependent, so under the pool
-       rows are projected in parallel chunks and de-duplicated in a
-       sequential pass over the chunks in range order — the same
-       first-occurrence-wins order as the sequential loop. *)
-    let projected_chunks () =
-      match par_pool w.nrows with
-      | None -> None
-      | Some p ->
-          let csize, nchunks = plan_chunks (Putil.Dpool.size p) w.nrows in
-          let parent = !governor in
-          let chunk i =
-            let poll, _ = fork_hooks parent in
-            let lo = i * csize and hi = min w.nrows ((i + 1) * csize) in
-            Array.init (hi - lo) (fun j ->
-                poll ();
-                project (lo + j))
-          in
-          Putil.Dpool.try_map p nchunks chunk
-    in
     let rows =
       if q.distinct then begin
         let seen = KH.create 64 in
         let acc = ref [] in
-        let consider out =
+        for r = 0 to w.nrows - 1 do
+          g_poll ();
+          let out = project r in
           if not (KH.mem seen out) then begin
             KH.add seen out ();
             acc := out :: !acc
           end
-        in
-        (match projected_chunks () with
-        | Some chunks -> Array.iter (fun c -> Array.iter consider c) chunks
-        | None ->
-            for r = 0 to w.nrows - 1 do
-              g_poll ();
-              consider (project r)
-            done);
+        done;
         List.rev !acc
       end
-      else
-        match projected_chunks () with
-        | Some chunks ->
-            Array.fold_right
-              (fun c acc -> Array.fold_right (fun row acc -> row :: acc) c acc)
-              chunks []
-        | None -> List.init w.nrows project
+      else List.init w.nrows project
     in
     let rows =
       match q.limit with

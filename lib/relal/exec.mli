@@ -25,18 +25,6 @@ exception Exec_error of string
 type result = { cols : string array; rows : Value.t array list }
 (** Output column names (SELECT order) and rows. *)
 
-val set_pool : Putil.Dpool.t option -> unit
-(** Arm (or disarm) the ambient domain pool for data-parallel
-    evaluation.  With a pool of [n > 1] lanes, large row loops — scans,
-    hash-join build/probe sides, index-NL probes, the final projection —
-    are partitioned into contiguous ranges and merged back in range
-    order, so results are {e byte-identical} to the sequential path at
-    every pool size.  Budgets still hold: ranges charge a
-    {!Governor.fork} of the armed governor (shared atomic counters), so
-    no domain overshoots [max_rows] or the deadline by more than one
-    batch.  Concurrent callers (server worker threads) are safe: a busy
-    pool makes the caller fall back to its sequential loop. *)
-
 val run :
   ?strategy:[ `Auto | `Naive | `Cost ] ->
   ?stats:Stats.t ->

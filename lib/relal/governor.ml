@@ -27,33 +27,22 @@ let real_clock = Unix.gettimeofday
 let clock = ref real_clock
 let set_clock f = clock := f
 
-(* The row/expansion counters are atomics so a governor can be [fork]ed
-   onto worker domains: every fork shares the same cells, so budget
-   consumed anywhere is charged once against the one global bound —
-   no per-domain copies to merge, no double counting.  [polls] stays a
-   plain per-fork field: the deadline-poll stride is a per-domain
-   amortization of the clock read, and each domain keeps its own. *)
 type t = {
   budget : budget;
   started : float;  (* !clock at arm time, seconds *)
-  rows : int Atomic.t;
-  exps : int Atomic.t;
+  mutable rows : int;
+  mutable exps : int;
   mutable polls : int;  (* amortizes the clock read in [poll] *)
 }
 
 let start budget =
-  { budget; started = !clock (); rows = Atomic.make 0; exps = Atomic.make 0;
-    polls = 0 }
-
-(* Same budget, same start time, same counter cells; a fresh poll
-   stride for the domain that will drive this handle. *)
-let fork g = { g with polls = 0 }
+  { budget; started = !clock (); rows = 0; exps = 0; polls = 0 }
 
 let elapsed_ms g = (!clock () -. g.started) *. 1000.
 
 let progress ?(exhausted = "") g =
-  { exhausted; rows_produced = Atomic.get g.rows;
-    expansions = Atomic.get g.exps; elapsed_ms = elapsed_ms g }
+  { exhausted; rows_produced = g.rows; expansions = g.exps;
+    elapsed_ms = elapsed_ms g }
 
 let exhaust g what = raise (Exhausted (progress ~exhausted:what g))
 
@@ -65,8 +54,7 @@ let check_deadline g =
 (* How many [poll]s skip the clock read.  Wall-clock reads are cheap
    (vDSO) but not free; one read per 64 cooperative checks keeps the
    governor invisible in the executor's inner loops while bounding the
-   overshoot past a deadline to a few microseconds of work per
-   domain. *)
+   overshoot past a deadline to a few microseconds of work. *)
 let poll_stride = 64
 
 let poll g =
@@ -80,16 +68,11 @@ let poll g =
    [add_rows] call can represent an arbitrarily large cross product
    about to be materialized, and amortizing that behind the poll stride
    would let a runaway product overshoot its deadline by the whole
-   allocation.  Row-at-a-time accounting stays on the cheap stride.
-
-   The bound is checked against the post-add total returned by the
-   atomic fetch-and-add, so concurrent forks each observe a consistent
-   running total: whichever add crosses [max_rows] raises, and no
-   domain can overshoot by more than its own batch. *)
+   allocation.  Row-at-a-time accounting stays on the cheap stride. *)
 let add_rows g n =
-  let total = Atomic.fetch_and_add g.rows n + n in
+  g.rows <- g.rows + n;
   (match g.budget.max_rows with
-  | Some limit when total > limit -> exhaust g "rows"
+  | Some limit when g.rows > limit -> exhaust g "rows"
   | _ -> ());
   if n >= poll_stride then begin
     g.polls <- 0;
@@ -98,9 +81,9 @@ let add_rows g n =
   else poll g
 
 let add_expansion g =
-  let total = Atomic.fetch_and_add g.exps 1 + 1 in
+  g.exps <- g.exps + 1;
   (match g.budget.max_expansions with
-  | Some limit when total > limit -> exhaust g "expansions"
+  | Some limit when g.exps > limit -> exhaust g "expansions"
   | _ -> ());
   poll g
 

@@ -41,14 +41,6 @@ type t
 val start : budget -> t
 (** Arm a budget now.  The deadline clock starts here. *)
 
-val fork : t -> t
-(** A handle onto the {e same} armed budget for a worker domain: forks
-    share the row/expansion counters (atomics — consumption anywhere is
-    charged once against the one global bound, no double counting) and
-    the start time, but each fork amortizes its deadline polls on its
-    own stride.  With batch-sized accounting no domain overshoots
-    [max_rows] or the deadline by more than one batch. *)
-
 val set_clock : (unit -> float) -> unit
 (** Replace the process-wide clock (seconds, [Unix.gettimeofday]-like)
     that governors arm and poll against.  Deterministic simulation sets

@@ -34,8 +34,7 @@ let connect_tcp ?wait_ms ~port () =
     (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
 (* A receive deadline on the socket itself: a wedged server turns into
-   a failed read instead of a hung client.  What [Loadgen] arms before
-   ever trusting a server with a benchmark. *)
+   a failed read instead of a hung client. *)
 let set_receive_timeout t seconds =
   Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO (Float.max 0. seconds)
 

@@ -14,8 +14,8 @@ val connect_tcp : ?wait_ms:float -> port:int -> unit -> t
 
 val set_receive_timeout : t -> float -> unit
 (** Arm [SO_RCVTIMEO] (seconds): a read with no reply past the deadline
-    raises instead of blocking forever.  Used by {!Loadgen} so a server
-    that accepts but never answers yields a typed error, not a hang. *)
+    raises instead of blocking forever, so a server that accepts but
+    never answers fails the caller's read instead of hanging it. *)
 
 val request :
   ?deadline_ms:float ->

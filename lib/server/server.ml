@@ -168,7 +168,7 @@ let handle_connection t fd =
               begin_drain t;
               loop ()
           | Some (hdr, Ok cmd) ->
-              (match Core.submit_inline t.core hdr cmd with
+              (match Core.submit t.core hdr cmd with
               | Server_core.R_rows { notes; result } ->
                   Protocol.write_rows oc ~notes result
               | Server_core.R_message m -> Protocol.write_message oc m

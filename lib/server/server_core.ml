@@ -355,10 +355,9 @@ module Make (R : Runtime.S) = struct
             | _ -> ());
         reply
 
-  (* A running worker pops only while a slot is free: jobs run inline by
-     {!submit_inline} hold slots too, so [in_flight] never exceeds
-     [workers].  Only workers take slots in {!submit}'s queued path, so
-     there a waiting worker always finds one free. *)
+  (* A running worker pops only while a slot is free: jobs {!submit}
+     runs inline hold slots too, so [in_flight] never exceeds
+     [workers]. *)
   let rec worker_loop t =
     R.lock t.qm;
     while
@@ -388,7 +387,7 @@ module Make (R : Runtime.S) = struct
 
   (* ----------------------------- admission --------------------------- *)
 
-  let admit t (hdr : Protocol.header) command ~inline =
+  let admit t (hdr : Protocol.header) command =
     let budget = cap_budget t.cfg hdr in
     let deadline_at =
       Option.map (fun ms -> R.now () +. (ms /. 1000.)) budget.Governor.deadline_ms
@@ -408,8 +407,7 @@ module Make (R : Runtime.S) = struct
           t.c.shed_draining <- t.c.shed_draining + 1;
           Error (Perso.Error.Overloaded "server draining; not accepting work")
         end
-        else if
-          inline && Queue.is_empty t.queue && t.in_flight < t.cfg.workers
+        else if Queue.is_empty t.queue && t.in_flight < t.cfg.workers
         then begin
           t.c.accepted <- t.c.accepted + 1;
           t.in_flight <- t.in_flight + 1;
@@ -430,12 +428,12 @@ module Make (R : Runtime.S) = struct
           Ok (`Queued job)
         end)
 
-  (* With [~inline], the job runs on the caller's thread when a slot is
-     free and nothing is queued, so a request costs no handoff to a
-     worker and back.  Its slot is released like a worker's, and a job
-     queued meanwhile gets a worker. *)
-  let submit_with ~inline t hdr command =
-    match admit t hdr command ~inline with
+  (* The job runs on the caller's thread when a slot is free and nothing
+     is queued, so a request costs no handoff to a worker and back.  Its
+     slot is released like a worker's, and a job queued meanwhile gets a
+     worker. *)
+  let submit t hdr command =
+    match admit t hdr command with
     | Error e -> R_error e
     | Ok (`Queued job) -> job_take job
     | Ok (`Inline job) ->
@@ -444,9 +442,6 @@ module Make (R : Runtime.S) = struct
             t.in_flight <- t.in_flight - 1;
             if not (Queue.is_empty t.queue) then R.signal t.qc);
         reply
-
-  let submit = submit_with ~inline:false
-  let submit_inline = submit_with ~inline:true
 
   (* ------------------------------ health ----------------------------- *)
 

@@ -98,16 +98,14 @@ module Make (_ : Runtime.S) : sig
   (** Validate the config and start the worker pool.  No sockets. *)
 
   val submit : t -> Protocol.header -> Protocol.command -> reply
-  (** Admission (shed when draining or the queue is full), then block
-      until a worker answers the job's one-shot mailbox. *)
-
-  val submit_inline : t -> Protocol.header -> Protocol.command -> reply
-  (** {!submit}, except that a job admitted while nothing is queued and
-      fewer than [workers] jobs are in flight runs on the calling thread,
-      holding a worker slot, instead of going through the queue.  The
-      slot bound, shedding, deadlines, drain and the ledger are
-      {!submit}'s: workers take queued jobs only while a slot is free.
-      The socket front end uses this; the simulation drives {!submit}. *)
+  (** Admission (shed when draining or the queue is full), then the
+      reply.  A job admitted while nothing is queued and fewer than
+      [workers] jobs are in flight runs on the calling thread, holding a
+      worker slot; otherwise it is queued and the caller blocks until a
+      worker answers the job's one-shot mailbox.  Workers take queued
+      jobs only while a slot is free, so at most [workers] jobs run at
+      once.  The socket front end, the simulation and the benchmarks
+      all admit through this one path. *)
 
   val health : t -> (string * string) list
   val request_stop : t -> unit

@@ -515,6 +515,11 @@ let run ~seed steps =
        path so a failure is still digest-deterministic. *)
     Option.iter
       (fun root ->
+        (* A [c<seed>x<permille>] step leaves fault injection armed past
+           stop; the audit checks what was persisted, so it reopens
+           with no faults (a failover would otherwise cross
+           [Chaos.Promote]). *)
+        Relal.Chaos.disarm ();
         let n = 1 + (seed mod 3) in
         let replicas = 1 + (seed / 2 mod 3) in
         let catalog_rows_of user =
@@ -635,7 +640,13 @@ let run ~seed steps =
           !store_revs)
       store_root
   in
-  let verdict = try Ok (audits ()) with Audit f -> Error f in
+  let verdict =
+    match audits () with
+    | () -> Ok ()
+    | exception Audit f -> Error f
+    | exception e ->
+        Error { invariant = "exception"; detail = Printexc.to_string e }
+  in
   let summary = Buffer.create 256 in
   Buffer.add_string summary sched.Sched.digest;
   Array.iter

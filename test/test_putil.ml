@@ -296,72 +296,6 @@ let test_pairs () =
     (Combin.pairs [ 1; 2; 3 ]);
   Alcotest.(check (list (pair int int))) "empty" [] (Combin.pairs [])
 
-(* ------------------------------- dpool ------------------------------- *)
-
-let with_pool domains f =
-  let p = Dpool.create ~domains in
-  Fun.protect ~finally:(fun () -> Dpool.shutdown p) (fun () -> f p)
-
-let test_dpool_map_order () =
-  List.iter
-    (fun domains ->
-      with_pool domains (fun p ->
-          Alcotest.(check int) "size" (max 1 domains) (Dpool.size p);
-          (* Uneven per-chunk work so fast lanes steal extra chunks; the
-             merge must still come back in chunk order. *)
-          let got =
-            Dpool.map p 37 (fun i ->
-                let spin = (i * 31) mod 97 in
-                let acc = ref 0 in
-                for j = 1 to spin * 1000 do
-                  acc := (!acc + j) mod 1009
-                done;
-                ignore !acc;
-                i * i)
-          in
-          Alcotest.(check (array int))
-            (Printf.sprintf "domains=%d" domains)
-            (Array.init 37 (fun i -> i * i))
-            got))
-    [ 1; 2; 4; 8 ]
-
-exception Boom of int
-
-let test_dpool_lowest_fault_wins () =
-  with_pool 4 (fun p ->
-      (* Several chunks raise; the re-raised exception must be the one
-         a sequential left-to-right run would have hit first. *)
-      match Dpool.map p 32 (fun i -> if i mod 5 = 2 then raise (Boom i) else i) with
-      | (_ : int array) -> Alcotest.fail "expected a raise"
-      | exception Boom i -> Alcotest.(check int) "smallest chunk's fault" 2 i)
-
-let test_dpool_busy_fallback () =
-  with_pool 4 (fun p ->
-      (* Occupy the pool from one thread; a concurrent try_map must
-         return None instead of blocking. *)
-      let inside = Semaphore.Binary.make false in
-      let release = Semaphore.Binary.make false in
-      let t =
-        Thread.create
-          (fun () ->
-            ignore
-              (Dpool.map p 8 (fun i ->
-                   if i = 0 then begin
-                     Semaphore.Binary.release inside;
-                     Semaphore.Binary.acquire release
-                   end;
-                   i)
-                : int array))
-          ()
-      in
-      Semaphore.Binary.acquire inside;
-      Alcotest.(check bool) "busy pool refuses" true
-        (Dpool.try_map p 8 (fun i -> i) = None);
-      Semaphore.Binary.release release;
-      Thread.join t;
-      Alcotest.(check bool) "free pool accepts" true
-        (Dpool.try_map p 8 (fun i -> i) <> None))
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_pqueue_matches_sort; prop_pqueue_ops_model; prop_subsets_count ]
@@ -408,14 +342,6 @@ let () =
           Alcotest.test_case "subsets exhaustive" `Quick test_subsets_exhaustive;
           Alcotest.test_case "subsets edges" `Quick test_subsets_edges;
           Alcotest.test_case "pairs" `Quick test_pairs;
-        ] );
-      ( "dpool",
-        [
-          Alcotest.test_case "chunk-ordered merge" `Quick test_dpool_map_order;
-          Alcotest.test_case "lowest-chunk fault wins" `Quick
-            test_dpool_lowest_fault_wins;
-          Alcotest.test_case "busy try_map falls back" `Quick
-            test_dpool_busy_fallback;
         ] );
       ("properties", qsuite);
     ]

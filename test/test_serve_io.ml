@@ -2,8 +2,7 @@
    request script replayed against two fresh servers (memory and disk
    backends) must produce byte-identical reply transcripts — including
    the final HEALTH block, so every ledger counter matches too — and
-   each transcript's ledger must balance.  Plus liveness and shape
-   checks on the load generator the serve benchmark drives. *)
+   each transcript's ledger must balance. *)
 
 open Perso_server
 
@@ -194,69 +193,6 @@ let diff_backend backend () =
     first_diff 0 (a, b)
   end
 
-(* ------------------------- loadgen liveness -------------------------- *)
-
-(* The silent-server failure shapes must yield a typed error within the
-   configured bound — never a hang (the bench gate depends on it). *)
-
-let overloaded_err = function
-  | Error (Perso.Error.Overloaded _) -> true
-  | _ -> false
-
-let lg_cfg socket_path =
-  {
-    (Loadgen.default_config ~socket_path) with
-    Loadgen.connect_timeout_ms = 300.;
-    requests = 8;
-    clients = 1;
-  }
-
-let test_loadgen_no_server () =
-  let cfg = lg_cfg (fresh_name "perso_lg_absent" ".sock") in
-  let t0 = Unix.gettimeofday () in
-  let r = Loadgen.run cfg ~sqls:[| "select 1" |] ~profiles:[| "x" |] in
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "typed overloaded error" true (overloaded_err r);
-  Alcotest.(check bool)
-    (Printf.sprintf "bounded by the deadline (took %.2f s)" dt)
-    true (dt < 5.)
-
-let test_loadgen_never_accepts () =
-  (* Bind + listen but never accept: connect(2) succeeds into the
-     backlog, so only the PING receive deadline can catch this. *)
-  let path = fresh_name "perso_lg_deaf" ".sock" in
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 8;
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let cfg = lg_cfg path in
-      let t0 = Unix.gettimeofday () in
-      let r = Loadgen.run cfg ~sqls:[| "select 1" |] ~profiles:[| "x" |] in
-      let dt = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool) "typed overloaded error" true (overloaded_err r);
-      Alcotest.(check bool)
-        (Printf.sprintf "bounded by the deadline (took %.2f s)" dt)
-        true (dt < 5.))
-
-let test_loadgen_script_shape () =
-  let cfg =
-    { (Loadgen.default_config ~socket_path:"unused") with Loadgen.requests = 500 }
-  in
-  let script = Loadgen.make_script cfg ~sqls:[| "select 1" |] ~profiles:[| "x" |] in
-  Alcotest.(check int) "length" 500 (Array.length script);
-  Array.iteri
-    (fun i s ->
-      if i > 0 && s.Loadgen.at < script.(i - 1).Loadgen.at then
-        Alcotest.failf "arrival %d not monotone" i)
-    script;
-  (* Same seed, same schedule. *)
-  let script' = Loadgen.make_script cfg ~sqls:[| "select 1" |] ~profiles:[| "x" |] in
-  Alcotest.(check bool) "deterministic" true (script = script')
-
 let () =
   Alcotest.run "serve_io"
     [
@@ -266,14 +202,5 @@ let () =
             (diff_backend `Memory);
           Alcotest.test_case "replay = replay (disk)" `Quick
             (diff_backend `Disk);
-        ] );
-      ( "loadgen",
-        [
-          Alcotest.test_case "no server: typed error, bounded" `Quick
-            test_loadgen_no_server;
-          Alcotest.test_case "never accepts: typed error, bounded" `Quick
-            test_loadgen_never_accepts;
-          Alcotest.test_case "script: seeded, monotone arrivals" `Quick
-            test_loadgen_script_shape;
         ] );
     ]

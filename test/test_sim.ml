@@ -64,15 +64,18 @@ let test_sched_virtual_time () =
 
 (* --------------------------- scenarios ----------------------------- *)
 
+(* Seed 22 leaves fault injection armed past stop into the durable
+   audit, whose cold reopen fails over a corrupted replica. *)
 let test_scenario_seeds_pass () =
-  for seed = 42 to 49 do
-    let r = Scenario.run_seed ~seed in
-    match r.Scenario.verdict with
-    | Ok () -> ()
-    | Error f ->
-        Alcotest.failf "seed %d: %s: %s (replay: perso_cli sim --seed %d)" seed
-          f.Scenario.invariant f.Scenario.detail seed
-  done
+  List.iter
+    (fun seed ->
+      let r = Scenario.run_seed ~seed in
+      match r.Scenario.verdict with
+      | Ok () -> ()
+      | Error f ->
+          Alcotest.failf "seed %d: %s: %s (replay: perso_cli sim --seed %d)"
+            seed f.Scenario.invariant f.Scenario.detail seed)
+    (22 :: List.init 8 (fun i -> 42 + i))
 
 let test_scenario_bit_reproducible () =
   List.iter
