@@ -53,6 +53,16 @@ let commit () =
       | Unix.WEXITED 0, l when l <> "" -> l
       | _ -> "unknown")
 
+(* The header every BENCH_*.json opens with: the benchmark, and the
+   commit, core count and scale its figures were taken at. *)
+let json_header oc bench =
+  Printf.fprintf oc
+    "{\n  \"bench\": %S,\n  \"commit\": %S,\n  \"cores\": %d,\n\
+    \  \"scale\": %S,\n"
+    bench (commit ())
+    (Domain.recommended_domain_count ())
+    scale.label
+
 (* --------------------------------------------------------------------- *)
 (* Shared setup                                                          *)
 (* --------------------------------------------------------------------- *)
@@ -723,11 +733,8 @@ let bench_exec () =
     Option.value ~default:"BENCH_EXEC.json" (Sys.getenv_opt "BENCH_EXEC_OUT")
   in
   let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"exec\",\n  \"commit\": %S,\n  \"cores\": %d,\n  \"scale\": %S,\n  \"reps\": %d,\n"
-    (commit ())
-    (Domain.recommended_domain_count ())
-    scale.label reps;
+  json_header oc "exec";
+  Printf.fprintf oc "  \"reps\": %d,\n" reps;
   Printf.fprintf oc "  \"figures\": [\n";
   List.iteri
     (fun i (name, n, ms, rows) ->
@@ -880,17 +887,15 @@ let bench_perso () =
     Option.value ~default:"BENCH_PERSO.json" (Sys.getenv_opt "BENCH_PERSO_OUT")
   in
   let oc = open_out path in
+  json_header oc "perso";
   Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"perso\",\n\
-    \  \"scale\": %S,\n\
-    \  \"movies\": %d,\n\
+    "  \"movies\": %d,\n\
     \  \"users\": %d,\n\
     \  \"templates\": %d,\n\
     \  \"requests\": %d,\n\
     \  \"zipf_s\": 1.1,\n\
     \  \"modes\": [\n"
-    scale.label movies n_users n_templates n_req;
+    movies n_users n_templates n_req;
   Printf.fprintf oc
     "    {\"name\": \"cold\", \"ms_total\": %.3f, \"ms_per_query\": %.4f},\n"
     ms_cold (per ms_cold);
@@ -992,14 +997,12 @@ let bench_store () =
     Option.value ~default:"BENCH_STORE.json" (Sys.getenv_opt "BENCH_STORE_OUT")
   in
   let oc = open_out path in
+  json_header oc "store";
   Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"store\",\n\
-    \  \"scale\": %S,\n\
-    \  \"movies\": %d,\n\
+    "  \"movies\": %d,\n\
     \  \"users_per_size\": %d,\n\
     \  \"sizes\": [\n"
-    scale.label movies users_per_size;
+    movies users_per_size;
   List.iteri
     (fun i (n, save_ms, load_ms) ->
       Printf.fprintf oc

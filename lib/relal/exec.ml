@@ -183,18 +183,38 @@ end
 
 (* A FROM item the join loop has not touched yet.  Base tables stay lazy
    so the loop can pick index access paths (index-equality materialization
-   and index-nested-loop joins) instead of scanning. *)
+   and index-nested-loop joins) instead of scanning.  A base table under
+   pushed-down local predicates is an [S_filtered]: [card] is the exact
+   number of rows passing [preds] and [view] holds those rows.  The view
+   is materialized at pushdown, except when the only predicate is an
+   indexed equality: then [card] is the index bucket's length and the
+   view is fetched only if the join loop does not probe the table
+   through its index instead. *)
 type source =
   | S_mat of vrel
   | S_base of { alias : string; tbl : Table.t }
+  | S_filtered of {
+      alias : string;
+      tbl : Table.t;
+      preds : pred list;
+      card : int;
+      view : vrel Lazy.t;
+    }
 
 let source_card = function
   | S_mat v -> v.nrows
   | S_base { tbl; _ } -> Table.cardinality tbl
+  | S_filtered { card; _ } -> card
 
 let source_header = function
   | S_mat v -> v.header
-  | S_base { alias; tbl } -> base_header alias tbl
+  | S_base { alias; tbl } | S_filtered { alias; tbl; _ } ->
+      base_header alias tbl
+
+let force = function
+  | S_mat v -> v
+  | S_base { alias; tbl } -> vrel_of_table alias tbl
+  | S_filtered { view; _ } -> Lazy.force view
 
 (* --------------------------------------------------------------------- *)
 (* Row-key hash tables (for distinct, grouping)                           *)
@@ -239,13 +259,13 @@ let eval_cmp op a b =
   | Gt -> Value.compare a b > 0
   | Ge -> Value.compare a b >= 0
 
-(* Compile a predicate into a closure over row indices of [v].  Column
-   positions are resolved once here, not per row.  All attributes must
-   resolve in [v]'s header. *)
-let compile_pred v p =
+(* Compile a predicate into a closure over row indices, reading each
+   attribute through [read a], which resolves its column once here, not
+   per row. *)
+let compile_pred_with read p =
   let scalar = function
     | S_const c -> fun _ -> c
-    | S_attr a -> attr_reader v a
+    | S_attr a -> read a
   in
   let rec go = function
     | P_true -> fun _ -> true
@@ -264,6 +284,46 @@ let compile_pred v p =
         fun row -> eval_cmp op (fl row) (fr row)
   in
   go p
+
+(* Over output rows of [v]; all attributes must resolve in its header. *)
+let compile_pred v p = compile_pred_with (attr_reader v) p
+
+let base_col_idx alias tbl (a : attr) =
+  match Schema.col_index (Table.schema tbl) a.col with
+  | Some i -> i
+  | None -> err "executor: no column %s in %s" a.col alias
+
+(* Over row ids of a base table's storage batch. *)
+let compile_base_pred alias tbl p =
+  let rows = Batch.unsafe_rows (Table.batch tbl) in
+  compile_pred_with
+    (fun a ->
+      let ci = base_col_idx alias tbl a in
+      fun bi -> rows.(bi).(ci))
+    p
+
+(* Reorder (current, base) row-id pairs into the order [hash_join] emits
+   when it builds on the current side and probes with the base table's
+   filtered rows: base row ascending, then current row descending. *)
+let hash_join_order csel bsel =
+  let perm = Array.init (Array.length csel) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare bsel.(i) bsel.(j) with
+      | 0 -> Int.compare csel.(j) csel.(i)
+      | c -> c)
+    perm;
+  (Array.map (fun i -> csel.(i)) perm, Array.map (fun i -> bsel.(i)) perm)
+
+(* Probing a filtered table through the index on its first indexed join
+   column touches |current| × that column's fanout rows; hash-joining
+   its filtered view reads all [card] of them.  The fanout is a mean
+   ({!Table.fanout}), so on a skewed column a probe can touch more rows
+   than it estimates. *)
+let probe_cheaper current keys tbl card =
+  match List.find_map (fun (_, (b : attr)) -> Table.fanout tbl b.col) keys with
+  | Some f -> float_of_int current.nrows *. f < float_of_int card
+  | None -> false
 
 let rec pred_tvs acc = function
   | P_true | P_false -> acc
@@ -294,9 +354,7 @@ let rec source_of_from ?cost db item : string * source =
       (alias, S_mat (vrel_of_batch header (Batch.of_list res.rows)))
 
 and materialize_from ?cost db item : vrel =
-  match source_of_from ?cost db item with
-  | _, S_mat v -> v
-  | _, S_base { alias; tbl } -> vrel_of_table alias tbl
+  force (snd (source_of_from ?cost db item))
 
 (* --------------------------------------------------------------------- *)
 (* Conjunctive planning: pushdown + greedy rid joins                      *)
@@ -433,14 +491,18 @@ and cross_product left right =
   done;
   join_vrels left lsel right rsel
 
-(* Materialize a base table under its local predicates, choosing an
-   access path: if some equality predicate lands on an indexed column the
-   matching row ids are fetched through the index and the remaining
-   predicates are applied to them; otherwise a filtered scan.  Either way
-   the result is a view over the table's storage batch — no row copies. *)
-and materialize_base ~preds alias tbl : vrel =
+(* Push a base table's local predicates down, choosing an access path:
+   if some equality predicate lands on an indexed column the matching row
+   ids are fetched through the index and the remaining predicates are
+   applied to them; otherwise a filtered scan.  Either way the view is
+   over the table's storage batch — no row copies.  When that equality
+   is the only predicate, the ids are not fetched yet: the bucket's
+   length is the exact cardinality, and the join loop may never need
+   them. *)
+and filtered_source ~preds alias tbl : source =
+  Chaos.point Chaos.Scan;
   let header = base_header alias tbl in
-  let index_probe =
+  let index_eq =
     List.find_map
       (fun p ->
         match p with
@@ -450,21 +512,35 @@ and materialize_base ~preds alias tbl : vrel =
         | _ -> None)
       preds
   in
-  match index_probe with
-  | Some (col, v, used) ->
-      Chaos.point Chaos.Scan;
-      let rest = List.filter (fun p -> p != used) preds in
-      let ids = Array.of_list (Table.lookup_ids tbl col v) in
-      filter_vrel (vrel_of_ids header (Table.batch tbl) ids) rest
-  | None -> filter_vrel (vrel_of_table alias tbl) preds
+  let ids col v =
+    vrel_of_ids header (Table.batch tbl)
+      (Array.of_list (Table.lookup_ids tbl col v))
+  in
+  let materialized view =
+    S_filtered
+      { alias; tbl; preds; card = view.nrows; view = Lazy.from_val view }
+  in
+  match (index_eq, preds) with
+  | Some (col, v, _), [ _ ] ->
+      let card = Option.get (Table.count tbl col v) in
+      S_filtered { alias; tbl; preds; card; view = lazy (ids col v) }
+  | Some (col, v, used), _ ->
+      materialized
+        (filter_vrel (ids col v) (List.filter (fun p -> p != used) preds))
+  | None, _ ->
+      materialized (filter_vrel (vrel_of_batch header (Table.batch tbl)) preds)
 
 (* Index-nested-loop join: [keys] are (probe-side, base-side) equi-join
    attributes; rows of [current] probe the base table's index on the
    first indexed base column, and the remaining key equalities are
    checked on each match.  Cost is proportional to |current| plus the
-   output — never a scan of the base table — and the output is row-id
-   pairs into [current] and the table batch. *)
-and index_nl_join current keys alias tbl : vrel option =
+   matches — never a scan of the base table — and the output is row-id
+   pairs into [current] and the table batch, current row ascending, then
+   base row descending.  With [?filter], the table's local predicates,
+   it stands in for a hash join with the table's filtered view: each
+   match must also pass [filter], and the pairs come in that hash join's
+   order ([hash_join_order]). *)
+and index_nl_join ?filter current keys alias tbl : vrel option =
   let indexed, others =
     List.partition
       (fun ((_ : attr), (b : attr)) -> Table.has_index tbl b.col)
@@ -477,14 +553,14 @@ and index_nl_join current keys alias tbl : vrel option =
       let pread = attr_reader current pa in
       let bh = base_header alias tbl in
       let brows = Batch.unsafe_rows (Table.batch tbl) in
-      let base_idx (b : attr) =
-        match Schema.col_index (Table.schema tbl) b.col with
-        | Some i -> i
-        | None -> err "executor: no column %s in %s" b.col alias
-      in
       let checks =
         Array.of_list
-          (List.map (fun (a, b) -> (attr_reader current a, base_idx b)) others)
+          (List.map
+             (fun (a, b) -> (attr_reader current a, base_col_idx alias tbl b))
+             others)
+      in
+      let local =
+        Option.map (fun ps -> compile_base_pred alias tbl (conj ps)) filter
       in
       let nc = Array.length checks in
       let probe =
@@ -496,7 +572,7 @@ and index_nl_join current keys alias tbl : vrel option =
       (* The emit loops take [r] as an argument so the closures are
          allocated once, not per probed row. *)
       let csel = Ibuf.create () and bsel = Ibuf.create () in
-      if nc = 0 then begin
+      if nc = 0 && Option.is_none local then begin
         let rec emit r = function
           | [] -> ()
           | bi :: tl ->
@@ -516,10 +592,11 @@ and index_nl_join current keys alias tbl : vrel option =
           let cread, bci = checks.(i) in
           Value.equal (cread r) brows.(bi).(bci) && check_ok r bi (i + 1)
         in
+        let keep = Option.value local ~default:(fun _ -> true) in
         let rec emit r = function
           | [] -> ()
           | bi :: tl ->
-              if check_ok r bi 0 then begin
+              if keep bi && check_ok r bi 0 then begin
                 Ibuf.add csel r;
                 Ibuf.add bsel bi
               end;
@@ -531,9 +608,12 @@ and index_nl_join current keys alias tbl : vrel option =
         done
       end;
       g_rows csel.Ibuf.n;
-      Some
-        (append_base current (Ibuf.to_array csel) bh (Table.batch tbl)
-           (Ibuf.to_array bsel))
+      let csel = Ibuf.to_array csel and bsel = Ibuf.to_array bsel in
+      let csel, bsel =
+        if Option.is_some filter then hash_join_order csel bsel
+        else (csel, bsel)
+      in
+      Some (append_base current csel bh (Table.batch tbl) bsel)
 
 (* Evaluate a conjunctive block: [sources] is an association
    (tv -> source) — base tables lazy, derived tables materialized;
@@ -561,9 +641,9 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
     List.partition (fun p -> tvs_of_pred p = []) residual
   in
   let const_ok = List.for_all const_pred_holds const_preds in
-  (* Pushdown local filters: any tv carrying one is materialized through
-     its best access path; unfiltered base tables stay lazy so the join
-     loop can probe them with index-nested loops. *)
+  (* Pushdown local filters: a base table carrying one becomes an
+     [S_filtered] through its best access path; unfiltered base tables
+     stay lazy so the join loop can probe them with index-nested loops. *)
   let sources =
     List.map
       (fun (tv, src) ->
@@ -575,13 +655,10 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
           match (src, preds) with
           | S_base _, [] -> (tv, src)
           | S_base { alias; tbl }, preds ->
-              (tv, S_mat (materialize_base ~preds alias tbl))
-          | S_mat v, preds -> (tv, S_mat (filter_vrel v preds)))
+              (tv, filtered_source ~preds alias tbl)
+          | (S_mat _ | S_filtered _), preds ->
+              (tv, S_mat (filter_vrel (force src) preds)))
       sources
-  in
-  let force = function
-    | S_mat v -> v
-    | S_base { alias; tbl } -> vrel_of_table alias tbl
   in
   match sources with
   | [] -> err "executor: empty FROM"
@@ -672,15 +749,22 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
         | Some (tv, src, keys) ->
             (* keys are (already-joined attr, new attr) pairs.  Against a
                lazy base table with an index on a join column, probe with
-               an index-nested loop; otherwise hash join the
-               materialization. *)
+               an index-nested loop; against a filtered one, only when
+               [probe_cheaper]; otherwise hash join the materialization. *)
+            let cur = !current in
             let joined =
               match src with
               | S_base { alias; tbl } -> (
-                  match index_nl_join !current keys alias tbl with
+                  match index_nl_join cur keys alias tbl with
                   | Some v -> v
-                  | None -> hash_join !current (force src) keys)
-              | S_mat v -> hash_join !current v keys
+                  | None -> hash_join cur (force src) keys)
+              | S_filtered { alias; tbl; preds; card; _ }
+                when probe_cheaper cur keys tbl card ->
+                  (* Fanout is at least 1, so |current| < card: the hash
+                     join this replaces would have built on the current
+                     side, whose order [~filter] emits. *)
+                  Option.get (index_nl_join ~filter:preds cur keys alias tbl)
+              | S_filtered _ | S_mat _ -> hash_join cur (force src) keys
             in
             current := joined;
             mark_joined tv;

@@ -3,9 +3,16 @@
     The executor consumes {e bound} queries (see {!Binder.bind}) and
     produces materialized results.  Two strategies are available:
 
-    - [`Auto] (default): per-table selection pushdown, greedy hash-join
+    - [`Auto] (default): per-table selection pushdown, greedy join
       ordering over the equi-join conjuncts, residual predicates applied
-      as soon as their tuple variables are joined.  For DISTINCT queries
+      as soon as their tuple variables are joined.  Each join step picks
+      its access path: an unfiltered base table indexed on a join column
+      is probed with an index-nested loop; a filtered base table is
+      probed the same way, checking its local predicates on each match,
+      when |current| × the join column's index fanout is smaller than
+      its filtered cardinality, and hash-joined otherwise.  A probe that
+      stands in for a hash join emits that hash join's row order, so
+      the access path never changes a reply.  For DISTINCT queries
       whose qualification contains disjunctions — the shape the SQ
       integration method produces (paper §6) — the qualification is split
       into DNF branches, each executed as a conjunctive plan, and the

@@ -103,10 +103,12 @@ let build_index t col =
     t.indexes <- idx :: t.indexes
   end
 
-let has_index t col =
+let index_on t col =
   match Schema.col_index t.sch col with
-  | None -> false
-  | Some ci -> List.exists (fun idx -> idx.col = ci) t.indexes
+  | None -> None
+  | Some ci -> List.find_opt (fun idx -> idx.col = ci) t.indexes
+
+let has_index t col = Option.is_some (index_on t col)
 
 let indexed_columns t =
   Schema.columns t.sch |> Array.to_list
@@ -133,20 +135,31 @@ let lookup t col v =
   List.map (fun i -> rows.(i)) (lookup_ids t col v)
 
 let prober t col =
-  match Schema.col_index t.sch col with
-  | None -> None
-  | Some ci -> (
-      match List.find_opt (fun idx -> idx.col = ci) t.indexes with
-      | None -> None
-      | Some idx ->
-          (* [find] + exception rather than [find_opt]: no option
-             allocation on the hit path, which is every probe of an
-             index-nested-loop join. *)
-          Some
-            (fun v ->
-              match H.find idx.buckets v with
-              | ids -> !ids
-              | exception Not_found -> []))
+  Option.map
+    (fun idx ->
+      (* [find] + exception rather than [find_opt]: no option allocation
+         on the hit path, which is every probe of an index-nested-loop
+         join. *)
+      fun v ->
+        match H.find idx.buckets v with
+        | ids -> !ids
+        | exception Not_found -> [])
+    (index_on t col)
+
+let count t col v =
+  Option.map
+    (fun idx ->
+      match H.find_opt idx.buckets v with
+      | None -> 0
+      | Some ids -> List.length !ids)
+    (index_on t col)
+
+let fanout t col =
+  Option.map
+    (fun idx ->
+      float_of_int (cardinality t)
+      /. float_of_int (max 1 (H.length idx.buckets)))
+    (index_on t col)
 
 (* ---------------------------- keyed replace -------------------------- *)
 

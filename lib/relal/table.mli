@@ -71,6 +71,18 @@ val prober : t -> string -> (Value.t -> int list) option
     index-nested-loop join: per-probe cost is one hash lookup, with no
     string resolution or list copying. *)
 
+val count : t -> string -> Value.t -> int option
+(** [count t col v] is the number of rows with [col = v], read off the
+    length of the index bucket, or [None] when [col] has no index.  The
+    executor takes a filtered table's exact cardinality from it without
+    materializing the rows. *)
+
+val fanout : t -> string -> float option
+(** Mean rows per distinct key of the column's hash index: the
+    cardinality over the index's distinct keys (at least 1 on a
+    non-empty table), or [None] when [col] has no index.  A mean, so a
+    skewed column's hot keys match more rows than it says. *)
+
 val replace :
   ?hook:(unit -> unit) -> t -> string -> Value.t -> Value.t array list -> unit
 (** [replace ?hook t col key rows] makes [rows] the rows of [t] with

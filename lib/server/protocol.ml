@@ -30,10 +30,14 @@ let split_word s =
 let parse_header_line line =
   let word, rest = split_word line in
   match word with
-  | "DEADLINE-MS" ->
-      Option.map
-        (fun v hdr -> { hdr with deadline_ms = Some v })
-        (float_of_string_opt rest)
+  | "DEADLINE-MS" -> (
+      (* NaN is refused like any other non-number: [Float.min nan cap] is
+         nan, so it would escape the server's cap, and a nan deadline
+         never trips. *)
+      match float_of_string_opt rest with
+      | Some v when not (Float.is_nan v) ->
+          Some (fun hdr -> { hdr with deadline_ms = Some v })
+      | _ -> None)
   | "MAX-ROWS" ->
       Option.map
         (fun v hdr -> { hdr with max_rows = Some v })

@@ -76,7 +76,9 @@ val max_line_bytes : int
 
 val parse_header_line : string -> (header -> header) option
 (** [Some update] when the line is a budget header, [None] when it is a
-    command (or garbage) line. *)
+    command (or garbage) line.  A header whose value does not parse as
+    a number — [DEADLINE-MS abc], and [DEADLINE-MS nan] — is not a
+    header, so it reaches {!parse_command} and is refused there. *)
 
 val parse_command : string -> (command, string) result
 

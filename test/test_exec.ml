@@ -300,6 +300,128 @@ let test_inequality_joins_as_residual () =
   (* Movies strictly older than 2002. *)
   Alcotest.(check int) "older movies" 6 (List.length res.Exec.rows)
 
+(* ---------------------- Join into a filtered table ---------------------- *)
+
+(* [big] (200 rows) carries an index on its filter column [tag] and,
+   with [index_k], on its join column [k] (4 rows per key); [small] (6
+   rows) carries none.  'x' tags 100 rows, 'y' 10 and 'w' 2. *)
+let join_db ~index_k =
+  let db = Database.create () in
+  let open Value in
+  Database.add_table db
+    (Schema.make ~name:"big"
+       ~cols:[ ("id", TInt); ("k", TInt); ("k2", TInt); ("tag", TStr) ]
+       ());
+  Database.add_table db
+    (Schema.make ~name:"small"
+       ~cols:[ ("sid", TInt); ("k", TInt); ("k2", TInt) ]
+       ());
+  for i = 0 to 199 do
+    let tag =
+      if i mod 2 = 0 then "x"
+      else if i mod 20 = 1 then "y"
+      else if i mod 100 = 3 then "w"
+      else "z"
+    in
+    Database.insert db "big" [ Int i; Int (i mod 50); Int (i mod 3); Str tag ]
+  done;
+  List.iter
+    (fun (sid, k, k2) -> Database.insert db "small" [ Int sid; Int k; Int k2 ])
+    [ (0, 0, 0); (1, 21, 0); (2, 0, 1); (3, 3, 0); (4, 21, 1); (5, 3, 1) ];
+  let big = Database.table db "big" in
+  Table.build_index big "tag";
+  if index_k then Table.build_index big "k";
+  db
+
+(* Rows are (big.id, small.sid).  The hash join probes with its larger
+   input in row order and emits each probe row's matches build row
+   descending: with [small] built, big row ascending then small row
+   descending ([`Big_first]); with the filtered [big] built, the
+   reverse ([`Small_first]). *)
+let hash_join_order order rows =
+  let ids = function
+    | [| Value.Int b; Value.Int s |] -> (b, s)
+    | _ -> Alcotest.fail "expected (big.id, small.sid) rows"
+  in
+  List.sort
+    (fun r1 r2 ->
+      let (b1, s1), (b2, s2) = (ids r1, ids r2) in
+      match order with
+      | `Big_first -> if b1 <> b2 then compare b1 b2 else compare s2 s1
+      | `Small_first -> if s1 <> s2 then compare s1 s2 else compare b2 b1)
+    rows
+
+(* Chaos points a run crosses (nothing is injected at p = 0).  The probe
+   path crosses no Join_build, so it is the path taken exactly when the
+   indexed catalog crosses one point fewer than the unindexed one. *)
+let crossings db bound =
+  let _, stats =
+    Chaos.with_faults ~seed:1 ~p:0. (fun () -> Exec.run db bound)
+  in
+  stats.Chaos.evaluations
+
+type filtered_join = {
+  name : string;
+  sql : string;
+  probes : bool;  (* the join into [big] takes the probe path *)
+  expect : (string * [ `Big_first | `Small_first ]) list;
+      (* per DNF branch: its conditions besides [s.k = b.k], and the
+         order of its rows *)
+}
+
+let spj where =
+  "select b.id, s.sid from small s, big b where s.k = b.k and " ^ where
+
+let filtered_join_cases =
+  let case name ?(probes = true) ?(order = `Big_first) where =
+    { name; sql = spj where; probes; expect = [ (where, order) ] }
+  in
+  [
+    (* 6 current rows x fanout 4 = 24 < 100 filtered rows *)
+    case "probe, one key" "b.tag = 'x'";
+    case "probe, two keys" "s.k2 = b.k2 and b.tag = 'x'";
+    case "probe, two local predicates" "b.tag = 'x' and b.id < 150";
+    (* 24 >= 10: the hash join, built on [small] *)
+    case "hash, filtered side larger" ~probes:false "b.tag = 'y'";
+    (* 2 < 6: the filtered [big] starts the join, and the hash join
+       builds on it *)
+    case "hash, filtered side smaller" ~probes:false ~order:`Small_first
+      "b.tag = 'w'";
+    (* SQ's shape: one DNF branch probes, the other hash-joins, and
+       DISTINCT keeps the branches' concatenation *)
+    {
+      name = "DNF branches";
+      sql =
+        "select distinct b.id, s.sid from small s, big b where s.k = b.k \
+         and (b.tag = 'x' or b.tag = 'y')";
+      probes = true;
+      expect = [ ("b.tag = 'x'", `Big_first); ("b.tag = 'y'", `Big_first) ];
+    };
+  ]
+
+let test_filtered_join c () =
+  let db = join_db ~index_k:true and hash_db = join_db ~index_k:false in
+  let bind db sql = Binder.bind db (Sql_parser.parse sql) in
+  let bound = bind db c.sql in
+  let auto = Exec.run db bound in
+  let check what = Alcotest.(check bool) (c.name ^ ": " ^ what) true in
+  check "naive bag"
+    (Exec.result_equal_bag auto (Exec.run ~strategy:`Naive db bound));
+  let expected =
+    List.concat_map
+      (fun (where, order) ->
+        let naive = Exec.run ~strategy:`Naive db (bind db (spj where)) in
+        hash_join_order order naive.Exec.rows)
+      c.expect
+  in
+  check "hash-join order"
+    (Exec.result_equal_list auto { auto with Exec.rows = expected });
+  check "same list without the join index"
+    (Exec.result_equal_list auto (Exec.run hash_db (bind hash_db c.sql)));
+  Alcotest.(check int) (c.name ^ ": probed")
+    (crossings hash_db (bind hash_db c.sql))
+    (crossings db bound + if c.probes then 1 else 0)
+
 (* --------------------------- Oracle property --------------------------- *)
 
 (* Random SPJ queries on a reduced tiny db: Auto must equal Naive. *)
@@ -380,6 +502,10 @@ let () =
           Alcotest.test_case "dnf order/limit" `Quick test_dnf_with_order_and_limit;
           Alcotest.test_case "unused FROM table" `Quick test_unused_from_table_semantics;
         ] );
+      ( "filtered join",
+        List.map
+          (fun c -> Alcotest.test_case c.name `Quick (test_filtered_join c))
+          filtered_join_cases );
       ( "oracle",
         List.map QCheck_alcotest.to_alcotest
           [ prop_auto_equals_naive; prop_dnf_equals_naive ] );

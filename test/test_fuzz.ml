@@ -2,7 +2,8 @@
    accept or reject, but the only permitted rejections are the typed
    Lex_error / Parse_error — no Invalid_argument, no Failure, no
    assertion from deep inside the lexer.  The dump decoders (CSV tables,
-   schema.ddl) are held to the same contract with their own errors. *)
+   schema.ddl) are held to the same contract with their own errors, and
+   the wire protocol's request parsers to theirs. *)
 
 open Relal
 
@@ -164,6 +165,88 @@ let fuzz_ddl_edits =
     (QCheck.make ~print:String.escaped gen)
     ddl_total
 
+(* Request headers: on any line the protocol parsers must return, never
+   raise, and no accepted budget header may loosen the server's caps —
+   whatever the header says, the capped budget's limits are numbers no
+   greater than the configured ones. *)
+
+module Protocol = Perso_server.Protocol
+module Server_core = Perso_server.Server_core
+
+let capped_cfg =
+  {
+    (Server_core.default_config ~socket_path:"fuzz.sock") with
+    Server_core.deadline_ms = Some 250.;
+    max_rows = Some 10_000;
+    max_expansions = Some 500;
+  }
+
+(* Read [lines] the way the server does: headers accumulate until the
+   first line that is not one, which is parsed as the command.  [None]
+   when something raised. *)
+let read_request lines =
+  let rec go hdr = function
+    | [] -> Some hdr
+    | line :: rest -> (
+        match Protocol.parse_header_line line with
+        | Some update -> go (update hdr) rest
+        | None -> (
+            match Protocol.parse_command line with
+            | Ok _ | Error _ -> Some hdr
+            | exception _ -> None)
+        | exception _ -> None)
+  in
+  go Protocol.empty_header lines
+
+let within_caps hdr =
+  let b = Server_core.cap_budget capped_cfg hdr in
+  let le_f cap = function
+    | Some v -> (not (Float.is_nan v)) && v <= cap
+    | None -> false
+  in
+  let le_i cap = function Some v -> v <= cap | None -> false in
+  le_f 250. b.Relal.Governor.deadline_ms
+  && le_i 10_000 b.max_rows
+  && le_i 500 b.max_expansions
+
+let header_total lines =
+  match read_request lines with Some hdr -> within_caps hdr | None -> false
+
+let header_line_gen =
+  let open QCheck.Gen in
+  let keyword =
+    oneofl
+      [
+        "DEADLINE-MS"; "deadline-ms"; "MAX-ROWS"; "max-rows"; "MAX-EXPANSIONS";
+        "Max-Expansions"; "DEADLINE-MS:"; "PERSONALIZE";
+      ]
+  in
+  let value =
+    oneofl
+      [
+        "nan"; "NaN"; "-nan"; "+nan"; "inf"; "-inf"; "infinity"; "+infinity";
+        "-0"; "0"; "-0.0"; "1e400"; "-1e400"; "1e-400"; "0x10"; "0X1F";
+        "0x1p-3"; "-0x8"; "0o17"; "0b101"; "0u42"; "1_000"; "+5"; "-5"; "250";
+        "250.000001"; "10001"; "501"; "4611686018427387903";
+        "99999999999999999999"; "1e3"; "."; "e"; ""; "abc"; "5 5";
+      ]
+  in
+  let space = oneofl [ ""; " "; "  "; "\t"; " \t "; "\r" ] in
+  let near_valid =
+    map
+      (fun (((lead, kw), (sep, v)), trail) -> lead ^ kw ^ sep ^ v ^ trail)
+      (pair (pair (pair space keyword) (pair space value)) space)
+  in
+  frequency [ (4, near_valid); (1, string_size ~gen:char (int_range 0 40)) ]
+
+let fuzz_budget_headers =
+  QCheck.Test.make ~count:3000
+    ~name:"budget headers never raise and never loosen the caps"
+    (QCheck.make
+       ~print:(fun ls -> String.concat " | " (List.map String.escaped ls))
+       QCheck.Gen.(list_size (int_range 1 4) header_line_gen))
+    header_total
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -180,4 +263,5 @@ let () =
           QCheck_alcotest.to_alcotest fuzz_ddl_random_bytes;
           QCheck_alcotest.to_alcotest fuzz_ddl_edits;
         ] );
+      ("protocol", [ QCheck_alcotest.to_alcotest fuzz_budget_headers ]);
     ]

@@ -265,9 +265,23 @@ let prop_replace_model =
             | None -> ()
             | Some probe ->
                 for x = 0 to 6 do
-                  if probe (Value.Int x) <> List.rev (Table.lookup_ids t col (Value.Int x))
-                  then QCheck.Test.fail_reportf "%s: bucket of %s=%d out of order" step col x
-                done)
+                  let ids = Table.lookup_ids t col (Value.Int x) in
+                  if probe (Value.Int x) <> List.rev ids then
+                    QCheck.Test.fail_reportf "%s: bucket of %s=%d out of order"
+                      step col x;
+                  if Table.count t col (Value.Int x) <> Some (List.length ids)
+                  then
+                    QCheck.Test.fail_reportf "%s: count of %s=%d is not %d"
+                      step col x (List.length ids)
+                done;
+                let proj = if col = "k" then fst else snd in
+                let keys = List.sort_uniq compare (List.map proj model) in
+                if
+                  Table.fanout t col
+                  <> Some
+                       (float_of_int (List.length model)
+                       /. float_of_int (max 1 (List.length keys)))
+                then QCheck.Test.fail_reportf "%s: fanout of %s" step col)
           indexes
       in
       ignore
