@@ -555,44 +555,6 @@ let ablation_index () =
   Printf.printf "%-28s %12.3f\n%!" "hash joins over scans" (run_suite without_idx);
   Printf.printf "%-28s %12.3f\n%!" "index paths + INLJ" (run_suite with_idx)
 
-(* Ablation 4: greedy (smallest input) vs cost-based (estimated output)
-   join ordering on the personalized-query workload. *)
-let ablation_planner () =
-  let db = Lazy.force db in
-  let stats = Relal.Stats.create db in
-  (* Warm the statistics cache outside the timed region. *)
-  List.iter
-    (fun t ->
-      ignore
-        (Relal.Stats.ndv stats
-           (Relal.Schema.name (Relal.Table.schema t))
-           (Relal.Schema.columns (Relal.Table.schema t)).(0).Relal.Schema.cname))
-    (Relal.Database.tables db);
-  let profile = profile_for ~seed:9400 ~size:30 in
-  let queries = queries_for 208 (2 * scale.queries) in
-  let run strategy =
-    let samples =
-      List.map
-        (fun q ->
-          let bound = Relal.Binder.bind db q in
-          let qg = Qgraph.of_query db bound in
-          let g = Pgraph.of_profile profile in
-          let selected = Select.select db g qg (Criteria.Top_r 10) in
-          let insts = Integrate.instantiate db qg selected in
-          let mq =
-            Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
-              ~l:(`At_least (min 1 (List.length insts))) ()
-          in
-          snd (time (fun () -> Relal.Exec.run ~strategy ~stats db mq)))
-        queries
-    in
-    avg samples
-  in
-  Printf.printf "\n## Ablation — join ordering (MQ execution, K=10, L=1)\n";
-  Printf.printf "%-36s %12s\n" "strategy" "exec_ms";
-  Printf.printf "%-36s %12.3f\n%!" "greedy (smallest input)" (run `Auto);
-  Printf.printf "%-36s %12.3f\n%!" "cost-based (estimated join output)" (run `Cost)
-
 (* --------------------------------------------------------------------- *)
 (* Executor benchmark — machine-readable baseline (BENCH_EXEC.json)      *)
 (* --------------------------------------------------------------------- *)
@@ -1036,8 +998,7 @@ let all_figs =
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("exec", bench_exec);
     ("perso", bench_perso); ("kernels", kernels);
     ("ablation-funcs", ablation_funcs); ("ablation-topn", ablation_topn);
-    ("ablation-index", ablation_index); ("ablation-planner", ablation_planner);
-    ("store", bench_store);
+    ("ablation-index", ablation_index); ("store", bench_store);
   ]
 
 let () =

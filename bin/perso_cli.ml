@@ -456,7 +456,10 @@ let tcp_arg =
   Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
 
 let workers_arg =
-  let doc = "Worker-pool size." in
+  let doc =
+    "Request slots: at most $(docv) requests run at once, each on its \
+     connection's thread; more wait in the admission queue."
+  in
   Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
 
 let queue_arg =

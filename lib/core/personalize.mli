@@ -67,7 +67,6 @@ val personalize :
     budget runs out. *)
 
 val execute :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
   ?gov:Relal.Governor.t ->
   Relal.Database.t ->
   outcome ->
@@ -153,12 +152,7 @@ val degradation_to_string : degradation -> string
 (** One-line human description, e.g. ["reduced personalization (K: top
     2, L: 0) after resource exhausted: ..."]. *)
 
-val top_n :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
-  n:int ->
-  Relal.Database.t ->
-  outcome ->
-  Relal.Exec.result
+val top_n : n:int -> Relal.Database.t -> outcome -> Relal.Exec.result
 (** Top-N delivery in order of estimated degree of interest (§8 future
     work): execute and keep the [n] highest-ranked rows.  Requires an
     outcome produced with [rank = true]. *)

@@ -11,7 +11,7 @@ let revs_table_name = "profile_revs"
    state lives in the database's extension slot rather than in the
    catalog proper (the catalog is a relalgebra concern), so it lives
    and dies with its database.  All of it is held in [Atomic] cells over
-   immutable values so concurrent readers (personalize workers under the
+   immutable values so concurrent readers (personalize requests under the
    server's read lock) never observe a half-updated structure while a
    writer (save/delete under the write lock) mutates it. *)
 
@@ -20,7 +20,7 @@ module SMap = Map.Make (String)
 type reg = {
   revs : int SMap.t Atomic.t;
   hooks : (user:string -> unit) list Atomic.t;
-  backend : Perso_store.Backend.t option Atomic.t;
+  backend : Perso_store.Replica.t option Atomic.t;
 }
 
 type Database.extension += Profile_registry of reg
@@ -159,7 +159,6 @@ let entries_of_profile profile =
     (Profile.entries profile)
 
 let attach db backend = Atomic.set (reg_for db).backend (Some backend)
-let attached db = Atomic.get (reg_for db).backend
 
 (* Write-through: the in-memory table mutates first (it rolls itself
    back on faults), then the WAL append makes the mutation durable,
@@ -199,7 +198,7 @@ let save db ~user profile =
   if not (List.equal row_equal before mine) then begin
     replace_rows ~hook:mutate t user mine;
     backend_apply db t ~user before (fun b ~next ->
-        b.Perso_store.Backend.save ~user ~revision:next
+        Perso_store.Replica.save b ~user ~revision:next
           (entries_of_profile profile));
     notify db ~user
   end
@@ -257,7 +256,7 @@ let delete db ~user =
     if before <> [] then begin
       replace_rows t user [];
       backend_apply db t ~user before (fun b ~next ->
-          b.Perso_store.Backend.delete ~user ~revision:next);
+          Perso_store.Replica.delete b ~user ~revision:next);
       notify db ~user
     end
   end
@@ -297,18 +296,18 @@ let export db backend =
   Hashtbl.fold (fun user entries acc -> (user, List.rev entries) :: acc) groups []
   |> List.sort compare
   |> List.iter (fun (user, entries) ->
-         backend.Perso_store.Backend.save ~user
+         Perso_store.Replica.save backend ~user
            ~revision:(revision db ~user)
            entries)
 
 let restore db backend =
   install db;
   let t = Database.table db table_name in
-  backend.Perso_store.Backend.iter (fun ~user ~revision:_ entries ->
+  Perso_store.Replica.iter backend (fun ~user ~revision:_ entries ->
       List.iter
         (fun { Perso_store.Codec.cond; degree } ->
           Table.insert t
             [| Value.Str user; Value.Str cond; Value.Float degree |])
         entries);
-  seed_revisions db (backend.Perso_store.Backend.revisions ());
+  seed_revisions db (Perso_store.Replica.revisions backend);
   attach db backend

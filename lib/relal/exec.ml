@@ -10,17 +10,13 @@ type result = { cols : string array; rows : Value.t array list }
 (* Cooperative governor hooks                                             *)
 (* --------------------------------------------------------------------- *)
 
-(* The governor is ambient for the duration of one [run] (set under
-   [Fun.protect]): the evaluator is a web of mutually recursive
-   functions (derived tables, DNF branches, UNION ALL) that all share
-   the same request budget, so threading a parameter through every one
-   of them buys nothing but noise.  Disarmed, each hook is a single
-   load-and-branch. *)
-let governor : Governor.t option ref = ref None
+(* A run's governor is an argument of every evaluator function that
+   polls or charges rows, never process state: the server evaluates
+   several requests at once on threads that can switch mid-run, and each
+   must charge its own budget.  Disarmed, each hook is a single branch. *)
+let g_poll gov = match gov with None -> () | Some g -> Governor.poll g
 
-let g_poll () = match !governor with None -> () | Some g -> Governor.poll g
-
-let g_rows n = match !governor with None -> () | Some g -> Governor.add_rows g n
+let g_rows gov n = match gov with None -> () | Some g -> Governor.add_rows g n
 
 (* --------------------------------------------------------------------- *)
 (* Working relations: array-backed views with late materialization        *)
@@ -342,35 +338,35 @@ let const_pred_holds p = compile_pred (empty_vrel [||]) p 0
 (* FROM materialization                                                   *)
 (* --------------------------------------------------------------------- *)
 
-let rec source_of_from ?cost db item : string * source =
+let rec source_of_from gov db item : string * source =
   match item with
   | F_rel r -> (
       match Database.find_table db r.rel with
       | None -> err "executor: unknown table %s" r.rel
       | Some t -> (r.alias, S_base { alias = r.alias; tbl = t }))
   | F_derived (c, alias) ->
-      let res = run_compound ?cost db c in
+      let res = run_compound gov db c in
       let header = Array.map (fun c -> (alias, c)) res.cols in
       (alias, S_mat (vrel_of_batch header (Batch.of_list res.rows)))
 
-and materialize_from ?cost db item : vrel =
-  force (snd (source_of_from ?cost db item))
+and materialize_from gov db item : vrel =
+  force (snd (source_of_from gov db item))
 
 (* --------------------------------------------------------------------- *)
 (* Conjunctive planning: pushdown + greedy rid joins                      *)
 (* --------------------------------------------------------------------- *)
 
-and filter_vrel v preds =
+and filter_vrel gov v preds =
   match preds with
   | [] -> v
   | _ ->
       let f = compile_pred v (conj preds) in
       let sel = Ibuf.create () in
       for r = 0 to v.nrows - 1 do
-        g_poll ();
+        g_poll gov;
         if f r then Ibuf.add sel r
       done;
-      g_rows sel.Ibuf.n;
+      g_rows gov sel.Ibuf.n;
       if sel.Ibuf.n = v.nrows then v else select_rows v (Ibuf.to_array sel)
 
 (* Hash join producing row-id pairs.  The build side is bucketed by a
@@ -378,7 +374,7 @@ and filter_vrel v preds =
    hits verify the actual key values.  Output rows are (left-id,
    right-id) selection vectors handed to [join_vrels] — tuples are not
    widened here. *)
-and hash_join left right keys =
+and hash_join gov left right keys =
   let lread =
     Array.of_list (List.map (fun (a, _) -> attr_reader left a) keys)
   in
@@ -404,7 +400,7 @@ and hash_join left right keys =
   if nk = 1 then begin
     let bread0 = bread.(0) in
     for r = 0 to bn - 1 do
-      g_poll ();
+      g_poll gov;
       let k = Value.hash (bread0 r) land max_int in
       match IH.find h k with
       | l -> l := r :: !l
@@ -413,7 +409,7 @@ and hash_join left right keys =
   end
   else
     for r = 0 to bn - 1 do
-      g_poll ();
+      g_poll gov;
       let k = hash_row bread r in
       match IH.find h k with
       | l -> l := r :: !l
@@ -438,7 +434,7 @@ and hash_join left right keys =
           emit pr pv tl
     in
     for pr = 0 to pn - 1 do
-      g_poll ();
+      g_poll gov;
       let pv = pread0 pr in
       let k = Value.hash pv land max_int in
       match IH.find h k with
@@ -461,24 +457,24 @@ and hash_join left right keys =
           emit pr tl
     in
     for pr = 0 to pn - 1 do
-      g_poll ();
+      g_poll gov;
       let k = hash_row pread pr in
       match IH.find h k with
       | cands -> emit pr !cands
       | exception Not_found -> ()
     done
   end;
-  g_rows psel.Ibuf.n;
+  g_rows gov psel.Ibuf.n;
   let bsel = Ibuf.to_array bsel and psel = Ibuf.to_array psel in
   let lsel, rsel = if swap then (psel, bsel) else (bsel, psel) in
   join_vrels left lsel right rsel
 
-and cross_product left right =
+and cross_product gov left right =
   let n = left.nrows * right.nrows in
   (* Account for the output *before* allocating it: a budget of a few
      rows must stop a runaway cross product without first building its
      selection vectors. *)
-  g_rows n;
+  g_rows gov n;
   let lsel = Array.make n 0 and rsel = Array.make n 0 in
   let k = ref 0 in
   for i = 0 to left.nrows - 1 do
@@ -487,7 +483,7 @@ and cross_product left right =
       rsel.(!k) <- j;
       incr k
     done;
-    g_poll ()
+    g_poll gov
   done;
   join_vrels left lsel right rsel
 
@@ -499,7 +495,7 @@ and cross_product left right =
    is the only predicate, the ids are not fetched yet: the bucket's
    length is the exact cardinality, and the join loop may never need
    them. *)
-and filtered_source ~preds alias tbl : source =
+and filtered_source gov ~preds alias tbl : source =
   Chaos.point Chaos.Scan;
   let header = base_header alias tbl in
   let index_eq =
@@ -526,9 +522,10 @@ and filtered_source ~preds alias tbl : source =
       S_filtered { alias; tbl; preds; card; view = lazy (ids col v) }
   | Some (col, v, used), _ ->
       materialized
-        (filter_vrel (ids col v) (List.filter (fun p -> p != used) preds))
+        (filter_vrel gov (ids col v) (List.filter (fun p -> p != used) preds))
   | None, _ ->
-      materialized (filter_vrel (vrel_of_batch header (Table.batch tbl)) preds)
+      materialized
+        (filter_vrel gov (vrel_of_batch header (Table.batch tbl)) preds)
 
 (* Index-nested-loop join: [keys] are (probe-side, base-side) equi-join
    attributes; rows of [current] probe the base table's index on the
@@ -540,7 +537,7 @@ and filtered_source ~preds alias tbl : source =
    it stands in for a hash join with the table's filtered view: each
    match must also pass [filter], and the pairs come in that hash join's
    order ([hash_join_order]). *)
-and index_nl_join ?filter current keys alias tbl : vrel option =
+and index_nl_join gov ?filter current keys alias tbl : vrel option =
   let indexed, others =
     List.partition
       (fun ((_ : attr), (b : attr)) -> Table.has_index tbl b.col)
@@ -581,7 +578,7 @@ and index_nl_join ?filter current keys alias tbl : vrel option =
               emit r tl
         in
         for r = 0 to current.nrows - 1 do
-          g_poll ();
+          g_poll gov;
           emit r (probe (pread r))
         done
       end
@@ -603,11 +600,11 @@ and index_nl_join ?filter current keys alias tbl : vrel option =
               emit r tl
         in
         for r = 0 to current.nrows - 1 do
-          g_poll ();
+          g_poll gov;
           emit r (probe (pread r))
         done
       end;
-      g_rows csel.Ibuf.n;
+      g_rows gov csel.Ibuf.n;
       let csel = Ibuf.to_array csel and bsel = Ibuf.to_array bsel in
       let csel, bsel =
         if Option.is_some filter then hash_join_order csel bsel
@@ -618,10 +615,8 @@ and index_nl_join ?filter current keys alias tbl : vrel option =
 (* Evaluate a conjunctive block: [sources] is an association
    (tv -> source) — base tables lazy, derived tables materialized;
    [conjuncts] the predicate factors.  Returns the joined vrel covering
-   every tv in [sources].  With [?cost] statistics, the next join is the
-   one with the smallest estimated output (System-R containment formula);
-   without, the greedy smallest-input heuristic. *)
-and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
+   every tv in [sources], joining the smallest connected input next. *)
+and join_conjunctive gov (sources : (string * source) list) conjuncts : vrel =
   (* Classify conjuncts. *)
   let local, joins, residual =
     List.fold_left
@@ -655,9 +650,9 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
           match (src, preds) with
           | S_base _, [] -> (tv, src)
           | S_base { alias; tbl }, preds ->
-              (tv, filtered_source ~preds alias tbl)
+              (tv, filtered_source gov ~preds alias tbl)
           | (S_mat _ | S_filtered _), preds ->
-              (tv, S_mat (filter_vrel (force src) preds)))
+              (tv, S_mat (filter_vrel gov (force src) preds)))
       sources
   in
   match sources with
@@ -693,7 +688,7 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
             !residual
         in
         residual := rest;
-        if ready <> [] then current := filter_vrel !current ready
+        if ready <> [] then current := filter_vrel gov !current ready
       in
       apply_ready_residuals ();
       while !remaining <> [] do
@@ -712,33 +707,13 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
             end)
           !joins;
         let next =
-          (* Rank joinable relations: with statistics, by estimated join
-             output |cur|·|R| / max(ndv); otherwise by raw input size. *)
-          let score src keys =
-            match cost with
-            | None -> float_of_int (source_card src)
-            | Some stats -> (
-                let cur = float_of_int !current.nrows in
-                match (src, keys) with
-                | S_base { tbl; _ }, (_, (b : attr)) :: _ -> (
-                    let tname = Schema.name (Table.schema tbl) in
-                    match Stats.ndv stats tname b.col with
-                    | n ->
-                        cur *. float_of_int (Table.cardinality tbl)
-                        /. float_of_int (max 1 n)
-                    | exception Invalid_argument _ ->
-                        cur *. float_of_int (Table.cardinality tbl))
-                | _ ->
-                    (* Materialized input: assume a key join (output ≈
-                       the current side). *)
-                    cur)
-          in
+          (* The joinable relation with the smallest input. *)
           Hashtbl.fold
             (fun tv keys best ->
               match List.assoc_opt tv !remaining with
               | None -> best
               | Some src -> (
-                  let s = score src keys in
+                  let s = source_card src in
                   match best with
                   | Some (_, _, _, bs) when bs <= s -> best
                   | _ -> Some (tv, src, keys, s)))
@@ -755,16 +730,17 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
             let joined =
               match src with
               | S_base { alias; tbl } -> (
-                  match index_nl_join cur keys alias tbl with
+                  match index_nl_join gov cur keys alias tbl with
                   | Some v -> v
-                  | None -> hash_join cur (force src) keys)
+                  | None -> hash_join gov cur (force src) keys)
               | S_filtered { alias; tbl; preds; card; _ }
                 when probe_cheaper cur keys tbl card ->
                   (* Fanout is at least 1, so |current| < card: the hash
                      join this replaces would have built on the current
                      side, whose order [~filter] emits. *)
-                  Option.get (index_nl_join ~filter:preds cur keys alias tbl)
-              | S_filtered _ | S_mat _ -> hash_join cur (force src) keys
+                  Option.get
+                    (index_nl_join gov ~filter:preds cur keys alias tbl)
+              | S_filtered _ | S_mat _ -> hash_join gov cur (force src) keys
             in
             current := joined;
             mark_joined tv;
@@ -784,7 +760,7 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
         | None ->
             (* No connecting edge: cartesian step with the smallest rest. *)
             let tv, src = Option.get (smallest ()) in
-            current := cross_product !current (force src);
+            current := cross_product gov !current (force src);
             mark_joined tv;
             remaining := List.remove_assoc tv !remaining);
         (* Enforce any join edge that has become internal (both sides
@@ -795,7 +771,7 @@ and join_conjunctive ?cost (sources : (string * source) list) conjuncts : vrel =
         joins := external_;
         if internal <> [] then
           current :=
-            filter_vrel !current
+            filter_vrel gov !current
               (List.map (fun (a, b) -> P_cmp (Eq, S_attr a, S_attr b)) internal);
         apply_ready_residuals ()
       done;
@@ -911,10 +887,10 @@ and eval_having v rows h =
 (* Post-pipeline: group / having / order / project / distinct / limit     *)
 (* --------------------------------------------------------------------- *)
 
-and post_pipeline (q : query) (w : vrel) : result =
+and post_pipeline gov (q : query) (w : vrel) : result =
   (* The projection produces [w.nrows] rows (before DISTINCT/LIMIT);
      account for them up front so a scan-only query is still governed. *)
-  g_rows w.nrows;
+  g_rows gov w.nrows;
   let has_aggs =
     List.exists (function Sel_agg _ -> true | _ -> false) q.select
     || q.having <> None
@@ -952,7 +928,7 @@ and post_pipeline (q : query) (w : vrel) : result =
         let seen = KH.create 64 in
         let acc = ref [] in
         for r = 0 to w.nrows - 1 do
-          g_poll ();
+          g_poll gov;
           let out = project r in
           if not (KH.mem seen out) then begin
             KH.add seen out ();
@@ -1142,8 +1118,8 @@ and select_attrs q =
 (* Top-level evaluation                                                   *)
 (* --------------------------------------------------------------------- *)
 
-and run_auto ?cost db (q : query) : result =
-  let wrels = List.map (source_of_from ?cost db) q.from in
+and run_auto gov db (q : query) : result =
+  let wrels = List.map (source_of_from gov db) q.from in
   let has_aggs =
     List.exists (function Sel_agg _ -> true | _ -> false) q.select
     || q.having <> None
@@ -1178,9 +1154,9 @@ and run_auto ?cost db (q : query) : result =
             List.for_all (fun (_, src) -> source_card src > 0) unused
           in
           if nonempty_unused && used <> [] then begin
-            let joined = join_conjunctive ?cost used branch in
+            let joined = join_conjunctive gov used branch in
             let res =
-              post_pipeline
+              post_pipeline gov
                 { q with where = P_true; order_by = []; limit = None }
                 joined
             in
@@ -1231,54 +1207,46 @@ and run_auto ?cost db (q : query) : result =
               q.order_by;
         }
       in
-      post_pipeline q' merged
+      post_pipeline gov q' merged
   | None ->
       let conjuncts = conjuncts q.where in
       (* Keep disjunctions and other non-splittable factors as residual
          filters inside the conjunctive join. *)
-      let joined = join_conjunctive ?cost wrels conjuncts in
-      post_pipeline { q with where = P_true } joined
+      let joined = join_conjunctive gov wrels conjuncts in
+      post_pipeline gov { q with where = P_true } joined
 
-and run_naive db (q : query) : result =
-  let wrels = List.map (materialize_from db) q.from in
+and run_naive gov db (q : query) : result =
+  let wrels = List.map (materialize_from gov db) q.from in
   let joined =
     match wrels with
     | [] -> err "executor: empty FROM"
-    | w :: rest -> List.fold_left cross_product w rest
+    | w :: rest -> List.fold_left (cross_product gov) w rest
   in
-  let filtered = filter_vrel joined [ q.where ] in
-  post_pipeline { q with where = P_true } filtered
+  let filtered = filter_vrel gov joined [ q.where ] in
+  post_pipeline gov { q with where = P_true } filtered
 
-and run_compound ?cost db (c : compound) : result =
+and run_compound gov db (c : compound) : result =
   match c with
-  | C_single q -> run_auto ?cost db q
+  | C_single q -> run_auto gov db q
   | C_union_all [] -> err "executor: empty UNION ALL"
   | C_union_all (c :: cs) ->
-      let first = run_compound ?cost db c in
+      let first = run_compound gov db c in
       let rows =
         List.fold_left
           (fun acc c' ->
-            let r = run_compound ?cost db c' in
+            let r = run_compound gov db c' in
             List.rev_append (List.rev r.rows) acc)
           first.rows cs
       in
       { first with rows }
 
-let run ?(strategy = `Auto) ?stats ?gov db q =
-  let saved = !governor in
-  governor := gov;
-  Fun.protect
-    ~finally:(fun () -> governor := saved)
-    (fun () ->
-      (* A deadline that expired before we even start (or between ladder
-         rungs) must trip deterministically, not after 64 polls. *)
-      (match gov with Some g -> Governor.check_deadline g | None -> ());
-      match strategy with
-      | `Auto -> run_auto db q
-      | `Naive -> run_naive db q
-      | `Cost ->
-          let stats = match stats with Some s -> s | None -> Stats.create db in
-          run_auto ~cost:stats db q)
+let run ?(strategy = `Auto) ?gov db q =
+  (* A deadline that expired before we even start (or between ladder
+     rungs) must trip deterministically, not after 64 polls. *)
+  (match gov with Some g -> Governor.check_deadline g | None -> ());
+  match strategy with
+  | `Auto -> run_auto gov db q
+  | `Naive -> run_naive gov db q
 
 (* --------------------------------------------------------------------- *)
 (* Result helpers                                                         *)

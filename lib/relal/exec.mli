@@ -33,19 +33,16 @@ type result = { cols : string array; rows : Value.t array list }
 (** Output column names (SELECT order) and rows. *)
 
 val run :
-  ?strategy:[ `Auto | `Naive | `Cost ] ->
-  ?stats:Stats.t ->
+  ?strategy:[ `Auto | `Naive ] ->
   ?gov:Governor.t ->
   Database.t ->
   Sql_ast.query ->
   result
-(** Evaluate a bound query.  [`Cost] behaves like [`Auto] but chooses the
-    next join by estimated output size ([Stats.join_size]'s containment
-    formula) instead of smallest input; pass a cached [?stats] to avoid
-    recomputing statistics per query (one is created ad hoc otherwise).
-    [?gov] arms a {!Governor} budget for the duration of the call: the
-    batch loops check it cooperatively, and row production is charged at
-    every operator output (joins, filters, projection).
+(** Evaluate a bound query.  [?gov] meters this call alone: the batch
+    loops check it cooperatively, and row production is charged at every
+    operator output (joins, filters, projection).  It is passed down the
+    evaluator, not set process-wide, so runs on concurrent threads each
+    charge their own governor.
     @raise Governor.Exhausted when the armed budget is exceeded;
     @raise Chaos.Injected under armed fault injection;
     @raise Exec_error on internal violations (which indicate an unbound

@@ -1,12 +1,9 @@
 module type S = sig
-  type thread
   type mutex
   type cond
 
   val now : unit -> float
   val sleep : float -> unit
-  val spawn : (unit -> unit) -> thread
-  val join : thread -> unit
   val mutex_create : unit -> mutex
   val lock : mutex -> unit
   val unlock : mutex -> unit
@@ -17,14 +14,11 @@ module type S = sig
 end
 
 module Threads = struct
-  type thread = Thread.t
   type mutex = Mutex.t
   type cond = Condition.t
 
   let now = Unix.gettimeofday
   let sleep = Thread.delay
-  let spawn f = Thread.create f ()
-  let join = Thread.join
   let mutex_create () = Mutex.create ()
   let lock = Mutex.lock
   let unlock = Mutex.unlock

@@ -1,5 +1,5 @@
-(* The socket front end.  Everything behind the wire — admission queue,
-   worker pool, budgets, breaker, drain, ledger — lives in
+(* The socket front end.  Everything behind the wire — request slots,
+   admission queue, budgets, breaker, drain, ledger — lives in
    {!Server_core}, instantiated here with the real-thread runtime; the
    deterministic simulation instantiates the same core with a virtual
    one. *)

@@ -5,7 +5,7 @@
     architecture is a classic bounded system:
 
     {v
-    acceptor ──► connection threads ──► bounded admission queue ──► worker pool
+    acceptor ──► connection threads ──► [workers] slots, else bounded FIFO queue
                       │                        │                        │
                       │   queue full /         │  expired while         │ per-request
                       │   draining: shed       │  queued: shed          │ Governor budget
@@ -13,12 +13,15 @@
                  ERR overloaded           ERR overloaded          result / typed error
     v}
 
-    - {b Admission control}: each data-plane request is pushed into a
-      queue of at most [queue_capacity] jobs.  When the queue is full,
-      or the server is draining, the request is rejected {e immediately}
+    - {b Admission control}: each data-plane request runs on its own
+      connection thread, holding one of [workers] slots, so at most
+      [workers] requests run at once.  With every slot taken it waits in
+      a FIFO queue of at most [queue_capacity] requests until a
+      finishing request hands it its slot.  When the queue is full, or
+      the server is draining, the request is rejected {e immediately}
       with a typed [Overloaded] error — the server never queues
       unboundedly.  A request whose deadline elapses while it waits in
-      the queue is shed by the worker without doing any work.
+      the queue is shed when it gets its slot, without doing any work.
     - {b Budgets}: client [DEADLINE-MS]/[MAX-ROWS]/[MAX-EXPANSIONS]
       headers are capped by the server's configured limits and armed as
       a {!Relal.Governor} budget per request.
@@ -33,9 +36,9 @@
       answered with one [ERR parse] and the connection is closed.
     - {b Graceful drain}: {!request_stop} (wired to SIGTERM by the CLI
       and to the [SHUTDOWN] command) stops admission; {!stop} waits up
-      to [drain_ms] for queued and in-flight work, sheds whatever
-      remains, optionally crash-safe-dumps the database, and joins every
-      thread.
+      to [drain_ms] for queued and in-flight work, sheds whatever is
+      still queued, waits for what is still running, optionally
+      crash-safe-dumps the database, and joins every thread.
 
     Control-plane commands ([HEALTH], [PING], [SHUTDOWN], [QUIT]) are
     answered on the connection thread without queueing, so the server
@@ -44,7 +47,7 @@
 type config = Server_core.config = {
   socket_path : string;  (** Unix-domain socket to listen on *)
   tcp_port : int option;  (** also listen on 127.0.0.1:port *)
-  workers : int;  (** worker-pool size (>= 1) *)
+  workers : int;  (** request slots: requests running at once (>= 1) *)
   queue_capacity : int;  (** admission-queue bound (>= 1) *)
   deadline_ms : float option;  (** server-side cap on request deadlines *)
   max_rows : int option;  (** cap on rows-produced budgets *)
@@ -70,14 +73,14 @@ type config = Server_core.config = {
 }
 
 val default_config : socket_path:string -> config
-(** 4 workers, queue of 64, 5 s deadline cap, 1M rows, 10k expansions,
+(** 4 slots, queue of 64, 5 s deadline cap, 1M rows, 10k expansions,
     2 s drain, breaker trips after 3 and half-opens after 250 ms, no
     TCP, no dump. *)
 
 type t
 
 val start : config -> Relal.Database.t -> t
-(** Bind the sockets and spawn the acceptor and worker threads.  The
+(** Bind the sockets and spawn the acceptor thread.  The
     database is shared — the server takes ownership of coordinating
     access to it.  @raise Unix.Unix_error when binding fails. *)
 
@@ -90,7 +93,7 @@ val draining : t -> bool
 
 type drain_outcome = Server_core.drain_outcome = {
   drained : bool;  (** queue and in-flight hit zero within [drain_ms] *)
-  shed_at_stop : int;  (** jobs still queued when the deadline passed *)
+  shed_at_stop : int;  (** requests still queued when the deadline passed *)
   dump : (string, string) result option;
       (** [Some (Ok dir)] after a successful shutdown dump *)
 }
@@ -114,7 +117,7 @@ val health : t -> (string * string) list
     [breaker_trips], [unpersonalized_breaker].  Every data-plane request
     the server ever saw is accounted: with [shed_draining] split into
     its admission-time part [d_a] (rejected while draining) and its
-    stop-time part [d_s] (= {!drain_outcome}.[shed_at_stop], queued jobs
+    stop-time part [d_s] (= {!drain_outcome}.[shed_at_stop], queued requests
     flushed when the drain deadline passed),
     [arrivals = accepted + shed_queue_full + d_a] and
     [accepted = completed_ok + completed_err + shed_expired + d_s +

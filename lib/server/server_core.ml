@@ -96,33 +96,15 @@ module Make (R : Runtime.S) = struct
   module Rl = Rwlock.Make (R)
   module Store = Sharded_store.Make (R)
 
-  (* ------------------------------- jobs ------------------------------ *)
+  (* ------------------------------ tickets ---------------------------- *)
 
-  (* A one-shot mailbox: the connection thread blocks on [take] while a
-     worker fills it with [put]. *)
-  type job = {
-    command : Protocol.command;
-    budget : Governor.budget;
-    deadline_at : float option;  (* absolute, R.now seconds *)
-    jm : R.mutex;
-    jc : R.cond;
-    mutable answer : reply option;
-  }
+  (* A request that finds every slot taken waits in the queue on its own
+     ticket, under the core's mutex.  The request that frees a slot hands
+     it to the oldest ticket ([Granted]); [stop] sheds the tickets still
+     waiting. *)
+  type ticket_state = Waiting | Granted | Shed
 
-  let job_put job reply =
-    R.lock job.jm;
-    job.answer <- Some reply;
-    R.signal job.jc;
-    R.unlock job.jm
-
-  let job_take job =
-    R.lock job.jm;
-    while job.answer = None do
-      R.wait job.jc job.jm
-    done;
-    let r = Option.get job.answer in
-    R.unlock job.jm;
-    r
+  type ticket = { tc : R.cond; mutable state : ticket_state }
 
   (* ------------------------------ server ----------------------------- *)
 
@@ -155,13 +137,11 @@ module Make (R : Runtime.S) = struct
     store : Store.t;
     breaker : Breaker.t;
     qm : R.mutex;
-    qc : R.cond;
-    queue : job Queue.t;
+    queue : ticket Queue.t;
     mutable phase : phase;
-    mutable in_flight : int;
+    mutable in_flight : int;  (* slots held: admitted requests running *)
     c : counters;
     stop_flag : bool Atomic.t;
-    mutable worker_threads : R.thread list;
     sm : R.mutex;  (* serializes stop *)
     mutable stop_outcome : drain_outcome option;
   }
@@ -306,102 +286,32 @@ module Make (R : Runtime.S) = struct
             result = { Exec.cols = [| "condition"; "degree" |]; rows };
           }
 
-  let execute t job =
-    match job.command with
+  let execute t ~budget command =
+    match command with
     | Protocol.Run sql ->
         Rl.with_read t.dblock (fun () ->
             match
               Perso.Error.guard (fun () ->
-                  Engine.run_sql ?gov:(gov_of job.budget) t.db sql)
+                  Engine.run_sql ?gov:(gov_of budget) t.db sql)
             with
             | Ok result -> R_rows { notes = []; result }
             | Error e -> R_error e)
     | Protocol.Personalize { user; sql } ->
         Rl.with_read t.dblock (fun () ->
-            exec_personalize t ~budget:job.budget user sql)
+            exec_personalize t ~budget user sql)
     | Protocol.Profile_save { user; entries } -> exec_profile_save t user entries
     | Protocol.Profile_show user -> exec_profile_show t user
     | Protocol.Health | Protocol.Ping | Protocol.Shutdown | Protocol.Quit ->
         (* control-plane commands never enter the queue *)
         R_error (Perso.Error.Internal "control command queued")
 
-  (* ------------------------------ workers ---------------------------- *)
-
-  (* Expiry check, execution, and completion accounting for one popped
-     job.  A job shed for sitting past its deadline counts as
-     [shed_expired], not [completed_*]: no work was started. *)
-  let process t job =
-    match job.deadline_at with
-    | Some at when R.now () > at ->
-        locked t.qm (fun () -> t.c.shed_expired <- t.c.shed_expired + 1);
-        R_error
-          (Perso.Error.Overloaded
-             "deadline expired while queued; no work was started")
-    | _ ->
-        let reply =
-          try execute t job with e -> R_error (Perso.Error.of_exn_any e)
-        in
-        locked t.qm (fun () ->
-            (match reply with
-            | R_error _ -> t.c.completed_err <- t.c.completed_err + 1
-            | R_rows _ | R_message _ ->
-                if not !mutate_drop_completed_ok then
-                  t.c.completed_ok <- t.c.completed_ok + 1);
-            match (job.command, reply) with
-            | Protocol.Personalize _, R_error _ ->
-                t.c.pers_err <- t.c.pers_err + 1
-            | Protocol.Personalize _, (R_rows _ | R_message _) ->
-                t.c.pers_ok <- t.c.pers_ok + 1
-            | _ -> ());
-        reply
-
-  (* A running worker pops only while a slot is free: jobs {!submit}
-     runs inline hold slots too, so [in_flight] never exceeds
-     [workers]. *)
-  let rec worker_loop t =
-    R.lock t.qm;
-    while
-      (Queue.is_empty t.queue || t.in_flight >= t.cfg.workers)
-      && t.phase = Running
-    do
-      R.wait t.qc t.qm
-    done;
-    (* Draining workers finish the queue; a stopped server's queue has
-       already been flushed with Overloaded replies. *)
-    if t.phase <> Stopped && not (Queue.is_empty t.queue) then begin
-      let job = Queue.pop t.queue in
-      t.in_flight <- t.in_flight + 1;
-      R.unlock t.qm;
-      let reply = process t job in
-      locked t.qm (fun () ->
-          t.in_flight <- t.in_flight - 1;
-          R.broadcast t.qc);
-      job_put job reply;
-      worker_loop t
-    end
-    else begin
-      let continue = t.phase = Running in
-      R.unlock t.qm;
-      if continue then worker_loop t
-    end
-
   (* ----------------------------- admission --------------------------- *)
 
-  let admit t (hdr : Protocol.header) command =
-    let budget = cap_budget t.cfg hdr in
-    let deadline_at =
-      Option.map (fun ms -> R.now () +. (ms /. 1000.)) budget.Governor.deadline_ms
-    in
-    let new_job () =
-      {
-        command;
-        budget;
-        deadline_at;
-        jm = R.mutex_create ();
-        jc = R.cond_create ();
-        answer = None;
-      }
-    in
+  (* A slot when one is free and nothing is queued; otherwise a place in
+     the bounded queue, where the caller waits for a slot handed over by
+     [release] (or for [stop] to shed it); otherwise a shed.  Slots are
+     only taken here, so at most [workers] requests run at once. *)
+  let admit t =
     locked t.qm (fun () ->
         if t.phase <> Running then begin
           t.c.shed_draining <- t.c.shed_draining + 1;
@@ -411,7 +321,7 @@ module Make (R : Runtime.S) = struct
         then begin
           t.c.accepted <- t.c.accepted + 1;
           t.in_flight <- t.in_flight + 1;
-          Ok (`Inline (new_job ()))
+          Ok ()
         end
         else if Queue.length t.queue >= t.cfg.queue_capacity then begin
           t.c.shed_queue_full <- t.c.shed_queue_full + 1;
@@ -422,25 +332,63 @@ module Make (R : Runtime.S) = struct
         end
         else begin
           t.c.accepted <- t.c.accepted + 1;
-          let job = new_job () in
-          Queue.push job t.queue;
-          R.signal t.qc;
-          Ok (`Queued job)
+          let ticket = { tc = R.cond_create (); state = Waiting } in
+          Queue.push ticket t.queue;
+          while ticket.state = Waiting do
+            R.wait ticket.tc t.qm
+          done;
+          if ticket.state = Granted then Ok ()
+          else
+            Error
+              (Perso.Error.Overloaded "server stopped before this request ran")
         end)
 
-  (* The job runs on the caller's thread when a slot is free and nothing
-     is queued, so a request costs no handoff to a worker and back.  Its
-     slot is released like a worker's, and a job queued meanwhile gets a
-     worker. *)
+  (* Under [qm]: completion accounting, then the slot goes to the oldest
+     ticket, or is freed when none waits.  A request shed for sitting
+     queued past its deadline counts as [shed_expired], not
+     [completed_*]: no work was started. *)
+  let release t command reply ~expired =
+    if expired then t.c.shed_expired <- t.c.shed_expired + 1
+    else begin
+      (match reply with
+      | R_error _ -> t.c.completed_err <- t.c.completed_err + 1
+      | R_rows _ | R_message _ ->
+          if not !mutate_drop_completed_ok then
+            t.c.completed_ok <- t.c.completed_ok + 1);
+      match (command, reply) with
+      | Protocol.Personalize _, R_error _ -> t.c.pers_err <- t.c.pers_err + 1
+      | Protocol.Personalize _, (R_rows _ | R_message _) ->
+          t.c.pers_ok <- t.c.pers_ok + 1
+      | _ -> ()
+    end;
+    match Queue.take_opt t.queue with
+    | Some ticket ->
+        ticket.state <- Granted;
+        R.signal ticket.tc
+    | None -> t.in_flight <- t.in_flight - 1
+
+  (* Every admitted request runs on the thread that submitted it. *)
   let submit t hdr command =
-    match admit t hdr command with
+    let budget = cap_budget t.cfg hdr in
+    let deadline_at =
+      Option.map (fun ms -> R.now () +. (ms /. 1000.)) budget.Governor.deadline_ms
+    in
+    match admit t with
     | Error e -> R_error e
-    | Ok (`Queued job) -> job_take job
-    | Ok (`Inline job) ->
-        let reply = process t job in
-        locked t.qm (fun () ->
-            t.in_flight <- t.in_flight - 1;
-            if not (Queue.is_empty t.queue) then R.signal t.qc);
+    | Ok () ->
+        let expired =
+          match deadline_at with Some at -> R.now () > at | None -> false
+        in
+        let reply =
+          if expired then
+            R_error
+              (Perso.Error.Overloaded
+                 "deadline expired while queued; no work was started")
+          else
+            try execute t ~budget command
+            with e -> R_error (Perso.Error.of_exn_any e)
+        in
+        locked t.qm (fun () -> release t command reply ~expired);
         reply
 
   (* ------------------------------ health ----------------------------- *)
@@ -511,9 +459,7 @@ module Make (R : Runtime.S) = struct
   let stop_requested t = Atomic.get t.stop_flag
 
   let begin_drain t =
-    locked t.qm (fun () ->
-        if t.phase = Running then t.phase <- Draining;
-        R.broadcast t.qc)
+    locked t.qm (fun () -> if t.phase = Running then t.phase <- Draining)
 
   let draining t = locked t.qm (fun () -> t.phase <> Running)
   let stopped t = locked t.qm (fun () -> t.phase = Stopped)
@@ -525,6 +471,11 @@ module Make (R : Runtime.S) = struct
   (* Main database rwlock first, then each shard's, in shard order —
      every one must satisfy the same exclusion invariant. *)
   let lock_states t = Rl.holders t.dblock :: Store.lock_states t.store
+
+  (* Read without [qm], the way [lock_states] reads the rwlocks: the sim
+     probes between scheduler steps, when no task is inside a critical
+     section. *)
+  let slots t = (t.in_flight, t.cfg.workers)
 
   (* ------------------------------- start ------------------------------ *)
 
@@ -587,64 +538,69 @@ module Make (R : Runtime.S) = struct
           (if cfg.profile_lru_entries > 0 then Some mk_plru else None)
         ?persist:cfg.store_dir ~replicas:cfg.replicas ~shards:cfg.shards db
     in
-    let t =
-      {
-        cfg;
-        db;
-        dblock = Rl.create ();
-        store;
-        breaker =
-          Breaker.create
-            ~now:(fun () -> R.now () *. 1000.)
-            ~threshold:cfg.breaker_threshold
-            ~cooldown_ms:cfg.breaker_cooldown_ms ();
-        qm = R.mutex_create ();
-        qc = R.cond_create ();
-        queue = Queue.create ();
-        phase = Running;
-        in_flight = 0;
-        c =
-          {
-            accepted = 0;
-            completed_ok = 0;
-            completed_err = 0;
-            shed_queue_full = 0;
-            shed_expired = 0;
-            shed_draining = 0;
-            shed_breaker = 0;
-            unpersonalized_breaker = 0;
-            pers_ok = 0;
-            pers_err = 0;
-            cache_hit = 0;
-            cache_miss = 0;
-            cache_bypass = 0;
-          };
-        stop_flag = Atomic.make false;
-        worker_threads = [];
-        sm = R.mutex_create ();
-        stop_outcome = None;
-      }
-    in
-    t.worker_threads <-
-      List.init cfg.workers (fun _ -> R.spawn (fun () -> worker_loop t));
-    t
+    {
+      cfg;
+      db;
+      dblock = Rl.create ();
+      store;
+      breaker =
+        Breaker.create
+          ~now:(fun () -> R.now () *. 1000.)
+          ~threshold:cfg.breaker_threshold
+          ~cooldown_ms:cfg.breaker_cooldown_ms ();
+      qm = R.mutex_create ();
+      queue = Queue.create ();
+      phase = Running;
+      in_flight = 0;
+      c =
+        {
+          accepted = 0;
+          completed_ok = 0;
+          completed_err = 0;
+          shed_queue_full = 0;
+          shed_expired = 0;
+          shed_draining = 0;
+          shed_breaker = 0;
+          unpersonalized_breaker = 0;
+          pers_ok = 0;
+          pers_err = 0;
+          cache_hit = 0;
+          cache_miss = 0;
+          cache_bypass = 0;
+        };
+      stop_flag = Atomic.make false;
+      sm = R.mutex_create ();
+      stop_outcome = None;
+    }
 
   (* -------------------------------- stop ------------------------------ *)
 
+  (* Shed the tickets still waiting, and stop; a request still running
+     finishes and frees its slot. *)
   let flush_queue t =
     locked t.qm (fun () ->
-        let shed = ref 0 in
-        while not (Queue.is_empty t.queue) do
-          let job = Queue.pop t.queue in
-          incr shed;
-          t.c.shed_draining <- t.c.shed_draining + 1;
-          job_put job
-            (R_error
-               (Perso.Error.Overloaded "server stopped before this request ran"))
-        done;
-        !shed)
+        let shed = Queue.length t.queue in
+        Queue.iter
+          (fun ticket ->
+            ticket.state <- Shed;
+            R.signal ticket.tc)
+          t.queue;
+        Queue.clear t.queue;
+        t.c.shed_draining <- t.c.shed_draining + shed;
+        t.phase <- Stopped;
+        shed)
 
-  (* [on_quiesced] runs after the workers have joined but before the
+  (* Poll [idle] under [qm] until it holds, or until [deadline] passes. *)
+  let rec await_idle ?deadline t idle =
+    if locked t.qm idle then true
+    else
+      match deadline with
+      | Some d when R.now () > d -> false
+      | _ ->
+          R.sleep 0.005;
+          await_idle ?deadline t idle
+
+  (* [on_quiesced] runs once no request is in flight, before the
      crash-safe dump — the socket layer tears down its acceptor and
      connections there, preserving the original stop ordering. *)
   let stop ?(on_quiesced = fun () -> ()) t =
@@ -655,28 +611,16 @@ module Make (R : Runtime.S) = struct
             request_stop t;
             begin_drain t;
             (* Drain: give queued + in-flight work drain_ms to finish. *)
-            let deadline = R.now () +. (t.cfg.drain_ms /. 1000.) in
-            let rec drain () =
-              let idle =
-                locked t.qm (fun () ->
-                    Queue.is_empty t.queue && t.in_flight = 0)
-              in
-              if idle then true
-              else if R.now () > deadline then false
-              else begin
-                R.sleep 0.005;
-                drain ()
-              end
+            let drained =
+              await_idle t
+                ~deadline:(R.now () +. (t.cfg.drain_ms /. 1000.))
+                (fun () -> Queue.is_empty t.queue && t.in_flight = 0)
             in
-            let drained = drain () in
             let shed_at_stop = flush_queue t in
-            locked t.qm (fun () ->
-                t.phase <- Stopped;
-                R.broadcast t.qc);
-            List.iter R.join t.worker_threads;
+            ignore (await_idle t (fun () -> t.in_flight = 0) : bool);
             on_quiesced ();
-            (* Workers are gone: consolidate the shard profiles back
-               into the main catalog so the dump (and any caller
+            (* Nothing runs any more: consolidate the shard profiles
+               back into the main catalog so the dump (and any caller
                inspecting the database after stop) sees every profile
                saved while serving. *)
             Store.merge_back t.store;

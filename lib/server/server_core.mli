@@ -1,10 +1,12 @@
 (** Transport-independent server core.
 
     Everything the personalization server does apart from sockets —
-    admission control over a bounded queue, the fixed worker pool,
+    admission control over [workers] request slots and a bounded queue,
     budget capping, breaker-gated profile access under the rwlock,
     graceful drain with the strict HEALTH counter ledger — lives here,
-    as a functor over the {!Runtime.S} concurrency substrate.
+    as a functor over the {!Runtime.S} concurrency substrate.  The core
+    creates no threads: every admitted request runs on the thread that
+    submitted it.
 
     {!Server} instantiates it with {!Runtime.Threads} and adds the
     Unix-socket/TCP front end; the deterministic simulation harness
@@ -24,7 +26,10 @@
        outcome and exactly once by where its plan came from
        ({!Perso.Perso_cache.source}; [Bypass] covers a disabled cache,
        breaker-degraded unpersonalized replies, degraded-rung answers,
-       and pre-personalization failures such as parse errors).}} *)
+       and pre-personalization failures such as parse errors).}}
+
+    Slot cap (audited by [Perso_sim]): [in_flight <= workers] at every
+    instant, drains included. *)
 
 type config = {
   socket_path : string;
@@ -95,15 +100,17 @@ module Make (_ : Runtime.S) : sig
   type t
 
   val create : config -> Relal.Database.t -> t
-  (** Validate the config and start the worker pool.  No sockets. *)
+  (** Validate the config and open the profile store.  No sockets, no
+      threads. *)
 
   val submit : t -> Protocol.header -> Protocol.command -> reply
   (** Admission (shed when draining or the queue is full), then the
-      reply.  A job admitted while nothing is queued and fewer than
-      [workers] jobs are in flight runs on the calling thread, holding a
-      worker slot; otherwise it is queued and the caller blocks until a
-      worker answers the job's one-shot mailbox.  Workers take queued
-      jobs only while a slot is free, so at most [workers] jobs run at
+      reply.  An admitted request always runs on the calling thread,
+      holding one of [workers] slots.  It takes a slot at once when one
+      is free and nothing is queued; otherwise the caller waits in the
+      FIFO queue until the request that frees a slot hands it over, or
+      until {!stop} sheds it.  Slots are taken only at admission and
+      handed over, never added, so at most [workers] requests run at
       once.  The socket front end, the simulation and the benchmarks
       all admit through this one path. *)
 
@@ -115,10 +122,11 @@ module Make (_ : Runtime.S) : sig
   val stopped : t -> bool
 
   val stop : ?on_quiesced:(unit -> unit) -> t -> drain_outcome
-  (** Drain (bounded by [drain_ms]), flush the queue with typed
-      [Overloaded] replies, join the workers, run [on_quiesced] (the
-      socket layer's teardown hook), then take the optional crash-safe
-      dump.  Idempotent: later calls return the first outcome. *)
+  (** Drain (bounded by [drain_ms]), shed the requests still queued with
+      typed [Overloaded] replies, wait for the requests still running to
+      finish, run [on_quiesced] (the socket layer's teardown hook), then
+      take the optional crash-safe dump.  Idempotent: later calls return
+      the first outcome. *)
 
   val lock_state : t -> int * bool
   (** [(active_readers, writer_active)] of the database rwlock — the
@@ -128,4 +136,9 @@ module Make (_ : Runtime.S) : sig
   (** The database rwlock's holders followed by each profile shard's,
       in shard order.  Every element must satisfy the same exclusion
       invariant; the simulation audits them all. *)
+
+  val slots : t -> int * int
+  (** [(in_flight, workers)], read without taking the core's mutex, the
+      way {!lock_states} reads the rwlocks: the slot-cap probe of the
+      simulation's invariant audit ([in_flight <= workers]). *)
 end

@@ -139,9 +139,8 @@ module Make (R : Runtime.S) = struct
           | Some s ->
               (* First open of this store: make the seeded state durable,
                  then write through from here on. *)
-              let b = Perso_store.Backend.of_replica s in
-              Perso.Profile_store.export sh.sdb b;
-              Perso.Profile_store.attach sh.sdb b)
+              Perso.Profile_store.export sh.sdb s;
+              Perso.Profile_store.attach sh.sdb s)
         t.shards
     end
     else
@@ -154,8 +153,7 @@ module Make (R : Runtime.S) = struct
           match sh.store with
           | None -> ()
           | Some s ->
-              Perso.Profile_store.restore sh.sdb
-                (Perso_store.Backend.of_replica s))
+              Perso.Profile_store.restore sh.sdb s)
         t.shards;
     t
 

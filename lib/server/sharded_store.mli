@@ -122,6 +122,6 @@ module Make (R : Runtime.S) : sig
       its [profile_revs] table, so dumps carry them), and sync + close
       any durable stores.  For quiesced servers only — the caller must
       guarantee no concurrent shard access; {!Server_core.Make.stop}
-      runs it after the workers have joined, before the crash-safe
+      runs it once no request is in flight, before the crash-safe
       dump. *)
 end

@@ -311,6 +311,14 @@ let run ~seed steps =
                    "rwlock-exclusion: lock %d writer active with %d reader(s)"
                    i readers))
           (Core.lock_states core));
+    Sched.add_probe (fun () ->
+        (* At most [workers] admitted requests run at once, drains
+           included. *)
+        let in_flight, workers = Core.slots core in
+        if in_flight > workers then
+          Sched.fail
+            (Printf.sprintf "slot-cap: %d requests in flight with %d workers"
+               in_flight workers));
     let mailboxes =
       Array.init n_clients (fun _ ->
           {
@@ -432,6 +440,7 @@ let run ~seed steps =
               "duplicate-reply"
           | Some i when String.sub msg 0 i = "rwlock-exclusion" ->
               "rwlock-exclusion"
+          | Some i when String.sub msg 0 i = "slot-cap" -> "slot-cap"
           | _ ->
               if String.length msg >= 8 && String.sub msg 0 8 = "deadlock"
               then "deadlock"

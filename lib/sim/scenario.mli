@@ -2,9 +2,9 @@
 
     A scenario is a list of {!step}s replayed by a driver task inside a
     {!Sched} simulation: requests are dispatched to per-client tasks
-    that call the server core's [submit] (so admission, queueing,
-    worker hand-off, and reply mailboxes all execute under seeded
-    interleavings), [Advance] moves virtual time (tripping queue-expiry
+    that call the server core's [submit] (so admission, queueing and
+    the slot hand-off to the oldest queued request all execute under
+    seeded interleavings), [Advance] moves virtual time (tripping queue-expiry
     deadlines, breaker cooldowns, and the drain budget), [Chaos_on]/
     [Chaos_off] toggle {!Relal.Chaos} fault windows, and [Drain] begins
     a graceful shutdown mid-traffic.
@@ -18,8 +18,9 @@
        completed_ok + completed_err + shed_expired + shed_at_stop],
        with an empty queue and zero in-flight after stop, and
        client-observed successes equal to [completed_ok];}
-    {- rwlock exclusion (a writer never overlaps a reader), probed at
-       every scheduling decision;}
+    {- rwlock exclusion (a writer never overlaps a reader) and the
+       slot cap ([in_flight <= workers]), probed at every scheduling
+       decision;}
     {- the drain bound: [stop] finishes within [drain_ms] plus a small
        bounded tail of virtual time;}
     {- no deadlock and no task crash (enforced by {!Sched}).}}

@@ -5,14 +5,11 @@
    virtual time. *)
 
 module R : Perso_server.Runtime.S = struct
-  type thread = Sched.task
   type mutex = Sched.mutex
   type cond = Sched.cond
 
   let now = Sched.now
   let sleep = Sched.sleep
-  let spawn f = Sched.spawn ?name:None f
-  let join = Sched.join
   let mutex_create = Sched.mutex_create
   let lock = Sched.lock
   let unlock = Sched.unlock

@@ -4,7 +4,7 @@
    no Batch, no shared join machinery.  The corpus is the full SQL set
    exercised by test_exec.ml plus the Moviedb.Workload generator's query
    set; shapes the reference cannot express (aggregates, derived tables,
-   LIMIT) are still cross-checked Auto vs Cost vs Naive. *)
+   LIMIT) are still cross-checked Auto vs Naive. *)
 
 open Relal
 open Sql_ast
@@ -170,16 +170,11 @@ let corpus =
 
 let check_query db label bound =
   let auto = Exec.run ~strategy:`Auto db bound in
-  let cost = Exec.run ~strategy:`Cost db bound in
   let naive = Exec.run ~strategy:`Naive db bound in
   Alcotest.(check bool)
     (label ^ ": auto = naive (sorted rows)")
     true
     (Exec.result_equal_bag auto naive);
-  Alcotest.(check bool)
-    (label ^ ": cost = naive (sorted rows)")
-    true
-    (Exec.result_equal_bag cost naive);
   match ref_eval db bound with
   | reference ->
       Alcotest.(check bool)

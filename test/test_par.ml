@@ -1,6 +1,6 @@
 (* Exact row charging under a row budget (the no-double-count
-   regression) and a threaded hammer on a sharded server with the
-   cross-shard HEALTH ledger audit. *)
+   regression), one governor per concurrent run, and a threaded hammer
+   on a sharded server with the cross-shard HEALTH ledger audit. *)
 
 open Perso_server
 
@@ -40,6 +40,101 @@ let test_governor_no_double_count () =
   match charge_at (total - 1) with
   | `Exhausted -> ()
   | `Completed -> Alcotest.fail "limit below total did not trip"
+
+(* ------------------- governor: one per concurrent run ------------------ *)
+
+(* Two threads run the same join, A with no row cap and B with a cap of
+   10 rows.  A clock hook parks each thread on its second clock read —
+   the deadline check [Exec.run] makes right after the governor is
+   armed: A waits there until B has reached the same point, and B waits
+   until A has finished.  Each run must be charged to, and stopped by,
+   its own governor only. *)
+let test_governor_per_run () =
+  let db = Moviedb.Datagen.(generate (scale ~seed:42 300)) in
+  let sql = "select m.title, g.genre from movie m, genre g where m.mid = g.mid" in
+  let expected = List.length (Relal.Engine.run_sql db sql).Relal.Exec.rows in
+  let m = Mutex.create () and c = Condition.create () in
+  let roles = Hashtbl.create 2 and reads = Hashtbl.create 2 in
+  let a_parked = ref false and b_armed = ref false and a_done = ref false in
+  let await flag =
+    while not !flag do
+      Condition.wait c m
+    done
+  in
+  let raise_flag flag =
+    Mutex.lock m;
+    flag := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  let clock () =
+    let id = Thread.id (Thread.self ()) in
+    Mutex.lock m;
+    let n = 1 + Option.value ~default:0 (Hashtbl.find_opt reads id) in
+    Hashtbl.replace reads id n;
+    (match (n, Hashtbl.find_opt roles id) with
+    | 2, Some `A ->
+        a_parked := true;
+        Condition.broadcast c;
+        await b_armed
+    | 2, Some `B ->
+        b_armed := true;
+        Condition.broadcast c;
+        await a_done
+    | _ -> ());
+    Mutex.unlock m;
+    Relal.Governor.real_clock ()
+  in
+  let run role max_rows =
+    Mutex.lock m;
+    Hashtbl.replace roles (Thread.id (Thread.self ())) role;
+    Mutex.unlock m;
+    let gov =
+      Relal.Governor.start
+        { Relal.Governor.deadline_ms = Some 60_000.; max_rows;
+          max_expansions = None }
+    in
+    let outcome =
+      match Relal.Engine.run_sql ~gov db sql with
+      | r -> Ok (List.length r.Relal.Exec.rows)
+      | exception Relal.Governor.Exhausted p -> Error p.Relal.Governor.exhausted
+    in
+    (outcome, (Relal.Governor.progress gov).Relal.Governor.rows_produced)
+  in
+  Relal.Governor.set_clock clock;
+  Fun.protect ~finally:(fun () ->
+      Relal.Governor.set_clock Relal.Governor.real_clock)
+  @@ fun () ->
+  let a_result = ref None and b_result = ref None in
+  let a =
+    Thread.create
+      (fun () ->
+        Fun.protect ~finally:(fun () -> raise_flag a_done) (fun () ->
+            a_result := Some (run `A None)))
+      ()
+  in
+  Mutex.lock m;
+  while not (!a_parked || !a_done) do
+    Condition.wait c m
+  done;
+  Mutex.unlock m;
+  let b = Thread.create (fun () -> b_result := Some (run `B (Some 10))) () in
+  Thread.join a;
+  Thread.join b;
+  Alcotest.(check bool) "A parked after arming" true !a_parked;
+  (match !a_result with
+  | Some (outcome, charged) ->
+      Alcotest.(check (result int string)) "A completes" (Ok expected) outcome;
+      Alcotest.(check bool) "A's governor is charged A's rows" true
+        (charged >= expected)
+  | None -> Alcotest.fail "A did not finish");
+  match !b_result with
+  | Some (outcome, charged) ->
+      Alcotest.(check (result int string))
+        "B stops at its own row cap" (Error "rows") outcome;
+      Alcotest.(check bool) "B's governor is charged B's rows" true
+        (charged > 10)
+  | None -> Alcotest.fail "B did not finish"
 
 (* ------------------ sharded store: threaded hammer -------------------- *)
 
@@ -147,6 +242,8 @@ let () =
         [
           Alcotest.test_case "no double count across domains" `Quick
             test_governor_no_double_count;
+          Alcotest.test_case "concurrent runs keep their own governor" `Quick
+            test_governor_per_run;
         ] );
       ( "sharded-store",
         [ Alcotest.test_case "threaded hammer" `Quick test_sharded_hammer ] );

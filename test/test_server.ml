@@ -153,7 +153,7 @@ let health_of socket =
 
 (* A six-way cross product with no join predicate: the executor grinds
    cartesian batches until the governor's deadline trips, so the request
-   holds a worker slot for roughly its deadline (a second or two naturally
+   holds a request slot for roughly its deadline (a second or two naturally
    at 12–15 movies — large enough to sequence other requests against,
    small enough that its biggest selection vector stays tens of MB).
    The tests that use it disable the server's row cap so the deadline is
@@ -163,7 +163,7 @@ let slow_sql =
    movie f"
 
 (* Sequencing against observable server state instead of sleeps: the
-   control-plane HEALTH command answers even while every worker is
+   control-plane HEALTH command answers even while every slot is
    wedged, so tests wait for the queue/in-flight shape they need next
    (>=, so a heavily loaded test host can only overshoot, not miss). *)
 let wait_for_stat socket name value =
@@ -192,8 +192,8 @@ let test_shed_and_expiry () =
         max_expansions = None;
       })
     (fun _t socket ->
-      (* A holds the single worker slot until its 800 ms deadline trips.
-         It runs on its connection's thread, so the one worker idles. *)
+      (* A holds the single slot, on its connection's thread, until its
+         800 ms deadline trips. *)
       let result_a = ref (Error "unset") in
       let ta =
         Thread.create
@@ -204,9 +204,9 @@ let test_shed_and_expiry () =
           ()
       in
       wait_for_stat socket "in_flight" 1;
-      (* B fills the only queue slot: the idle worker must leave it
-         there while A holds the slot, and B's 10 ms deadline will have
-         expired long before the slot frees up. *)
+      (* B fills the only queue place and waits there while A holds the
+         slot; B's 10 ms deadline will have expired long before A hands
+         the slot over. *)
       let result_b = ref (Error "unset") in
       let tb =
         Thread.create
@@ -253,6 +253,44 @@ let test_shed_and_expiry () =
       let stats = health_of socket in
       Alcotest.(check int) "one queue-full shed" 1 (stat "shed_queue_full" stats);
       Alcotest.(check int) "one expiry shed" 1 (stat "shed_expired" stats))
+
+(* The slot cap holds through a drain.  A holds the single slot for up
+   to its 800 ms deadline and B waits in the queue; once the drain
+   begins, B must still wait for A's slot, so HEALTH never reads two
+   requests in flight.  (B's shorter deadline usually sheds it when it
+   gets the slot, which keeps the test short.) *)
+let test_slot_cap_through_drain () =
+  with_server ~movies:15
+    (fun cfg ->
+      {
+        cfg with
+        Server.workers = 1;
+        queue_capacity = 1;
+        max_rows = None;
+        max_expansions = None;
+      })
+    (fun t socket ->
+      let send deadline_ms =
+        Thread.create
+          (fun () ->
+            let c = Client.connect socket in
+            ignore (Client.request ~deadline_ms c ("RUN " ^ slow_sql));
+            Client.close c)
+          ()
+      in
+      let ta = send 800. in
+      wait_for_stat socket "in_flight" 1;
+      let tb = send 500. in
+      wait_for_stat socket "queue_depth" 1;
+      Server.request_stop t;
+      let peak = ref 0 in
+      let until = Unix.gettimeofday () +. 0.4 in
+      while Unix.gettimeofday () < until do
+        peak := max !peak (stat "in_flight" (health_of socket))
+      done;
+      Thread.join ta;
+      Thread.join tb;
+      Alcotest.(check int) "at most one request in flight" 1 !peak)
 
 let test_budget_capped_by_server () =
   with_server ~movies:120
@@ -556,8 +594,8 @@ let test_hammer () =
             | 1 -> Printf.sprintf "PERSONALIZE user%d %s" tid sql
             | _ -> "RUN " ^ sql
           in
-          (* A zero deadline is expired by the time a worker pops it:
-             deterministic shedding mixed into the stream. *)
+          (* A zero deadline is expired by the time the request holds a
+             slot: deterministic shedding mixed into the stream. *)
           let deadline_ms = if i mod 7 = 0 then Some 0. else None in
           match Client.request ?deadline_ms c cmd with
           | Ok (Protocol.Rows _) | Ok (Protocol.Message _) ->
@@ -751,6 +789,8 @@ let () =
         [
           Alcotest.test_case "queue-full + expiry shedding" `Quick
             test_shed_and_expiry;
+          Alcotest.test_case "slot cap holds through a drain" `Quick
+            test_slot_cap_through_drain;
           Alcotest.test_case "client budgets capped by server" `Quick
             test_budget_capped_by_server;
         ] );

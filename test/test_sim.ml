@@ -65,7 +65,9 @@ let test_sched_virtual_time () =
 (* --------------------------- scenarios ----------------------------- *)
 
 (* Seed 22 leaves fault injection armed past stop into the durable
-   audit, whose cold reopen fails over a corrupted replica. *)
+   audit, whose cold reopen fails over a corrupted replica.  Seed 396
+   drains with requests queued behind both slots, where the slot-cap
+   probe ([in_flight <= workers]) once failed. *)
 let test_scenario_seeds_pass () =
   List.iter
     (fun seed ->
@@ -75,7 +77,7 @@ let test_scenario_seeds_pass () =
       | Error f ->
           Alcotest.failf "seed %d: %s: %s (replay: perso_cli sim --seed %d)"
             seed f.Scenario.invariant f.Scenario.detail seed)
-    (22 :: List.init 8 (fun i -> 42 + i))
+    ((22 :: List.init 8 (fun i -> 42 + i)) @ [ 396 ])
 
 let test_scenario_bit_reproducible () =
   List.iter

@@ -348,35 +348,6 @@ let test_empty_manifest_malformed () =
   | Error e -> Alcotest.failf "expected Malformed: %s" (Store.error_to_string e)
   | Ok _ -> Alcotest.fail "empty manifest accepted"
 
-(* ------------------------------ backend ----------------------------- *)
-
-let test_backend_parity () =
-  let dir = fresh_dir () in
-  let mem = Backend.memory () in
-  let dsk = Backend.disk ~config:small_config dir in
-  let ops b =
-    b.Backend.save ~user:"u1" ~revision:1 [ e "a" 0.9 ];
-    b.Backend.save ~user:"u2" ~revision:1 [ e "b" 0.8 ];
-    b.Backend.save ~user:"u1" ~revision:2 [ e "c" 0.7 ];
-    b.Backend.delete ~user:"u2" ~revision:2
-  in
-  ops mem;
-  ops dsk;
-  List.iter
-    (fun (b, name) ->
-      Alcotest.(check (option entries_t))
-        (name ^ " u1") (Some [ e "c" 0.7 ])
-        (b.Backend.load ~user:"u1");
-      Alcotest.(check (option entries_t)) (name ^ " u2") None
-        (b.Backend.load ~user:"u2");
-      Alcotest.(check (list (pair string int)))
-        (name ^ " revisions")
-        [ ("u1", 2); ("u2", 2) ]
-        (b.Backend.revisions ()))
-    [ (mem, "memory"); (dsk, "disk") ];
-  dsk.Backend.close ();
-  mem.Backend.close ()
-
 let () =
   Alcotest.run "store"
     [
@@ -412,6 +383,4 @@ let () =
           Alcotest.test_case "empty manifest" `Quick
             test_empty_manifest_malformed;
         ] );
-      ( "backend",
-        [ Alcotest.test_case "memory/disk parity" `Quick test_backend_parity ] );
     ]
