@@ -40,6 +40,40 @@ let equal a b =
   | Join j1, Join j2 -> j1 = j2
   | _ -> false
 
+(* [String.compare (Value.to_string (Str a)) (Value.to_string (Str b))]
+   without printing: walk both printed literals byte by byte as they
+   would be written (each quote doubled, then the closing quote; the
+   shared opening quote is skipped).  [da]/[db]: the doubled half of a
+   quote is due next.  A stream past its end reads as -1, below every
+   byte, so a prefix sorts first as in [String.compare]. *)
+let compare_str_literals a b =
+  let la = String.length a and lb = String.length b in
+  let quote = Char.code '\'' in
+  let byte s l i d =
+    if d || i = l then quote
+    else if i < l then Char.code (String.unsafe_get s i)
+    else -1
+  in
+  let rec go i da j db =
+    let ca = byte a la i da and cb = byte b lb j db in
+    if ca <> cb then Int.compare ca cb
+    else if ca < 0 then 0
+    else
+      go
+        (if da then i else i + 1)
+        ((not da) && i < la && ca = quote)
+        (if db then j else j + 1)
+        ((not db) && j < lb && cb = quote)
+  in
+  go 0 false 0 false
+
+(* Selection values order by their printed form, so a profile's entry
+   order (and everything printed from it) is the text's order. *)
+let compare_values v1 v2 =
+  match (v1, v2) with
+  | Value.Str a, Value.Str b -> compare_str_literals a b
+  | _ -> String.compare (Value.to_string v1) (Value.to_string v2)
+
 let compare a b =
   match (a, b) with
   | Sel _, Join _ -> -1
@@ -53,7 +87,7 @@ let compare a b =
         else
           let c = Stdlib.compare s1.s_op s2.s_op in
           if c <> 0 then c
-          else String.compare (Value.to_string s1.s_val) (Value.to_string s2.s_val)
+          else compare_values s1.s_val s2.s_val
   | Join j1, Join j2 -> Stdlib.compare j1 j2
 
 let cmp_str = function

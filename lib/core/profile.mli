@@ -55,6 +55,10 @@ val validate : Relal.Database.t -> t -> (unit, string list) result
 
 val to_string : t -> string
 
+val parse_line : string -> ((Atom.t * Degree.t) option, string) result
+(** One line of the text format: [None] for a blank or comment line.
+    Never raises. *)
+
 val of_string : string -> (t, string) result
 (** Parse the text format; errors carry the offending line. *)
 

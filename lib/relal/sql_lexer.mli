@@ -26,10 +26,9 @@ type token =
 exception Lex_error of string * int
 (** Message and byte offset. *)
 
-val keywords : string list
-(** The reserved words recognised as [KW]. *)
-
 val tokenize : string -> token list
-(** @raise Lex_error on an illegal character or unterminated string. *)
+(** @raise Lex_error on an illegal character, an unterminated string, or
+    a numeric literal out of range (an integer past [max_int], a float
+    that overflows to infinity). *)
 
 val pp_token : Format.formatter -> token -> unit

@@ -15,8 +15,33 @@ let fail st msg =
     (Parse_error
        (Format.asprintf "%s (at %a)" msg Sql_lexer.pp_token (peek st)))
 
-let expect st tok what =
-  if peek st = tok then advance st else fail st ("expected " ^ what)
+(* Punctuation is matched by constructor, never with the polymorphic
+   [=] on tokens. *)
+let accept_comma st =
+  match peek st with
+  | Sql_lexer.COMMA ->
+      advance st;
+      true
+  | _ -> false
+
+let expect_comma st = if not (accept_comma st) then fail st "expected ','"
+
+let expect_lparen st =
+  match peek st with
+  | Sql_lexer.LPAREN -> advance st
+  | _ -> fail st "expected '('"
+
+let expect_rparen st =
+  match peek st with
+  | Sql_lexer.RPAREN -> advance st
+  | _ -> fail st "expected ')'"
+
+let accept_star st =
+  match peek st with
+  | Sql_lexer.STAR ->
+      advance st;
+      true
+  | _ -> false
 
 let expect_kw st kw =
   match peek st with
@@ -37,17 +62,19 @@ let ident st what =
       s
   | _ -> fail st ("expected " ^ what)
 
-let agg_names = [ "count"; "sum"; "min"; "max"; "avg"; "degree_of_conjunction" ]
+let is_agg_name = function
+  | "count" | "sum" | "min" | "max" | "avg" | "degree_of_conjunction" -> true
+  | _ -> false
 
 (* attr or bare column: IDENT [DOT IDENT] *)
 let parse_attr st =
   let a = ident st "attribute" in
-  if peek st = Sql_lexer.DOT then begin
-    advance st;
-    let b = ident st "column name after '.'" in
-    attr a b
-  end
-  else attr "" a
+  match peek st with
+  | Sql_lexer.DOT ->
+      advance st;
+      let b = ident st "column name after '.'" in
+      attr a b
+  | _ -> attr "" a
 
 let parse_literal st =
   match peek st with
@@ -80,20 +107,15 @@ let is_literal_start st =
 
 let is_agg_start st =
   match (peek st, peek2 st) with
-  | Sql_lexer.IDENT f, Sql_lexer.LPAREN -> List.mem f agg_names
+  | Sql_lexer.IDENT f, Sql_lexer.LPAREN -> is_agg_name f
   | _ -> false
 
 let parse_agg st =
   let f = ident st "aggregate function" in
-  expect st Sql_lexer.LPAREN "'('";
+  expect_lparen st;
   let result =
     match f with
-    | "count" ->
-        if peek st = Sql_lexer.STAR then begin
-          advance st;
-          A_count_star
-        end
-        else A_count (parse_attr st)
+    | "count" -> if accept_star st then A_count_star else A_count (parse_attr st)
     | "sum" -> A_sum (parse_attr st)
     | "min" -> A_min (parse_attr st)
     | "max" -> A_max (parse_attr st)
@@ -101,19 +123,16 @@ let parse_agg st =
     | "degree_of_conjunction" ->
         (* Accept the paper's shorthand DEGREE_OF_CONJUNCTION( star ) as well
            as the explicit two-column form. *)
-        if peek st = Sql_lexer.STAR then begin
-          advance st;
-          A_doi_conj (attr "" "doi", attr "" "pref")
-        end
+        if accept_star st then A_doi_conj (attr "" "doi", attr "" "pref")
         else begin
           let a = parse_attr st in
-          expect st Sql_lexer.COMMA "','";
+          expect_comma st;
           let b = parse_attr st in
           A_doi_conj (a, b)
         end
     | _ -> fail st ("unknown aggregate " ^ f)
   in
-  expect st Sql_lexer.RPAREN "')'";
+  expect_rparen st;
   result
 
 let parse_scalar st =
@@ -158,7 +177,7 @@ and parse_pred_atom st =
   | Sql_lexer.LPAREN ->
       advance st;
       let p = parse_pred_or st in
-      expect st Sql_lexer.RPAREN "')'";
+      expect_rparen st;
       p
   | Sql_lexer.KW "true" ->
       advance st;
@@ -195,7 +214,7 @@ and parse_having_atom st =
   | Sql_lexer.LPAREN when not (is_agg_start st) ->
       advance st;
       let h = parse_having_or st in
-      expect st Sql_lexer.RPAREN "')'";
+      expect_rparen st;
       h
   | _ ->
       let lhs = parse_hscalar st in
@@ -242,10 +261,7 @@ let rec parse_query st =
   let select =
     let rec items acc idx =
       let item = parse_select_item st idx in
-      if peek st = Sql_lexer.COMMA then begin
-        advance st;
-        items (item :: acc) (idx + 1)
-      end
+      if accept_comma st then items (item :: acc) (idx + 1)
       else List.rev (item :: acc)
     in
     items [] 0
@@ -254,11 +270,7 @@ let rec parse_query st =
   let from =
     let rec items acc =
       let item = parse_from_item st in
-      if peek st = Sql_lexer.COMMA then begin
-        advance st;
-        items (item :: acc)
-      end
-      else List.rev (item :: acc)
+      if accept_comma st then items (item :: acc) else List.rev (item :: acc)
     in
     items []
   in
@@ -268,11 +280,7 @@ let rec parse_query st =
       expect_kw st "by";
       let rec keys acc =
         let a = parse_attr st in
-        if peek st = Sql_lexer.COMMA then begin
-          advance st;
-          keys (a :: acc)
-        end
-        else List.rev (a :: acc)
+        if accept_comma st then keys (a :: acc) else List.rev (a :: acc)
       in
       keys []
     end
@@ -299,10 +307,7 @@ let rec parse_query st =
       let rec keys acc =
         let k = key st in
         let d = dir st in
-        if peek st = Sql_lexer.COMMA then begin
-          advance st;
-          keys ((k, d) :: acc)
-        end
+        if accept_comma st then keys ((k, d) :: acc)
         else List.rev ((k, d) :: acc)
       in
       keys []
@@ -326,7 +331,7 @@ and parse_from_item st =
   | Sql_lexer.LPAREN ->
       advance st;
       let c = parse_compound st in
-      expect st Sql_lexer.RPAREN "')'";
+      expect_rparen st;
       let alias =
         match parse_opt_alias st with
         | Some a -> a
@@ -344,7 +349,7 @@ and parse_compound st =
     | Sql_lexer.LPAREN ->
         advance st;
         let c = parse_compound st in
-        expect st Sql_lexer.RPAREN "')'";
+        expect_rparen st;
         c
     | _ -> C_single (parse_query st)
   in

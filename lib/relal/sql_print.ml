@@ -1,7 +1,37 @@
 open Sql_ast
 
-let attr_to_string (a : attr) =
-  if a.tv = "" then a.col else a.tv ^ "." ^ a.col
+(* Every printer writes into one buffer threaded through the whole
+   statement; the [*_to_string] entry points wrap them. *)
+
+let add = Buffer.add_string
+
+let render size print x =
+  let b = Buffer.create size in
+  print b x;
+  Buffer.contents b
+
+let rec add_list b sep print = function
+  | [] -> ()
+  | [ x ] -> print b x
+  | x :: rest ->
+      print b x;
+      add b sep;
+      add_list b sep print rest
+
+let parenthesized b on body =
+  if on then begin
+    Buffer.add_char b '(';
+    body ();
+    Buffer.add_char b ')'
+  end
+  else body ()
+
+let add_attr b (a : attr) =
+  if a.tv <> "" then begin
+    add b a.tv;
+    Buffer.add_char b '.'
+  end;
+  add b a.col
 
 let cmp_to_string = function
   | Eq -> "="
@@ -11,116 +41,170 @@ let cmp_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
-let scalar_to_string = function
-  | S_attr a -> attr_to_string a
-  | S_const v -> Value.to_string v
+let add_cmp b print op x y =
+  print b x;
+  Buffer.add_char b ' ';
+  add b (cmp_to_string op);
+  Buffer.add_char b ' ';
+  print b y
+
+let add_scalar b = function
+  | S_attr a -> add_attr b a
+  | S_const v -> Value.add_to_buffer b v
 
 (* Precedence: OR(1) < AND(2) < NOT/atom(3).  Parenthesize a child that
    binds looser than its context; children of AND/OR are printed at one
    level above the operator's own so that a directly nested same-operator
    node keeps its parentheses and the parse→print→parse trip is exact
    (the parser would otherwise flatten it). *)
-let rec pred_prec ctx p =
+let rec add_pred b ctx p =
   match p with
-  | P_true -> "TRUE"
-  | P_false -> "FALSE"
-  | P_cmp (op, a, b) ->
-      scalar_to_string a ^ " " ^ cmp_to_string op ^ " " ^ scalar_to_string b
-  | P_not p -> "NOT " ^ pred_prec 3 p
+  | P_true -> add b "TRUE"
+  | P_false -> add b "FALSE"
+  | P_cmp (op, x, y) -> add_cmp b add_scalar op x y
+  | P_not p ->
+      add b "NOT ";
+      add_pred b 3 p
   | P_and ps ->
-      let s = String.concat " and " (List.map (pred_prec 3) ps) in
-      if ctx > 2 then "(" ^ s ^ ")" else s
+      parenthesized b (ctx > 2) (fun () ->
+          add_list b " and " (fun b -> add_pred b 3) ps)
   | P_or ps ->
-      let s = String.concat " or " (List.map (pred_prec 2) ps) in
-      if ctx > 1 then "(" ^ s ^ ")" else s
+      parenthesized b (ctx > 1) (fun () ->
+          add_list b " or " (fun b -> add_pred b 2) ps)
 
-let pred_to_string p = pred_prec 0 p
+let add_call b f a =
+  add b f;
+  Buffer.add_char b '(';
+  add_attr b a;
+  Buffer.add_char b ')'
 
-let agg_to_string = function
-  | A_count_star -> "count(*)"
-  | A_count a -> "count(" ^ attr_to_string a ^ ")"
-  | A_sum a -> "sum(" ^ attr_to_string a ^ ")"
-  | A_min a -> "min(" ^ attr_to_string a ^ ")"
-  | A_max a -> "max(" ^ attr_to_string a ^ ")"
-  | A_avg a -> "avg(" ^ attr_to_string a ^ ")"
-  | A_doi_conj (a, b) ->
-      "degree_of_conjunction(" ^ attr_to_string a ^ ", " ^ attr_to_string b ^ ")"
+let add_agg b = function
+  | A_count_star -> add b "count(*)"
+  | A_count a -> add_call b "count" a
+  | A_sum a -> add_call b "sum" a
+  | A_min a -> add_call b "min" a
+  | A_max a -> add_call b "max" a
+  | A_avg a -> add_call b "avg" a
+  | A_doi_conj (x, y) ->
+      add b "degree_of_conjunction(";
+      add_attr b x;
+      add b ", ";
+      add_attr b y;
+      Buffer.add_char b ')'
 
-let hscalar_to_string = function
-  | H_agg a -> agg_to_string a
-  | H_const v -> Value.to_string v
+let add_hscalar b = function
+  | H_agg a -> add_agg b a
+  | H_const v -> Value.add_to_buffer b v
 
-let rec having_prec ctx h =
+let rec add_having b ctx h =
   match h with
-  | H_cmp (op, a, b) ->
-      hscalar_to_string a ^ " " ^ cmp_to_string op ^ " " ^ hscalar_to_string b
+  | H_cmp (op, x, y) -> add_cmp b add_hscalar op x y
   | H_and hs ->
-      let s = String.concat " and " (List.map (having_prec 3) hs) in
-      if ctx > 2 then "(" ^ s ^ ")" else s
+      parenthesized b (ctx > 2) (fun () ->
+          add_list b " and " (fun b -> add_having b 3) hs)
   | H_or hs ->
-      let s = String.concat " or " (List.map (having_prec 2) hs) in
-      if ctx > 1 then "(" ^ s ^ ")" else s
+      parenthesized b (ctx > 1) (fun () ->
+          add_list b " or " (fun b -> add_having b 2) hs)
 
-let having_to_string h = having_prec 0 h
+let add_alias b al =
+  add b " as ";
+  add b al
 
-let select_item_to_string = function
-  | Sel_attr (a, None) -> attr_to_string a
-  | Sel_attr (a, Some al) -> attr_to_string a ^ " as " ^ al
-  | Sel_const (v, al) -> Value.to_string v ^ " as " ^ al
-  | Sel_agg (a, al) -> agg_to_string a ^ " as " ^ al
+let add_select_item b = function
+  | Sel_attr (a, None) -> add_attr b a
+  | Sel_attr (a, Some al) ->
+      add_attr b a;
+      add_alias b al
+  | Sel_const (v, al) ->
+      Value.add_to_buffer b v;
+      add_alias b al
+  | Sel_agg (a, al) ->
+      add_agg b a;
+      add_alias b al
 
-let order_key_to_string = function
-  | O_attr a -> attr_to_string a
-  | O_alias s -> s
-  | O_agg a -> agg_to_string a
+let add_order_item b (k, d) =
+  (match k with
+  | O_attr a -> add_attr b a
+  | O_alias s -> add b s
+  | O_agg a -> add_agg b a);
+  add b (match d with Asc -> " asc" | Desc -> " desc")
 
-let rec query_to_string (q : query) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "select ";
-  if q.distinct then Buffer.add_string b "distinct ";
-  Buffer.add_string b
-    (String.concat ", " (List.map select_item_to_string q.select));
-  Buffer.add_string b " from ";
-  Buffer.add_string b (String.concat ", " (List.map from_item_to_string q.from));
+let add_rel b (r : table_ref) =
+  add b r.rel;
+  if r.alias <> r.rel then begin
+    Buffer.add_char b ' ';
+    add b r.alias
+  end
+
+let attr_to_string = render 32 add_attr
+let pred_to_string = render 64 (fun b -> add_pred b 0)
+let agg_to_string = render 32 add_agg
+let having_to_string = render 64 (fun b -> add_having b 0)
+
+(* [sep] opens every clause: " " on one line, newline and indent in the
+   pretty form. *)
+let add_tail b sep (q : query) ~pred =
   (match q.where with
   | P_true -> ()
   | w ->
-      Buffer.add_string b " where ";
-      Buffer.add_string b (pred_to_string w));
+      add b sep;
+      add b "where ";
+      pred b w);
   (match q.group_by with
   | [] -> ()
   | gs ->
-      Buffer.add_string b " group by ";
-      Buffer.add_string b (String.concat ", " (List.map attr_to_string gs)));
+      add b sep;
+      add b "group by ";
+      add_list b ", " add_attr gs);
   (match q.having with
   | None -> ()
   | Some h ->
-      Buffer.add_string b " having ";
-      Buffer.add_string b (having_to_string h));
+      add b sep;
+      add b "having ";
+      add_having b 0 h);
   (match q.order_by with
   | [] -> ()
   | os ->
-      Buffer.add_string b " order by ";
-      Buffer.add_string b
-        (String.concat ", "
-           (List.map
-              (fun (k, d) ->
-                order_key_to_string k ^ match d with Asc -> " asc" | Desc -> " desc")
-              os)));
-  (match q.limit with
+      add b sep;
+      add b "order by ";
+      add_list b ", " add_order_item os);
+  match q.limit with
   | None -> ()
-  | Some n -> Buffer.add_string b (" limit " ^ string_of_int n));
-  Buffer.contents b
+  | Some n ->
+      add b sep;
+      add b "limit ";
+      add b (Int.to_string n)
 
-and from_item_to_string = function
-  | F_rel r -> if r.alias = r.rel then r.rel else r.rel ^ " " ^ r.alias
-  | F_derived (c, alias) -> "(" ^ compound_to_string c ^ ") " ^ alias
+let add_head b (q : query) =
+  add b "select ";
+  if q.distinct then add b "distinct ";
+  add_list b ", " add_select_item q.select
 
-and compound_to_string = function
-  | C_single q -> query_to_string q
+let rec add_query b (q : query) =
+  add_head b q;
+  add b " from ";
+  add_list b ", " add_from_item q.from;
+  add_tail b " " q ~pred:(fun b w -> add_pred b 0 w)
+
+and add_from_item b = function
+  | F_rel r -> add_rel b r
+  | F_derived (c, alias) ->
+      Buffer.add_char b '(';
+      add_compound b c;
+      add b ") ";
+      add b alias
+
+and add_compound b = function
+  | C_single q -> add_query b q
   | C_union_all cs ->
-      String.concat " union all "
-        (List.map (fun c -> "(" ^ compound_to_string c ^ ")") cs)
+      add_list b " union all "
+        (fun b c ->
+          Buffer.add_char b '(';
+          add_compound b c;
+          Buffer.add_char b ')')
+        cs
+
+let query_to_string = render 256 add_query
 
 (* The cache-key contract below is deliberately a separate entry point:
    [query_to_string] is free to evolve for readability, but a key
@@ -133,77 +217,57 @@ let query_to_key q = query_to_string q
 
 let indent n = String.make (2 * n) ' '
 
-let rec pretty_query depth (q : query) =
-  let b = Buffer.create 512 in
+let rec pretty_query b depth (q : query) =
   let pad = indent depth in
-  Buffer.add_string b (pad ^ "select ");
-  if q.distinct then Buffer.add_string b "distinct ";
-  Buffer.add_string b
-    (String.concat ", " (List.map select_item_to_string q.select));
-  Buffer.add_string b ("\n" ^ pad ^ "from ");
-  Buffer.add_string b
-    (String.concat (",\n" ^ pad ^ "     ")
-       (List.map (pretty_from_item depth) q.from));
-  (match q.where with
-  | P_true -> ()
-  | w -> Buffer.add_string b ("\n" ^ pad ^ "where " ^ pretty_pred depth w));
-  (match q.group_by with
-  | [] -> ()
-  | gs ->
-      Buffer.add_string b
-        ("\n" ^ pad ^ "group by "
-        ^ String.concat ", " (List.map attr_to_string gs)));
-  (match q.having with
-  | None -> ()
-  | Some h -> Buffer.add_string b ("\n" ^ pad ^ "having " ^ having_to_string h));
-  (match q.order_by with
-  | [] -> ()
-  | os ->
-      Buffer.add_string b
-        ("\n" ^ pad ^ "order by "
-        ^ String.concat ", "
-            (List.map
-               (fun (k, d) ->
-                 order_key_to_string k
-                 ^ match d with Asc -> " asc" | Desc -> " desc")
-               os)));
-  (match q.limit with
-  | None -> ()
-  | Some n -> Buffer.add_string b ("\n" ^ pad ^ "limit " ^ string_of_int n));
-  Buffer.contents b
+  add b pad;
+  add_head b q;
+  add b "\n";
+  add b pad;
+  add b "from ";
+  add_list b (",\n" ^ pad ^ "     ") (fun b -> pretty_from_item b depth) q.from;
+  add_tail b ("\n" ^ pad) q ~pred:(fun b w -> pretty_pred b depth w)
 
-and pretty_from_item depth = function
-  | F_rel r -> if r.alias = r.rel then r.rel else r.rel ^ " " ^ r.alias
+and pretty_from_item b depth = function
+  | F_rel r -> add_rel b r
   | F_derived (c, alias) ->
-      "(\n" ^ pretty_compound (depth + 1) c ^ "\n" ^ indent depth ^ ") " ^ alias
+      add b "(\n";
+      pretty_compound b (depth + 1) c;
+      add b "\n";
+      add b (indent depth);
+      add b ") ";
+      add b alias
 
-and pretty_compound depth = function
-  | C_single q -> pretty_query depth q
+and pretty_compound b depth = function
+  | C_single q -> pretty_query b depth q
   | C_union_all cs ->
-      String.concat ("\n" ^ indent depth ^ "union all\n")
-        (List.map
-           (fun c ->
-             indent depth ^ "(\n"
-             ^ pretty_compound (depth + 1) c
-             ^ "\n" ^ indent depth ^ ")")
-           cs)
+      let pad = indent depth in
+      add_list b ("\n" ^ pad ^ "union all\n")
+        (fun b c ->
+          add b pad;
+          add b "(\n";
+          pretty_compound b (depth + 1) c;
+          add b "\n";
+          add b pad;
+          Buffer.add_char b ')')
+        cs
 
-and pretty_pred depth p =
+and pretty_pred b depth p =
   (* Disjunctions of conjunctions (the SQ shape) read better one disjunct
      per line. *)
   match p with
   | P_and ps when List.exists (function P_or _ -> true | _ -> false) ps ->
-      String.concat (" and\n" ^ indent depth ^ "      ")
-        (List.map
-           (function P_or _ as p -> pretty_pred depth p | p -> pred_prec 3 p)
-           ps)
-  | P_and ps -> String.concat " and " (List.map (pred_prec 3) ps)
+      add_list b
+        (" and\n" ^ indent depth ^ "      ")
+        (fun b -> function
+          | P_or _ as p -> pretty_pred b depth p | p -> add_pred b 3 p)
+        ps
+  | P_and ps -> add_list b " and " (fun b -> add_pred b 3) ps
   | P_or ps when List.length ps > 1 ->
-      "(" ^ String.concat ("\n" ^ indent depth ^ "   or ")
-              (List.map (pred_prec 2) ps)
-      ^ ")"
-  | p -> pred_to_string p
+      Buffer.add_char b '(';
+      add_list b ("\n" ^ indent depth ^ "   or ") (fun b -> add_pred b 2) ps;
+      Buffer.add_char b ')'
+  | p -> add_pred b 0 p
 
-let query_to_pretty q = pretty_query 0 q
+let query_to_pretty = render 512 (fun b -> pretty_query b 0)
 
 let pp_query fmt q = Format.pp_print_string fmt (query_to_pretty q)

@@ -18,9 +18,12 @@ val query_to_key : Sql_ast.query -> string
     cache's query-template component.  Apply it to a {e bound} AST so
     surface variation (whitespace, keyword case, implicit aliases)
     normalizes away and equal templates map to equal keys.  Currently
-    identical to {!query_to_string}, but kept as a distinct entry point:
-    key stability across releases is an explicit contract here, while
-    [query_to_string] may evolve for readability. *)
+    identical to {!query_to_string}, but kept as a distinct entry point.
+
+    Contract: the key of a given AST is byte-for-byte stable across
+    releases.  A change to these bytes splits cache populations, so it
+    must be a deliberate edit of the digest pinned in
+    [test/test_golden.ml]; [query_to_string] may evolve for readability. *)
 
 val query_to_pretty : Sql_ast.query -> string
 (** Multi-line, indented rendering for human consumption (examples, CLI,

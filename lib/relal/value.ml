@@ -103,26 +103,39 @@ let parse_date s =
           | _ -> None)
       | _ -> None)
 
-let to_string = function
-  | Null -> "NULL"
-  | Int i -> string_of_int i
+(* The primitive [Printf.sprintf "%.12g"] ends in, without the format
+   interpretation around it: the bytes are the same. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_to_buffer b = function
+  | Null -> Buffer.add_string b "NULL"
+  | Int i -> Buffer.add_string b (Int.to_string i)
   | Float f ->
       (* Keep a trailing ".0" so the value re-parses as a float. *)
-      let s = Printf.sprintf "%.12g" f in
-      if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
-      then s
-      else s ^ ".0"
+      let s = format_float "%.12g" f in
+      Buffer.add_string b s;
+      if not (String.contains s '.' || String.contains s 'e' || String.contains s 'n')
+      then Buffer.add_string b ".0"
   | Str s ->
-      let buf = Buffer.create (String.length s + 2) in
-      Buffer.add_char buf '\'';
-      String.iter
-        (fun c ->
-          if c = '\'' then Buffer.add_string buf "''" else Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '\'';
-      Buffer.contents buf
-  | Bool b -> if b then "TRUE" else "FALSE"
+      Buffer.add_char b '\'';
+      let n = String.length s in
+      let rec go start =
+        match String.index_from_opt s start '\'' with
+        | None -> Buffer.add_substring b s start (n - start)
+        | Some i ->
+            Buffer.add_substring b s start (i + 1 - start);
+            Buffer.add_char b '\'';
+            go (i + 1)
+      in
+      go 0;
+      Buffer.add_char b '\''
+  | Bool v -> Buffer.add_string b (if v then "TRUE" else "FALSE")
   | Date d ->
-      Printf.sprintf "'%04d-%02d-%02d'" (d / 10000) (d / 100 mod 100) (d mod 100)
+      Printf.bprintf b "'%04d-%02d-%02d'" (d / 10000) (d / 100 mod 100) (d mod 100)
+
+let to_string v =
+  let b = Buffer.create 16 in
+  add_to_buffer b v;
+  Buffer.contents b
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)

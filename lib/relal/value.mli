@@ -46,7 +46,12 @@ val parse_date : string -> t option
 (** Accepts ["YYYY-MM-DD"] and the paper's ["D/M/YYYY"] format. *)
 
 val to_string : t -> string
-(** SQL literal syntax: strings and dates quoted, others bare. *)
+(** SQL literal syntax: strings and dates quoted (a quote inside a string
+    doubled), others bare; a float prints as [Printf "%.12g"] with ".0"
+    appended when that reads as an integer. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** [to_string] written into a buffer. *)
 
 val pp : Format.formatter -> t -> unit
 (** Formatter version of {!to_string}. *)

@@ -108,9 +108,13 @@ let bprint_rows b ~notes (res : Relal.Exec.result) =
     (String.concat "\t" (Array.to_list res.Relal.Exec.cols));
   List.iter
     (fun row ->
-      Printf.bprintf b "ROW %s\n"
-        (String.concat "\t"
-           (Array.to_list (Array.map Relal.Value.to_string row))))
+      Buffer.add_string b "ROW ";
+      Array.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b '\t';
+          Relal.Value.add_to_buffer b v)
+        row;
+      Buffer.add_char b '\n')
     res.Relal.Exec.rows;
   Buffer.add_string b "END\n"
 

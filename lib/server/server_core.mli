@@ -87,6 +87,10 @@ val mutate_drop_completed_ok : bool ref
     invariant audits catch ledger bugs (mutation testing).  Never set
     in production. *)
 
+val profile_entry_lines : string -> string list
+(** Split a PROFILE SAVE's entries ("[ a, 0.9 ] [ b, 1 ]") into the
+    per-entry lines {!Perso.Profile.of_string} reads. *)
+
 val max_profile_entries : int
 (** The most entries one PROFILE SAVE may carry (4,096).  A larger save is
     refused with a typed [Error.Profile] before it touches the breaker or

@@ -247,6 +247,106 @@ let fuzz_budget_headers =
        QCheck.Gen.(list_size (int_range 1 4) header_line_gen))
     header_total
 
+(* Profile text and wire replies: [Profile.of_string], [Profile.parse_line]
+   over the PROFILE SAVE splitter, and the client's [read_response] each
+   return a value or their typed error on any bytes, and never raise. *)
+
+let profile_total text =
+  match Perso.Profile.of_string text with
+  | Ok _ | Error _ -> true
+  | exception _ -> false
+
+let entry_lines_total wire =
+  match
+    List.for_all
+      (fun line ->
+        match Perso.Profile.parse_line line with Ok _ | Error _ -> true)
+      (Server_core.profile_entry_lines wire)
+  with
+  | ok -> ok
+  | exception _ -> false
+
+let profile_fragment =
+  QCheck.Gen.oneofl
+    [
+      "["; "]"; "[ "; " ]"; ","; ", "; "\n"; "#"; " "; "GENRE.genre"; "MOVIE.mid";
+      "PLAY.mid"; "genre"; "."; "="; "<>"; "<="; "'comedy'"; "'"; "''"; "'it''s'";
+      "0.9"; "1"; "0"; "-0.5"; "1.5"; "nan"; "inf"; "1e400"; "1e-400"; "2003-07-02";
+      "true"; "null"; "and"; "("; ")"; "\x00"; "\xff"; "\t"; "\r";
+    ]
+
+(* Mostly near-valid: well-formed entries with a few fragments spliced in. *)
+let gen_profile_text =
+  let open QCheck.Gen in
+  let entry =
+    oneofl
+      [
+        "[ GENRE.genre = 'comedy', 0.9 ]"; "[ MOVIE.mid = GENRE.mid, 1 ]";
+        "[ MOVIE.year < 2000, 0.5 ]"; "[ ACTOR.name = 'O''Hara', 0.8 ]";
+      ]
+  in
+  frequency
+    [
+      (3, map (String.concat "") (list_size (0 -- 16) (oneof [ entry; profile_fragment ])));
+      (1, string_size ~gen:char (0 -- 80));
+    ]
+
+let fuzz_profile_text =
+  QCheck.Test.make ~count:2000 ~name:"Profile.of_string total on near-valid text"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(map2 (fun a b -> a ^ "\n" ^ b) gen_profile_text gen_profile_text))
+    profile_total
+
+let fuzz_profile_random_bytes =
+  QCheck.Test.make ~count:2000 ~name:"Profile.of_string total on random bytes"
+    QCheck.(string_gen Gen.char)
+    profile_total
+
+let fuzz_profile_wire =
+  QCheck.Test.make ~count:2000
+    ~name:"Profile.parse_line total over PROFILE SAVE splits"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(map (String.concat " ") (list_size (0 -- 6) gen_profile_text)))
+    entry_lines_total
+
+(* [read_response] reads from a pipe holding exactly [bytes], then EOF. *)
+let response_total bytes =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let n = Unix.write_substring wr bytes 0 (String.length bytes) in
+  Unix.close wr;
+  let ic = Unix.in_channel_of_descr rd in
+  let ok =
+    n = String.length bytes
+    &&
+    match Protocol.read_response ic with
+    | Ok _ | Error _ -> true
+    | exception _ -> false
+  in
+  close_in ic;
+  ok
+
+let gen_response =
+  let open QCheck.Gen in
+  let line =
+    oneofl
+      [
+        "OK rows=2"; "OK health"; "OK pong"; "OK "; "OK"; "ERR parse 1 bad"; "ERR x y z";
+        "ERR storage 99999999999999999999 m"; "ERR "; "ERR  1 "; "NOTE a note";
+        "NOTE "; "COLS a\tb"; "COLS "; "ROW 1\t'x'"; "ROW "; "ROW \t\t";
+        "STAT pers_ok 3"; "STAT "; "STAT x"; "END"; "end"; ""; "\r"; "\x00"; "\xff";
+      ]
+  in
+  frequency
+    [
+      (4, map (String.concat "\n") (list_size (0 -- 10) line));
+      (1, string_size ~gen:char (0 -- 200));
+    ]
+
+let fuzz_read_response =
+  QCheck.Test.make ~count:2000 ~name:"read_response total on arbitrary replies"
+    (QCheck.make ~print:String.escaped gen_response)
+    response_total
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -263,5 +363,10 @@ let () =
           QCheck_alcotest.to_alcotest fuzz_ddl_random_bytes;
           QCheck_alcotest.to_alcotest fuzz_ddl_edits;
         ] );
-      ("protocol", [ QCheck_alcotest.to_alcotest fuzz_budget_headers ]);
+      ( "profile text",
+        List.map QCheck_alcotest.to_alcotest
+          [ fuzz_profile_text; fuzz_profile_random_bytes; fuzz_profile_wire ] );
+      ( "protocol",
+        List.map QCheck_alcotest.to_alcotest
+          [ fuzz_budget_headers; fuzz_read_response ] );
     ]

@@ -57,6 +57,104 @@ let test_atom_of_pred () =
   Alcotest.(check bool) "non-atomic rejected" true
     (Result.is_error (Atom.of_pred (Sql_parser.parse_pred "a.x = 1 and a.y = 2")))
 
+(* [Atom.compare] orders selection values without printing string
+   literals; the reference is the definition it replaced, which compared
+   the printed values. *)
+let ref_compare a b =
+  match (a, b) with
+  | Atom.Sel _, Atom.Join _ -> -1
+  | Join _, Sel _ -> 1
+  | Sel s1, Sel s2 ->
+      let c = String.compare s1.s_rel s2.s_rel in
+      if c <> 0 then c
+      else
+        let c = String.compare s1.s_att s2.s_att in
+        if c <> 0 then c
+        else
+          let c = Stdlib.compare s1.s_op s2.s_op in
+          if c <> 0 then c
+          else String.compare (Value.to_string s1.s_val) (Value.to_string s2.s_val)
+  | Join j1, Join j2 -> Stdlib.compare j1 j2
+
+let gen_atom =
+  let open QCheck.Gen in
+  (* Short strings over a tiny alphabet with quotes: shared prefixes,
+     empty strings, and a quote against every neighbour of its byte. *)
+  let str =
+    string_size ~gen:(oneofl [ 'a'; 'b'; '\''; '&'; '('; ' '; '\xff' ]) (int_range 0 4)
+  in
+  let value =
+    frequency
+      [
+        (5, map (fun s -> Value.Str s) str);
+        (2, map (fun i -> Value.Int i) (int_range (-120) 120));
+        (1, map (fun i -> Value.Int i) int);
+        (1, map (fun f -> Value.Float f) (oneofl [ 0.5; -2.; 1e20; 3. ]));
+        (1, map (fun d -> Value.Date d) (oneofl [ 20030702; 19991231 ]));
+        (1, oneofl [ Value.Null; Value.Bool true; Value.Bool false ]);
+      ]
+  in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun rel op v -> Atom.sel ~op rel "x" v)
+          (oneofl [ "genre"; "movie" ])
+          (oneofl [ Sql_ast.Eq; Sql_ast.Lt ])
+          value );
+      ( 1,
+        map2
+          (fun r1 r2 -> Atom.join (r1, "mid") (r2, "mid"))
+          (oneofl [ "movie"; "genre" ])
+          (oneofl [ "play"; "cast" ]) );
+    ]
+
+let print_atom = Atom.to_string
+
+let prop_atom_compare =
+  QCheck.Test.make ~name:"Atom.compare has the sign of the printed compare"
+    ~count:5000
+    (QCheck.make ~print:QCheck.Print.(pair print_atom print_atom)
+       QCheck.Gen.(pair gen_atom gen_atom))
+    (fun (a, b) -> Int.compare (Atom.compare a b) 0 = Int.compare (ref_compare a b) 0)
+
+(* Entries come out by decreasing degree, then by the reference atom
+   order, on random and on generated profiles. *)
+let in_reference_order entries =
+  let rec ok = function
+    | (a1, d1) :: ((a2, d2) :: _ as rest) ->
+        (match Degree.compare_desc d1 d2 with
+        | 0 -> ref_compare a1 a2 < 0
+        | c -> c < 0)
+        && ok rest
+    | _ -> true
+  in
+  ok entries
+
+let prop_entries_order =
+  QCheck.Test.make ~name:"Profile.entries in the printed-value order" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (0 -- 30)
+           (pair gen_atom (map (fun i -> d (float_of_int i /. 4.)) (int_range 1 4)))))
+    (fun l ->
+      let p = List.fold_left (fun p (a, deg) -> Profile.add p a deg) Profile.empty l in
+      in_reference_order (Profile.entries p))
+
+let test_generated_entries_order () =
+  let db = Moviedb.Datagen.(generate (scale ~seed:3 200)) in
+  List.iter
+    (fun seed ->
+      let p =
+        Moviedb.Profile_gen.generate db
+          { Moviedb.Profile_gen.default with seed; n_selections = 60 }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d" seed)
+        true
+        (in_reference_order (Profile.entries p)))
+    [ 1; 2; 3; 4; 5 ]
+
 (* ----------------------------- Profile ----------------------------- *)
 
 let sample_profile () =
@@ -386,6 +484,7 @@ let () =
           Alcotest.test_case "directionality" `Quick test_atom_equal_directionality;
           Alcotest.test_case "validate" `Quick test_atom_validate;
           Alcotest.test_case "of_pred" `Quick test_atom_of_pred;
+          QCheck_alcotest.to_alcotest prop_atom_compare;
         ] );
       ( "profile",
         [
@@ -397,6 +496,9 @@ let () =
           Alcotest.test_case "figure 2 format" `Quick test_profile_figure2_format;
           Alcotest.test_case "parse errors" `Quick test_profile_parse_errors;
           Alcotest.test_case "validate" `Quick test_profile_validate;
+          QCheck_alcotest.to_alcotest prop_entries_order;
+          Alcotest.test_case "generated entries order" `Quick
+            test_generated_entries_order;
         ] );
       ( "store",
         [
