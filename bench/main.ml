@@ -148,7 +148,8 @@ let fig6 () =
   Printf.printf
     "\n\
      ## Figure 6 — Preference Selection Time (ms) vs profile size\n\
-     ## avg over %d profiles x %d queries; M=0\n" scale.profiles scale.queries;
+     ## avg over %d profiles x %d queries, each the mean of 20 calls; M=0\n"
+    scale.profiles scale.queries;
   Printf.printf "%-13s %10s %10s %10s\n" "profile_size" "K=5" "K=10" "K=15";
   List.iter
     (fun size ->
@@ -164,9 +165,17 @@ let fig6 () =
                       let bound = Relal.Binder.bind db q in
                       let qg = Qgraph.of_query db bound in
                       let g = Pgraph.of_profile profile in
-                      (* One untimed warm-up call per combination. *)
+                      (* One untimed warm-up call per combination, then
+                         the mean of [reps] calls: one call takes about
+                         10 us, near the clock's and the GC's noise. *)
                       ignore (Select.select db g qg (Criteria.Top_r k));
-                      snd (time (fun () -> Select.select db g qg (Criteria.Top_r k))))
+                      let reps = 20 in
+                      snd
+                        (time (fun () ->
+                             for _ = 1 to reps do
+                               ignore (Select.select db g qg (Criteria.Top_r k))
+                             done))
+                      /. float_of_int reps)
                     queries)
                 profiles
             in

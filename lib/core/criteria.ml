@@ -30,6 +30,28 @@ let holds c degrees =
 
 let accepts c ~current d = holds c (current @ [ d ])
 
+(* The folds of [Degree.disj] and [Degree.conj], kept open: [sum] from
+   [0.] and [prod] from [1.], left to right, so closing them over one
+   more degree repeats the list definition's float operations exactly. *)
+type acc = { count : int; sum : float; prod : float }
+
+let acc_empty = { count = 0; sum = 0.; prod = 1. }
+
+let acc_push a d =
+  let d = Degree.to_float d in
+  { count = a.count + 1; sum = a.sum +. d; prod = a.prod *. (1. -. d) }
+
+let admits c a d =
+  let x = Degree.to_float d in
+  match c with
+  | Top_r r -> a.count + 1 <= r
+  | Above t -> Degree.compare d t > 0
+  | Disj_above t ->
+      Float.compare ((a.sum +. x) /. float_of_int (a.count + 1)) (Degree.to_float t)
+      > 0
+  | Conj_above t ->
+      Float.compare (1. -. (a.prod *. (1. -. x))) (Degree.to_float t) > 0
+
 let prefix_monotone = function
   | Top_r _ | Above _ | Disj_above _ -> true
   | Conj_above _ -> false

@@ -43,6 +43,30 @@ val accepts : t -> current:Degree.t list -> Degree.t -> bool
     candidate with degree [d] keep the criterion satisfied?  [current]
     must be the degrees already selected, decreasing. *)
 
+(** {1 Running aggregates}
+
+    {!Select.select} tests every popped candidate, and every extension
+    it prunes, against the preferences selected so far.  Building
+    [current @ [d]] for each test costs O(K); an {!acc} keeps the
+    selected degrees' count, sum and product of [(1 − dᵢ)] instead, so
+    each test is O(1). *)
+
+type acc
+
+val acc_empty : acc
+(** No preference selected. *)
+
+val acc_push : acc -> Degree.t -> acc
+(** One more selected degree; push them in selection (decreasing)
+    order. *)
+
+val admits : t -> acc -> Degree.t -> bool
+(** [admits c a d = accepts c ~current d] when [a] is {!acc_empty}
+    pushed with [current] in order — the same boolean bit for bit, since
+    the sum is folded left to right from [0.] and the product from [1.]
+    exactly as {!Degree.disj} and {!Degree.conj} fold, then closed over
+    [d] as [(sum + d) / (n + 1)] and [1 − prod·(1 − d)]. *)
+
 val prefix_monotone : t -> bool
 (** Whether failure is permanent along a degree-decreasing sequence. *)
 

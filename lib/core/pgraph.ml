@@ -1,48 +1,45 @@
-type t = {
-  sels : (string, (Atom.selection * Degree.t) list) Hashtbl.t;
-  joins : (string, (Atom.join * Degree.t) list) Hashtbl.t;
-  edges : int;
-}
+type t = Profile.adjacency
 
-let by_degree_desc d1 d2 = Degree.compare_desc d1 d2
+let by_degree_desc (_, d1) (_, d2) = Degree.compare_desc d1 d2
 
-let of_profile p =
-  let sels = Hashtbl.create 16 and joins = Hashtbl.create 16 in
-  let push tbl key v =
-    Hashtbl.replace tbl key (v :: (Option.value ~default:[] (Hashtbl.find_opt tbl key)))
-  in
-  let count = ref 0 in
+(* Each relation's edges in reverse entry order, selections and joins
+   each stable-sorted by decreasing degree, then merged with selections
+   first among equal degrees: the order pgraph.mli gives for
+   [out_edges]. *)
+let build p =
+  let out = Hashtbl.create 16 in
   List.iter
-    (fun (a, d) ->
-      incr count;
-      match a with
-      | Atom.Sel s -> push sels s.Atom.s_rel (s, d)
-      | Atom.Join j -> push joins j.Atom.j_from_rel (j, d))
+    (fun ((a, _) as edge) ->
+      let rel =
+        match a with Atom.Sel s -> s.Atom.s_rel | Atom.Join j -> j.Atom.j_from_rel
+      in
+      Hashtbl.replace out rel
+        (edge :: Option.value ~default:[] (Hashtbl.find_opt out rel)))
     (Profile.entries p);
-  let sort_tbl tbl =
-    Hashtbl.iter
-      (fun k v ->
-        Hashtbl.replace tbl k
-          (List.stable_sort (fun (_, d1) (_, d2) -> by_degree_desc d1 d2) v))
-      (Hashtbl.copy tbl)
-  in
-  sort_tbl sels;
-  sort_tbl joins;
-  { sels; joins; edges = !count }
+  Hashtbl.filter_map_inplace
+    (fun _ edges ->
+      let sels, joins =
+        List.partition (function Atom.Sel _, _ -> true | _ -> false) edges
+      in
+      Some
+        (List.merge by_degree_desc
+           (List.stable_sort by_degree_desc sels)
+           (List.stable_sort by_degree_desc joins)))
+    out;
+  out
 
-let out_selections t rel =
-  Option.value ~default:[] (Hashtbl.find_opt t.sels (String.lowercase_ascii rel))
+let of_profile p = Profile.adjacency p ~build
+let edges_of t rel = Option.value ~default:[] (Hashtbl.find_opt t rel)
+let out_edges t rel = edges_of t (String.lowercase_ascii rel)
 
-let out_joins t rel =
-  Option.value ~default:[] (Hashtbl.find_opt t.joins (String.lowercase_ascii rel))
+let sels_of edges =
+  List.filter_map (function Atom.Sel s, d -> Some (s, d) | _ -> None) edges
 
-let out_edges t rel =
-  let sels = List.map (fun (s, d) -> (Atom.Sel s, d)) (out_selections t rel) in
-  let joins = List.map (fun (j, d) -> (Atom.Join j, d)) (out_joins t rel) in
-  List.merge
-    (fun (_, d1) (_, d2) -> by_degree_desc d1 d2)
-    (List.stable_sort (fun (_, d1) (_, d2) -> by_degree_desc d1 d2) sels)
-    (List.stable_sort (fun (_, d1) (_, d2) -> by_degree_desc d1 d2) joins)
+let joins_of edges =
+  List.filter_map (function Atom.Join j, d -> Some (j, d) | _ -> None) edges
+
+let out_selections t rel = sels_of (out_edges t rel)
+let out_joins t rel = joins_of (out_edges t rel)
 
 let join_degree t j =
   List.find_map
@@ -61,12 +58,9 @@ let selection_degree t s =
     (out_selections t s.Atom.s_rel)
 
 let relations t =
-  let set = Hashtbl.create 16 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace set k ()) t.sels;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace set k ()) t.joins;
-  List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
+  List.sort String.compare (Hashtbl.fold (fun rel _ acc -> rel :: acc) t [])
 
-let edge_count t = t.edges
+let edge_count t = Hashtbl.fold (fun _ edges n -> n + List.length edges) t 0
 
 let pp_dot fmt t =
   Format.fprintf fmt "digraph personalization {@.";
@@ -80,27 +74,34 @@ let pp_dot fmt t =
         (String.uppercase_ascii r)
     end
   in
-  Hashtbl.iter
-    (fun rel edges ->
-      emit_rel rel;
-      List.iteri
-        (fun i (s, d) ->
-          let vnode = Printf.sprintf "val_%s_%d" rel i in
-          Format.fprintf fmt "  %s [shape=oval,label=%S];@." vnode
-            (Relal.Value.to_string s.Atom.s_val);
-          Format.fprintf fmt "  %s -> %s [label=\"%s=%s\"];@." (rel_node rel) vnode
-            s.Atom.s_att (Degree.to_string d))
-        edges)
-    t.sels;
-  Hashtbl.iter
-    (fun rel edges ->
-      emit_rel rel;
-      List.iter
-        (fun (j, d) ->
-          emit_rel j.Atom.j_to_rel;
-          Format.fprintf fmt "  %s -> %s [label=\"%s=%s.%s %s\"];@." (rel_node rel)
-            (rel_node j.Atom.j_to_rel) j.Atom.j_from_att j.Atom.j_to_rel
-            j.Atom.j_to_att (Degree.to_string d))
-        edges)
-    t.joins;
+  let rels = relations t in
+  List.iter
+    (fun rel ->
+      match sels_of (edges_of t rel) with
+      | [] -> ()
+      | sels ->
+          emit_rel rel;
+          List.iteri
+            (fun i (s, d) ->
+              let vnode = Printf.sprintf "val_%s_%d" rel i in
+              Format.fprintf fmt "  %s [shape=oval,label=%S];@." vnode
+                (Relal.Value.to_string s.Atom.s_val);
+              Format.fprintf fmt "  %s -> %s [label=\"%s=%s\"];@." (rel_node rel)
+                vnode s.Atom.s_att (Degree.to_string d))
+            sels)
+    rels;
+  List.iter
+    (fun rel ->
+      match joins_of (edges_of t rel) with
+      | [] -> ()
+      | joins ->
+          emit_rel rel;
+          List.iter
+            (fun (j, d) ->
+              emit_rel j.Atom.j_to_rel;
+              Format.fprintf fmt "  %s -> %s [label=\"%s=%s.%s %s\"];@."
+                (rel_node rel) (rel_node j.Atom.j_to_rel) j.Atom.j_from_att
+                j.Atom.j_to_rel j.Atom.j_to_att (Degree.to_string d))
+            joins)
+    rels;
   Format.fprintf fmt "}@."

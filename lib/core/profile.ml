@@ -4,9 +4,26 @@ module AMap = Map.Make (struct
   let compare = Atom.compare
 end)
 
-type t = Degree.t AMap.t
+type adjacency = (string, (Atom.t * Degree.t) list) Hashtbl.t
 
-let empty = AMap.empty
+(* [graph] starts empty in every value and is filled by the first
+   {!adjacency} call (threads racing on it store equal graphs).  Every
+   function that returns a profile builds its record through [make],
+   never [{ t with map }], which would share the parent's [Atomic.t].
+   [Atomic], not [Lazy]: systhreads sharing one parsed profile may take
+   its graph at once, and [Lazy.force] raises [Lazy.Undefined] then. *)
+type t = { map : Degree.t AMap.t; graph : adjacency option Atomic.t }
+
+let make map = { map; graph = Atomic.make None }
+let empty = make AMap.empty
+
+let adjacency t ~build =
+  match Atomic.get t.graph with
+  | Some g -> g
+  | None ->
+      let g = build t in
+      Atomic.set t.graph (Some g);
+      g
 
 let check_degree atom d =
   if Degree.equal d Degree.zero then
@@ -15,22 +32,23 @@ let check_degree atom d =
 
 let add t atom d =
   check_degree atom d;
-  AMap.add atom d t
+  make (AMap.add atom d t.map)
 
 let of_list l =
-  List.fold_left
-    (fun acc (a, d) ->
-      if AMap.mem a acc then
-        invalid_arg ("Profile.of_list: duplicate atom " ^ Atom.to_string a);
-      check_degree a d;
-      AMap.add a d acc)
-    AMap.empty l
+  make
+    (List.fold_left
+       (fun acc (a, d) ->
+         if AMap.mem a acc then
+           invalid_arg ("Profile.of_list: duplicate atom " ^ Atom.to_string a);
+         check_degree a d;
+         AMap.add a d acc)
+       AMap.empty l)
 
-let remove t atom = AMap.remove atom t
-let find t atom = AMap.find_opt atom t
+let remove t atom = make (AMap.remove atom t.map)
+let find t atom = AMap.find_opt atom t.map
 
 let entries t =
-  AMap.bindings t
+  AMap.bindings t.map
   |> List.sort (fun (a1, d1) (a2, d2) ->
          match Degree.compare_desc d1 d2 with
          | 0 -> Atom.compare a1 a2
@@ -44,17 +62,17 @@ let selections t =
 let joins t =
   List.filter_map (function Atom.Join j, d -> Some (j, d) | _ -> None) (entries t)
 
-let equal = AMap.equal Degree.equal
+let equal a b = AMap.equal Degree.equal a.map b.map
 let size t = List.length (selections t)
-let cardinal t = AMap.cardinal t
-let union a b = AMap.union (fun _ _ db -> Some db) a b
+let cardinal t = AMap.cardinal t.map
+let union a b = make (AMap.union (fun _ _ db -> Some db) a.map b.map)
 
 let validate db t =
   let errs =
     AMap.fold
       (fun a _ acc ->
         match Atom.validate db a with Ok () -> acc | Error e -> e :: acc)
-      t []
+      t.map []
   in
   if errs = [] then Ok () else Error (List.rev errs)
 
@@ -98,7 +116,7 @@ let parse_line line =
 let of_string s =
   let lines = String.split_on_char '\n' s in
   let rec go acc n = function
-    | [] -> Ok acc
+    | [] -> Ok (make acc)
     | line :: rest -> (
         match parse_line line with
         | Error e -> Error (Printf.sprintf "line %d: %s" n e)

@@ -12,11 +12,19 @@
     [ THEATRE.tid = PLAY.tid, 1 ]
     [ GENRE.genre = 'comedy', 0.9 ]
     v}
-    Blank lines and [#] comments are ignored. *)
+    Blank lines and [#] comments are ignored.
+
+    A profile value also carries a slot for its personalization graph
+    ({!Pgraph}), filled by the first {!Pgraph.of_profile} on that value
+    and reused by every later selection against it.  Every function
+    that returns a profile returns a value whose slot is empty, so a
+    derived profile never sees its parent's graph. *)
 
 type t
 
 val empty : t
+(** The slot of this one shared value may be filled, always with the
+    empty graph. *)
 
 val of_list : (Atom.t * Degree.t) list -> t
 (** @raise Invalid_argument on a duplicate atom or a zero degree. *)
@@ -30,7 +38,9 @@ val remove : t -> Atom.t -> t
 val find : t -> Atom.t -> Degree.t option
 
 val equal : t -> t -> bool
-(** Semantic equality: the same atoms with equal degrees. *)
+(** Semantic equality: the same atoms with equal degrees.  The graph
+    slot takes no part; use this, never structural [=], [compare] or
+    [Hashtbl.hash], on profiles. *)
 
 val entries : t -> (Atom.t * Degree.t) list
 (** In decreasing order of degree (ties: atom order). *)
@@ -68,3 +78,18 @@ val load : string -> (t, string) result
 val save : string -> t -> unit
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 The personalization graph's slot} *)
+
+type adjacency = (string, (Atom.t * Degree.t) list) Hashtbl.t
+(** The representation of {!Pgraph.t}: for each relation, every edge
+    leaving it, selections and joins merged in the order
+    {!Pgraph.out_edges} returns.  Never mutated once stored. *)
+
+val adjacency : t -> build:(t -> adjacency) -> adjacency
+(** The graph stored with this value; on the first call, [build t] is
+    run and its result published with [Atomic.set].  Threads racing on
+    an empty slot may each build (the graphs are equal, the last store
+    stays); none blocks and none raises.  Called by {!Pgraph.of_profile}
+    only: building waits for the first selection, so loading a profile
+    costs nothing extra. *)

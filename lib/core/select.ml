@@ -75,8 +75,8 @@ let select ?stats ?gov ?(related = fun _ -> true) db g qg ci =
     (Qgraph.tvs qg);
   (* Step 2: best-first loop. *)
   let selected = ref [] in
-  let degrees = ref [] (* decreasing; kept reversed for O(1) append *) in
-  let current () = List.rev !degrees in
+  let acc = ref Criteria.acc_empty (* the degrees of [!selected] *) in
+  let prune = Criteria.expansion_prunable ci in
   let stop = ref false in
   while (not !stop) && not (Putil.Pqueue.is_empty qp) do
     match Putil.Pqueue.pop qp with
@@ -85,15 +85,15 @@ let select ?stats ?gov ?(related = fun _ -> true) db g qg ci =
         g_poll ();
         st.pops <- st.pops + 1;
         if Path.is_selection p then begin
-          if Criteria.accepts ci ~current:(current ()) p.Path.degree then begin
+          if Criteria.admits ci !acc p.Path.degree then begin
             if related p then begin
               selected := p :: !selected;
-              degrees := p.Path.degree :: !degrees
+              acc := Criteria.acc_push !acc p.Path.degree
             end
           end
           else stop := true
         end
-        else if Criteria.accepts ci ~current:(current ()) p.Path.degree then begin
+        else if Criteria.admits ci !acc p.Path.degree then begin
           g_expand ();
           st.expansions <- st.expansions + 1;
           (* Expand with composable elements in decreasing degree order;
@@ -101,21 +101,14 @@ let select ?stats ?gov ?(related = fun _ -> true) db g qg ci =
              for criteria whose expansion-time rejection is permanent
              (see Criteria.expansion_prunable); otherwise every valid
              extension is queued and judged at pop time. *)
-          let prune = Criteria.expansion_prunable ci in
           let edges = Pgraph.out_edges g (Path.end_rel p) in
           (try
              List.iter
                (fun (atom, d) ->
-                 (if prune then begin
-                    let ext_degree =
-                      Degree.trans2 p.Path.degree d |> Degree.to_float
-                    in
-                    if
-                      not
-                        (Criteria.accepts ci ~current:(current ())
-                           (Degree.of_float ext_degree))
-                    then raise Exit
-                  end);
+                 if
+                   prune
+                   && not (Criteria.admits ci !acc (Degree.trans2 p.Path.degree d))
+                 then raise Exit;
                  match try_extend db qg st p (atom, d) with
                  | Some p' -> push p'
                  | None -> ())

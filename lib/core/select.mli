@@ -18,7 +18,13 @@
 
     Theorem 1 (emission in decreasing degree order) and Theorem 2
     (completeness w.r.t. the criterion) hold for prefix-monotone criteria
-    and are verified in the test suite against {!Brute}. *)
+    and are verified in the test suite against {!Brute}.
+
+    Each step reads a relation's out-edges from the graph stored with
+    the profile ({!Pgraph.of_profile}), and tests the criterion in O(1)
+    against running aggregates of the selected degrees
+    ({!Criteria.admits}), with the same boolean as the list definition
+    {!Criteria.accepts}. *)
 
 type stats = {
   mutable pops : int;  (** queue removals *)

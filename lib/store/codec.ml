@@ -6,8 +6,10 @@ type 'a t = { enc : Buffer.t -> 'a -> unit; dec : ctx -> 'a }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* Compared as [n > length - pos]: for a decoded length near [max_int],
+   [pos + n] overflows to a negative int and would pass. *)
 let need ctx n =
-  if n < 0 || ctx.pos + n > String.length ctx.data then
+  if n < 0 || n > String.length ctx.data - ctx.pos then
     fail "truncated record: need %d bytes at offset %d of %d" n ctx.pos
       (String.length ctx.data)
 
@@ -39,9 +41,13 @@ let varint =
     dec =
       (fun ctx ->
         let rec go acc shift =
-          if shift > 56 then fail "varint too long at offset %d" ctx.pos;
           need ctx 1;
           let byte = Char.code ctx.data.[ctx.pos] in
+          (* The ninth byte carries bits 56-62; bit 62 is the sign bit
+             of a 63-bit int, so a non-negative int leaves that byte
+             below 0x40 (which also rules out a continuation). *)
+          if shift = 56 && byte > 0x3F then
+            fail "varint at offset %d does not fit a non-negative int" ctx.pos;
           ctx.pos <- ctx.pos + 1;
           let acc = acc lor ((byte land 0x7F) lsl shift) in
           if byte land 0x80 = 0 then acc else go acc (shift + 7)
@@ -91,7 +97,7 @@ let list item =
         let n = varint.dec ctx in
         (* Each element costs at least one byte, so a count larger than
            the remaining payload is garbage — reject before allocating. *)
-        if n > String.length ctx.data - ctx.pos then
+        if n < 0 || n > String.length ctx.data - ctx.pos then
           fail "list count %d exceeds remaining payload at offset %d" n
             ctx.pos;
         List.init n (fun _ -> item.dec ctx));

@@ -25,7 +25,10 @@ type 'a t = { enc : Buffer.t -> 'a -> unit; dec : ctx -> 'a }
 val u8 : int t
 
 val varint : int t
-(** LEB128; non-negative ints only. *)
+(** LEB128; non-negative ints only.  Decoding refuses, with
+    {!Decode_error}, a varint that does not fit a non-negative int (a
+    ninth byte of [0x40] or more, or a tenth byte), so no decoded
+    count, length or revision is ever negative. *)
 
 val float64 : float t
 (** IEEE-754 bits, little-endian; bit-exact. *)

@@ -347,6 +347,124 @@ let fuzz_read_response =
     (QCheck.make ~print:String.escaped gen_response)
     response_total
 
+(* Store decoders: [Codec.decode_record] and [Wal.scan_string] read
+   bytes from disk, so on any input they return a value or their typed
+   outcome ([Error], [Torn], [Corrupt]) and never raise. *)
+
+module Codec = Perso_store.Codec
+module Wal = Perso_store.Wal
+
+let decode_total s =
+  match Codec.decode_record s with Ok _ | Error _ -> true | exception _ -> false
+
+(* A nine-byte varint whose last byte sets bit 62 wraps to a negative
+   int: as an entry count it reached [List.init] (Invalid_argument), as
+   a revision it decoded.  A length of [max_int] overflowed the bounds
+   check's [pos + n] and reached [String.sub]. *)
+let test_codec_crafted () =
+  let refused name bytes =
+    match Codec.decode_record bytes with
+    | Error _ -> ()
+    | Ok r ->
+        Alcotest.failf "%s: decoded (revision %d)" name (Codec.record_revision r)
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  refused "entry count 2^62" "\x01\x01u\x00\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+  refused "revision 2^62" "\x01\x01u\x80\x80\x80\x80\x80\x80\x80\x80\x40\x00";
+  refused "user length max_int" "\x01\xff\xff\xff\xff\xff\xff\xff\xff\x3f";
+  refused "ten-byte varint" "\x02\x00\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00";
+  let top = Codec.Delete { user = "u"; revision = max_int } in
+  match Codec.decode_record (Codec.encode_record top) with
+  | Ok (Codec.Delete { revision; _ }) ->
+      Alcotest.(check int) "max_int still decodes" max_int revision
+  | _ -> Alcotest.fail "max_int revision did not round-trip"
+
+let gen_record =
+  let open QCheck.Gen in
+  let revision =
+    frequency
+      [ (4, nat); (1, oneofl [ 0; 127; 128; 1 lsl 56; max_int - 1; max_int ]) ]
+  in
+  let user = string_size ~gen:printable (0 -- 12) in
+  let entry =
+    map2
+      (fun cond degree -> { Codec.cond; degree })
+      (string_size ~gen:char (0 -- 40))
+      (oneof [ float; float_bound_inclusive 1.; oneofl [ nan; infinity; -0. ] ])
+  in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun user revision entries -> Codec.Put { user; revision; entries })
+          user revision
+          (list_size (0 -- 6) entry) );
+      (1, map2 (fun user revision -> Codec.Delete { user; revision }) user revision);
+    ]
+
+let arb_record =
+  QCheck.make ~print:(fun r -> String.escaped (Codec.encode_record r)) gen_record
+
+(* Bytes round-trip: floats compare by their bits, nan included. *)
+let fuzz_codec_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"Codec records round-trip" arb_record
+    (fun r ->
+      let s = Codec.encode_record r in
+      match Codec.decode_record s with
+      | Ok r' -> Codec.encode_record r' = s
+      | Error _ -> false)
+
+let fuzz_codec_random_bytes =
+  QCheck.Test.make ~count:3000 ~name:"Codec.decode_record total on random bytes"
+    QCheck.(string_gen Gen.char)
+    decode_total
+
+(* Every strict prefix of a valid encoding, and the encoding with one
+   byte replaced. *)
+let fuzz_codec_damage =
+  QCheck.Test.make ~count:2000
+    ~name:"Codec.decode_record total on truncated and mutated records"
+    QCheck.(pair arb_record (pair small_nat (int_bound 255)))
+    (fun (r, (i, byte)) ->
+      let s = Codec.encode_record r in
+      let n = String.length s in
+      let at = i mod n in
+      let mutated = Bytes.of_string s in
+      Bytes.set mutated at (Char.chr byte);
+      List.for_all decode_total (List.init n (String.sub s 0))
+      && decode_total (Bytes.to_string mutated))
+
+let scan_total data =
+  match
+    Wal.scan_string data (fun ~pos:_ payload -> ignore (decode_total payload))
+  with
+  | _ -> true
+  | exception _ -> false
+
+(* Random bytes, and logs of framed valid records with one byte
+   replaced or the tail cut. *)
+let fuzz_wal_scan =
+  let open QCheck.Gen in
+  let damaged_log =
+    map3
+      (fun records i byte ->
+        let log = String.concat "" (List.map (fun r -> Wal.frame (Codec.encode_record r)) records) in
+        let n = String.length log in
+        if n = 0 then log
+        else if byte < 0 then String.sub log 0 (i mod n)
+        else begin
+          let b = Bytes.of_string log in
+          Bytes.set b (i mod n) (Char.chr byte);
+          Bytes.to_string b
+        end)
+      (list_size (0 -- 4) gen_record)
+      nat (-1 -- 255)
+  in
+  QCheck.Test.make ~count:2000 ~name:"Wal.scan_string total on arbitrary logs"
+    (QCheck.make ~print:String.escaped
+       (frequency [ (1, string_size ~gen:char (0 -- 64)); (2, damaged_log) ]))
+    scan_total
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -369,4 +487,11 @@ let () =
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_budget_headers; fuzz_read_response ] );
+      ( "store codecs",
+        Alcotest.test_case "crafted varints and lengths" `Quick test_codec_crafted
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               fuzz_codec_roundtrip; fuzz_codec_random_bytes; fuzz_codec_damage;
+               fuzz_wal_scan;
+             ] );
     ]

@@ -319,6 +319,132 @@ let test_pgraph_relations_and_dot () =
      in
      contains 0)
 
+(* The stored graph.  [Ref.out_edges] is the reference order,
+   recomputed from the profile on every call: each relation's
+   selections and joins bucketed in reverse entry order, each
+   stable-sorted by decreasing degree, then merged. *)
+module Ref = struct
+  let by_desc (_, d1) (_, d2) = Degree.compare_desc d1 d2
+
+  let out_edges p rel =
+    let rel = String.lowercase_ascii rel in
+    let bucket keep = List.rev (List.filter keep (Profile.entries p)) in
+    let sels = bucket (function Atom.Sel s, _ -> s.Atom.s_rel = rel | _ -> false) in
+    let joins =
+      bucket (function Atom.Join j, _ -> j.Atom.j_from_rel = rel | _ -> false)
+    in
+    List.merge by_desc (List.stable_sort by_desc sels) (List.stable_sort by_desc joins)
+end
+
+let graph_rels = [ "movie"; "genre"; "play"; "theatre" ]
+
+(* Few relations, attributes, values and degrees, so that one relation
+   carries several edges of equal degree, of both kinds. *)
+let gen_tied_profile =
+  let open QCheck.Gen in
+  let rel = oneofl graph_rels and att = oneofl [ "a"; "b" ] in
+  let atom =
+    frequency
+      [
+        (2, map3 (fun r a v -> Atom.sel r a (Value.Int v)) rel att (0 -- 3));
+        (1, map3 (fun r r' a -> Atom.join (r, a) (r', a)) rel rel att);
+      ]
+  in
+  map
+    (List.fold_left (fun p (a, x) -> Profile.add p a (d x)) Profile.empty)
+    (list_size (0 -- 24) (pair atom (oneofl [ 0.3; 0.6; 0.9 ])))
+
+let edges_equal =
+  List.equal (fun (a, x) (b, y) -> Atom.equal a b && Degree.equal x y)
+
+let shows_own_edges p =
+  let g = Pgraph.of_profile p in
+  List.for_all
+    (fun rel -> edges_equal (Pgraph.out_edges g rel) (Ref.out_edges p rel))
+    ("cast" :: "GENRE" :: graph_rels)
+  && Pgraph.edge_count g = Profile.cardinal p
+
+let prop_pgraph_tied_order =
+  QCheck.Test.make ~name:"out_edges = sort-and-merge definition under ties"
+    ~count:500
+    (QCheck.make ~print:Profile.to_string gen_tied_profile)
+    (fun p ->
+      let g = Pgraph.of_profile p in
+      shows_own_edges p
+      && List.for_all
+           (fun rel ->
+             let sels, joins =
+               List.partition
+                 (function Atom.Sel _, _ -> true | _ -> false)
+                 (Ref.out_edges p rel)
+             in
+             edges_equal
+               (List.map (fun (s, x) -> (Atom.Sel s, x)) (Pgraph.out_selections g rel))
+               sels
+             && edges_equal
+                  (List.map (fun (j, x) -> (Atom.Join j, x)) (Pgraph.out_joins g rel))
+                  joins)
+           graph_rels)
+
+(* Each constructor returns a value with its own, empty slot, whether
+   the parent's graph was built before the derivation or after it. *)
+let test_pgraph_lifetime () =
+  let p = sample_profile () in
+  Alcotest.(check bool) "built once per value" true
+    (Pgraph.of_profile p == Pgraph.of_profile p);
+  let extra = Atom.sel "movie" "year" (Value.Int 2003) in
+  let comedy = Atom.sel "genre" "genre" (Value.Str "comedy") in
+  let other = Profile.of_list [ (Atom.join ("play", "mid") ("movie", "mid"), d 0.4) ] in
+  let derived () =
+    [
+      ("add", Profile.add p extra (d 0.5));
+      ("add over", Profile.add p comedy (d 0.2));
+      ("remove", Profile.remove p comedy);
+      ("union", Profile.union p other);
+      ("of_string", Result.get_ok (Profile.of_string (Profile.to_string other)));
+      ("of_list", Profile.of_list [ (extra, d 0.5) ]);
+    ]
+  in
+  ignore (Pgraph.of_profile Profile.empty);
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check bool) (name ^ ", parent built first") true (shows_own_edges q))
+    (derived ());
+  let p' = sample_profile () in
+  let late = [ Profile.add p' extra (d 0.5); Profile.remove p' comedy ] in
+  List.iter (fun q -> ignore (Pgraph.of_profile q)) late;
+  Alcotest.(check bool) "parent built after its children" true (shows_own_edges p');
+  Alcotest.(check bool) "empty stays empty" true (shows_own_edges Profile.empty)
+
+(* Four threads take the graph of one fresh profile at once: none
+   raises, and all see the same edges. *)
+let test_pgraph_concurrent_first_use () =
+  let pool = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:300 gen_tied_profile in
+  List.iter
+    (fun p ->
+      let go = Atomic.make false in
+      let seen = Array.make 4 None in
+      let take i =
+        while not (Atomic.get go) do
+          Thread.yield ()
+        done;
+        seen.(i) <-
+          (match Pgraph.of_profile p with
+          | g -> Some (List.map (fun rel -> Pgraph.out_edges g rel) graph_rels)
+          | exception e -> failwith (Printexc.to_string e))
+      in
+      let threads = List.init 4 (fun i -> Thread.create take i) in
+      Atomic.set go true;
+      List.iter Thread.join threads;
+      let want = List.map (Ref.out_edges p) graph_rels in
+      Array.iter
+        (function
+          | Some got ->
+              Alcotest.(check bool) "same edges" true (List.equal edges_equal got want)
+          | None -> Alcotest.fail "a thread saw no graph")
+        seen)
+    pool
+
 (* --------------------------- Profile_store -------------------------- *)
 
 let test_store_roundtrip () =
@@ -517,5 +643,9 @@ let () =
           Alcotest.test_case "edge order" `Quick test_pgraph_out_edges_merged_order;
           Alcotest.test_case "degree lookup" `Quick test_pgraph_lookup;
           Alcotest.test_case "relations/dot" `Quick test_pgraph_relations_and_dot;
+          QCheck_alcotest.to_alcotest prop_pgraph_tied_order;
+          Alcotest.test_case "one graph per value" `Quick test_pgraph_lifetime;
+          Alcotest.test_case "concurrent first use" `Quick
+            test_pgraph_concurrent_first_use;
         ] );
     ]

@@ -198,6 +198,45 @@ let test_criteria_conj_above () =
     && Criteria.prefix_monotone (Criteria.disj_above 0.1)
     && not (Criteria.prefix_monotone c))
 
+(* The accumulator [Select] tests candidates with must give the list
+   definition's boolean bit for bit.  Thresholds equal to the exact
+   prefix means and conjunctions sit on the boundary, where an
+   accumulator that rounded differently (a running mean, a product
+   folded from the other end) would flip the comparison; a small
+   degree alphabet forces ties. *)
+let prop_criteria_acc =
+  let degree =
+    QCheck.Gen.(
+      oneof [ float_bound_inclusive 1.; oneofl [ 0.1; 0.3; 0.5; 0.7; 0.9; 1. ] ])
+  in
+  QCheck.Test.make ~name:"criterion accumulator = list definition" ~count:300
+    QCheck.(make ~print:Print.(list float) Gen.(list_size (1 -- 16) degree))
+    (fun raw ->
+      let ds = List.sort Degree.compare_desc (List.map Degree.of_float raw) in
+      let n = List.length ds in
+      let prefixes = List.init n (fun i -> List.filteri (fun j _ -> j <= i) ds) in
+      let thresholds =
+        List.concat_map (fun p -> [ Degree.disj p; Degree.conj p ]) prefixes
+        @ ds @ [ Degree.zero; Degree.one ]
+      in
+      let criteria =
+        List.init (n + 2) Criteria.top_r
+        @ List.concat_map
+            (fun t -> Criteria.[ Above t; Disj_above t; Conj_above t ])
+            thresholds
+      in
+      List.for_all
+        (fun c ->
+          let rec go acc prefix = function
+            | [] -> true
+            | x :: rest ->
+                Criteria.admits c acc x
+                = Criteria.accepts c ~current:(List.rev prefix) x
+                && go (Criteria.acc_push acc x) (x :: prefix) rest
+          in
+          go Criteria.acc_empty [] ds)
+        criteria)
+
 (* ------------------------ Selection: Julie ------------------------- *)
 
 let test_julie_top3_matches_paper () =
@@ -345,7 +384,10 @@ let prop_theorem2_complete =
             List.map (fun p -> Float.round (Degree.to_float p.Path.degree *. 1e9)) l
           in
           degs fast = degs slow)
-        [ Criteria.top_r 5; Criteria.top_r 12; Criteria.above 0.5; Criteria.disj_above 0.6 ])
+        [
+          Criteria.top_r 5; Criteria.top_r 12; Criteria.top_r 60; Criteria.above 0.5;
+          Criteria.disj_above 0.6; Criteria.conj_above 0.9;
+        ])
 
 let prop_selected_never_conflicts_query =
   QCheck.Test.make ~name:"selected preferences never conflict with the query"
@@ -398,6 +440,7 @@ let () =
           Alcotest.test_case "above" `Quick test_criteria_above;
           Alcotest.test_case "disj_above" `Quick test_criteria_disj_above;
           Alcotest.test_case "conj_above" `Quick test_criteria_conj_above;
+          QCheck_alcotest.to_alcotest prop_criteria_acc;
         ] );
       ( "algorithm",
         [
