@@ -154,6 +154,9 @@ let fig6 () =
   List.iter
     (fun size ->
       let profiles = profiles_for ~seed0:(1000 + size) ~size scale.profiles in
+      (* Generating the profiles leaves major-GC work pending; finish it
+         here, or the first cell timed after it (K = 5) pays for it. *)
+      Gc.full_major ();
       let cells =
         List.map
           (fun k ->

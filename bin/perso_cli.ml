@@ -154,12 +154,16 @@ let personalize movies seed data_dir deadline max_rows max_expansions
             }
           in
           let budget = budget_of deadline max_rows max_expansions in
+          (* The query graph the semantic filter and Top-N share, built
+             at most once, when the first of them needs it. *)
+          let qg =
+            lazy
+              (Perso.Qgraph.of_query db
+                 (Relal.Binder.bind db (Relal.Sql_parser.parse sql)))
+          in
           let related =
-            if semantic then begin
-              let bound = Relal.Binder.bind db (Relal.Sql_parser.parse sql) in
-              let qg = Perso.Qgraph.of_query db bound in
-              Some (Perso.Semantic.instance_related db qg)
-            end
+            if semantic then
+              Some (Perso.Semantic.instance_related db (Lazy.force qg))
             else None
           in
           match
@@ -184,9 +188,7 @@ let personalize movies seed data_dir deadline max_rows max_expansions
               | Some outcome, Some n ->
                   print_string (Perso.Explain.outcome_report outcome);
                   let top =
-                    Perso.Topn.top_n ~l ~n db
-                      (Perso.Qgraph.of_query db
-                         (Relal.Binder.bind db (Relal.Sql_parser.parse sql)))
+                    Perso.Topn.top_n ~l ~n db (Lazy.force qg)
                       ~mandatory:outcome.Perso.Personalize.mandatory
                       ~optional:outcome.Perso.Personalize.optional ()
                   in

@@ -161,7 +161,40 @@ let uniquified_outputs (q : Sql_ast.query) =
           Printf.sprintf "%s_%d" n (k + 1))
     names
 
-let conflicting_pair db p1 p2 = Conflict.paths_conflict db p1.path p2.path
+let conflict_free db insts =
+  not
+    (List.exists
+       (fun (a, b) -> Conflict.paths_conflict db a.path b.path)
+       (Putil.Combin.pairs insts))
+
+let preds insts = List.map (fun i -> i.pred) insts
+
+(* The initial query, DISTINCT, joined with the tuple variables of
+   [vars] and qualified by its own conditions plus [conds], with
+   repeated conditions and variables removed (§6).  SQ, MQ's degenerate
+   case and every partial query have this shape. *)
+let joined q0 ~vars ~conds =
+  {
+    q0 with
+    Sql_ast.distinct = true;
+    from =
+      q0.Sql_ast.from
+      @ List.map
+          (fun r -> Sql_ast.F_rel r)
+          (dedup_trefs (List.concat_map (fun i -> i.trefs) vars));
+    where =
+      Sql_ast.conj (dedup_conjuncts (Sql_ast.conjuncts q0.Sql_ast.where @ conds));
+  }
+
+let partial ?select ?limit qg ~mandatory inst =
+  let q0 = Qgraph.query qg in
+  let insts = mandatory @ [ inst ] in
+  {
+    (joined q0 ~vars:insts ~conds:(preds insts)) with
+    Sql_ast.select = Option.value select ~default:q0.Sql_ast.select;
+    order_by = [];
+    limit;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* SQ                                                                  *)
@@ -173,94 +206,40 @@ let sq db qg ~mandatory ~optional ~l =
   if l < 0 then err "SQ: negative L";
   if l > List.length optional then
     err "SQ: L = %d exceeds the %d optional preferences" l (List.length optional);
-  let mandatory_ok =
-    not
-      (List.exists
-         (fun (a, b) -> conflicting_pair db a b)
-         (Putil.Combin.pairs mandatory))
-  in
   let combos =
     if l = 0 then []
-    else
-      Putil.Combin.subsets optional l
-      |> List.filter (fun combo ->
-             not
-               (List.exists
-                  (fun (a, b) -> conflicting_pair db a b)
-                  (Putil.Combin.pairs combo)))
+    else List.filter (conflict_free db) (Putil.Combin.subsets optional l)
   in
   if l > 0 && combos = [] then
     err "SQ: every %d-combination of the optional preferences conflicts" l;
   let used_opt =
-    if l = 0 then []
-    else
-      let seen = Hashtbl.create 16 in
-      List.concat_map
-        (fun combo ->
-          List.filter
-            (fun inst ->
-              if Hashtbl.mem seen inst.index then false
-              else begin
-                Hashtbl.add seen inst.index ();
-                true
-              end)
-            combo)
-        combos
+    let seen = Hashtbl.create 16 in
+    List.concat_map
+      (fun combo ->
+        List.filter
+          (fun inst ->
+            if Hashtbl.mem seen inst.index then false
+            else begin
+              Hashtbl.add seen inst.index ();
+              true
+            end)
+          combo)
+      combos
   in
   let disjunction =
     if l = 0 then Sql_ast.P_true
     else
       Sql_ast.disj
-        (List.map
-           (fun combo ->
-             Sql_ast.conj (dedup_conjuncts (List.map (fun i -> i.pred) combo)))
-           combos)
+        (List.map (fun combo -> Sql_ast.conj (dedup_conjuncts (preds combo))) combos)
   in
-  let where =
-    if not mandatory_ok then Sql_ast.P_false
-    else
-      Sql_ast.conj
-        (dedup_conjuncts
-           (Sql_ast.conjuncts q0.Sql_ast.where
-           @ List.map (fun i -> i.pred) mandatory
-           @ [ disjunction ]))
+  let q =
+    joined q0 ~vars:(mandatory @ used_opt) ~conds:(preds mandatory @ [ disjunction ])
   in
-  let extra_trefs =
-    dedup_trefs (List.concat_map (fun i -> i.trefs) (mandatory @ used_opt))
-  in
-  {
-    q0 with
-    Sql_ast.distinct = true;
-    from = q0.Sql_ast.from @ List.map (fun r -> Sql_ast.F_rel r) extra_trefs;
-    where;
-  }
+  if conflict_free db mandatory then q else { q with Sql_ast.where = Sql_ast.P_false }
 
 (* ------------------------------------------------------------------ *)
 (* MQ                                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let base_plus_mandatory db qg ~mandatory =
-  let q0 = Qgraph.query qg in
-  let mandatory_ok =
-    not
-      (List.exists
-         (fun (a, b) -> conflicting_pair db a b)
-         (Putil.Combin.pairs mandatory))
-  in
-  let where =
-    if not mandatory_ok then Sql_ast.P_false
-    else
-      Sql_ast.conj
-        (dedup_conjuncts
-           (Sql_ast.conjuncts q0.Sql_ast.where @ List.map (fun i -> i.pred) mandatory))
-  in
-  let extra = dedup_trefs (List.concat_map (fun i -> i.trefs) mandatory) in
-  {
-    q0 with
-    Sql_ast.distinct = true;
-    from = q0.Sql_ast.from @ List.map (fun r -> Sql_ast.F_rel r) extra;
-    where;
-  }
 
 let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
   let q0 = Qgraph.query qg in
@@ -272,8 +251,8 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
   | _ -> ());
   match (optional, l) with
   | [], _ | _, `At_least 0 ->
-      (* Degenerate: nothing optional to require. *)
-      base_plus_mandatory db qg ~mandatory
+      (* Degenerate: nothing optional to require, which is SQ at L = 0. *)
+      sq db qg ~mandatory ~optional:[] ~l:0
   | _ ->
       let out_names = uniquified_outputs q0 in
       let proj_attrs =
@@ -283,7 +262,7 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
             | _ -> err "personalizable queries must project plain attributes")
           q0.Sql_ast.select
       in
-      let partial inst =
+      let branch inst =
         let select =
           List.map2
             (fun a name -> Sql_ast.Sel_attr (a, Some name))
@@ -294,28 +273,9 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
               Sql_ast.Sel_const (Value.Int inst.index, "pref");
             ]
         in
-        let where =
-          Sql_ast.conj
-            (dedup_conjuncts
-               (Sql_ast.conjuncts q0.Sql_ast.where
-               @ List.map (fun i -> i.pred) mandatory
-               @ [ inst.pred ]))
-        in
-        let extra =
-          dedup_trefs (List.concat_map (fun i -> i.trefs) (mandatory @ [ inst ]))
-        in
-        Sql_ast.C_single
-          {
-            q0 with
-            Sql_ast.distinct = true;
-            select;
-            from = q0.Sql_ast.from @ List.map (fun r -> Sql_ast.F_rel r) extra;
-            where;
-            order_by = [];
-            limit = None;
-          }
+        Sql_ast.C_single (partial ~select qg ~mandatory inst)
       in
-      let union = Sql_ast.C_union_all (List.map partial optional) in
+      let union = Sql_ast.C_union_all (List.map branch optional) in
       let t = "temp" in
       let group_by = List.map (fun n -> Sql_ast.attr t n) out_names in
       let doi_agg =
@@ -337,3 +297,32 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
         ~select
         ~from:[ Sql_ast.F_derived (union, t) ]
         ~where:Sql_ast.P_true ()
+
+(* ------------------------------------------------------------------ *)
+(* Ranked evaluation of partial queries (§8 extensions)                *)
+(* ------------------------------------------------------------------ *)
+
+let credit acc row d =
+  Exec.Row_tbl.replace acc row
+    (d :: Option.value ~default:[] (Exec.Row_tbl.find_opt acc row))
+
+let accumulate ?(into = Exec.Row_tbl.create 64) ?(skip = fun _ -> false) db qg
+    ~mandatory insts =
+  List.iter
+    (fun inst ->
+      let d = inst.path.Path.degree in
+      List.iter
+        (fun row -> if not (skip row) then credit into row d)
+        (Engine.run_query db (partial qg ~mandatory inst)).Exec.rows)
+    insts;
+  into
+
+let printed_row row = Array.map Value.to_string row
+
+let sort_ranked ~score ~row xs =
+  List.sort
+    (fun a b ->
+      match Float.compare (score b) (score a) with
+      | 0 -> compare (printed_row (row a)) (printed_row (row b))
+      | c -> c)
+    xs

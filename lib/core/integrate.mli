@@ -20,11 +20,25 @@
       [DEGREE_OF_CONJUNCTION(doi, pref) > d] — and optionally ranked by
       that aggregate, descending (the paper's result-ranking mechanism).
 
+    Both are built from one shape, the {e partial query} ({!partial}):
+    [Q], [SELECT DISTINCT], joined with the tuple variables of the
+    mandatory preferences and one optional preference and qualified by
+    their conditions; SQ and MQ's degenerate case use the same FROM and
+    WHERE construction with a disjunction, or nothing, in place of the
+    optional preference.  Repeated conditions and tuple variables are
+    removed, and the conflict-free test of §6(a) is one function.
+
     Tuple variables (§6(b)): each preference path is instantiated once
     with fresh tuple variables; a path prefix whose joins are all to-one
     is shared between paths (sharing is forced there), and variables
     branch at the first to-many join — "as close as possible to the start
-    of the paths". *)
+    of the paths".
+
+    The §8 extensions ({!Topn}, {!Negative}, {!Soft}, {!Semantic}) run
+    the same partial queries one at a time instead of as one MQ query:
+    {!accumulate} runs them and maps each row to the degrees it
+    satisfied, and {!sort_ranked} is the order every ranked extension
+    returns. *)
 
 type instantiated = {
   path : Path.t;
@@ -78,6 +92,41 @@ val mq :
     to [Q] AND the mandatory conditions, as in SQ.
     @raise Integration_error as for {!sq}. *)
 
+val partial :
+  ?select:Relal.Sql_ast.select_item list ->
+  ?limit:int ->
+  Qgraph.t ->
+  mandatory:instantiated list ->
+  instantiated ->
+  Relal.Sql_ast.query
+(** [partial qg ~mandatory inst]: the partial query of [inst] — [Q]
+    AND the mandatory conditions AND [inst]'s condition, [SELECT
+    DISTINCT], without [Q]'s ORDER BY.  [select] (default: [Q]'s
+    projection) replaces the projection, [limit] adds a LIMIT.  MQ's
+    branches project [doi] and [pref] through [select]. *)
+
 val dedup_conjuncts : Relal.Sql_ast.pred list -> Relal.Sql_ast.pred list
 (** Structural de-duplication preserving first occurrence — "any repeated
     conditions are removed" (§6). *)
+
+(** {2 Ranked evaluation of partial queries} *)
+
+val accumulate :
+  ?into:Degree.t list Relal.Exec.Row_tbl.t ->
+  ?skip:(Relal.Value.t array -> bool) ->
+  Relal.Database.t ->
+  Qgraph.t ->
+  mandatory:instantiated list ->
+  instantiated list ->
+  Degree.t list Relal.Exec.Row_tbl.t
+(** Run each preference's {!partial} query, in list order, and {!credit}
+    its degree to every row it returns, except rows [skip] holds for.
+    Returns [into] (default: a fresh table). *)
+
+val credit : Degree.t list Relal.Exec.Row_tbl.t -> Relal.Value.t array -> Degree.t -> unit
+(** Add one satisfied degree to a row's list, at the front. *)
+
+val sort_ranked :
+  score:('a -> float) -> row:('a -> Relal.Value.t array) -> 'a list -> 'a list
+(** The ranked order: descending score, ties broken by the row's printed
+    values. *)

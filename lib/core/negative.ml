@@ -7,62 +7,17 @@ type scored_row = {
   score : float;
 }
 
-module KH = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 a
-end)
-
-(* One partial query for an instantiated condition: the original query
-   plus that condition, DISTINCT over the original projection. *)
-let partial db qg inst =
-  ignore db;
-  let q0 = Qgraph.query qg in
-  {
-    q0 with
-    Sql_ast.distinct = true;
-    from =
-      q0.Sql_ast.from
-      @ List.map (fun r -> Sql_ast.F_rel r) inst.Integrate.trefs;
-    where =
-      Sql_ast.conj
-        (Integrate.dedup_conjuncts
-           (Sql_ast.conjuncts q0.Sql_ast.where @ [ inst.Integrate.pred ]));
-    order_by = [];
-    limit = None;
-  }
-
-let accumulate db qg insts =
-  let acc : Degree.t list KH.t = KH.create 64 in
-  List.iter
-    (fun inst ->
-      let res = Engine.run_query db (partial db qg inst) in
-      List.iter
-        (fun row ->
-          KH.replace acc row
-            (inst.Integrate.path.Path.degree
-            :: Option.value ~default:[] (KH.find_opt acc row)))
-        res.Exec.rows)
-    insts;
-  acc
-
 let rank ?(l = 1) db qg ~likes ~dislikes () =
-  let pos = accumulate db qg likes in
-  let neg = accumulate db qg dislikes in
+  let pos = Integrate.accumulate db qg ~mandatory:[] likes in
+  let neg = Integrate.accumulate db qg ~mandatory:[] dislikes in
   let rows =
-    KH.fold
+    Exec.Row_tbl.fold
       (fun row pos_degs acc ->
         if List.length pos_degs < l then acc
         else begin
           let positive = Degree.conj pos_degs in
           let penalty =
-            match KH.find_opt neg row with
+            match Exec.Row_tbl.find_opt neg row with
             | None | Some [] -> 0.
             | Some neg_degs -> Degree.to_float (Degree.conj neg_degs)
           in
@@ -74,15 +29,7 @@ let rank ?(l = 1) db qg ~likes ~dislikes () =
         end)
       pos []
   in
-  List.sort
-    (fun a b ->
-      match Float.compare b.score a.score with
-      | 0 ->
-          compare
-            (Array.map Value.to_string a.row)
-            (Array.map Value.to_string b.row)
-      | c -> c)
-    rows
+  Integrate.sort_ranked ~score:(fun r -> r.score) ~row:(fun r -> r.row) rows
 
 type outcome = {
   liked : Path.t list;

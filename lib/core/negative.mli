@@ -14,8 +14,9 @@
     Integration differs: negative conditions cannot be conjoined into the
     qualification (that would {e require} the disliked property) nor
     simply negated (NOT over a to-many join means "some genre differs",
-    not "no genre matches"), so they are evaluated as their own partial
-    queries and combined at ranking time:
+    not "no genre matches"), so they are evaluated as partial queries
+    ({!Integrate.accumulate} over {!Integrate.partial}, likes and
+    dislikes each) and combined at ranking time:
 
     [score(row) = conj(satisfied likes) · (1 − conj(satisfied dislikes))]
 
@@ -40,9 +41,9 @@ val rank :
   scored_row list
 (** Execute the positive and negative partial queries and return the
     qualifying rows (at least [l] likes satisfied, default 1; penalty
-    < 1) ranked by {!scored_row.score}, best first, with a deterministic
-    tie-break.  With [dislikes = \[\]] this coincides with MQ's ranked
-    result. *)
+    < 1) ranked by {!scored_row.score} in {!Integrate.sort_ranked}
+    order.  With [dislikes = \[\]] this returns MQ's ranked rows and
+    degrees. *)
 
 type outcome = {
   liked : Path.t list;  (** selected positive preferences *)

@@ -1,23 +1,18 @@
 open Relal
 
 let probe_query db qg path =
-  let q0 = Qgraph.query qg in
   match Integrate.instantiate db qg [ path ] with
   | [ inst ] ->
+      (* Relatedness is satisfiability of the qualification alone: one
+         row answers it, and Q's grouping takes no part. *)
       {
+        (Integrate.partial
+           ~select:[ Sql_ast.Sel_const (Value.Int 1, "probe") ]
+           ~limit:1 qg ~mandatory:[] inst)
+        with
         Sql_ast.distinct = false;
-        select = [ Sql_ast.Sel_const (Value.Int 1, "probe") ];
-        from =
-          q0.Sql_ast.from
-          @ List.map (fun r -> Sql_ast.F_rel r) inst.Integrate.trefs;
-        where =
-          Sql_ast.conj
-            (Integrate.dedup_conjuncts
-               (Sql_ast.conjuncts q0.Sql_ast.where @ [ inst.Integrate.pred ]));
         group_by = [];
         having = None;
-        order_by = [];
-        limit = Some 1;
       }
   | _ -> assert false
 

@@ -26,8 +26,11 @@
 val probe_query :
   Relal.Database.t -> Qgraph.t -> Path.t -> Relal.Sql_ast.query
 (** The LIMIT-1 satisfiability probe for a candidate preference: the
-    original query with the instantiated preference condition added
-    conjunctively, projecting a single constant. *)
+    FROM and WHERE of its partial query ({!Integrate.partial}, no
+    mandatory preferences) — the original qualification with the
+    instantiated preference condition added conjunctively — projecting
+    a single constant, without DISTINCT or the query's GROUP BY and
+    HAVING. *)
 
 val instance_related : Relal.Database.t -> Qgraph.t -> Path.t -> bool
 (** [instance_related db qg path]: does any row satisfy the query's

@@ -16,18 +16,6 @@ let make ~path ~att ~target ~tolerance ~weight =
 
 let closeness t v = Float.max 0. (1. -. (Float.abs (v -. t.target) /. t.tolerance))
 
-module KH = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 a
-end)
-
 (* The partial query: the original query joined with the soft path,
    projecting the original outputs plus the soft attribute. *)
 let soft_query db qg t =
@@ -46,27 +34,13 @@ let soft_query db qg t =
         q0.Sql_ast.select
         @ [ Sql_ast.Sel_attr (Sql_ast.attr end_tv t.att, Some "soft_val") ]
       in
-      ( {
-          q0 with
-          Sql_ast.distinct = true;
-          select;
-          from =
-            q0.Sql_ast.from
-            @ List.map (fun r -> Sql_ast.F_rel r) inst.Integrate.trefs;
-          where =
-            Sql_ast.conj
-              (Integrate.dedup_conjuncts
-                 (Sql_ast.conjuncts q0.Sql_ast.where @ [ inst.Integrate.pred ]));
-          order_by = [];
-          limit = None;
-        },
-        List.length q0.Sql_ast.select )
+      (Integrate.partial ~select qg ~mandatory:[] inst, List.length q0.Sql_ast.select)
   | _ -> assert false
 
 let row_degrees db qg t =
   let q, n_out = soft_query db qg t in
   let res = Engine.run_query db q in
-  let best : float KH.t = KH.create 32 in
+  let best : float Exec.Row_tbl.t = Exec.Row_tbl.create 32 in
   List.iter
     (fun row ->
       let out = Array.sub row 0 n_out in
@@ -81,12 +55,12 @@ let row_degrees db qg t =
       | Some v ->
           let c = closeness t v in
           if c > 0. then begin
-            let prev = Option.value ~default:0. (KH.find_opt best out) in
-            if c > prev then KH.replace best out c
+            let prev = Option.value ~default:0. (Exec.Row_tbl.find_opt best out) in
+            if c > prev then Exec.Row_tbl.replace best out c
           end)
     res.Exec.rows;
   let path_degree = Degree.to_float t.path.Path.degree in
-  KH.fold
+  Exec.Row_tbl.fold
     (fun row c acc ->
       match
         Degree.of_float_opt (Degree.to_float t.weight *. path_degree *. c)
@@ -96,44 +70,13 @@ let row_degrees db qg t =
     best []
 
 let rank ?(l = 1) db qg ~likes ~soft () =
-  let acc : Degree.t list KH.t = KH.create 64 in
-  let add row d =
-    KH.replace acc row (d :: Option.value ~default:[] (KH.find_opt acc row))
-  in
-  (* Hard likes through their partial queries. *)
+  let acc = Integrate.accumulate db qg ~mandatory:[] likes in
   List.iter
-    (fun inst ->
-      let q0 = Qgraph.query qg in
-      let q =
-        {
-          q0 with
-          Sql_ast.distinct = true;
-          from =
-            q0.Sql_ast.from
-            @ List.map (fun r -> Sql_ast.F_rel r) inst.Integrate.trefs;
-          where =
-            Sql_ast.conj
-              (Integrate.dedup_conjuncts
-                 (Sql_ast.conjuncts q0.Sql_ast.where @ [ inst.Integrate.pred ]));
-          order_by = [];
-          limit = None;
-        }
-      in
-      let res = Engine.run_query db q in
-      List.iter (fun row -> add row inst.Integrate.path.Path.degree) res.Exec.rows)
-    likes;
-  (* Soft contributions. *)
-  List.iter
-    (fun s -> List.iter (fun (row, d) -> add row d) (row_degrees db qg s))
+    (fun s ->
+      List.iter (fun (row, d) -> Integrate.credit acc row d) (row_degrees db qg s))
     soft;
-  KH.fold
+  Exec.Row_tbl.fold
     (fun row ds rows ->
       if List.length ds >= l then (row, Degree.conj ds) :: rows else rows)
     acc []
-  |> List.sort (fun (r1, d1) (r2, d2) ->
-         match Degree.compare_desc d1 d2 with
-         | 0 ->
-             compare
-               (Array.map Value.to_string r1)
-               (Array.map Value.to_string r2)
-         | c -> c)
+  |> Integrate.sort_ranked ~score:(fun (_, d) -> Degree.to_float d) ~row:fst

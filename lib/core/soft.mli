@@ -11,10 +11,10 @@
 
     Soft conditions cannot be integrated as WHERE predicates without
     losing their gradual nature, so — like {!Negative} — they are
-    evaluated as partial queries that additionally project the target
-    attribute, and their per-row degrees join the hard preferences'
-    degrees inside the usual conjunctive combination
-    [1 − Π(1−dᵢ)] at ranking time.  A row reached several times through a
+    evaluated as partial queries ({!Integrate.partial}) that
+    additionally project the target attribute, and their per-row degrees
+    join the hard preferences' degrees ({!Integrate.accumulate}) inside
+    the usual conjunctive combination [1 − Π(1−dᵢ)] at ranking time.  A row reached several times through a
     to-many path (e.g. several screenings) takes its {e best} closeness. *)
 
 type t = {
@@ -58,4 +58,6 @@ val rank :
 (** Ranked rows combining hard likes and soft preferences: a row
     qualifies with at least [l] (default 1) satisfied preferences of
     either kind, and scores the conjunctive combination of all its hard
-    degrees and non-zero soft degrees. *)
+    degrees and non-zero soft degrees.  Rows come back in
+    {!Integrate.sort_ranked} order.  With [soft = \[\]] this returns
+    MQ's ranked rows and degrees. *)

@@ -12,52 +12,6 @@ type result = {
   stats : stats;
 }
 
-module Key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 a
-end
-
-module KH = Hashtbl.Make (Key)
-
-(* One partial query: the original query + mandatory + this preference,
-   DISTINCT, projecting only the original output columns. *)
-let partial_query db qg ~mandatory inst =
-  ignore db;
-  let q0 = Qgraph.query qg in
-  let where =
-    Sql_ast.conj
-      (Integrate.dedup_conjuncts
-         (Sql_ast.conjuncts q0.Sql_ast.where
-         @ List.map (fun i -> i.Integrate.pred) mandatory
-         @ [ inst.Integrate.pred ]))
-  in
-  let extra =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun (r : Sql_ast.table_ref) ->
-        if Hashtbl.mem seen r.Sql_ast.alias then false
-        else begin
-          Hashtbl.add seen r.Sql_ast.alias ();
-          true
-        end)
-      (List.concat_map (fun i -> i.Integrate.trefs) (mandatory @ [ inst ]))
-  in
-  {
-    q0 with
-    Sql_ast.distinct = true;
-    from = q0.Sql_ast.from @ List.map (fun r -> Sql_ast.F_rel r) extra;
-    where;
-    order_by = [];
-    limit = None;
-  }
-
 let conj_deg = function [] -> 0. | ds -> Degree.to_float (Degree.conj ds)
 
 let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
@@ -71,27 +25,26 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
   (* suffix_degrees.(i) = degrees of partials i..k-1 (the "remaining"
      degrees before executing partial i). *)
   let suffix i = Array.to_list (Array.sub degs i (k - i)) in
-  (* candidate rows: key -> (satisfied degrees, satisfied count) *)
-  let seen : (Degree.t list * int) KH.t = KH.create 64 in
+  (* candidate rows: key -> satisfied degrees *)
+  let seen : Degree.t list Exec.Row_tbl.t = Exec.Row_tbl.create 64 in
   (* Rows whose exact final score is already known, through random-access
      probes against every remaining partial (Fagin's TA).  Such rows must
      not be re-credited when those partials later execute. *)
-  let complete : unit KH.t = KH.create 16 in
+  let complete : unit Exec.Row_tbl.t = Exec.Row_tbl.create 16 in
   let executed = ref 0 in
   let probes = ref 0 in
   let finished = ref false in
   let i = ref 0 in
   (* Lower bound (confirmed score) of a row: qualified rows score their
      current conjunction, unqualified rows score 0. *)
-  let lower (ds, cnt) = if cnt >= l then conj_deg ds else 0. in
+  let lower ds = if List.length ds >= l then conj_deg ds else 0. in
   (* Upper bound: the row additionally satisfies every remaining partial
      — unless its score is already exact. *)
-  let upper row remaining ((ds, cnt) as s) =
-    if KH.mem complete row then lower s
-    else begin
-      let all = ds @ remaining in
-      if cnt + List.length remaining >= l then conj_deg all else 0.
-    end
+  let upper row remaining ds =
+    if Exec.Row_tbl.mem complete row then lower ds
+    else if List.length ds + List.length remaining >= l then
+      conj_deg (ds @ remaining)
+    else 0.
   in
   (* The current top-n candidate set by confirmed score, with a
      deterministic tie-break, so the termination check can bound the
@@ -99,17 +52,15 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
      n-th score. *)
   let row_key row = Array.map Value.to_string row in
   let current_top_set () =
-    let scored = KH.fold (fun row s acc -> (row, lower s) :: acc) seen [] in
-    let sorted =
-      List.sort
-        (fun (r1, s1) (r2, s2) ->
-          match compare s2 s1 with 0 -> compare (row_key r1) (row_key r2) | c -> c)
-        scored
+    let scored =
+      Exec.Row_tbl.fold (fun row ds acc -> (row, lower ds) :: acc) seen []
     in
-    List.filteri (fun idx _ -> idx < n) sorted
+    List.filteri
+      (fun idx _ -> idx < n)
+      (Integrate.sort_ranked ~score:snd ~row:fst scored)
   in
-  (* Forward declaration of the random-access probe (defined with the
-     other query builders below). *)
+  (* Random access: does [row] satisfy [inst]?  A LIMIT-1 run of the
+     partial query with the projection pinned to the row's values. *)
   let probe_row inst row =
     incr probes;
     let q0 = Qgraph.query qg in
@@ -123,17 +74,15 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
         (fun idx a -> Sql_ast.P_cmp (Eq, S_attr a, S_const row.(idx)))
         proj_attrs
     in
-    let q = partial_query db qg ~mandatory inst in
-    let q =
-      { q with Sql_ast.where = Sql_ast.conj (q.Sql_ast.where :: pin); limit = Some 1 }
-    in
+    let q = Integrate.partial ~limit:1 qg ~mandatory inst in
+    let q = { q with Sql_ast.where = Sql_ast.conj (q.Sql_ast.where :: pin) } in
     (Engine.run_query db q).Exec.rows <> []
   in
   (* Complete a row's score exactly against the unexecuted partials. *)
   let complete_row row =
-    if not (KH.mem complete row) then begin
+    if not (Exec.Row_tbl.mem complete row) then begin
       let remaining_insts = Array.to_list (Array.sub partials !i (k - !i)) in
-      let ds, cnt = try KH.find seen row with Not_found -> ([], 0) in
+      let ds = Option.value ~default:[] (Exec.Row_tbl.find_opt seen row) in
       let extra =
         List.filter_map
           (fun inst ->
@@ -141,8 +90,8 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
             else None)
           remaining_insts
       in
-      KH.replace seen row (ds @ extra, cnt + List.length extra);
-      KH.replace complete row ()
+      Exec.Row_tbl.replace seen row (ds @ extra);
+      Exec.Row_tbl.replace complete row ()
     end
   in
   (* Termination: the n-th best confirmed score must dominate the upper
@@ -161,9 +110,9 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
         in
         if unseen_upper <= nth then begin
           let blockers =
-            KH.fold
-              (fun row s acc ->
-                if (not (in_top row)) && upper row remaining s > nth then
+            Exec.Row_tbl.fold
+              (fun row ds acc ->
+                if (not (in_top row)) && upper row remaining ds > nth then
                   row :: acc
                 else acc)
               seen []
@@ -181,20 +130,10 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
     end
   in
   while (not !finished) && !i < k do
-    let inst = partials.(!i) in
-    let q = partial_query db qg ~mandatory inst in
-    let res = Engine.run_query db q in
+    ignore
+      (Integrate.accumulate ~into:seen ~skip:(Exec.Row_tbl.mem complete) db qg
+         ~mandatory [ partials.(!i) ]);
     incr executed;
-    List.iter
-      (fun row ->
-        if not (KH.mem complete row) then begin
-          let entry =
-            match KH.find_opt seen row with Some e -> e | None -> ([], 0)
-          in
-          let ds, cnt = entry in
-          KH.replace seen row (inst.Integrate.path.Path.degree :: ds, cnt + 1)
-        end)
-      res.Exec.rows;
     incr i;
     try_finish ();
     if !i >= k then finished := true
@@ -203,23 +142,19 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
      settled but not every member's exact score; complete the window with
      random-access probes (no-ops for rows already completed), then take
      the qualified top-n. *)
-  let sort_scored scored =
-    List.sort
-      (fun (r1, d1) (r2, d2) ->
-        match Degree.compare_desc d1 d2 with
-        | 0 ->
-            (* Deterministic tie-break on row contents. *)
-            compare (Array.map Value.to_string r1) (Array.map Value.to_string r2)
-        | c -> c)
-      scored
+  let qualified row ds =
+    if List.length ds >= l && ds <> [] then Some (row, Degree.conj ds) else None
+  in
+  let sort_scored =
+    Integrate.sort_ranked ~score:(fun (_, d) -> Degree.to_float d) ~row:fst
   in
   let top =
     if !i >= k then begin
       (* Every partial ran: scores are exact, no probing needed. *)
       let scored =
-        KH.fold
-          (fun row (ds, cnt) acc ->
-            if cnt >= l && ds <> [] then (row, Degree.conj ds) :: acc else acc)
+        Exec.Row_tbl.fold
+          (fun row ds acc ->
+            match qualified row ds with Some r -> r :: acc | None -> acc)
           seen []
       in
       List.filteri (fun idx _ -> idx < n) (sort_scored scored)
@@ -231,9 +166,7 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
       List.iter (fun (row, _) -> complete_row row) candidates;
       let completed =
         List.filter_map
-          (fun (row, _) ->
-            let ds, cnt = KH.find seen row in
-            if cnt >= l && ds <> [] then Some (row, Degree.conj ds) else None)
+          (fun (row, _) -> qualified row (Exec.Row_tbl.find seen row))
           candidates
       in
       List.filteri (fun idx _ -> idx < n) (sort_scored completed)
@@ -245,7 +178,7 @@ let top_n ?(l = 1) ~n db qg ~mandatory ~optional () =
       {
         partials_total = k;
         partials_executed = !executed;
-        rows_tracked = KH.length seen;
+        rows_tracked = Exec.Row_tbl.length seen;
         random_probes = !probes;
       };
   }

@@ -16,7 +16,12 @@
 
     Rows must satisfy at least [l] preferences to qualify (rows below the
     threshold score as unqualified until enough partials have matched
-    them, exactly like MQ's [HAVING count( * ) >= L]). *)
+    them, exactly like MQ's [HAVING count( * ) >= L]).
+
+    The partial queries are MQ's own ({!Integrate.partial}), credited
+    row by row through {!Integrate.accumulate}; a random-access probe is
+    the same partial at LIMIT 1 with the projection pinned to the row.
+    The rows come back in {!Integrate.sort_ranked} order. *)
 
 type stats = {
   partials_total : int;

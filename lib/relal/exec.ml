@@ -230,7 +230,7 @@ module Key = struct
   let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 a
 end
 
-module KH = Hashtbl.Make (Key)
+module Row_tbl = Hashtbl.Make (Key)
 
 (* Int-keyed table for the join build side: keys are combined value
    hashes (no boxed key arrays); collisions are resolved by comparing the
@@ -850,13 +850,13 @@ and agg_of_rows v agg (rows : int list) =
          group satisfies (a preference can reach a row through several
          partial queries only once). *)
       let dread = attr_reader v doi_a and pread = attr_reader v pref_a in
-      let seen = KH.create 8 in
+      let seen = Row_tbl.create 8 in
       let prod = ref 1.0 in
       List.iter
         (fun r ->
           let key = [| pread r |] in
-          if not (KH.mem seen key) then begin
-            KH.add seen key ();
+          if not (Row_tbl.mem seen key) then begin
+            Row_tbl.add seen key ();
             let d =
               match dread r with
               | Value.Float f -> f
@@ -925,13 +925,13 @@ and post_pipeline gov (q : query) (w : vrel) : result =
     let project r = Array.init ni (fun i -> (item_fns.(i)) r) in
     let rows =
       if q.distinct then begin
-        let seen = KH.create 64 in
+        let seen = Row_tbl.create 64 in
         let acc = ref [] in
         for r = 0 to w.nrows - 1 do
           g_poll gov;
           let out = project r in
-          if not (KH.mem seen out) then begin
-            KH.add seen out ();
+          if not (Row_tbl.mem seen out) then begin
+            Row_tbl.add seen out ();
             acc := out :: !acc
           end
         done;
@@ -952,20 +952,20 @@ and post_pipeline gov (q : query) (w : vrel) : result =
       (* Group row indices by key. *)
       let kreads = Array.of_list (List.map (attr_reader w) q.group_by) in
       let nk = Array.length kreads in
-      let groups = KH.create 64 in
+      let groups = Row_tbl.create 64 in
       let order = ref [] in
       for r = 0 to w.nrows - 1 do
         let k = Array.init nk (fun i -> kreads.(i) r) in
-        match KH.find_opt groups k with
+        match Row_tbl.find_opt groups k with
         | Some l -> l := r :: !l
         | None ->
-            KH.add groups k (ref [ r ]);
+            Row_tbl.add groups k (ref [ r ]);
             order := k :: !order
       done;
       let keys_in_order = List.rev !order in
       List.filter_map
         (fun k ->
-          let rows = !(KH.find groups k) in
+          let rows = !(Row_tbl.find groups k) in
           let keep =
             match q.having with
             | None -> true
@@ -1033,12 +1033,12 @@ and post_pipeline gov (q : query) (w : vrel) : result =
   (* DISTINCT before ORDER BY (SQL evaluation order). *)
   let projected_with_keys =
     if q.distinct then begin
-      let seen = KH.create 64 in
+      let seen = Row_tbl.create 64 in
       List.filter
         (fun (out, _) ->
-          if KH.mem seen out then false
+          if Row_tbl.mem seen out then false
           else begin
-            KH.add seen out ();
+            Row_tbl.add seen out ();
             true
           end)
         projected_with_keys

@@ -32,6 +32,10 @@ exception Exec_error of string
 type result = { cols : string array; rows : Value.t array list }
 (** Output column names (SELECT order) and rows. *)
 
+module Row_tbl : Hashtbl.S with type key = Value.t array
+(** Hash tables keyed by a whole row, under {!Value.equal} and
+    {!Value.hash}: the executor's DISTINCT and GROUP BY tables. *)
+
 val run :
   ?strategy:[ `Auto | `Naive ] ->
   ?gov:Governor.t ->

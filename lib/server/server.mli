@@ -29,8 +29,11 @@
       {!Breaker}.  While open, [PERSONALIZE] skips the profile load and
       serves the plain query (with a [NOTE]), and [PROFILE SAVE] is
       rejected with [Overloaded]; the breaker half-opens on a timer.
-    - {b Isolation}: queries hold a shared read lock on the database;
-      [PROFILE SAVE] holds the exclusive write lock (see {!Rwlock}).
+    - {b Isolation}: profiles live in per-user shards, each behind its
+      own {!Rwlock}.  [PROFILE SAVE] holds only the user's shard write
+      lock, and [PERSONALIZE] holds that shard's read lock while it
+      loads the profile and personalizes.  Queries read the main
+      catalog without a lock: nothing writes it while serving.
     - {b Bounded reads}: each connection reads through its own chunk
       buffer; a request line longer than {!Protocol.max_line_bytes} is
       answered with one [ERR parse] and the connection is closed.

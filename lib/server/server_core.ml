@@ -93,7 +93,6 @@ let profile_entry_lines entries =
 let max_profile_entries = 4096
 
 module Make (R : Runtime.S) = struct
-  module Rl = Rwlock.Make (R)
   module Store = Sharded_store.Make (R)
 
   (* ------------------------------ tickets ---------------------------- *)
@@ -133,7 +132,6 @@ module Make (R : Runtime.S) = struct
   type t = {
     cfg : config;
     db : Database.t;
-    dblock : Rl.t;
     store : Store.t;
     breaker : Breaker.t;
     qm : R.mutex;
@@ -177,9 +175,8 @@ module Make (R : Runtime.S) = struct
        together under the user's shard read lock, so a concurrent save
        for the same user cannot slip between them (a profile snapshot
        cached under the save's new revision would serve stale plans).
-       The caller already holds the main database read lock — lock
-       order main -> shard -> cache.  The unpersonalized fallbacks
-       touch no profile state and run outside the shard lock. *)
+       Lock order shard -> cache.  The unpersonalized fallbacks touch
+       no profile state and run outside the shard lock. *)
     let outcome =
       if Breaker.allow t.breaker then
         Store.with_user_read t.store ~user (fun sdb ->
@@ -243,9 +240,8 @@ module Make (R : Runtime.S) = struct
                "profile-store circuit breaker open; retry after cooldown")
         end
         else begin
-          (* Only the user's shard write lock: queries under the main
-             read lock, and saves for users on other shards, keep
-             flowing. *)
+          (* Only the user's shard write lock: queries, and saves for
+             users on other shards, keep flowing. *)
           match
             Perso.Error.guard (fun () ->
                 Store.with_user_write t.store ~user (fun sdb ->
@@ -288,17 +284,14 @@ module Make (R : Runtime.S) = struct
 
   let execute t ~budget command =
     match command with
-    | Protocol.Run sql ->
-        Rl.with_read t.dblock (fun () ->
-            match
-              Perso.Error.guard (fun () ->
-                  Engine.run_sql ?gov:(gov_of budget) t.db sql)
-            with
-            | Ok result -> R_rows { notes = []; result }
-            | Error e -> R_error e)
-    | Protocol.Personalize { user; sql } ->
-        Rl.with_read t.dblock (fun () ->
-            exec_personalize t ~budget user sql)
+    | Protocol.Run sql -> (
+        match
+          Perso.Error.guard (fun () ->
+              Engine.run_sql ?gov:(gov_of budget) t.db sql)
+        with
+        | Ok result -> R_rows { notes = []; result }
+        | Error e -> R_error e)
+    | Protocol.Personalize { user; sql } -> exec_personalize t ~budget user sql
     | Protocol.Profile_save { user; entries } -> exec_profile_save t user entries
     | Protocol.Profile_show user -> exec_profile_show t user
     | Protocol.Health | Protocol.Ping | Protocol.Shutdown | Protocol.Quit ->
@@ -466,11 +459,9 @@ module Make (R : Runtime.S) = struct
 
   (* ------------------------------- probes ----------------------------- *)
 
-  let lock_state t = Rl.holders t.dblock
-
-  (* Main database rwlock first, then each shard's, in shard order —
-     every one must satisfy the same exclusion invariant. *)
-  let lock_states t = Rl.holders t.dblock :: Store.lock_states t.store
+  (* Each shard's rwlock, in shard order — every one must satisfy the
+     same exclusion invariant. *)
+  let lock_states t = Store.lock_states t.store
 
   (* Read without [qm], the way [lock_states] reads the rwlocks: the sim
      probes between scheduler steps, when no task is inside a critical
@@ -492,9 +483,9 @@ module Make (R : Runtime.S) = struct
        queries still run against the main database.  Each cache
        serializes its state behind its own runtime mutex, so the sim
        runtime exercises the same code single-threaded under virtual
-       time.  Lock order is dblock -> shard lock -> cache lock
-       (personalize under the read locks, store hooks under the shard
-       write lock); nothing takes them the other way.  The configured
+       time.  Lock order is shard lock -> cache lock (personalize
+       under the shard read lock, store hooks under the shard write
+       lock); nothing takes them the other way.  The configured
        entry/byte budget is split across the shards so the total
        footprint stays what the config says. *)
     let mk_cache ~store_db =
@@ -541,7 +532,6 @@ module Make (R : Runtime.S) = struct
     {
       cfg;
       db;
-      dblock = Rl.create ();
       store;
       breaker =
         Breaker.create
@@ -627,9 +617,7 @@ module Make (R : Runtime.S) = struct
             let dump =
               Option.map
                 (fun dir ->
-                  match
-                    Rl.with_read t.dblock (fun () -> Csv.save_db_r ~dir t.db)
-                  with
+                  match Csv.save_db_r ~dir t.db with
                   | Ok () -> Ok dir
                   | Error e -> Error e)
                 t.cfg.dump_dir

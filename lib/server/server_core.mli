@@ -2,7 +2,7 @@
 
     Everything the personalization server does apart from sockets —
     admission control over [workers] request slots and a bounded queue,
-    budget capping, breaker-gated profile access under the rwlock,
+    budget capping, breaker-gated profile access under the shard rwlocks,
     graceful drain with the strict HEALTH counter ledger — lives here,
     as a functor over the {!Runtime.S} concurrency substrate.  The core
     creates no threads: every admitted request runs on the thread that
@@ -132,12 +132,8 @@ module Make (_ : Runtime.S) : sig
       take the optional crash-safe dump.  Idempotent: later calls return
       the first outcome. *)
 
-  val lock_state : t -> int * bool
-  (** [(active_readers, writer_active)] of the database rwlock — the
-      exclusion probe for the simulation's invariant audit. *)
-
   val lock_states : t -> (int * bool) list
-  (** The database rwlock's holders followed by each profile shard's,
+  (** [(active_readers, writer_active)] of each profile shard's rwlock,
       in shard order.  Every element must satisfy the same exclusion
       invariant; the simulation audits them all. *)
 

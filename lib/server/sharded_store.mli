@@ -21,9 +21,10 @@
     round trip and keep producing the same typed errors they would in
     an unsharded server.
 
-    Lock order (documented in DESIGN.md §5g): main database rwlock
-    (outer, queries) → shard rwlock (inner, profile access) → cache
-    lock (innermost).  Nothing takes them in any other order. *)
+    Lock order (documented in DESIGN.md §5g): shard rwlock (outer,
+    profile access) → cache lock (inner).  Nothing takes them in any
+    other order.  The main catalog has no lock: nothing writes it while
+    serving. *)
 
 module Make (R : Runtime.S) : sig
   type t

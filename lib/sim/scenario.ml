@@ -301,8 +301,8 @@ let run ~seed steps =
         db
     in
     Sched.add_probe (fun () ->
-        (* Main database rwlock and every profile-shard rwlock must
-           each satisfy exclusion — the cross-shard audit. *)
+        (* Every profile-shard rwlock must satisfy exclusion — the
+           cross-shard audit. *)
         List.iteri
           (fun i (readers, writer) ->
             if writer && readers > 0 then

@@ -96,8 +96,25 @@ let test_topn_respects_l () =
   Alcotest.(check int) "same qualified rows" (List.length full)
     (List.length got.Topn.rows)
 
-(* Randomized: top-N scores must be a prefix of the full MQ ranking's
-   score list, on synthetic databases/profiles/queries. *)
+(* Rows with their degrees, keyed by printed row (ranked MQ and the
+   extensions may order exact ties differently). *)
+let by_printed_row rows =
+  List.sort compare
+    (List.map (fun (r, d) -> (Array.to_list (Array.map Value.to_string r), d)) rows)
+
+let same_rows_and_degrees expected got =
+  let a = by_printed_row expected and b = by_printed_row got in
+  List.length a = List.length b
+  && List.for_all2 (fun (r1, d1) (r2, d2) -> r1 = r2 && abs_float (d1 -. d2) <= 1e-12) a b
+
+let rec non_increasing = function
+  | (_, a) :: ((_, b) :: _ as rest) -> a >= b && non_increasing rest
+  | _ -> true
+
+(* Randomized, on synthetic databases/profiles/queries: top-N scores
+   must be a prefix of the full MQ ranking's score list, and without
+   dislikes or soft preferences, Negative.rank and Soft.rank must return
+   ranked MQ's rows with MQ's degrees, best first. *)
 let prop_topn_random =
   let db =
     Moviedb.Datagen.generate
@@ -126,8 +143,22 @@ let prop_topn_random =
           List.map (fun (_, deg) -> Degree.to_float deg) got.Topn.rows
           |> List.sort compare
         in
+        let negative =
+          List.map
+            (fun r -> (r.Negative.row, r.Negative.score))
+            (Negative.rank db qg ~likes:insts ~dislikes:[] ())
+        in
+        let soft =
+          List.map
+            (fun (r, deg) -> (r, Degree.to_float deg))
+            (Soft.rank db qg ~likes:insts ~soft:[] ())
+        in
         List.length expected = List.length scores
         && List.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) expected scores
+        && same_rows_and_degrees full negative
+        && non_increasing negative
+        && same_rows_and_degrees full soft
+        && non_increasing soft
       end)
 
 (* ----------------------------- Semantic ----------------------------- *)
