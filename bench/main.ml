@@ -4,7 +4,7 @@
 
    Usage:
      dune exec bench/main.exe                 # all figures + kernels
-     dune exec bench/main.exe -- fig6 fig8    # a subset
+     dune exec bench/main.exe -- fig6 fig8    # a subset; an unknown name exits 2
      BENCH_SCALE=quick|default|paper          # workload size
 
    Absolute numbers will not match the paper's Oracle-9i/2003-hardware
@@ -474,73 +474,7 @@ let ablation_funcs () =
           (Hashtbl.length rows))
     queries
 
-(* Ablation 2: top-N early termination vs executing the full ranked MQ.
-   Under the paper's noisy-or conjunctive scoring the TA threshold
-   1-prod(1-d_rest) stays near 1 while many high-degree preferences
-   remain, so early termination only pays when profile degrees decay
-   quickly — the two profile shapes below demonstrate exactly that. *)
-let ablation_topn () =
-  let db = Lazy.force db in
-  let uniform = profile_for ~seed:9200 ~size:70 in
-  (* Same atoms, geometrically decaying selection degrees. *)
-  let decaying =
-    let rank = ref (-1) in
-    List.fold_left
-      (fun acc (atom, d) ->
-        match atom with
-        | Atom.Join _ -> Profile.add acc atom d
-        | Atom.Sel _ ->
-            incr rank;
-            let d' = Float.max 0.02 (0.9 *. Float.pow 0.55 (float_of_int !rank)) in
-            Profile.add acc atom (Degree.of_float d'))
-      Profile.empty (Profile.entries uniform)
-  in
-  let queries = queries_for 206 scale.queries in
-  Printf.printf
-    "\n## Ablation — top-N early termination vs full MQ (K=20, L=1)\n";
-  Printf.printf "%-10s %-6s %12s %12s %16s %14s\n" "degrees" "N" "full_ms"
-    "topn_ms" "partials_run" "probes";
-  List.iter
-    (fun (label, profile) ->
-      List.iter
-        (fun n ->
-          let samples =
-            List.filter_map
-              (fun q ->
-                let bound = Relal.Binder.bind db q in
-                let qg = Qgraph.of_query db bound in
-                let g = Pgraph.of_profile profile in
-                let selected = Select.select db g qg (Criteria.Top_r 20) in
-                if selected = [] then None
-                else begin
-                  let insts = Integrate.instantiate db qg selected in
-                  let mq =
-                    Integrate.mq ~rank:true db qg ~mandatory:[] ~optional:insts
-                      ~l:(`At_least 1) ()
-                  in
-                  let _, t_full = time (fun () -> Relal.Engine.run_query db mq) in
-                  let r, t_top =
-                    time (fun () ->
-                        Topn.top_n ~n db qg ~mandatory:[] ~optional:insts ())
-                  in
-                  Some
-                    ( t_full,
-                      t_top,
-                      float_of_int r.Topn.stats.Topn.partials_executed
-                      /. float_of_int (max 1 r.Topn.stats.Topn.partials_total),
-                      float_of_int r.Topn.stats.Topn.random_probes )
-                end)
-              queries
-          in
-          Printf.printf "%-10s %-6d %12.3f %12.3f %15.0f%% %14.1f\n%!" label n
-            (avg (List.map (fun (a, _, _, _) -> a) samples))
-            (avg (List.map (fun (_, b, _, _) -> b) samples))
-            (100. *. avg (List.map (fun (_, _, c, _) -> c) samples))
-            (avg (List.map (fun (_, _, _, d) -> d) samples)))
-        [ 1; 3; 5; 10 ])
-    [ ("uniform", uniform); ("decaying", decaying) ]
-
-(* Ablation 3: index access paths (index-equality materialization +
+(* Ablation 2: index access paths (index-equality materialization +
    index-nested-loop joins) vs pure hash joins over scans. *)
 let ablation_index () =
   let cfg = Moviedb.Datagen.scale ~seed:42 scale.movies in
@@ -1009,8 +943,8 @@ let all_figs =
     ("fig6", fig6); ("fig7a", fig7a); ("fig7b", fig7b); ("fig7c", fig7c);
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("exec", bench_exec);
     ("perso", bench_perso); ("kernels", kernels);
-    ("ablation-funcs", ablation_funcs); ("ablation-topn", ablation_topn);
-    ("ablation-index", ablation_index); ("store", bench_store);
+    ("ablation-funcs", ablation_funcs); ("ablation-index", ablation_index);
+    ("store", bench_store);
   ]
 
 let () =
@@ -1019,13 +953,15 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst all_figs
   in
+  (* Every name is checked before any figure runs, so a script naming a
+     figure that no longer exists fails at once instead of passing. *)
+  (match List.filter (fun name -> not (List.mem_assoc name all_figs)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown figure: %s (have: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst all_figs));
+      exit 2);
   let t0 = now_ms () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name all_figs with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown figure %s (have: %s)\n" name
-            (String.concat ", " (List.map fst all_figs)))
-    requested;
+  List.iter (fun name -> (List.assoc name all_figs) ()) requested;
   Printf.printf "\n# total bench time: %.1f s\n" ((now_ms () -. t0) /. 1000.)

@@ -138,7 +138,17 @@ let run_sql_cmd =
 (* ---------------- personalize ---------------- *)
 
 let personalize movies seed data_dir deadline max_rows max_expansions
-    profile_path sql k l m method_ topn semantic =
+    profile_path sql k l m method_ top semantic =
+  validated
+    [
+      Option.bind top (fun n ->
+          if n >= 0 then None
+          else Some (Printf.sprintf "--top must be >= 0 (got %d)" n));
+      (if top <> None && method_ = "sq" then
+         Some "--top needs --method mq: SQ does not rank its results"
+       else None);
+    ]
+  @@ fun () ->
   guarded (fun () ->
       let db = db_of ?data_dir ~movies ~seed () in
       match Perso.Profile.load profile_path with
@@ -154,16 +164,12 @@ let personalize movies seed data_dir deadline max_rows max_expansions
             }
           in
           let budget = budget_of deadline max_rows max_expansions in
-          (* The query graph the semantic filter and Top-N share, built
-             at most once, when the first of them needs it. *)
-          let qg =
-            lazy
-              (Perso.Qgraph.of_query db
-                 (Relal.Binder.bind db (Relal.Sql_parser.parse sql)))
-          in
           let related =
             if semantic then
-              Some (Perso.Semantic.instance_related db (Lazy.force qg))
+              Some
+                (Perso.Semantic.instance_related db
+                   (Perso.Qgraph.of_query db
+                      (Relal.Binder.bind db (Relal.Sql_parser.parse sql))))
             else None
           in
           match
@@ -177,33 +183,26 @@ let personalize movies seed data_dir deadline max_rows max_expansions
                   Printf.eprintf "degraded: %s\n"
                     (Perso.Personalize.degradation_to_string d))
                 run.Perso.Personalize.degradations;
-              (match (run.Perso.Personalize.outcome, topn) with
+              let result = run.Perso.Personalize.result in
+              (match (run.Perso.Personalize.outcome, top) with
               | None, _ ->
                   Format.printf "== Unpersonalized results ==@.";
-                  print_result run.Perso.Personalize.result
+                  print_result result
               | Some outcome, None ->
                   print_string (Perso.Explain.outcome_report outcome);
                   Format.printf "@.== Results ==@.";
-                  print_result run.Perso.Personalize.result
+                  print_result result
               | Some outcome, Some n ->
+                  (* Ranked MQ already delivers rows most interesting
+                     first: Top-N is the executed result's prefix. *)
                   print_string (Perso.Explain.outcome_report outcome);
-                  let top =
-                    Perso.Topn.top_n ~l ~n db (Lazy.force qg)
-                      ~mandatory:outcome.Perso.Personalize.mandatory
-                      ~optional:outcome.Perso.Personalize.optional ()
-                  in
-                  Format.printf
-                    "@.== Top-%d results (%d/%d partials executed, %d probes) ==@."
-                    n top.Perso.Topn.stats.Perso.Topn.partials_executed
-                    top.Perso.Topn.stats.Perso.Topn.partials_total
-                    top.Perso.Topn.stats.Perso.Topn.random_probes;
-                  List.iter
-                    (fun (row, deg) ->
-                      Format.printf "  %-40s doi=%s@."
-                        (String.concat ", "
-                           (Array.to_list (Array.map Relal.Value.to_string row)))
-                        (Perso.Degree.to_string deg))
-                    top.Perso.Topn.rows);
+                  Format.printf "@.== Top-%d results ==@." n;
+                  print_result
+                    {
+                      result with
+                      Relal.Exec.rows =
+                        List.filteri (fun i _ -> i < n) result.Relal.Exec.rows;
+                    });
               0))
 
 let profile_arg =
@@ -222,12 +221,14 @@ let method_arg =
     & opt (enum [ ("sq", "sq"); ("mq", "mq") ]) "mq"
     & info [ "method" ] ~doc:"Integration method: sq or mq.")
 
-let topn_arg =
+let top_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "top" ] ~docv:"N"
-        ~doc:"Deliver only the N most interesting rows (early-terminating).")
+        ~doc:
+          "Deliver only the N most interesting rows: the first N rows of the \
+           ranked result (MQ only).")
 
 let semantic_arg =
   Arg.(
@@ -243,7 +244,7 @@ let personalize_cmd =
     Term.(
       const personalize $ movies_arg $ seed_arg $ data_dir_arg $ deadline_arg
       $ max_rows_arg $ max_expansions_arg $ profile_arg $ sql_arg
-      $ k_arg $ l_arg $ m_arg $ method_arg $ topn_arg $ semantic_arg)
+      $ k_arg $ l_arg $ m_arg $ method_arg $ top_arg $ semantic_arg)
 
 (* ---------------- gen-profile ---------------- *)
 

@@ -302,20 +302,18 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
 (* Ranked evaluation of partial queries (§8 extensions)                *)
 (* ------------------------------------------------------------------ *)
 
-let credit acc row d =
-  Exec.Row_tbl.replace acc row
-    (d :: Option.value ~default:[] (Exec.Row_tbl.find_opt acc row))
-
-let accumulate ?(into = Exec.Row_tbl.create 64) ?(skip = fun _ -> false) db qg
-    ~mandatory insts =
+let accumulate db qg ~mandatory insts =
+  let acc = Exec.Row_tbl.create 64 in
   List.iter
     (fun inst ->
       let d = inst.path.Path.degree in
       List.iter
-        (fun row -> if not (skip row) then credit into row d)
+        (fun row ->
+          Exec.Row_tbl.replace acc row
+            (d :: Option.value ~default:[] (Exec.Row_tbl.find_opt acc row)))
         (Engine.run_query db (partial qg ~mandatory inst)).Exec.rows)
     insts;
-  into
+  acc
 
 let printed_row row = Array.map Value.to_string row
 

@@ -34,11 +34,12 @@
     branch at the first to-many join — "as close as possible to the start
     of the paths".
 
-    The §8 extensions ({!Topn}, {!Negative}, {!Soft}, {!Semantic}) run
-    the same partial queries one at a time instead of as one MQ query:
-    {!accumulate} runs them and maps each row to the degrees it
-    satisfied, and {!sort_ranked} is the order every ranked extension
-    returns. *)
+    The §8 extensions run the same partial queries one at a time
+    instead of as one MQ query: {!Negative} through {!accumulate},
+    which maps each row to the degrees it satisfied, and returns rows in
+    {!sort_ranked} order; {!Semantic} probes one at LIMIT 1.  Top-N
+    delivery needs neither: it is the prefix of executed ranked MQ
+    ({!Personalize.top_n}). *)
 
 type instantiated = {
   path : Path.t;
@@ -112,19 +113,14 @@ val dedup_conjuncts : Relal.Sql_ast.pred list -> Relal.Sql_ast.pred list
 (** {2 Ranked evaluation of partial queries} *)
 
 val accumulate :
-  ?into:Degree.t list Relal.Exec.Row_tbl.t ->
-  ?skip:(Relal.Value.t array -> bool) ->
   Relal.Database.t ->
   Qgraph.t ->
   mandatory:instantiated list ->
   instantiated list ->
   Degree.t list Relal.Exec.Row_tbl.t
-(** Run each preference's {!partial} query, in list order, and {!credit}
-    its degree to every row it returns, except rows [skip] holds for.
-    Returns [into] (default: a fresh table). *)
-
-val credit : Degree.t list Relal.Exec.Row_tbl.t -> Relal.Value.t array -> Degree.t -> unit
-(** Add one satisfied degree to a row's list, at the front. *)
+(** Run each preference's {!partial} query, in list order, and map
+    every row returned to the degrees of the preferences it satisfied,
+    the latest first. *)
 
 val sort_ranked :
   score:('a -> float) -> row:('a -> Relal.Value.t array) -> 'a list -> 'a list

@@ -178,6 +178,7 @@ let degradation_to_string = function
       "dropped personalization after " ^ Error.to_string cause
 
 let top_n ~n db outcome =
+  if n < 0 then invalid_arg "Personalize.top_n: negative n";
   let res = execute db outcome in
   { res with Exec.rows = List.filteri (fun i _ -> i < n) res.Exec.rows }
 

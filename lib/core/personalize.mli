@@ -154,8 +154,11 @@ val degradation_to_string : degradation -> string
 
 val top_n : n:int -> Relal.Database.t -> outcome -> Relal.Exec.result
 (** Top-N delivery in order of estimated degree of interest (§8 future
-    work): execute and keep the [n] highest-ranked rows.  Requires an
-    outcome produced with [rank = true]. *)
+    work), and the library's only Top-N: execute the personalized query
+    and keep its first [n] rows.  On an outcome produced with [rank =
+    true] these are the [n] highest-ranked rows of ranked MQ, so Top-N
+    is the prefix of the full ranking at every [n].
+    @raise Invalid_argument if [n < 0]. *)
 
 (** Context-driven parameter policies (§4): "if the user sends a request
     using her mobile phone, then the system may decide to consider a few

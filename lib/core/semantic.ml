@@ -22,5 +22,3 @@ let instance_related db qg path =
   | { Exec.rows = []; _ } -> false
   | _ -> true
   | exception Exec.Exec_error _ -> false
-
-let filter db qg paths = List.filter (instance_related db qg) paths

@@ -36,7 +36,3 @@ val instance_related : Relal.Database.t -> Qgraph.t -> Path.t -> bool
 (** [instance_related db qg path]: does any row satisfy the query's
     qualification together with [path]'s condition?  Intended as the
     [related] argument of {!Select.select}. *)
-
-val filter : Relal.Database.t -> Qgraph.t -> Path.t list -> Path.t list
-(** Keep only the instance-related paths of a selected set (e.g. to
-    post-filter an already-computed [P_K]). *)

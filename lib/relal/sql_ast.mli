@@ -5,8 +5,8 @@
     whose qualification combines atomic selection and join conditions with
     AND/OR, [SELECT DISTINCT], derived tables built from [UNION ALL],
     [GROUP BY] / [HAVING] with aggregates (including the paper's
-    [DEGREE_OF_CONJUNCTION]), [ORDER BY], and [LIMIT] (for top-N delivery,
-    a §8 extension).  Construction helpers keep client code — notably the
+    [DEGREE_OF_CONJUNCTION]), [ORDER BY], and [LIMIT] (the semantic
+    probe's LIMIT 1, a §8 extension).  Construction helpers keep client code — notably the
     SQ/MQ integration step — short and readable. *)
 
 type attr = { tv : string; col : string }

@@ -1,6 +1,6 @@
-(* The §8 extensions: top-N delivery with early termination, semantic
-   (instance-level) relatedness, and implicit profile creation from
-   query logs. *)
+(* The §8 extensions: top-N delivery as the prefix of ranked MQ,
+   semantic (instance-level) relatedness, negative preferences, and
+   implicit profile creation from query logs. *)
 
 open Perso
 open Relal
@@ -18,9 +18,8 @@ let setting ?(profile = Moviedb.Personas.julie ()) ?(k = 5) () =
 
 (* ------------------------------ Top-N ------------------------------ *)
 
-let full_ranking db qg insts ~l =
-  let mq = Integrate.mq ~rank:true db qg ~mandatory:[] ~optional:insts ~l:(`At_least l) () in
-  let res = Engine.run_query db mq in
+(* A ranked result's rows, each split from its final doi column. *)
+let with_doi res =
   List.map
     (fun row ->
       let n = Array.length row in
@@ -28,79 +27,64 @@ let full_ranking db qg insts ~l =
         match row.(n - 1) with Value.Float f -> f | _ -> Alcotest.fail "doi" ))
     res.Exec.rows
 
+let full_ranking db qg insts ~l =
+  with_doi
+    (Engine.run_query db
+       (Integrate.mq ~rank:true db qg ~mandatory:[] ~optional:insts ~l:(`At_least l) ()))
+
+(* [Personalize.top_n] on the facade's outcome for the same selected
+   paths. *)
+let top_n ~n ~l db qg insts =
+  let outcome =
+    Personalize.integrate_selected
+      ~params:{ Personalize.default_params with l = `At_least l }
+      db qg ~stats:(Select.fresh_stats ())
+      (List.map (fun i -> i.Integrate.path) insts)
+  in
+  with_doi (Personalize.top_n ~n db outcome)
+
+let printed rows =
+  List.map (fun (r, d) -> (Array.to_list (Array.map Value.to_string r), d)) rows
+
+let prefix n rows = List.filteri (fun i _ -> i < n) rows
+
+(* Top-N is the first N rows of the executed ranked MQ: same rows, same
+   order, bit-identical degrees. *)
+let check_prefix msg ~n full got =
+  Alcotest.(check (list (pair (list string) (float 0.))))
+    msg (printed (prefix n full)) (printed got)
+
 let test_topn_matches_full_mq () =
   let db, qg, insts = setting ~k:5 () in
   List.iter
     (fun (n, l) ->
-      let full = full_ranking db qg insts ~l in
-      let expected = List.filteri (fun i _ -> i < n) full in
-      let got = Topn.top_n ~l ~n db qg ~mandatory:[] ~optional:insts () in
-      Alcotest.(check int)
-        (Printf.sprintf "row count n=%d l=%d" n l)
-        (List.length expected) (List.length got.Topn.rows);
-      (* Scores must match pairwise (order may differ among exact ties,
-         so compare the score multiset). *)
-      let scores rows = List.map snd rows |> List.sort compare in
-      Alcotest.(check (list (float 1e-9)))
-        (Printf.sprintf "scores n=%d l=%d" n l)
-        (scores expected)
-        (scores (List.map (fun (r, deg) -> (r, Degree.to_float deg)) got.Topn.rows)))
+      check_prefix
+        (Printf.sprintf "n=%d l=%d" n l)
+        ~n (full_ranking db qg insts ~l) (top_n ~n ~l db qg insts))
     [ (1, 1); (2, 1); (3, 1); (5, 1); (100, 1); (2, 2); (3, 2) ]
-
-let test_topn_early_termination () =
-  (* A genuinely dominant winner: 'Sweet Chaos' satisfies the two top
-     preferences (its own title at 0.95 and comedy at 0.9), giving it a
-     confirmed score of 1-(0.05)(0.19) = 0.9905 after two partials, while
-     any other comedy can reach at most 1-0.19·(0.9)³ and unseen rows at
-     most 1-(0.9)³ — the bounds fire after 2 of 5 partials. *)
-  let profile =
-    Profile.of_list
-      [
-        (Atom.join ("movie", "mid") ("genre", "mid"), d 1.0);
-        (Atom.sel "movie" "title" (str "Sweet Chaos"), d 0.95);
-        (Atom.sel "genre" "genre" (str "comedy"), d 0.9);
-        (Atom.sel "genre" "genre" (str "drama"), d 0.1);
-        (Atom.sel "genre" "genre" (str "romance"), d 0.1);
-        (Atom.sel "genre" "genre" (str "mystery"), d 0.1);
-      ]
-  in
-  let db, qg, insts = setting ~profile ~k:10 () in
-  Alcotest.(check int) "five optional prefs" 5 (List.length insts);
-  let got = Topn.top_n ~n:1 db qg ~mandatory:[] ~optional:insts () in
-  Alcotest.(check bool) "stopped early" true
-    (got.Topn.stats.Topn.partials_executed < got.Topn.stats.Topn.partials_total);
-  (* And still exact: identical to the full ranked MQ's first row. *)
-  let full = full_ranking db qg insts ~l:1 in
-  match (got.Topn.rows, full) with
-  | [ (row, deg) ], (frow, fdeg) :: _ ->
-      Alcotest.(check Helpers.value_testable) "same winner" frow.(0) row.(0);
-      Helpers.check_float "same score" fdeg (Degree.to_float deg)
-  | _ -> Alcotest.fail "one row expected"
 
 let test_topn_edges () =
   let db, qg, insts = setting ~k:3 () in
-  let zero = Topn.top_n ~n:0 db qg ~mandatory:[] ~optional:insts () in
-  Alcotest.(check int) "n=0" 0 (List.length zero.Topn.rows);
-  let none = Topn.top_n ~n:5 db qg ~mandatory:[] ~optional:[] () in
-  Alcotest.(check int) "no preferences" 0 (List.length none.Topn.rows);
+  let full = full_ranking db qg insts ~l:1 in
+  Alcotest.(check int) "n=0" 0 (List.length (top_n ~n:0 ~l:1 db qg insts));
+  let past = List.length full + 5 in
+  check_prefix "n past the last row" ~n:past full (top_n ~n:past ~l:1 db qg insts);
   Alcotest.(check bool) "negative n rejected" true
     (try
-       ignore (Topn.top_n ~n:(-1) db qg ~mandatory:[] ~optional:insts ());
+       ignore (top_n ~n:(-1) ~l:1 db qg insts);
        false
      with Invalid_argument _ -> true)
 
 let test_topn_respects_l () =
   let db, qg, insts = setting ~k:5 () in
-  let got = Topn.top_n ~l:2 ~n:10 db qg ~mandatory:[] ~optional:insts () in
   let full = full_ranking db qg insts ~l:2 in
-  Alcotest.(check int) "same qualified rows" (List.length full)
-    (List.length got.Topn.rows)
+  check_prefix "l=2" ~n:10 full (top_n ~n:10 ~l:2 db qg insts);
+  Alcotest.(check bool) "L = 2 drops rows that L = 1 keeps" true
+    (List.length full < List.length (full_ranking db qg insts ~l:1))
 
 (* Rows with their degrees, keyed by printed row (ranked MQ and the
    extensions may order exact ties differently). *)
-let by_printed_row rows =
-  List.sort compare
-    (List.map (fun (r, d) -> (Array.to_list (Array.map Value.to_string r), d)) rows)
+let by_printed_row rows = List.sort compare (printed rows)
 
 let same_rows_and_degrees expected got =
   let a = by_printed_row expected and b = by_printed_row got in
@@ -111,10 +95,10 @@ let rec non_increasing = function
   | (_, a) :: ((_, b) :: _ as rest) -> a >= b && non_increasing rest
   | _ -> true
 
-(* Randomized, on synthetic databases/profiles/queries: top-N scores
-   must be a prefix of the full MQ ranking's score list, and without
-   dislikes or soft preferences, Negative.rank and Soft.rank must return
-   ranked MQ's rows with MQ's degrees, best first. *)
+(* Randomized, on synthetic databases/profiles/queries: top-N must be
+   the first N rows of the full ranked MQ, and without dislikes,
+   Negative.rank must return ranked MQ's rows with MQ's degrees, best
+   first. *)
 let prop_topn_random =
   let db =
     Moviedb.Datagen.generate
@@ -135,30 +119,14 @@ let prop_topn_random =
       if insts = [] then true
       else begin
         let full = full_ranking db qg insts ~l:1 in
-        let expected =
-          List.filteri (fun i _ -> i < n) full |> List.map snd |> List.sort compare
-        in
-        let got = Topn.top_n ~n db qg ~mandatory:[] ~optional:insts () in
-        let scores =
-          List.map (fun (_, deg) -> Degree.to_float deg) got.Topn.rows
-          |> List.sort compare
-        in
         let negative =
           List.map
             (fun r -> (r.Negative.row, r.Negative.score))
             (Negative.rank db qg ~likes:insts ~dislikes:[] ())
         in
-        let soft =
-          List.map
-            (fun (r, deg) -> (r, Degree.to_float deg))
-            (Soft.rank db qg ~likes:insts ~soft:[] ())
-        in
-        List.length expected = List.length scores
-        && List.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) expected scores
+        printed (prefix n full) = printed (top_n ~n ~l:1 db qg insts)
         && same_rows_and_degrees full negative
         && non_increasing negative
-        && same_rows_and_degrees full soft
-        && non_increasing soft
       end)
 
 (* ----------------------------- Semantic ----------------------------- *)
@@ -238,7 +206,7 @@ let test_semantic_superset_property () =
   let qg = Qgraph.of_query db q in
   let g = Pgraph.of_profile (Moviedb.Personas.rob ()) in
   let syntactic = Select.select db g qg (Criteria.top_r 50) in
-  let semantic = Semantic.filter db qg syntactic in
+  let semantic = List.filter (Semantic.instance_related db qg) syntactic in
   Alcotest.(check bool) "subset" true
     (List.for_all (fun p -> List.exists (Path.equal p) syntactic) semantic)
 
@@ -361,146 +329,10 @@ let test_learned_profile_personalizes () =
         (List.mem first [ "Sweet Chaos"; "Double Take"; "Laughing Waters"; "Second Spring" ])
   | [] -> Alcotest.fail "no results"
 
-(* ------------------------------- Soft ------------------------------- *)
+(* ----------------------------- Negative ----------------------------- *)
 
 let movie_genre_scaffold =
   [ (Atom.join ("movie", "mid") ("genre", "mid"), Helpers.deg 0.9) ]
-
-let mv_anchor () = Path.start ~anchor_tv:"mv" ~anchor_rel:"movie"
-
-let test_soft_make_validation () =
-  let p = mv_anchor () in
-  Alcotest.(check bool) "valid" true
-    (Result.is_ok
-       (Soft.make ~path:p ~att:"year" ~target:2000. ~tolerance:5. ~weight:(d 0.8)));
-  Alcotest.(check bool) "zero tolerance rejected" true
-    (Result.is_error
-       (Soft.make ~path:p ~att:"year" ~target:2000. ~tolerance:0. ~weight:(d 0.8)));
-  let selp =
-    Result.get_ok
-      (Path.extend_sel
-         (Result.get_ok
-            (Path.extend_join p
-               Atom.{ j_from_rel = "movie"; j_from_att = "mid"; j_to_rel = "genre"; j_to_att = "mid" }
-               (d 0.9)))
-         Atom.{ s_rel = "genre"; s_att = "genre"; s_op = Sql_ast.Eq; s_val = str "comedy" }
-         (d 0.9))
-  in
-  Alcotest.(check bool) "selection path rejected" true
-    (Result.is_error
-       (Soft.make ~path:selp ~att:"year" ~target:2000. ~tolerance:5. ~weight:(d 0.8)))
-
-let test_soft_closeness_kernel () =
-  let s =
-    Result.get_ok
-      (Soft.make ~path:(mv_anchor ()) ~att:"year" ~target:2000. ~tolerance:4.
-         ~weight:(d 1.0))
-  in
-  Helpers.check_float "exact" 1.0 (Soft.closeness s 2000.);
-  Helpers.check_float "half" 0.5 (Soft.closeness s 2002.);
-  Helpers.check_float "at tolerance" 0.0 (Soft.closeness s 2004.);
-  Helpers.check_float "beyond" 0.0 (Soft.closeness s 1990.)
-
-let test_soft_row_degrees () =
-  (* 'Recent movies': year near 2003 with tolerance 3, weight 0.9,
-     directly on the query's movie variable. *)
-  let db = tiny () in
-  let q = Binder.bind db (Moviedb.Workload.tonight_query ()) in
-  let qg = Qgraph.of_query db q in
-  let s =
-    Result.get_ok
-      (Soft.make ~path:(mv_anchor ()) ~att:"year" ~target:2003. ~tolerance:3.
-         ~weight:(d 0.9))
-  in
-  let degs = Soft.row_degrees db qg s in
-  let deg_of title =
-    List.find_map
-      (fun (row, deg) ->
-        if Relal.Value.equal row.(0) (str title) then
-          Some (Degree.to_float deg)
-        else None)
-      degs
-  in
-  (* Laughing Waters is from 2003: full closeness -> 0.9. *)
-  Helpers.check_float "2003 movie" 0.9 (Option.get (deg_of "Laughing Waters"));
-  (* Sweet Chaos (2002): closeness 2/3 -> 0.6. *)
-  Helpers.check_float "2002 movie" 0.6 (Option.get (deg_of "Sweet Chaos"));
-  (* Garden of Glass (2000) is exactly at tolerance: dropped. *)
-  Alcotest.(check (option (float 1e-9))) "at tolerance omitted" None
-    (deg_of "Garden of Glass")
-
-let test_soft_through_join_path () =
-  (* Soft preference reached through a join: query over theatres, year
-     of the movies they play tonight, damped by the join degrees. *)
-  let db = tiny () in
-  let q =
-    Binder.bind db
-      (Sql_parser.parse
-         "select t.name from theatre t, play p where t.tid = p.tid and p.date = \
-          '2003-07-02'")
-  in
-  let qg = Qgraph.of_query db q in
-  let path =
-    Result.get_ok
-      (Path.extend_join
-         (Path.start ~anchor_tv:"p" ~anchor_rel:"play")
-         Atom.{ j_from_rel = "play"; j_from_att = "mid"; j_to_rel = "movie"; j_to_att = "mid" }
-         (d 0.8))
-  in
-  let s =
-    Result.get_ok
-      (Soft.make ~path ~att:"year" ~target:2003. ~tolerance:2. ~weight:(d 1.0))
-  in
-  let degs = Soft.row_degrees db qg s in
-  Alcotest.(check bool) "some theatres score" true (degs <> []);
-  (* Every theatre plays at least one 2003 or 2002 movie tonight; the
-     best is a 2003 movie at closeness 1, so max degree = 0.8 (the join
-     damping). *)
-  List.iter
-    (fun (_, deg) ->
-      Alcotest.(check bool) "damped by path degree" true
-        (Degree.to_float deg <= 0.8 +. 1e-9))
-    degs;
-  Alcotest.(check bool) "best reaches the damping bound" true
-    (List.exists (fun (_, deg) -> abs_float (Degree.to_float deg -. 0.8) < 1e-9) degs)
-
-let test_soft_rank_combination () =
-  (* Hard comedy like + soft recency: a 2003 comedy must outrank both a
-     2002 comedy and a non-comedy 2003 movie. *)
-  let db = tiny () in
-  let q = Binder.bind db (Moviedb.Workload.tonight_query ()) in
-  let qg = Qgraph.of_query db q in
-  let likes =
-    let profile =
-      Profile.of_list
-        (movie_genre_scaffold @ [ (Atom.sel "genre" "genre" (str "comedy"), d 0.8) ])
-    in
-    Integrate.instantiate db qg
-      (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 5))
-  in
-  let soft =
-    [
-      Result.get_ok
-        (Soft.make ~path:(mv_anchor ()) ~att:"year" ~target:2003. ~tolerance:3.
-           ~weight:(d 0.9));
-    ]
-  in
-  let ranked = Soft.rank db qg ~likes ~soft () in
-  let pos title =
-    let rec go i = function
-      | [] -> None
-      | (row, _) :: rest ->
-          if Relal.Value.equal row.(0) (str title) then Some i else go (i + 1) rest
-    in
-    go 0 ranked
-  in
-  let p2003_comedy = Option.get (pos "Laughing Waters") in
-  let p2002_comedy = Option.get (pos "Sweet Chaos") in
-  let p2003_plain = Option.get (pos "Iron Harvest") in
-  Alcotest.(check bool) "recent comedy first" true
-    (p2003_comedy < p2002_comedy && p2003_comedy < p2003_plain)
-
-(* ----------------------------- Negative ----------------------------- *)
 
 let test_negative_penalty_sinks_rows () =
   (* Likes comedies and thrillers equally; dislikes thrillers' companion
@@ -593,7 +425,6 @@ let () =
       ( "topn",
         [
           Alcotest.test_case "matches full MQ" `Quick test_topn_matches_full_mq;
-          Alcotest.test_case "early termination" `Quick test_topn_early_termination;
           Alcotest.test_case "edge cases" `Quick test_topn_edges;
           Alcotest.test_case "respects L" `Quick test_topn_respects_l;
           QCheck_alcotest.to_alcotest prop_topn_random;
@@ -604,14 +435,6 @@ let () =
             test_semantic_related_and_conflicting;
           Alcotest.test_case "filter in selection" `Quick test_semantic_filter_in_selection;
           Alcotest.test_case "subset of syntactic" `Quick test_semantic_superset_property;
-        ] );
-      ( "soft",
-        [
-          Alcotest.test_case "make validation" `Quick test_soft_make_validation;
-          Alcotest.test_case "closeness kernel" `Quick test_soft_closeness_kernel;
-          Alcotest.test_case "row degrees" `Quick test_soft_row_degrees;
-          Alcotest.test_case "through join path" `Quick test_soft_through_join_path;
-          Alcotest.test_case "rank combination" `Quick test_soft_rank_combination;
         ] );
       ( "negative",
         [
