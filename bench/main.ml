@@ -345,6 +345,11 @@ let kernels () =
   let insts = Integrate.instantiate db qg selected in
   let selected_small = Select.select db g_small qg (Criteria.Top_r 10) in
   let insts_small = Integrate.instantiate db qg selected_small in
+  (* K = 60 on a 100-selection profile, rewrite-large's largest K. *)
+  let g_large = Pgraph.of_profile (profile_for ~seed:9002 ~size:100) in
+  let insts_large =
+    Integrate.instantiate db qg (Select.select db g_large qg (Criteria.Top_r 60))
+  in
   let mq =
     Integrate.mq ~rank:true db qg ~mandatory:[] ~optional:insts ~l:(`At_least 1) ()
   in
@@ -364,6 +369,14 @@ let kernels () =
       Test.make ~name:"fig8/integrate-mq-K10-L1"
         (Staged.stage (fun () ->
              Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
+               ~l:(`At_least 1) ()));
+      (* The same at K = 60: how integration cost grows with K. *)
+      Test.make ~name:"fig8/integrate-sq-K60-L1"
+        (Staged.stage (fun () ->
+             Integrate.sq db qg ~mandatory:[] ~optional:insts_large ~l:1));
+      Test.make ~name:"fig8/integrate-mq-K60-L1"
+        (Staged.stage (fun () ->
+             Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts_large
                ~l:(`At_least 1) ()));
       (* Figure 9 kernel: SQ's combination blow-up at L=5 (C(10,5)=252). *)
       Test.make ~name:"fig9/integrate-sq-K10-L5"

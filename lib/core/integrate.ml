@@ -23,10 +23,28 @@ let alias_base rel =
 let instantiate db qg paths =
   let used = Hashtbl.create 16 in
   List.iter (fun (tv, _) -> Hashtbl.replace used tv ()) (Qgraph.tvs qg);
+  (* A new variable is the first of [base], [base1], [base2], ... not in
+     [used].  [used] only grows during this call, so every candidate
+     below the last suffix handed out for [base] is still taken: the
+     probe starts there ([next]), and the names are the same as probing
+     from [base] each time, in time linear in the variables allocated. *)
+  let next = Hashtbl.create 8 in
   let fresh rel =
-    let a =
-      Sql_ast.fresh_alias ~used:(fun c -> Hashtbl.mem used c) (alias_base rel)
+    let base = String.lowercase_ascii (alias_base rel) in
+    let i =
+      match Hashtbl.find_opt next base with
+      | Some i -> i
+      | None ->
+          let i = ref 0 in
+          Hashtbl.add next base i;
+          i
     in
+    let rec probe () =
+      let cand = if !i = 0 then base else base ^ string_of_int !i in
+      incr i;
+      if Hashtbl.mem used cand then probe () else cand
+    in
+    let a = probe () in
     Hashtbl.replace used a ();
     a
   in
@@ -115,28 +133,27 @@ let split_mandatory ~m prefs degree_of =
   | `Min_degree d ->
       List.partition (fun p -> Degree.to_float (degree_of p) >= d) prefs
 
-let dedup_conjuncts preds =
+(* The elements of [xs] whose key is neither in [known] nor the key of
+   an earlier element, in order, and the table of the keys kept. *)
+let dedup ?known key xs =
   let seen = Hashtbl.create 16 in
-  List.filter
-    (fun p ->
-      let key = Sql_print.pred_to_string p in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    preds
+  let known = match known with Some t -> Hashtbl.mem t | None -> fun _ -> false in
+  let kept =
+    List.filter
+      (fun x ->
+        let k = key x in
+        if known k || Hashtbl.mem seen k then false
+        else begin
+          Hashtbl.add seen k ();
+          true
+        end)
+      xs
+  in
+  (kept, seen)
 
-let dedup_trefs (trefs : Sql_ast.table_ref list) =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (r : Sql_ast.table_ref) ->
-      if Hashtbl.mem seen r.Sql_ast.alias then false
-      else begin
-        Hashtbl.add seen r.Sql_ast.alias ();
-        true
-      end)
-    trefs
+let pred_key = Sql_print.pred_to_string
+let tref_key (r : Sql_ast.table_ref) = r.Sql_ast.alias
+let dedup_conjuncts preds = fst (dedup pred_key preds)
 
 let check_projection (q : Sql_ast.query) =
   List.iter
@@ -146,19 +163,29 @@ let check_projection (q : Sql_ast.query) =
     q.Sql_ast.select
 
 (* Output names of the original projection, uniquified for use as the
-   derived-table columns of MQ. *)
+   derived-table columns of MQ: a repeat of [n] becomes [n_k] for the
+   least k above the last one [n] used whose name is neither an output
+   name of the query nor already assigned. *)
 let uniquified_outputs (q : Sql_ast.query) =
   let names = Sql_ast.select_output_names q in
-  let seen = Hashtbl.create 8 in
+  let taken = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace taken n ()) names;
+  let last = Hashtbl.create 8 in
   List.map
     (fun n ->
-      match Hashtbl.find_opt seen n with
+      match Hashtbl.find_opt last n with
       | None ->
-          Hashtbl.add seen n 1;
+          Hashtbl.add last n 1;
           n
       | Some k ->
-          Hashtbl.replace seen n (k + 1);
-          Printf.sprintf "%s_%d" n (k + 1))
+          let rec probe k =
+            let cand = Printf.sprintf "%s_%d" n k in
+            if Hashtbl.mem taken cand then probe (k + 1) else (k, cand)
+          in
+          let k, cand = probe (k + 1) in
+          Hashtbl.replace last n k;
+          Hashtbl.add taken cand ();
+          cand)
     names
 
 let conflict_free db insts =
@@ -169,32 +196,57 @@ let conflict_free db insts =
 
 let preds insts = List.map (fun i -> i.pred) insts
 
-(* The initial query, DISTINCT, joined with the tuple variables of
-   [vars] and qualified by its own conditions plus [conds], with
-   repeated conditions and variables removed (§6).  SQ, MQ's degenerate
-   case and every partial query have this shape. *)
-let joined q0 ~vars ~conds =
+let trefs_of insts = List.concat_map (fun i -> i.trefs) insts
+
+(* SQ, MQ's degenerate case and every partial query are the initial
+   query, DISTINCT, joined with the tuple variables of the mandatory
+   preferences and then of [vars], and qualified by its own conditions,
+   the mandatory ones and then [cond], with repeated conditions and
+   variables removed (§6).  The part before [vars] and [cond] is the
+   same for every query built for one (Q, mandatory), so [prefix] builds
+   it, with the keys the repeat tests need, once, and [joined] appends
+   one query's own part. *)
+type prefix = {
+  q0 : Sql_ast.query;
+  from : Sql_ast.from_item list;  (** Q's, then the mandatory variables *)
+  aliases : (string, unit) Hashtbl.t;  (** the mandatory variables' *)
+  conds : Sql_ast.pred list;  (** Q's conjuncts, then the mandatory conditions *)
+  keys : (string, unit) Hashtbl.t;  (** [conds], printed *)
+}
+
+let prefix q0 ~mandatory =
+  let trefs, aliases = dedup tref_key (trefs_of mandatory) in
+  let conds, keys =
+    dedup pred_key (Sql_ast.conjuncts q0.Sql_ast.where @ preds mandatory)
+  in
   {
-    q0 with
-    Sql_ast.distinct = true;
-    from =
-      q0.Sql_ast.from
-      @ List.map
-          (fun r -> Sql_ast.F_rel r)
-          (dedup_trefs (List.concat_map (fun i -> i.trefs) vars));
-    where =
-      Sql_ast.conj (dedup_conjuncts (Sql_ast.conjuncts q0.Sql_ast.where @ conds));
+    q0;
+    from = q0.Sql_ast.from @ List.map (fun r -> Sql_ast.F_rel r) trefs;
+    aliases;
+    conds;
+    keys;
   }
 
-let partial ?select ?limit qg ~mandatory inst =
-  let q0 = Qgraph.query qg in
-  let insts = mandatory @ [ inst ] in
+let joined pre ~vars ~cond =
+  let trefs, _ = dedup ~known:pre.aliases tref_key (trefs_of vars) in
+  let cond = if Hashtbl.mem pre.keys (pred_key cond) then [] else [ cond ] in
   {
-    (joined q0 ~vars:insts ~conds:(preds insts)) with
-    Sql_ast.select = Option.value select ~default:q0.Sql_ast.select;
+    pre.q0 with
+    Sql_ast.distinct = true;
+    from = pre.from @ List.map (fun r -> Sql_ast.F_rel r) trefs;
+    where = Sql_ast.conj (pre.conds @ cond);
+  }
+
+let partial_of ?select ?limit pre inst =
+  {
+    (joined pre ~vars:[ inst ] ~cond:inst.pred) with
+    Sql_ast.select = Option.value select ~default:pre.q0.Sql_ast.select;
     order_by = [];
     limit;
   }
+
+let partial ?select ?limit qg ~mandatory inst =
+  partial_of ?select ?limit (prefix (Qgraph.query qg) ~mandatory) inst
 
 (* ------------------------------------------------------------------ *)
 (* SQ                                                                  *)
@@ -232,9 +284,7 @@ let sq db qg ~mandatory ~optional ~l =
       Sql_ast.disj
         (List.map (fun combo -> Sql_ast.conj (dedup_conjuncts (preds combo))) combos)
   in
-  let q =
-    joined q0 ~vars:(mandatory @ used_opt) ~conds:(preds mandatory @ [ disjunction ])
-  in
+  let q = joined (prefix q0 ~mandatory) ~vars:used_opt ~cond:disjunction in
   if conflict_free db mandatory then q else { q with Sql_ast.where = Sql_ast.P_false }
 
 (* ------------------------------------------------------------------ *)
@@ -262,6 +312,7 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
             | _ -> err "personalizable queries must project plain attributes")
           q0.Sql_ast.select
       in
+      let pre = prefix q0 ~mandatory in
       let branch inst =
         let select =
           List.map2
@@ -273,7 +324,7 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
               Sql_ast.Sel_const (Value.Int inst.index, "pref");
             ]
         in
-        Sql_ast.C_single (partial ~select qg ~mandatory inst)
+        Sql_ast.C_single (partial_of ~select pre inst)
       in
       let union = Sql_ast.C_union_all (List.map branch optional) in
       let t = "temp" in
@@ -303,6 +354,7 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
 (* ------------------------------------------------------------------ *)
 
 let accumulate db qg ~mandatory insts =
+  let pre = prefix (Qgraph.query qg) ~mandatory in
   let acc = Exec.Row_tbl.create 64 in
   List.iter
     (fun inst ->
@@ -311,7 +363,7 @@ let accumulate db qg ~mandatory insts =
         (fun row ->
           Exec.Row_tbl.replace acc row
             (d :: Option.value ~default:[] (Exec.Row_tbl.find_opt acc row)))
-        (Engine.run_query db (partial qg ~mandatory inst)).Exec.rows)
+        (Engine.run_query db (partial_of pre inst)).Exec.rows)
     insts;
   acc
 

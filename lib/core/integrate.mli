@@ -26,7 +26,11 @@
     their conditions; SQ and MQ's degenerate case use the same FROM and
     WHERE construction with a disjunction, or nothing, in place of the
     optional preference.  Repeated conditions and tuple variables are
-    removed, and the conflict-free test of §6(a) is one function.
+    removed, and the conflict-free test of §6(a) is one function.  The
+    part shared by every query built for one [Q] and mandatory set —
+    [Q]'s FROM and conditions with the mandatory ones, repeats removed —
+    is built once per {!sq}, {!mq} or {!accumulate} call, so MQ's
+    construction is linear in [K − M].
 
     Tuple variables (§6(b)): each preference path is instantiated once
     with fresh tuple variables; a path prefix whose joins are all to-one
@@ -53,7 +57,15 @@ type instantiated = {
 val instantiate :
   Relal.Database.t -> Qgraph.t -> Path.t list -> instantiated list
 (** Allocate tuple variables for each selected path (with forced sharing
-    of to-one prefixes) and render its condition. *)
+    of to-one prefixes) and render its condition.
+
+    Variables are allocated in list order of the paths, and along each
+    path in join order.  A new variable over relation [R] is named by the
+    first of [b], [b1], [b2], … that is neither a tuple variable of [Q]
+    nor allocated earlier in the call, where [b] is the first two letters
+    of [R], lower-cased; a join on a to-one prefix already instantiated
+    reuses that prefix's variable instead.  The call takes time linear in
+    the variables it allocates. *)
 
 val split_mandatory :
   m:[ `Count of int | `Min_degree of float ] ->
@@ -107,8 +119,10 @@ val partial :
     branches project [doi] and [pref] through [select]. *)
 
 val dedup_conjuncts : Relal.Sql_ast.pred list -> Relal.Sql_ast.pred list
-(** Structural de-duplication preserving first occurrence — "any repeated
-    conditions are removed" (§6). *)
+(** Keep the first of the conditions that print the same
+    ({!Relal.Sql_print.pred_to_string}), in order — "any repeated
+    conditions are removed" (§6).  Each element is one key: the
+    conjuncts of an [AND] element are not compared one by one. *)
 
 (** {2 Ranked evaluation of partial queries} *)
 

@@ -125,14 +125,3 @@ let select_output_names q =
       | Sel_const (_, alias) -> alias
       | Sel_agg (_, alias) -> alias)
     q.select
-
-let fresh_alias ~used base =
-  let base = lc base in
-  if not (used base) then base
-  else begin
-    let rec go i =
-      let cand = base ^ string_of_int i in
-      if used cand then go (i + 1) else cand
-    in
-    go 1
-  end

@@ -131,8 +131,3 @@ val query_tvs : query -> table_ref list
 
 val select_output_names : query -> string list
 (** Output column names, in order (alias if given, else the column). *)
-
-val fresh_alias : used:(string -> bool) -> string -> string
-(** [fresh_alias ~used base] returns [base] or [base1], [base2], … — the
-    first candidate for which [used] is false.  Used when integration
-    introduces new tuple variables (§6(b)). *)

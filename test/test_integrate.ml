@@ -108,6 +108,60 @@ let test_instantiate_date_coercion () =
          contains 0)
   | _ -> Alcotest.fail "one preference expected"
 
+(* Each new tuple variable is the first name among base, base1, base2,
+   … (base: its relation's first two letters) that is neither a variable
+   of the query nor one allocated before it, in path order.  The query
+   already holds genre variables that look generated, with gaps, and the
+   director paths allocate two relations with one base, DIRECTED and
+   DIRECTOR. *)
+let test_instantiate_alias_order () =
+  let db = Moviedb.Personas.tiny_db () in
+  let graph sql = Qgraph.of_query db (Binder.bind db (Sql_parser.parse sql)) in
+  (* Selected over MOVIE alone, where a join into GENRE is no cycle. *)
+  let paths =
+    Select.select db
+      (Pgraph.of_profile (Moviedb.Personas.julie ()))
+      (graph "select mv.title from movie mv")
+      (Criteria.top_r 20)
+  in
+  let qg =
+    graph
+      "select mv.title from movie mv, genre ge, genre ge1, genre ge3 where \
+       mv.mid = ge.mid and mv.mid = ge1.mid and mv.mid = ge3.mid"
+  in
+  let insts = Integrate.instantiate db qg paths in
+  let used = Hashtbl.create 16 in
+  List.iter (fun (tv, _) -> Hashtbl.replace used tv ()) (Qgraph.tvs qg);
+  let first_free base =
+    let rec go i =
+      let cand = if i = 0 then base else base ^ string_of_int i in
+      if Hashtbl.mem used cand then go (i + 1) else cand
+    in
+    go 0
+  in
+  (* (variable, relation), in allocation order *)
+  let allocated = ref [] in
+  List.iter
+    (fun inst ->
+      List.iter
+        (fun { Sql_ast.rel; alias } ->
+          (* A variable met again is a shared to-one prefix. *)
+          if not (List.mem_assoc alias !allocated) then begin
+            let expected = first_free (String.sub rel 0 2) in
+            Alcotest.(check string) ("variable for " ^ rel) expected alias;
+            Hashtbl.replace used expected ();
+            allocated := !allocated @ [ (expected, rel) ]
+          end)
+        inst.Integrate.trefs)
+    insts;
+  let of_rel rel =
+    List.filter_map (fun (a, r) -> if r = rel then Some a else None) !allocated
+  in
+  Alcotest.(check (list string)) "genre variables fill the gaps" [ "ge2"; "ge4"; "ge5" ]
+    (of_rel "genre");
+  Alcotest.(check (list string)) "directed, then director" [ "di"; "di1" ]
+    (of_rel "directed" @ of_rel "director")
+
 (* ------------------------------ SQ ------------------------------- *)
 
 let test_sq_structure () =
@@ -224,6 +278,43 @@ let test_mq_mandatory_in_every_partial () =
         (count_occurrences sql needle)
   | _ -> Alcotest.fail "need preferences"
 
+(* A repeated output name becomes a derived-table column named neither
+   like another output nor like an earlier repeat, so each column of
+   ranked MQ reads its own attribute: every row, less its degree, is a
+   row of Q's DISTINCT answer. *)
+let test_mq_repeated_output_names () =
+  let db = Moviedb.Personas.tiny_db () in
+  let printed rows = List.map (fun r -> Array.to_list (Array.map Value.to_string r)) rows in
+  List.iter
+    (fun sql ->
+      let q = Binder.bind db (Sql_parser.parse sql) in
+      let qg = Qgraph.of_query db q in
+      let pk =
+        Select.select db (Pgraph.of_profile (Moviedb.Personas.julie ())) qg (Criteria.top_r 5)
+      in
+      let insts = Integrate.instantiate db qg pk in
+      let mq = Integrate.mq db qg ~mandatory:[] ~optional:insts ~l:(`At_least 1) () in
+      let answer =
+        printed (Engine.run_query db { q with Sql_ast.distinct = true }).Exec.rows
+      in
+      let ranked =
+        printed
+          (List.map
+             (fun r -> Array.sub r 0 (Array.length r - 1))
+             (Engine.run_query db mq).Exec.rows)
+      in
+      Alcotest.(check bool) (sql ^ ": rows") true (ranked <> []);
+      List.iter
+        (fun row ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s in Q's answer" sql (String.concat "|" row))
+            true (List.mem row answer))
+        ranked)
+    [
+      "select pl.tid, pl.tid, mv.year as tid_2 from movie mv, play pl where mv.mid = pl.mid";
+      "select mv.title as t_2, mv.year as t, mv.mid as t from movie mv";
+    ]
+
 (* --------------------- SQ ≡ MQ (live equivalence) --------------------- *)
 
 let titles_set res = List.sort_uniq compare (Helpers.titles res)
@@ -296,26 +387,29 @@ let prop_sq_mq_random =
       { Moviedb.Datagen.default with movies = 150; actors = 60; directors = 15; theatres = 6 }
   in
   QCheck.Test.make ~name:"SQ = MQ on random settings" ~count:30
-    QCheck.(pair small_int (int_range 1 2))
-    (fun (seed, l) ->
+    QCheck.(quad small_int (int_range 1 2) (int_range 0 1) (int_range 1 20))
+    (fun (seed, l, m, k) ->
       let profile =
         Moviedb.Profile_gen.generate db
-          { Moviedb.Profile_gen.default with seed = seed + 50; n_selections = 10 }
+          { Moviedb.Profile_gen.default with seed = seed + 50; n_selections = 30 }
       in
       let rng = Putil.Rng.create (seed + 99) in
       let q = Binder.bind db (Moviedb.Workload.random_query db rng) in
       let qg = Qgraph.of_query db q in
-      let pk = Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 6) in
+      let pk = Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r k) in
       let insts = Integrate.instantiate db qg pk in
-      let l = min l (List.length insts) in
+      let mandatory, optional =
+        Integrate.split_mandatory ~m:(`Count m) insts (fun i ->
+            i.Integrate.path.Path.degree)
+      in
+      let l = min l (List.length optional) in
       if insts = [] then true
       else
-        match Integrate.sq db qg ~mandatory:[] ~optional:insts ~l with
+        match Integrate.sq db qg ~mandatory ~optional ~l with
         | exception Integrate.Integration_error _ -> true (* all combos conflict *)
         | sq ->
             let mq =
-              Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
-                ~l:(`At_least l) ()
+              Integrate.mq ~rank:false db qg ~mandatory ~optional ~l:(`At_least l) ()
             in
             let rows q' =
               (Engine.run_query db q').Exec.rows
@@ -336,6 +430,7 @@ let () =
             test_instantiate_to_one_prefix_shared;
           Alcotest.test_case "to-many branches" `Quick test_instantiate_to_many_branches;
           Alcotest.test_case "date coercion" `Quick test_instantiate_date_coercion;
+          Alcotest.test_case "alias allocation order" `Quick test_instantiate_alias_order;
         ] );
       ( "sq",
         [
@@ -353,6 +448,7 @@ let () =
           Alcotest.test_case "mandatory in partials" `Quick
             test_mq_mandatory_in_every_partial;
           Alcotest.test_case "rank order" `Quick test_mq_rank_order;
+          Alcotest.test_case "repeated output names" `Quick test_mq_repeated_output_names;
         ] );
       ( "equivalence",
         [
