@@ -127,13 +127,22 @@ let validate db t =
       | Ok ty -> (
           match Value.ty_of s.s_val with
           | None -> Ok () (* NULL comparisons allowed *)
-          | Some vty ->
+          | Some vty -> (
               if Value.compatible ty vty then Ok ()
-              else if ty = Value.TDate && vty = Value.TStr then Ok ()
               else
-                Error
-                  (Printf.sprintf "selection %s: %s column vs %s value"
-                     (to_string t) (Value.ty_name ty) (Value.ty_name vty))))
+                match s.s_val with
+                | Value.Str d when ty = Value.TDate ->
+                    (* The binder coerces the string, and refuses it if
+                       it does not parse. *)
+                    if Option.is_some (Value.parse_date d) then Ok ()
+                    else
+                      Error
+                        (Printf.sprintf "selection %s: string %S is not a valid date"
+                           (to_string t) d)
+                | _ ->
+                    Error
+                      (Printf.sprintf "selection %s: %s column vs %s value"
+                         (to_string t) (Value.ty_name ty) (Value.ty_name vty)))))
   | Join j -> (
       match (check_col j.j_from_rel j.j_from_att, check_col j.j_to_rel j.j_to_att) with
       | Error e, _ | _, Error e -> Error e

@@ -47,8 +47,9 @@ val compare : t -> t -> int
 
 val validate : Relal.Database.t -> t -> (unit, string) result
 (** Check the atom against a catalog: relations and attributes exist,
-    selection value type-compatible with the column, join ends
-    type-compatible. *)
+    selection value type-compatible with the column (a string against a
+    date column must parse as a date, as {!Relal.Binder} requires), join
+    ends type-compatible. *)
 
 val to_string : t -> string
 (** SQL-condition syntax: [GENRE.genre = 'comedy'],

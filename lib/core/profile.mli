@@ -59,7 +59,9 @@ val union : t -> t -> t
 (** Right-biased merge. *)
 
 val validate : Relal.Database.t -> t -> (unit, string list) result
-(** Validate every atom against the catalog; collects all errors. *)
+(** Validate every atom against the catalog ({!Atom.validate}); collects
+    all errors, in entry order.  A profile that passes binds wherever its
+    atoms are integrated: [PROFILE SAVE] refuses one that does not. *)
 
 (** {1 Text format} *)
 

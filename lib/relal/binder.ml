@@ -4,11 +4,20 @@ exception Bind_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Bind_error s)) fmt
 
-(* Environment: one entry per FROM item, in order. *)
-type env_entry = { alias : string; cols : (string * Value.ty) list }
+(* Environment: one entry per FROM item, in order.  [names] are the
+   item's column names as a query spells them (a table's lower-cased
+   names, a derived table's output names), [cols] their columns. *)
+type env_entry = { alias : string; names : string array; cols : Schema.column array }
 type env = env_entry list
 
-let entry_col_ty (e : env_entry) col = List.assoc_opt col e.cols
+let entry_col_ty (e : env_entry) col =
+  let n = Array.length e.names in
+  let rec go i =
+    if i >= n then None
+    else if String.equal e.names.(i) col then Some e.cols.(i).Schema.cty
+    else go (i + 1)
+  in
+  go 0
 
 let lookup_qualified env (a : attr) =
   match List.find_opt (fun e -> e.alias = a.tv) env with
@@ -134,8 +143,15 @@ let rec bind_having env = function
       | _ -> ());
       H_cmp (op, l, r)
 
-let rec build_env db (from : from_item list) : env =
-  let entries =
+let has_aggregates q =
+  List.exists (function Sel_agg _ -> true | _ -> false) q.select
+  || q.having <> None
+
+(* One pass: each FROM item's environment entry is built once, and a
+   derived table's is read off its bound branches, which are bound here
+   and nowhere else. *)
+let rec bind_from db (from : from_item list) : env * from_item list =
+  let bound =
     List.map
       (fun item ->
         match item with
@@ -143,81 +159,75 @@ let rec build_env db (from : from_item list) : env =
             match Database.find_table db r.rel with
             | None -> err "unknown table %s" r.rel
             | Some t ->
-                let cols =
-                  Array.to_list
-                    (Array.map
-                       (fun c ->
-                         (String.lowercase_ascii c.Schema.cname, c.Schema.cty))
-                       (Schema.columns (Table.schema t)))
-                in
-                { alias = r.alias; cols })
-        | F_derived (c, alias) -> { alias; cols = compound_schema db c })
+                let s = Table.schema t in
+                ({ alias = r.alias; names = Schema.col_names s; cols = Schema.columns s }, item))
+        | F_derived (c, alias) ->
+            let c, out = bind_compound db c in
+            let out = Array.of_list out in
+            ( {
+                alias;
+                names = Array.map (fun c -> c.Schema.cname) out;
+                cols = out;
+              },
+              F_derived (c, alias) ))
       from
   in
   (* Alias uniqueness. *)
   let seen = Hashtbl.create 8 in
   List.iter
-    (fun e ->
+    (fun (e, _) ->
       if Hashtbl.mem seen e.alias then err "duplicate tuple variable %s" e.alias;
       Hashtbl.add seen e.alias ())
-    entries;
-  entries
+    bound;
+  List.split bound
 
-and compound_schema db = function
-  | C_single q -> output_schema db q
+(* A compound bound, with its output columns: the first branch's, which
+   every other branch must match in arity and type. *)
+and bind_compound db = function
+  | C_single q ->
+      let q, out = bind_query db q in
+      (C_single q, out)
   | C_union_all [] -> err "empty UNION ALL"
   | C_union_all (c :: cs) ->
-      let first = compound_schema db c in
-      List.iter
-        (fun c' ->
-          let s = compound_schema db c' in
-          if List.length s <> List.length first then
-            err "UNION ALL branches have different arities";
-          List.iter2
-            (fun (_, t1) (_, t2) ->
-              if not (Value.compatible t1 t2) then
-                err "UNION ALL branches have incompatible column types")
-            first s)
-        cs;
-      first
+      let c, first = bind_compound db c in
+      let cs =
+        List.map
+          (fun c' ->
+            let c', s = bind_compound db c' in
+            if List.length s <> List.length first then
+              err "UNION ALL branches have different arities";
+            List.iter2
+              (fun c1 c2 ->
+                if not (Value.compatible c1.Schema.cty c2.Schema.cty) then
+                  err "UNION ALL branches have incompatible column types")
+              first s;
+            c')
+          cs
+      in
+      (C_union_all (c :: cs), first)
 
-and output_schema db (q : query) : (string * Value.ty) list =
-  let env = build_env db q.from in
-  List.map
-    (fun item ->
-      match item with
-      | Sel_attr (a, alias) ->
-          let a, ty = resolve_attr env a in
-          ((match alias with Some al -> al | None -> a.col), ty)
-      | Sel_const (v, alias) ->
-          let ty = match Value.ty_of v with Some t -> t | None -> Value.TStr in
-          (alias, ty)
-      | Sel_agg (agg, alias) -> (alias, agg_ty env (bind_agg env agg)))
-    q.select
-
-let has_aggregates q =
-  List.exists (function Sel_agg _ -> true | _ -> false) q.select
-  || q.having <> None
-
-let rec bind db (q : query) : query =
-  let env = build_env db q.from in
-  let from =
-    List.map
-      (function
-        | F_rel r -> F_rel r
-        | F_derived (c, alias) -> F_derived (bind_compound db c, alias))
-      q.from
-  in
-  let select =
-    List.map
-      (fun item ->
-        match item with
-        | Sel_attr (a, alias) ->
-            let a, _ = resolve_attr env a in
-            Sel_attr (a, alias)
-        | Sel_const (v, alias) -> Sel_const (v, alias)
-        | Sel_agg (agg, alias) -> Sel_agg (bind_agg env agg, alias))
-      q.select
+(* A query bound, with its output columns in SELECT order. *)
+and bind_query db (q : query) : query * Schema.column list =
+  let env, from = bind_from db q.from in
+  let select, out =
+    List.split
+      (List.map
+         (fun item ->
+           match item with
+           | Sel_attr (a, alias) ->
+               let a, ty = resolve_attr env a in
+               ( Sel_attr (a, alias),
+                 {
+                   Schema.cname = (match alias with Some al -> al | None -> a.col);
+                   cty = ty;
+                 } )
+           | Sel_const (v, alias) ->
+               let ty = match Value.ty_of v with Some t -> t | None -> Value.TStr in
+               (item, { Schema.cname = alias; cty = ty })
+           | Sel_agg (agg, alias) ->
+               let agg = bind_agg env agg in
+               (Sel_agg (agg, alias), { Schema.cname = alias; cty = agg_ty env agg }))
+         q.select)
   in
   let where = bind_pred env q.where in
   let group_by = List.map (fun a -> fst (resolve_attr env a)) q.group_by in
@@ -262,11 +272,6 @@ let rec bind db (q : query) : query =
   (match q.limit with
   | Some n when n < 0 -> err "negative LIMIT"
   | _ -> ());
-  { q with from; select; where; group_by; having; order_by }
+  ({ q with from; select; where; group_by; having; order_by }, out)
 
-and bind_compound db = function
-  | C_single q -> C_single (bind db q)
-  | C_union_all cs ->
-      let bound = C_union_all (List.map (bind_compound db) cs) in
-      ignore (compound_schema db bound);
-      bound
+let bind db q = fst (bind_query db q)

@@ -11,7 +11,14 @@
       are resolved against the input columns.
 
     The executor ({!Exec}) requires its input to have passed this
-    function. *)
+    function.
+
+    Binding is one walk over the query: each FROM item's environment is
+    built once, and a derived table (MQ's UNION ALL of partial queries)
+    is bound branch by branch, its columns read off the first bound
+    branch and every other branch checked against them.  Column names
+    come lower-cased from {!Schema.col_names}, not per use.  Binding a
+    bound query returns it unchanged. *)
 
 exception Bind_error of string
 
@@ -20,7 +27,3 @@ val bind : Database.t -> Sql_ast.query -> Sql_ast.query
     unknown table/column/alias, duplicate alias, ambiguous bare column,
     incomparable types, non-grouped select column under GROUP BY, ORDER BY
     key that resolves to nothing, or mismatched UNION ALL branches. *)
-
-val output_schema : Database.t -> Sql_ast.query -> (string * Value.ty) list
-(** Output column names and types of a bound query, in SELECT order.
-    @raise Bind_error if the query does not bind. *)

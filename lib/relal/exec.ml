@@ -40,9 +40,7 @@ type vrel = {
 }
 
 let base_header alias tbl =
-  Array.map
-    (fun c -> (alias, String.lowercase_ascii c.Schema.cname))
-    (Schema.columns (Table.schema tbl))
+  Array.map (fun c -> (alias, c)) (Schema.col_names (Table.schema tbl))
 
 let vrel_of_batch header batch =
   let n = Batch.length batch in
@@ -333,6 +331,174 @@ let tvs_of_pred p = List.sort_uniq String.compare (pred_tvs [] p)
 
 (* A constant predicate (no attributes) evaluated against no row. *)
 let const_pred_holds p = compile_pred (empty_vrel [||]) p 0
+
+let rec contains_or = function
+  | P_or _ -> true
+  | P_and ps -> List.exists contains_or ps
+  | P_not p -> contains_or p
+  | _ -> false
+
+(* The tail of the post-pipeline: DISTINCT, ORDER BY and LIMIT over
+   projected rows, each with its sort key, in the order grouping or
+   projection produced them. *)
+let finish (q : query) out_names projected_with_keys =
+  (* DISTINCT before ORDER BY (SQL evaluation order). *)
+  let projected_with_keys =
+    if q.distinct then begin
+      let seen = Row_tbl.create 64 in
+      List.filter
+        (fun (out, _) ->
+          if Row_tbl.mem seen out then false
+          else begin
+            Row_tbl.add seen out ();
+            true
+          end)
+        projected_with_keys
+    end
+    else projected_with_keys
+  in
+  let sorted =
+    match q.order_by with
+    | [] -> projected_with_keys
+    | _ ->
+        List.stable_sort
+          (fun (_, k1) (_, k2) ->
+            let rec cmp ks1 ks2 =
+              match (ks1, ks2) with
+              | [], [] -> 0
+              | (v1, d) :: r1, (v2, _) :: r2 ->
+                  let c = Value.compare v1 v2 in
+                  let c = match d with Asc -> c | Desc -> -c in
+                  if c <> 0 then c else cmp r1 r2
+              | _ -> 0
+            in
+            cmp k1 k2)
+          projected_with_keys
+  in
+  let rows = List.map fst sorted in
+  let rows =
+    match q.limit with
+    | None -> rows
+    | Some n -> List.filteri (fun i _ -> i < n) rows
+  in
+  { cols = out_names; rows }
+
+(* --------------------------------------------------------------------- *)
+(* The MQ shape                                                           *)
+(* --------------------------------------------------------------------- *)
+
+(* One group of MQ's union rows, as [run_mq] accumulates it: [key] from
+   the group's first row, [last] the latest partial that produced it,
+   [count] the partials that did, [prod] the product of their
+   1 - degree, in partial order. *)
+type mq_group = {
+  key : Value.t array;
+  mutable last : int;
+  mutable count : int;
+  mutable prod : float;
+}
+
+type mq = {
+  partials : (query * float) list;  (* each with its 1 - degree *)
+  width : int;
+  items : (mq_group -> Value.t) list;  (* the outer SELECT *)
+  keep : mq_group -> bool;  (* HAVING *)
+  order : (int * dir) list;  (* ORDER BY: output column, direction *)
+}
+
+(* MQ (paper §6), ranked or not, as [Integrate.mq] builds it: one
+   derived UNION ALL of DISTINCT conjunctive partial queries, each
+   projecting [width] columns, then a constant degree and a constant
+   preference id; the outer query groups by exactly those columns,
+   selects them and [count( * )] or [degree_of_conjunction] over the
+   degree and id, keeps groups by one comparison of such an aggregate,
+   and orders by output names.  Such a query is run by [run_mq]; any
+   other takes the generic path. *)
+let mq_shape (q : query) : mq option =
+  match q.from with
+  | [ F_derived (C_union_all (C_single p0 :: _ as branches), tv) ]
+    when (not q.distinct) && q.where = P_true && q.limit = None
+         && q.group_by <> [] -> (
+      let names = Array.of_list (select_output_names p0) in
+      let width = Array.length names - 2 in
+      (* A derived column as the generic path resolves it: the first
+         output name of the first branch that matches. *)
+      let col (a : attr) =
+        let rec go i =
+          if i >= Array.length names then -1
+          else if names.(i) = a.col then i
+          else go (i + 1)
+        in
+        if a.tv = tv then go 0 else -1
+      in
+      let prefs = Row_tbl.create 16 in
+      let partial = function
+        | C_single p
+          when p.distinct && p.group_by = [] && p.having = None
+               && p.order_by = [] && p.limit = None
+               && List.for_all (function F_rel _ -> true | _ -> false) p.from
+               && not (contains_or p.where) -> (
+            match List.rev p.select with
+            | Sel_const (pref, _) :: Sel_const (doi, _) :: keys
+              when List.length keys = width
+                   && List.for_all (function Sel_attr _ -> true | _ -> false) keys
+                   && Value.equal pref pref
+                   && not (Row_tbl.mem prefs [| pref |]) -> (
+                Row_tbl.add prefs [| pref |] ();
+                match doi with
+                | Value.Float d when Float.is_finite d -> Some (p, 1. -. d)
+                | Value.Int d -> Some (p, 1. -. float_of_int d)
+                | _ -> None)
+            | _ -> None)
+        | _ -> None
+      in
+      let agg = function
+        | A_count_star -> Some (fun g -> Value.Int g.count)
+        | A_doi_conj (d, p) when col d = width && col p = width + 1 ->
+            Some (fun g -> Value.Float (1. -. g.prod))
+        | _ -> None
+      in
+      let all f xs =
+        List.fold_right
+          (fun x acc ->
+            match (f x, acc) with Some y, Some ys -> Some (y :: ys) | _ -> None)
+          xs (Some [])
+      in
+      let having = function
+        | H_cmp (op, l, r) -> (
+            let side = function H_agg a -> agg a | H_const c -> Some (fun _ -> c) in
+            match (side l, side r) with
+            | Some fl, Some fr -> Some (fun g -> eval_cmp op (fl g) (fr g))
+            | _ -> None)
+        | H_and _ | H_or _ -> None
+      in
+      let item = function
+        | Sel_attr (a, _) ->
+            let i = col a in
+            if i >= 0 && i < width then Some (fun g -> g.key.(i)) else None
+        | Sel_agg (a, _) -> agg a
+        | Sel_const _ -> None
+      in
+      let out_names = select_output_names q in
+      let order_key = function
+        | O_alias name, d -> (
+            match List.find_index (String.equal name) out_names with
+            | Some i -> Some (i, d)
+            | None -> None)
+        | _ -> None
+      in
+      match
+        ( width >= 1
+          && List.map col q.group_by = List.init width Fun.id,
+          all partial branches,
+          all item q.select,
+          (match q.having with None -> Some (fun _ -> true) | Some h -> having h),
+          all order_key q.order_by )
+      with
+      | true, Some partials, Some items, Some keep, Some order ->
+          Some { partials; width; items; keep; order }
+      | _ -> None)
+  | _ -> None
 
 (* --------------------------------------------------------------------- *)
 (* FROM materialization                                                   *)
@@ -908,10 +1074,10 @@ and post_pipeline gov (q : query) (w : vrel) : result =
     go 0
   in
   if (not grouped) && q.order_by = [] then begin
-    (* Fast path for the plain SPJ shape (every UNION ALL branch the MQ
-       integration method emits): no sort keys, so skip the (row, keys)
-       tuple plumbing — project straight into the output list, applying
-       DISTINCT as we go. *)
+    (* Fast path for the plain SPJ shape (SQ's DNF branches, and MQ's
+       partials off the one-pass path): no sort keys, so skip the (row,
+       keys) tuple plumbing — project straight into the output list,
+       applying DISTINCT as we go. *)
     let item_fns =
       Array.of_list
         (List.map
@@ -1030,46 +1196,7 @@ and post_pipeline gov (q : query) (w : vrel) : result =
           (out, List.map (fun f -> f r out) okey_fns))
     end
   in
-  (* DISTINCT before ORDER BY (SQL evaluation order). *)
-  let projected_with_keys =
-    if q.distinct then begin
-      let seen = Row_tbl.create 64 in
-      List.filter
-        (fun (out, _) ->
-          if Row_tbl.mem seen out then false
-          else begin
-            Row_tbl.add seen out ();
-            true
-          end)
-        projected_with_keys
-    end
-    else projected_with_keys
-  in
-  let sorted =
-    match q.order_by with
-    | [] -> projected_with_keys
-    | _ ->
-        List.stable_sort
-          (fun (_, k1) (_, k2) ->
-            let rec cmp ks1 ks2 =
-              match (ks1, ks2) with
-              | [], [] -> 0
-              | (v1, d) :: r1, (v2, _) :: r2 ->
-                  let c = Value.compare v1 v2 in
-                  let c = match d with Asc -> c | Desc -> -c in
-                  if c <> 0 then c else cmp r1 r2
-              | _ -> 0
-            in
-            cmp k1 k2)
-          projected_with_keys
-  in
-  let rows = List.map fst sorted in
-  let rows =
-    match q.limit with
-    | None -> rows
-    | Some n -> List.filteri (fun i _ -> i < n) rows
-  in
-  { cols = out_names; rows }
+  finish q out_names projected_with_keys
 
 (* --------------------------------------------------------------------- *)
 (* DNF splitting (for DISTINCT + disjunctive qualifications, i.e. SQ)     *)
@@ -1105,20 +1232,99 @@ and dnf_branches cap p : pred list list option =
   in
   go p
 
-and contains_or = function
-  | P_or _ -> true
-  | P_and ps -> List.exists contains_or ps
-  | P_not p -> contains_or p
-  | _ -> false
-
 and select_attrs q =
   List.filter_map (function Sel_attr (a, _) -> Some a | _ -> None) q.select
+
+(* --------------------------------------------------------------------- *)
+(* MQ in one pass                                                         *)
+(* --------------------------------------------------------------------- *)
+
+(* Each partial's joined view streams straight into one group table: no
+   partial's rows are projected into a list, no derived batch is built,
+   and there is no second grouping pass.  The reply is the generic
+   path's, bit for bit:
+   - the generic union emits the last partial's rows first (r_K @ ... @
+     r_1), and groups come out in first-seen order over those rows: a
+     group first appears in the last partial that produced it, at its
+     first row there.  [touched.(j)] lists the groups partial j
+     produced, in that order, and a group is emitted with the partial
+     that is its [last];
+   - [degree_of_conjunction] multiplies (1 - d) over a group's rows
+     newest-first, that is partial 1's row first: the order partials
+     run in here.  Preference ids are distinct ([mq_shape]), so no row
+     repeats one;
+   - a partial is DISTINCT, and its degree and id are constants, so its
+     rows are its distinct keys: [last] counts each key once per
+     partial, where the generic path projects and de-duplicates.
+   The governor is charged and polled as the generic path does: each
+   partial's joined rows, a poll per joined row, then the union's rows.
+   The partials run in UNION ALL order, crossing the same chaos points. *)
+and run_mq gov db (q : query) (mq : mq) : result =
+  let groups = Row_tbl.create 64 in
+  let touched = Array.make (List.length mq.partials) [] in
+  let union_rows = ref 0 in
+  List.iteri
+    (fun j ((p : query), d) ->
+      let w =
+        join_conjunctive gov (List.map (source_of_from gov db) p.from) (conjuncts p.where)
+      in
+      g_rows gov w.nrows;
+      let reads =
+        Array.of_list
+          (List.filter_map
+             (function Sel_attr (a, _) -> Some (attr_reader w a) | _ -> None)
+             p.select)
+      in
+      let seg = ref [] in
+      for r = 0 to w.nrows - 1 do
+        g_poll gov;
+        let key = Array.init mq.width (fun i -> reads.(i) r) in
+        match Row_tbl.find groups key with
+        | g ->
+            if g.last <> j then begin
+              g.last <- j;
+              g.count <- g.count + 1;
+              g.prod <- g.prod *. d;
+              seg := g :: !seg
+            end
+        | exception Not_found ->
+            let g = { key; last = j; count = 1; prod = d } in
+            Row_tbl.add groups key g;
+            seg := g :: !seg
+      done;
+      union_rows := !union_rows + List.length !seg;
+      touched.(j) <- !seg)
+    mq.partials;
+  g_rows gov !union_rows;
+  (* Consing partial 0's groups first, each list newest-first, leaves the
+     last partial's groups at the head, each list in its own order. *)
+  let in_order = ref [] in
+  Array.iteri
+    (fun j seg ->
+      List.iter (fun g -> if g.last = j then in_order := g :: !in_order) seg)
+    touched;
+  let projected_with_keys =
+    List.filter_map
+      (fun g ->
+        if not (mq.keep g) then None
+        else begin
+          let out = Array.of_list (List.map (fun f -> f g) mq.items) in
+          Some (out, List.map (fun (i, d) -> (out.(i), d)) mq.order)
+        end)
+      !in_order
+  in
+  finish q (Array.of_list (select_output_names q)) projected_with_keys
 
 (* --------------------------------------------------------------------- *)
 (* Top-level evaluation                                                   *)
 (* --------------------------------------------------------------------- *)
 
 and run_auto gov db (q : query) : result =
+  match mq_shape q with
+  | Some mq -> run_mq gov db q mq
+  | None -> run_generic gov db q
+
+and run_generic gov db (q : query) : result =
   let wrels = List.map (source_of_from gov db) q.from in
   let has_aggs =
     List.exists (function Sel_agg _ -> true | _ -> false) q.select
@@ -1239,6 +1445,8 @@ and run_compound gov db (c : compound) : result =
           first.rows cs
       in
       { first with rows }
+
+let streams_mq q = Option.is_some (mq_shape q)
 
 let run ?(strategy = `Auto) ?gov db q =
   (* A deadline that expired before we even start (or between ladder

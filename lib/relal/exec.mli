@@ -19,9 +19,28 @@
       branch results are unioned and de-duplicated; this is semantically
       equivalent under DISTINCT and avoids the cross-product blow-up a
       naive evaluation of SQ's FROM list would suffer.
+      [`Auto] runs MQ (paper §6), ranked or not, in one pass; see
+      {!streams_mq} for the shape.  Each partial query's joined view
+      streams straight into one table of groups (key, latest partial,
+      count, running product of 1 − degree): no partial's rows are
+      projected into a list, no derived table is materialized, and
+      nothing is grouped twice.  The reply is the generic path's, rows,
+      order and degree bits alike, because the pass keeps its order
+      contract:
+      - the union emits the last partial's rows first (r_K @ … @ r_1),
+        and groups come out in first-seen order over those rows;
+      - [DEGREE_OF_CONJUNCTION] multiplies (1 − d) over a group's rows
+        newest-first, that is partial 1's row first, and skips repeated
+        preference ids;
+      - ORDER BY is a stable sort.
+      It charges and polls the governor as the generic path does (each
+      partial's joined rows, a poll per joined row, then the union's
+      rows) and crosses the same chaos points.  Every other query,
+      every other GROUP BY included, takes the generic path unchanged.
     - [`Naive]: textbook semantics — cross product of the FROM list,
       filter, then the same post-pipeline.  Exponential; used as the test
-      oracle on small data.
+      oracle on small data.  It materializes MQ's derived table and
+      groups it.
 
     Post-pipeline (both strategies): GROUP BY / aggregates (including
     [DEGREE_OF_CONJUNCTION]) / HAVING, ORDER BY, projection, DISTINCT,
@@ -51,6 +70,23 @@ val run :
     @raise Chaos.Injected under armed fault injection;
     @raise Exec_error on internal violations (which indicate an unbound
     query or an engine bug). *)
+
+val streams_mq : Sql_ast.query -> bool
+(** Does [run ~strategy:`Auto] evaluate this bound query in one pass?
+    It does for exactly the shape MQ integration ([Integrate.mq]) builds:
+    - FROM is one derived UNION ALL of DISTINCT conjunctive partial
+      queries (base tables only, no OR, no GROUP BY, HAVING, ORDER BY or
+      LIMIT), each projecting the same number of attributes, then a
+      constant degree (a finite number) and a constant preference id,
+      the ids pairwise distinct;
+    - the outer query, neither DISTINCT nor limited and without WHERE,
+      groups by exactly the projected attributes, in order;
+    - it selects projected attributes, [count( * )] and
+      [DEGREE_OF_CONJUNCTION] over the degree and id columns, has no
+      HAVING or one comparison of such an aggregate with a constant
+      ([count( * ) >= L], [DEGREE_OF_CONJUNCTION > d]), and orders by
+      output names only (if at all).
+    Anything else falls back to the generic path. *)
 
 val result_equal_bag : result -> result -> bool
 (** Bag equality of rows (column names ignored); the test oracle's notion

@@ -3,6 +3,7 @@ type column = { cname : string; cty : Value.ty }
 type t = {
   tname : string;
   cols : column array;
+  names : string array;
   key : string list;
   unique : string list;
 }
@@ -35,6 +36,7 @@ let make ~name ~cols ?(key = []) ?(unique = []) () =
   {
     tname = name;
     cols = Array.of_list (List.map (fun (c, ty) -> { cname = c; cty = ty }) cols);
+    names = Array.of_list (List.map (fun (c, _) -> lc c) cols);
     key = List.map lc key;
     unique = List.map lc unique;
   }
@@ -42,12 +44,13 @@ let make ~name ~cols ?(key = []) ?(unique = []) () =
 let name s = s.tname
 let columns s = s.cols
 let arity s = Array.length s.cols
+let col_names s = s.names
 
 let col_index s c =
   let c = lc c in
-  let n = Array.length s.cols in
+  let n = Array.length s.names in
   let rec go i =
-    if i >= n then None else if lc s.cols.(i).cname = c then Some i else go (i + 1)
+    if i >= n then None else if String.equal s.names.(i) c then Some i else go (i + 1)
   in
   go 0
 

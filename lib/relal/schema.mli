@@ -15,6 +15,7 @@ type column = { cname : string; cty : Value.ty }
 type t = private {
   tname : string;
   cols : column array;
+  names : string array;  (** [cols]' names, lower-cased once at [make] *)
   key : string list;  (** primary key columns, possibly composite *)
   unique : string list;  (** additional single-column unique constraints *)
 }
@@ -32,6 +33,10 @@ val make :
 val name : t -> string
 val columns : t -> column array
 val arity : t -> int
+
+val col_names : t -> string array
+(** Column names, lower-cased, in column order: the names queries
+    resolve against.  Shared, not copied: do not mutate. *)
 
 val col_index : t -> string -> int option
 (** Position of a column (case-insensitive), if present. *)

@@ -229,7 +229,16 @@ module Make (R : Runtime.S) = struct
           (Printf.sprintf "PROFILE SAVE carries %d entries; at most %d allowed"
              n max_profile_entries)
       else if String.trim entries = "" then Ok Perso.Profile.empty
-      else Perso.Profile.of_string (String.concat "\n" lines)
+      else
+        (* An entry the catalog cannot bind would fail every later
+           PERSONALIZE that selects it: refuse it here. *)
+        Result.bind (Perso.Profile.of_string (String.concat "\n" lines))
+          (fun profile ->
+            match Perso.Profile.validate t.db profile with
+            | Ok () -> Ok profile
+            | Error errs ->
+                Error
+                  ("PROFILE SAVE entry does not bind: " ^ String.concat "; " errs))
     with
     | Error e -> R_error (Perso.Error.Profile e)
     | Ok profile ->

@@ -38,6 +38,67 @@ let test_bind_errors () =
   bind_fails "select sum(m.title) as s from movie m group by m.title"
     "non-numeric"
 
+(* A ranked MQ as [Integrate.mq] prints it, and single-fault mutations
+   of it.  Binding the personalized query is the only schema check a
+   profile's atoms get on the served path, so each mutant must fail with
+   exactly this text: (what the fault is, text replaced, replacement,
+   error). *)
+let ranked_mq =
+  "select temp.title as title, degree_of_conjunction(temp.doi, temp.pref) \
+   as doi from ((select distinct mv.title as title, 0.9 as doi, 0 as pref \
+   from movie mv, genre ge where mv.mid = ge.mid and ge.genre = 'comedy') \
+   union all (select distinct mv.title as title, 0.8 as doi, 1 as pref from \
+   movie mv, play pl where mv.mid = pl.mid and pl.date = '2003-07-02')) temp \
+   group by temp.title having count(*) >= 1 order by doi desc"
+
+let ranked_mq_faults =
+  [
+    ("unknown table in one partial", "play pl", "plays pl", "unknown table plays");
+    ("unknown column", "ge.genre =", "ge.foo =", "tuple variable ge has no column foo");
+    ( "string constant against an int column",
+      "ge.genre = 'comedy'",
+      "mv.year = 'comedy'",
+      "predicate compares int with string" );
+    ( "unparsable date",
+      "'2003-07-02'",
+      "'2003-13-45'",
+      "string \"2003-13-45\" is not a valid date literal" );
+    ( "duplicate tuple variable",
+      "from movie mv, genre ge",
+      "from movie mv, movie mv, genre ge",
+      "duplicate tuple variable mv" );
+    ( "UNION ALL arity mismatch",
+      "0.8 as doi, 1 as pref",
+      "0.8 as doi",
+      "UNION ALL branches have different arities" );
+    ( "non-grouped column",
+      "select temp.title as title,",
+      "select temp.title as title, temp.pref as p,",
+      "column temp.pref must appear in GROUP BY" );
+  ]
+
+let replace_once s ~sub ~by =
+  let n = String.length s and m = String.length sub in
+  let rec find i =
+    if i + m > n then Alcotest.failf "%S not in the ranked MQ" sub
+    else if String.sub s i m = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
+
+let test_bind_ranked_mq_faults () =
+  let db = db () in
+  Alcotest.(check int) "the unmutated MQ binds and runs" 1
+    (min 1 (List.length (run db ranked_mq).Exec.rows));
+  List.iter
+    (fun (what, sub, by, expected) ->
+      let q = Sql_parser.parse (replace_once ranked_mq ~sub ~by) in
+      match Binder.bind db q with
+      | _ -> Alcotest.failf "%s: the mutant binds" what
+      | exception Binder.Bind_error e -> Alcotest.(check string) what expected e)
+    ranked_mq_faults
+
 let test_bind_resolves_bare_columns () =
   let res = run (db ()) "select title from movie where year = 2003" in
   Alcotest.(check int) "four 2003 movies" 4 (List.length res.Exec.rows)
@@ -473,6 +534,7 @@ let () =
       ( "binder",
         [
           Alcotest.test_case "errors" `Quick test_bind_errors;
+          Alcotest.test_case "ranked MQ faults" `Quick test_bind_ranked_mq_faults;
           Alcotest.test_case "bare columns" `Quick test_bind_resolves_bare_columns;
           Alcotest.test_case "date coercion" `Quick test_bind_date_coercion;
         ] );

@@ -274,6 +274,216 @@ let test_index_paths () =
   Alcotest.(check bool) "non-FK self-join: same bag" true
     (Exec.result_equal_bag (run full) (run fk_only))
 
+(* ----------------------- MQ in one pass vs generic ---------------------- *)
+
+(* A degree must come back with the same bits, not merely an equal
+   float. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_rows label (a : Exec.result) (b : Exec.result) =
+  if
+    not
+      (List.length a.rows = List.length b.rows
+      && List.for_all2
+           (fun x y -> Array.length x = Array.length y && Array.for_all2 same_value x y)
+           a.rows b.rows)
+  then Alcotest.failf "%s: Auto and Naive replies differ (rows, order or degree bits)" label
+
+let is_mq (q : query) =
+  match q.from with [ F_derived (C_union_all _, _) ] -> true | _ -> false
+
+(* Every personalized query test_golden and the index-path test build,
+   labelled, over their own catalogs and profiles, and bound: ranked
+   and unranked MQ, L = 1, 2 and a minimum degree, M = 0 and 1, and the
+   queries whose outputs repeat a name. *)
+let mq_corpus () =
+  (* [pairs]: (profile number, profile, query) *)
+  let with_params db pairs cases =
+    List.concat_map
+      (fun (u, profile, (i, q)) ->
+        List.map
+          (fun (name, params) ->
+            let o = Perso.Personalize.personalize ~params db profile q in
+            ( Printf.sprintf "profile %d query %d %s" u i name,
+              db,
+              Binder.bind db o.Perso.Personalize.personalized ))
+          cases)
+      pairs
+  in
+  let numbered l = List.mapi (fun i x -> (i, x)) l in
+  let every profiles queries =
+    List.concat_map
+      (fun (u, p) -> List.map (fun q -> (u, p, q)) (numbered queries))
+      (numbered profiles)
+  in
+  let params ?(m = 0) ?(rank = true) k l =
+    ( Printf.sprintf "K%d M%d %s %s" k m
+        (match l with `At_least l -> Printf.sprintf "L%d" l | `Min_doi d -> Printf.sprintf "doi>%g" d)
+        (if rank then "ranked" else "unranked"),
+      {
+        Perso.Personalize.default_params with
+        k = Perso.Criteria.top_r k;
+        m = `Count m;
+        l;
+        rank;
+      } )
+  in
+  let golden =
+    let db = Moviedb.Datagen.(generate (scale ~seed:19 300)) in
+    let profiles =
+      List.map
+        (fun seed ->
+          Moviedb.Profile_gen.generate db
+            { Moviedb.Profile_gen.default with seed; n_selections = 40 })
+        [ 101; 102; 103 ]
+    in
+    with_params db
+      (every profiles (Moviedb.Workload.queries db ~n:8 ~seed:211))
+      ([ params 5 (`At_least 1); params 20 (`At_least 1); params 60 (`At_least 1) ]
+      @ List.concat_map
+          (fun (k, l) ->
+            [ params ~m:1 k (`At_least l); params ~m:1 ~rank:false k (`At_least l) ])
+          [ (5, 0); (5, 2); (20, 0); (20, 2) ]
+      @ [
+          params 10 (`At_least 1);
+          params 10 (`At_least 2);
+          params ~m:1 10 (`At_least 1);
+          params 10 (`Min_doi 0.5);
+          params ~rank:false 10 (`Min_doi 0.5);
+          params ~m:1 10 (`Min_doi 0.3);
+        ])
+  in
+  let index_paths =
+    let cfg = Moviedb.Datagen.scale ~seed:5 300 in
+    let full = Moviedb.Datagen.generate cfg in
+    let profiles =
+      Array.init 3 (fun i ->
+          Moviedb.Profile_gen.generate full
+            { Moviedb.Profile_gen.default with seed = 40 + i; n_selections = 20 })
+    in
+    (* As that test pairs them: query i with profile i mod 3. *)
+    with_params full
+      (List.map
+         (fun (i, q) -> (i mod 3, profiles.(i mod 3), (i, q)))
+         (numbered (Moviedb.Workload.queries full ~n:200 ~seed:77)))
+      [ params 5 (`At_least 1); params 10 (`At_least 2) ]
+  in
+  let repeated_names =
+    let db = Moviedb.Personas.tiny_db () in
+    with_params db
+      (every
+         [ Moviedb.Personas.julie () ]
+         (List.map Sql_parser.parse
+            [
+              "select pl.tid, pl.tid, mv.year as tid_2 from movie mv, play pl \
+               where mv.mid = pl.mid";
+              "select mv.title as t_2, mv.year as t, mv.mid as t from movie mv";
+            ]))
+      [ params 5 (`At_least 1); params ~rank:false 5 (`At_least 2) ]
+  in
+  golden @ index_paths @ repeated_names
+
+let test_mq_streamed () =
+  let streamed = ref 0 and rows = ref 0 in
+  List.iter
+    (fun (label, db, q) ->
+      if Exec.streams_mq q <> is_mq q then
+        Alcotest.failf "%s: an MQ %s the one-pass path" label
+          (if is_mq q then "misses" else "wrongly takes");
+      (* A degenerate MQ is SQ at L = 0, whose FROM list Naive would
+         cross: it is not this path's subject. *)
+      if is_mq q then begin
+        incr streamed;
+        let auto = Exec.run db q in
+        rows := !rows + List.length auto.rows;
+        same_rows label auto (Exec.run ~strategy:`Naive db q)
+      end)
+    (mq_corpus ());
+  (* Guard against a corpus that degenerates to SQ or returns nothing. *)
+  Alcotest.(check bool) "most of the corpus is MQ" true (!streamed >= 700);
+  Alcotest.(check bool) "with rows to order" true (!rows >= 20_000)
+
+(* Shapes one step off MQ take the generic path, and still agree with
+   the reference. *)
+let near_misses (q : query) =
+  let tv = match q.from with [ F_derived (_, tv) ] -> tv | _ -> assert false in
+  let doi = { tv; col = "doi" } and pref = { tv; col = "pref" } in
+  [
+    ( "a partial without DISTINCT",
+      {
+        q with
+        from =
+          List.map
+            (function
+              | F_derived (C_union_all (C_single p :: rest), tv) ->
+                  F_derived (C_union_all (C_single { p with distinct = false } :: rest), tv)
+              | f -> f)
+            q.from;
+      } );
+    ("an outer WHERE", { q with where = P_cmp (Ge, S_attr pref, S_const (Value.Int 0)) });
+    ("a LIMIT", { q with limit = Some 2 });
+    ( "a HAVING on another aggregate",
+      {
+        q with
+        having =
+          Some
+            (H_and
+               (Option.to_list q.having
+               @ [ H_cmp (Ge, H_agg (A_max doi), H_const (Value.Float (-1.))) ]));
+      } );
+  ]
+
+let test_mq_near_misses () =
+  let mqs = List.filter (fun (_, _, q) -> is_mq q) (mq_corpus ()) in
+  List.iteri
+    (fun i (label, db, q) ->
+      if i mod 10 = 0 then
+        List.iter
+          (fun (what, q') ->
+            let label = label ^ " with " ^ what in
+            if Exec.streams_mq q' then Alcotest.failf "%s: takes the one-pass path" label;
+            same_rows label (Exec.run db q') (Exec.run ~strategy:`Naive db q'))
+          (near_misses q))
+    mqs
+
+(* Under a row budget, the one pass trips exactly where the generic path
+   does, with the same typed error: the generic side runs the same MQ
+   with a HAVING conjunct that holds on every group, so it returns the
+   same rows and charges the same rows. *)
+let test_mq_row_budget () =
+  let outcome db q max_rows =
+    let gov = Governor.start { Governor.unlimited with max_rows = Some max_rows } in
+    match Exec.run ~gov db q with
+    | r -> Ok r
+    | exception Governor.Exhausted p -> Error (p.exhausted, p.rows_produced)
+  in
+  let mqs = List.filter (fun (_, _, q) -> is_mq q) (mq_corpus ()) in
+  let trips = ref 0 in
+  List.iteri
+    (fun i (label, db, q) ->
+      if i mod 25 = 0 then begin
+        let generic = List.assoc "a HAVING on another aggregate" (near_misses q) in
+        let gov = Governor.start Governor.unlimited in
+        ignore (Exec.run ~gov db q : Exec.result);
+        let total = (Governor.progress gov).rows_produced in
+        List.iter
+          (fun b ->
+            let label = Printf.sprintf "%s, %d of %d rows" label b total in
+            match (outcome db q b, outcome db generic b) with
+            | Ok a, Ok g -> same_rows label a g
+            | Error e, Error e' ->
+                incr trips;
+                Alcotest.(check (pair string int)) label e' e
+            | _ -> Alcotest.failf "%s: one side trips, the other does not" label)
+          (List.sort_uniq compare [ 0; 1; total / 3; total / 2; total - 1; total ])
+      end)
+    mqs;
+  Alcotest.(check bool) "budgets tripped" true (!trips >= 20)
+
 let () =
   Alcotest.run "exec-diff"
     [
@@ -283,5 +493,11 @@ let () =
           Alcotest.test_case "workload queries" `Quick test_workload;
           Alcotest.test_case "indexes change speed, not replies" `Quick
             test_index_paths;
+        ] );
+      ( "mq one pass",
+        [
+          Alcotest.test_case "every MQ = Naive, bit for bit" `Quick test_mq_streamed;
+          Alcotest.test_case "near-miss shapes fall back" `Quick test_mq_near_misses;
+          Alcotest.test_case "row budget trips alike" `Quick test_mq_row_budget;
         ] );
     ]

@@ -62,7 +62,7 @@ let personalized =
 
 (* One mandatory preference and L = 0 and 2: ranked MQ, unranked MQ and
    SQ at K = 5 and 20. *)
-let personalized_m1 () =
+let personalized_m1_with render =
   personalized_by
     (List.concat_map
        (fun (k, l) ->
@@ -72,7 +72,9 @@ let personalized_m1 () =
                { (params method_ k) with m = `Count 1; l = `At_least l; rank } ))
            [ (`MQ, true); (`MQ, false); (`SQ, false) ])
        [ (5, 0); (5, 2); (20, 0); (20, 2) ])
-    Sql_print.query_to_string
+    render
+
+let personalized_m1 () = personalized_m1_with Sql_print.query_to_string
 
 (* One setting per profile and template: the query graph and the top [k]
    preferences selected for it, instantiated. *)
@@ -172,6 +174,20 @@ let bound_templates () =
 let profile_texts () =
   String.concat "" (List.map Perso.Profile.to_string (Lazy.force profiles))
 
+(* Binding is idempotent on every personalized query above: the served
+   path binds the integrated query once more before it runs, and a bound
+   query must come back unchanged. *)
+let bind_idempotent () =
+  let db = Lazy.force db in
+  let check q =
+    let b = Binder.bind db q in
+    if Binder.bind db b <> b then
+      Alcotest.failf "bind (bind q) <> bind q for %s" (Sql_print.query_to_string q);
+    ""
+  in
+  ignore (personalized check : string);
+  ignore (personalized_m1_with check : string)
+
 let golden name expected text () =
   let got = Digest.to_hex (Digest.string (text ())) in
   if got <> expected then
@@ -209,4 +225,5 @@ let () =
           Alcotest.test_case "Semantic.instance_related decisions" `Quick
             (golden "Semantic.instance_related" "0ffd15a86e15068f0958ec54c442d670" semantic_text);
         ] );
+      ("bind", [ Alcotest.test_case "bind (bind q) = bind q" `Quick bind_idempotent ]);
     ]

@@ -38,7 +38,11 @@ let test_atom_validate () =
   Alcotest.(check bool) "type mismatch" true
     (Result.is_error (Atom.validate db (Atom.sel "movie" "year" (Value.Str "x"))));
   Alcotest.(check bool) "date string ok for date column" true
-    (Atom.validate db (Atom.sel "play" "date" (Value.Str "2003-07-02")) = Ok ())
+    (Atom.validate db (Atom.sel "play" "date" (Value.Str "2003-07-02")) = Ok ());
+  Alcotest.(check bool) "paper's date format ok" true
+    (Atom.validate db (Atom.sel "play" "date" (Value.Str "2/7/2003")) = Ok ());
+  Alcotest.(check bool) "unparsable date string" true
+    (Result.is_error (Atom.validate db (Atom.sel "play" "date" (Value.Str "2003-13-45"))))
 
 let test_atom_of_pred () =
   (match Atom.of_pred (Sql_parser.parse_pred "GENRE.genre = 'comedy'") with

@@ -429,6 +429,68 @@ let test_profile_save_bounded () =
   Alcotest.(check bool) "one stored entry" true
     (match stored with Protocol.Rows { rows = [ _ ]; _ } -> true | _ -> false)
 
+(* A stored profile whose atom names a column the catalog lacks (one
+   that never went through PROFILE SAVE: an older store, a dump) is
+   refused on the served path by binding the personalized query. *)
+let test_unbindable_stored_profile () =
+  let db = Moviedb.Personas.tiny_db () in
+  (match Perso.Profile.of_string "[ MOVIE.foo = 1, 0.9 ]" with
+  | Ok p -> Perso.Profile_store.save db ~user:"bad" p
+  | Error e -> Alcotest.fail e);
+  with_server ~db Fun.id (fun _t socket ->
+      let c = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          match request_exn c "PERSONALIZE bad select mv.title from movie mv" with
+          | Protocol.Failed { family; message; _ } ->
+              Alcotest.(check (pair string string))
+                "bind error"
+                ("bind", "bind error: tuple variable mv has no column foo")
+                (family, message)
+          | _ -> Alcotest.fail "an unbindable stored atom must fail the bind"))
+
+(* PROFILE SAVE validates every entry against the catalog: an unknown
+   column, a constant of the wrong type or a date that does not parse is
+   a typed profile error, and the stored profile stays as it was. *)
+let test_profile_save_validated () =
+  with_server Fun.id (fun _t socket ->
+      let c = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore
+            (request_exn c "PROFILE SAVE julie [ GENRE.genre = 'comedy', 0.9 ]");
+          let stored = request_exn c "PROFILE LOAD julie" in
+          List.iter
+            (fun (entries, expected) ->
+              match request_exn c ("PROFILE SAVE julie " ^ entries) with
+              | Protocol.Failed { family; message; _ } ->
+                  Alcotest.(check (pair string string))
+                    entries ("profile", expected) (family, message)
+              | _ -> Alcotest.failf "%s: the save must be refused" entries)
+            [
+              ( "[ GENRE.genre = 'drama', 0.5 ] [ MOVIE.foo = 1, 0.9 ]",
+                "profile error: PROFILE SAVE entry does not bind: unknown attribute movie.foo" );
+              ( "[ MOVIE.year = 'x', 0.9 ]",
+                "profile error: PROFILE SAVE entry does not bind: selection MOVIE.year = 'x': \
+                 int column vs string value" );
+              ( "[ PLAY.date = '2003-13-45', 0.9 ]",
+                "profile error: PROFILE SAVE entry does not bind: selection PLAY.date = \
+                 '2003-13-45': string \"2003-13-45\" is not a valid date" );
+              ( "[ NOSUCH.x = 1, 0.9 ]",
+                "profile error: PROFILE SAVE entry does not bind: unknown relation nosuch" );
+            ];
+          Alcotest.(check bool) "stored profile unchanged" true
+            (request_exn c "PROFILE LOAD julie" = stored);
+          match
+            request_exn c
+              "PROFILE SAVE julie [ PLAY.date = '2/7/2003', 0.9 ] [ MOVIE.mid = \
+               PLAY.mid, 0.8 ]"
+          with
+          | Protocol.Message _ -> ()
+          | _ -> Alcotest.fail "a save whose entries bind is accepted"))
+
 (* ----------------------------- wire bounds --------------------------- *)
 
 (* A raw connection: the tests below send bytes no {!Client} would.  A
@@ -801,6 +863,9 @@ let () =
         ] );
       ( "profile-bounds",
         [
+          Alcotest.test_case "unbindable stored atom" `Quick
+            test_unbindable_stored_profile;
+          Alcotest.test_case "save validated" `Quick test_profile_save_validated;
           Alcotest.test_case "over-limit save refused" `Quick
             test_profile_save_bounded;
         ] );
