@@ -42,14 +42,11 @@ chaos: build
 crash-recovery: build
 	dune exec test/test_store_crash.exe
 
-# Deterministic corruption sweep over the replicated tier: every
-# committed store file x every corruption kind (early/late byte flip,
-# torn tail) x replica counts 1-3.  Single copies must fail with the
-# typed error (or count the torn-tail truncation); replicated roots
-# must recover byte-identical members serving the exact oracle state,
-# with the repair accounted in the failover/quarantine/catchup ledger.
-# Runs as part of `dune runtest` too; this target is the direct entry
-# point.
+# Deterministic corruption sweep over one store: every committed file
+# x every corruption kind (early/late byte flip, torn tail).  Each case
+# must fail with the typed error or count the torn-tail truncation, and
+# the read-only scrubber must agree with recovery.  Runs as part of
+# `dune runtest` too; this target is the direct entry point.
 scrub-sweep: build
 	dune exec test/test_scrub_sweep.exe
 

@@ -123,9 +123,10 @@ let run_one ?(method_ = `MQ) ~k ~l db profile query =
     rows = List.length res.Relal.Exec.rows;
   }
 
-(* Figures 8–10 time each (profile, query) cell as one untimed warm-up
-   call, then the median of [cell_reps] timed calls, phase by phase: a
-   single call moves by up to 2x with where a GC slice lands. *)
+(* Figures 6 and 8–10 and [bench exec] time each cell as one untimed
+   warm-up sample, then the median of [cell_reps] timed samples (phase
+   by phase in Figures 8–10): a single sample moves by up to 2x with
+   where a GC slice lands. *)
 let cell_reps = 9
 
 let median l =
@@ -172,18 +173,19 @@ let fig6 () =
   Printf.printf
     "\n\
      ## Figure 6 — Preference Selection Time (ms) vs profile size\n\
-     ## avg over %d profiles x %d queries, each the mean of 20 calls; M=0\n"
-    scale.profiles scale.queries;
+     ## avg over %d profiles x %d queries, each the median of %d batches of \
+     20 calls; M=0\n"
+    scale.profiles scale.queries cell_reps;
   Printf.printf "%-13s %10s %10s %10s\n" "profile_size" "K=5" "K=10" "K=15";
   List.iter
     (fun size ->
       let profiles = profiles_for ~seed0:(1000 + size) ~size scale.profiles in
-      (* Generating the profiles leaves major-GC work pending; finish it
-         here, or the first cell timed after it (K = 5) pays for it. *)
-      Gc.full_major ();
       let cells =
         List.map
           (fun k ->
+            (* Profile generation and the previous cell leave major-GC
+               work pending; finish it here, not inside this cell. *)
+            Gc.full_major ();
             let samples =
               List.concat_map
                 (fun profile ->
@@ -192,17 +194,20 @@ let fig6 () =
                       let bound = Relal.Binder.bind db q in
                       let qg = Qgraph.of_query db bound in
                       let g = Pgraph.of_profile profile in
-                      (* One untimed warm-up call per combination, then
-                         the mean of [reps] calls: one call takes about
-                         10 us, near the clock's and the GC's noise. *)
-                      ignore (Select.select db g qg (Criteria.Top_r k));
+                      (* One call takes about 10 us, near the clock's and
+                         the GC's noise, so each timed sample is a batch
+                         of [reps] calls. *)
                       let reps = 20 in
-                      snd
-                        (time (fun () ->
-                             for _ = 1 to reps do
-                               ignore (Select.select db g qg (Criteria.Top_r k))
-                             done))
-                      /. float_of_int reps)
+                      median
+                        (timed_cell (fun () ->
+                             snd
+                               (time (fun () ->
+                                    for _ = 1 to reps do
+                                      ignore
+                                        (Select.select db g qg
+                                           (Criteria.Top_r k))
+                                    done))
+                             /. float_of_int reps)))
                     queries)
                 profiles
             in
@@ -592,25 +597,27 @@ let bench_exec () =
       ("fig9_mq_k10_l5", personalized ~method_:`MQ ~k:10 ~l:5 ~size:20 ~seed0:700);
     ]
   in
-  let reps = 3 in
-  Printf.printf "\n## Executor benchmark (avg of %d reps; queries pre-built)\n" reps;
+  Printf.printf
+    "\n## Executor benchmark (median of %d passes after a warm-up; queries \
+     pre-built)\n"
+    cell_reps;
   Printf.printf "%-18s %8s %12s %14s %10s\n" "figure" "queries" "ms_total"
     "ms_per_query" "rows";
   let results =
     List.map
       (fun (name, qs) ->
-        (* Warm-up pass, then timed repetitions. *)
         let run_all () =
           List.fold_left
             (fun acc q ->
               acc + List.length (Relal.Engine.run_query db q).Relal.Exec.rows)
             0 qs
         in
-        let rows = run_all () in
-        let times =
-          List.init reps (fun _ -> snd (time (fun () -> ignore (run_all ()))))
-        in
-        let ms = avg times in
+        (* Building the queries and the previous figure leave major-GC
+           work pending; finish it before this figure's passes. *)
+        Gc.full_major ();
+        let passes = timed_cell (fun () -> time run_all) in
+        let rows = fst (List.hd passes) in
+        let ms = median (List.map snd passes) in
         let n = List.length qs in
         Printf.printf "%-18s %8d %12.3f %14.4f %10d\n%!" name n ms
           (ms /. float_of_int (max 1 n))
@@ -684,7 +691,7 @@ let bench_exec () =
   in
   let oc = open_out path in
   json_header oc "exec";
-  Printf.fprintf oc "  \"reps\": %d,\n" reps;
+  Printf.fprintf oc "  \"reps\": %d,\n" cell_reps;
   Printf.fprintf oc "  \"figures\": [\n";
   List.iteri
     (fun i (name, n, ms, rows) ->

@@ -367,7 +367,7 @@ let parse_store = function
 let serve movies seed data_dir deadline max_rows max_expansions socket tcp
     workers queue drain_ms breaker_threshold breaker_cooldown dump_dir
     chaos_seed chaos_p no_cache cache_entries cache_mb shards store
-    replicas profile_lru =
+    profile_lru =
   let store_dir = parse_store store in
   validated
     [
@@ -377,7 +377,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
       pos_int "cache-entries" cache_entries;
       pos_float "cache-mb" cache_mb;
       pos_int "shards" shards;
-      pos_int "replicas" replicas;
       (if profile_lru >= 0 then None
        else
          Some
@@ -395,7 +394,7 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
       let cfg =
         {
           (Perso_server.Server.default_config ~socket_path:socket) with
-          Perso_server.Server.tcp_port = tcp;
+          Perso_server.Server_core.tcp_port = tcp;
           workers;
           queue_capacity = queue;
           deadline_ms = deadline;
@@ -410,24 +409,19 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
           cache_mb;
           shards;
           store_dir;
-          replicas;
           profile_lru_entries = profile_lru;
         }
       in
       let t = Perso_server.Server.start cfg db in
       (* Recovery surfaced in the startup log: silent on clean opens so
-         scripted output stays stable, loud whenever the store tier
-         truncated torn WAL tails, failed over, or quarantined files. *)
+         scripted output stays stable, loud whenever the store truncated
+         torn WAL tails. *)
       (let h = Perso_server.Server.health t in
-       let hv k = Option.value ~default:"0" (List.assoc_opt k h) in
-       let torn = hv "store_torn_truncated" in
+       let torn =
+         Option.value ~default:"0" (List.assoc_opt "store_torn_truncated" h)
+       in
        if torn <> "0" then
-         Printf.eprintf "recovery: truncated %s torn WAL tail(s)\n%!" torn;
-       let fo = hv "store_failover" and q = hv "store_quarantined" in
-       if fo <> "0" || q <> "0" then
-         Printf.eprintf
-           "recovery: failover=%s quarantined=%s salvaged=%s catchups=%s\n%!"
-           fo q (hv "store_salvaged") (hv "store_catchups"));
+         Printf.eprintf "recovery: truncated %s torn WAL tail(s)\n%!" torn);
       (* SIGTERM/SIGINT begin the drain; [wait] completes it. *)
       let on_signal _ = Perso_server.Server.request_stop t in
       (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
@@ -526,15 +520,6 @@ let store_arg =
   in
   Arg.(value & opt string "memory" & info [ "store" ] ~docv:"BACKEND" ~doc)
 
-let replicas_arg =
-  let doc =
-    "Replica-set members per shard store (requires $(b,--store disk:DIR)): \
-     every save ships to N byte-identical copies; recovery scrubs damaged \
-     copies, salvages their valid prefixes, and fails over to the freshest \
-     healthy member."
-  in
-  Arg.(value & opt int 1 & info [ "replicas" ] ~docv:"N" ~doc)
-
 let profile_lru_arg =
   let doc =
     "Hot parsed-profile LRU capacity in entries, split across shards \
@@ -554,100 +539,37 @@ let serve_cmd =
       $ queue_arg $ drain_arg $ breaker_threshold_arg $ breaker_cooldown_arg
       $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg $ no_cache_arg
       $ cache_entries_arg $ cache_mb_arg $ shards_arg
-      $ store_arg $ replicas_arg $ profile_lru_arg)
+      $ store_arg $ profile_lru_arg)
 
 (* ---------------- scrub ---------------- *)
 
-(* Offline verification of a profile-store directory: walk every file
-   the manifests name, re-verify frame CRCs and promised sizes, and —
-   with --repair — quarantine damaged files, salvage their valid
-   prefixes, and rebuild them from healthy replicas.  DIR is either one
-   replica root or a serve-layout store root (SHARDS marker + shard-NN
-   subdirectories). *)
-let scrub dir repair =
+(* Offline, read-only verification of a profile-store directory: walk
+   every file the manifests name and re-verify frame CRCs and promised
+   sizes.  DIR is either one store directory or a serve-layout store
+   root (SHARDS marker + shard-NN subdirectories). *)
+let scrub dir =
   guarded (fun () ->
-      let shard_roots =
+      let stores =
         if Sys.file_exists (Filename.concat dir "SHARDS") then
           Sys.readdir dir |> Array.to_list
           |> List.filter (fun n ->
                  String.length n > 6 && String.sub n 0 6 = "shard-")
           |> List.sort compare
-          |> List.map (fun n -> Filename.concat dir n)
-        else [ dir ]
-      in
-      let label root file =
-        if root = dir then file else Filename.concat (Filename.basename root) file
+          |> List.map (fun n -> (Filename.concat dir n, n ^ "/"))
+        else [ (dir, "") ]
       in
       let damaged = ref 0 in
-      let print_reports root reports =
-        List.iteri
-          (fun i (rep : Perso_store.Scrub.report) ->
-            List.iter
-              (fun (fr : Perso_store.Scrub.file_report) ->
-                Printf.printf "%s: %s (%d records)\n"
-                  (label root (Filename.concat (Printf.sprintf "r%d" i) fr.file))
-                  (Perso_store.Scrub.status_name fr.status)
-                  fr.records)
-              rep.files;
-            damaged := !damaged + List.length rep.damaged)
-          reports
-      in
       List.iter
-        (fun root ->
-          if repair then begin
-            (* Replica recovery *is* the repair: open (adopting the
-               root's recorded replica count), scrub every member, and
-               let failover + quarantine + clone do their work. *)
-            let r = Perso_store.Replica.open_ root in
-            let reports = Perso_store.Replica.scrub_now r in
-            print_reports root reports;
-            let rs = Perso_store.Replica.rstats r in
-            Printf.printf
-              "%s: repaired (failovers=%d salvaged=%d quarantined=%d \
-               catchups=%d)\n"
-              (if root = dir then "." else Filename.basename root)
-              rs.Perso_store.Replica.failovers rs.Perso_store.Replica.salvaged
-              rs.Perso_store.Replica.quarantined
-              rs.Perso_store.Replica.catchups;
-            Perso_store.Replica.close r
-          end
-          else begin
-            (* Read-only: scan member directories (or a legacy flat
-               root) without touching a byte. *)
-            let members =
-              if Sys.file_exists root && Sys.is_directory root then
-                Sys.readdir root |> Array.to_list
-                |> List.filter (fun n ->
-                       String.length n >= 2
-                       && n.[0] = 'r'
-                       && String.for_all
-                            (fun c -> c >= '0' && c <= '9')
-                            (String.sub n 1 (String.length n - 1))
-                       && Sys.is_directory (Filename.concat root n))
-                |> List.sort compare
-              else []
-            in
-            let targets =
-              if members = [] then [ (root, root) ]
-              else List.map (fun m -> (Filename.concat root m, m)) members
-            in
-            List.iter
-              (fun (mdir, mname) ->
-                let rep = Perso_store.Scrub.scan_dir mdir in
-                List.iter
-                  (fun (fr : Perso_store.Scrub.file_report) ->
-                    Printf.printf "%s: %s (%d records)\n"
-                      (label root
-                         (if mdir = root then fr.file
-                          else Filename.concat mname fr.file))
-                      (Perso_store.Scrub.status_name fr.status)
-                      fr.records)
-                  rep.Perso_store.Scrub.files;
-                damaged :=
-                  !damaged + List.length rep.Perso_store.Scrub.damaged)
-              targets
-          end)
-        shard_roots;
+        (fun (sdir, prefix) ->
+          let rep = Perso_store.Scrub.scan_dir sdir in
+          List.iter
+            (fun (fr : Perso_store.Scrub.file_report) ->
+              Printf.printf "%s%s: %s (%d records)\n" prefix fr.file
+                (Perso_store.Scrub.status_name fr.status)
+                fr.records)
+            rep.files;
+          damaged := !damaged + List.length rep.damaged)
+        stores;
       if !damaged > 0 then begin
         Printf.printf "scrub: %d damaged file(s)\n" !damaged;
         2
@@ -655,25 +577,16 @@ let scrub dir repair =
       else 0)
 
 let scrub_dir_arg =
-  let doc = "Profile-store directory (a store root or one replica root)." in
+  let doc = "Profile-store directory (a store root or one shard's store)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
-
-let repair_arg =
-  let doc =
-    "Repair: quarantine damaged files, salvage their valid prefixes, \
-     rebuild from healthy replicas (fails with the typed storage error \
-     when no replica has a clean copy)."
-  in
-  Arg.(value & flag & info [ "repair" ] ~doc)
 
 let scrub_cmd =
   Cmd.v
     (Cmd.info "scrub"
        ~doc:
-         "Verify (and with --repair, heal) a profile store's on-disk file \
-          set: CRC-check every record, quarantine and salvage damage, \
-          rebuild from replicas")
-    Term.(const scrub $ scrub_dir_arg $ repair_arg)
+         "Verify a profile store's on-disk file set without writing to it: \
+          CRC-check every record and every promised size; exit 2 on damage")
+    Term.(const scrub $ scrub_dir_arg)
 
 (* ---------------- sim ---------------- *)
 

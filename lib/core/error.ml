@@ -36,8 +36,7 @@ let of_exn = function
       | Relal.Chaos.Store_mutate | Relal.Chaos.Wal_append
       | Relal.Chaos.Wal_fsync | Relal.Chaos.Manifest_write
       | Relal.Chaos.Compact_write | Relal.Chaos.Compact_rename
-      | Relal.Chaos.Ship_append | Relal.Chaos.Scrub_read
-      | Relal.Chaos.Promote ->
+      | Relal.Chaos.Scrub_read ->
           Some (Storage msg)
       | Relal.Chaos.Scan | Relal.Chaos.Join_build | Relal.Chaos.Join_probe ->
           Some (Internal msg))

@@ -20,7 +20,7 @@ module SMap = Map.Make (String)
 type reg = {
   revs : int SMap.t Atomic.t;
   hooks : (user:string -> unit) list Atomic.t;
-  backend : Perso_store.Replica.t option Atomic.t;
+  backend : Perso_store.Store.t option Atomic.t;
 }
 
 type Database.extension += Profile_registry of reg
@@ -198,7 +198,7 @@ let save db ~user profile =
   if not (List.equal row_equal before mine) then begin
     replace_rows ~hook:mutate t user mine;
     backend_apply db t ~user before (fun b ~next ->
-        Perso_store.Replica.save b ~user ~revision:next
+        Perso_store.Store.save b ~user ~revision:next
           (entries_of_profile profile));
     notify db ~user
   end
@@ -256,7 +256,7 @@ let delete db ~user =
     if before <> [] then begin
       replace_rows t user [];
       backend_apply db t ~user before (fun b ~next ->
-          Perso_store.Replica.delete b ~user ~revision:next);
+          Perso_store.Store.delete b ~user ~revision:next);
       notify db ~user
     end
   end
@@ -296,18 +296,18 @@ let export db backend =
   Hashtbl.fold (fun user entries acc -> (user, List.rev entries) :: acc) groups []
   |> List.sort compare
   |> List.iter (fun (user, entries) ->
-         Perso_store.Replica.save backend ~user
+         Perso_store.Store.save backend ~user
            ~revision:(revision db ~user)
            entries)
 
 let restore db backend =
   install db;
   let t = Database.table db table_name in
-  Perso_store.Replica.iter backend (fun ~user ~revision:_ entries ->
+  Perso_store.Store.iter backend (fun ~user ~revision:_ entries ->
       List.iter
         (fun { Perso_store.Codec.cond; degree } ->
           Table.insert t
             [| Value.Str user; Value.Str cond; Value.Float degree |])
         entries);
-  seed_revisions db (Perso_store.Replica.revisions backend);
+  seed_revisions db (Perso_store.Store.revisions backend);
   attach db backend

@@ -85,29 +85,28 @@ val subscribe : Relal.Database.t -> (user:string -> unit) -> unit
 
 (** {1 Durable backends}
 
-    A database can be attached to a durable replica set
-    ({!Perso_store.Replica.t}; one member is the plain single-copy
-    store); every effective [save]/[delete] then writes through to it
-    {e between} the replace of the user's rows and the revision bump,
-    with the user's old rows put back if the append fails — memory never
-    acknowledges what the disk refused.
+    A database can be attached to a durable store
+    ({!Perso_store.Store.t}); every effective [save]/[delete] then
+    writes through to it {e between} the replace of the user's rows and
+    the revision bump, with the user's old rows put back if the append
+    fails — memory never acknowledges what the disk refused.
     The in-memory table remains the read path (it is the paper's own
-    storage model and the executor scans it); the replica set is the
-    durable tier. *)
+    storage model and the executor scans it); the store is the durable
+    tier. *)
 
-val attach : Relal.Database.t -> Perso_store.Replica.t -> unit
+val attach : Relal.Database.t -> Perso_store.Store.t -> unit
 (** Write-through from now on.  Does not copy existing rows — use
     {!export} (memory → store) or {!restore} (store → memory)
     first. *)
 
-val export : Relal.Database.t -> Perso_store.Replica.t -> unit
+val export : Relal.Database.t -> Perso_store.Store.t -> unit
 (** Push every stored profile into the store at its current
     registry revision (sorted user order).
     @raise Perso_store.Store.Store_error on a profile row that is not
     [(string, string, float)] — hand-edited dumps must fail fast rather
     than be silently dropped from the durable tier. *)
 
-val restore : Relal.Database.t -> Perso_store.Replica.t -> unit
+val restore : Relal.Database.t -> Perso_store.Store.t -> unit
 (** Load every profile and revision from the store into the database
     ({!install}ing tables as needed), seed the revision registry, and
     {!attach}.  The recovery path at server startup. *)

@@ -10,9 +10,7 @@ type point =
   | Manifest_write
   | Compact_write
   | Compact_rename
-  | Ship_append
   | Scrub_read
-  | Promote
 
 let point_name = function
   | Scan -> "scan"
@@ -26,9 +24,7 @@ let point_name = function
   | Manifest_write -> "manifest-write"
   | Compact_write -> "compact-write"
   | Compact_rename -> "compact-rename"
-  | Ship_append -> "ship-append"
   | Scrub_read -> "scrub-read"
-  | Promote -> "promote"
 
 exception Injected of { point : point; transient : bool }
 

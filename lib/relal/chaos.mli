@@ -26,9 +26,7 @@ type point =
   | Manifest_write  (** replacing a store manifest (tmp + rename) *)
   | Compact_write  (** copying one live record during compaction *)
   | Compact_rename  (** committing a compaction (manifest swap) *)
-  | Ship_append  (** replicating an acknowledged record to a follower *)
   | Scrub_read  (** scrubber verifying one store file's frames *)
-  | Promote  (** failing over to the freshest healthy replica *)
 
 val point_name : point -> string
 

@@ -6,26 +6,7 @@
 
 module Core = Server_core.Make (Runtime.Threads)
 
-type config = Server_core.config = {
-  socket_path : string;
-  tcp_port : int option;
-  workers : int;
-  queue_capacity : int;
-  deadline_ms : float option;
-  max_rows : int option;
-  max_expansions : int option;
-  drain_ms : float;
-  breaker_threshold : int;
-  breaker_cooldown_ms : float;
-  dump_dir : string option;
-  cache : bool;
-  cache_entries : int;
-  cache_mb : float;
-  shards : int;
-  store_dir : string option;
-  replicas : int;
-  profile_lru_entries : int;
-}
+type config = Server_core.config
 
 let default_config = Server_core.default_config
 
@@ -233,7 +214,7 @@ let start cfg db =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listeners =
-    listen_unix cfg.socket_path
+    listen_unix cfg.Server_core.socket_path
     :: (match cfg.tcp_port with Some p -> [ listen_tcp p ] | None -> [])
   in
   let core = Core.create cfg db in
@@ -259,7 +240,8 @@ let stop t =
       List.iter
         (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         t.listeners;
-      try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ())
+      try Unix.unlink t.cfg.Server_core.socket_path
+      with Unix.Unix_error _ -> ())
 
 let wait t =
   let rec await () =

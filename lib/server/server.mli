@@ -47,33 +47,8 @@
     answered on the connection thread without queueing, so the server
     stays observable exactly when it is saturated. *)
 
-type config = Server_core.config = {
-  socket_path : string;  (** Unix-domain socket to listen on *)
-  tcp_port : int option;  (** also listen on 127.0.0.1:port *)
-  workers : int;  (** request slots: requests running at once (>= 1) *)
-  queue_capacity : int;  (** admission-queue bound (>= 1) *)
-  deadline_ms : float option;  (** server-side cap on request deadlines *)
-  max_rows : int option;  (** cap on rows-produced budgets *)
-  max_expansions : int option;  (** cap on selection-expansion budgets *)
-  drain_ms : float;  (** graceful-shutdown drain deadline *)
-  breaker_threshold : int;  (** consecutive storage faults that trip *)
-  breaker_cooldown_ms : float;  (** open → half-open timer *)
-  dump_dir : string option;  (** crash-safe dump target on shutdown *)
-  cache : bool;  (** personalization plan cache on the serve path *)
-  cache_entries : int;  (** LRU entry bound (split across shards) *)
-  cache_mb : float;  (** LRU byte bound (approximate accounting) *)
-  shards : int;  (** user-id shards for the profile store (>= 1) *)
-  store_dir : string option;
-      (** log-structured durable profile store root ([--store disk:DIR]);
-          [None] keeps profiles in memory only *)
-  replicas : int;
-      (** replica-set members per shard store ([--replicas N], >= 1):
-          saves ship to every member, recovery scrubs/salvages/fails
-          over among them *)
-  profile_lru_entries : int;
-      (** hot parsed-profile LRU entries, split across shards
-          ([--profile-lru N], 0 disables) *)
-}
+type config = Server_core.config
+(** Fields are documented at {!Server_core.config}. *)
 
 val default_config : socket_path:string -> config
 (** 4 slots, queue of 64, 5 s deadline cap, 1M rows, 10k expansions,

@@ -403,34 +403,18 @@ module Make (R : Runtime.S) = struct
   let health t =
     let cache_stats = Store.cache_stats t.store in
     let store_stats = Store.store_stats t.store in
-    let replica_stats = Store.replica_stats t.store in
     let plru_stats = Store.plru_stats t.store in
     let sstat f = string_of_int (match store_stats with None -> 0 | Some s -> f s) in
-    let rstat f =
-      string_of_int (match replica_stats with None -> 0 | Some s -> f s)
-    in
-    let backend_name =
-      if store_stats = None then "memory"
-      else if Store.replica_count t.store > 1 then "replicated"
-      else "disk"
-    in
+    let backend_name = if store_stats = None then "memory" else "disk" in
     locked t.qm (fun () ->
         [
           ("state", phase_name t.phase);
           ("shards", string_of_int (Store.shard_count t.store));
           ("store_backend", backend_name);
-          ("store_replicas", string_of_int (Store.replica_count t.store));
           ("store_appends", sstat (fun s -> s.Perso_store.Store.appends));
           ("store_compactions", sstat (fun s -> s.Perso_store.Store.compactions));
           ( "store_torn_truncated",
             sstat (fun s -> s.Perso_store.Store.torn_truncated) );
-          ("store_failover", rstat (fun s -> s.Perso_store.Replica.failovers));
-          ("store_salvaged", rstat (fun s -> s.Perso_store.Replica.salvaged));
-          ( "store_quarantined",
-            rstat (fun s -> s.Perso_store.Replica.quarantined) );
-          ("store_catchups", rstat (fun s -> s.Perso_store.Replica.catchups));
-          ( "store_ship_errors",
-            rstat (fun s -> s.Perso_store.Replica.ship_errors) );
           ("queue_depth", string_of_int (Queue.length t.queue));
           ("in_flight", string_of_int t.in_flight);
           ("workers", string_of_int t.cfg.workers);
@@ -484,7 +468,6 @@ module Make (R : Runtime.S) = struct
     if cfg.queue_capacity < 1 then
       invalid_arg "Server: queue_capacity must be >= 1";
     if cfg.shards < 1 then invalid_arg "Server: shards must be >= 1";
-    if cfg.replicas < 1 then invalid_arg "Server: replicas must be >= 1";
     if cfg.profile_lru_entries < 0 then
       invalid_arg "Server: profile_lru_entries must be >= 0";
     (* One cache per shard, each bound to its shard database via

@@ -32,17 +32,17 @@
     instant, drains included. *)
 
 type config = {
-  socket_path : string;
-  tcp_port : int option;
-  workers : int;
-  queue_capacity : int;
-  deadline_ms : float option;
-  max_rows : int option;
-  max_expansions : int option;
-  drain_ms : float;
-  breaker_threshold : int;
-  breaker_cooldown_ms : float;
-  dump_dir : string option;
+  socket_path : string;  (** Unix-domain socket to listen on *)
+  tcp_port : int option;  (** also listen on 127.0.0.1:port *)
+  workers : int;  (** request slots: requests running at once (>= 1) *)
+  queue_capacity : int;  (** admission-queue bound (>= 1) *)
+  deadline_ms : float option;  (** server-side cap on request deadlines *)
+  max_rows : int option;  (** cap on rows-produced budgets *)
+  max_expansions : int option;  (** cap on selection-expansion budgets *)
+  drain_ms : float;  (** graceful-shutdown drain deadline *)
+  breaker_threshold : int;  (** consecutive storage faults that trip *)
+  breaker_cooldown_ms : float;  (** open → half-open timer *)
+  dump_dir : string option;  (** crash-safe dump target on shutdown *)
   cache : bool;  (** personalization plan cache on the serve path *)
   cache_entries : int;  (** LRU entry bound (split across shards) *)
   cache_mb : float;  (** LRU byte bound (approximate accounting) *)
@@ -57,10 +57,9 @@ type config = {
           non-empty store is authoritative — crash recovery replays its
           WALs and the catalog's profile rows are ignored *)
   replicas : int;
-      (** members per shard replica set ({!Perso_store.Replica},
-          [--replicas N]): every save ships to N byte-identical copies;
-          recovery scrubs, salvages, and fails over among them.  [1]
-          (the default) is the plain single-copy store *)
+      (** a vestige of the deleted replicated tier, kept so existing
+          callers still compile: must be 1 ({!Sharded_store.Make.create}
+          raises [Invalid_argument] otherwise) *)
   profile_lru_entries : int;
       (** hot parsed-profile LRU entry bound, split across shards
           ({!Profile_lru}); [0] disables it *)
@@ -68,7 +67,7 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** Cache on, 512 entries, 32 MiB, 1 shard, in-memory store,
-    1 replica, 512 hot-profile LRU entries. *)
+    512 hot-profile LRU entries. *)
 
 type reply =
   | R_rows of { notes : string list; result : Relal.Exec.result }

@@ -7,11 +7,11 @@ module Make (R : Runtime.S) = struct
     sdb : Database.t;  (* mini catalog holding only the profiles table *)
     lock : Rl.t;
     cache : Perso.Perso_cache.t option;
-    store : Perso_store.Replica.t option;  (* durable tier when persisted *)
+    store : Perso_store.Store.t option;  (* durable tier when persisted *)
     plru : Profile_lru.t option;  (* hot parsed-profile cache *)
   }
 
-  type t = { shards : shard array; main : Database.t; replicas : int }
+  type t = { shards : shard array; main : Database.t }
 
   let shard_count t = Array.length t.shards
 
@@ -80,8 +80,9 @@ module Make (R : Runtime.S) = struct
       rows
 
   let create ?cache ?profile_lru ?persist ?(replicas = 1) ~shards main =
+    if replicas <> 1 then
+      invalid_arg "Sharded_store.create: replicas must be 1";
     let n = max 1 shards in
-    let r = max 1 replicas in
     let stores =
       match persist with
       | None -> Array.make n None
@@ -90,7 +91,7 @@ module Make (R : Runtime.S) = struct
           check_shard_marker root n;
           Array.init n (fun i ->
               Some
-                (Perso_store.Replica.open_ ~replicas:r
+                (Perso_store.Store.open_
                    (Filename.concat root (Printf.sprintf "shard-%02d" i))))
     in
     let mk i =
@@ -113,12 +114,12 @@ module Make (R : Runtime.S) = struct
         plru;
       }
     in
-    let t = { shards = Array.init n mk; main; replicas = r } in
+    let t = { shards = Array.init n mk; main } in
     let stores_empty =
       Array.for_all
         (function
           | None -> true
-          | Some s -> Perso_store.Replica.revisions s = [])
+          | Some s -> Perso_store.Store.revisions s = [])
         stores
     in
     if stores_empty then begin
@@ -245,7 +246,6 @@ module Make (R : Runtime.S) = struct
     Array.to_list (Array.map (fun sh -> Rl.holders sh.lock) t.shards)
 
   let persisted t = Array.exists (fun sh -> sh.store <> None) t.shards
-  let replica_count t = t.replicas
 
   let store_stats t =
     if not (persisted t) then None
@@ -256,7 +256,7 @@ module Make (R : Runtime.S) = struct
              match sh.store with
              | None -> acc
              | Some s ->
-                 let st = Perso_store.Replica.stats s in
+                 let st = Perso_store.Store.stats s in
                  {
                    Perso_store.Store.appends = acc.appends + st.appends;
                    rotations = acc.rotations + st.rotations;
@@ -280,32 +280,6 @@ module Make (R : Runtime.S) = struct
            }
            t.shards)
 
-  let replica_stats t =
-    if not (persisted t) then None
-    else
-      Some
-        (Array.fold_left
-           (fun (acc : Perso_store.Replica.rstats) sh ->
-             match sh.store with
-             | None -> acc
-             | Some s ->
-                 let rs = Perso_store.Replica.rstats s in
-                 {
-                   Perso_store.Replica.failovers = acc.failovers + rs.failovers;
-                   salvaged = acc.salvaged + rs.salvaged;
-                   quarantined = acc.quarantined + rs.quarantined;
-                   catchups = acc.catchups + rs.catchups;
-                   ship_errors = acc.ship_errors + rs.ship_errors;
-                 })
-           {
-             Perso_store.Replica.failovers = 0;
-             salvaged = 0;
-             quarantined = 0;
-             catchups = 0;
-             ship_errors = 0;
-           }
-           t.shards)
-
   let merge_back t =
     let rows =
       Array.to_list t.shards |> List.concat_map (fun sh -> profile_rows sh.sdb)
@@ -325,6 +299,6 @@ module Make (R : Runtime.S) = struct
       (fun sh ->
         match sh.store with
         | None -> ()
-        | Some s -> Perso_store.Replica.close s)
+        | Some s -> Perso_store.Store.close s)
       t.shards
 end

@@ -51,20 +51,21 @@ module Make (R : Runtime.S) : sig
       {!Perso.Profile_store.subscribe} hook for eager invalidation.
 
       [persist] names a store root directory: each shard gets its own
-      replica set ({!Perso_store.Replica}, [max 1 replicas] members)
-      under [root/shard-NN], attached write-through.  On first open
-      (all stores empty) the main catalog's profiles are exported into
-      the stores; afterwards the stores are authoritative — crash
-      recovery replays them and the main catalog's profile rows are
-      ignored.  A [SHARDS] marker in the root pins the shard count;
+      {!Perso_store.Store} at [root/shard-NN], attached write-through.
+      On first open (all stores empty) the main catalog's profiles are
+      exported into the stores; afterwards the stores are authoritative
+      — crash recovery replays them and the main catalog's profile rows
+      are ignored.  A [SHARDS] marker in the root pins the shard count;
       reopening with a different [--shards] raises a typed
       [Store_error] (resharding migration is a documented non-goal for
-      now); each replica set's [REPLSTATE] likewise pins the replica
-      count.
-      @raise Perso_store.Store.Store_error on recovery failure (every
-      replica of some shard damaged), a shard or replica count
-      mismatch, or (first open only) a profile row too malformed to
-      export. *)
+      now).
+
+      [replicas] is a vestige of the deleted replicated tier, kept so
+      existing callers still compile: it must be 1.
+      @raise Perso_store.Store.Store_error on recovery failure (some
+      shard's store damaged), a shard count mismatch, or (first open
+      only) a profile row too malformed to export.
+      @raise Invalid_argument if [replicas <> 1]. *)
 
   val shard_count : t -> int
 
@@ -104,17 +105,9 @@ module Make (R : Runtime.S) : sig
   val persisted : t -> bool
   (** Whether the shards carry durable stores ([?persist] was given). *)
 
-  val replica_count : t -> int
-  (** Members per shard replica set (1 when unreplicated). *)
-
   val store_stats : t -> Perso_store.Store.stats option
   (** Field-wise sum of every shard store's counters, [None] for the
       in-memory backend — the HEALTH ledger view. *)
-
-  val replica_stats : t -> Perso_store.Replica.rstats option
-  (** Field-wise sum of every shard replica set's failover, salvage,
-      quarantine, catch-up, and ship-error counters; [None] for the
-      in-memory backend. *)
 
   val merge_back : t -> unit
   (** Raw-copy every shard's profile rows (in shard order) back into

@@ -284,20 +284,11 @@ let run ~seed steps =
   in
   Fun.protect ~finally:restore @@ fun () ->
   let main () =
-    (* Shard and replica counts derive from the seed so the sweep
-       exercises the sharded store at several widths — and the
-       replicated tier at 1–3 members — deterministically. *)
+    (* The shard count derives from the seed so the sweep exercises
+       the sharded store at several widths, deterministically. *)
     let core =
       Core.create
-        {
-          server_config with
-          shards = 1 + (seed mod 3);
-          store_dir = store_root;
-          replicas =
-            (match store_root with
-            | Some _ -> 1 + (seed / 2 mod 3)
-            | None -> 1);
-        }
+        { server_config with shards = 1 + (seed mod 3); store_dir = store_root }
         db
     in
     Sched.add_probe (fun () ->
@@ -526,11 +517,9 @@ let run ~seed steps =
       (fun root ->
         (* A [c<seed>x<permille>] step leaves fault injection armed past
            stop; the audit checks what was persisted, so it reopens
-           with no faults (a failover would otherwise cross
-           [Chaos.Promote]). *)
+           with no faults. *)
         Relal.Chaos.disarm ();
         let n = 1 + (seed mod 3) in
-        let replicas = 1 + (seed / 2 mod 3) in
         let catalog_rows_of user =
           match Relal.Database.find_table db Perso.Profile_store.table_name with
           | None -> []
@@ -547,75 +536,18 @@ let run ~seed steps =
         in
         let main_revs = Perso.Profile_store.revisions db in
         let store_revs = ref [] in
-        (* Deterministic mid-fleet corruption: with a replicated tier,
-           flip one byte in shard 0's member r0 before the cold reopen.
-           Recovery must scrub the damage (quarantine, or truncate-and-
-           catch-up when the flip lands in the WAL tail's framing),
-           promote a fresher member if r0 was primary, and still agree
-           with the catalog byte-for-byte. *)
-        let corrupted = ref false in
-        if replicas >= 2 then begin
-          let r0 =
-            Filename.concat (Filename.concat root "shard-00") "r0"
-          in
-          match Perso_store.Store.read_manifest r0 with
-          | Some (sealed, wal) ->
-              let size_of p =
-                match (Unix.stat p).Unix.st_size with
-                | s -> s
-                | exception Unix.Unix_error _ -> 0
-              in
-              let target =
-                let wpath = Filename.concat r0 wal in
-                if size_of wpath > 0 then Some wpath
-                else
-                  List.find_map
-                    (fun (nm, sz) ->
-                      if sz > 0 then Some (Filename.concat r0 nm) else None)
-                    sealed
-              in
-              Option.iter
-                (fun path ->
-                  Relal.Chaos.flip_byte_in_file path 0.5;
-                  corrupted := true)
-                target
-          | None | (exception Perso_store.Store.Store_error _) -> ()
-        end;
         for i = 0 to n - 1 do
           let s =
-            Perso_store.Replica.open_
+            Perso_store.Store.open_
               (Filename.concat root (Printf.sprintf "shard-%02d" i))
           in
-          Fun.protect ~finally:(fun () -> Perso_store.Replica.close s)
+          Fun.protect ~finally:(fun () -> Perso_store.Store.close s)
           @@ fun () ->
-          (if Perso_store.Replica.replicas s <> replicas then
-             audit "replica" "shard %d: reopened with %d member(s), expected %d"
-               i
-               (Perso_store.Replica.replicas s)
-               replicas);
-          (let rs = Perso_store.Replica.rstats s in
-           let repairs =
-             rs.Perso_store.Replica.failovers
-             + rs.Perso_store.Replica.quarantined
-             + rs.Perso_store.Replica.catchups
-           in
-           if i = 0 && !corrupted && repairs = 0 then
-             audit "replica"
-               "shard 0: corrupted member reopened with no repair recorded";
-           if (i > 0 || not !corrupted)
-              && (rs.Perso_store.Replica.failovers <> 0
-                 || rs.Perso_store.Replica.quarantined <> 0)
-           then
-             audit "replica"
-               "shard %d: clean reopen performed repairs (failovers=%d \
-                quarantined=%d)"
-               i rs.Perso_store.Replica.failovers
-               rs.Perso_store.Replica.quarantined);
-          store_revs := !store_revs @ Perso_store.Replica.revisions s;
+          store_revs := !store_revs @ Perso_store.Store.revisions s;
           List.iter
             (fun user ->
               let got =
-                Perso_store.Replica.load s ~user
+                Perso_store.Store.load s ~user
                 |> Option.value ~default:[]
                 |> List.map (fun e ->
                        (e.Perso_store.Codec.cond, e.Perso_store.Codec.degree))
@@ -625,7 +557,7 @@ let run ~seed steps =
                 audit "persistence"
                   "shard %d user %s: %d recovered entries <> %d catalog rows"
                   i user (List.length got) (List.length want))
-            (Perso_store.Replica.users s)
+            (Perso_store.Store.users s)
         done;
         (* The registry's marks must all be in the store at the same
            value; the store may additionally hold revision-0 records

@@ -12,29 +12,15 @@ let table =
          done;
          !c))
 
-(* Streaming form: the running state is the bit-inverted CRC, so
-   [finish (update (update init a) b) = string (a ^ b)] holds exactly —
-   the property the scrubber's per-file rollups and the qcheck
-   split-point test lean on. *)
-
-let init = 0xFFFFFFFF
-
-let update state s ~pos ~len =
+let sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32.update";
+    invalid_arg "Crc32.sub";
   let t = Lazy.force table in
-  let c = ref state in
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
          lxor (!c lsr 8)
   done;
-  !c
-
-let finish state = state lxor 0xFFFFFFFF
-
-let sub s ~pos ~len =
-  match update init s ~pos ~len with
-  | state -> finish state
-  | exception Invalid_argument _ -> invalid_arg "Crc32.sub"
+  !c lxor 0xFFFFFFFF
 
 let string s = sub s ~pos:0 ~len:(String.length s)

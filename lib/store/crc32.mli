@@ -11,22 +11,3 @@ val string : string -> int
 
 val sub : string -> pos:int -> len:int -> int
 (** CRC-32 of a substring. @raise Invalid_argument on bad bounds. *)
-
-(** {1 Streaming}
-
-    Incremental form for data that arrives in chunks — the scrubber
-    CRCs whole store files without holding them as one string, and the
-    replica divergence check compares the resulting per-file rollups.
-    For any split of [s] into consecutive chunks, folding {!update}
-    over them from {!init} and applying {!finish} equals
-    [string s] exactly (property-tested over arbitrary split points). *)
-
-val init : int
-(** Starting state (not a valid CRC until {!finish}ed). *)
-
-val update : int -> string -> pos:int -> len:int -> int
-(** Fold a chunk into the running state.
-    @raise Invalid_argument on bad bounds. *)
-
-val finish : int -> int
-(** Final CRC-32 of everything folded in, in [0, 0xFFFFFFFF]. *)

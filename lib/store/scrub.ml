@@ -1,5 +1,4 @@
 module Chaos = Relal.Chaos
-module Csv = Relal.Csv
 
 type file_status =
   | File_ok
@@ -9,12 +8,11 @@ type file_status =
 type file_report = {
   file : string;
   size : int;
-  crc : int;
   records : int;
   status : file_status;
 }
 
-type damage = { file : string; error : Store.error; salvageable : int }
+type damage = { file : string; error : Store.error }
 
 type report = { dir : string; files : file_report list; damaged : damage list }
 
@@ -22,31 +20,6 @@ let status_name = function
   | File_ok -> "ok"
   | File_torn_tail at -> Printf.sprintf "torn-tail@%d" at
   | File_damaged e -> Store.error_to_string e
-
-(* Whole-file CRC by chunked reads — the per-file rollup entry the
-   replica divergence check compares.  Streamed so a scrub never holds
-   a segment as one string. *)
-let crc_of_file path =
-  In_channel.with_open_bin path (fun ic ->
-      let buf = Bytes.create 65536 in
-      let rec go state size =
-        match In_channel.input ic buf 0 (Bytes.length buf) with
-        | 0 -> (size, Crc32.finish state)
-        | n ->
-            go
-              (Crc32.update state (Bytes.unsafe_to_string buf) ~pos:0 ~len:n)
-              (size + n)
-      in
-      go Crc32.init 0)
-
-let salvageable path =
-  if not (Sys.file_exists path) then 0
-  else begin
-    let n = ref 0 in
-    (try ignore (Wal.scan_file path (fun ~pos:_ _ -> incr n))
-     with Sys_error _ -> ());
-    !n
-  end
 
 (* One file under the scrubber's lens.  [promised = Some bytes] for
    sealed segments (the manifest's size is part of the contract);
@@ -68,7 +41,6 @@ let scan_file ~dir ~promised name =
     {
       file = name;
       size = 0;
-      crc = 0;
       records = 0;
       status =
         File_damaged (Store.Torn_log { file = name; detail = "file missing" });
@@ -76,7 +48,6 @@ let scan_file ~dir ~promised name =
   else begin
     let data = In_channel.with_open_bin path In_channel.input_all in
     let size = String.length data in
-    let crc = Crc32.string data in
     let records = ref 0 in
     let _, ending = Wal.scan_string data (fun ~pos:_ _ -> incr records) in
     let status =
@@ -109,10 +80,20 @@ let scan_file ~dir ~promised name =
                      detail = Printf.sprintf "at %d: %s" at detail;
                    }))
     in
-    { file = name; size; crc; records = !records; status }
+    { file = name; size; records = !records; status }
   end
 
 let scan_dir dir =
+  if Store.older_root dir then
+    raise
+      (Store.Store_error
+         (Store.Malformed
+            {
+              file = dir;
+              detail =
+                "a set of copies written by an older build: serve adopts \
+                 a one-copy set on its first open and refuses more";
+            }));
   match Store.read_manifest dir with
   | None -> { dir; files = []; damaged = [] }
   | Some (sealed, wal) ->
@@ -127,73 +108,8 @@ let scan_dir dir =
         List.filter_map
           (fun fr ->
             match fr.status with
-            | File_damaged e ->
-                Some { file = fr.file; error = e; salvageable = fr.records }
+            | File_damaged e -> Some { file = fr.file; error = e }
             | File_ok | File_torn_tail _ -> None)
           files
       in
       { dir; files; damaged }
-
-let rollup dir =
-  match Store.read_manifest dir with
-  | None -> []
-  | Some (sealed, wal) ->
-      List.filter_map
-        (fun name ->
-          let path = Filename.concat dir name in
-          if Sys.file_exists path then
-            let size, crc = crc_of_file path in
-            Some (name, size, crc)
-          else None)
-        (List.map fst sealed @ [ wal ])
-
-(* ------------------------- repair primitives ------------------------- *)
-
-let quarantine_dirname = "quarantine"
-
-let quarantine ~dir ~file =
-  let src = Filename.concat dir file in
-  if Sys.file_exists src then begin
-    let qdir = Filename.concat dir quarantine_dirname in
-    if not (Sys.file_exists qdir) then Sys.mkdir qdir 0o755;
-    let rec target k =
-      let name = if k = 0 then file else Printf.sprintf "%s.%d" file k in
-      let p = Filename.concat qdir name in
-      if Sys.file_exists p then target (k + 1) else p
-    in
-    Sys.rename src (target 0);
-    Csv.fsync_dir dir
-  end
-
-let clear_store_files dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    (* Manifest first: a crash mid-clear must not leave a manifest
-       naming files that are already gone. *)
-    (try Sys.remove (Filename.concat dir Store.manifest_file)
-     with Sys_error _ -> ());
-    Array.iter
-      (fun name ->
-        if Store.is_store_file name then
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-      (Sys.readdir dir)
-  end
-
-let copy_file ~src ~dst = Csv.write_file_sync dst (In_channel.with_open_bin src In_channel.input_all)
-
-let clone ~src ~dst =
-  if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;
-  clear_store_files dst;
-  (match Store.read_manifest src with
-  | None -> ()
-  | Some (sealed, wal) ->
-      let copy name =
-        let from = Filename.concat src name in
-        if Sys.file_exists from then
-          copy_file ~src:from ~dst:(Filename.concat dst name)
-      in
-      List.iter copy (List.map fst sealed);
-      copy wal;
-      (* The manifest lands last — the clone's commit point, mirroring
-         rotation and compaction. *)
-      copy Store.manifest_file);
-  Csv.fsync_dir dst

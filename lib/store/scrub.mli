@@ -1,23 +1,20 @@
-(** Scrub-and-salvage over a store directory's committed file set.
+(** Read-only scrub over a store directory's committed file set.
 
     The scrubber walks the files the manifest names, re-verifying every
     frame CRC and the manifest's promised sizes — the same checks
     recovery performs, runnable on demand against a quiescent directory
-    (the [perso_cli scrub] subcommand, the replica tier's repair path,
-    and the deterministic corruption sweep all drive it).
+    (the [perso_cli scrub] subcommand drives it).  It never writes.
 
     Classification mirrors recovery exactly: a sealed segment that is
     short, torn, or checksum-damaged is {e damage}; the active WAL's
     torn tail is the legitimate crash signature ({!File_torn_tail}) and
-    only a mid-file CRC mismatch there counts as damage.  Each damaged
-    file's report carries how many records its valid prefix still
-    decodes — the salvageable count the replica repair credits before
-    rebuilding the lost suffix from a healthy copy.
+    only a mid-file CRC mismatch there counts as damage.  Each file's
+    report carries how many records its valid prefix decodes.
 
     Every file verification crosses the {!Relal.Chaos.Scrub_read} fault
     point; a planned [Flip_byte] there damages the file {e before} the
-    check runs, so the sweep can prove the scrubber actually catches
-    what it is pointed at. *)
+    check runs, so a test can prove the scrubber actually catches what
+    it is pointed at. *)
 
 type file_status =
   | File_ok
@@ -29,12 +26,11 @@ type file_status =
 type file_report = {
   file : string;
   size : int;  (** bytes on disk *)
-  crc : int;  (** whole-file CRC-32 (the rollup entry) *)
   records : int;  (** decodable records in the valid prefix *)
   status : file_status;
 }
 
-type damage = { file : string; error : Store.error; salvageable : int }
+type damage = { file : string; error : Store.error }
 
 type report = { dir : string; files : file_report list; damaged : damage list }
 
@@ -43,37 +39,7 @@ val status_name : file_status -> string
 val scan_dir : string -> report
 (** Verify every manifest-named file ([files] in manifest order, active
     WAL last).  A directory without a manifest reports empty.
-    @raise Store.Store_error ([Malformed]) on an unparseable manifest.
+    @raise Store.Store_error ([Malformed]) on an unparseable manifest,
+    or on a set of copies an older build wrote ({!Store.older_root}),
+    which this read-only scan does not adopt.
     @raise Relal.Chaos.Crashed / [Injected] under planned scrub faults. *)
-
-val salvageable : string -> int
-(** Records decodable from the file's valid prefix (0 if missing) —
-    what a repair can credit before cloning the rest from a replica. *)
-
-val rollup : string -> (string * int * int) list
-(** [(file, size, crc)] for every manifest-named file present, in
-    manifest order — the cheap divergence check two replicas compare.
-    Empty for a manifest-less directory.
-    @raise Store.Store_error ([Malformed]) on an unparseable manifest. *)
-
-val crc_of_file : string -> int * int
-(** [(size, crc)] of one file by chunked streaming reads. *)
-
-val quarantine_dirname : string
-(** Subdirectory damaged files are moved into ("quarantine"). *)
-
-val quarantine : dir:string -> file:string -> unit
-(** Move [dir/file] into [dir/quarantine/] (suffixed [.1], [.2], … if
-    the name is taken), fsyncing the directory.  No-op when absent —
-    the damaged bytes are preserved for post-mortem, never deleted. *)
-
-val clear_store_files : string -> unit
-(** Remove every store file from a directory, manifest first (so a
-    crash mid-clear cannot leave a manifest naming missing files). *)
-
-val clone : src:string -> dst:string -> unit
-(** Rebuild [dst] as a byte-identical copy of [src]'s committed file
-    set: clear [dst]'s store files, copy the manifest-named data files,
-    then the manifest last (the commit point), then fsync.  A crash
-    mid-clone leaves [dst] manifest-less — recovery treats it as damage
-    and the replica tier re-clones. *)

@@ -242,11 +242,71 @@ let fresh ?(config = default_config) dirname =
   write_manifest t ~sealed:[] ~wal:t.wal_name;
   t
 
+(* Earlier builds kept each store as a set of copies: member
+   directories [r0/], [r1/], ... and a [REPLSTATE] file whose first line
+   pins their count.  A one-copy set is a store one level down: adopt
+   [r0] in place, data files first and the manifest last, so a crash
+   mid-move leaves [r0]'s manifest behind and the next open resumes.  A
+   set of several copies is refused, naming the directory: choosing
+   which copy holds the acknowledged data is an operator's call. *)
+let replstate_name = "REPLSTATE"
+
+let older_root dirname =
+  Sys.file_exists (Filename.concat dirname replstate_name)
+
+let adopt_replica_set dirname =
+  let state = Filename.concat dirname replstate_name in
+  if older_root dirname then begin
+    let header =
+      In_channel.with_open_bin state In_channel.input_line
+      |> Option.value ~default:""
+    in
+    (match String.split_on_char ' ' header with
+    | [ "perso-replicas"; "1" ] -> ()
+    | [ "perso-replicas"; n ] when int_of_string_opt n <> None ->
+        store_err
+          (Malformed
+             {
+               file = dirname;
+               detail =
+                 Printf.sprintf
+                   "holds %s copies written by an older build; this build \
+                    keeps one: move one copy's files up from r<K>/, then \
+                    remove %s and the r*/ directories"
+                   n replstate_name;
+             })
+    | _ ->
+        store_err
+          (Malformed
+             {
+               file = state;
+               detail = Printf.sprintf "unknown header %S" header;
+             }));
+    let r0 = Filename.concat dirname "r0" in
+    let move name =
+      let src = Filename.concat r0 name in
+      if Sys.file_exists src then Sys.rename src (Filename.concat dirname name)
+    in
+    if Sys.file_exists r0 then begin
+      Array.iter
+        (fun name -> if is_store_file name then move name)
+        (Sys.readdir r0);
+      Csv.fsync_dir dirname;
+      move manifest_name;
+      Csv.fsync_dir dirname;
+      try Sys.rmdir r0 with Sys_error _ -> ()
+    end;
+    Sys.remove state;
+    (try Sys.remove (state ^ ".tmp") with Sys_error _ -> ());
+    Csv.fsync_dir dirname
+  end
+
 let open_ ?(config = default_config) dirname =
   if not (Sys.file_exists dirname) then Sys.mkdir dirname 0o755;
   if not (Sys.is_directory dirname) then
     store_err
       (Malformed { file = dirname; detail = "store path is not a directory" });
+  adopt_replica_set dirname;
   let manifest_path = Filename.concat dirname manifest_name in
   if not (Sys.file_exists manifest_path) then begin
     (* No manifest: either a fresh directory or a crash during init,
@@ -313,12 +373,9 @@ let open_r ?config dirname =
 
 (* -------------------- file-set introspection -------------------- *)
 
-(* The scrubber and the replica tier work on the committed file set
-   without opening a handle: the manifest names exactly the files whose
-   bytes matter (plus the active WAL, whose tail may legitimately be
-   torn). *)
-
-let manifest_file = manifest_name
+(* The scrubber works on the committed file set without opening a
+   handle: the manifest names exactly the files whose bytes matter
+   (plus the active WAL, whose tail may legitimately be torn). *)
 
 let read_manifest dirname =
   let path = Filename.concat dirname manifest_name in
@@ -455,9 +512,6 @@ let maybe_compact t =
 let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-let sealed_segments t = locked t (fun () -> t.sealed)
-let active_wal t = locked t (fun () -> (t.wal_name, Wal.size t.wal))
 
 let append_record t record =
   check_open t;

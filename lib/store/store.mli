@@ -27,6 +27,13 @@
     manifest does not name (crash leftovers from rotation, compaction,
     or init) are removed.
 
+    {b Older roots.}  Builds before this one kept each store as a set of
+    copies ([r0/], [r1/], … plus a [REPLSTATE] file).  Opening such a
+    directory adopts a one-copy set in place, once ([r0]'s data files
+    move up, its manifest last, so a crash mid-move resumes on the next
+    open), and refuses a set of several copies with {!Malformed} naming
+    the directory.
+
     All operations are serialized by an internal mutex; concurrency
     comes from sharding (one store per shard), not from intra-store
     parallelism. *)
@@ -64,30 +71,17 @@ val open_ : ?config:config -> string -> t
 
 val dir : t -> string
 
-(** {1 File-set introspection}
-
-    The scrubber ({!Scrub}) and the replica tier ({!Replica}) reason
-    about a store directory's committed file set without opening a
-    handle. *)
-
-val manifest_file : string
-(** The manifest's file name ("MANIFEST"). *)
-
-val is_store_file : string -> bool
-(** Whether a directory-entry name belongs to the store (WAL, segment,
-    or manifest temp file — the files recovery may remove as strays). *)
+val older_root : string -> bool
+(** Whether a directory is a set of copies an earlier build wrote (it
+    holds [REPLSTATE]), which {!open_} adopts or refuses. *)
 
 val read_manifest : string -> ((string * int) list * string) option
 (** [read_manifest dirname] parses the committed manifest:
     [(sealed (name, size) list, active wal name)], or [None] when the
-    directory has no manifest (fresh or never-initialized).
+    directory has no manifest (fresh or never-initialized).  The
+    scrubber ({!Scrub}) reads the committed file set this way, without
+    opening a handle.
     @raise Store_error ([Malformed]) on an unparseable manifest. *)
-
-val sealed_segments : t -> (string * int) list
-(** Sealed [(file, bytes)] list of an open store, oldest first. *)
-
-val active_wal : t -> string * int
-(** Active WAL's [(file, acknowledged bytes)]. *)
 
 val save : t -> user:string -> revision:int -> Codec.entry list -> unit
 (** Append a [Put] and fsync.  On return the record is durable; on any

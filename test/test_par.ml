@@ -158,7 +158,7 @@ let test_sharded_hammer () =
   let cfg =
     {
       (Server.default_config ~socket_path:socket) with
-      Server.workers = 3;
+      Server_core.workers = 3;
       queue_capacity = 8;
       deadline_ms = Some 2_000.;
       shards;

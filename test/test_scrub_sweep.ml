@@ -1,12 +1,11 @@
-(* Deterministic corruption sweep: every committed store file of a
-   replica root x every corruption kind x replica counts 1-3.
+(* Deterministic corruption sweep: every committed file of a store
+   directory x every corruption kind.
 
-   With a single copy, damage must surface as the typed fatal error a
-   bare store raises (or, for the active WAL's tail, as the counted
-   torn-tail truncation).  With two or more copies, recovery must
-   restore the exact pre-corruption state — byte-identical members,
-   every acknowledged revision served — and the repair must be
-   accounted in the rstats ledger (failover + quarantined + catchups).
+   Damage must surface as the store's typed fatal error or, for the
+   active WAL's tail only, as the counted torn-tail truncation.  The
+   read-only scrubber must agree with recovery on every case: it reports
+   damage exactly when the open fails, and a torn tail exactly when the
+   open truncates one.
 
    [make scrub-sweep] runs exactly this binary; it also rides in the
    default [dune runtest] alias. *)
@@ -23,17 +22,15 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let rec copy_tree src dst =
+let copy_dir src dst =
   Unix.mkdir dst 0o755;
   Array.iter
     (fun name ->
-      let s = Filename.concat src name and d = Filename.concat dst name in
-      if Sys.is_directory s then copy_tree s d else write_file d (read_file s))
+      write_file (Filename.concat dst name)
+        (read_file (Filename.concat src name)))
     (Sys.readdir src)
 
 let e cond degree = { Codec.cond; degree }
-
-let member root i = Filename.concat root (Printf.sprintf "r%d" i)
 
 (* Tiny segments so the fixture spans the whole file-set shape: sealed
    segments plus a non-empty active WAL. *)
@@ -54,99 +51,69 @@ let corrupt kind path =
       let s = read_file path in
       write_file path (String.sub s 0 (String.length s - 3))
 
-(* Build a pristine n-replica root with rotated segments, an active
-   WAL, and a tombstone; return it with the oracle state. *)
-let build_fixture n =
+(* Build a pristine store with rotated segments, an active WAL, and a
+   tombstone; return it with the oracle state. *)
+let build_fixture () =
   let root = fresh_dir () in
-  let t = Replica.open_ ~config:cfg ~replicas:n root in
+  let t = Store.open_ ~config:cfg root in
   for i = 0 to 5 do
     let user = Printf.sprintf "user%d" i in
-    Replica.save t ~user ~revision:1
+    Store.save t ~user ~revision:1
       [ e (Printf.sprintf "GENRE.genre = 'g%d'" i) 0.9; e "MOVIE.year > 1990" 0.4 ]
   done;
-  Replica.save t ~user:"user1" ~revision:2 [ e "GENRE.genre = 'drama'" 0.7 ];
-  Replica.delete t ~user:"user5" ~revision:2;
-  let oracle_revisions = Replica.revisions t in
-  let oracle_users = Replica.users t in
-  Replica.close t;
+  Store.save t ~user:"user1" ~revision:2 [ e "GENRE.genre = 'drama'" 0.7 ];
+  Store.delete t ~user:"user5" ~revision:2;
+  let oracle_revisions = Store.revisions t in
+  let oracle_users = Store.users t in
+  Store.close t;
   (root, oracle_revisions, oracle_users)
 
-(* The committed file set of member 0, from its manifest (sealed
-   segments first, active WAL last). *)
+(* The committed file set, from the manifest (sealed segments first,
+   active WAL last). *)
 let targets root =
-  match Store.read_manifest (member root 0) with
+  match Store.read_manifest root with
   | None -> Alcotest.fail "fixture has no manifest"
   | Some (sealed, wal) ->
       List.filter
         (fun f ->
           let size =
-            try (Unix.stat (Filename.concat (member root 0) f)).st_size
+            try (Unix.stat (Filename.concat root f)).st_size
             with Unix.Unix_error _ -> 0
           in
           size > 8)
         (List.map fst sealed @ [ wal ])
 
-let check_members_identical root n =
-  let r0 = Scrub.rollup (member root 0) in
-  for i = 1 to n - 1 do
-    if Scrub.rollup (member root i) <> r0 then
-      Alcotest.failf "member r%d diverges from r0" i
-  done
-
-(* n = 1: the bare-store contract.  Damage is fatal with the typed
-   error, or — only for the WAL's torn tail — truncated and counted.
-   Either way nothing is silently wrong: an opening store either
-   accounts the truncation or still serves the full oracle. *)
-let check_single_copy label root oracle_revisions =
-  match Replica.open_r ~config:cfg root with
-  | Error (Store.Torn_log _ | Store.Bad_crc _ | Store.Malformed _) -> ()
-  | Ok t ->
-      let torn = (Replica.stats t).Store.torn_truncated in
-      let revs = Replica.revisions t in
-      Replica.close t;
-      if torn = 0 && revs <> oracle_revisions then
-        Alcotest.failf "%s: silent data loss with a single copy" label
-
-(* n >= 2: full recovery.  The root must reopen, serve the exact oracle
-   state, leave every member byte-identical, and account the repair. *)
-let check_replicated label root n oracle_revisions oracle_users =
-  let t =
-    match Replica.open_r ~config:cfg root with
-    | Ok t -> t
-    | Error err ->
-        Alcotest.failf "%s: fatal with %d replicas: %s" label n
-          (Store.error_to_string err)
+(* Damage is fatal with the typed error, or — only for the WAL's torn
+   tail — truncated and counted.  Either way nothing is silently wrong:
+   an opening store either accounts the truncation or still serves the
+   full oracle.  The scrub runs first, since opening truncates. *)
+let check_case label root oracle_revisions =
+  let rep = Scrub.scan_dir root in
+  let scrub_damaged = rep.Scrub.damaged <> [] in
+  let scrub_torn =
+    List.exists
+      (fun (fr : Scrub.file_report) ->
+        match fr.status with Scrub.File_torn_tail _ -> true | _ -> false)
+      rep.Scrub.files
   in
-  let revs = Replica.revisions t in
-  let users = Replica.users t in
-  let r = Replica.rstats t in
-  (* every user's record must still decode from the promoted copy *)
-  List.iter
-    (fun user ->
-      match Replica.load t ~user with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s: user %s lost" label user)
-    users;
-  Replica.close t;
-  if revs <> oracle_revisions then
-    Alcotest.failf "%s: revisions diverge from oracle" label;
-  if users <> oracle_users then
-    Alcotest.failf "%s: users diverge from oracle" label;
-  if r.failovers + r.quarantined + r.catchups = 0 then
-    Alcotest.failf "%s: corruption repaired without any ledger entry" label;
-  if r.quarantined > 0 && r.catchups = 0 then
-    Alcotest.failf "%s: quarantined a file but never re-cloned" label;
-  check_members_identical root n;
-  (* a second open after the repair must be clean *)
-  let t = Replica.open_ ~config:cfg root in
-  let r = Replica.rstats t in
-  Replica.close t;
-  if r.failovers + r.quarantined + r.catchups > 0 then
-    Alcotest.failf "%s: repair did not converge (failovers=%d quarantined=%d catchups=%d)"
-      label r.failovers r.quarantined r.catchups
+  match Store.open_r ~config:cfg root with
+  | Error (Store.Torn_log _ | Store.Bad_crc _ | Store.Malformed _) ->
+      if not scrub_damaged then
+        Alcotest.failf "%s: recovery fails but the scrub finds no damage" label
+  | Ok t ->
+      let torn = (Store.stats t).Store.torn_truncated in
+      let revs = Store.revisions t in
+      Store.close t;
+      if torn = 0 && revs <> oracle_revisions then
+        Alcotest.failf "%s: silent data loss with a single copy" label;
+      if scrub_damaged then
+        Alcotest.failf "%s: the scrub finds damage that recovery opens" label;
+      if scrub_torn <> (torn > 0) then
+        Alcotest.failf "%s: scrub torn tail %b, recovery truncated %d" label
+          scrub_torn torn
 
-let test_sweep n () =
-  let pristine, oracle_revisions, oracle_users = build_fixture n in
+let test_sweep () =
+  let pristine, oracle_revisions, _ = build_fixture () in
   let files = targets pristine in
   Alcotest.(check bool) "fixture spans sealed segments and a WAL" true
     (List.length files >= 2);
@@ -157,44 +124,39 @@ let test_sweep n () =
         (fun kind ->
           incr cases;
           let work = fresh_dir () in
-          copy_tree pristine work;
-          let label =
-            Printf.sprintf "n=%d %s %s" n file (kind_name kind)
-          in
-          corrupt kind (Filename.concat (member work 0) file);
-          if n = 1 then check_single_copy label work oracle_revisions
-          else check_replicated label work n oracle_revisions oracle_users)
+          copy_dir pristine work;
+          let label = Printf.sprintf "n=1 %s %s" file (kind_name kind) in
+          corrupt kind (Filename.concat work file);
+          check_case label work oracle_revisions)
         [ Flip_early; Flip_late; Truncate_tail ])
     files;
   Alcotest.(check bool) "swept every file x kind" true (!cases >= 6)
 
-(* control: an uncorrupted root reopens with a zero repair ledger *)
-let test_clean_control n () =
-  let root, oracle_revisions, _ = build_fixture n in
-  let t = Replica.open_ ~config:cfg root in
-  let r = Replica.rstats t in
-  Alcotest.(check int) "failovers" 0 r.failovers;
-  Alcotest.(check int) "quarantined" 0 r.quarantined;
-  Alcotest.(check int) "catchups" 0 r.catchups;
-  Alcotest.(check bool) "oracle served" true
-    (Replica.revisions t = oracle_revisions);
-  Replica.close t;
-  check_members_identical root n
+(* control: an uncorrupted store scrubs clean and reopens with nothing
+   truncated, serving the oracle *)
+let test_clean_control () =
+  let root, oracle_revisions, oracle_users = build_fixture () in
+  let rep = Scrub.scan_dir root in
+  Alcotest.(check int) "scrub damage" 0 (List.length rep.Scrub.damaged);
+  Alcotest.(check bool) "every file ok" true
+    (List.for_all
+       (fun (fr : Scrub.file_report) -> fr.status = Scrub.File_ok)
+       rep.Scrub.files);
+  let t = Store.open_ ~config:cfg root in
+  Alcotest.(check int) "torn truncated" 0 (Store.stats t).Store.torn_truncated;
+  Alcotest.(check bool) "revisions served" true
+    (Store.revisions t = oracle_revisions);
+  Alcotest.(check (list string)) "users served" oracle_users (Store.users t);
+  Store.close t
 
 let () =
   Alcotest.run "scrub-sweep"
     [
       ( "control",
-        [
-          Alcotest.test_case "clean n=1" `Quick (test_clean_control 1);
-          Alcotest.test_case "clean n=2" `Quick (test_clean_control 2);
-          Alcotest.test_case "clean n=3" `Quick (test_clean_control 3);
-        ] );
+        [ Alcotest.test_case "clean n=1" `Quick test_clean_control ] );
       ( "sweep",
         [
           Alcotest.test_case "n=1 typed fatal or counted truncation" `Quick
-            (test_sweep 1);
-          Alcotest.test_case "n=2 byte-identical recovery" `Quick (test_sweep 2);
-          Alcotest.test_case "n=3 byte-identical recovery" `Quick (test_sweep 3);
+            test_sweep;
         ] );
     ]

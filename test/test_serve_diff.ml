@@ -56,7 +56,7 @@ let test_wire_matches_inprocess () =
   let cfg =
     {
       (Server.default_config ~socket_path) with
-      Server.workers = 2;
+      Server_core.workers = 2;
       deadline_ms = None;
       max_rows = budget.Relal.Governor.max_rows;
       max_expansions = budget.Relal.Governor.max_expansions;

@@ -120,7 +120,7 @@ let mk_db () = Moviedb.Datagen.(generate (scale ~seed:7 120))
 let mk_cfg ~socket_path ~store_dir =
   {
     (Server.default_config ~socket_path) with
-    Server.workers = 2;
+    Server_core.workers = 2;
     queue_capacity = 8;
     deadline_ms = None;
     shards = 2;
@@ -144,7 +144,7 @@ let replay backend requests =
       let t = Server.start cfg (mk_db ()) in
       Fun.protect
         ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
-        (fun () -> transcript_of cfg.Server.socket_path requests))
+        (fun () -> transcript_of cfg.Server_core.socket_path requests))
 
 (* Parse the trailing HEALTH block out of a transcript and audit the
    ledger: everything accepted is accounted, nothing is left queued. *)

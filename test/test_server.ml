@@ -1,7 +1,7 @@
 (* Concurrent personalization server: breaker state machine, reader/
-   writer isolation, admission control + shedding, request-line bounds,
-   graceful drain, and the N-thread chaos hammer of the resilience
-   contract. *)
+   writer isolation, the hot-profile LRU, admission control + shedding,
+   request-line bounds, graceful drain, and the N-thread chaos hammer of
+   the resilience contract. *)
 
 open Perso_server
 
@@ -110,6 +110,55 @@ let test_rwlock_readers_shared () =
   List.iter Thread.join readers;
   Alcotest.(check bool) "readers overlapped" true (!max_active > 1)
 
+(* -------------------------- hot-profile LRU -------------------------- *)
+
+let plru_stats_check name lru ~hits ~misses ~evictions ~invalidations ~entries =
+  let s = Perso_server.Profile_lru.stats lru in
+  Alcotest.(check int) (name ^ " hits") hits s.hits;
+  Alcotest.(check int) (name ^ " misses") misses s.misses;
+  Alcotest.(check int) (name ^ " evictions") evictions s.evictions;
+  Alcotest.(check int) (name ^ " invalidations") invalidations s.invalidations;
+  Alcotest.(check int) (name ^ " entries") entries s.entries
+
+let test_profile_lru () =
+  let module L = Perso_server.Profile_lru in
+  let lru = L.create ~capacity:2 () in
+  let p = Perso.Profile.empty in
+  Alcotest.(check bool) "cold miss" true (L.find lru ~user:"a" ~revision:1 = None);
+  L.put lru ~user:"a" ~revision:1 p;
+  Alcotest.(check bool) "hit" true (L.find lru ~user:"a" ~revision:1 <> None);
+  plru_stats_check "warm" lru ~hits:1 ~misses:1 ~evictions:0 ~invalidations:0
+    ~entries:1;
+  (* a save bumped the registry revision: the old entry is stale — it
+     stops matching and is dropped *)
+  Alcotest.(check bool) "stale revision misses" true
+    (L.find lru ~user:"a" ~revision:2 = None);
+  plru_stats_check "stale" lru ~hits:1 ~misses:2 ~evictions:0 ~invalidations:0
+    ~entries:0;
+  (* capacity pressure evicts the least recently used *)
+  L.put lru ~user:"a" ~revision:2 p;
+  L.put lru ~user:"b" ~revision:1 p;
+  ignore (L.find lru ~user:"a" ~revision:2);
+  L.put lru ~user:"c" ~revision:1 p;
+  Alcotest.(check bool) "lru evicted" true (L.find lru ~user:"b" ~revision:1 = None);
+  Alcotest.(check bool) "recent kept" true (L.find lru ~user:"a" ~revision:2 <> None);
+  plru_stats_check "evict" lru ~hits:3 ~misses:3 ~evictions:1 ~invalidations:0
+    ~entries:2;
+  (* eager subscriber-hook invalidation *)
+  L.remove lru ~user:"a";
+  L.remove lru ~user:"nope";
+  plru_stats_check "invalidate" lru ~hits:3 ~misses:3 ~evictions:1
+    ~invalidations:1 ~entries:1
+
+let test_profile_lru_disabled () =
+  let module L = Perso_server.Profile_lru in
+  let lru = L.create ~capacity:0 () in
+  L.put lru ~user:"a" ~revision:1 Perso.Profile.empty;
+  Alcotest.(check bool) "capacity 0 never hits" true
+    (L.find lru ~user:"a" ~revision:1 = None);
+  let s = L.stats lru in
+  Alcotest.(check int) "no entries" 0 s.entries
+
 (* --------------------------- server helpers -------------------------- *)
 
 let fresh_socket =
@@ -152,15 +201,43 @@ let health_of socket =
             (match other with Error e -> e | Ok _ -> "wrong response shape"))
 
 (* A six-way cross product with no join predicate: the executor grinds
-   cartesian batches until the governor's deadline trips, so the request
-   holds a request slot for roughly its deadline (a second or two naturally
-   at 12–15 movies — large enough to sequence other requests against,
-   small enough that its biggest selection vector stays tens of MB).
-   The tests that use it disable the server's row cap so the deadline is
-   the only budget. *)
+   cartesian batches until a budget trips. *)
 let slow_sql =
   "select count(*) as n from movie a, movie b, movie c, movie d, movie e, \
    movie f"
+
+(* A gate on the request slot.  While it is closed, the first request
+   to arm a governor parks inside its run, on the governor's clock
+   ([Relal.Governor.set_clock]), holding its slot until the test calls
+   [release]; every other clock reader passes through.  Queue expiry
+   reads the runtime clock, not the governor's, so a queued request's
+   deadline still passes in real time while the slot is held. *)
+let with_slot_gate f =
+  let m = Mutex.create () and c = Condition.create () in
+  let holder = ref None and opened = ref false in
+  let clock () =
+    let me = Thread.id (Thread.self ()) in
+    Mutex.lock m;
+    if !holder = None then holder := Some me;
+    if !holder = Some me then
+      while not !opened do
+        Condition.wait c m
+      done;
+    Mutex.unlock m;
+    Relal.Governor.real_clock ()
+  in
+  let release () =
+    Mutex.lock m;
+    opened := true;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  Relal.Governor.set_clock clock;
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Relal.Governor.set_clock Relal.Governor.real_clock)
+    (fun () -> f release)
 
 (* Sequencing against observable server state instead of sleeps: the
    control-plane HEALTH command answers even while every slot is
@@ -181,45 +258,46 @@ let wait_for_stat socket name value =
 
 (* ---------------------------- admission ------------------------------ *)
 
+let quick_sql = "select count(*) as n from movie m"
+
 let test_shed_and_expiry () =
-  with_server ~movies:15
+  with_server
     (fun cfg ->
       {
         cfg with
-        Server.workers = 1;
+        Server_core.workers = 1;
         queue_capacity = 1;
         max_rows = None;
         max_expansions = None;
       })
     (fun _t socket ->
-      (* A holds the single slot, on its connection's thread, until its
-         800 ms deadline trips. *)
+      with_slot_gate @@ fun release ->
+      (* A holds the single slot, parked at the gate inside its run. *)
       let result_a = ref (Error "unset") in
       let ta =
         Thread.create
           (fun () ->
             let c = Client.connect socket in
-            result_a := Client.request ~deadline_ms:800. c ("RUN " ^ slow_sql);
+            result_a := Client.request ~deadline_ms:800. c ("RUN " ^ quick_sql);
             Client.close c)
           ()
       in
       wait_for_stat socket "in_flight" 1;
       (* B fills the only queue place and waits there while A holds the
-         slot; B's 10 ms deadline will have expired long before A hands
-         the slot over. *)
+         slot; the gate stays closed until B's 10 ms deadline is past. *)
       let result_b = ref (Error "unset") in
       let tb =
         Thread.create
           (fun () ->
             let c = Client.connect socket in
-            result_b := Client.request ~deadline_ms:10. c ("RUN " ^ slow_sql);
+            result_b := Client.request ~deadline_ms:10. c ("RUN " ^ quick_sql);
             Client.close c)
           ()
       in
       wait_for_stat socket "queue_depth" 1;
       (* C finds the queue full: immediate typed rejection. *)
       let c = Client.connect socket in
-      (match Client.request c "RUN select count(*) as n from movie m" with
+      (match Client.request c ("RUN " ^ quick_sql) with
       | Ok (Protocol.Failed { family; code; _ }) ->
           Alcotest.(check string) "queue-full family" "overloaded" family;
           Alcotest.(check int) "overloaded exit code" 5 code
@@ -229,6 +307,8 @@ let test_shed_and_expiry () =
             | Ok _ -> "a result"
             | Error e -> e));
       Client.close c;
+      Thread.delay 0.05;
+      release ();
       Thread.join ta;
       Thread.join tb;
       (match !result_a with
@@ -254,39 +334,48 @@ let test_shed_and_expiry () =
       Alcotest.(check int) "one queue-full shed" 1 (stat "shed_queue_full" stats);
       Alcotest.(check int) "one expiry shed" 1 (stat "shed_expired" stats))
 
-(* The slot cap holds through a drain.  A holds the single slot for up
-   to its 800 ms deadline and B waits in the queue; once the drain
-   begins, B must still wait for A's slot, so HEALTH never reads two
-   requests in flight.  (B's shorter deadline usually sheds it when it
-   gets the slot, which keeps the test short.) *)
+(* The slot cap holds through a drain.  A holds the single slot, parked
+   at the gate, and B waits in the queue; once the drain begins, B must
+   still wait for A's slot, so HEALTH never reads two requests in
+   flight — before the gate opens, or across A's hand-over to B. *)
 let test_slot_cap_through_drain () =
-  with_server ~movies:15
+  with_server
     (fun cfg ->
       {
         cfg with
-        Server.workers = 1;
+        Server_core.workers = 1;
         queue_capacity = 1;
         max_rows = None;
         max_expansions = None;
       })
     (fun t socket ->
+      with_slot_gate @@ fun release ->
       let send deadline_ms =
-        Thread.create
-          (fun () ->
-            let c = Client.connect socket in
-            ignore (Client.request ~deadline_ms c ("RUN " ^ slow_sql));
-            Client.close c)
-          ()
+        let finished = Atomic.make false in
+        let th =
+          Thread.create
+            (fun () ->
+              let c = Client.connect socket in
+              ignore (Client.request ~deadline_ms c ("RUN " ^ quick_sql));
+              Client.close c;
+              Atomic.set finished true)
+            ()
+        in
+        (th, finished)
       in
-      let ta = send 800. in
+      let ta, a_done = send 800. in
       wait_for_stat socket "in_flight" 1;
-      let tb = send 500. in
+      let tb, b_done = send 500. in
       wait_for_stat socket "queue_depth" 1;
       Server.request_stop t;
       let peak = ref 0 in
-      let until = Unix.gettimeofday () +. 0.4 in
-      while Unix.gettimeofday () < until do
-        peak := max !peak (stat "in_flight" (health_of socket))
+      let sample () = peak := max !peak (stat "in_flight" (health_of socket)) in
+      for _ = 1 to 20 do
+        sample ()
+      done;
+      release ();
+      while not (Atomic.get a_done && Atomic.get b_done) do
+        sample ()
       done;
       Thread.join ta;
       Thread.join tb;
@@ -295,7 +384,7 @@ let test_slot_cap_through_drain () =
 let test_budget_capped_by_server () =
   with_server ~movies:120
     (fun cfg ->
-      { cfg with Server.max_rows = Some 50; deadline_ms = None;
+      { cfg with Server_core.max_rows = Some 50; deadline_ms = None;
         max_expansions = None })
     (fun _t socket ->
       let c = Client.connect socket in
@@ -325,7 +414,7 @@ let request_exn c ?deadline_ms cmd =
 let test_breaker_serves_unpersonalized () =
   with_server
     (fun cfg ->
-      { cfg with Server.breaker_threshold = 2; breaker_cooldown_ms = 300. })
+      { cfg with Server_core.breaker_threshold = 2; breaker_cooldown_ms = 300. })
     (fun _t socket ->
       let c = Client.connect socket in
       Fun.protect
@@ -557,21 +646,21 @@ let test_request_line_bounded () =
 (* ---------------------------- graceful drain ------------------------- *)
 
 let test_graceful_drain () =
-  with_server ~movies:15
+  with_server
     (fun cfg ->
       {
         cfg with
-        Server.workers = 2;
+        Server_core.workers = 2;
         drain_ms = 5_000.;
         max_rows = None;
         max_expansions = None;
       })
     (fun t socket ->
-      (* Slow requests in flight, then a drain: they must still get
-         answers (or a typed shed), and new work must be refused.  Only
-         one request needs to be *observed* in flight before the stop —
-         waiting for both races against their own completion when the
-         test host is loaded. *)
+      (* Requests in flight, then a drain: they must still get answers
+         (or a typed shed), and new work must be refused.  The first to
+         arm its governor parks at the gate, so it is still in flight
+         however loaded the test host is. *)
+      with_slot_gate @@ fun release ->
       let results = Array.make 2 (Error "unset") in
       let threads =
         Array.to_list
@@ -580,7 +669,7 @@ let test_graceful_drain () =
                  (fun () ->
                    let c = Client.connect socket in
                    results.(i) <-
-                     Client.request ~deadline_ms:600. c ("RUN " ^ slow_sql);
+                     Client.request ~deadline_ms:600. c ("RUN " ^ quick_sql);
                    Client.close c)
                  ()))
       in
@@ -600,6 +689,7 @@ let test_graceful_drain () =
       | Ok (Protocol.Failed { family = "overloaded"; _ }) -> ()
       | _ -> Alcotest.fail "draining server must shed new work");
       Client.close c;
+      release ();
       List.iter Thread.join threads;
       Array.iter
         (fun r ->
@@ -624,7 +714,7 @@ let test_hammer () =
     (fun cfg ->
       {
         cfg with
-        Server.workers = 3;
+        Server_core.workers = 3;
         queue_capacity = 4;
         deadline_ms = Some 2_000.;
         breaker_threshold = 3;
@@ -765,7 +855,7 @@ let test_disk_memory_differential () =
      the memory backend, and the saved state survives a restart. *)
   let mem =
     with_server
-      (fun cfg -> { cfg with Server.shards = 2 })
+      (fun cfg -> { cfg with Server_core.shards = 2 })
       (fun _t socket -> run_script socket parity_script)
   in
   let root = fresh_store_root () in
@@ -773,7 +863,7 @@ let test_disk_memory_differential () =
   @@ fun () ->
   let dsk =
     with_server
-      (fun cfg -> { cfg with Server.shards = 2; store_dir = Some root })
+      (fun cfg -> { cfg with Server_core.shards = 2; store_dir = Some root })
       (fun _t socket -> run_script socket parity_script)
   in
   List.iter2
@@ -784,7 +874,7 @@ let test_disk_memory_differential () =
      gone with its process. *)
   let after_restart =
     with_server
-      (fun cfg -> { cfg with Server.shards = 2; store_dir = Some root })
+      (fun cfg -> { cfg with Server_core.shards = 2; store_dir = Some root })
       (fun _t socket ->
         run_script socket [ "PROFILE LOAD julie"; "PERSONALIZE julie " ^ pers_sql ])
   in
@@ -797,7 +887,7 @@ let test_disk_memory_differential () =
   let root20 = fresh_store_root () in
   Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root20)))
   @@ fun () ->
-  let cfg20 cfg = { cfg with Server.shards = 20; store_dir = Some root20 } in
+  let cfg20 cfg = { cfg with Server_core.shards = 20; store_dir = Some root20 } in
   let users = List.init 64 (Printf.sprintf "user%02d") in
   let loads = List.map (fun u -> "PROFILE LOAD " ^ u) users in
   let saved, appends =
@@ -846,6 +936,12 @@ let () =
           Alcotest.test_case "writers exclusive" `Quick
             test_rwlock_write_exclusive;
           Alcotest.test_case "readers shared" `Quick test_rwlock_readers_shared;
+        ] );
+      ( "profile-lru",
+        [
+          Alcotest.test_case "hit/miss/evict/invalidate" `Quick test_profile_lru;
+          Alcotest.test_case "capacity 0 disables" `Quick
+            test_profile_lru_disabled;
         ] );
       ( "admission",
         [

@@ -65,9 +65,9 @@ let test_sched_virtual_time () =
 (* --------------------------- scenarios ----------------------------- *)
 
 (* Seed 22 leaves fault injection armed past stop into the durable
-   audit, whose cold reopen fails over a corrupted replica.  Seed 396
-   drains with requests queued behind both slots, where the slot-cap
-   probe ([in_flight <= workers]) once failed. *)
+   audit, which must disarm it before its cold reopen of the shard
+   stores.  Seed 396 drains with requests queued behind both slots,
+   where the slot-cap probe ([in_flight <= workers]) once failed. *)
 let test_scenario_seeds_pass () =
   List.iter
     (fun seed ->

@@ -348,6 +348,95 @@ let test_empty_manifest_malformed () =
   | Error e -> Alcotest.failf "expected Malformed: %s" (Store.error_to_string e)
   | Ok _ -> Alcotest.fail "empty manifest accepted"
 
+(* ---------------------------- older roots ---------------------------- *)
+
+(* The layout an earlier build wrote for a store directory: [copies]
+   member directories r0/, r1/, ... each a full store holding the same
+   records, and a REPLSTATE file pinning their count. *)
+let old_root copies =
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  for k = 0 to copies - 1 do
+    let s =
+      Store.open_ ~config:small_config
+        (Filename.concat dir (Printf.sprintf "r%d" k))
+    in
+    for i = 1 to 12 do
+      Store.save s ~user:(Printf.sprintf "user%02d" i) ~revision:i
+        [ e (Printf.sprintf "GENRE.genre = 'g%d'" i) 0.5 ]
+    done;
+    Store.delete s ~user:"user03" ~revision:13;
+    Store.close s
+  done;
+  write_file
+    (Filename.concat dir "REPLSTATE")
+    (Printf.sprintf "perso-replicas %d\nprimary 0\n" copies);
+  dir
+
+let old_root_users =
+  List.init 12 (fun i -> Printf.sprintf "user%02d" (i + 1))
+  |> List.filter (( <> ) "user03")
+
+let check_adopted dir =
+  let s = Store.open_ ~config:small_config dir in
+  Alcotest.(check (list string))
+    "every user back" old_root_users (Store.users s);
+  List.iter
+    (fun user ->
+      let n = int_of_string (String.sub user 4 2) in
+      Alcotest.(check (option entries_t))
+        user
+        (Some [ e (Printf.sprintf "GENRE.genre = 'g%d'" n) 0.5 ])
+        (Store.load s ~user))
+    old_root_users;
+  Alcotest.(check int) "tombstone revision kept" 13
+    (Store.revision s ~user:"user03");
+  Store.close s;
+  Alcotest.(check bool) "REPLSTATE gone" false
+    (Sys.file_exists (Filename.concat dir "REPLSTATE"));
+  Alcotest.(check bool) "r0 gone" false
+    (Sys.file_exists (Filename.concat dir "r0"))
+
+let test_old_root_adopted () =
+  let dir = old_root 1 in
+  (* the read-only scrub does not adopt: it names the directory *)
+  (match Scrub.scan_dir dir with
+  | exception Store.Store_error (Store.Malformed { file; _ }) ->
+      Alcotest.(check string) "scrub names the directory" dir file
+  | _ -> Alcotest.fail "scrub passed an unadopted root");
+  check_adopted dir;
+  Alcotest.(check int) "scrub clean after adoption" 0
+    (List.length (Scrub.scan_dir dir).Scrub.damaged);
+  (* a second open finds the adopted layout and changes nothing *)
+  check_adopted dir
+
+(* A crash mid-move leaves some data files moved up and r0's manifest
+   still in r0: the next open finishes the move. *)
+let test_old_root_resumes () =
+  let dir = old_root 1 in
+  let r0 = Filename.concat dir "r0" in
+  let data =
+    Sys.readdir r0 |> Array.to_list
+    |> List.filter (fun n -> n <> "MANIFEST")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "several data files" true (List.length data >= 2);
+  let moved = List.hd data in
+  Sys.rename (Filename.concat r0 moved) (Filename.concat dir moved);
+  check_adopted dir
+
+let test_old_root_several_refused () =
+  let dir = old_root 3 in
+  (match Store.open_r ~config:small_config dir with
+  | Error (Store.Malformed { file; _ }) ->
+      Alcotest.(check string) "names the directory" dir file
+  | Error err -> Alcotest.failf "wrong error: %s" (Store.error_to_string err)
+  | Ok _ -> Alcotest.fail "opened a root holding three copies");
+  Alcotest.(check bool) "left as it was" true
+    (Sys.file_exists (Filename.concat dir "REPLSTATE")
+    && Sys.file_exists (Filename.concat (Filename.concat dir "r0") "MANIFEST")
+    && not (Sys.file_exists (Filename.concat dir "MANIFEST")))
+
 let () =
   Alcotest.run "store"
     [
@@ -382,5 +471,14 @@ let () =
           Alcotest.test_case "missing manifest" `Quick test_missing_manifest;
           Alcotest.test_case "empty manifest" `Quick
             test_empty_manifest_malformed;
+        ] );
+      ( "older-roots",
+        [
+          Alcotest.test_case "one copy adopted in place" `Quick
+            test_old_root_adopted;
+          Alcotest.test_case "crash mid-move resumes" `Quick
+            test_old_root_resumes;
+          Alcotest.test_case "three copies refused" `Quick
+            test_old_root_several_refused;
         ] );
     ]
