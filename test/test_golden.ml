@@ -2,10 +2,11 @@
    personalized query leaves the system as SQL text, and
    [Sql_print.query_to_key] is the plan cache's key, whose bytes its
    interface promises stable across releases.  Executed ranked MQ (as
-   Top-N delivers it), dislikes and the semantic filter return rows,
-   degrees and decisions instead.  These digests pin all of them: on a
-   fixed small catalog, fixed generated profiles and fixed workload
-   templates, every printed form must hash to the value recorded here.
+   Top-N delivers it), executed SQ and a DISTINCT + OR query, dislikes
+   and the semantic filter return rows, degrees and decisions instead.
+   These digests pin all of them: on a fixed small catalog, fixed
+   generated profiles and fixed workload templates, every printed form
+   must hash to the value recorded here.
    A change to how SQL prints, or to which rows come back in which
    order with which degree (printed with [%h], so every bit counts),
    therefore shows up as a failing digest, and updating one is a
@@ -128,6 +129,54 @@ let ranked_mq_text () =
     (Lazy.force profiles);
   Buffer.contents b
 
+(* Executed SQ, every row in the order it comes back, at K = 5, 20 and 60
+   and L = 1 and 2.  With [ordered], each personalized query also orders
+   by its last output column, descending, and keeps 10 rows: rows that tie
+   keep their arrival order, so the digest pins that order too. *)
+let sq_rows_text ~ordered () =
+  let db = Lazy.force db in
+  let b = Buffer.create (1 lsl 16) in
+  List.iteri
+    (fun u profile ->
+      List.iter
+        (fun sql ->
+          List.iter
+            (fun (k, l) ->
+              let params = { (params `SQ k) with l = `At_least l } in
+              let q =
+                (Perso.Personalize.personalize ~params db profile (Sql_parser.parse sql))
+                  .Perso.Personalize.personalized
+              in
+              let q =
+                match List.rev q.Sql_ast.select with
+                | Sql_ast.Sel_attr (a, _) :: _ when ordered ->
+                    {
+                      q with
+                      order_by = [ (Sql_ast.O_attr a, Sql_ast.Desc) ];
+                      limit = Some 10;
+                    }
+                | _ -> q
+              in
+              Printf.bprintf b "%d k=%d l=%d\n" u k l;
+              List.iter
+                (fun row -> Printf.bprintf b "  %s\n" (row_text row))
+                (Engine.run_query db q).Exec.rows)
+            [ (5, 1); (5, 2); (20, 1); (20, 2); (60, 1); (60, 2) ])
+        (Lazy.force templates))
+    (Lazy.force profiles);
+  Buffer.contents b
+
+(* A DISTINCT query with a disjunction over three tuple variables, as
+   RUN executes it: every row, in order. *)
+let dnf_run_text () =
+  let res =
+    Engine.run_sql (Lazy.force db)
+      "select distinct m.title, g.genre from movie m, genre g, play p where \
+       m.mid = g.mid and m.mid = p.mid and (g.genre = 'comedy' or p.date = \
+       '2003-07-02' or (m.year = 2001 and g.genre = 'drama'))"
+  in
+  String.concat "\n" (List.map row_text res.Exec.rows)
+
 (* Likes are one profile's selection, dislikes the next profile's. *)
 let negative_text () =
   let db = Lazy.force db in
@@ -220,6 +269,12 @@ let () =
         [
           Alcotest.test_case "Personalize.top_n rows and degrees (ranked MQ)" `Quick
             (golden "Personalize.top_n" "36a35eda507b058c716cd29645fe304a" ranked_mq_text);
+          Alcotest.test_case "SQ rows" `Quick
+            (golden "SQ rows" "08e7380289d53057db1fd285a8548759" (sq_rows_text ~ordered:false));
+          Alcotest.test_case "SQ rows, ORDER BY + LIMIT" `Quick
+            (golden "SQ rows ordered" "8e0def76ee022fed5bda210cc4406e90" (sq_rows_text ~ordered:true));
+          Alcotest.test_case "DISTINCT + OR rows" `Quick
+            (golden "DISTINCT + OR" "43764d726b309c09c9096cafa24cfc27" dnf_run_text);
           Alcotest.test_case "Negative.rank rows" `Quick
             (golden "Negative.rank" "dba857d88943f8a1d8a000358d510ba6" negative_text);
           Alcotest.test_case "Semantic.instance_related decisions" `Quick
