@@ -36,6 +36,20 @@ let time f =
   let r = f () in
   (r, now_ms () -. t0)
 
+(* Words [f ()] allocates: minor-heap words plus blocks allocated
+   directly in the major heap (too large for the minor one); a promotion
+   is not an allocation.  Unlike a time, the count is the same on every
+   run of one build, so it ranks two builds on a host whose clock
+   drifts.  The minor count comes from [Gc.minor_words], because the one
+   [Gc.counters] returns moves by whole minor heaps under OCaml 5. *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 let avg = function
   | [] -> Float.nan
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
@@ -93,6 +107,7 @@ type timed_run = {
   t_select : float;  (** preference selection, ms *)
   t_integrate : float;  (** instantiation + SQ/MQ construction, ms *)
   t_exec : float;  (** personalized-query execution, ms *)
+  w_exec : float;  (** words the execution allocates *)
   n_selected : int;
   rows : int;
 }
@@ -114,11 +129,14 @@ let run_one ?(method_ = `MQ) ~k ~l db profile query =
             Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
               ~l:(`At_least l) ())
   in
-  let res, t_exec = time (fun () -> Relal.Engine.run_query db q') in
+  let (res, t_exec), w_exec =
+    allocated_words (fun () -> time (fun () -> Relal.Engine.run_query db q'))
+  in
   {
     t_select;
     t_integrate;
     t_exec;
+    w_exec;
     n_selected = List.length selected;
     rows = List.length res.Relal.Exec.rows;
   }
@@ -282,37 +300,44 @@ let sq_mq_point ~k ~l ~size ~seed0 =
         List.filter_map
           (fun q ->
             match run_cell ~method_ ~k ~l db profile q with
-            | r -> Some (r.t_integrate, r.t_exec)
+            | r -> Some r
             | exception Integrate.Integration_error _ -> None)
           queries)
       profiles
   in
   let sq = samples `SQ and mq = samples `MQ in
-  ( avg (List.map fst sq),
-    avg (List.map snd sq),
-    avg (List.map fst mq),
-    avg (List.map snd mq) )
+  let mean rs f = avg (List.map f rs) in
+  ( mean sq (fun r -> r.t_integrate),
+    mean mq (fun r -> r.t_integrate),
+    mean sq (fun r -> r.t_exec),
+    mean mq (fun r -> r.t_exec),
+    mean sq (fun r -> r.w_exec),
+    mean mq (fun r -> r.w_exec) )
+
+(* Figures 8 and 9 print the same columns: integration and execution
+   times, and the words execution allocates per query. *)
+let sq_mq_header x =
+  Printf.printf "%-6s %12s %12s %12s %12s %10s %10s\n" x "SQ_integr" "MQ_integr"
+    "SQ_exec" "MQ_exec" "SQ_words" "MQ_words"
+
+let sq_mq_row x (si, mi, se, me, sw, mw) =
+  Printf.printf "%-6d %12.4f %12.4f %12.3f %12.3f %10.0f %10.0f\n%!" x si mi se me sw
+    mw
 
 let fig8 () =
   Printf.printf
     "\n## Figure 8 — SQ vs MQ, integration and execution times (ms) vs K (L=1, M=0)\n";
-  Printf.printf "%-6s %12s %12s %12s %12s\n" "K" "SQ_integr" "MQ_integr" "SQ_exec"
-    "MQ_exec";
+  sq_mq_header "K";
   List.iter
-    (fun k ->
-      let si, se, mi, me = sq_mq_point ~k ~l:1 ~size:70 ~seed0:600 in
-      Printf.printf "%-6d %12.4f %12.4f %12.3f %12.3f\n%!" k si mi se me)
+    (fun k -> sq_mq_row k (sq_mq_point ~k ~l:1 ~size:70 ~seed0:600))
     [ 0; 5; 10; 20; 30; 40; 50; 60 ]
 
 let fig9 () =
   Printf.printf
     "\n## Figure 9 — SQ vs MQ, integration and execution times (ms) vs L (K=10, M=0)\n";
-  Printf.printf "%-6s %12s %12s %12s %12s\n" "L" "SQ_integr" "MQ_integr" "SQ_exec"
-    "MQ_exec";
+  sq_mq_header "L";
   List.iter
-    (fun l ->
-      let si, se, mi, me = sq_mq_point ~k:10 ~l ~size:20 ~seed0:700 in
-      Printf.printf "%-6d %12.4f %12.4f %12.3f %12.3f\n%!" l si mi se me)
+    (fun l -> sq_mq_row l (sq_mq_point ~k:10 ~l ~size:20 ~seed0:700))
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
 (* --------------------------------------------------------------------- *)
@@ -554,9 +579,14 @@ let ablation_index () =
 
 (* Times the relational executor alone (queries pre-built outside the
    timed region) on the §7 figure workloads, and writes per-figure
-   timings to BENCH_EXEC.json so perf PRs are judged against recorded
-   numbers rather than folklore.  Override the output path with
-   BENCH_EXEC_OUT. *)
+   timings and allocated words per query to BENCH_EXEC.json so perf PRs
+   are judged against recorded numbers rather than folklore.  Override
+   the output path with BENCH_EXEC_OUT.  Except at quick scale, a timed
+   sample repeats the figure's pass until it lasts [min_sample_ms]: a
+   pass of 20 ms spreads by a quarter between runs on a shared host, far
+   more than two builds differ by. *)
+
+let min_sample_ms = 100.
 
 let bench_exec () =
   let db = Lazy.force db in
@@ -598,11 +628,12 @@ let bench_exec () =
     ]
   in
   Printf.printf
-    "\n## Executor benchmark (median of %d passes after a warm-up; queries \
+    "\n## Executor benchmark (median of %d samples after a warm-up pass; a \
+     sample repeats the pass to last %.0f ms, except at quick scale; queries \
      pre-built)\n"
-    cell_reps;
-  Printf.printf "%-18s %8s %12s %14s %10s\n" "figure" "queries" "ms_total"
-    "ms_per_query" "rows";
+    cell_reps min_sample_ms;
+  Printf.printf "%-18s %8s %8s %12s %14s %10s %16s\n" "figure" "queries" "repeats"
+    "ms_total" "ms_per_query" "rows" "words_per_query";
   let results =
     List.map
       (fun (name, qs) ->
@@ -615,17 +646,32 @@ let bench_exec () =
         (* Building the queries and the previous figure leave major-GC
            work pending; finish it before this figure's passes. *)
         Gc.full_major ();
-        let passes = timed_cell (fun () -> time run_all) in
-        let rows = fst (List.hd passes) in
-        let ms = median (List.map snd passes) in
+        let rows, warm_ms = time run_all in
+        let repeats =
+          if scale.label = "quick" then 1
+          else max 1 (int_of_float (Float.ceil (min_sample_ms /. warm_ms)))
+        in
+        let _, words = allocated_words run_all in
+        let ms =
+          median
+            (List.init cell_reps (fun _ ->
+                 let (), ms =
+                   time (fun () ->
+                       for _ = 1 to repeats do
+                         ignore (run_all () : int)
+                       done)
+                 in
+                 ms /. float_of_int repeats))
+        in
         let n = List.length qs in
-        Printf.printf "%-18s %8d %12.3f %14.4f %10d\n%!" name n ms
-          (ms /. float_of_int (max 1 n))
-          rows;
-        (name, n, ms, rows))
+        let per_query x = x /. float_of_int (max 1 n) in
+        let wpq = per_query words in
+        Printf.printf "%-18s %8d %8d %12.3f %14.4f %10d %16.0f\n%!" name n repeats
+          ms (per_query ms) rows wpq;
+        (name, n, repeats, ms, rows, wpq))
       figures
   in
-  let total_ms = List.fold_left (fun a (_, _, ms, _) -> a +. ms) 0. results in
+  let total_ms = List.fold_left (fun a (_, _, _, ms, _, _) -> a +. ms) 0. results in
   (* ---- sharded profile store: serve-path throughput ---------------- *)
   (* Mixed PROFILE SAVE / PROFILE LOAD pressure through the server core
      (no sockets): with one shard every save excludes everything; with
@@ -694,13 +740,13 @@ let bench_exec () =
   Printf.fprintf oc "  \"reps\": %d,\n" cell_reps;
   Printf.fprintf oc "  \"figures\": [\n";
   List.iteri
-    (fun i (name, n, ms, rows) ->
+    (fun i (name, n, repeats, ms, rows, wpq) ->
       Printf.fprintf oc
-        "    {\"name\": %S, \"queries\": %d, \"ms_total\": %.3f, \
-         \"ms_per_query\": %.4f, \"rows\": %d}%s\n"
-        name n ms
+        "    {\"name\": %S, \"queries\": %d, \"repeats\": %d, \"ms_total\": \
+         %.3f, \"ms_per_query\": %.4f, \"rows\": %d, \"words_per_query\": %.0f}%s\n"
+        name n repeats ms
         (ms /. float_of_int (max 1 n))
-        rows
+        rows wpq
         (if i = List.length results - 1 then "" else ","))
     results;
   Printf.fprintf oc "  ],\n";

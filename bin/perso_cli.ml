@@ -665,16 +665,22 @@ let print_response = function
 
 let call socket wait_ms deadline max_rows max_expansions command =
   guarded (fun () ->
-      let c = Perso_server.Client.connect ~wait_ms socket in
-      Fun.protect
-        ~finally:(fun () -> Perso_server.Client.close c)
-        (fun () ->
-          match
-            Perso_server.Client.request ?deadline_ms:deadline
-              ?max_rows ?max_expansions c (String.concat " " command)
-          with
-          | Ok resp -> print_response resp
-          | Error e -> handle_error (Perso.Error.Internal ("client: " ^ e))))
+      match Perso_server.Client.connect ~wait_ms socket with
+      | exception Unix.Unix_error (e, _, _) ->
+          handle_error
+            (Perso.Error.Overloaded
+               (Printf.sprintf "no server accepted a connection on %s (%s)" socket
+                  (Unix.error_message e)))
+      | c ->
+          Fun.protect
+            ~finally:(fun () -> Perso_server.Client.close c)
+            (fun () ->
+              match
+                Perso_server.Client.request ?deadline_ms:deadline ?max_rows
+                  ?max_expansions c (String.concat " " command)
+              with
+              | Ok resp -> print_response resp
+              | Error e -> handle_error (Perso.Error.Internal ("client: " ^ e))))
 
 let call_socket_arg =
   let doc = "Unix-domain socket of the running server." in

@@ -35,8 +35,7 @@ let of_exn = function
       | Relal.Chaos.Profile_load | Relal.Chaos.Persist_write
       | Relal.Chaos.Store_mutate | Relal.Chaos.Wal_append
       | Relal.Chaos.Wal_fsync | Relal.Chaos.Manifest_write
-      | Relal.Chaos.Compact_write | Relal.Chaos.Compact_rename
-      | Relal.Chaos.Scrub_read ->
+      | Relal.Chaos.Compact_write | Relal.Chaos.Compact_rename ->
           Some (Storage msg)
       | Relal.Chaos.Scan | Relal.Chaos.Join_build | Relal.Chaos.Join_probe ->
           Some (Internal msg))

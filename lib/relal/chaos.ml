@@ -10,7 +10,6 @@ type point =
   | Manifest_write
   | Compact_write
   | Compact_rename
-  | Scrub_read
 
 let point_name = function
   | Scan -> "scan"
@@ -24,7 +23,6 @@ let point_name = function
   | Manifest_write -> "manifest-write"
   | Compact_write -> "compact-write"
   | Compact_rename -> "compact-rename"
-  | Scrub_read -> "scrub-read"
 
 exception Injected of { point : point; transient : bool }
 

@@ -26,7 +26,6 @@ type point =
   | Manifest_write  (** replacing a store manifest (tmp + rename) *)
   | Compact_write  (** copying one live record during compaction *)
   | Compact_rename  (** committing a compaction (manifest swap) *)
-  | Scrub_read  (** scrubber verifying one store file's frames *)
 
 val point_name : point -> string
 

@@ -13,7 +13,3 @@ val run_sql : ?gov:Governor.t -> Database.t -> string -> Exec.result
 
 val run_query : ?gov:Governor.t -> Database.t -> Sql_ast.query -> Exec.result
 (** Bind and evaluate an AST. *)
-
-val explain : Database.t -> Sql_ast.query -> string
-(** Bound query rendered as pretty SQL — what "EXPLAIN" means for this
-    engine's users (plans are not exposed). *)

@@ -24,11 +24,11 @@ let g_rows gov n = match gov with None -> () | Some g -> Governor.add_rows g n
 
 (* An intermediate relation is a *view* over source batches: [parts] are
    the underlying storage batches (base-table storage shared in place, or
-   batches materialized for derived tables / DNF merges), and [rids]
-   holds, per part, the row id each output row takes in that part's
-   batch.  Joins therefore only produce int row-id columns; tuple values
-   are touched when a predicate, grouping key or the final projection
-   reads them — never re-copied at every join step. *)
+   batches materialized for derived tables), and [rids] holds, per part,
+   the row id each output row takes in that part's batch.  Joins
+   therefore only produce int row-id columns; tuple values are touched
+   when a predicate, grouping key or the final projection reads them —
+   never re-copied at every join step. *)
 
 type part = { batch : Batch.t; off : int; width : int }
 
@@ -338,50 +338,108 @@ let rec contains_or = function
   | P_not p -> contains_or p
   | _ -> false
 
-(* The tail of the post-pipeline: DISTINCT, ORDER BY and LIMIT over
-   projected rows, each with its sort key, in the order grouping or
-   projection produced them. *)
-let finish (q : query) out_names projected_with_keys =
-  (* DISTINCT before ORDER BY (SQL evaluation order). *)
-  let projected_with_keys =
-    if q.distinct then begin
+(* --------------------------------------------------------------------- *)
+(* The tail: DISTINCT, ORDER BY, LIMIT                                    *)
+(* --------------------------------------------------------------------- *)
+
+(* Output rows as [tail] pulls them, in arrival order: [next ()] returns
+   the next row, or [eos] once there is none left; under ORDER BY, [key
+   out] is the sort key of [out], the row [next] returned last. *)
+type rows = {
+  next : unit -> Value.t array;
+  key : Value.t array -> (Value.t * dir) list;
+}
+
+(* Told apart by physical equality: no producer returns this array. *)
+let eos : Value.t array = [| Value.Null |]
+
+let rec compare_keys k1 k2 =
+  match (k1, k2) with
+  | (v1, d) :: r1, (v2, _) :: r2 ->
+      let c = Value.compare v1 v2 in
+      let c = match d with Asc -> c | Desc -> -c in
+      if c <> 0 then c else compare_keys r1 r2
+  | _ -> 0
+
+(* Every query ends here, whichever path produced its rows.  Each row
+   arriving from [src] polls the governor and, under DISTINCT, is kept
+   only at its first occurrence; ORDER BY sorts the kept rows stably,
+   and LIMIT keeps the first of them.  The rows are consed in arrival
+   order, never reversed: reversing costs a list cell per row. *)
+let tail gov (q : query) out_names src : result =
+  let fresh =
+    if not q.distinct then fun _ -> true
+    else begin
       let seen = Row_tbl.create 64 in
-      List.filter
-        (fun (out, _) ->
-          if Row_tbl.mem seen out then false
-          else begin
-            Row_tbl.add seen out ();
-            true
-          end)
-        projected_with_keys
+      fun out -> (not (Row_tbl.mem seen out)) && (Row_tbl.add seen out (); true)
     end
-    else projected_with_keys
   in
-  let sorted =
+  (* The kept rows, each through [f], in arrival order. *)
+  let[@tail_mod_cons] rec pull f =
+    let out = src.next () in
+    if out == eos then []
+    else begin
+      g_poll gov;
+      if fresh out then
+        let x = f out in
+        x :: pull f
+      else pull f
+    end
+  in
+  let rows =
     match q.order_by with
-    | [] -> projected_with_keys
+    | [] -> pull Fun.id
     | _ ->
-        List.stable_sort
-          (fun (_, k1) (_, k2) ->
-            let rec cmp ks1 ks2 =
-              match (ks1, ks2) with
-              | [], [] -> 0
-              | (v1, d) :: r1, (v2, _) :: r2 ->
-                  let c = Value.compare v1 v2 in
-                  let c = match d with Asc -> c | Desc -> -c in
-                  if c <> 0 then c else cmp r1 r2
-              | _ -> 0
-            in
-            cmp k1 k2)
-          projected_with_keys
+        List.map fst
+          (List.stable_sort
+             (fun (_, k1) (_, k2) -> compare_keys k1 k2)
+             (pull (fun out -> (out, src.key out))))
   in
-  let rows = List.map fst sorted in
   let rows =
     match q.limit with
     | None -> rows
     | Some n -> List.filteri (fun i _ -> i < n) rows
   in
   { cols = out_names; rows }
+
+let alias_idx out_names name =
+  match Array.find_index (String.equal name) out_names with
+  | Some i -> i
+  | None -> err "ORDER BY alias %s not in output" name
+
+(* The ungrouped projection of [w]'s rows, in row order. *)
+let projection (q : query) out_names (w : vrel) : rows =
+  let items =
+    Array.of_list
+      (List.map
+         (function
+           | Sel_attr (a, _) -> attr_reader w a
+           | Sel_const (v, _) -> fun _ -> v
+           | Sel_agg _ -> err "aggregate in ungrouped projection")
+         q.select)
+  in
+  let r = ref (-1) in
+  let item i = items.(i) !r in
+  let keys =
+    List.map
+      (fun (key, d) ->
+        match key with
+        | O_attr a ->
+            let f = attr_reader w a in
+            fun (_ : Value.t array) -> (f !r, d)
+        | O_alias name ->
+            let i = alias_idx out_names name in
+            fun out -> (out.(i), d)
+        | O_agg _ -> err "ORDER BY aggregate in ungrouped query")
+      q.order_by
+  in
+  {
+    next =
+      (fun () ->
+        incr r;
+        if !r < w.nrows then Array.init (Array.length items) item else eos);
+    key = (fun out -> List.map (fun f -> f out) keys);
+  }
 
 (* --------------------------------------------------------------------- *)
 (* The MQ shape                                                           *)
@@ -1050,7 +1108,7 @@ and eval_having v rows h =
   go h
 
 (* --------------------------------------------------------------------- *)
-(* Post-pipeline: group / having / order / project / distinct / limit     *)
+(* Post-pipeline: group / having / project, then the tail                *)
 (* --------------------------------------------------------------------- *)
 
 and post_pipeline gov (q : query) (w : vrel) : result =
@@ -1062,141 +1120,59 @@ and post_pipeline gov (q : query) (w : vrel) : result =
     || q.having <> None
     || List.exists (function O_agg _, _ -> true | _ -> false) q.order_by
   in
-  let grouped = q.group_by <> [] || has_aggs in
   let out_names = Array.of_list (select_output_names q) in
-  let alias_idx name =
-    let rec go i =
-      if i >= Array.length out_names then
-        err "ORDER BY alias %s not in output" name
-      else if out_names.(i) = name then i
-      else go (i + 1)
-    in
-    go 0
+  tail gov q out_names
+    (if q.group_by <> [] || has_aggs then grouped q out_names w
+     else projection q out_names w)
+
+(* One row per group of [w]'s rows that HAVING keeps, groups in
+   first-seen order. *)
+and grouped (q : query) out_names (w : vrel) : rows =
+  let kreads = Array.of_list (List.map (attr_reader w) q.group_by) in
+  let nk = Array.length kreads in
+  let groups = Row_tbl.create 64 in
+  let order = ref [] in
+  for r = 0 to w.nrows - 1 do
+    let k = Array.init nk (fun i -> kreads.(i) r) in
+    match Row_tbl.find_opt groups k with
+    | Some l -> l := r :: !l
+    | None ->
+        Row_tbl.add groups k (ref [ r ]);
+        order := k :: !order
+  done;
+  let pending = ref (List.rev !order) in
+  (* The group whose row [next] returned last, its rows newest-first. *)
+  let rows = ref [] in
+  let rec next () =
+    match !pending with
+    | [] -> eos
+    | k :: rest -> (
+        pending := rest;
+        rows := !(Row_tbl.find groups k);
+        match q.having with
+        | Some h when not (eval_having w !rows h) -> next ()
+        | _ ->
+            Array.of_list
+              (List.map
+                 (function
+                   | Sel_attr (a, _) -> attr_reader w a (List.hd !rows)
+                   | Sel_const (v, _) -> v
+                   | Sel_agg (agg, _) -> agg_of_rows w agg !rows)
+                 q.select))
   in
-  if (not grouped) && q.order_by = [] then begin
-    (* Fast path for the plain SPJ shape (SQ's DNF branches, and MQ's
-       partials off the one-pass path): no sort keys, so skip the (row,
-       keys) tuple plumbing — project straight into the output list,
-       applying DISTINCT as we go. *)
-    let item_fns =
-      Array.of_list
-        (List.map
-           (function
-             | Sel_attr (a, _) -> attr_reader w a
-             | Sel_const (v, _) -> fun _ -> v
-             | Sel_agg _ -> err "aggregate in ungrouped projection")
-           q.select)
-    in
-    let ni = Array.length item_fns in
-    let project r = Array.init ni (fun i -> (item_fns.(i)) r) in
-    let rows =
-      if q.distinct then begin
-        let seen = Row_tbl.create 64 in
-        let acc = ref [] in
-        for r = 0 to w.nrows - 1 do
-          g_poll gov;
-          let out = project r in
-          if not (Row_tbl.mem seen out) then begin
-            Row_tbl.add seen out ();
-            acc := out :: !acc
-          end
-        done;
-        List.rev !acc
-      end
-      else List.init w.nrows project
-    in
-    let rows =
-      match q.limit with
-      | None -> rows
-      | Some n -> List.filteri (fun i _ -> i < n) rows
-    in
-    { cols = out_names; rows }
-  end
-  else
-  let projected_with_keys =
-    if grouped then begin
-      (* Group row indices by key. *)
-      let kreads = Array.of_list (List.map (attr_reader w) q.group_by) in
-      let nk = Array.length kreads in
-      let groups = Row_tbl.create 64 in
-      let order = ref [] in
-      for r = 0 to w.nrows - 1 do
-        let k = Array.init nk (fun i -> kreads.(i) r) in
-        match Row_tbl.find_opt groups k with
-        | Some l -> l := r :: !l
-        | None ->
-            Row_tbl.add groups k (ref [ r ]);
-            order := k :: !order
-      done;
-      let keys_in_order = List.rev !order in
-      List.filter_map
-        (fun k ->
-          let rows = !(Row_tbl.find groups k) in
-          let keep =
-            match q.having with
-            | None -> true
-            | Some h -> eval_having w rows h
-          in
-          if not keep then None
-          else begin
-            (* Lazy: an all-aggregate projection over an empty group (the
-               GROUP-BY-less aggregate case) never touches a row. *)
-            let rep = lazy (List.hd rows) in
-            let out =
-              Array.of_list
-                (List.map
-                   (function
-                     | Sel_attr (a, _) -> attr_reader w a (Lazy.force rep)
-                     | Sel_const (v, _) -> v
-                     | Sel_agg (agg, _) -> agg_of_rows w agg rows)
-                   q.select)
-            in
-            let sort_key =
-              List.map
-                (fun (key, d) ->
-                  let v =
-                    match key with
-                    | O_attr a -> attr_reader w a (Lazy.force rep)
-                    | O_agg agg -> agg_of_rows w agg rows
-                    | O_alias name -> out.(alias_idx name)
-                  in
-                  (v, d))
-                q.order_by
-            in
-            Some (out, sort_key)
-          end)
-        keys_in_order
-    end
-    else begin
-      (* Compile projection and sort-key extractors once, then run them
-         over the row indices. *)
-      let item_fns =
-        List.map
-          (function
-            | Sel_attr (a, _) -> attr_reader w a
-            | Sel_const (v, _) -> fun _ -> v
-            | Sel_agg _ -> err "aggregate in ungrouped projection")
-          q.select
-      in
-      let okey_fns =
-        List.map
-          (fun (key, d) ->
-            match key with
-            | O_attr a ->
-                let f = attr_reader w a in
-                fun r (_ : Value.t array) -> (f r, d)
-            | O_agg _ -> err "ORDER BY aggregate in ungrouped query"
-            | O_alias name ->
-                let i = alias_idx name in
-                fun _ out -> (out.(i), d))
-          q.order_by
-      in
-      List.init w.nrows (fun r ->
-          let out = Array.of_list (List.map (fun f -> f r) item_fns) in
-          (out, List.map (fun f -> f r out) okey_fns))
-    end
+  let key out =
+    List.map
+      (fun (key, d) ->
+        let v =
+          match key with
+          | O_attr a -> attr_reader w a (List.hd !rows)
+          | O_agg agg -> agg_of_rows w agg !rows
+          | O_alias name -> out.(alias_idx out_names name)
+        in
+        (v, d))
+      q.order_by
   in
-  finish q out_names projected_with_keys
+  { next; key }
 
 (* --------------------------------------------------------------------- *)
 (* DNF splitting (for DISTINCT + disjunctive qualifications, i.e. SQ)     *)
@@ -1231,9 +1207,6 @@ and dnf_branches cap p : pred list list option =
           (Some [ [] ]) ps
   in
   go p
-
-and select_attrs q =
-  List.filter_map (function Sel_attr (a, _) -> Some a | _ -> None) q.select
 
 (* --------------------------------------------------------------------- *)
 (* MQ in one pass                                                         *)
@@ -1298,22 +1271,22 @@ and run_mq gov db (q : query) (mq : mq) : result =
   g_rows gov !union_rows;
   (* Consing partial 0's groups first, each list newest-first, leaves the
      last partial's groups at the head, each list in its own order. *)
-  let in_order = ref [] in
+  let pending = ref [] in
   Array.iteri
     (fun j seg ->
-      List.iter (fun g -> if g.last = j then in_order := g :: !in_order) seg)
+      List.iter (fun g -> if g.last = j then pending := g :: !pending) seg)
     touched;
-  let projected_with_keys =
-    List.filter_map
-      (fun g ->
-        if not (mq.keep g) then None
-        else begin
-          let out = Array.of_list (List.map (fun f -> f g) mq.items) in
-          Some (out, List.map (fun (i, d) -> (out.(i), d)) mq.order)
-        end)
-      !in_order
+  let rec next () =
+    match !pending with
+    | [] -> eos
+    | g :: rest ->
+        pending := rest;
+        if mq.keep g then Array.of_list (List.map (fun f -> f g) mq.items)
+        else next ()
   in
-  finish q (Array.of_list (select_output_names q)) projected_with_keys
+  tail gov q
+    (Array.of_list (select_output_names q))
+    { next; key = (fun out -> List.map (fun (i, d) -> (out.(i), d)) mq.order) }
 
 (* --------------------------------------------------------------------- *)
 (* Top-level evaluation                                                   *)
@@ -1336,84 +1309,49 @@ and run_generic gov db (q : query) : result =
   let dnf = if dnf_eligible then dnf_branches 4096 q.where else None in
   match dnf with
   | Some branches ->
-      (* Evaluate each conjunctive branch over only the tuple variables it
-         (or the output) references; unreferenced FROM entries must merely
-         be non-empty (sound because DISTINCT erases multiplicities). *)
+      (* Each conjunctive branch runs over only the tuple variables it (or
+         the output) references; unreferenced FROM entries must merely be
+         non-empty (sound because DISTINCT erases multiplicities).  The
+         branches project, one after another, straight into the tail,
+         whose DISTINCT merges them. *)
       let needed_base =
         List.sort_uniq String.compare
-          (List.map (fun (a : attr) -> a.tv) (select_attrs q)
-          @ List.concat_map
-              (fun (k, _) -> match k with O_attr a -> [ a.tv ] | _ -> [])
+          (List.filter_map
+             (function Sel_attr (a, _) -> Some a.tv | _ -> None)
+             q.select
+          @ List.filter_map
+              (function O_attr a, _ -> Some a.tv | _ -> None)
               q.order_by)
       in
-      let all_rows = ref [] in
-      List.iter
-        (fun branch ->
-          let branch_tvs =
-            List.sort_uniq String.compare
-              (needed_base @ List.concat_map tvs_of_pred branch)
-          in
-          let used, unused =
-            List.partition (fun (tv, _) -> List.mem tv branch_tvs) wrels
-          in
-          let nonempty_unused =
-            List.for_all (fun (_, src) -> source_card src > 0) unused
-          in
-          if nonempty_unused && used <> [] then begin
-            let joined = join_conjunctive gov used branch in
-            let res =
-              post_pipeline gov
-                { q with where = P_true; order_by = []; limit = None }
-                joined
-            in
-            all_rows := List.rev_append res.rows !all_rows
-          end)
-        branches;
-      let merged =
-        vrel_of_batch
-          (Array.of_list
-             (List.map (fun n -> ("", n)) (select_output_names q)))
-          (Batch.of_list (List.rev !all_rows))
+      let out_names = Array.of_list (select_output_names q) in
+      let pending = ref branches in
+      let branch_rows = ref { next = (fun () -> eos); key = (fun _ -> []) } in
+      let rec next () =
+        let out = !branch_rows.next () in
+        if out != eos then out
+        else
+          match !pending with
+          | [] -> eos
+          | branch :: rest ->
+              pending := rest;
+              let branch_tvs =
+                List.sort_uniq String.compare
+                  (needed_base @ List.concat_map tvs_of_pred branch)
+              in
+              let used, unused =
+                List.partition (fun (tv, _) -> List.mem tv branch_tvs) wrels
+              in
+              let nonempty_unused =
+                List.for_all (fun (_, src) -> source_card src > 0) unused
+              in
+              if nonempty_unused && used <> [] then begin
+                let w = join_conjunctive gov used branch in
+                g_rows gov w.nrows;
+                branch_rows := projection q out_names w
+              end;
+              next ()
       in
-      (* Re-run the tail of the pipeline on the merged projection for
-         distinct / order / limit.  Column references now address the
-         projected names: an ORDER BY attribute must map to the output
-         name of the select item that produced it. *)
-      let output_name_of (a : attr) =
-        let rec go = function
-          | [] -> err "ORDER BY column %s.%s not in DISTINCT output" a.tv a.col
-          | Sel_attr (a', alias) :: _ when equal_attr a a' -> (
-              match alias with Some al -> al | None -> a'.col)
-          | _ :: rest -> go rest
-        in
-        go q.select
-      in
-      let q' =
-        {
-          q with
-          from = [];
-          where = P_true;
-          select =
-            List.map
-              (function
-                | Sel_attr (a, alias) ->
-                    let name =
-                      match alias with Some al -> al | None -> a.col
-                    in
-                    Sel_attr ({ tv = ""; col = name }, Some name)
-                | item -> item)
-              q.select;
-          order_by =
-            List.map
-              (fun (k, d) ->
-                ( (match k with
-                  | O_attr a -> O_attr { tv = ""; col = output_name_of a }
-                  | k -> k),
-                  d ))
-              q.order_by;
-        }
-      in
-      post_pipeline gov q' merged
+      tail gov q out_names { next; key = (fun out -> !branch_rows.key out) }
   | None ->
       let conjuncts = conjuncts q.where in
       (* Keep disjunctions and other non-splittable factors as residual

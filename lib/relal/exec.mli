@@ -15,8 +15,10 @@
       the access path never changes a reply.  For DISTINCT queries
       whose qualification contains disjunctions — the shape the SQ
       integration method produces (paper §6) — the qualification is split
-      into DNF branches, each executed as a conjunctive plan, and the
-      branch results are unioned and de-duplicated; this is semantically
+      into DNF branches, each executed as a conjunctive plan over the
+      tuple variables it references.  The branches project, one after
+      another, straight into the tail (below), whose DISTINCT keeps each
+      row's first occurrence across all of them; this is semantically
       equivalent under DISTINCT and avoids the cross-product blow-up a
       naive evaluation of SQ's FROM list would suffer.
       [`Auto] runs MQ (paper §6), ranked or not, in one pass; see
@@ -43,8 +45,11 @@
       groups it.
 
     Post-pipeline (both strategies): GROUP BY / aggregates (including
-    [DEGREE_OF_CONJUNCTION]) / HAVING, ORDER BY, projection, DISTINCT,
-    LIMIT. *)
+    [DEGREE_OF_CONJUNCTION]) / HAVING, or the plain projection; then the
+    tail.  Every query ends in the same tail, whichever path produced
+    its rows (grouping, the projection, each DNF branch, MQ's one pass):
+    DISTINCT as rows arrive, keeping each row's first occurrence, then a
+    stable ORDER BY, then LIMIT. *)
 
 exception Exec_error of string
 
@@ -63,7 +68,11 @@ val run :
   result
 (** Evaluate a bound query.  [?gov] meters this call alone: the batch
     loops check it cooperatively, and row production is charged at every
-    operator output (joins, filters, projection).  It is passed down the
+    operator output (joins, filters, projection).  The projection charges
+    the rows it projects once, before DISTINCT or LIMIT drops any: a DNF
+    query charges each branch's joined rows, as that branch run alone
+    would, and nothing for their union; MQ's one pass charges the union's
+    rows, as the generic path does.  The governor is passed down the
     evaluator, not set process-wide, so runs on concurrent threads each
     charge their own governor.
     @raise Governor.Exhausted when the armed budget is exceeded;

@@ -213,11 +213,13 @@ let start cfg db =
   (* A dead client mid-response must error the write, not kill us. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  (* The core first: a start that store recovery refuses leaves no
+     socket behind for a client to find with nothing listening. *)
+  let core = Core.create cfg db in
   let listeners =
     listen_unix cfg.Server_core.socket_path
     :: (match cfg.tcp_port with Some p -> [ listen_tcp p ] | None -> [])
   in
-  let core = Core.create cfg db in
   let t =
     { core; cfg; listeners; acceptor = None; cm = Mutex.create (); conns = [] }
   in

@@ -58,9 +58,11 @@ val default_config : socket_path:string -> config
 type t
 
 val start : config -> Relal.Database.t -> t
-(** Bind the sockets and spawn the acceptor thread.  The
-    database is shared — the server takes ownership of coordinating
-    access to it.  @raise Unix.Unix_error when binding fails. *)
+(** Create the core (opening the shard stores), then bind the sockets
+    and spawn the acceptor thread; a start that store recovery refuses
+    binds nothing.  The database is shared — the server takes ownership
+    of coordinating access to it.  @raise Unix.Unix_error when binding
+    fails. *)
 
 val request_stop : t -> unit
 (** Flag the server to drain (idempotent, safe from a signal handler's

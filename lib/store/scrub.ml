@@ -1,5 +1,3 @@
-module Chaos = Relal.Chaos
-
 type file_status =
   | File_ok
   | File_torn_tail of int
@@ -27,16 +25,6 @@ let status_name = function
    signature rather than damage. *)
 let scan_file ~dir ~promised name =
   let path = Filename.concat dir name in
-  (match Chaos.take_fault Chaos.Scrub_read with
-  | None -> ()
-  | Some (Chaos.Flip_byte frac) ->
-      (* Latent disk corruption surfacing exactly when the scrubber
-         looks: flip first, then verify — the scrub must catch it. *)
-      Chaos.flip_byte_in_file path frac
-  | Some Chaos.Crash -> raise (Chaos.Crashed { point = Chaos.Scrub_read })
-  | Some (Chaos.Torn_write _ | Chaos.Short_write _) | Some Chaos.Fsync_fail ->
-      raise (Chaos.Injected { point = Chaos.Scrub_read; transient = true }));
-  Chaos.point Chaos.Scrub_read;
   if not (Sys.file_exists path) then
     {
       file = name;

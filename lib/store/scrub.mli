@@ -9,12 +9,7 @@
     short, torn, or checksum-damaged is {e damage}; the active WAL's
     torn tail is the legitimate crash signature ({!File_torn_tail}) and
     only a mid-file CRC mismatch there counts as damage.  Each file's
-    report carries how many records its valid prefix decodes.
-
-    Every file verification crosses the {!Relal.Chaos.Scrub_read} fault
-    point; a planned [Flip_byte] there damages the file {e before} the
-    check runs, so a test can prove the scrubber actually catches what
-    it is pointed at. *)
+    report carries how many records its valid prefix decodes. *)
 
 type file_status =
   | File_ok

@@ -163,6 +163,24 @@ let test_or_dnf_path () =
     [ "Star Harbor"; "The Quiet Comet"; "Iron Harvest" ]
     res
 
+(* Under a governor, each DNF branch charges what it charges run alone as
+   a conjunctive query: its joins and its joined rows, once.  The union of
+   the branches is not charged again. *)
+let test_dnf_row_charge () =
+  let db = db () in
+  let charge sql =
+    let gov = Governor.start Governor.unlimited in
+    ignore (Engine.run_sql ~gov db sql : Exec.result);
+    (Governor.progress gov).rows_produced
+  in
+  let q where =
+    "select distinct m.title from movie m, genre g where m.mid = g.mid and " ^ where
+  in
+  let branches = [ "g.genre = 'sci-fi'"; "g.genre = 'action'"; "m.year = 2003" ] in
+  Alcotest.(check int) "sum of the branches' charges"
+    (List.fold_left (fun n b -> n + charge (q b)) 0 branches)
+    (charge (q ("(" ^ String.concat " or " branches ^ ")")))
+
 let test_or_without_distinct () =
   (* No DISTINCT: the generic path must still be correct (with duplicates
      from the to-many genre join when both disjuncts hold). *)
@@ -319,18 +337,22 @@ let test_dnf_with_order_and_limit () =
       Alcotest.(check Helpers.value_testable) "newest first" (Value.Int 2003)
         first.(1)
   | [] -> Alcotest.fail "rows expected");
-  (* Compare the full ordered list against the naive oracle. *)
-  let sql =
-    "select distinct m.title, m.year from movie m, genre g where m.mid = g.mid \
-     and (g.genre = 'comedy' or g.genre = 'thriller') order by m.year desc, \
-     m.title asc"
-  in
+  (* Compare the full ordered list against the naive oracle, also when
+     the sort column is not in the DISTINCT output. *)
   let d = db () in
-  let bound = Binder.bind d (Sql_parser.parse sql) in
-  Alcotest.(check bool) "ordered rows equal naive" true
-    (Exec.result_equal_list
-       (Exec.run ~strategy:`Auto d bound)
-       (Exec.run ~strategy:`Naive d bound))
+  List.iter
+    (fun select ->
+      let sql =
+        "select distinct " ^ select
+        ^ " from movie m, genre g where m.mid = g.mid and (g.genre = 'comedy' \
+           or g.genre = 'thriller') order by m.year desc, m.title asc"
+      in
+      let bound = Binder.bind d (Sql_parser.parse sql) in
+      Alcotest.(check bool) ("ordered rows equal naive: " ^ select) true
+        (Exec.result_equal_list
+           (Exec.run ~strategy:`Auto d bound)
+           (Exec.run ~strategy:`Naive d bound)))
+    [ "m.title, m.year"; "m.title" ]
 
 let test_unused_from_table_semantics () =
   (* SQL cross-product semantics: an unreferenced FROM table multiplies
@@ -547,6 +569,7 @@ let () =
           Alcotest.test_case "cross product" `Quick test_cross_product_when_no_join;
           Alcotest.test_case "distinct" `Quick test_distinct;
           Alcotest.test_case "or (dnf path)" `Quick test_or_dnf_path;
+          Alcotest.test_case "dnf row charge" `Quick test_dnf_row_charge;
           Alcotest.test_case "or (generic path)" `Quick test_or_without_distinct;
           Alcotest.test_case "group/having" `Quick test_group_having_count;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
