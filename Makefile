@@ -43,7 +43,8 @@ crash-recovery: build
 	dune exec test/test_store_crash.exe
 
 # Deterministic corruption sweep over one store: every committed file
-# x every corruption kind (early/late byte flip, torn tail).  Each case
+# x every corruption kind (early/late byte flip, torn tail, a CRC-valid
+# record that does not decode).  Each case
 # must fail with the typed error or count the torn-tail truncation, and
 # the read-only scrubber must agree with recovery.  Runs as part of
 # `dune runtest` too; this target is the direct entry point.

@@ -365,9 +365,8 @@ let parse_store = function
         (Printf.sprintf "--store must be 'memory' or 'disk:DIR' (got %S)" s)
 
 let serve movies seed data_dir deadline max_rows max_expansions socket tcp
-    workers queue drain_ms breaker_threshold breaker_cooldown dump_dir
-    chaos_seed chaos_p no_cache cache_entries cache_mb shards store
-    profile_lru =
+    workers queue drain_ms dump_dir chaos_seed chaos_p no_cache cache_entries
+    cache_mb shards store profile_lru =
   let store_dir = parse_store store in
   validated
     [
@@ -401,8 +400,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
           max_rows;
           max_expansions;
           drain_ms;
-          breaker_threshold;
-          breaker_cooldown_ms = breaker_cooldown;
           dump_dir;
           cache = not no_cache;
           cache_entries;
@@ -467,14 +464,6 @@ let drain_arg =
   let doc = "Graceful-shutdown drain deadline (milliseconds)." in
   Arg.(value & opt float 2000. & info [ "drain-ms" ] ~docv:"MS" ~doc)
 
-let breaker_threshold_arg =
-  let doc = "Consecutive storage faults that trip the circuit breaker." in
-  Arg.(value & opt int 3 & info [ "breaker-threshold" ] ~docv:"N" ~doc)
-
-let breaker_cooldown_arg =
-  let doc = "Circuit-breaker open -> half-open cooldown (milliseconds)." in
-  Arg.(value & opt float 250. & info [ "breaker-cooldown-ms" ] ~docv:"MS" ~doc)
-
 let dump_dir_arg =
   let doc = "Crash-safe-dump the database here on graceful shutdown." in
   Arg.(value & opt (some string) None & info [ "dump-dir" ] ~docv:"DIR" ~doc)
@@ -532,31 +521,42 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve personalized queries concurrently over a socket (admission \
-          control, circuit breaking, graceful drain)")
+          control, graceful drain)")
     Term.(
       const serve $ movies_arg $ seed_arg $ data_dir_arg $ deadline_arg
       $ max_rows_arg $ max_expansions_arg $ socket_arg $ tcp_arg $ workers_arg
-      $ queue_arg $ drain_arg $ breaker_threshold_arg $ breaker_cooldown_arg
-      $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg $ no_cache_arg
-      $ cache_entries_arg $ cache_mb_arg $ shards_arg
+      $ queue_arg $ drain_arg $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg
+      $ no_cache_arg $ cache_entries_arg $ cache_mb_arg $ shards_arg
       $ store_arg $ profile_lru_arg)
 
 (* ---------------- scrub ---------------- *)
 
 (* Offline, read-only verification of a profile-store directory: walk
-   every file the manifests name and re-verify frame CRCs and promised
-   sizes.  DIR is either one store directory or a serve-layout store
-   root (SHARDS marker + shard-NN subdirectories). *)
+   every file the manifests name and re-verify promised sizes, frame
+   CRCs and records.  DIR is either one store directory (a MANIFEST, or
+   an older build's set of copies, which the scan refuses by name) or a
+   serve-layout store root (SHARDS marker + shard-NN subdirectories); a
+   path that is neither holds no store to vouch for, a storage error. *)
 let scrub dir =
   guarded (fun () ->
+      let holds name = Sys.file_exists (Filename.concat dir name) in
+      let no_store why =
+        raise
+          (Perso.Error.Typed
+             (Perso.Error.Storage
+                (Printf.sprintf "no profile store at %s: %s" dir why)))
+      in
       let stores =
-        if Sys.file_exists (Filename.concat dir "SHARDS") then
+        if not (Sys.file_exists dir) then no_store "the path does not exist"
+        else if holds "SHARDS" then
           Sys.readdir dir |> Array.to_list
           |> List.filter (fun n ->
                  String.length n > 6 && String.sub n 0 6 = "shard-")
           |> List.sort compare
           |> List.map (fun n -> (Filename.concat dir n, n ^ "/"))
-        else [ (dir, "") ]
+        else if holds "MANIFEST" || Perso_store.Store.older_root dir then
+          [ (dir, "") ]
+        else no_store "it holds neither a MANIFEST nor a SHARDS marker"
       in
       let damaged = ref 0 in
       List.iter

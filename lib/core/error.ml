@@ -14,7 +14,10 @@ let no_progress exhausted =
   { Relal.Governor.exhausted; rows_produced = 0; expansions = 0;
     elapsed_ms = 0. }
 
+exception Typed of t
+
 let of_exn = function
+  | Typed t -> Some t
   | Relal.Sql_parser.Parse_error e -> Some (Parse e)
   | Relal.Sql_lexer.Lex_error (msg, pos) -> Some (Lex { msg; pos })
   | Relal.Binder.Bind_error e -> Some (Bind e)

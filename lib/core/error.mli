@@ -25,16 +25,21 @@ type t =
       (** a budget ran out; carries partial-progress statistics *)
   | Overloaded of string
       (** the service shed this request instead of doing the work:
-          admission queue full, deadline expired while queued, server
-          draining, or a circuit breaker open for the operation.  The
-          request is safe to retry elsewhere or later — no work was
-          started. *)
+          admission queue full, deadline expired while queued, or server
+          draining.  The request is safe to retry elsewhere or later —
+          no work was started. *)
   | Usage of string
       (** a malformed request at the interface boundary: out-of-range
           CLI flags (zero/negative shard or domain counts, empty cache
-          budgets), unparseable [--store] specs.  Fix the invocation
-          and retry. *)
+          budgets), unparseable [--store] specs, a server socket path
+          another server is accepting connections on.  Fix the
+          invocation and retry. *)
   | Internal of string  (** engine invariant violations, unknown exceptions *)
+
+exception Typed of t
+(** An error classified where it is raised, by code above this library
+    (the server's socket check, the CLI's scrub); {!of_exn} returns it
+    as is. *)
 
 val of_exn : exn -> t option
 (** Classify a known exception; [None] for exceptions outside the

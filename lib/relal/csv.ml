@@ -211,7 +211,13 @@ let manifest_file = "manifest.sum"
 let old_suffix = ".old"
 let tmp_suffix = ".save-tmp"
 
+let file_io path f =
+  try f ()
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
 let write_file_sync path contents =
+  file_io path @@ fun () ->
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in

@@ -51,10 +51,19 @@ val manifest_file : string
     An existing but {e empty} manifest is treated as torn: real saves
     always list at least [schema.ddl]. *)
 
+val file_io : string -> (unit -> 'a) -> 'a
+(** [file_io path f] runs [f], an operation on the file [path], turning
+    a [Unix.Unix_error] it raises into [Sys_error "PATH: reason"] — what
+    the stdlib's channel functions raise for the same failure, and what
+    [Perso.Error] types as a storage error.  The dump writer and the
+    profile store wrap their Unix-level file calls in it; sockets do
+    not. *)
+
 val write_file_sync : string -> string -> unit
 (** Write [contents] to a fresh file (create/truncate) and fsync it
     before closing — the durability primitive the dump writer and the
-    log-structured profile store share.  Unix errors propagate. *)
+    log-structured profile store share.  A failure raises [Sys_error]
+    naming the file ({!file_io}). *)
 
 val fsync_dir : string -> unit
 (** Fsync a directory so renames/creates inside it are durable.

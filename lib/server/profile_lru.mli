@@ -15,8 +15,8 @@
     The serve path's fault semantics do not change: the cache stores
     only successfully parsed profiles, and the hit path still crosses
     the [Profile_load] chaos point (see
-    {!Sharded_store.Make.load_profile}), so the circuit breaker
-    observes exactly the failure stream it would without the cache. *)
+    {!Sharded_store.Make.load_profile}), so a seeded run draws the same
+    faults, and fails the same loads, as it would without the cache. *)
 
 type t
 

@@ -20,7 +20,7 @@
     - [PROFILE SAVE <user> \[ cond, degree \] ...] — replace the user's
       stored profile with the given entries (none = delete)
     - [PROFILE LOAD <user>] — list the stored profile
-    - [HEALTH] — queue/in-flight/shed/breaker/drain counters
+    - [HEALTH] — queue/in-flight/shed/drain, store and cache counters
     - [PING] — liveness probe
     - [SHUTDOWN] — graceful drain, then server exit
     - [QUIT] — close this connection

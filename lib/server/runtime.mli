@@ -17,8 +17,8 @@
     bring their own.
 
     This generalizes the injectable-clock pattern already used by
-    {!Breaker} ([?now]) and [Relal.Chaos.retry] ([?sleep]) from "inject
-    one function" to "inject the whole substrate". *)
+    [Relal.Chaos.retry] ([?sleep]) and [Relal.Governor.set_clock] from
+    "inject one function" to "inject the whole substrate". *)
 
 module type S = sig
   type mutex

@@ -1,5 +1,5 @@
 (* The socket front end.  Everything behind the wire — request slots,
-   admission queue, budgets, breaker, drain, ledger — lives in
+   admission queue, budgets, drain, ledger — lives in
    {!Server_core}, instantiated here with the real-thread runtime; the
    deterministic simulation instantiates the same core with a virtual
    one. *)
@@ -192,6 +192,32 @@ let acceptor_loop t =
 
 (* ------------------------------- start ------------------------------- *)
 
+(* A socket file at [path] that accepts a connection belongs to a live
+   server: refuse to take its path over.  One whose connect is refused
+   is a stale leftover, which [listen_unix] replaces. *)
+let refuse_live_socket path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let live =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            match Unix.connect fd (Unix.ADDR_UNIX path) with
+            | () -> true
+            | exception Unix.Unix_error _ -> false)
+      in
+      if live then
+        raise
+          (Perso.Error.Typed
+             (Perso.Error.Usage
+                (Printf.sprintf
+                   "a server is already accepting connections on %s; stop it \
+                    or choose another socket path"
+                   path)))
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let listen_unix path =
   (match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
@@ -213,8 +239,11 @@ let start cfg db =
   (* A dead client mid-response must error the write, not kill us. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* The core first: a start that store recovery refuses leaves no
-     socket behind for a client to find with nothing listening. *)
+  (* A live server's path is refused before the core opens a store that
+     server may be using.  Then the core, before any bind: a start that
+     store recovery refuses leaves no socket behind for a client to find
+     with nothing listening. *)
+  refuse_live_socket cfg.Server_core.socket_path;
   let core = Core.create cfg db in
   let listeners =
     listen_unix cfg.Server_core.socket_path

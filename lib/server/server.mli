@@ -25,10 +25,11 @@
     - {b Budgets}: client [DEADLINE-MS]/[MAX-ROWS]/[MAX-EXPANSIONS]
       headers are capped by the server's configured limits and armed as
       a {!Relal.Governor} budget per request.
-    - {b Circuit breaking}: profile-store operations run through a
-      {!Breaker}.  While open, [PERSONALIZE] skips the profile load and
-      serves the plain query (with a [NOTE]), and [PROFILE SAVE] is
-      rejected with [Overloaded]; the breaker half-opens on a timer.
+    - {b Per-request storage faults}: a [PERSONALIZE] whose profile
+      load fails is served the plain query (with a [NOTE]), and a
+      [PROFILE SAVE] that fails returns its typed error.  A fault
+      affects only the request that meets it: the next request tries
+      the store again.
     - {b Isolation}: profiles live in per-user shards, each behind its
       own {!Rwlock}.  [PROFILE SAVE] holds only the user's shard write
       lock, and [PERSONALIZE] holds that shard's read lock while it
@@ -52,17 +53,20 @@ type config = Server_core.config
 
 val default_config : socket_path:string -> config
 (** 4 slots, queue of 64, 5 s deadline cap, 1M rows, 10k expansions,
-    2 s drain, breaker trips after 3 and half-opens after 250 ms, no
-    TCP, no dump. *)
+    2 s drain, no TCP, no dump. *)
 
 type t
 
 val start : config -> Relal.Database.t -> t
 (** Create the core (opening the shard stores), then bind the sockets
     and spawn the acceptor thread; a start that store recovery refuses
-    binds nothing.  The database is shared — the server takes ownership
-    of coordinating access to it.  @raise Unix.Unix_error when binding
-    fails. *)
+    binds nothing.  A socket file at [socket_path] that accepts a
+    connection belongs to a live server: the start is refused, before
+    the stores open, with {!Perso.Error.Typed} [(Usage _)] naming the
+    path, and that server keeps serving.  A socket file whose connect is
+    refused is stale and is replaced.  The database is shared — the
+    server takes ownership of coordinating access to it.
+    @raise Unix.Unix_error when binding fails. *)
 
 val request_stop : t -> unit
 (** Flag the server to drain (idempotent, safe from a signal handler's
@@ -90,17 +94,15 @@ val wait : t -> drain_outcome
     [serve] runs after {!start}. *)
 
 val health : t -> (string * string) list
-(** The counters the [HEALTH] command reports, as ordered pairs:
-    [state], [queue_depth], [in_flight], [workers], [queue_capacity],
-    [accepted], [completed_ok], [completed_err], [shed_queue_full],
-    [shed_expired], [shed_draining], [shed_breaker], [breaker_state],
-    [breaker_trips], [unpersonalized_breaker].  Every data-plane request
+(** The counters the [HEALTH] command reports, as ordered pairs, among
+    them [state], [queue_depth], [in_flight], [workers],
+    [queue_capacity], [accepted], [completed_ok], [completed_err],
+    [shed_queue_full], [shed_expired], [shed_draining] and the store,
+    cache and profile-LRU counters.  Every data-plane request
     the server ever saw is accounted: with [shed_draining] split into
     its admission-time part [d_a] (rejected while draining) and its
     stop-time part [d_s] (= {!drain_outcome}.[shed_at_stop], queued requests
     flushed when the drain deadline passed),
     [arrivals = accepted + shed_queue_full + d_a] and
     [accepted = completed_ok + completed_err + shed_expired + d_s +
-    queue_depth + in_flight].  [shed_breaker] counts [PROFILE SAVE]s
-    rejected because the breaker was open — those also appear in
-    [completed_err] (they were admitted, then refused). *)
+    queue_depth + in_flight]. *)

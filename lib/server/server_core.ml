@@ -9,8 +9,6 @@ type config = {
   max_rows : int option;
   max_expansions : int option;
   drain_ms : float;
-  breaker_threshold : int;
-  breaker_cooldown_ms : float;
   dump_dir : string option;
   cache : bool;
   cache_entries : int;
@@ -31,8 +29,6 @@ let default_config ~socket_path =
     max_rows = Some 1_000_000;
     max_expansions = Some 10_000;
     drain_ms = 2_000.;
-    breaker_threshold = 3;
-    breaker_cooldown_ms = 250.;
     dump_dir = None;
     cache = true;
     cache_entries = 512;
@@ -78,8 +74,6 @@ let cap_budget cfg (hdr : Protocol.header) =
 let gov_of budget =
   if Governor.is_unlimited budget then None else Some (Governor.start budget)
 
-let is_storage_fault = function Perso.Error.Storage _ -> true | _ -> false
-
 (* Split "[ a, 0.9 ] [ b, 1 ]" into the per-entry lines
    Profile.of_string expects.  Entries cannot contain ']' outside a
    quoted literal ending in ']', which we accept as unsupported on the
@@ -116,8 +110,6 @@ module Make (R : Runtime.S) = struct
     mutable shed_queue_full : int;
     mutable shed_expired : int;
     mutable shed_draining : int;
-    mutable shed_breaker : int;
-    mutable unpersonalized_breaker : int;
     (* Strict personalization sub-ledger: every completed PERSONALIZE
        reply is accounted exactly once on each side, so
        pers_ok + pers_err = cache_hit + cache_miss + cache_bypass —
@@ -133,7 +125,6 @@ module Make (R : Runtime.S) = struct
     cfg : config;
     db : Database.t;
     store : Store.t;
-    breaker : Breaker.t;
     qm : R.mutex;
     queue : ticket Queue.t;
     mutable phase : phase;
@@ -150,7 +141,7 @@ module Make (R : Runtime.S) = struct
 
   (* ----------------------------- execution --------------------------- *)
 
-  let run_unpersonalized t ~budget ~notes sql =
+  let run_sql t ~budget ~notes sql =
     match
       Perso.Error.guard (fun () -> Engine.run_sql ?gov:(gov_of budget) t.db sql)
     with
@@ -166,59 +157,41 @@ module Make (R : Runtime.S) = struct
         | Perso.Perso_cache.Bypass -> t.c.cache_bypass <- t.c.cache_bypass + 1)
 
   let exec_personalize t ~budget user sql =
-    (* The profile load goes through the breaker: a sick store must not
-       take query traffic down with it.  Open breaker, or a failed load,
-       degrade to the plain query with an explanatory NOTE — the same
-       contract as the personalization ladder.
-
-       Load {e and} the cache consult + personalization run stay
+    (* Load {e and} the cache consult + personalization run stay
        together under the user's shard read lock, so a concurrent save
        for the same user cannot slip between them (a profile snapshot
        cached under the save's new revision would serve stale plans).
-       Lock order shard -> cache.  The unpersonalized fallbacks touch
-       no profile state and run outside the shard lock. *)
-    let outcome =
-      if Breaker.allow t.breaker then
-        Store.with_user_read t.store ~user (fun sdb ->
-            match Store.load_profile t.store ~user sdb with
-            | Ok p -> (
-                Breaker.success t.breaker;
-                let r, src =
-                  Perso.Perso_cache.personalize_sql_r
-                    ?cache:(Store.cache_for t.store ~user)
-                    ~user ~budget t.db p sql
-                in
-                count_source t src;
-                match r with
-                | Ok run ->
-                    let notes =
-                      List.map Perso.Personalize.degradation_to_string
-                        run.Perso.Personalize.degradations
-                    in
-                    `Reply
-                      (R_rows { notes; result = run.Perso.Personalize.result })
-                | Error e -> `Reply (R_error e))
-            | Error e ->
-                if is_storage_fault e then Breaker.failure t.breaker
-                else Breaker.success t.breaker;
-                `Failed e)
-      else begin
-        locked t.qm (fun () ->
-            t.c.unpersonalized_breaker <- t.c.unpersonalized_breaker + 1);
-        `Open
-      end
-    in
-    match outcome with
-    | `Reply r -> r
-    | `Failed e ->
+       Lock order shard -> cache.
+
+       A failed load degrades this request alone to the plain query,
+       with an explanatory NOTE: the same contract as the
+       personalization ladder.  The fallback touches no profile state
+       and runs outside the shard lock. *)
+    match
+      Store.with_user_read t.store ~user (fun sdb ->
+          Store.load_profile t.store ~user sdb
+          |> Result.map (fun p ->
+                 let r, src =
+                   Perso.Perso_cache.personalize_sql_r
+                     ?cache:(Store.cache_for t.store ~user)
+                     ~user ~budget t.db p sql
+                 in
+                 count_source t src;
+                 match r with
+                 | Ok run ->
+                     let notes =
+                       List.map Perso.Personalize.degradation_to_string
+                         run.Perso.Personalize.degradations
+                     in
+                     R_rows { notes; result = run.Perso.Personalize.result }
+                 | Error e -> R_error e))
+    with
+    | Ok reply -> reply
+    | Error e ->
         count_source t Perso.Perso_cache.Bypass;
-        run_unpersonalized t ~budget sql
+        run_sql t ~budget sql
           ~notes:
             [ "unpersonalized: profile load failed: " ^ Perso.Error.to_string e ]
-    | `Open ->
-        count_source t Perso.Perso_cache.Bypass;
-        run_unpersonalized t ~budget sql
-          ~notes:[ "unpersonalized: profile-store circuit breaker open" ]
 
   let exec_profile_save t user entries =
     let lines = profile_entry_lines entries in
@@ -241,33 +214,23 @@ module Make (R : Runtime.S) = struct
                   ("PROFILE SAVE entry does not bind: " ^ String.concat "; " errs))
     with
     | Error e -> R_error (Perso.Error.Profile e)
-    | Ok profile ->
-        if not (Breaker.allow t.breaker) then begin
-          locked t.qm (fun () -> t.c.shed_breaker <- t.c.shed_breaker + 1);
-          R_error
-            (Perso.Error.Overloaded
-               "profile-store circuit breaker open; retry after cooldown")
-        end
-        else begin
-          (* Only the user's shard write lock: queries, and saves for
-             users on other shards, keep flowing. *)
-          match
-            Perso.Error.guard (fun () ->
-                Store.with_user_write t.store ~user (fun sdb ->
-                    Chaos.retry (fun () ->
-                        if Perso.Profile.cardinal profile = 0 then
-                          Perso.Profile_store.delete sdb ~user
-                        else Perso.Profile_store.save sdb ~user profile)))
-          with
-          | Ok () ->
-              Breaker.success t.breaker;
-              R_message
-                (Printf.sprintf "saved user=%s entries=%d" user
-                   (Perso.Profile.cardinal profile))
-          | Error e ->
-              if is_storage_fault e then Breaker.failure t.breaker;
-              R_error e
-        end
+    | Ok profile -> (
+        (* Only the user's shard write lock: queries, and saves for
+           users on other shards, keep flowing.  A failed save returns
+           the typed error it raised. *)
+        match
+          Perso.Error.guard (fun () ->
+              Store.with_user_write t.store ~user (fun sdb ->
+                  Chaos.retry (fun () ->
+                      if Perso.Profile.cardinal profile = 0 then
+                        Perso.Profile_store.delete sdb ~user
+                      else Perso.Profile_store.save sdb ~user profile)))
+        with
+        | Ok () ->
+            R_message
+              (Printf.sprintf "saved user=%s entries=%d" user
+                 (Perso.Profile.cardinal profile))
+        | Error e -> R_error e)
 
   let exec_profile_show t user =
     match
@@ -293,13 +256,7 @@ module Make (R : Runtime.S) = struct
 
   let execute t ~budget command =
     match command with
-    | Protocol.Run sql -> (
-        match
-          Perso.Error.guard (fun () ->
-              Engine.run_sql ?gov:(gov_of budget) t.db sql)
-        with
-        | Ok result -> R_rows { notes = []; result }
-        | Error e -> R_error e)
+    | Protocol.Run sql -> run_sql t ~budget ~notes:[] sql
     | Protocol.Personalize { user; sql } -> exec_personalize t ~budget user sql
     | Protocol.Profile_save { user; entries } -> exec_profile_save t user entries
     | Protocol.Profile_show user -> exec_profile_show t user
@@ -425,10 +382,6 @@ module Make (R : Runtime.S) = struct
           ("shed_queue_full", string_of_int t.c.shed_queue_full);
           ("shed_expired", string_of_int t.c.shed_expired);
           ("shed_draining", string_of_int t.c.shed_draining);
-          ("shed_breaker", string_of_int t.c.shed_breaker);
-          ("breaker_state", Breaker.state_name (Breaker.state t.breaker));
-          ("breaker_trips", string_of_int (Breaker.trips t.breaker));
-          ("unpersonalized_breaker", string_of_int t.c.unpersonalized_breaker);
           ("pers_ok", string_of_int t.c.pers_ok);
           ("pers_err", string_of_int t.c.pers_err);
           ("cache_hit", string_of_int t.c.cache_hit);
@@ -525,11 +478,6 @@ module Make (R : Runtime.S) = struct
       cfg;
       db;
       store;
-      breaker =
-        Breaker.create
-          ~now:(fun () -> R.now () *. 1000.)
-          ~threshold:cfg.breaker_threshold
-          ~cooldown_ms:cfg.breaker_cooldown_ms ();
       qm = R.mutex_create ();
       queue = Queue.create ();
       phase = Running;
@@ -542,8 +490,6 @@ module Make (R : Runtime.S) = struct
           shed_queue_full = 0;
           shed_expired = 0;
           shed_draining = 0;
-          shed_breaker = 0;
-          unpersonalized_breaker = 0;
           pers_ok = 0;
           pers_err = 0;
           cache_hit = 0;

@@ -2,8 +2,8 @@
 
     Everything the personalization server does apart from sockets —
     admission control over [workers] request slots and a bounded queue,
-    budget capping, breaker-gated profile access under the shard rwlocks,
-    graceful drain with the strict HEALTH counter ledger — lives here,
+    budget capping, profile access under the shard rwlocks, graceful
+    drain with the strict HEALTH counter ledger — lives here,
     as a functor over the {!Runtime.S} concurrency substrate.  The core
     creates no threads: every admitted request runs on the thread that
     submitted it.
@@ -25,8 +25,15 @@
        every completed PERSONALIZE reply is accounted exactly once by
        outcome and exactly once by where its plan came from
        ({!Perso.Perso_cache.source}; [Bypass] covers a disabled cache,
-       breaker-degraded unpersonalized replies, degraded-rung answers,
-       and pre-personalization failures such as parse errors).}}
+       unpersonalized replies after a failed profile load, degraded-rung
+       answers, and pre-personalization failures such as parse
+       errors).}}
+
+    A storage fault degrades or fails only the request that meets it:
+    a [PERSONALIZE] whose profile load fails is answered with the plain
+    query's rows and a [NOTE unpersonalized: profile load failed: ...],
+    and a [PROFILE SAVE] that fails returns the typed error it raised.
+    No state carries one request's fault over to the next.
 
     Slot cap (audited by [Perso_sim]): [in_flight <= workers] at every
     instant, drains included. *)
@@ -40,8 +47,6 @@ type config = {
   max_rows : int option;  (** cap on rows-produced budgets *)
   max_expansions : int option;  (** cap on selection-expansion budgets *)
   drain_ms : float;  (** graceful-shutdown drain deadline *)
-  breaker_threshold : int;  (** consecutive storage faults that trip *)
-  breaker_cooldown_ms : float;  (** open → half-open timer *)
   dump_dir : string option;  (** crash-safe dump target on shutdown *)
   cache : bool;  (** personalization plan cache on the serve path *)
   cache_entries : int;  (** LRU entry bound (split across shards) *)
@@ -92,9 +97,8 @@ val profile_entry_lines : string -> string list
 
 val max_profile_entries : int
 (** The most entries one PROFILE SAVE may carry (4,096).  A larger save is
-    refused with a typed [Error.Profile] before it touches the breaker or
-    a shard lock, so the stored profile and its revision stay as they
-    were. *)
+    refused with a typed [Error.Profile] before it takes a shard lock, so
+    the stored profile and its revision stay as they were. *)
 
 val cap_budget : config -> Protocol.header -> Relal.Governor.budget
 (** Client-requested budgets capped by the server's own limits. *)

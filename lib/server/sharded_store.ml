@@ -171,9 +171,10 @@ module Make (R : Runtime.S) = struct
   (* Profile load for the serve path: probe the shard's hot LRU at the
      user's current registry revision before falling back to the table
      scan + parse.  A hit skips the re-parse, {e not} the fault point:
-     the breaker must observe exactly the failure stream the uncached
-     path produces, so the hit still crosses [Profile_load].  Caller
-     holds the user's shard read lock. *)
+     it still crosses [Profile_load], so a seeded run draws the same
+     faults whatever the LRU holds (the simulation's replays depend on
+     it), and a load fails under a fault with or without the LRU.
+     Caller holds the user's shard read lock. *)
   let load_profile t ~user db =
     let sh = shard_for t user in
     match sh.plru with

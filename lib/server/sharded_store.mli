@@ -86,9 +86,9 @@ module Make (R : Runtime.S) : sig
   (** {!Perso.Profile_store.load_r} with the shard's hot LRU in front
       (when built with [?profile_lru]): probe by (user, current registry
       revision); a hit returns the already-parsed profile while still
-      crossing the [Profile_load] fault point, so breaker behavior is
-      unchanged.  Call with the user's shard database, under the shard
-      read lock. *)
+      crossing the [Profile_load] fault point, so a seeded run draws the
+      same faults whatever the LRU holds.  Call with the user's shard
+      database, under the shard read lock. *)
 
   val plru_stats : t -> Profile_lru.stats
   (** Field-wise sum of every shard's hot-profile LRU counters — the

@@ -192,8 +192,6 @@ let server_config =
     max_rows = Some 200_000;
     max_expansions = Some 2_000;
     drain_ms = 300.;
-    breaker_threshold = 2;
-    breaker_cooldown_ms = 120.;
     dump_dir = None;
   }
 

@@ -5,7 +5,7 @@
     that call the server core's [submit] (so admission, queueing and
     the slot hand-off to the oldest queued request all execute under
     seeded interleavings), [Advance] moves virtual time (tripping queue-expiry
-    deadlines, breaker cooldowns, and the drain budget), [Chaos_on]/
+    deadlines and the drain budget), [Chaos_on]/
     [Chaos_off] toggle {!Relal.Chaos} fault windows, and [Drain] begins
     a graceful shutdown mid-traffic.
 

@@ -12,7 +12,7 @@
 
     Time is {!Vclock} virtual time: it advances only when every task is
     blocked, jumping to the earliest pending timer.  Pure computation is
-    instantaneous, so deadline/breaker/drain behavior depends only on
+    instantaneous, so deadline and drain behavior depends only on
     the scenario's explicit time steps — never on machine speed.
 
     Invariant probes registered with {!add_probe} run before every

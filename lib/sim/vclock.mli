@@ -4,7 +4,7 @@
     forward to the earliest pending timer when every task is blocked.
     Pure computation therefore takes zero virtual time — only explicit
     sleeps (and whatever the scenario's [Advance] steps inject) make
-    deadlines, breaker cooldowns, and drain budgets progress, which is
+    deadlines and drain budgets progress, which is
     what makes runs bit-reproducible. *)
 
 type 'a t

@@ -1,4 +1,4 @@
-type file_status =
+type file_status = Store.file_status =
   | File_ok
   | File_torn_tail of int
   | File_damaged of Store.error
@@ -19,57 +19,11 @@ let status_name = function
   | File_torn_tail at -> Printf.sprintf "torn-tail@%d" at
   | File_damaged e -> Store.error_to_string e
 
-(* One file under the scrubber's lens.  [promised = Some bytes] for
-   sealed segments (the manifest's size is part of the contract);
-   [None] for the active WAL, whose torn tail is a legitimate crash
-   signature rather than damage. *)
 let scan_file ~dir ~promised name =
-  let path = Filename.concat dir name in
-  if not (Sys.file_exists path) then
-    {
-      file = name;
-      size = 0;
-      records = 0;
-      status =
-        File_damaged (Store.Torn_log { file = name; detail = "file missing" });
-    }
-  else begin
-    let data = In_channel.with_open_bin path In_channel.input_all in
-    let size = String.length data in
-    let records = ref 0 in
-    let _, ending = Wal.scan_string data (fun ~pos:_ _ -> incr records) in
-    let status =
-      match promised with
-      | Some p when size <> p ->
-          File_damaged
-            (Store.Torn_log
-               {
-                 file = name;
-                 detail =
-                   Printf.sprintf "%d bytes on disk, manifest says %d" size p;
-               })
-      | _ -> (
-          match ending with
-          | Wal.Clean -> File_ok
-          | Wal.Torn { at; detail } ->
-              if promised = None then File_torn_tail at
-              else
-                File_damaged
-                  (Store.Torn_log
-                     {
-                       file = name;
-                       detail = Printf.sprintf "at %d: %s" at detail;
-                     })
-          | Wal.Corrupt { at; detail } ->
-              File_damaged
-                (Store.Bad_crc
-                   {
-                     file = name;
-                     detail = Printf.sprintf "at %d: %s" at detail;
-                   }))
-    in
-    { file = name; size; records = !records; status }
-  end
+  let c =
+    Store.check_file ~dir ~promised name (fun ~pos:_ ~len:_ _ -> ())
+  in
+  { file = name; size = c.size; records = c.records; status = c.status }
 
 let scan_dir dir =
   if Store.older_root dir then

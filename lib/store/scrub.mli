@@ -1,17 +1,19 @@
 (** Read-only scrub over a store directory's committed file set.
 
-    The scrubber walks the files the manifest names, re-verifying every
-    frame CRC and the manifest's promised sizes — the same checks
-    recovery performs, runnable on demand against a quiescent directory
-    (the [perso_cli scrub] subcommand drives it).  It never writes.
+    The scrubber walks the files the manifest names and gives each the
+    verdict recovery gives it ({!Store.check_file}: promised sizes,
+    frame CRCs, and every record decoded), runnable on demand against a
+    quiescent directory (the [perso_cli scrub] subcommand drives it).
+    It never writes.
 
-    Classification mirrors recovery exactly: a sealed segment that is
-    short, torn, or checksum-damaged is {e damage}; the active WAL's
-    torn tail is the legitimate crash signature ({!File_torn_tail}) and
-    only a mid-file CRC mismatch there counts as damage.  Each file's
-    report carries how many records its valid prefix decodes. *)
+    A sealed segment that is short, torn, checksum-damaged or holds a
+    record that does not decode is {e damage}; the active WAL's torn
+    tail is the legitimate crash signature ({!File_torn_tail}), and only
+    a mid-file CRC mismatch or an undecodable record there counts as
+    damage.  Each file's report carries how many records its valid
+    prefix decodes. *)
 
-type file_status =
+type file_status = Store.file_status =
   | File_ok
   | File_torn_tail of int
       (** active WAL only: incomplete final frame at this offset —

@@ -135,52 +135,70 @@ let seq_of_name name =
   | None -> 0
   | exception Invalid_argument _ -> 0
 
-let apply_record index ~file ~pos payload =
-  match Codec.decode_record payload with
-  | Error detail ->
-      store_err
-        (Malformed
-           { file; detail = Printf.sprintf "record at %d: %s" pos detail })
-  | Ok (Codec.Put { user; revision; _ }) ->
-      Hashtbl.replace index user
-        { loc = Some (pos, Wal.header_bytes + String.length payload);
-          revision; file }
-  | Ok (Codec.Delete { user; revision }) ->
-      Hashtbl.replace index user { loc = None; revision; file }
+(* One verdict per committed file, shared by recovery and the scrubber
+   so the two cannot disagree (the interface lists the verdicts).  A
+   missing active WAL is an empty one: rotation creates the file before
+   the manifest names it, so only a hand deletion removes it. *)
+type file_status = File_ok | File_torn_tail of int | File_damaged of error
 
-let scan_apply index ~file data =
-  let _, ending =
-    Wal.scan_string data (fun ~pos payload ->
-        apply_record index ~file ~pos payload)
-  in
-  ending
+type file_check = { size : int; records : int; status : file_status }
 
-let replay_sealed ~dirname ~index (name, promised) =
-  let path = Filename.concat dirname name in
+let check_file ~dir ~promised name f =
+  let path = Filename.concat dir name in
   if not (Sys.file_exists path) then
-    store_err (Torn_log { file = name; detail = "sealed segment missing" });
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  if String.length data <> promised then
-    store_err
-      (Torn_log
-         {
-           file = name;
-           detail =
-             Printf.sprintf "%d bytes on disk, manifest says %d"
-               (String.length data) promised;
-         });
-  match scan_apply index ~file:name data with
-  | Wal.Clean -> ()
-  | Wal.Torn { at; detail } ->
-      store_err
-        (Torn_log
-           { file = name; detail = Printf.sprintf "at %d: %s" at detail })
-  | Wal.Corrupt { at; detail } ->
-      store_err
-        (Bad_crc
-           { file = name; detail = Printf.sprintf "at %d: %s" at detail })
+    {
+      size = 0;
+      records = 0;
+      status =
+        (if promised = None then File_ok
+         else
+           File_damaged
+             (Torn_log { file = name; detail = "sealed segment missing" }));
+    }
+  else begin
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    let size = String.length data in
+    let records = ref 0 and undecodable = ref None in
+    let _, ending =
+      Wal.scan_string data (fun ~pos payload ->
+          if !undecodable = None then
+            match Codec.decode_record payload with
+            | Ok record ->
+                incr records;
+                f ~pos ~len:(Wal.header_bytes + String.length payload) record
+            | Error detail ->
+                undecodable :=
+                  Some
+                    (Malformed
+                       {
+                         file = name;
+                         detail = Printf.sprintf "record at %d: %s" pos detail;
+                       }))
+    in
+    let at_offset at detail = Printf.sprintf "at %d: %s" at detail in
+    let status =
+      match (promised, !undecodable, ending) with
+      | Some p, _, _ when size <> p ->
+          File_damaged
+            (Torn_log
+               {
+                 file = name;
+                 detail =
+                   Printf.sprintf "%d bytes on disk, manifest says %d" size p;
+               })
+      | _, Some e, _ -> File_damaged e
+      | _, None, Wal.Clean -> File_ok
+      | None, None, Wal.Torn { at; _ } -> File_torn_tail at
+      | Some _, None, Wal.Torn { at; detail } ->
+          File_damaged (Torn_log { file = name; detail = at_offset at detail })
+      | _, None, Wal.Corrupt { at; detail } ->
+          File_damaged (Bad_crc { file = name; detail = at_offset at detail })
+    in
+    { size; records = !records; status }
+  end
 
 let truncate_file path len =
+  Csv.file_io path @@ fun () ->
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -188,29 +206,26 @@ let truncate_file path len =
       Unix.ftruncate fd len;
       Unix.fsync fd)
 
-(* Returns the number of torn tails truncated (0 or 1). *)
-let replay_wal ~dirname ~index name =
-  let path = Filename.concat dirname name in
-  if not (Sys.file_exists path) then
-    (* Rotation creates the file before committing the manifest, so a
-       named-but-missing WAL only happens when someone deleted it by
-       hand; an empty active log is the correct recovered state. *)
-    0
-  else begin
-    let data = In_channel.with_open_bin path In_channel.input_all in
-    match scan_apply index ~file:name data with
-    | Wal.Clean -> 0
-    | Wal.Torn { at; detail = _ } ->
-        (* The crash signature: an append died mid-frame.  Everything
-           before [at] was acknowledged (or is replay-equivalent);
-           nothing after ever was.  Truncate and count. *)
-        truncate_file path at;
-        1
-    | Wal.Corrupt { at; detail } ->
-        store_err
-          (Bad_crc
-             { file = name; detail = Printf.sprintf "at %d: %s" at detail })
-  end
+(* Replay one committed file into [index]; the number of torn tails
+   truncated (0 or 1, the active WAL only).  The torn tail is the crash
+   signature: an append died mid-frame.  Everything before it was
+   acknowledged (or is replay-equivalent); nothing after ever was. *)
+let replay ~dirname ~index ~promised name =
+  let c =
+    check_file ~dir:dirname ~promised name (fun ~pos ~len record ->
+        let meta loc revision = { loc; revision; file = name } in
+        match record with
+        | Codec.Put { user; revision; _ } ->
+            Hashtbl.replace index user (meta (Some (pos, len)) revision)
+        | Codec.Delete { user; revision } ->
+            Hashtbl.replace index user (meta None revision))
+  in
+  match c.status with
+  | File_ok -> 0
+  | File_torn_tail at ->
+      truncate_file (Filename.concat dirname name) at;
+      1
+  | File_damaged e -> store_err e
 
 let remove_strays t ~keep =
   Array.iter
@@ -337,8 +352,11 @@ let open_ ?(config = default_config) dirname =
     let text = In_channel.with_open_bin manifest_path In_channel.input_all in
     let sealed, wal_name = parse_manifest ~file:manifest_name text in
     let index = Hashtbl.create 64 in
-    List.iter (replay_sealed ~dirname ~index) sealed;
-    let torn = replay_wal ~dirname ~index wal_name in
+    List.iter
+      (fun (name, size) ->
+        ignore (replay ~dirname ~index ~promised:(Some size) name : int))
+      sealed;
+    let torn = replay ~dirname ~index ~promised:None wal_name in
     let t =
       {
         dirname;
@@ -479,7 +497,7 @@ let compact t =
          ~sealed:[ (seg_name, Wal.size out) ]
          ~wal:t.wal_name
      with e ->
-       (try Wal.close out with Unix.Unix_error _ -> ());
+       (try Wal.close out with Sys_error _ -> ());
        (match e with
        | Chaos.Crashed _ -> ()
        | _ -> ( try Sys.remove seg_path with Sys_error _ -> ()));
@@ -636,6 +654,6 @@ let close t =
 let abandon t =
   locked t (fun () ->
       if not t.closed then begin
-        (try Wal.close t.wal with Unix.Unix_error _ -> ());
+        (try Wal.close t.wal with Sys_error _ -> ());
         t.closed <- true
       end)

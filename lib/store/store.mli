@@ -64,7 +64,10 @@ type t
 
 val open_r : ?config:config -> string -> (t, error) result
 (** Open (creating the directory and an empty store if needed) and run
-    recovery.  Unix errors raise; structural damage returns [Error]. *)
+    recovery.  Structural damage returns [Error].  A failure to read or
+    write a store file (WAL, segment, manifest) raises [Sys_error]
+    naming the file, here and in every other operation of this module,
+    which [Perso.Error] types as a storage error. *)
 
 val open_ : ?config:config -> string -> t
 (** {!open_r}, raising {!Store_error}. *)
@@ -74,6 +77,37 @@ val dir : t -> string
 val older_root : string -> bool
 (** Whether a directory is a set of copies an earlier build wrote (it
     holds [REPLSTATE]), which {!open_} adopts or refuses. *)
+
+type file_status =
+  | File_ok
+  | File_torn_tail of int
+      (** active WAL only: incomplete final frame at this offset —
+          recovery truncates it, no acknowledged data lost *)
+  | File_damaged of error
+
+type file_check = {
+  size : int;  (** bytes on disk *)
+  records : int;  (** records decoded in the valid prefix *)
+  status : file_status;
+}
+
+val check_file :
+  dir:string ->
+  promised:int option ->
+  string ->
+  (pos:int -> len:int -> Codec.record -> unit) ->
+  file_check
+(** [check_file ~dir ~promised name f]: the verdict on one committed
+    file, the one both recovery ({!open_}) and the scrubber ({!Scrub})
+    give.  [promised = Some bytes] for a sealed segment: a missing file,
+    a size other than the manifest's, a torn frame or a bad checksum is
+    damage.  [None] for the active WAL: a missing file is an empty log,
+    and a torn final frame is {!File_torn_tail}.  Every record of the
+    valid prefix is decoded and passed to [f] with its frame's offset
+    and full length; the first record that does not decode stops the
+    calls and is damage ([Malformed]), however sound its checksum.
+    When several faults apply, a missing file wins, then a size
+    mismatch, then an undecodable record, then how the frames end. *)
 
 val read_manifest : string -> ((string * int) list * string) option
 (** [read_manifest dirname] parses the committed manifest:

@@ -24,6 +24,7 @@ type t = {
 }
 
 let open_append ?(fsync = true) path =
+  Relal.Csv.file_io path @@ fun () ->
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
   { path; fd; fsync; size }
@@ -53,7 +54,8 @@ let torn_len frac total =
 let append ?(point = Chaos.Wal_append) t payload =
   let fr = frame payload in
   let off = t.size in
-  ignore (Unix.lseek t.fd off Unix.SEEK_SET);
+  Relal.Csv.file_io t.path (fun () ->
+      ignore (Unix.lseek t.fd off Unix.SEEK_SET));
   let flip = ref None in
   (match Chaos.take_fault point with
   | None -> ()
@@ -77,10 +79,11 @@ let append ?(point = Chaos.Wal_append) t payload =
       undo t off;
       raise (Chaos.Injected { point; transient = true }));
   match
-    Chaos.point point;
-    write_all t.fd fr 0 (String.length fr);
-    Chaos.point Chaos.Wal_fsync;
-    if t.fsync then Unix.fsync t.fd
+    Relal.Csv.file_io t.path (fun () ->
+        Chaos.point point;
+        write_all t.fd fr 0 (String.length fr);
+        Chaos.point Chaos.Wal_fsync;
+        if t.fsync then Unix.fsync t.fd)
   with
   | () ->
       t.size <- off + String.length fr;
@@ -90,8 +93,8 @@ let append ?(point = Chaos.Wal_append) t payload =
       (match e with Chaos.Crashed _ -> () | _ -> undo t off);
       raise e
 
-let sync t = Unix.fsync t.fd
-let close t = Unix.close t.fd
+let sync t = Relal.Csv.file_io t.path (fun () -> Unix.fsync t.fd)
+let close t = Relal.Csv.file_io t.path (fun () -> Unix.close t.fd)
 
 (* ------------------------------ reading ------------------------------ *)
 

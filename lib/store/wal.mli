@@ -5,7 +5,9 @@
     fault) truncates the file back to its pre-append size so an
     unacknowledged record never survives — except under a simulated
     {!Relal.Chaos.Crashed} kill, which deliberately leaves whatever
-    prefix hit the disk for recovery to deal with.
+    prefix hit the disk for recovery to deal with.  An I/O failure on
+    the file (open, write, fsync, close) raises [Sys_error] naming it
+    ({!Relal.Csv.file_io}).
 
     {!scan} classifies the tail of a log precisely: [Torn] means the
     last frame is incomplete (header or payload cut short) — the
@@ -61,7 +63,7 @@ val scan_string : string -> (pos:int -> string -> unit) -> int * scan_end
     prefix and how the data ends. *)
 
 val scan_file : string -> (pos:int -> string -> unit) -> int * scan_end
-(** {!scan_string} over a whole file. Unix/Sys errors propagate. *)
+(** {!scan_string} over a whole file. [Sys_error] propagates. *)
 
 val read_frame : path:string -> off:int -> len:int -> (string, string) result
 (** Re-read one frame (full frame length [len] at [off]) and verify its

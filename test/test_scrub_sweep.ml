@@ -132,6 +132,50 @@ let test_sweep () =
     files;
   Alcotest.(check bool) "swept every file x kind" true (!cases >= 6)
 
+(* A frame whose checksum holds but whose payload is no record (tag
+   0xff): recovery refuses the store as [Malformed], and the scrub must
+   report that file damaged with the same error.  In a sealed segment the
+   manifest's promised size is raised to match, so only the record is
+   wrong. *)
+let test_undecodable_record () =
+  let pristine, oracle_revisions, _ = build_fixture () in
+  let bad = Wal.frame "\xff" in
+  List.iter
+    (fun file ->
+      let work = fresh_dir () in
+      copy_dir pristine work;
+      let path = Filename.concat work file in
+      let grown = read_file path ^ bad in
+      write_file path grown;
+      let manifest = Filename.concat work "MANIFEST" in
+      write_file manifest
+        (String.split_on_char '\n' (read_file manifest)
+        |> List.map (fun line ->
+               match String.split_on_char ' ' line with
+               | [ "segment"; name; _ ] when name = file ->
+                   Printf.sprintf "segment %s %d" name (String.length grown)
+               | _ -> line)
+        |> String.concat "\n");
+      let label = Printf.sprintf "n=1 %s undecodable record" file in
+      let scrubbed = (Scrub.scan_dir work).Scrub.damaged in
+      check_case label work oracle_revisions;
+      match Store.open_r ~config:cfg work with
+      | Error (Store.Malformed _ as e) ->
+          Alcotest.(check (list string))
+            (label ^ ": scrub reports recovery's error")
+            [ file ^ ": " ^ Store.error_to_string e ]
+            (List.map
+               (fun (d : Scrub.damage) ->
+                 d.file ^ ": " ^ Store.error_to_string d.error)
+               scrubbed)
+      | Error e ->
+          Alcotest.failf "%s: expected malformed, got %s" label
+            (Store.error_to_string e)
+      | Ok t ->
+          Store.close t;
+          Alcotest.failf "%s: recovery opened an undecodable record" label)
+    (targets pristine)
+
 (* control: an uncorrupted store scrubs clean and reopens with nothing
    truncated, serving the oracle *)
 let test_clean_control () =
@@ -158,5 +202,7 @@ let () =
         [
           Alcotest.test_case "n=1 typed fatal or counted truncation" `Quick
             test_sweep;
+          Alcotest.test_case "n=1 undecodable record is damage" `Quick
+            test_undecodable_record;
         ] );
     ]

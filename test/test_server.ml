@@ -1,65 +1,12 @@
-(* Concurrent personalization server: breaker state machine, reader/
-   writer isolation, the hot-profile LRU, admission control + shedding,
-   request-line bounds, graceful drain, and the N-thread chaos hammer of
-   the resilience contract. *)
+(* Concurrent personalization server: reader/writer isolation, the
+   hot-profile LRU, admission control + shedding, per-request storage
+   faults, socket ownership, request-line bounds, graceful drain, and the
+   N-thread chaos hammer of the resilience contract. *)
 
 open Perso_server
 
 (* Retry backoff must not cost wall-clock in tests. *)
 let () = Relal.Chaos.set_sleep ignore
-
-(* ------------------------------ breaker ------------------------------ *)
-
-(* A hand-cranked clock makes trip→cooldown→probe cycles deterministic. *)
-let fake_clock start =
-  let now = ref start in
-  ((fun () -> !now), fun ms -> now := !now +. ms)
-
-let test_breaker_trips () =
-  let now, advance = fake_clock 0. in
-  let b = Breaker.create ~now ~threshold:3 ~cooldown_ms:100. () in
-  Alcotest.(check bool) "closed allows" true (Breaker.allow b);
-  Breaker.failure b;
-  Breaker.failure b;
-  Alcotest.(check string) "two failures stay closed" "closed"
-    (Breaker.state_name (Breaker.state b));
-  Breaker.failure b;
-  Alcotest.(check string) "third failure trips" "open"
-    (Breaker.state_name (Breaker.state b));
-  Alcotest.(check bool) "open rejects" false (Breaker.allow b);
-  Alcotest.(check int) "one trip" 1 (Breaker.trips b);
-  advance 99.;
-  Alcotest.(check bool) "still cooling" false (Breaker.allow b);
-  advance 1.;
-  Alcotest.(check string) "cooled to half-open" "half-open"
-    (Breaker.state_name (Breaker.state b))
-
-let test_breaker_halfopen_probe () =
-  let now, advance = fake_clock 0. in
-  let b = Breaker.create ~now ~threshold:1 ~cooldown_ms:50. () in
-  Breaker.failure b;
-  advance 50.;
-  Alcotest.(check bool) "probe admitted" true (Breaker.allow b);
-  Alcotest.(check bool) "single probe slot" false (Breaker.allow b);
-  Breaker.success b;
-  Alcotest.(check string) "probe success closes" "closed"
-    (Breaker.state_name (Breaker.state b));
-  Alcotest.(check bool) "closed again" true (Breaker.allow b)
-
-let test_breaker_halfopen_reopen () =
-  let now, advance = fake_clock 0. in
-  let b = Breaker.create ~now ~threshold:1 ~cooldown_ms:50. () in
-  Breaker.failure b;
-  advance 50.;
-  Alcotest.(check bool) "probe admitted" true (Breaker.allow b);
-  Breaker.failure b;
-  Alcotest.(check string) "probe failure reopens" "open"
-    (Breaker.state_name (Breaker.state b));
-  Alcotest.(check int) "second trip counted" 2 (Breaker.trips b);
-  advance 49.;
-  Alcotest.(check bool) "cooldown restarted" false (Breaker.allow b);
-  advance 1.;
-  Alcotest.(check bool) "half-open again" true (Breaker.allow b)
 
 (* ------------------------------ rwlock ------------------------------- *)
 
@@ -189,6 +136,11 @@ let stat name stats =
   | Some v -> int_of_string v
   | None -> Alcotest.failf "HEALTH missing %s" name
 
+let request_exn c ?deadline_ms cmd =
+  match Client.request ?deadline_ms c cmd with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "request failed: %s" e
+
 let health_of socket =
   let c = Client.connect socket in
   Fun.protect
@@ -199,6 +151,21 @@ let health_of socket =
       | other ->
           Alcotest.failf "HEALTH failed: %s"
             (match other with Error e -> e | Ok _ -> "wrong response shape"))
+
+let render_response = function
+  | Ok (Protocol.Rows { notes; cols; rows }) ->
+      String.concat "\n"
+        (notes @ [ String.concat "|" cols ] @ List.map (String.concat "|") rows)
+  | Ok (Protocol.Stats kvs) ->
+      String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
+  | Ok (Protocol.Message m) -> "msg:" ^ m
+  | Ok (Protocol.Failed { family; code; message }) ->
+      Printf.sprintf "failed:%s:%d:%s" family code message
+  | Error e -> "err:" ^ e
+
+let pers_sql =
+  "select mv.title from movie mv, play pl where mv.mid = pl.mid and pl.date \
+   = '2003-07-02'"
 
 (* A six-way cross product with no join predicate: the executor grinds
    cartesian batches until a budget trips. *)
@@ -404,85 +371,113 @@ let test_budget_capped_by_server () =
                 | Ok _ -> "a result"
                 | Error e -> e)))
 
-(* ------------------------- breaker integration ----------------------- *)
+(* ---------------------- per-request storage faults ------------------- *)
 
-let request_exn c ?deadline_ms cmd =
-  match Client.request ?deadline_ms c cmd with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "request failed: %s" e
-
-let test_breaker_serves_unpersonalized () =
-  with_server
-    (fun cfg ->
-      { cfg with Server_core.breaker_threshold = 2; breaker_cooldown_ms = 300. })
-    (fun _t socket ->
+(* A storage fault fails or degrades only the request that meets it.
+   With every fault point failing permanently, each PROFILE SAVE returns
+   its own storage error: a run of failed saves never turns the next
+   one into an overloaded shed.  Once the faults lift, the user's next
+   PERSONALIZE is answered from the last acknowledged profile, and the
+   next save succeeds. *)
+let test_storage_faults_per_request () =
+  with_server Fun.id (fun _t socket ->
       let c = Client.connect socket in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          let q =
-            "PERSONALIZE julie select mv.title from movie mv, play pl where \
-             mv.mid = pl.mid and pl.date = '2003-07-02'"
+          let q = "PERSONALIZE julie " ^ pers_sql in
+          let drama =
+            "PROFILE SAVE julie [ GENRE.genre = 'drama', 1 ] [ MOVIE.mid = \
+             GENRE.mid, 0.9 ]"
           in
           ignore
             (request_exn c
                "PROFILE SAVE julie [ GENRE.genre = 'comedy', 0.9 ] [ \
                 MOVIE.mid = GENRE.mid, 0.9 ]");
-          (match request_exn c q with
-          | Protocol.Rows { notes = []; cols; _ } ->
-              Alcotest.(check (list string)) "personalized answer is ranked"
-                [ "title"; "doi" ] cols
-          | _ -> Alcotest.fail "expected a clean personalized answer");
-          (* Permanent faults at p=1: every profile load fails, and two
-             consecutive failures trip the breaker.  (The queries' own
-             scans fault too, so these replies are storage errors — what
-             matters here is the trip.) *)
+          let acknowledged = request_exn c q in
           ignore
             (Relal.Chaos.arm ~transient_ratio:0. ~seed:3 ~p:1.0 ()
               : Relal.Chaos.stats);
-          for _ = 1 to 2 do
-            match request_exn c q with
-            | Protocol.Failed _ | Protocol.Rows _ -> ()
-            | _ -> Alcotest.fail "expected a typed fault or degraded rows"
+          for i = 1 to 5 do
+            match request_exn c drama with
+            | Protocol.Failed { family = "storage"; code = 2; _ } -> ()
+            | r ->
+                Alcotest.failf "save %d under faults: expected storage, got %s"
+                  i (render_response (Ok r))
           done;
           Relal.Chaos.disarm ();
-          (* The breaker is now open and short-circuits the load: with
-             the faults lifted the query itself runs clean and is served
-             unpersonalized with an explanatory note.  PROFILE SAVE is
-             refused with a typed error. *)
           (match request_exn c q with
-          | Protocol.Rows { notes = [ n ]; cols; _ } ->
-              Alcotest.(check string) "breaker-open note"
-                "unpersonalized: profile-store circuit breaker open" n;
-              Alcotest.(check (list string)) "plain answer shape" [ "title" ]
-                cols
-          | _ -> Alcotest.fail "open breaker must serve plain answers");
-          (match request_exn c "PROFILE SAVE julie [ GENRE.genre = 'drama', 1 ]" with
-          | Protocol.Failed { family = "overloaded"; code = 5; _ } -> ()
-          | _ -> Alcotest.fail "open breaker must refuse writes");
-          let stats = health_of socket in
-          Alcotest.(check bool) "trip counted" true
-            (stat "breaker_trips" stats >= 1);
-          Alcotest.(check bool) "plain-served counted" true
-            (stat "unpersonalized_breaker" stats >= 1);
-          Alcotest.(check bool) "refused save counted" true
-            (stat "shed_breaker" stats >= 1);
-          (* Let the cooldown pass: the half-open probe's load succeeds
-             and personalization returns. *)
-          Thread.delay 0.35;
-          match request_exn c q with
-          | Protocol.Rows { notes = []; cols; _ } ->
-              Alcotest.(check (list string)) "personalization recovered"
-                [ "title"; "doi" ] cols
-          | _ -> Alcotest.fail "breaker must close after a good probe"))
+          | Protocol.Rows { notes = []; cols; _ } as r ->
+              Alcotest.(check (list string)) "personalized answer is ranked"
+                [ "title"; "doi" ] cols;
+              Alcotest.(check string) "answer of the last acknowledged profile"
+                (render_response (Ok acknowledged))
+                (render_response (Ok r))
+          | r ->
+              Alcotest.failf "expected a personalized answer, got %s"
+                (render_response (Ok r)));
+          match request_exn c drama with
+          | Protocol.Message _ -> ()
+          | r ->
+              Alcotest.failf "the save after the faults: %s"
+                (render_response (Ok r))))
+
+(* ------------------------------ socket ------------------------------- *)
+
+(* A start on the socket path of a live server is refused with a typed
+   usage error naming the path, and the live server keeps answering; a
+   stale socket file, whose connect is refused, is replaced. *)
+let test_live_socket_refused () =
+  let ping socket =
+    let c = Client.connect socket in
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () ->
+        match request_exn c "PING" with
+        | Protocol.Message "pong" -> ()
+        | r -> Alcotest.failf "PING: %s" (render_response (Ok r)))
+  in
+  with_server Fun.id (fun _t socket ->
+      (match
+         Perso.Error.guard (fun () ->
+             Server.start
+               (Server.default_config ~socket_path:socket)
+               (Moviedb.Personas.tiny_db ()))
+       with
+      | Error (Perso.Error.Usage msg) ->
+          Alcotest.(check string) "usage error names the path"
+            (Printf.sprintf
+               "a server is already accepting connections on %s; stop it or \
+                choose another socket path"
+               socket)
+            msg
+      | Error e ->
+          Alcotest.failf "expected a usage error, got %s"
+            (Perso.Error.to_string e)
+      | Ok t2 ->
+          ignore (Server.stop t2 : Server.drain_outcome);
+          Alcotest.fail "a second server took over a live socket");
+      ping socket);
+  (* Bound and closed without listening: connects are refused. *)
+  let stale = fresh_socket () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX stale);
+  Unix.close fd;
+  let t =
+    Server.start
+      (Server.default_config ~socket_path:stale)
+      (Moviedb.Personas.tiny_db ())
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
+    (fun () -> ping stale)
 
 (* --------------------------- profile bounds -------------------------- *)
 
 let test_profile_save_bounded () =
   (* A PROFILE SAVE over the entry limit is refused with a typed profile
-     error before the breaker or a shard lock: the stored profile and its
-     revision stay as they were and the breaker stays closed.  A save at
-     the limit is accepted. *)
+     error before a shard lock: the stored profile and its revision stay
+     as they were.  A save at the limit is accepted. *)
   let db = Moviedb.Personas.tiny_db () in
   let save user n =
     "PROFILE SAVE " ^ user ^ " "
@@ -505,8 +500,6 @@ let test_profile_save_bounded () =
             | _ -> Alcotest.fail "an over-limit save must fail with a profile error");
             Alcotest.(check bool) "stored profile unchanged" true
               (request_exn c "PROFILE LOAD julie" = stored);
-            Alcotest.(check string) "breaker closed" "closed"
-              (List.assoc "breaker_state" (health_of socket));
             (match request_exn c (save "rob" Server_core.max_profile_entries) with
             | Protocol.Message _ -> ()
             | _ -> Alcotest.fail "a save at the limit is accepted");
@@ -717,8 +710,6 @@ let test_hammer () =
         Server_core.workers = 3;
         queue_capacity = 4;
         deadline_ms = Some 2_000.;
-        breaker_threshold = 3;
-        breaker_cooldown_ms = 50.;
       })
     (fun t socket ->
       let db_for_queries = Moviedb.Datagen.(generate (scale ~seed:7 100)) in
@@ -810,21 +801,6 @@ let fresh_store_root =
         (Printf.sprintf "perso_test_store_%d_%d" (Unix.getpid ()) !n)
     in
     dir
-
-let render_response = function
-  | Ok (Protocol.Rows { notes; cols; rows }) ->
-      String.concat "\n"
-        (notes @ [ String.concat "|" cols ] @ List.map (String.concat "|") rows)
-  | Ok (Protocol.Stats kvs) ->
-      String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) kvs)
-  | Ok (Protocol.Message m) -> "msg:" ^ m
-  | Ok (Protocol.Failed { family; code; message }) ->
-      Printf.sprintf "failed:%s:%d:%s" family code message
-  | Error e -> "err:" ^ e
-
-let pers_sql =
-  "select mv.title from movie mv, play pl where mv.mid = pl.mid and pl.date \
-   = '2003-07-02'"
 
 let parity_script =
   [
@@ -923,14 +899,6 @@ let test_disk_memory_differential () =
 let () =
   Alcotest.run "server"
     [
-      ( "breaker",
-        [
-          Alcotest.test_case "trips after threshold" `Quick test_breaker_trips;
-          Alcotest.test_case "half-open probe closes" `Quick
-            test_breaker_halfopen_probe;
-          Alcotest.test_case "half-open failure reopens" `Quick
-            test_breaker_halfopen_reopen;
-        ] );
       ( "rwlock",
         [
           Alcotest.test_case "writers exclusive" `Quick
@@ -952,10 +920,15 @@ let () =
           Alcotest.test_case "client budgets capped by server" `Quick
             test_budget_capped_by_server;
         ] );
-      ( "breaker-integration",
+      ( "storage-per-request",
         [
-          Alcotest.test_case "open breaker serves unpersonalized" `Quick
-            test_breaker_serves_unpersonalized;
+          Alcotest.test_case "each save fails alone" `Quick
+            test_storage_faults_per_request;
+        ] );
+      ( "socket",
+        [
+          Alcotest.test_case "live socket not taken over" `Quick
+            test_live_socket_refused;
         ] );
       ( "profile-bounds",
         [
