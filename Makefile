@@ -70,18 +70,21 @@ sim: build
 	@dune exec bin/perso_cli.exe -- sim --mutate --seed $(SIM_SEED) --runs $(SIM_RUNS)
 
 # Executor benchmark smoke: run `bench exec` at quick scale (the §7
-# figure workloads through the executor, and the sharded store at
-# 1/4/8 shards) and require valid JSON with sharded-store figures and
-# a positive allocated-words count for every figure.
+# figure workloads and the served shape through the executor, and the
+# sharded store at 1/4/8 shards) and require valid JSON with
+# sharded-store figures, the served-shape figure, and a positive
+# allocated-words count for every figure.
 bench-exec: build
 	BENCH_SCALE=quick BENCH_EXEC_OUT=$(BENCH_JSON) dune exec bench/main.exe -- exec
 	python3 -m json.tool $(BENCH_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
 	sys.exit(0 if d['sharded_store']['configs'] else sys.stderr.write('bench-exec: no sharded_store configs\n') or 1)" \
 	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
+	sys.exit(0 if any(f['name'] == 'served_mq_k5' for f in d['figures']) else sys.stderr.write('bench-exec: no served_mq_k5 figure\n') or 1)" \
+	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
 	bad=[f['name'] for f in d['figures'] if not f.get('words_per_query', 0) > 0]; \
 	sys.exit(0 if d['figures'] and not bad else sys.stderr.write('bench-exec: no words_per_query for %s\n' % (bad or 'any figure')) or 1)" \
-	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query + sharded_store)"
+	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 among them, + sharded_store)"
 
 # Alternating A/B of the working tree against REV over the repository
 # benchmark (BENCHMARK.json, bench/perf/): PAIRS pairs per

@@ -625,6 +625,15 @@ let bench_exec () =
       ("fig7_mq_k60_l1", personalized ~method_:`MQ ~k:60 ~l:1 ~size:70 ~seed0:600);
       ("fig8_sq_k10_l1", personalized ~method_:`SQ ~k:10 ~l:1 ~size:70 ~seed0:600);
       ("fig9_mq_k10_l5", personalized ~method_:`MQ ~k:10 ~l:5 ~size:20 ~seed0:700);
+      (* The served shape: every served PERSONALIZE runs
+         [Personalize.default_params], ranked MQ at K = 5 and L = 1. *)
+      ( "served_mq_k5",
+        List.concat_map
+          (fun profile ->
+            List.map
+              (fun q -> (Personalize.personalize db profile q).personalized)
+              (queries_for 210 scale.queries))
+          (profiles_for ~seed0:700 ~size:20 scale.profiles) );
     ]
   in
   Printf.printf

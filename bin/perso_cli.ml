@@ -549,26 +549,27 @@ let scrub dir =
       let stores =
         if not (Sys.file_exists dir) then no_store "the path does not exist"
         else if holds "SHARDS" then
-          Sys.readdir dir |> Array.to_list
-          |> List.filter (fun n ->
-                 String.length n > 6 && String.sub n 0 6 = "shard-")
-          |> List.sort compare
-          |> List.map (fun n -> (Filename.concat dir n, n ^ "/"))
+          List.map
+            (fun (sh : Perso_store.Scrub.shard) -> (sh.name ^ "/", sh.report))
+            (Perso_store.Scrub.scan_root dir)
         else if holds "MANIFEST" || Perso_store.Store.older_root dir then
-          [ (dir, "") ]
+          [ ("", Some (Perso_store.Scrub.scan_dir dir)) ]
         else no_store "it holds neither a MANIFEST nor a SHARDS marker"
       in
       let damaged = ref 0 in
       List.iter
-        (fun (sdir, prefix) ->
-          let rep = Perso_store.Scrub.scan_dir sdir in
-          List.iter
-            (fun (fr : Perso_store.Scrub.file_report) ->
-              Printf.printf "%s%s: %s (%d records)\n" prefix fr.file
-                (Perso_store.Scrub.status_name fr.status)
-                fr.records)
-            rep.files;
-          damaged := !damaged + List.length rep.damaged)
+        (fun (prefix, report) ->
+          match report with
+          | None ->
+              Printf.printf "%s: missing (recovery creates it empty)\n" prefix
+          | Some (rep : Perso_store.Scrub.report) ->
+              List.iter
+                (fun (fr : Perso_store.Scrub.file_report) ->
+                  Printf.printf "%s%s: %s (%d records)\n" prefix fr.file
+                    (Perso_store.Scrub.status_name fr.status)
+                    fr.records)
+                rep.files;
+              damaged := !damaged + List.length rep.damaged)
         stores;
       if !damaged > 0 then begin
         Printf.printf "scrub: %d damaged file(s)\n" !damaged;

@@ -230,16 +230,6 @@ end
 
 module Row_tbl = Hashtbl.Make (Key)
 
-(* Int-keyed table for the join build side: keys are combined value
-   hashes (no boxed key arrays); collisions are resolved by comparing the
-   actual key columns at probe time. *)
-module IH = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
 (* --------------------------------------------------------------------- *)
 (* Predicate evaluation                                                   *)
 (* --------------------------------------------------------------------- *)
@@ -593,9 +583,13 @@ and filter_vrel gov v preds =
       g_rows gov sel.Ibuf.n;
       if sel.Ibuf.n = v.nrows then v else select_rows v (Ibuf.to_array sel)
 
-(* Hash join producing row-id pairs.  The build side is bucketed by a
-   combined int hash of its key columns (no per-row key arrays); probe
-   hits verify the actual key values.  Output rows are (left-id,
+(* Hash join producing row-id pairs.  The build side is a chained hash
+   table in two int arrays: [head.(s)] is the last build row whose key
+   hash falls in slot [s] (-1 if none), and [next.(r)] the build row
+   before [r] in its slot's chain.  Rows are pushed in ascending order,
+   so every chain runs in descending row order, and a probe row meets
+   its matches build row descending.  No key arrays, no per-row boxes:
+   probe hits verify the actual key values.  Output rows are (left-id,
    right-id) selection vectors handed to [join_vrels] — tuples are not
    widened here. *)
 and hash_join gov left right keys =
@@ -617,53 +611,50 @@ and hash_join gov left right keys =
     for i = 0 to nk - 1 do
       h := (!h * 31) + Value.hash (reads.(i) r)
     done;
-    !h land max_int
+    !h
   in
   Chaos.point Chaos.Join_build;
-  let h = IH.create (max 16 bn) in
+  (* A power of two at least [bn]: one slot per build row or more. *)
+  let slots =
+    let rec grow s = if s >= bn then s else grow (2 * s) in
+    grow 1
+  in
+  let mask = slots - 1 in
+  let head = Array.make slots (-1) and next = Array.make bn (-1) in
+  let push r h =
+    let s = h land mask in
+    next.(r) <- head.(s);
+    head.(s) <- r
+  in
   if nk = 1 then begin
     let bread0 = bread.(0) in
     for r = 0 to bn - 1 do
       g_poll gov;
-      let k = Value.hash (bread0 r) land max_int in
-      match IH.find h k with
-      | l -> l := r :: !l
-      | exception Not_found -> IH.add h k (ref [ r ])
+      push r (Value.hash (bread0 r))
     done
   end
   else
     for r = 0 to bn - 1 do
       g_poll gov;
-      let k = hash_row bread r in
-      match IH.find h k with
-      | l -> l := r :: !l
-      | exception Not_found -> IH.add h k (ref [ r ])
+      push r (hash_row bread r)
     done;
   Chaos.point Chaos.Join_probe;
   (* Single-key joins (the overwhelmingly common case) skip the key loop:
-     one hash, one reader call, one equality per candidate.  [find] +
-     exception rather than [find_opt] so probe hits allocate nothing, and
-     the emit loops take the probe row as an argument so their closures
-     are built once, not per row. *)
+     one hash, one reader call, one equality per candidate. *)
   let bsel = Ibuf.create () and psel = Ibuf.create () in
   if nk = 1 then begin
     let bread0 = bread.(0) and pread0 = pread.(0) in
-    let rec emit pr pv = function
-      | [] -> ()
-      | br :: tl ->
-          if Value.equal (bread0 br) pv then begin
-            Ibuf.add bsel br;
-            Ibuf.add psel pr
-          end;
-          emit pr pv tl
-    in
     for pr = 0 to pn - 1 do
       g_poll gov;
       let pv = pread0 pr in
-      let k = Value.hash pv land max_int in
-      match IH.find h k with
-      | cands -> emit pr pv !cands
-      | exception Not_found -> ()
+      let br = ref head.(Value.hash pv land mask) in
+      while !br >= 0 do
+        if Value.equal (bread0 !br) pv then begin
+          Ibuf.add bsel !br;
+          Ibuf.add psel pr
+        end;
+        br := next.(!br)
+      done
     done
   end
   else begin
@@ -671,21 +662,16 @@ and hash_join gov left right keys =
       i >= nk
       || (Value.equal (bread.(i) br) (pread.(i) pr) && keys_eq br pr (i + 1))
     in
-    let rec emit pr = function
-      | [] -> ()
-      | br :: tl ->
-          if keys_eq br pr 0 then begin
-            Ibuf.add bsel br;
-            Ibuf.add psel pr
-          end;
-          emit pr tl
-    in
     for pr = 0 to pn - 1 do
       g_poll gov;
-      let k = hash_row pread pr in
-      match IH.find h k with
-      | cands -> emit pr !cands
-      | exception Not_found -> ()
+      let br = ref head.(hash_row pread pr land mask) in
+      while !br >= 0 do
+        if keys_eq !br pr 0 then begin
+          Ibuf.add bsel !br;
+          Ibuf.add psel pr
+        end;
+        br := next.(!br)
+      done
     done
   end;
   g_rows gov psel.Ibuf.n;
@@ -733,8 +719,7 @@ and filtered_source gov ~preds alias tbl : source =
       preds
   in
   let ids col v =
-    vrel_of_ids header (Table.batch tbl)
-      (Array.of_list (Table.lookup_ids tbl col v))
+    vrel_of_ids header (Table.batch tbl) (Table.lookup_ids tbl col v)
   in
   let materialized view =
     S_filtered
@@ -790,22 +775,17 @@ and index_nl_join gov ?filter current keys alias tbl : vrel option =
         | None -> err "executor: index vanished on %s.%s" alias pb.col
       in
       Chaos.point Chaos.Join_probe;
-      (* The emit loops take [r] as an argument so the closures are
-         allocated once, not per probed row. *)
+      (* Each bucket is walked from its end: base rows descending. *)
       let csel = Ibuf.create () and bsel = Ibuf.create () in
-      if nc = 0 && Option.is_none local then begin
-        let rec emit r = function
-          | [] -> ()
-          | bi :: tl ->
-              Ibuf.add csel r;
-              Ibuf.add bsel bi;
-              emit r tl
-        in
+      if nc = 0 && Option.is_none local then
         for r = 0 to current.nrows - 1 do
           g_poll gov;
-          emit r (probe (pread r))
+          let { Table.ids; len } = probe (pread r) in
+          for i = len - 1 downto 0 do
+            Ibuf.add csel r;
+            Ibuf.add bsel ids.(i)
+          done
         done
-      end
       else begin
         let rec check_ok r bi i =
           i >= nc
@@ -814,18 +794,16 @@ and index_nl_join gov ?filter current keys alias tbl : vrel option =
           Value.equal (cread r) brows.(bi).(bci) && check_ok r bi (i + 1)
         in
         let keep = Option.value local ~default:(fun _ -> true) in
-        let rec emit r = function
-          | [] -> ()
-          | bi :: tl ->
-              if keep bi && check_ok r bi 0 then begin
-                Ibuf.add csel r;
-                Ibuf.add bsel bi
-              end;
-              emit r tl
-        in
         for r = 0 to current.nrows - 1 do
           g_poll gov;
-          emit r (probe (pread r))
+          let { Table.ids; len } = probe (pread r) in
+          for i = len - 1 downto 0 do
+            let bi = ids.(i) in
+            if keep bi && check_ok r bi 0 then begin
+              Ibuf.add csel r;
+              Ibuf.add bsel bi
+            end
+          done
         done
       end;
       g_rows gov csel.Ibuf.n;

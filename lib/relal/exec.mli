@@ -10,9 +10,15 @@
       is probed with an index-nested loop; a filtered base table is
       probed the same way, checking its local predicates on each match,
       when |current| × the join column's index fanout is smaller than
-      its filtered cardinality, and hash-joined otherwise.  A probe that
-      stands in for a hash join emits that hash join's row order, so
-      the access path never changes a reply.  For DISTINCT queries
+      its filtered cardinality, and hash-joined otherwise.  The hash
+      join builds on the smaller input (the left one on a tie), a
+      chained table in two int arrays (a head per slot, a next link per
+      build row), and emits probe rows ascending, each with its
+      matching build rows descending.  The index-nested loop walks each
+      index bucket ({!Table.bucket}) from its end: current rows
+      ascending, each with its matching base rows descending.  A probe
+      that stands in for a hash join emits that hash join's row order,
+      so the access path never changes a reply.  For DISTINCT queries
       whose qualification contains disjunctions — the shape the SQ
       integration method produces (paper §6) — the qualification is split
       into DNF branches, each executed as a conjunctive plan over the

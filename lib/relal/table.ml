@@ -5,10 +5,14 @@ module H = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type index = { col : int; buckets : int list ref H.t }
-(* Buckets store row ids (positions in the batch) in strictly descending
-   order — the order appends produce — and every mutation below keeps it
-   so, which is what lets [lookup_ids] answer in row order. *)
+type bucket = { mutable ids : int array; mutable len : int }
+(* A bucket stores row ids (positions in the batch) strictly ascending in
+   [ids.(0)] .. [ids.(len - 1)]; [ids] may be longer.  Appends push at
+   the end, and every mutation below keeps the order, which is what lets
+   [lookup_ids] answer in row order with one blit.  A stored bucket is
+   never empty. *)
+
+type index = { col : int; buckets : bucket H.t }
 
 type t = { sch : Schema.t; batch : Batch.t; mutable indexes : index list }
 
@@ -37,31 +41,56 @@ let check_row t row =
                  (Value.ty_name ty)))
     row
 
+(* The first position in [a.(0)] .. [a.(n - 1)], ascending, whose id is
+   at least [x] ([n] if none is). *)
+let lower_bound a n x =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The miss answer of [prober]: shared, so never written. *)
+let no_rows = { ids = [||]; len = 0 }
+
+let push b rowid =
+  if b.len = Array.length b.ids then begin
+    let ids = Array.make (max 2 (2 * b.len)) 0 in
+    Array.blit b.ids 0 ids 0 b.len;
+    b.ids <- ids
+  end;
+  b.ids.(b.len) <- rowid;
+  b.len <- b.len + 1
+
 (* [rowid] must exceed every id already indexed: appends only. *)
 let index_add idx rowid v =
-  match H.find_opt idx.buckets v with
-  | Some l -> l := rowid :: !l
-  | None -> H.add idx.buckets v (ref [ rowid ])
+  match H.find idx.buckets v with
+  | b -> push b rowid
+  | exception Not_found -> H.add idx.buckets v { ids = [| rowid |]; len = 1 }
 
 (* Overwrites move a slot between buckets at an arbitrary id, so these
-   two keep the descending order explicitly. *)
+   two keep the ascending order explicitly. *)
 let index_insert idx rowid v =
-  match H.find_opt idx.buckets v with
-  | None -> H.add idx.buckets v (ref [ rowid ])
-  | Some l ->
-      let rec go acc = function
-        | i :: tl when i > rowid -> go (i :: acc) tl
-        | tl -> List.rev_append acc (rowid :: tl)
-      in
-      l := go [] !l
+  match H.find idx.buckets v with
+  | exception Not_found -> H.add idx.buckets v { ids = [| rowid |]; len = 1 }
+  | b ->
+      let p = lower_bound b.ids b.len rowid in
+      push b rowid;
+      Array.blit b.ids p b.ids (p + 1) (b.len - 1 - p);
+      b.ids.(p) <- rowid
 
 let index_remove idx rowid v =
-  match H.find_opt idx.buckets v with
-  | None -> ()
-  | Some l -> (
-      match List.filter (fun i -> i <> rowid) !l with
-      | [] -> H.remove idx.buckets v
-      | rest -> l := rest)
+  match H.find idx.buckets v with
+  | exception Not_found -> ()
+  | b ->
+      let p = lower_bound b.ids b.len rowid in
+      if p < b.len && b.ids.(p) = rowid then
+        if b.len = 1 then H.remove idx.buckets v
+        else begin
+          Array.blit b.ids (p + 1) b.ids p (b.len - 1 - p);
+          b.len <- b.len - 1
+        end
 
 let append t row =
   let rowid = Batch.length t.batch in
@@ -95,12 +124,27 @@ let build_index t col =
   let ci = col_index_exn "build_index" t col in
   if not (List.exists (fun idx -> idx.col = ci) t.indexes) then begin
     let n = Batch.length t.batch in
-    let idx = { col = ci; buckets = H.create (max 16 n) } in
+    let buckets = H.create (max 16 n) in
     let rows = Batch.unsafe_rows t.batch in
+    (* Count each key's rows first, so that every bucket is allocated at
+       its exact size, then fill the buckets in row order. *)
     for i = 0 to n - 1 do
-      index_add idx i rows.(i).(ci)
+      match H.find buckets rows.(i).(ci) with
+      | b -> b.len <- b.len + 1
+      | exception Not_found ->
+          H.add buckets rows.(i).(ci) { ids = [||]; len = 1 }
     done;
-    t.indexes <- idx :: t.indexes
+    H.iter
+      (fun _ b ->
+        b.ids <- Array.make b.len 0;
+        b.len <- 0)
+      buckets;
+    for i = 0 to n - 1 do
+      let b = H.find buckets rows.(i).(ci) in
+      b.ids.(b.len) <- i;
+      b.len <- b.len + 1
+    done;
+    t.indexes <- { col = ci; buckets } :: t.indexes
   end
 
 let index_on t col =
@@ -120,19 +164,19 @@ let lookup_ids t col v =
   match List.find_opt (fun idx -> idx.col = ci) t.indexes with
   | Some idx -> (
       match H.find_opt idx.buckets v with
-      | None -> []
-      | Some ids -> List.rev !ids)
+      | None -> [||]
+      | Some b -> Array.sub b.ids 0 b.len)
   | None ->
       let rows = Batch.unsafe_rows t.batch in
       let acc = ref [] in
       for i = Batch.length t.batch - 1 downto 0 do
         if Value.equal rows.(i).(ci) v then acc := i :: !acc
       done;
-      !acc
+      Array.of_list !acc
 
 let lookup t col v =
   let rows = Batch.unsafe_rows t.batch in
-  List.map (fun i -> rows.(i)) (lookup_ids t col v)
+  Array.fold_right (fun i acc -> rows.(i) :: acc) (lookup_ids t col v) []
 
 let prober t col =
   Option.map
@@ -142,16 +186,14 @@ let prober t col =
          join. *)
       fun v ->
         match H.find idx.buckets v with
-        | ids -> !ids
-        | exception Not_found -> [])
+        | b -> b
+        | exception Not_found -> no_rows)
     (index_on t col)
 
 let count t col v =
   Option.map
     (fun idx ->
-      match H.find_opt idx.buckets v with
-      | None -> 0
-      | Some ids -> List.length !ids)
+      match H.find_opt idx.buckets v with None -> 0 | Some b -> b.len)
     (index_on t col)
 
 let fanout t col =
@@ -176,41 +218,33 @@ let overwrite t i row =
   Batch.set t.batch i row
 
 (* Order-preserving compaction: [dead] is strictly ascending.  Only ids at
-   or above [dead.(0)] change, and bucket lists are descending, so each
-   bucket rewrites just its prefix above that id — dropping dead ids and
-   shifting survivors down by the dead ids below them. *)
+   or above [dead.(0)] change, and buckets are ascending, so a bucket is
+   rewritten only when its last id is at or above that id, and then only
+   from its first such id on: dead ids are dropped and survivors shifted
+   down by the dead ids below them. *)
 let remove_ids t dead =
   let n = Array.length dead in
   if n > 0 then begin
     Batch.remove t.batch dead;
-    let below i =
-      (* dead ids < i: binary search *)
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if dead.(mid) < i then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
-    let rec remap acc = function
-      | i :: tl when i >= dead.(0) ->
-          let k = below i in
-          if k < n && dead.(k) = i then remap acc tl
-          else remap ((i - k) :: acc) tl
-      | tl -> List.rev_append acc tl
-    in
+    let first = dead.(0) in
     List.iter
       (fun idx ->
         H.filter_map_inplace
-          (fun _ l ->
-            match !l with
-            | i :: _ when i >= dead.(0) -> (
-                match remap [] !l with
-                | [] -> None
-                | ids ->
-                    l := ids;
-                    Some l)
-            | _ -> Some l)
+          (fun _ b ->
+            if b.ids.(b.len - 1) < first then Some b
+            else begin
+              let w = ref (lower_bound b.ids b.len first) in
+              for r = !w to b.len - 1 do
+                let i = b.ids.(r) in
+                let k = lower_bound dead n i in
+                if k >= n || dead.(k) <> i then begin
+                  b.ids.(!w) <- i - k;
+                  incr w
+                end
+              done;
+              b.len <- !w;
+              if !w = 0 then None else Some b
+            end)
           idx.buckets)
       t.indexes
   end
@@ -227,7 +261,7 @@ let replace ?(hook = ignore) t col key rows =
              (Value.to_string row.(ci))
              (Value.to_string key)))
     rows;
-  let slots = Array.of_list (lookup_ids t col key) in
+  let slots = lookup_ids t col key in
   let n_old = Array.length slots and n0 = cardinality t in
   let undo = ref [] in
   (try

@@ -3,7 +3,13 @@
 
     Rows are [Value.t array]s positionally matching the schema.  The table
     validates arity and column types on insert, so downstream operators
-    can trust stored data. *)
+    can trust stored data.
+
+    An index maps each key to a {!bucket}: the ids of the rows holding
+    that key, ascending.  Readers share buckets with the index, so a
+    bucket, like the rest of the table, is mutated only under its
+    owner's write lock: the shard rwlock for the server's profile
+    tables; the catalog is read-only while serving. *)
 
 type t
 
@@ -58,22 +64,29 @@ val lookup : t -> string -> Value.t -> Value.t array list
 (** [lookup t col v] returns the rows with [col = v], using an index when
     one exists (building is the caller's choice), otherwise scanning. *)
 
-val lookup_ids : t -> string -> Value.t -> int list
+val lookup_ids : t -> string -> Value.t -> int array
 (** Like {!lookup} but returns row ids into {!batch} (ascending: row order)
     instead of materializing rows — the late-materialization access path.
+    With an index, the ids are one copy of the key's bucket.
     @raise Invalid_argument on unknown column. *)
 
-val prober : t -> string -> (Value.t -> int list) option
+type bucket = private { mutable ids : int array; mutable len : int }
+(** An index bucket: the ids of the rows holding one key, strictly
+    ascending (row order), in [ids.(0)] .. [ids.(len - 1)]; [ids] may be
+    longer.  It is the index's own storage: read it, never write to
+    [ids], and do not keep it across a write to the table. *)
+
+val prober : t -> string -> (Value.t -> bucket) option
 (** [prober t col] resolves the column and its hash index {e once} and
-    returns a probe closure mapping a value to the matching row ids
-    (descending, shared with the index — do not mutate), or [None]
-    when the column has no index.  This is the inner loop of the
-    index-nested-loop join: per-probe cost is one hash lookup, with no
-    string resolution or list copying. *)
+    returns a probe closure mapping a value to its bucket (one with
+    [len = 0] when no row holds the value), or [None] when the column
+    has no index.  This is the inner loop of the index-nested-loop join:
+    per-probe cost is one hash lookup, with no string resolution and no
+    allocation. *)
 
 val count : t -> string -> Value.t -> int option
-(** [count t col v] is the number of rows with [col = v], read off the
-    length of the index bucket, or [None] when [col] has no index.  The
+(** [count t col v] is the number of rows with [col = v], the length of
+    its index bucket (O(1)), or [None] when [col] has no index.  The
     executor takes a filtered table's exact cardinality from it without
     materializing the rows. *)
 

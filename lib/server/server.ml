@@ -218,22 +218,37 @@ let refuse_live_socket path =
   | _ -> ()
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
+(* An address the listener cannot bind or listen on (a missing
+   directory, a port another process holds) is the operator's to fix: a
+   typed usage error naming it. *)
+let bind_and_listen fd addr what =
+  match
+    Unix.bind fd addr;
+    Unix.listen fd 64
+  with
+  | () -> fd
+  | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      raise
+        (Perso.Error.Typed
+           (Perso.Error.Usage
+              (Printf.sprintf "cannot listen on %s: %s" what
+                 (Unix.error_message e))))
+
 let listen_unix path =
   (match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
   | _ -> ()
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
+  bind_and_listen fd (Unix.ADDR_UNIX path) ("socket " ^ path)
 
 let listen_tcp port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  fd
+  bind_and_listen fd
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+    (Printf.sprintf "TCP port %d" port)
 
 let start cfg db =
   (* A dead client mid-response must error the write, not kill us. *)
@@ -245,9 +260,18 @@ let start cfg db =
      with nothing listening. *)
   refuse_live_socket cfg.Server_core.socket_path;
   let core = Core.create cfg db in
+  let path = cfg.Server_core.socket_path in
+  let unix_fd = listen_unix path in
   let listeners =
-    listen_unix cfg.Server_core.socket_path
-    :: (match cfg.tcp_port with Some p -> [ listen_tcp p ] | None -> [])
+    match cfg.tcp_port with
+    | None -> [ unix_fd ]
+    | Some p -> (
+        match listen_tcp p with
+        | fd -> [ unix_fd; fd ]
+        | exception e ->
+            Unix.close unix_fd;
+            (try Unix.unlink path with Unix.Unix_error _ -> ());
+            raise e)
   in
   let t =
     { core; cfg; listeners; acceptor = None; cm = Mutex.create (); conns = [] }

@@ -64,9 +64,11 @@ val start : config -> Relal.Database.t -> t
     connection belongs to a live server: the start is refused, before
     the stores open, with {!Perso.Error.Typed} [(Usage _)] naming the
     path, and that server keeps serving.  A socket file whose connect is
-    refused is stale and is replaced.  The database is shared — the
-    server takes ownership of coordinating access to it.
-    @raise Unix.Unix_error when binding fails. *)
+    refused is stale and is replaced.  A socket path or TCP port the
+    listener cannot bind or listen on (a missing directory, a port
+    another process holds) raises {!Perso.Error.Typed} [(Usage _)]
+    naming it, and leaves no socket file behind.  The database is
+    shared — the server takes ownership of coordinating access to it. *)
 
 val request_stop : t -> unit
 (** Flag the server to drain (idempotent, safe from a signal handler's

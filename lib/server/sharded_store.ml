@@ -27,44 +27,27 @@ module Make (R : Runtime.S) = struct
     | None -> []
     | Some tbl -> Table.to_list tbl
 
-  (* Shard layout marker inside a persisted store root.  The hash
-     placement of every record depends on the shard count, so reopening
-     with a different [--shards] would silently route users to shards
-     that do not hold their profiles — refuse instead. *)
-  let shards_marker = "SHARDS"
-
+  (* The shard count a persisted store root was created with.  The hash
+     placement of every record depends on it, so reopening with a
+     different [--shards] would silently route users to shards that do
+     not hold their profiles — refuse instead. *)
   let check_shard_marker root n =
-    let path = Filename.concat root shards_marker in
-    if Sys.file_exists path then begin
-      let text =
-        String.trim (In_channel.with_open_bin path In_channel.input_all)
-      in
-      match String.split_on_char ' ' text with
-      | [ "perso-shards"; count ] when int_of_string_opt count <> None ->
-          let stored = Option.get (int_of_string_opt count) in
-          if stored <> n then
-            raise
-              (Perso_store.Store.Store_error
-                 (Perso_store.Store.Malformed
-                    {
-                      file = path;
-                      detail =
-                        Printf.sprintf
-                          "store was created with %d shards; restart with \
-                           --shards %d (resharding migration is not \
-                           implemented)"
-                          stored stored;
-                    }))
-      | _ ->
-          raise
-            (Perso_store.Store.Store_error
-               (Perso_store.Store.Malformed
-                  { file = path; detail = "unreadable shard marker" }))
-    end
-    else begin
-      Relal.Csv.write_file_sync path (Printf.sprintf "perso-shards %d\n" n);
-      Relal.Csv.fsync_dir root
-    end
+    match Perso_store.Store.read_shard_marker root with
+    | None -> Perso_store.Store.write_shard_marker root n
+    | Some stored when stored = n -> ()
+    | Some stored ->
+        raise
+          (Perso_store.Store.Store_error
+             (Perso_store.Store.Malformed
+                {
+                  file = Filename.concat root Perso_store.Store.shards_marker;
+                  detail =
+                    Printf.sprintf
+                      "store was created with %d shards; restart with \
+                       --shards %d (resharding migration is not \
+                       implemented)"
+                      stored stored;
+                }))
 
   let raw_copy_rows t rows =
     List.iter
@@ -91,8 +74,7 @@ module Make (R : Runtime.S) = struct
           check_shard_marker root n;
           Array.init n (fun i ->
               Some
-                (Perso_store.Store.open_
-                   (Filename.concat root (Printf.sprintf "shard-%02d" i))))
+                (Perso_store.Store.open_ (Perso_store.Store.shard_dir root i)))
     in
     let mk i =
       let sdb = Database.create () in

@@ -536,8 +536,7 @@ let run ~seed steps =
         let store_revs = ref [] in
         for i = 0 to n - 1 do
           let s =
-            Perso_store.Store.open_
-              (Filename.concat root (Printf.sprintf "shard-%02d" i))
+            Perso_store.Store.open_ (Perso_store.Store.shard_dir root i)
           in
           Fun.protect ~finally:(fun () -> Perso_store.Store.close s)
           @@ fun () ->

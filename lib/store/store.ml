@@ -62,6 +62,45 @@ let is_store_file name =
   || (String.length name >= 4
      && (String.sub name 0 4 = "wal-" || String.sub name 0 4 = "seg-"))
 
+(* Sealed segments exist only after a committed manifest, so one in a
+   directory without a manifest means the manifest was deleted. *)
+let orphan_segment name =
+  if String.length name >= 4 && String.sub name 0 4 = "seg-" then
+    Some
+      (Malformed
+         {
+           file = manifest_name;
+           detail =
+             Printf.sprintf "missing manifest but sealed segment %s present"
+               name;
+         })
+  else None
+
+(* ------------------------- sharded roots -------------------------- *)
+
+let shards_marker = "SHARDS"
+let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%02d" i)
+
+let read_shard_marker root =
+  let path = Filename.concat root shards_marker in
+  if not (Sys.file_exists path) then None
+  else
+    let text =
+      String.trim (In_channel.with_open_bin path In_channel.input_all)
+    in
+    match String.split_on_char ' ' text with
+    | [ "perso-shards"; count ] when int_of_string_opt count <> None ->
+        int_of_string_opt count
+    | _ ->
+        store_err
+          (Malformed { file = path; detail = "unreadable shard marker" })
+
+let write_shard_marker root n =
+  Csv.write_file_sync
+    (Filename.concat root shards_marker)
+    (Printf.sprintf "perso-shards %d\n" n);
+  Csv.fsync_dir root
+
 (* ----------------------------- manifest ----------------------------- *)
 
 let manifest_text ~sealed ~wal =
@@ -325,21 +364,11 @@ let open_ ?(config = default_config) dirname =
   let manifest_path = Filename.concat dirname manifest_name in
   if not (Sys.file_exists manifest_path) then begin
     (* No manifest: either a fresh directory or a crash during init,
-       before anything was acknowledged.  Sealed segments can only
-       exist after a committed manifest, so their presence without one
-       means the manifest was deleted — refuse to guess. *)
+       before anything was acknowledged.  A sealed segment means the
+       manifest was deleted — refuse to guess. *)
     let entries = Sys.readdir dirname in
     Array.iter
-      (fun name ->
-        if String.length name >= 4 && String.sub name 0 4 = "seg-" then
-          store_err
-            (Malformed
-               {
-                 file = manifest_name;
-                 detail =
-                   Printf.sprintf
-                     "missing manifest but sealed segment %s present" name;
-               }))
+      (fun name -> Option.iter store_err (orphan_segment name))
       entries;
     Array.iter
       (fun name ->

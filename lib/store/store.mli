@@ -78,6 +78,32 @@ val older_root : string -> bool
 (** Whether a directory is a set of copies an earlier build wrote (it
     holds [REPLSTATE]), which {!open_} adopts or refuses. *)
 
+val is_store_file : string -> bool
+(** Whether a file name is one the store writes: a WAL ([wal-]), a
+    sealed segment ([seg-]) or the manifest's temporary.  In a directory
+    without a manifest, {!open_} deletes every such file. *)
+
+val orphan_segment : string -> error option
+(** [Some] the [Malformed] error {!open_} refuses a directory without a
+    manifest with, when the file name is a sealed segment's: a segment
+    exists only after a committed manifest. *)
+
+(** {2 Sharded roots}
+
+    A server root holds one store per shard, [shard-00/] and on, and a
+    [SHARDS] marker recording how many it was created with. *)
+
+val shards_marker : string
+val shard_dir : string -> int -> string
+(** [shard_dir root i] is shard [i]'s store directory. *)
+
+val read_shard_marker : string -> int option
+(** The shard count the root's marker records, [None] without one.
+    @raise Store_error ([Malformed]) on an unreadable marker. *)
+
+val write_shard_marker : string -> int -> unit
+(** Write the marker durably (file and directory fsynced). *)
+
 type file_status =
   | File_ok
   | File_torn_tail of int

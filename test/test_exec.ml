@@ -505,6 +505,110 @@ let test_filtered_join c () =
     (crossings hash_db (bind hash_db c.sql))
     (crossings db bound + if c.probes then 1 else 0)
 
+(* ---------------------------- Join row order ---------------------------- *)
+
+(* Random equi-joins of two tables [l] and [r] (id, a, b), where [id] is
+   the row id, compared row for row with a nested loop in the documented
+   order.  Keys come from a small range, so both sides repeat them; the
+   join is on [a] or on [a] and [b]; each side has 1–300 rows, so a hash
+   table's slots collide.  The plan starts from the smaller table (the
+   first in FROM on a tie).  Unindexed, the other table is hash-joined:
+   the build side is the smaller input, and the join emits probe rows
+   ascending, then each probe row's matching build rows descending.
+   With [a] indexed on both tables, the other table is probed through
+   its index: current rows ascending, then each one's matching base
+   rows descending. *)
+type order_case = {
+  ln : int;
+  rn : int;
+  key_range : int;
+  two_keys : bool;
+  indexed : bool;
+  seed : int;
+}
+
+let order_case_arb =
+  let open QCheck.Gen in
+  let side = int_range 1 300 in
+  let case =
+    map3
+      (fun (ln, rn) (key_range, two_keys) (indexed, seed) ->
+        { ln; rn; key_range; two_keys; indexed; seed })
+      (pair side side)
+      (pair (oneof [ int_range 1 8; int_range 1 400 ]) bool)
+      (pair bool int)
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "l=%d r=%d keys<%d two_keys=%b indexed=%b seed=%d" c.ln
+        c.rn c.key_range c.two_keys c.indexed c.seed)
+    case
+
+let prop_join_row_order =
+  QCheck.Test.make ~name:"join rows in kernel order" ~count:200 order_case_arb
+    (fun c ->
+      let st = Random.State.make [| c.seed |] in
+      let keys n =
+        Array.init n (fun _ ->
+            (Random.State.int st c.key_range, Random.State.int st 3))
+      in
+      let l = keys c.ln and r = keys c.rn in
+      let db = Database.create () in
+      List.iter
+        (fun (name, rows) ->
+          Database.add_table db
+            (Schema.make ~name
+               ~cols:
+                 [ ("id", Value.TInt); ("a", Value.TInt); ("b", Value.TInt) ]
+               ());
+          Array.iteri
+            (fun i (a, b) ->
+              Database.insert db name [ Value.Int i; Value.Int a; Value.Int b ])
+            rows;
+          if c.indexed then Table.build_index (Database.table db name) "a")
+        [ ("l", l); ("r", r) ];
+      let sql =
+        "select l.id, r.id from l, r where l.a = r.a"
+        ^ if c.two_keys then " and l.b = r.b" else ""
+      in
+      let got =
+        List.map
+          (function
+            | [| Value.Int i; Value.Int j |] -> (i, j)
+            | _ -> QCheck.Test.fail_report "expected (l.id, r.id) rows")
+          (run db sql).Exec.rows
+      in
+      let matches i j =
+        fst l.(i) = fst r.(j) && ((not c.two_keys) || snd l.(i) = snd r.(j))
+      in
+      (* [s] is a row of the table the plan starts from, [g] one of the
+         other; [ids s g] is their output row (l.id, r.id). *)
+      let l_first = c.ln <= c.rn in
+      let small, large = if l_first then (c.ln, c.rn) else (c.rn, c.ln) in
+      let ids s g = if l_first then (s, g) else (g, s) in
+      let expected = ref [] in
+      let emit s g =
+        let i, j = ids s g in
+        if matches i j then expected := (i, j) :: !expected
+      in
+      if c.indexed then
+        for s = 0 to small - 1 do
+          for g = large - 1 downto 0 do emit s g done
+        done
+      else
+        for g = 0 to large - 1 do
+          for s = small - 1 downto 0 do emit s g done
+        done;
+      if got <> List.rev !expected then
+        QCheck.Test.fail_reportf "%d rows, %d expected; first difference at %d"
+          (List.length got) (List.length !expected)
+          (let rec first i = function
+             | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else i
+             | _ -> i
+           in
+           first 0 (got, List.rev !expected));
+      true)
+
 (* --------------------------- Oracle property --------------------------- *)
 
 (* Random SPJ queries on a reduced tiny db: Auto must equal Naive. *)
@@ -593,5 +697,7 @@ let () =
           filtered_join_cases );
       ( "oracle",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_auto_equals_naive; prop_dnf_equals_naive ] );
+          [
+            prop_auto_equals_naive; prop_dnf_equals_naive; prop_join_row_order;
+          ] );
     ]

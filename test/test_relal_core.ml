@@ -181,7 +181,7 @@ let test_table_replace_in_place () =
   Alcotest.(check pairs) "empty rows delete the key"
     [ (2, 21); (3, 30); (2, 22) ]
     (rows ());
-  Alcotest.(check (list int)) "index follows the compaction" [ 0; 2 ]
+  Alcotest.(check (array int)) "index follows the compaction" [| 0; 2 |]
     (Table.lookup_ids t "k" (Value.Int 2));
   Alcotest.check_raises "rows must carry the key"
     (Invalid_argument "Table.replace: row with kv.k = 3, expected 2")
@@ -189,6 +189,46 @@ let test_table_replace_in_place () =
   Alcotest.(check pairs) "a rejected replace writes nothing"
     [ (2, 21); (3, 30); (2, 22) ]
     (rows ())
+
+(* A bucket's ids as a list, through the probe closure. *)
+let bucket_ids t col v =
+  match Table.prober t col with
+  | None -> Alcotest.failf "no index on %s" col
+  | Some probe ->
+      let b = probe v in
+      Array.to_list (Array.sub b.Table.ids 0 b.Table.len)
+
+(* A shrinking replace whose freed slots hold three different values:
+   under a value index, the compaction shrinks three buckets and shifts
+   the ids of the others. *)
+let test_table_compaction_buckets () =
+  let t = kv_table [ "k"; "v" ] in
+  List.iter
+    (fun (k, v) -> Table.insert t (kv k v))
+    [ (1, 0); (2, 0); (1, 1); (3, 1); (1, 2); (2, 2); (1, 0); (3, 2) ];
+  Table.replace t "k" (Value.Int 1) [ kv 1 5 ];
+  let rows = kv_rows t in
+  Alcotest.(check (list (pair int int))) "rows compacted"
+    [ (1, 5); (2, 0); (3, 1); (2, 2); (3, 2) ]
+    rows;
+  List.iter
+    (fun (col, proj) ->
+      for x = 0 to 5 do
+        let scan =
+          List.concat
+            (List.mapi (fun i r -> if proj r = x then [ i ] else []) rows)
+        in
+        let what = Printf.sprintf "%s=%d" col x in
+        Alcotest.(check (list int)) (what ^ " bucket") scan
+          (bucket_ids t col (Value.Int x));
+        Alcotest.(check (option int))
+          (what ^ " count")
+          (Some (List.length scan))
+          (Table.count t col (Value.Int x))
+      done)
+    [ ("k", fst); ("v", snd) ];
+  Alcotest.(check (option (float 0.))) "value fanout: 5 rows over 4 values"
+    (Some 1.25) (Table.fanout t "v")
 
 (* Model test: random inserts and replaces over five keys, on tables
    with no index, a key index, or key and value indexes.  The model is
@@ -243,16 +283,17 @@ let prop_replace_model =
       (* Every key and value probe, through the table and by list scan. *)
       let probes () =
         List.concat_map
-          (fun col -> List.init 7 (fun x -> Table.lookup_ids t col (Value.Int x)))
+          (fun col ->
+            List.init 7 (fun x ->
+                Array.to_list (Table.lookup_ids t col (Value.Int x))))
           [ "k"; "v" ]
       in
+      let scan model proj x =
+        List.concat
+          (List.mapi (fun i r -> if proj r = x then [ i ] else []) model)
+      in
       let scans model =
-        List.concat_map
-          (fun proj ->
-            List.init 7 (fun x ->
-                List.concat
-                  (List.mapi (fun i r -> if proj r = x then [ i ] else []) model)))
-          [ fst; snd ]
+        List.concat_map (fun proj -> List.init 7 (scan model proj)) [ fst; snd ]
       in
       let check step model =
         if kv_rows t <> model then
@@ -261,27 +302,23 @@ let prop_replace_model =
           QCheck.Test.fail_reportf "%s: lookup_ids differs from a scan" step;
         List.iter
           (fun col ->
-            match Table.prober t col with
-            | None -> ()
-            | Some probe ->
-                for x = 0 to 6 do
-                  let ids = Table.lookup_ids t col (Value.Int x) in
-                  if probe (Value.Int x) <> List.rev ids then
-                    QCheck.Test.fail_reportf "%s: bucket of %s=%d out of order"
-                      step col x;
-                  if Table.count t col (Value.Int x) <> Some (List.length ids)
-                  then
-                    QCheck.Test.fail_reportf "%s: count of %s=%d is not %d"
-                      step col x (List.length ids)
-                done;
-                let proj = if col = "k" then fst else snd in
-                let keys = List.sort_uniq compare (List.map proj model) in
-                if
-                  Table.fanout t col
-                  <> Some
-                       (float_of_int (List.length model)
-                       /. float_of_int (max 1 (List.length keys)))
-                then QCheck.Test.fail_reportf "%s: fanout of %s" step col)
+            let proj = if col = "k" then fst else snd in
+            for x = 0 to 6 do
+              let ids = scan model proj x in
+              if bucket_ids t col (Value.Int x) <> ids then
+                QCheck.Test.fail_reportf "%s: bucket of %s=%d out of order"
+                  step col x;
+              if Table.count t col (Value.Int x) <> Some (List.length ids) then
+                QCheck.Test.fail_reportf "%s: count of %s=%d is not %d" step
+                  col x (List.length ids)
+            done;
+            let keys = List.sort_uniq compare (List.map proj model) in
+            if
+              Table.fanout t col
+              <> Some
+                   (float_of_int (List.length model)
+                   /. float_of_int (max 1 (List.length keys)))
+            then QCheck.Test.fail_reportf "%s: fanout of %s" step col)
           indexes
       in
       ignore
@@ -390,6 +427,8 @@ let () =
           Alcotest.test_case "lookup scan vs index" `Quick test_table_lookup_scan_vs_index;
           Alcotest.test_case "clear" `Quick test_table_clear;
           Alcotest.test_case "replace in place" `Quick test_table_replace_in_place;
+          Alcotest.test_case "compaction shrinks buckets" `Quick
+            test_table_compaction_buckets;
           QCheck_alcotest.to_alcotest prop_replace_model;
         ] );
       ( "database",

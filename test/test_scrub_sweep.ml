@@ -86,7 +86,8 @@ let targets root =
 (* Damage is fatal with the typed error, or — only for the WAL's torn
    tail — truncated and counted.  Either way nothing is silently wrong:
    an opening store either accounts the truncation or still serves the
-   full oracle.  The scrub runs first, since opening truncates. *)
+   full oracle.  A store file recovery cannot open ([Sys_error]) fails
+   it too.  The scrub runs first, since opening truncates. *)
 let check_case label root oracle_revisions =
   let rep = Scrub.scan_dir root in
   let scrub_damaged = rep.Scrub.damaged <> [] in
@@ -96,10 +97,13 @@ let check_case label root oracle_revisions =
         match fr.status with Scrub.File_torn_tail _ -> true | _ -> false)
       rep.Scrub.files
   in
+  let refused () =
+    if not scrub_damaged then
+      Alcotest.failf "%s: recovery fails but the scrub finds no damage" label
+  in
   match Store.open_r ~config:cfg root with
-  | Error (Store.Torn_log _ | Store.Bad_crc _ | Store.Malformed _) ->
-      if not scrub_damaged then
-        Alcotest.failf "%s: recovery fails but the scrub finds no damage" label
+  | Error (Store.Torn_log _ | Store.Bad_crc _ | Store.Malformed _) -> refused ()
+  | exception Sys_error _ -> refused ()
   | Ok t ->
       let torn = (Store.stats t).Store.torn_truncated in
       let revs = Store.revisions t in
@@ -176,6 +180,67 @@ let test_undecodable_record () =
           Alcotest.failf "%s: recovery opened an undecodable record" label)
     (targets pristine)
 
+(* Directories without a manifest, by the rule above.  A sealed
+   segment is damage, with recovery's error; so is a WAL path that is a
+   directory, which fails the fresh store recovery creates; a regular
+   WAL is a crash during init, which recovery discards. *)
+let test_no_manifest () =
+  (* The scrub's damage, as "file: error" lines, checked against recovery. *)
+  let case label setup =
+    let work = fresh_dir () in
+    Unix.mkdir work 0o755;
+    setup work;
+    let scrubbed = (Scrub.scan_dir work).Scrub.damaged in
+    check_case label work [];
+    List.map
+      (fun (d : Scrub.damage) -> d.file ^ ": " ^ Store.error_to_string d.error)
+      scrubbed
+  in
+  Alcotest.(check (list string)) "a sealed segment: recovery's error"
+    [
+      "seg-000001.log: malformed store file MANIFEST: missing manifest but \
+       sealed segment seg-000001.log present";
+    ]
+    (case "no manifest, sealed segment" (fun d ->
+         write_file (Filename.concat d "seg-000001.log") "junk"));
+  Alcotest.(check (list string)) "a WAL path that is a directory"
+    [ "wal-000001.log: malformed store file wal-000001.log: not a regular file" ]
+    (case "no manifest, WAL path a directory" (fun d ->
+         Unix.mkdir (Filename.concat d "wal-000001.log") 0o755));
+  Alcotest.(check (list string)) "a regular WAL is no damage" []
+    (case "no manifest, regular WAL" (fun d ->
+         write_file (Filename.concat d "wal-000001.log") ""))
+
+(* A server root whose SHARDS marker promises a shard that is missing:
+   recovery opens every promised shard, creating the missing one empty,
+   and the scrub lists it without counting it as damage. *)
+let test_missing_shard () =
+  let pristine, oracle_revisions, _ = build_fixture () in
+  let root = fresh_dir () in
+  Unix.mkdir root 0o755;
+  Store.write_shard_marker root 2;
+  copy_dir pristine (Store.shard_dir root 0);
+  let shards = Scrub.scan_root root in
+  Alcotest.(check (list (pair string bool)))
+    "both promised shards listed, shard-01 missing"
+    [ ("shard-00", true); ("shard-01", false) ]
+    (List.map (fun (sh : Scrub.shard) -> (sh.name, sh.report <> None)) shards);
+  Alcotest.(check int) "no damage" 0
+    (List.fold_left
+       (fun n (sh : Scrub.shard) ->
+         match sh.report with
+         | Some r -> n + List.length r.Scrub.damaged
+         | None -> n)
+       0 shards);
+  let revisions i =
+    let t = Store.open_ ~config:cfg (Store.shard_dir root i) in
+    Fun.protect ~finally:(fun () -> Store.close t) (fun () -> Store.revisions t)
+  in
+  Alcotest.(check bool) "shard-00 serves the oracle" true
+    (revisions 0 = oracle_revisions);
+  Alcotest.(check bool) "recovery creates shard-01 empty" true
+    (revisions 1 = [])
+
 (* control: an uncorrupted store scrubs clean and reopens with nothing
    truncated, serving the oracle *)
 let test_clean_control () =
@@ -204,5 +269,8 @@ let () =
             test_sweep;
           Alcotest.test_case "n=1 undecodable record is damage" `Quick
             test_undecodable_record;
+          Alcotest.test_case "no manifest: recovery's rule" `Quick
+            test_no_manifest;
+          Alcotest.test_case "missing promised shard" `Quick test_missing_shard;
         ] );
     ]

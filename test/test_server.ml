@@ -472,6 +472,44 @@ let test_live_socket_refused () =
     ~finally:(fun () -> ignore (Server.stop t : Server.drain_outcome))
     (fun () -> ping stale)
 
+(* A TCP port another socket holds is a typed usage error naming the
+   port, and the refused start leaves no socket file behind. *)
+let test_tcp_port_held () =
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close holder)
+    (fun () ->
+      Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen holder 1;
+      let port =
+        match Unix.getsockname holder with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "expected an inet address"
+      in
+      let socket_path = fresh_socket () in
+      (match
+         Perso.Error.guard (fun () ->
+             Server.start
+               {
+                 (Server.default_config ~socket_path) with
+                 Server_core.tcp_port = Some port;
+               }
+               (Moviedb.Personas.tiny_db ()))
+       with
+      | Error (Perso.Error.Usage msg) ->
+          Alcotest.(check string) "usage error names the port"
+            (Printf.sprintf "cannot listen on TCP port %d: %s" port
+               (Unix.error_message Unix.EADDRINUSE))
+            msg
+      | Error e ->
+          Alcotest.failf "expected a usage error, got %s"
+            (Perso.Error.to_string e)
+      | Ok t ->
+          ignore (Server.stop t : Server.drain_outcome);
+          Alcotest.fail "a server listened on a held port");
+      Alcotest.(check bool) "no socket file left" false
+        (Sys.file_exists socket_path))
+
 (* --------------------------- profile bounds -------------------------- *)
 
 let test_profile_save_bounded () =
@@ -929,6 +967,7 @@ let () =
         [
           Alcotest.test_case "live socket not taken over" `Quick
             test_live_socket_refused;
+          Alcotest.test_case "held TCP port refused" `Quick test_tcp_port_held;
         ] );
       ( "profile-bounds",
         [
