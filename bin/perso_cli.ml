@@ -365,7 +365,7 @@ let parse_store = function
         (Printf.sprintf "--store must be 'memory' or 'disk:DIR' (got %S)" s)
 
 let serve movies seed data_dir deadline max_rows max_expansions socket tcp
-    workers queue drain_ms dump_dir chaos_seed chaos_p no_cache cache_entries
+    workers queue drain_ms chaos_seed chaos_p no_cache cache_entries
     cache_mb shards store profile_lru =
   let store_dir = parse_store store in
   validated
@@ -400,7 +400,6 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
           max_rows;
           max_expansions;
           drain_ms;
-          dump_dir;
           cache = not no_cache;
           cache_entries;
           cache_mb;
@@ -431,13 +430,9 @@ let serve movies seed data_dir deadline max_rows max_expansions socket tcp
         | None -> "")
         workers queue;
       let outcome = Perso_server.Server.wait t in
-      Printf.eprintf "drained=%b shed_at_stop=%d%s\n%!"
+      Printf.eprintf "drained=%b shed_at_stop=%d\n%!"
         outcome.Perso_server.Server.drained
-        outcome.Perso_server.Server.shed_at_stop
-        (match outcome.Perso_server.Server.dump with
-        | Some (Ok dir) -> Printf.sprintf " dumped=%s" dir
-        | Some (Error e) -> Printf.sprintf " dump-failed=%s" e
-        | None -> "");
+        outcome.Perso_server.Server.shed_at_stop;
       if outcome.Perso_server.Server.drained then 0 else 1)
 
 let socket_arg =
@@ -463,10 +458,6 @@ let queue_arg =
 let drain_arg =
   let doc = "Graceful-shutdown drain deadline (milliseconds)." in
   Arg.(value & opt float 2000. & info [ "drain-ms" ] ~docv:"MS" ~doc)
-
-let dump_dir_arg =
-  let doc = "Crash-safe-dump the database here on graceful shutdown." in
-  Arg.(value & opt (some string) None & info [ "dump-dir" ] ~docv:"DIR" ~doc)
 
 let chaos_seed_arg =
   let doc = "Seed for --chaos-p fault injection." in
@@ -502,10 +493,11 @@ let shards_arg =
 
 let store_arg =
   let doc =
-    "Profile-store backend: $(b,memory) (default, profiles live only in \
-     the catalog) or $(b,disk:DIR) — a crash-consistent log-structured \
-     store rooted at DIR with one store per shard; on startup a non-empty \
-     DIR is authoritative and its write-ahead logs are replayed."
+    "Profile-store backend: $(b,memory) (default: profiles last until \
+     the server stops) or $(b,disk:DIR) — a crash-consistent \
+     log-structured store rooted at DIR with one store per shard, the \
+     server's one way to persist profiles; on startup a non-empty DIR is \
+     authoritative and its write-ahead logs are replayed."
   in
   Arg.(value & opt string "memory" & info [ "store" ] ~docv:"BACKEND" ~doc)
 
@@ -525,7 +517,7 @@ let serve_cmd =
     Term.(
       const serve $ movies_arg $ seed_arg $ data_dir_arg $ deadline_arg
       $ max_rows_arg $ max_expansions_arg $ socket_arg $ tcp_arg $ workers_arg
-      $ queue_arg $ drain_arg $ dump_dir_arg $ chaos_seed_arg $ chaos_p_arg
+      $ queue_arg $ drain_arg $ chaos_seed_arg $ chaos_p_arg
       $ no_cache_arg $ cache_entries_arg $ cache_mb_arg $ shards_arg
       $ store_arg $ profile_lru_arg)
 

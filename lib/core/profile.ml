@@ -113,20 +113,49 @@ let parse_line line =
                     | Error e -> Error (Printf.sprintf "in %S: %s" line e)))))
   end
 
+(* An entry ends at the first ']' outside a quoted literal (an escaped
+   quote '' leaves a literal and re-enters it, so needs no case of its
+   own).  Text after the last such ']' is one more entry; it is closed
+   with " ]" like the others unless it ends in a ']' a literal left open
+   holds, so cutting an entry again returns it unchanged. *)
+let entry_lines line =
+  let rec go start i quoted acc =
+    let chunk () = String.trim (String.sub line start (i - start)) in
+    if i = String.length line then
+      let c = chunk () in
+      List.rev
+        (if c = "" then acc
+         else if String.ends_with ~suffix:"]" c then c :: acc
+         else (c ^ " ]") :: acc)
+    else if line.[i] = '\'' then go start (i + 1) (not quoted) acc
+    else if line.[i] = ']' && not quoted then
+      let c = chunk () in
+      go (i + 1) (i + 1) false (if c = "" then acc else (c ^ " ]") :: acc)
+    else go start (i + 1) quoted acc
+  in
+  go 0 0 false []
+
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec go acc n = function
+  let entries =
+    String.split_on_char '\n' s
+    |> List.mapi (fun i line ->
+           let line = String.trim line in
+           if line = "" || line.[0] = '#' then []
+           else List.map (fun e -> (i + 1, e)) (entry_lines line))
+    |> List.concat
+  in
+  let rec go acc = function
     | [] -> Ok (make acc)
-    | line :: rest -> (
-        match parse_line line with
+    | (n, entry) :: rest -> (
+        match parse_line entry with
         | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-        | Ok None -> go acc (n + 1) rest
+        | Ok None -> go acc rest
         | Ok (Some (a, d)) ->
             if Degree.equal d Degree.zero then
               Error (Printf.sprintf "line %d: zero-valued preference" n)
-            else go (AMap.add a d acc) (n + 1) rest)
+            else go (AMap.add a d acc) rest)
   in
-  go AMap.empty 1 lines
+  go AMap.empty entries
 
 let load path =
   Relal.Chaos.point Relal.Chaos.Profile_load;

@@ -12,7 +12,9 @@
     [ THEATRE.tid = PLAY.tid, 1 ]
     [ GENRE.genre = 'comedy', 0.9 ]
     v}
-    Blank lines and [#] comments are ignored.
+    Blank lines and [#] comments are ignored.  A line may hold several
+    entries, so the lines of {!to_string} joined by spaces (the wire
+    form of [PROFILE SAVE]) read back as the same profile.
 
     A profile value also carries a slot for its personalization graph
     ({!Pgraph}), filled by the first {!Pgraph.of_profile} on that value
@@ -70,6 +72,13 @@ val to_string : t -> string
 val parse_line : string -> ((Atom.t * Degree.t) option, string) result
 (** One line of the text format: [None] for a blank or comment line.
     Never raises. *)
+
+val entry_lines : string -> string list
+(** Cut a line of entries ("[ a, 0.9 ] [ b, 1 ]") into one {!parse_line}
+    line per entry, trimmed and closed with [" ]"].  An entry ends at
+    the first [']'] outside a quoted literal, so a literal may hold
+    [']'], [','] and [''].  {!of_string} cuts each line with it, and the
+    server a [PROFILE SAVE]'s entries. *)
 
 val of_string : string -> (t, string) result
 (** Parse the text format; errors carry the offending line. *)

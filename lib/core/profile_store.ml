@@ -1,7 +1,6 @@
 open Relal
 
 let table_name = "profiles"
-let revs_table_name = "profile_revs"
 
 (* ------------------------- revisions and hooks ----------------------
 
@@ -25,26 +24,6 @@ type reg = {
 
 type Database.extension += Profile_registry of reg
 
-(* The revision high-water marks persist as an ordinary catalog table,
-
-     PROFILE_REVS(username string, revision int)
-
-   with the user's row replaced on every effective mutation, so they
-   travel with CSV dumps exactly like the profiles themselves.  A
-   database's registry, made on first touch, seeds from that table: a
-   reloaded server resumes
-   {e above} the old marks instead of restarting at 0 and silently
-   revalidating stale [Perso_cache] keys. *)
-let initial_revs db =
-  match Database.find_table db revs_table_name with
-  | None -> SMap.empty
-  | Some t ->
-      Table.fold t ~init:SMap.empty ~f:(fun acc row ->
-          match (row.(0), row.(1)) with
-          | Value.Str user, Value.Int rev when rev > 0 ->
-              SMap.add user (max rev (Option.value ~default:0 (SMap.find_opt user acc))) acc
-          | _ -> acc)
-
 let rec reg_for db =
   let slot = Database.extension db in
   match Atomic.get slot with
@@ -53,7 +32,7 @@ let rec reg_for db =
   | None ->
       let r =
         {
-          revs = Atomic.make (initial_revs db);
+          revs = Atomic.make SMap.empty;
           hooks = Atomic.make [];
           backend = Atomic.make None;
         }
@@ -77,63 +56,38 @@ let revisions db = SMap.bindings (Atomic.get (reg_for db).revs)
 
 let subscribe db hook = atomic_update (reg_for db).hooks (fun hs -> hook :: hs)
 
-(* Both relations carry a hash index on [username] from the moment
-   [install]/[install_revs] creates or adopts them (a dump declares its
-   indexes, so only one without index lines arrives without it), so a
-   load or a keyed replace touches only the user's rows.  Only mutations
-   and bulk loads install; a [load] under a read lock never builds the
-   index, and on an unindexed table it scans. *)
-let install_table db name cols =
-  if not (Database.mem_table db name) then
-    Database.add_table db (Schema.make ~name ~cols ());
-  Table.build_index (Database.table db name) "username"
-
-let install_revs db =
-  install_table db revs_table_name
-    [ ("username", Value.TStr); ("revision", Value.TInt) ]
-
-(* Raw writes — deliberately no chaos crossings: the revision table is
-   bookkeeping riding on a mutation whose fault points already fired. *)
-let write_revs_rows db rows =
-  install_revs db;
-  let t = Database.table db revs_table_name in
-  Table.clear t;
-  List.iter
-    (fun (user, rev) -> Table.insert t [| Value.Str user; Value.Int rev |])
-    rows
-
-let set_rev_row db user rev =
-  install_revs db;
-  Table.replace (Database.table db revs_table_name) "username"
-    (Value.Str user)
-    [ [| Value.Str user; Value.Int rev |] ]
-
 let seed_revisions db pairs =
-  let r = reg_for db in
-  atomic_update r.revs (fun m ->
+  atomic_update (reg_for db).revs (fun m ->
       List.fold_left
         (fun m (user, rev) ->
           if rev > max 0 (Option.value ~default:0 (SMap.find_opt user m)) then
             SMap.add user rev m
           else m)
-        m pairs);
-  write_revs_rows db (SMap.bindings (Atomic.get r.revs))
+        m pairs)
 
 let notify db ~user =
   let r = reg_for db in
   atomic_update r.revs (fun m ->
       SMap.add user (1 + Option.value ~default:0 (SMap.find_opt user m)) m);
-  (match SMap.find_opt user (Atomic.get r.revs) with
-  | Some rev -> set_rev_row db user rev
-  | None -> ());
   List.iter (fun hook -> hook ~user) (Atomic.get r.hooks)
 
+(* The relation carries a hash index on [username] from the moment
+   [install] creates or adopts it (a dump declares its indexes, so only
+   one without index lines arrives without it), so a load or a keyed
+   replace touches only the user's rows.  Only mutations and bulk loads
+   install; a [load] under a read lock never builds the index, and on an
+   unindexed table it scans. *)
 let install db =
-  install_table db table_name
-    [
-      ("username", Value.TStr); ("condition", Value.TStr);
-      ("degree", Value.TFloat);
-    ]
+  if not (Database.mem_table db table_name) then
+    Database.add_table db
+      (Schema.make ~name:table_name
+         ~cols:
+           [
+             ("username", Value.TStr); ("condition", Value.TStr);
+             ("degree", Value.TFloat);
+           ]
+         ());
+  Table.build_index (Database.table db table_name) "username"
 
 let user_rows t user = Table.lookup t "username" (Value.Str user)
 
@@ -192,7 +146,7 @@ let save db ~user profile =
       (Profile.entries profile)
   in
   (* Re-saving a semantically identical profile is a no-op: no row
-     written (so no dump churn), no revision bump (so cached plans for
+     written (so no store append), no revision bump (so cached plans for
      the user stay valid). *)
   let before = user_rows t user in
   if not (List.equal row_equal before mine) then begin
@@ -276,6 +230,16 @@ let malformed_export user =
                 user;
           }))
 
+(* A profiles row as a durable store holds it, or the typed refusal. *)
+let export_entry row =
+  match (row.(0), row.(1), row.(2)) with
+  | Value.Str user, Value.Str cond, Value.Float degree ->
+      (user, { Perso_store.Codec.cond; degree })
+  | Value.Str user, _, _ -> malformed_export user
+  | _ -> malformed_export "<non-string username>"
+
+let check_exportable row = ignore (export_entry row : string * _)
+
 (* One linear pass groups each user's entries newest-first; reversing each
    group restores the user's physical row order. *)
 let export db backend =
@@ -286,13 +250,9 @@ let export db backend =
   | None -> ()
   | Some t ->
       Table.iter t (fun row ->
-          match (row.(0), row.(1), row.(2)) with
-          | Value.Str user, Value.Str cond, Value.Float degree ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt groups user) in
-              Hashtbl.replace groups user
-                ({ Perso_store.Codec.cond; degree } :: prev)
-          | Value.Str user, _, _ -> malformed_export user
-          | _ -> malformed_export "<non-string username>"));
+          let user, entry = export_entry row in
+          let prev = Option.value ~default:[] (Hashtbl.find_opt groups user) in
+          Hashtbl.replace groups user (entry :: prev)));
   Hashtbl.fold (fun user entries acc -> (user, List.rev entries) :: acc) groups []
   |> List.sort compare
   |> List.iter (fun (user, entries) ->

@@ -7,18 +7,15 @@
 
     with one row per atomic preference, the condition in the same SQL
     syntax the text format uses.  Several users share the table; loading
-    a user reconstructs her {!Profile.t}.  Because the store is a plain
+    a user reconstructs their {!Profile.t}.  Because the store is a plain
     table, it travels with {!Relal.Csv.save_db}/[load_db] dumps and can
-    be inspected with ordinary queries. *)
+    be inspected with ordinary queries.  A server moves the relation
+    out of the main catalog into its shards while it serves
+    ([Perso_server.Sharded_store]), and persists profiles only in a
+    durable store ({!Perso_store.Store}), never in a dump. *)
 
 val table_name : string
 (** ["profiles"]. *)
-
-val revs_table_name : string
-(** ["profile_revs"] — the revision high-water marks as a catalog table,
-    [PROFILE_REVS(username string, revision int)]; the user's row is
-    replaced on every effective mutation, so the marks travel with CSV
-    dumps.  See {!revision}. *)
 
 val install : Relal.Database.t -> unit
 (** Create the profiles table if absent, and give it (or a table adopted
@@ -57,26 +54,23 @@ val delete : Relal.Database.t -> user:string -> unit
     invalidation signal consumed by {!Perso_cache}.  Live revision
     state, hooks and the attached backend sit in the database's
     {!Relal.Database.extension} slot, so they last exactly as long as
-    the database, whatever the number of databases in the process; each
-    bump is also mirrored into the {!revs_table_name} catalog table, and
-    the state seeds from that table when first touched, so the
-    high-water marks survive dump/reload and process restarts — a
-    reloaded server can never hand out a revision number an earlier
-    incarnation already used for a different profile (the
-    [Perso_cache]-key validity contract). *)
+    the database, whatever the number of databases in the process.
+    Nothing that a revision keys outlives the process: the plan cache
+    and the server's parsed-profile LRU start empty, so the marks are
+    not written to the catalog.  A durable store records each user's
+    mark with every record, and {!restore} seeds the registry from it. *)
 
 val revision : Relal.Database.t -> user:string -> int
 (** Current revision for the user; [0] before any effective mutation
-    (in this process {e or} any dumped-and-reloaded predecessor). *)
+    in this process (or one a {!restore}d store records). *)
 
 val revisions : Relal.Database.t -> (string * int) list
 (** All known (user, revision) pairs, sorted; deleted users included. *)
 
 val seed_revisions : Relal.Database.t -> (string * int) list -> unit
 (** Raise the registry's high-water marks to at least the given values
-    (never lowers) and rewrite the {!revs_table_name} table to match —
-    how shard revisions are merged back into the main database at server
-    shutdown. *)
+    (never lowers) — how shard revisions are merged back into the main
+    database at server shutdown. *)
 
 val subscribe : Relal.Database.t -> (user:string -> unit) -> unit
 (** Register a hook fired (in the mutating thread, after the revision
@@ -105,6 +99,12 @@ val export : Relal.Database.t -> Perso_store.Store.t -> unit
     @raise Perso_store.Store.Store_error on a profile row that is not
     [(string, string, float)] — hand-edited dumps must fail fast rather
     than be silently dropped from the durable tier. *)
+
+val check_exportable : Relal.Value.t array -> unit
+(** Return on a profiles row {!export} accepts.
+    @raise Perso_store.Store.Store_error the error {!export} raises on
+    it otherwise.  A caller exporting several databases checks every
+    row first, so a refused export writes no store at all. *)
 
 val restore : Relal.Database.t -> Perso_store.Store.t -> unit
 (** Load every profile and revision from the store into the database

@@ -8,9 +8,12 @@
     types, so a round trip is value-exact.
 
     A database directory holds [schema.ddl] (see {!Ddl}) plus one
-    [<table>.csv] per table — a human-editable on-disk database the CLI
-    can load with [--data-dir] — and a [manifest.sum] with per-file MD5
-    checksums and sizes.  [schema.ddl] declares the catalog's indexes
+    [<table>.csv] per table — a human-editable on-disk database that
+    [perso_cli dump-data] writes, the CLI loads with [--data-dir] and
+    the benchmark serves from — and a [manifest.sum] with per-file MD5
+    checksums and sizes.  It is an interchange format, not a server's
+    persistence: a server keeps profiles in its durable store
+    ([--store disk:DIR]) and writes no dump.  [schema.ddl] declares the catalog's indexes
     ([create index on t (c)], one per indexed column), so a reload has
     the access paths the saved catalog had.
 

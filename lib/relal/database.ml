@@ -21,6 +21,15 @@ let add_table db sch =
   Hashtbl.add db.tbl key (Table.create sch);
   db.order <- key :: db.order
 
+let remove_table db name =
+  let key = lc name in
+  Hashtbl.remove db.tbl key;
+  db.order <- List.filter (( <> ) key) db.order;
+  db.fk_list <-
+    List.filter
+      (fun fk -> fk.Schema.from_table <> key && fk.to_table <> key)
+      db.fk_list
+
 let find_table db name = Hashtbl.find_opt db.tbl (lc name)
 
 let table db name =

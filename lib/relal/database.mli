@@ -31,6 +31,10 @@ val add_fk :
     [t1.c1 -> t2.c2].  @raise Invalid_argument on unknown tables/columns
     or incompatible column types. *)
 
+val remove_table : t -> string -> unit
+(** Drop the named table, and the foreign keys naming it, from the
+    catalog; a no-op when there is none. *)
+
 val table : t -> string -> Table.t
 (** @raise Not_found if absent. *)
 

@@ -13,7 +13,6 @@ let default_config = Server_core.default_config
 type drain_outcome = Server_core.drain_outcome = {
   drained : bool;
   shed_at_stop : int;
-  dump : (string, string) result option;
 }
 
 type t = {
@@ -250,17 +249,23 @@ let listen_tcp port =
     (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
     (Printf.sprintf "TCP port %d" port)
 
+(* Close the listeners and remove the socket file. *)
+let unlisten listeners path =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    listeners;
+  try Unix.unlink path with Unix.Unix_error _ -> ()
+
 let start cfg db =
   (* A dead client mid-response must error the write, not kill us. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* A live server's path is refused before the core opens a store that
-     server may be using.  Then the core, before any bind: a start that
-     store recovery refuses leaves no socket behind for a client to find
-     with nothing listening. *)
-  refuse_live_socket cfg.Server_core.socket_path;
-  let core = Core.create cfg db in
+  (* A live server's path is refused first.  Then the listeners, and
+     the core last: a start refused at its socket or port opens no
+     store, and one that store recovery refuses unbinds again, leaving
+     no socket for a client to find with nothing listening. *)
   let path = cfg.Server_core.socket_path in
+  refuse_live_socket path;
   let unix_fd = listen_unix path in
   let listeners =
     match cfg.tcp_port with
@@ -269,9 +274,15 @@ let start cfg db =
         match listen_tcp p with
         | fd -> [ unix_fd; fd ]
         | exception e ->
-            Unix.close unix_fd;
-            (try Unix.unlink path with Unix.Unix_error _ -> ());
+            unlisten [ unix_fd ] path;
             raise e)
+  in
+  let core =
+    match Core.create cfg db with
+    | core -> core
+    | exception e ->
+        unlisten listeners path;
+        raise e
   in
   let t =
     { core; cfg; listeners; acceptor = None; cm = Mutex.create (); conns = [] }
@@ -292,11 +303,7 @@ let stop t =
           try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
         conns;
       List.iter (fun (_, th) -> Thread.join th) conns;
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        t.listeners;
-      try Unix.unlink t.cfg.Server_core.socket_path
-      with Unix.Unix_error _ -> ())
+      unlisten t.listeners t.cfg.Server_core.socket_path)
 
 let wait t =
   let rec await () =

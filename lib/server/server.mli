@@ -41,8 +41,8 @@
     - {b Graceful drain}: {!request_stop} (wired to SIGTERM by the CLI
       and to the [SHUTDOWN] command) stops admission; {!stop} waits up
       to [drain_ms] for queued and in-flight work, sheds whatever is
-      still queued, waits for what is still running, optionally
-      crash-safe-dumps the database, and joins every thread.
+      still queued, waits for what is still running, merges the
+      shards' profiles back into the catalog, and joins every thread.
 
     Control-plane commands ([HEALTH], [PING], [SHUTDOWN], [QUIT]) are
     answered on the connection thread without queueing, so the server
@@ -53,22 +53,25 @@ type config = Server_core.config
 
 val default_config : socket_path:string -> config
 (** 4 slots, queue of 64, 5 s deadline cap, 1M rows, 10k expansions,
-    2 s drain, no TCP, no dump. *)
+    2 s drain, no TCP, profiles in memory. *)
 
 type t
 
 val start : config -> Relal.Database.t -> t
-(** Create the core (opening the shard stores), then bind the sockets
-    and spawn the acceptor thread; a start that store recovery refuses
-    binds nothing.  A socket file at [socket_path] that accepts a
-    connection belongs to a live server: the start is refused, before
-    the stores open, with {!Perso.Error.Typed} [(Usage _)] naming the
-    path, and that server keeps serving.  A socket file whose connect is
-    refused is stale and is replaced.  A socket path or TCP port the
-    listener cannot bind or listen on (a missing directory, a port
-    another process holds) raises {!Perso.Error.Typed} [(Usage _)]
-    naming it, and leaves no socket file behind.  The database is
-    shared — the server takes ownership of coordinating access to it. *)
+(** Bind the sockets, then create the core (opening the shard stores
+    and moving the catalog's profiles into the shards), then spawn the
+    acceptor thread.  A socket file at [socket_path] that accepts a
+    connection belongs to a live server: the start is refused with
+    {!Perso.Error.Typed} [(Usage _)] naming the path, and that server
+    keeps serving.  A socket file whose connect is refused is stale and
+    is replaced.  A socket path or TCP port the listener cannot bind or
+    listen on (a missing directory, a port another process holds)
+    raises {!Perso.Error.Typed} [(Usage _)] naming it, and leaves no
+    socket file behind.  Either refusal comes before the stores open,
+    so it creates no store root and exports no profile.  A start that
+    store recovery refuses closes its listeners and leaves no socket
+    file either.  The database is shared — the server takes ownership
+    of coordinating access to it. *)
 
 val request_stop : t -> unit
 (** Flag the server to drain (idempotent, safe from a signal handler's
@@ -80,13 +83,11 @@ val draining : t -> bool
 type drain_outcome = Server_core.drain_outcome = {
   drained : bool;  (** queue and in-flight hit zero within [drain_ms] *)
   shed_at_stop : int;  (** requests still queued when the deadline passed *)
-  dump : (string, string) result option;
-      (** [Some (Ok dir)] after a successful shutdown dump *)
 }
 
 val stop : t -> drain_outcome
 (** Drain and finalize: wait up to [drain_ms] for in-flight work, shed
-    the rest with [Overloaded] errors, dump if configured, close the
+    the rest with [Overloaded] errors, merge the profiles back, close the
     sockets and join every server thread.  Idempotent — later calls
     return the first outcome. *)
 

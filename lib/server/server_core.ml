@@ -9,7 +9,6 @@ type config = {
   max_rows : int option;
   max_expansions : int option;
   drain_ms : float;
-  dump_dir : string option;
   cache : bool;
   cache_entries : int;
   cache_mb : float;
@@ -29,7 +28,6 @@ let default_config ~socket_path =
     max_rows = Some 1_000_000;
     max_expansions = Some 10_000;
     drain_ms = 2_000.;
-    dump_dir = None;
     cache = true;
     cache_entries = 512;
     cache_mb = 32.;
@@ -44,11 +42,7 @@ type reply =
   | R_message of string
   | R_error of Perso.Error.t
 
-type drain_outcome = {
-  drained : bool;
-  shed_at_stop : int;
-  dump : (string, string) result option;
-}
+type drain_outcome = { drained : bool; shed_at_stop : int }
 
 (* Test-only fault: when set, completion accounting "forgets" successful
    jobs, unbalancing the HEALTH ledger.  Exists so the simulation suite
@@ -73,16 +67,6 @@ let cap_budget cfg (hdr : Protocol.header) =
 
 let gov_of budget =
   if Governor.is_unlimited budget then None else Some (Governor.start budget)
-
-(* Split "[ a, 0.9 ] [ b, 1 ]" into the per-entry lines
-   Profile.of_string expects.  Entries cannot contain ']' outside a
-   quoted literal ending in ']', which we accept as unsupported on the
-   wire. *)
-let profile_entry_lines entries =
-  String.split_on_char ']' entries
-  |> List.filter_map (fun chunk ->
-         let chunk = String.trim chunk in
-         if chunk = "" then None else Some (chunk ^ " ]"))
 
 let max_profile_entries = 4096
 
@@ -194,7 +178,7 @@ module Make (R : Runtime.S) = struct
             [ "unpersonalized: profile load failed: " ^ Perso.Error.to_string e ]
 
   let exec_profile_save t user entries =
-    let lines = profile_entry_lines entries in
+    let lines = Perso.Profile.entry_lines entries in
     let n = List.length lines in
     match
       if n > max_profile_entries then
@@ -529,8 +513,8 @@ module Make (R : Runtime.S) = struct
           await_idle ?deadline t idle
 
   (* [on_quiesced] runs once no request is in flight, before the
-     crash-safe dump — the socket layer tears down its acceptor and
-     connections there, preserving the original stop ordering. *)
+     shards merge back — the socket layer tears down its acceptor and
+     connections there. *)
   let stop ?(on_quiesced = fun () -> ()) t =
     locked t.sm (fun () ->
         match t.stop_outcome with
@@ -548,19 +532,11 @@ module Make (R : Runtime.S) = struct
             ignore (await_idle t (fun () -> t.in_flight = 0) : bool);
             on_quiesced ();
             (* Nothing runs any more: consolidate the shard profiles
-               back into the main catalog so the dump (and any caller
-               inspecting the database after stop) sees every profile
-               saved while serving. *)
+               back into the main catalog so a caller inspecting the
+               database after stop sees every profile saved while
+               serving. *)
             Store.merge_back t.store;
-            let dump =
-              Option.map
-                (fun dir ->
-                  match Csv.save_db_r ~dir t.db with
-                  | Ok () -> Ok dir
-                  | Error e -> Error e)
-                t.cfg.dump_dir
-            in
-            let outcome = { drained; shed_at_stop; dump } in
+            let outcome = { drained; shed_at_stop } in
             t.stop_outcome <- Some outcome;
             outcome)
 end

@@ -47,7 +47,6 @@ type config = {
   max_rows : int option;  (** cap on rows-produced budgets *)
   max_expansions : int option;  (** cap on selection-expansion budgets *)
   drain_ms : float;  (** graceful-shutdown drain deadline *)
-  dump_dir : string option;  (** crash-safe dump target on shutdown *)
   cache : bool;  (** personalization plan cache on the serve path *)
   cache_entries : int;  (** LRU entry bound (split across shards) *)
   cache_mb : float;  (** LRU byte bound (approximate accounting) *)
@@ -57,10 +56,11 @@ type config = {
           saves for other users keep flowing *)
   store_dir : string option;
       (** durable profile tier: a log-structured {!Perso_store.Store}
-          root with one store per shard ([--store disk:DIR]).  [None]
-          (the default) keeps profiles purely in memory.  On open, a
-          non-empty store is authoritative — crash recovery replays its
-          WALs and the catalog's profile rows are ignored *)
+          root with one store per shard ([--store disk:DIR]), the
+          server's one way to persist profiles.  [None] (the default)
+          keeps profiles in memory: they last until the server stops.
+          On open, a non-empty store is authoritative — crash recovery
+          replays its WALs and the catalog's profile rows are ignored *)
   replicas : int;
       (** a vestige of the deleted replicated tier, kept so existing
           callers still compile: must be 1 ({!Sharded_store.Make.create}
@@ -79,21 +79,13 @@ type reply =
   | R_message of string
   | R_error of Perso.Error.t
 
-type drain_outcome = {
-  drained : bool;
-  shed_at_stop : int;
-  dump : (string, string) result option;
-}
+type drain_outcome = { drained : bool; shed_at_stop : int }
 
 val mutate_drop_completed_ok : bool ref
 (** Test-only fault: when [true], successful completions are dropped
     from the ledger.  The simulation suite arms this to prove its
     invariant audits catch ledger bugs (mutation testing).  Never set
     in production. *)
-
-val profile_entry_lines : string -> string list
-(** Split a PROFILE SAVE's entries ("[ a, 0.9 ] [ b, 1 ]") into the
-    per-entry lines {!Perso.Profile.of_string} reads. *)
 
 val max_profile_entries : int
 (** The most entries one PROFILE SAVE may carry (4,096).  A larger save is
@@ -107,8 +99,9 @@ module Make (_ : Runtime.S) : sig
   type t
 
   val create : config -> Relal.Database.t -> t
-  (** Validate the config and open the profile store.  No sockets, no
-      threads. *)
+  (** Validate the config and open the profile store: the catalog's
+      profiles relation moves into the shards until {!stop} merges it
+      back.  No sockets, no threads. *)
 
   val submit : t -> Protocol.header -> Protocol.command -> reply
   (** Admission (shed when draining or the queue is full), then the
@@ -132,8 +125,9 @@ module Make (_ : Runtime.S) : sig
   (** Drain (bounded by [drain_ms]), shed the requests still queued with
       typed [Overloaded] replies, wait for the requests still running to
       finish, run [on_quiesced] (the socket layer's teardown hook), then
-      take the optional crash-safe dump.  Idempotent: later calls return
-      the first outcome. *)
+      merge the shards' profiles back into the catalog and close the
+      durable stores ({!Sharded_store.Make.merge_back}).  Idempotent:
+      later calls return the first outcome. *)
 
   val lock_states : t -> (int * bool) list
   (** [(active_readers, writer_active)] of each profile shard's rwlock,

@@ -22,11 +22,6 @@ module Make (R : Runtime.S) = struct
   let shard_for t user =
     t.shards.(shard_index ~shards:(Array.length t.shards) user)
 
-  let profile_rows db =
-    match Database.find_table db Perso.Profile_store.table_name with
-    | None -> []
-    | Some tbl -> Table.to_list tbl
-
   (* The shard count a persisted store root was created with.  The hash
      placement of every record depends on it, so reopening with a
      different [--shards] would silently route users to shards that do
@@ -49,18 +44,25 @@ module Make (R : Runtime.S) = struct
                       stored stored;
                 }))
 
-  let raw_copy_rows t rows =
-    List.iter
-      (fun row ->
-        let sh =
-          match row.(0) with
-          | Value.Str u -> shard_for t u
-          | _ -> t.shards.(0)
-        in
-        Table.insert
-          (Database.table sh.sdb Perso.Profile_store.table_name)
-          (Array.copy row))
-      rows
+  (* Move main's profile rows into the shards: each row array goes to
+     its user's shard as it is, not copied (a malformed username goes to
+     shard 0 so nothing is dropped).  With [check], a row no durable
+     store can hold raises here, before the first export, so a refused
+     first open writes no store. *)
+  let move_rows t ~check =
+    Option.iter
+      (fun tbl ->
+        Table.iter tbl (fun row ->
+            if check then Perso.Profile_store.check_exportable row;
+            let sh =
+              match row.(0) with
+              | Value.Str u -> shard_for t u
+              | _ -> t.shards.(0)
+            in
+            Table.insert
+              (Database.table sh.sdb Perso.Profile_store.table_name)
+              row))
+      (Database.find_table t.main Perso.Profile_store.table_name)
 
   let create ?cache ?profile_lru ?persist ?(replicas = 1) ~shards main =
     if replicas <> 1 then
@@ -105,11 +107,11 @@ module Make (R : Runtime.S) = struct
         stores
     in
     if stores_empty then begin
-      (* Seed by raw row copy: unparseable rows keep their bytes (and
+      (* Seed by raw row move: unparseable rows keep their bytes (and
          their typed load errors); revision high-water marks follow
-         their users so shard counters continue above any
-         dumped-and-reloaded predecessor. *)
-      raw_copy_rows t (profile_rows main);
+         their users so shard counters continue above any saves made
+         in [main] before the server started. *)
+      move_rows t ~check:(persist <> None);
       let revs = Perso.Profile_store.revisions main in
       Array.iteri
         (fun i sh ->
@@ -129,8 +131,8 @@ module Make (R : Runtime.S) = struct
     else
       (* The durable tier has data: it is authoritative, recovered
          as-of the last acknowledged mutation.  The main catalog's
-         profile rows (from an older dump, or absent entirely) are
-         ignored — merge_back will refresh them at shutdown. *)
+         profile rows (from a data dir, or absent entirely) are
+         ignored. *)
       Array.iter
         (fun sh ->
           match sh.store with
@@ -138,6 +140,10 @@ module Make (R : Runtime.S) = struct
           | Some s ->
               Perso.Profile_store.restore sh.sdb s)
         t.shards;
+    (* While serving, the shards hold the only profiles in memory: SQL
+       naming the relation gets the bind error of a catalog without one,
+       never start-time rows.  merge_back rebuilds it at stop. *)
+    Database.remove_table main Perso.Profile_store.table_name;
     t
 
   let with_user_read t ~user f =
@@ -264,15 +270,15 @@ module Make (R : Runtime.S) = struct
            t.shards)
 
   let merge_back t =
-    let rows =
-      Array.to_list t.shards |> List.concat_map (fun sh -> profile_rows sh.sdb)
-    in
     Perso.Profile_store.install t.main;
     let tbl = Database.table t.main Perso.Profile_store.table_name in
     Table.clear tbl;
-    List.iter (Table.insert tbl) rows;
-    (* Revisions merge back too, so a dump of the main catalog carries
-       every shard's high-water mark into the next incarnation. *)
+    Array.iter
+      (fun sh ->
+        Table.iter
+          (Database.table sh.sdb Perso.Profile_store.table_name)
+          (Table.insert tbl))
+      t.shards;
     let revs =
       Array.to_list t.shards
       |> List.concat_map (fun sh -> Perso.Profile_store.revisions sh.sdb)

@@ -14,7 +14,7 @@
     normalization {!Perso.Profile_store} applies — so every operation
     for a user deterministically lands on one shard.
 
-    Rows are copied {e raw} between the main catalog and the shards
+    Rows move {e raw} between the main catalog and the shards
     (seeding at {!Make.create}, consolidation at {!Make.merge_back}),
     not through profile parsing: unparseable rows — which the store
     surfaces as typed [Error.Profile] values at load time — survive the
@@ -38,13 +38,14 @@ module Make (R : Runtime.S) : sig
     Relal.Database.t ->
     t
   (** [create ?cache ?profile_lru ?persist ?replicas ~shards main]
-      builds [max 1 shards] shard databases, seeds them by raw-copying
-      the main catalog's profiles table (rows with a malformed username
-      column go to shard 0 so nothing is dropped) along with its
-      revision high-water marks, and — when [cache] is given — builds
-      one per-shard cache with the shard database as its [store_db].
-      The main catalog's profiles table is left untouched until
-      {!merge_back}.
+      builds [max 1 shards] shard databases, seeds them by moving the
+      main catalog's profile rows into them, uncopied (rows with a
+      malformed username column go to shard 0 so nothing is dropped),
+      along with its revision high-water marks, and — when [cache] is
+      given — builds one per-shard cache with the shard database as its
+      [store_db].  Then it removes the profiles relation from the main
+      catalog: until {!merge_back} rebuilds it, SQL naming it is a bind
+      error ([unknown table profiles]).
 
       [profile_lru] builds one hot parsed-profile LRU per shard
       (consulted by {!load_profile}), wired to the shard's
@@ -53,12 +54,14 @@ module Make (R : Runtime.S) : sig
       [persist] names a store root directory: each shard gets its own
       {!Perso_store.Store} at [root/shard-NN], attached write-through.
       On first open (all stores empty) the main catalog's profiles are
-      exported into the stores; afterwards the stores are authoritative
-      — crash recovery replays them and the main catalog's profile rows
-      are ignored.  A [SHARDS] marker in the root pins the shard count;
-      reopening with a different [--shards] raises a typed
-      [Store_error] (resharding migration is a documented non-goal for
-      now).
+      exported into the stores, once every row has been checked, so a
+      row no store can hold refuses the open with every store still
+      empty; afterwards the stores are authoritative — crash recovery
+      replays them and the main catalog's profile rows are ignored.  A
+      [SHARDS] marker in the root pins the shard count; reopening with a
+      different [--shards] raises a typed [Store_error] (resharding
+      migration is a documented non-goal for now).  A raise leaves the
+      main catalog's profiles relation in place.
 
       [replicas] is a vestige of the deleted replicated tier, kept so
       existing callers still compile: it must be 1.
@@ -110,12 +113,11 @@ module Make (R : Runtime.S) : sig
       in-memory backend — the HEALTH ledger view. *)
 
   val merge_back : t -> unit
-  (** Raw-copy every shard's profile rows (in shard order) back into
-      the main catalog's profiles table, replacing its contents, merge
-      the shard revision high-water marks into the main registry (and
-      its [profile_revs] table, so dumps carry them), and sync + close
-      any durable stores.  For quiesced servers only — the caller must
+  (** Rebuild the main catalog's profiles relation from every shard's
+      rows (in shard order, moved raw), merge the shard revision
+      high-water marks into the main registry, and sync + close any
+      durable stores.  For quiesced servers only — the caller must
       guarantee no concurrent shard access; {!Server_core.Make.stop}
-      runs it once no request is in flight, before the crash-safe
-      dump. *)
+      runs it once no request is in flight, so a caller holding the
+      catalog after stop sees every profile saved while serving. *)
 end

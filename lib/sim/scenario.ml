@@ -192,7 +192,6 @@ let server_config =
     max_rows = Some 200_000;
     max_expansions = Some 2_000;
     drain_ms = 300.;
-    dump_dir = None;
   }
 
 (* Fresh per-run store roots for the durable-tier sweep.  Uniqueness

@@ -248,8 +248,9 @@ let fuzz_budget_headers =
     header_total
 
 (* Profile text and wire replies: [Profile.of_string], [Profile.parse_line]
-   over the PROFILE SAVE splitter, and the client's [read_response] each
-   return a value or their typed error on any bytes, and never raise. *)
+   over [Profile.entry_lines] (the PROFILE SAVE splitter), and the
+   client's [read_response] each return a value or their typed error on
+   any bytes, and never raise. *)
 
 let profile_total text =
   match Perso.Profile.of_string text with
@@ -261,10 +262,16 @@ let entry_lines_total wire =
     List.for_all
       (fun line ->
         match Perso.Profile.parse_line line with Ok _ | Error _ -> true)
-      (Server_core.profile_entry_lines wire)
+      (Perso.Profile.entry_lines wire)
   with
   | ok -> ok
   | exception _ -> false
+
+(* PROFILE SAVE cuts its entries, then [Profile.of_string] cuts each line
+   again: the second cut must return each entry unchanged. *)
+let entry_lines_idempotent wire =
+  let entries = Perso.Profile.entry_lines wire in
+  List.concat_map Perso.Profile.entry_lines entries = entries
 
 let profile_fragment =
   QCheck.Gen.oneofl
@@ -302,12 +309,18 @@ let fuzz_profile_random_bytes =
     QCheck.(string_gen Gen.char)
     profile_total
 
+let gen_profile_wire =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(map (String.concat " ") (list_size (0 -- 6) gen_profile_text))
+
 let fuzz_profile_wire =
   QCheck.Test.make ~count:2000
-    ~name:"Profile.parse_line total over PROFILE SAVE splits"
-    (QCheck.make ~print:String.escaped
-       QCheck.Gen.(map (String.concat " ") (list_size (0 -- 6) gen_profile_text)))
+    ~name:"Profile.parse_line total over PROFILE SAVE splits" gen_profile_wire
     entry_lines_total
+
+let fuzz_entry_lines_idempotent =
+  QCheck.Test.make ~count:2000 ~name:"Profile.entry_lines cuts an entry once"
+    gen_profile_wire entry_lines_idempotent
 
 (* [read_response] reads from a pipe holding exactly [bytes], then EOF. *)
 let response_total bytes =
@@ -483,7 +496,10 @@ let () =
         ] );
       ( "profile text",
         List.map QCheck_alcotest.to_alcotest
-          [ fuzz_profile_text; fuzz_profile_random_bytes; fuzz_profile_wire ] );
+          [
+            fuzz_profile_text; fuzz_profile_random_bytes; fuzz_profile_wire;
+            fuzz_entry_lines_idempotent;
+          ] );
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest
           [ fuzz_budget_headers; fuzz_read_response ] );

@@ -145,6 +145,44 @@ let prop_entries_order =
       let p = List.fold_left (fun p (a, deg) -> Profile.add p a deg) Profile.empty l in
       in_reference_order (Profile.entries p))
 
+(* A profile's one-line wire form — the lines of [Profile.to_string]
+   joined by spaces, what PROFILE SAVE carries — reads back as the same
+   profile, through [Profile.of_string] and through the server's path
+   (cut with [Profile.entry_lines], one entry per line), though its
+   literals hold ']', ',' and quotes. *)
+let gen_wire_profile =
+  let open QCheck.Gen in
+  let str =
+    string_size
+      ~gen:(oneofl [ 'a'; ']'; '['; ','; '\''; ' '; '#' ])
+      (int_range 0 6)
+  in
+  let atom =
+    frequency
+      [
+        (4, map (fun s -> Atom.sel "movie" "title" (Value.Str s)) str);
+        (1, map (fun i -> Atom.sel "movie" "year" (Value.Int i)) (int_range 1900 2010));
+        (1, map (fun r -> Atom.join ("movie", "mid") (r, "mid")) (oneofl [ "genre"; "play" ]));
+      ]
+  in
+  map
+    (List.fold_left (fun p (a, deg) -> Profile.add p a deg) Profile.empty)
+    (list_size (0 -- 12)
+       (pair atom (map (fun i -> d (float_of_int i /. 100.)) (int_range 1 100))))
+
+let prop_wire_roundtrip =
+  QCheck.Test.make ~name:"one-line wire form round-trips" ~count:1000
+    (QCheck.make ~print:Profile.to_string gen_wire_profile)
+    (fun p ->
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' (Profile.to_string p))
+      in
+      let wire = String.concat " " lines in
+      let same = function Ok q -> Profile.equal p q | Error _ -> false in
+      Profile.entry_lines wire = lines
+      && same (Profile.of_string wire)
+      && same (Profile.of_string (String.concat "\n" (Profile.entry_lines wire))))
+
 let test_generated_entries_order () =
   let db = Moviedb.Datagen.(generate (scale ~seed:3 200)) in
   List.iter
@@ -627,6 +665,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_profile_parse_errors;
           Alcotest.test_case "validate" `Quick test_profile_validate;
           QCheck_alcotest.to_alcotest prop_entries_order;
+          QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           Alcotest.test_case "generated entries order" `Quick
             test_generated_entries_order;
         ] );

@@ -934,6 +934,146 @@ let test_disk_memory_differential () =
        (fun r -> List.length (String.split_on_char '\n' r) = 2)
        reloaded)
 
+(* A ']' inside a quoted literal does not end a PROFILE SAVE entry: the
+   entry is saved and loads back as it was written. *)
+let test_profile_save_bracket_literal () =
+  with_server Fun.id (fun _t socket ->
+      Alcotest.(check (list string))
+        "saved and loaded"
+        [
+          "msg:saved user=julie entries=2";
+          "condition|degree\n'MOVIE.title = ''a]b'''|0.9\n\
+           'GENRE.genre = '']'''|0.5";
+        ]
+        (run_script socket
+           [
+             "PROFILE SAVE julie [ MOVIE.title = 'a]b', 0.9 ] [ GENRE.genre \
+              = ']', 0.5 ]";
+             "PROFILE LOAD julie";
+           ]))
+
+(* ------------------------ profiles out of the catalog ---------------- *)
+
+let profile_rows db =
+  match Relal.Database.find_table db Perso.Profile_store.table_name with
+  | None -> []
+  | Some t ->
+      Relal.Table.to_list t
+      |> List.map (fun row ->
+             String.concat "|" (Array.to_list (Array.map Relal.Value.to_string row)))
+      |> List.sort compare
+
+(* While a server runs, its shards hold the only in-memory profiles:
+   the main catalog has no profiles relation, so SQL naming it is a bind
+   error, never the rows the catalog held at start.  The stop puts every
+   saved row back, with the revisions, in memory and disk backends
+   alike. *)
+let test_catalog_holds_no_profiles () =
+  List.iter
+    (fun store_dir ->
+      let db = Moviedb.Personas.tiny_db () in
+      (match Perso.Profile.of_string "[ GENRE.genre = 'comedy', 0.9 ]" with
+      | Ok p -> Perso.Profile_store.save db ~user:"julie" p
+      | Error e -> Alcotest.fail e);
+      let backend = if store_dir = None then "memory" else "disk" in
+      let replies =
+        with_server ~db
+          (fun cfg -> { cfg with Server_core.shards = 2; store_dir })
+          (fun _t socket ->
+            run_script socket
+              [
+                "RUN select p.username, p.condition, p.degree from profiles p";
+                "PROFILE LOAD julie";
+                "PROFILE SAVE julie [ GENRE.genre = 'drama', 0.5 ]";
+                "PROFILE SAVE bob [ MOVIE.mid = GENRE.mid, 0.8 ]";
+                "RUN select p.username, p.condition, p.degree from profiles p";
+              ])
+      in
+      let unknown = "failed:bind:1:bind error: unknown table profiles" in
+      Alcotest.(check (list string))
+        (backend ^ ": replies")
+        [
+          unknown;
+          "condition|degree\n'GENRE.genre = ''comedy'''|0.9";
+          "msg:saved user=julie entries=1";
+          "msg:saved user=bob entries=1";
+          unknown;
+        ]
+        replies;
+      Alcotest.(check (list string))
+        (backend ^ ": every saved row back in the catalog")
+        [
+          "'bob'|'MOVIE.mid = GENRE.mid'|0.8";
+          "'julie'|'GENRE.genre = ''drama'''|0.5";
+        ]
+        (profile_rows db);
+      Alcotest.(check (list (pair string int)))
+        (backend ^ ": revisions merged back")
+        [ ("bob", 1); ("julie", 2) ]
+        (Perso.Profile_store.revisions db);
+      Option.iter
+        (fun root -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
+        store_dir)
+    [ None; Some (fresh_store_root ()) ]
+
+(* A first open that refuses to export a malformed profile row writes
+   no shard store, whichever shard the row lands on: a restart after the
+   row is fixed finds every store empty and exports every user. *)
+let test_refused_export_writes_no_store () =
+  let users = [ "alice"; "bob"; "carol"; "dave"; "erin"; "frank" ] in
+  let catalog ~alice_degree =
+    let db = Moviedb.Personas.tiny_db () in
+    Perso.Profile_store.install db;
+    List.iter
+      (fun u ->
+        Relal.Database.insert db Perso.Profile_store.table_name
+          [
+            Relal.Value.Str u;
+            Relal.Value.Str "GENRE.genre = 'comedy'";
+            (if u = "alice" then alice_degree else Relal.Value.Float 0.9);
+          ])
+      users;
+    db
+  in
+  let root = fresh_store_root () in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
+  @@ fun () ->
+  let cfg cfg = { cfg with Server_core.shards = 3; store_dir = Some root } in
+  let db = catalog ~alice_degree:Relal.Value.Null in
+  (match
+     Perso.Error.guard (fun () ->
+         Server.start (cfg (Server.default_config ~socket_path:(fresh_socket ()))) db)
+   with
+  | Error (Perso.Error.Storage msg) ->
+      Alcotest.(check string) "typed refusal"
+        "malformed store file profiles: profile row for \"alice\" is not \
+         (string, string, float) — refusing to export it to a durable store"
+        msg
+  | Error e -> Alcotest.failf "expected a storage error, got %s" (Perso.Error.to_string e)
+  | Ok t ->
+      ignore (Server.stop t : Server.drain_outcome);
+      Alcotest.fail "a malformed row was exported");
+  Alcotest.(check int) "the catalog keeps its rows" 6 (List.length (profile_rows db));
+  for i = 0 to 2 do
+    let s = Perso_store.Store.open_ (Perso_store.Store.shard_dir root i) in
+    Fun.protect
+      ~finally:(fun () -> Perso_store.Store.close s)
+      (fun () ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "shard %d store empty" i)
+          [] (Perso_store.Store.users s))
+  done;
+  let loads =
+    with_server ~db:(catalog ~alice_degree:(Relal.Value.Float 0.9)) cfg
+      (fun _t socket ->
+        run_script socket (List.map (fun u -> "PROFILE LOAD " ^ u) users))
+  in
+  List.iter2
+    (fun u r ->
+      Alcotest.(check string) (u ^ " exported") "condition|degree\n'GENRE.genre = ''comedy'''|0.9" r)
+    users loads
+
 let () =
   Alcotest.run "server"
     [
@@ -976,6 +1116,8 @@ let () =
           Alcotest.test_case "save validated" `Quick test_profile_save_validated;
           Alcotest.test_case "over-limit save refused" `Quick
             test_profile_save_bounded;
+          Alcotest.test_case "save literal holding ]" `Quick
+            test_profile_save_bracket_literal;
         ] );
       ( "wire-bounds",
         [
@@ -991,5 +1133,12 @@ let () =
         [
           Alcotest.test_case "memory/disk parity + restart" `Quick
             test_disk_memory_differential;
+          Alcotest.test_case "refused first export writes no store" `Quick
+            test_refused_export_writes_no_store;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "no profiles relation while serving" `Quick
+            test_catalog_holds_no_profiles;
         ] );
     ]
