@@ -73,18 +73,21 @@ sim: build
 # figure workloads and the served shape through the executor, and the
 # sharded store at 1/4/8 shards) and require valid JSON with
 # sharded-store figures, the served-shape figure, and a positive
-# allocated-words count for every figure.
+# allocated-words count for every figure.  The served-shape figures are
+# served_mq_k5 and served_mq_k5_pinned (queries whose own WHERE pins
+# their projection).
 bench-exec: build
 	BENCH_SCALE=quick BENCH_EXEC_OUT=$(BENCH_JSON) dune exec bench/main.exe -- exec
 	python3 -m json.tool $(BENCH_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
 	sys.exit(0 if d['sharded_store']['configs'] else sys.stderr.write('bench-exec: no sharded_store configs\n') or 1)" \
 	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
-	sys.exit(0 if any(f['name'] == 'served_mq_k5' for f in d['figures']) else sys.stderr.write('bench-exec: no served_mq_k5 figure\n') or 1)" \
+	names=[f['name'] for f in d['figures']]; miss=[n for n in ('served_mq_k5', 'served_mq_k5_pinned') if n not in names]; \
+	sys.exit(0 if not miss else sys.stderr.write('bench-exec: no %s figure\n' % ' or '.join(miss)) or 1)" \
 	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
 	bad=[f['name'] for f in d['figures'] if not f.get('words_per_query', 0) > 0]; \
 	sys.exit(0 if d['figures'] and not bad else sys.stderr.write('bench-exec: no words_per_query for %s\n' % (bad or 'any figure')) or 1)" \
-	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 among them, + sharded_store)"
+	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 and served_mq_k5_pinned among them, + sharded_store)"
 
 # Alternating A/B of the working tree against REV over the repository
 # benchmark (BENCHMARK.json, bench/perf/): PAIRS pairs per

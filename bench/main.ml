@@ -129,8 +129,9 @@ let run_one ?(method_ = `MQ) ~k ~l db profile query =
             Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
               ~l:(`At_least l) ())
   in
+  (* Integration builds a bound query; the server runs it as built. *)
   let (res, t_exec), w_exec =
-    allocated_words (fun () -> time (fun () -> Relal.Engine.run_query db q'))
+    allocated_words (fun () -> time (fun () -> Relal.Exec.run db q'))
   in
   {
     t_select;
@@ -420,7 +421,7 @@ let kernels () =
         (Staged.stage (fun () -> Select.select db g qg (Criteria.Top_r 10)));
       (* Figure 7 kernel: executing the MQ personalized query. *)
       Test.make ~name:"fig7/exec-mq-K10-L1"
-        (Staged.stage (fun () -> Relal.Engine.run_query db mq));
+        (Staged.stage (fun () -> Relal.Exec.run db mq));
       (* Figure 8 kernels: the two integration methods. *)
       Test.make ~name:"fig8/integrate-sq-K10-L1"
         (Staged.stage (fun () ->
@@ -445,7 +446,7 @@ let kernels () =
              | exception Integrate.Integration_error _ -> None));
       (* Figure 9 execution kernel: the SQ query itself. *)
       Test.make ~name:"fig9/exec-sq-K10-L1"
-        (Staged.stage (fun () -> Relal.Engine.run_query db sq));
+        (Staged.stage (fun () -> Relal.Exec.run db sq));
       (* Figure 10 kernel: the whole pipeline. *)
       Test.make ~name:"fig10/pipeline-K10-L1"
         (Staged.stage (fun () ->
@@ -523,7 +524,7 @@ let ablation_funcs () =
             Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:[ inst ]
               ~l:(`At_least 1) ()
           in
-          let res = Relal.Engine.run_query db q' in
+          let res = Relal.Exec.run db q' in
           let d = Degree.to_float inst.Integrate.path.Path.degree in
           List.iter
             (fun row ->
@@ -615,25 +616,51 @@ let bench_exec () =
           queries)
       profiles
   in
+  let served queries =
+    List.concat_map
+      (fun profile ->
+        List.map (fun q -> (Personalize.personalize db profile q).personalized) queries)
+      (profiles_for ~seed0:700 ~size:20 scale.profiles)
+  in
+  let pins_projection (q : Relal.Sql_ast.query) =
+    let open Relal.Sql_ast in
+    List.for_all
+      (function
+        | Sel_attr (a, _) ->
+            List.exists
+              (function
+                | P_cmp (Eq, S_attr b, S_const _) | P_cmp (Eq, S_const _, S_attr b) ->
+                    a.col = b.col && String.lowercase_ascii a.tv = String.lowercase_ascii b.tv
+                | _ -> false)
+              (conjuncts q.where)
+        | _ -> true)
+      q.select
+  in
+  (* A plain query is bound and run, as RUN does; a personalized one
+     runs as integration built it, as PERSONALIZE does. *)
+  let built = Relal.Exec.run db in
   let figures =
     [
       (* Multi-join SPJ workload, no personalization: the raw executor. *)
-      ("workload_spj", queries_for 210 (4 * scale.queries));
+      ("workload_spj", Relal.Engine.run_query db, queries_for 210 (4 * scale.queries));
       (* §7 figure workloads: MQ/SQ personalized queries. *)
-      ("fig7_mq_k10_l1", personalized ~method_:`MQ ~k:10 ~l:1 ~size:70 ~seed0:600);
-      ("fig7_mq_k30_l1", personalized ~method_:`MQ ~k:30 ~l:1 ~size:70 ~seed0:600);
-      ("fig7_mq_k60_l1", personalized ~method_:`MQ ~k:60 ~l:1 ~size:70 ~seed0:600);
-      ("fig8_sq_k10_l1", personalized ~method_:`SQ ~k:10 ~l:1 ~size:70 ~seed0:600);
-      ("fig9_mq_k10_l5", personalized ~method_:`MQ ~k:10 ~l:5 ~size:20 ~seed0:700);
+      ("fig7_mq_k10_l1", built, personalized ~method_:`MQ ~k:10 ~l:1 ~size:70 ~seed0:600);
+      ("fig7_mq_k30_l1", built, personalized ~method_:`MQ ~k:30 ~l:1 ~size:70 ~seed0:600);
+      ("fig7_mq_k60_l1", built, personalized ~method_:`MQ ~k:60 ~l:1 ~size:70 ~seed0:600);
+      ("fig8_sq_k10_l1", built, personalized ~method_:`SQ ~k:10 ~l:1 ~size:70 ~seed0:600);
+      ("fig9_mq_k10_l5", built, personalized ~method_:`MQ ~k:10 ~l:5 ~size:20 ~seed0:700);
       (* The served shape: every served PERSONALIZE runs
          [Personalize.default_params], ranked MQ at K = 5 and L = 1. *)
-      ( "served_mq_k5",
-        List.concat_map
-          (fun profile ->
-            List.map
-              (fun q -> (Personalize.personalize db profile q).personalized)
-              (queries_for 210 scale.queries))
-          (profiles_for ~seed0:700 ~size:20 scale.profiles) );
+      ("served_mq_k5", built, served (queries_for 210 scale.queries));
+      (* The same over queries whose own WHERE pins their projection
+         ([select genre.genre from genre where genre.genre = 'drama']):
+         every partial has at most one row. *)
+      ( "served_mq_k5_pinned",
+        built,
+        served
+          (List.filteri
+             (fun i _ -> i < scale.queries)
+             (List.filter pins_projection (queries_for 210 (100 * scale.queries)))) );
     ]
   in
   Printf.printf
@@ -641,16 +668,13 @@ let bench_exec () =
      sample repeats the pass to last %.0f ms, except at quick scale; queries \
      pre-built)\n"
     cell_reps min_sample_ms;
-  Printf.printf "%-18s %8s %8s %12s %14s %10s %16s\n" "figure" "queries" "repeats"
+  Printf.printf "%-20s %8s %8s %12s %14s %10s %16s\n" "figure" "queries" "repeats"
     "ms_total" "ms_per_query" "rows" "words_per_query";
   let results =
     List.map
-      (fun (name, qs) ->
+      (fun (name, run, qs) ->
         let run_all () =
-          List.fold_left
-            (fun acc q ->
-              acc + List.length (Relal.Engine.run_query db q).Relal.Exec.rows)
-            0 qs
+          List.fold_left (fun acc q -> acc + List.length (run q).Relal.Exec.rows) 0 qs
         in
         (* Building the queries and the previous figure leave major-GC
            work pending; finish it before this figure's passes. *)
@@ -675,7 +699,7 @@ let bench_exec () =
         let n = List.length qs in
         let per_query x = x /. float_of_int (max 1 n) in
         let wpq = per_query words in
-        Printf.printf "%-18s %8d %8d %12.3f %14.4f %10d %16.0f\n%!" name n repeats
+        Printf.printf "%-20s %8d %8d %12.3f %14.4f %10d %16.0f\n%!" name n repeats
           ms (per_query ms) rows wpq;
         (name, n, repeats, ms, rows, wpq))
       figures

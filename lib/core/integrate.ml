@@ -97,24 +97,26 @@ let instantiate db qg paths =
       (match path.Path.sel with
       | None -> ()
       | Some ((s : Atom.selection), _) ->
-          let v =
-            (* Dates in profiles are stored as strings; align with the
-               binder's coercion. *)
-            match s.Atom.s_val with
-            | Value.Str str as orig -> (
-                match Database.find_table db s.Atom.s_rel with
-                | Some t
-                  when Schema.col_type (Table.schema t) s.Atom.s_att
-                       = Some Value.TDate -> (
-                    match Value.parse_date str with Some d -> d | None -> orig)
-                | _ -> orig)
-            | v -> v
-          in
           preds :=
             Sql_ast.P_cmp
-              (s.Atom.s_op, S_attr (Sql_ast.attr !current_tv s.Atom.s_att), S_const v)
+              ( s.Atom.s_op,
+                S_attr (Sql_ast.attr !current_tv s.Atom.s_att),
+                S_const s.Atom.s_val )
             :: !preds);
-      { path; index; pred = Sql_ast.conj (List.rev !preds); trefs = List.rev !trefs })
+      let trefs = List.rev !trefs in
+      (* Bound here, as a query's WHERE is: a profile's atoms get their
+         schema checks, and its date strings their coercion, before any
+         query is built from them. *)
+      let anchor =
+        {
+          Sql_ast.rel = Option.get (Qgraph.rel_of_tv qg path.Path.anchor_tv);
+          alias = path.Path.anchor_tv;
+        }
+      in
+      let pred =
+        Binder.bind_pred_over db (anchor :: trefs) (Sql_ast.conj (List.rev !preds))
+      in
+      { path; index; pred; trefs })
     paths
 
 (* ------------------------------------------------------------------ *)
@@ -252,12 +254,27 @@ let partial ?select ?limit qg ~mandatory inst =
 (* SQ                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let sq_max_conjunctions = 100_000
+
 let sq db qg ~mandatory ~optional ~l =
   let q0 = Qgraph.query qg in
   check_projection q0;
+  let n = List.length optional in
   if l < 0 then err "SQ: negative L";
-  if l > List.length optional then
-    err "SQ: L = %d exceeds the %d optional preferences" l (List.length optional);
+  if l > n then err "SQ: L = %d exceeds the %d optional preferences" l n;
+  (* Sized before a single subset is built: C(60, 30) subsets would
+     exhaust memory long before a governor poll. *)
+  if Putil.Combin.choose n l > sq_max_conjunctions then
+    raise
+      (Relal.Governor.Exhausted
+         {
+           exhausted =
+             Printf.sprintf "SQ conjunctions: C(%d, %d) past the cap of %d" n l
+               sq_max_conjunctions;
+           rows_produced = 0;
+           expansions = 0;
+           elapsed_ms = 0.;
+         });
   let combos =
     if l = 0 then []
     else List.filter (conflict_free db) (Putil.Combin.subsets optional l)

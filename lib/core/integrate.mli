@@ -65,7 +65,16 @@ val instantiate :
     nor allocated earlier in the call, where [b] is the first two letters
     of [R], lower-cased; a join on a to-one prefix already instantiated
     reuses that prefix's variable instead.  The call takes time linear in
-    the variables it allocates. *)
+    the variables it allocates.
+
+    Each condition is bound over the query's variable it starts from and
+    the variables it introduces ({!Relal.Binder.bind_pred_over}): a
+    profile atom naming an unknown table or column, comparing unlike
+    types or holding an unparsable date raises {!Relal.Binder.Bind_error}
+    with the text binding the personalized query would give, and a date
+    string becomes a date.  So every query {!sq} and {!mq} build from a
+    bound [Q] is bound by construction: it runs as built
+    ({!Personalize.execute}), with no second bind. *)
 
 val split_mandatory :
   m:[ `Count of int | `Min_degree of float ] ->
@@ -79,6 +88,12 @@ val split_mandatory :
 
 exception Integration_error of string
 
+val sq_max_conjunctions : int
+(** 100,000: the most L-combinations of the optional preferences, C(K −
+    M, L), that {!sq} enumerates (before dropping conflicting ones).  At
+    the cap, SQ's disjunction takes about 0.1 s and 13 M words to build
+    on a 200-selection profile. *)
+
 val sq :
   Relal.Database.t ->
   Qgraph.t ->
@@ -88,7 +103,11 @@ val sq :
   Relal.Sql_ast.query
 (** The SQ personalized query.  [l = 0] yields [Q] AND the mandatory
     conditions.  @raise Integration_error if [l] exceeds the number of
-    optional preferences or the projection is not attribute-only. *)
+    optional preferences or the projection is not attribute-only.
+    @raise Relal.Governor.Exhausted, typed [Resource_exhausted] by
+    {!Error}, when C(K − M, L) exceeds {!sq_max_conjunctions}: counted,
+    saturating, before any combination is built, so the degradation
+    ladder retries under halved K and L and then runs the plain query. *)
 
 val mq :
   ?rank:bool ->

@@ -170,10 +170,9 @@ let params_fp (p : Personalize.params) =
 
 (* ------------------------------ lookup ------------------------------ *)
 
-let personalize t ?(params = Personalize.default_params) ?gov ~user ?revision
-    profile q =
+(* [personalize] on a query already bound. *)
+let personalize_bound t ~params ?gov ~user ?revision profile bound =
   let user = String.lowercase_ascii user in
-  let bound = Binder.bind t.db q in
   let key =
     String.concat "\x01" [ user; params_fp params; Sql_print.query_to_key bound ]
   in
@@ -210,12 +209,16 @@ let personalize t ?(params = Personalize.default_params) ?gov ~user ?revision
           store t ~key ~user ~rev outcome);
       (outcome, Miss)
 
+let personalize t ?(params = Personalize.default_params) ?gov ~user ?revision
+    profile q =
+  personalize_bound t ~params ?gov ~user ?revision profile (Binder.bind t.db q)
+
 let personalize_sql_r ?cache ?user ?revision ?params ?budget ?related db
     profile sql =
   let result, src =
     match (cache, user, related) with
     | Some t, Some u, None when t.db == db -> (
-        match Sql_parser.parse sql with
+        match Binder.bind db (Sql_parser.parse sql) with
         | exception e -> (Error (Error.of_exn_any e), Bypass)
         | q ->
             let params0 =
@@ -228,7 +231,7 @@ let personalize_sql_r ?cache ?user ?revision ?params ?budget ?related db
                never reported as cache-served. *)
             let compute ~params:ps ~gov =
               if ps = params0 then (
-                let o, s = personalize t ~params:ps ?gov ~user:u ?revision profile q in
+                let o, s = personalize_bound t ~params:ps ?gov ~user:u ?revision profile q in
                 src := s;
                 o)
               else (

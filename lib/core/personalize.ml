@@ -47,15 +47,20 @@ let integrate_selected ?(params = default_params) db qg ~stats selected =
   in
   { selected; mandatory; optional; personalized; selection_stats = stats }
 
-let personalize ?(params = default_params) ?related ?gov db profile q =
-  let q = Binder.bind db q in
+(* [personalize] on a query already bound. *)
+let personalize_bound ~params ?related ?gov db profile q =
   let qg = Qgraph.of_query db q in
   let g = Pgraph.of_profile profile in
   let stats = Select.fresh_stats () in
   let selected = Select.select ~stats ?gov ?related db g qg params.k in
   integrate_selected ~params db qg ~stats selected
 
-let execute ?gov db outcome = Engine.run_query ?gov db outcome.personalized
+let personalize ?(params = default_params) ?related ?gov db profile q =
+  personalize_bound ~params ?related ?gov db profile (Binder.bind db q)
+
+(* Integration builds a bound query: it runs as built, with no second
+   bind. *)
+let execute ?gov db outcome = Exec.run ?gov db outcome.personalized
 
 let personalize_sql ?params db profile sql =
   let q = Sql_parser.parse sql in
@@ -121,9 +126,7 @@ let personalize_r_with ?(params = default_params) ?(budget = Governor.unlimited)
   in
   let unpersonalized steps cause =
     let step = Unpersonalized { cause } in
-    match
-      Chaos.retry (fun () -> Engine.run_query ?gov:(fresh_gov ()) db q)
-    with
+    match Chaos.retry (fun () -> Exec.run ?gov:(fresh_gov ()) db q) with
     | res ->
         Ok { outcome = None; result = res; degradations = steps @ [ step ] }
     | exception e -> Error (Error.of_exn_any e)
@@ -157,8 +160,11 @@ let personalize_r_with ?(params = default_params) ?(budget = Governor.unlimited)
                 else Error cause2))
 
 let personalize_r ?params ?budget ?related db profile q =
-  personalize_r_with ?params ?budget db q ~compute:(fun ~params ~gov ->
-      personalize ~params ?related ?gov db profile q)
+  match Binder.bind db q with
+  | exception e -> Error (Error.of_exn_any e)
+  | q ->
+      personalize_r_with ?params ?budget db q ~compute:(fun ~params ~gov ->
+          personalize_bound ~params ?related ?gov db profile q)
 
 let personalize_sql_r ?params ?budget ?related db profile sql =
   match Sql_parser.parse sql with

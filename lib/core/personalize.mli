@@ -71,9 +71,11 @@ val execute :
   Relal.Database.t ->
   outcome ->
   Relal.Exec.result
-(** Run the personalized query.  With [rank = true] the result carries a
-    final [doi] column and rows arrive most-interesting first.  [gov]
-    meters execution (see {!Relal.Exec.run}). *)
+(** Run the personalized query as integration built it: it is bound by
+    construction ({!Integrate}), so it is not bound again.  With [rank =
+    true] the result carries a final [doi] column and rows arrive
+    most-interesting first.  [gov] meters execution (see
+    {!Relal.Exec.run}). *)
 
 val personalize_sql :
   ?params:params ->
@@ -120,10 +122,11 @@ val personalize_r_with :
 (** The degradation ladder generalized over how an outcome is produced:
     [compute] is invoked once per rung with that rung's parameters and
     governor (it may raise; raises are classified and degraded exactly
-    as in {!personalize_r}), and the final unpersonalized rung runs [q]
-    plain against [db].  This is how {!Perso_cache} reuses the ladder —
-    consulting the cache on the full-strength rung — without a
-    dependency cycle.  Never raises. *)
+    as in {!personalize_r}), and the final unpersonalized rung runs [q],
+    which must be bound ({!Relal.Binder.bind}), plain against [db].
+    This is how {!Perso_cache} reuses the ladder — consulting the cache
+    on the full-strength rung — without a dependency cycle.  Never
+    raises. *)
 
 val personalize_r :
   ?params:params ->

@@ -147,6 +147,13 @@ let has_aggregates q =
   List.exists (function Sel_agg _ -> true | _ -> false) q.select
   || q.having <> None
 
+let rel_entry db (r : table_ref) =
+  match Database.find_table db r.rel with
+  | None -> err "unknown table %s" r.rel
+  | Some t ->
+      let s = Table.schema t in
+      { alias = r.alias; names = Schema.col_names s; cols = Schema.columns s }
+
 (* One pass: each FROM item's environment entry is built once, and a
    derived table's is read off its bound branches, which are bound here
    and nowhere else. *)
@@ -155,12 +162,7 @@ let rec bind_from db (from : from_item list) : env * from_item list =
     List.map
       (fun item ->
         match item with
-        | F_rel r -> (
-            match Database.find_table db r.rel with
-            | None -> err "unknown table %s" r.rel
-            | Some t ->
-                let s = Table.schema t in
-                ({ alias = r.alias; names = Schema.col_names s; cols = Schema.columns s }, item))
+        | F_rel r -> (rel_entry db r, item)
         | F_derived (c, alias) ->
             let c, out = bind_compound db c in
             let out = Array.of_list out in
@@ -275,3 +277,39 @@ and bind_query db (q : query) : query * Schema.column list =
   ({ q with from; select; where; group_by; having; order_by }, out)
 
 let bind db q = fst (bind_query db q)
+
+(* Whether [bind_pred env p] would return [p] as it is: every attribute
+   qualified and found in [env], every comparison between compatible
+   types or against NULL.  It builds nothing but an option per
+   attribute, so a predicate built bound costs one walk. *)
+let rec attr_ty env (a : attr) =
+  match env with
+  | [] -> raise_notrace Exit
+  | e :: rest -> if String.equal e.alias a.tv then col_ty e a.col 0 else attr_ty rest a
+
+and col_ty e col i =
+  if i >= Array.length e.names then raise_notrace Exit
+  else if String.equal e.names.(i) col then e.cols.(i).Schema.cty
+  else col_ty e col (i + 1)
+
+let scalar_ty env = function
+  | S_const v -> Value.ty_of v
+  | S_attr a -> if a.tv = "" then raise_notrace Exit else Some (attr_ty env a)
+
+let rec binds_as_is env = function
+  | P_true | P_false -> true
+  | P_not p -> binds_as_is env p
+  | P_and ps | P_or ps -> all_bind_as_is env ps
+  | P_cmp (_, l, r) -> (
+      match (scalar_ty env l, scalar_ty env r) with
+      | Some lt, Some rt -> Value.compatible lt rt
+      | _ -> true
+      | exception Exit -> false)
+
+and all_bind_as_is env = function
+  | [] -> true
+  | p :: ps -> binds_as_is env p && all_bind_as_is env ps
+
+let bind_pred_over db scope p =
+  let env = List.map (rel_entry db) scope in
+  if binds_as_is env p then p else bind_pred env p

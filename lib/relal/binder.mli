@@ -27,3 +27,10 @@ val bind : Database.t -> Sql_ast.query -> Sql_ast.query
     unknown table/column/alias, duplicate alias, ambiguous bare column,
     incomparable types, non-grouped select column under GROUP BY, ORDER BY
     key that resolves to nothing, or mismatched UNION ALL branches. *)
+
+val bind_pred_over : Database.t -> Sql_ast.table_ref list -> Sql_ast.pred -> Sql_ast.pred
+(** [bind_pred_over db scope p] binds [p] over the tuple variables of
+    [scope] as {!bind} binds a WHERE over its FROM: the same checks,
+    the same date coercion, the same errors.  A query whose FROM and
+    conditions are built from such predicates needs no second bind.
+    @raise Bind_error as {!bind} does. *)

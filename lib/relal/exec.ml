@@ -210,6 +210,24 @@ let force = function
   | S_base { alias; tbl } -> vrel_of_table alias tbl
   | S_filtered { view; _ } -> Lazy.force view
 
+(* A conjunctive block's join order, fixed before any row is joined: the
+   driving source (the smallest), then one step per other source [var], each
+   joining the smallest source connected to those before it ([keys] are
+   its (joined attribute, own attribute) equi-join pairs), or, when none
+   is connected, the smallest rest as a cartesian step ([keys = []]).
+   After its step, the rows are filtered by the join edges the step
+   closed ([internal]) and then by the residual predicates whose tuple
+   variables are now all joined ([ready]). *)
+type step = {
+  var : string;
+  src : source;
+  keys : (attr * attr) list;
+  internal : pred list;
+  ready : pred list;
+}
+
+type plan = { src0 : string * source; steps : step list }
+
 (* --------------------------------------------------------------------- *)
 (* Row-key hash tables (for distinct, grouping)                           *)
 (* --------------------------------------------------------------------- *)
@@ -299,14 +317,14 @@ let hash_join_order csel bsel =
     perm;
   (Array.map (fun i -> csel.(i)) perm, Array.map (fun i -> bsel.(i)) perm)
 
-(* Probing a filtered table through the index on its first indexed join
-   column touches |current| × that column's fanout rows; hash-joining
-   its filtered view reads all [card] of them.  The fanout is a mean
-   ({!Table.fanout}), so on a skewed column a probe can touch more rows
-   than it estimates. *)
-let probe_cheaper current keys tbl card =
+(* [probes] probes of a filtered table through the index on its first
+   indexed join column touch [probes] × that column's fanout rows;
+   hash-joining its filtered view reads all [card] of them.  The fanout
+   is a mean ({!Table.fanout}), so on a skewed column a probe can touch
+   more rows than it estimates. *)
+let probe_cheaper probes keys tbl card =
   match List.find_map (fun (_, (b : attr)) -> Table.fanout tbl b.col) keys with
-  | Some f -> float_of_int current.nrows *. f < float_of_int card
+  | Some f -> float_of_int probes *. f < float_of_int card
   | None -> false
 
 let rec pred_tvs acc = function
@@ -327,6 +345,29 @@ let rec contains_or = function
   | P_and ps -> List.exists contains_or ps
   | P_not p -> contains_or p
   | _ -> false
+
+(* Does one of [conjuncts] pin [a], an equality with a constant whose
+   every equal value is one DISTINCT key?  A number has an int and a
+   float form; they must hash alike, or DISTINCT keeps both, and a float
+   must stand for one integer at most (below 2^62; several integers
+   equal 2^62 and beyond). *)
+let pinned conjuncts (a : attr) =
+  let one_key c =
+    match c with
+    | Value.Int i -> Value.hash c = Value.hash (Value.Float (float_of_int i))
+    | Value.Float f when Float.is_integer f ->
+        Float.abs f < 0x1p62 && Value.hash c = Value.hash (Value.Int (Float.to_int f))
+    | _ -> true
+  in
+  List.exists
+    (function
+      | P_cmp (Eq, S_attr b, S_const c) | P_cmp (Eq, S_const c, S_attr b) ->
+          equal_attr a b && one_key c
+      | _ -> false)
+    conjuncts
+
+let sel_attrs items =
+  List.filter_map (function Sel_attr (a, _) -> Some a | _ -> None) items
 
 (* --------------------------------------------------------------------- *)
 (* The tail: DISTINCT, ORDER BY, LIMIT                                    *)
@@ -814,11 +855,12 @@ and index_nl_join gov ?filter current keys alias tbl : vrel option =
       in
       Some (append_base current csel bh (Table.batch tbl) bsel)
 
-(* Evaluate a conjunctive block: [sources] is an association
-   (tv -> source) — base tables lazy, derived tables materialized;
-   [conjuncts] the predicate factors.  Returns the joined vrel covering
-   every tv in [sources], joining the smallest connected input next. *)
-and join_conjunctive gov (sources : (string * source) list) conjuncts : vrel =
+(* Plan a conjunctive block: [sources] is an association (tv -> source)
+   — base tables lazy, derived tables materialized; [conjuncts] the
+   predicate factors.  Local predicates are pushed down here, each
+   filtered base table through its best access path; the join order is
+   then fixed, smallest connected input next. *)
+and plan_conjunctive gov (sources : (string * source) list) conjuncts : plan =
   (* Classify conjuncts. *)
   let local, joins, residual =
     List.fold_left
@@ -867,8 +909,11 @@ and join_conjunctive gov (sources : (string * source) list) conjuncts : vrel =
          tests membership per edge per round. *)
       let joined_tvs : (string, unit) Hashtbl.t = Hashtbl.create 8 in
       let is_joined tv = Hashtbl.mem joined_tvs tv in
-      let mark_joined tv = Hashtbl.replace joined_tvs tv () in
-      (* Start from the smallest (estimated) relation. *)
+      let join tv =
+        Hashtbl.replace joined_tvs tv ();
+        remaining := List.remove_assoc tv !remaining
+      in
+      (* The smallest (estimated) relation left. *)
       let smallest () =
         List.fold_left
           (fun best (tv, src) ->
@@ -879,20 +924,11 @@ and join_conjunctive gov (sources : (string * source) list) conjuncts : vrel =
                 else best)
           None !remaining
       in
-      let tv0, src0 = Option.get (smallest ()) in
-      remaining := List.remove_assoc tv0 !remaining;
-      let current = ref (force src0) in
-      mark_joined tv0;
-      let apply_ready_residuals () =
-        let ready, rest =
-          List.partition
-            (fun p -> List.for_all is_joined (tvs_of_pred p))
-            !residual
-        in
-        residual := rest;
-        if ready <> [] then current := filter_vrel gov !current ready
-      in
-      apply_ready_residuals ();
+      let src0 = Option.get (smallest ()) in
+      join (fst src0);
+      (* Residuals have two tuple variables or more, so none is ready
+         before the first step. *)
+      let steps = ref [] in
       while !remaining <> [] do
         (* Find join edges from the joined set to a single new tv. *)
         let edge_groups = Hashtbl.create 8 in
@@ -920,67 +956,297 @@ and join_conjunctive gov (sources : (string * source) list) conjuncts : vrel =
                   | Some (_, _, _, bs) when bs <= s -> best
                   | _ -> Some (tv, src, keys, s)))
             edge_groups None
-          |> Option.map (fun (tv, src, keys, _) -> (tv, src, keys))
         in
-        (match next with
-        | Some (tv, src, keys) ->
-            (* keys are (already-joined attr, new attr) pairs.  Against a
-               lazy base table with an index on a join column, probe with
-               an index-nested loop; against a filtered one, only when
-               [probe_cheaper]; otherwise hash join the materialization. *)
-            let cur = !current in
-            let joined =
-              match src with
-              | S_base { alias; tbl } -> (
-                  match index_nl_join gov cur keys alias tbl with
-                  | Some v -> v
-                  | None -> hash_join gov cur (force src) keys)
-              | S_filtered { alias; tbl; preds; card; _ }
-                when probe_cheaper cur keys tbl card ->
-                  (* Fanout is at least 1, so |current| < card: the hash
-                     join this replaces would have built on the current
-                     side, whose order [~filter] emits. *)
-                  Option.get
-                    (index_nl_join gov ~filter:preds cur keys alias tbl)
-              | S_filtered _ | S_mat _ -> hash_join gov cur (force src) keys
-            in
-            current := joined;
-            mark_joined tv;
-            remaining := List.remove_assoc tv !remaining;
-            (* The join keys are now satisfied; drop them so the
-               internal-edge sweep below does not re-filter on them. *)
-            joins :=
-              List.filter
-                (fun (a, b) ->
-                  not
-                    (List.exists
-                       (fun (ka, kb) ->
-                         (equal_attr a ka && equal_attr b kb)
-                         || (equal_attr a kb && equal_attr b ka))
-                       keys))
-                !joins
-        | None ->
-            (* No connecting edge: cartesian step with the smallest rest. *)
-            let tv, src = Option.get (smallest ()) in
-            current := cross_product gov !current (force src);
-            mark_joined tv;
-            remaining := List.remove_assoc tv !remaining);
-        (* Enforce any join edge that has become internal (both sides
-           joined) but was not one of the hash keys. *)
+        let tv, src, keys =
+          match next with
+          | Some (tv, src, keys, _) ->
+              (* The join keys are satisfied by the step; drop them so
+                 the internal-edge sweep below does not re-filter on
+                 them. *)
+              joins :=
+                List.filter
+                  (fun (a, b) ->
+                    not
+                      (List.exists
+                         (fun (ka, kb) ->
+                           (equal_attr a ka && equal_attr b kb)
+                           || (equal_attr a kb && equal_attr b ka))
+                         keys))
+                  !joins;
+              (tv, src, keys)
+          | None ->
+              (* No connecting edge: cartesian step with the smallest rest. *)
+              let tv, src = Option.get (smallest ()) in
+              (tv, src, [])
+        in
+        join tv;
+        (* Any join edge that has become internal (both sides joined)
+           but was not one of the keys. *)
         let internal, external_ =
           List.partition (fun (a, b) -> is_joined a.tv && is_joined b.tv) !joins
         in
         joins := external_;
-        if internal <> [] then
-          current :=
-            filter_vrel gov !current
-              (List.map (fun (a, b) -> P_cmp (Eq, S_attr a, S_attr b)) internal);
-        apply_ready_residuals ()
+        let ready, rest =
+          List.partition
+            (fun p -> List.for_all is_joined (tvs_of_pred p))
+            !residual
+        in
+        residual := rest;
+        steps :=
+          {
+            var = tv;
+            src;
+            keys;
+            internal = List.map (fun (a, b) -> P_cmp (Eq, S_attr a, S_attr b)) internal;
+            ready;
+          }
+          :: !steps
       done;
-      apply_ready_residuals ();
       if !residual <> [] then
         err "executor: residual predicates with unknown tuple variables";
-      !current
+      { src0; steps = List.rev !steps }
+
+(* Run a plan to its joined view: each step joins the source through
+   its access path — against a lazy base table with an index on a join
+   column, an index-nested loop; against a filtered one, the same when
+   [probe_cheaper]; otherwise a hash join of the source's
+   materialization — then filters by the step's closed edges and ready
+   residuals. *)
+and join_plan gov (plan : plan) : vrel =
+  List.fold_left
+    (fun cur s ->
+      let joined =
+        match (s.keys, s.src) with
+        | [], src -> cross_product gov cur (force src)
+        | keys, S_base { alias; tbl } -> (
+            match index_nl_join gov cur keys alias tbl with
+            | Some v -> v
+            | None -> hash_join gov cur (force s.src) keys)
+        | keys, S_filtered { alias; tbl; preds; card; _ }
+          when probe_cheaper cur.nrows keys tbl card ->
+            (* Fanout is at least 1, so |current| < card: the hash join
+               this replaces would have built on the current side, whose
+               order [~filter] emits. *)
+            Option.get (index_nl_join gov ~filter:preds cur keys alias tbl)
+        | keys, src -> hash_join gov cur (force src) keys
+      in
+      filter_vrel gov (filter_vrel gov joined s.internal) s.ready)
+    (force (snd plan.src0))
+    plan.steps
+
+(* Search a plan depth-first for its first complete joined row, and
+   return it (a one-row view) or no row.  Rows are identified per
+   source: a base table's by their storage row id, a materialized
+   view's by its row number; [row.(i)] holds source i's row in the
+   prefix being extended.  Each step reaches its candidates through the
+   access path [join_plan] would use, built when the search first
+   reaches the step:
+   - an index probe where the loop runs an index-nested loop: base rows
+     descending per bucket, a filtered table's checked against its
+     local predicates;
+   - a filtered table probed until [probe_cheaper] fails for the probes
+     made, then through a hash table on its filtered view;
+   - otherwise a hash table on the step's input, chains in descending
+     row order, as [hash_join] builds it;
+   - a cartesian step walks its source in row order.
+   It crosses a step's chaos points when it first reaches the step
+   ([Scan] when it forces a base table, [Join_probe] for an index,
+   [Join_build] then [Join_probe] for a table), polls the governor per
+   candidate, and charges each prefix it extends as one joined row. *)
+and search_plan gov (plan : plan) : vrel =
+  let srcs = Array.of_list (plan.src0 :: List.map (fun s -> (s.var, s.src)) plan.steps) in
+  let steps = Array.of_list plan.steps in
+  let n = Array.length srcs in
+  let row = Array.make n 0 in
+  let index_of tv =
+    match Array.find_index (fun (t, _) -> t = tv) srcs with
+    | Some i -> i
+    | None -> err "executor: unresolved tuple variable %s" tv
+  in
+  (* Column [a] of source i's row [r]. *)
+  let cell i (a : attr) : int -> Value.t =
+    match snd srcs.(i) with
+    | S_base { alias; tbl } | S_filtered { alias; tbl; _ } ->
+        let rows = Batch.unsafe_rows (Table.batch tbl) in
+        let ci = base_col_idx alias tbl a in
+        fun r -> rows.(r).(ci)
+    | S_mat v -> attr_reader v a
+  in
+  (* Column [a] of the prefix. *)
+  let read (a : attr) =
+    let i = index_of a.tv in
+    let f = cell i a in
+    fun (_ : int) -> f row.(i)
+  in
+  (* Source i's rows as the join loop forces them: how many, and each
+     one's row id. *)
+  let rows_of i =
+    match snd srcs.(i) with
+    | S_base { tbl; _ } ->
+        Chaos.point Chaos.Scan;
+        (Table.cardinality tbl, Fun.id)
+    | S_filtered { view; _ } ->
+        let v = Lazy.force view in
+        let ids = v.rids.(0) in
+        (v.nrows, fun r -> ids.(r))
+    | S_mat v -> (v.nrows, Fun.id)
+  in
+  (* Step i's candidates matching the prefix: [each k] calls [k r] on
+     each such row [r] of source i. *)
+  let access i (s : step) : (int -> unit) -> unit =
+    let pairs = List.map (fun (a, b) -> (read a, cell i b)) s.keys in
+    let matches pairs r =
+      List.for_all (fun (pa, cb) -> Value.equal (pa 0) (cb r)) pairs
+    in
+    let hashed ~first =
+      let nb, id = rows_of i in
+      if first then Chaos.point Chaos.Join_build;
+      (* The hash of the key values [value] reads off each pair at [x]:
+         a candidate row's, or the prefix's. *)
+      let hash value x =
+        match pairs with
+        | [ p ] -> Value.hash (value p x)
+        | _ -> List.fold_left (fun h p -> (h * 31) + Value.hash (value p x)) 17 pairs
+      in
+      let slots =
+        let rec grow s = if s >= nb then s else grow (2 * s) in
+        grow 1
+      in
+      let mask = slots - 1 in
+      let head = Array.make slots (-1) and next = Array.make nb (-1) in
+      for b = 0 to nb - 1 do
+        g_poll gov;
+        let sl = hash (fun (_, cb) r -> cb r) (id b) land mask in
+        next.(b) <- head.(sl);
+        head.(sl) <- b
+      done;
+      if first then Chaos.point Chaos.Join_probe;
+      fun k ->
+        let b = ref head.(hash (fun (pa, _) () -> pa 0) () land mask) in
+        while !b >= 0 do
+          g_poll gov;
+          let r = id !b in
+          if matches pairs r then k r;
+          b := next.(!b)
+        done
+    in
+    let probed ?(keep = fun _ -> true) tbl =
+      match
+        List.find_index (fun ((_ : attr), (b : attr)) -> Table.has_index tbl b.col) s.keys
+      with
+      | None -> None
+      | Some j ->
+          let pa, pb = List.nth s.keys j in
+          let probe = Option.get (Table.prober tbl pb.col) in
+          let key = read pa in
+          let others = List.filteri (fun j' _ -> j' <> j) pairs in
+          Chaos.point Chaos.Join_probe;
+          Some
+            (fun k ->
+              let { Table.ids; len } = probe (key 0) in
+              for j = len - 1 downto 0 do
+                g_poll gov;
+                let r = ids.(j) in
+                if keep r && matches others r then k r
+              done)
+    in
+    match (s.keys, s.src) with
+    | [], _ ->
+        let nb, id = rows_of i in
+        fun k ->
+          for b = 0 to nb - 1 do
+            g_poll gov;
+            k (id b)
+          done
+    | _, S_base { tbl; _ } -> (
+        match probed tbl with Some each -> each | None -> hashed ~first:true)
+    | keys, S_filtered { alias; tbl; preds; card; _ } ->
+        if not (probe_cheaper 1 keys tbl card) then hashed ~first:true
+        else begin
+          let probe =
+            Option.get (probed ~keep:(compile_base_pred alias tbl (conj preds)) tbl)
+          in
+          let probes = ref 0 and table = ref None in
+          fun k ->
+            match !table with
+            | Some each -> each k
+            | None when probe_cheaper (!probes + 1) keys tbl card ->
+                incr probes;
+                probe k
+            | None ->
+                let each = hashed ~first:false in
+                table := Some each;
+                each k
+        end
+    | _, S_mat _ -> hashed ~first:true
+  in
+  let exception Found in
+  let each = Array.make n (fun _ -> ()) and conts = Array.make n ignore in
+  let extend i = if i = n then raise Found else each.(i) conts.(i) in
+  Array.iteri
+    (fun j s ->
+      let i = j + 1 in
+      let post =
+        match s.internal @ s.ready with
+        | [] -> fun _ -> true
+        | ps -> compile_pred_with read (conj ps)
+      in
+      (* Built on first arrival. *)
+      each.(i) <-
+        (fun k ->
+          let f = access i s in
+          each.(i) <- f;
+          f k);
+      conts.(i) <-
+        (fun r ->
+          row.(i) <- r;
+          if post 0 then begin
+            g_rows gov 1;
+            extend (i + 1)
+          end))
+    steps;
+  let headers = Array.map (fun (_, src) -> source_header src) srcs in
+  let header = Array.concat (Array.to_list headers) in
+  match
+    let n0, id0 = rows_of 0 in
+    for r = 0 to n0 - 1 do
+      g_poll gov;
+      row.(0) <- id0 r;
+      extend 1
+    done
+  with
+  | () -> empty_vrel header
+  | exception Found ->
+      let off = ref 0 in
+      let parts, rids =
+        List.split
+          (Array.to_list
+             (Array.mapi
+                (fun i (_, src) ->
+                  let r = row.(i) and o = !off in
+                  let width = Array.length headers.(i) in
+                  off := o + width;
+                  match src with
+                  | S_base { tbl; _ } | S_filtered { tbl; _ } ->
+                      ([| { batch = Table.batch tbl; off = o; width } |], [| [| r |] |])
+                  | S_mat v ->
+                      ( Array.map (fun p -> { p with off = p.off + o }) v.parts,
+                        Array.map (fun rid -> [| rid.(r) |]) v.rids ))
+                srcs))
+      in
+      { header; parts = Array.concat parts; nrows = 1; rids = Array.concat rids }
+
+(* Evaluate a conjunctive block (see [plan_conjunctive]) to its joined
+   view.  [?distinct] marks a DISTINCT block and lists the attributes
+   its output reads.  When a conjunct [attr = constant] pins every one
+   of them, all the block's rows have one output, so the block has at
+   most one distinct row: [search_plan] stops at its first joined row
+   instead of joining them all.  Every other block runs [join_plan]. *)
+and join_conjunctive gov ?distinct sources conjuncts : vrel =
+  let plan = plan_conjunctive gov sources conjuncts in
+  match distinct with
+  | Some reads when List.for_all (pinned conjuncts) reads -> search_plan gov plan
+  | _ -> join_plan gov plan
 
 (* --------------------------------------------------------------------- *)
 (* Aggregation                                                            *)
@@ -1217,7 +1483,9 @@ and run_mq gov db (q : query) (mq : mq) : result =
   List.iteri
     (fun j ((p : query), d) ->
       let w =
-        join_conjunctive gov (List.map (source_of_from gov db) p.from) (conjuncts p.where)
+        join_conjunctive gov ~distinct:(sel_attrs p.select)
+          (List.map (source_of_from gov db) p.from)
+          (conjuncts p.where)
       in
       g_rows gov w.nrows;
       let reads =
@@ -1292,14 +1560,14 @@ and run_generic gov db (q : query) : result =
          non-empty (sound because DISTINCT erases multiplicities).  The
          branches project, one after another, straight into the tail,
          whose DISTINCT merges them. *)
+      (* A branch's rows meet the other branches' in the tail, where
+         ORDER BY reads them too. *)
+      let reads =
+        sel_attrs q.select
+        @ List.filter_map (function O_attr a, _ -> Some a | _ -> None) q.order_by
+      in
       let needed_base =
-        List.sort_uniq String.compare
-          (List.filter_map
-             (function Sel_attr (a, _) -> Some a.tv | _ -> None)
-             q.select
-          @ List.filter_map
-              (function O_attr a, _ -> Some a.tv | _ -> None)
-              q.order_by)
+        List.sort_uniq String.compare (List.map (fun (a : attr) -> a.tv) reads)
       in
       let out_names = Array.of_list (select_output_names q) in
       let pending = ref branches in
@@ -1323,7 +1591,7 @@ and run_generic gov db (q : query) : result =
                 List.for_all (fun (_, src) -> source_card src > 0) unused
               in
               if nonempty_unused && used <> [] then begin
-                let w = join_conjunctive gov used branch in
+                let w = join_conjunctive gov ~distinct:reads used branch in
                 g_rows gov w.nrows;
                 branch_rows := projection q out_names w
               end;
@@ -1332,9 +1600,18 @@ and run_generic gov db (q : query) : result =
       tail gov q out_names { next; key = (fun out -> !branch_rows.key out) }
   | None ->
       let conjuncts = conjuncts q.where in
+      (* A DISTINCT projection: with one output, ORDER BY has one row to
+         order. *)
+      let distinct =
+        if
+          q.distinct && q.group_by = [] && (not has_aggs)
+          && not (List.exists (function O_agg _, _ -> true | _ -> false) q.order_by)
+        then Some (sel_attrs q.select)
+        else None
+      in
       (* Keep disjunctions and other non-splittable factors as residual
          filters inside the conjunctive join. *)
-      let joined = join_conjunctive gov wrels conjuncts in
+      let joined = join_conjunctive gov ?distinct wrels conjuncts in
       post_pipeline gov { q with where = P_true } joined
 
 and run_naive gov db (q : query) : result =

@@ -45,6 +45,31 @@
       partial's joined rows, a poll per joined row, then the union's
       rows) and crosses the same chaos points.  Every other query,
       every other GROUP BY included, takes the generic path unchanged.
+      A DISTINCT block whose own WHERE pins its output to constants —
+      every attribute the output reads (and, for a DNF branch, every
+      ORDER BY attribute) has a conjunct [attr = constant] — has at most
+      one distinct row.  Each MQ partial, the generic path's DISTINCT
+      blocks without grouping or aggregates, and each DNF branch of
+      that shape are therefore evaluated as a depth-first search over
+      the join loop's own plan (the same pushdown, [Scan] crossings and
+      join order), which stops at the first complete joined row.  Each
+      step reaches its candidates through the access path the loop
+      would use: an index probe (bucket from its end) where the loop
+      runs an index-nested loop; for a filtered table, index probes
+      until the probes made × the index fanout reach its filtered
+      cardinality, then a hash table on its filtered view; otherwise a
+      hash table on the step's input, built once on first arrival
+      (chains from their last row); a cartesian step walks its source
+      in row order.  So a search that finds nothing does no more work
+      than the join.  The row it returns carries the stored values of
+      the first complete row it reaches, driving rows in order and each
+      step's candidates in its access path's order.  Under a pin,
+      stored values equal as values can differ in form ([3] and [3.0]
+      in an INT column): the reply carries the form of that first row,
+      which can differ from the one [`Naive], following the FROM order,
+      keeps.  A number pins only if its int and float forms are one
+      DISTINCT key: not past 10{^15}, where {!Value.hash} tells them
+      apart, and never a float that several integers equal.
     - [`Naive]: textbook semantics — cross product of the FROM list,
       filter, then the same post-pipeline.  Exponential; used as the test
       oracle on small data.  It materializes MQ's derived table and
@@ -78,7 +103,13 @@ val run :
     the rows it projects once, before DISTINCT or LIMIT drops any: a DNF
     query charges each branch's joined rows, as that branch run alone
     would, and nothing for their union; MQ's one pass charges the union's
-    rows, as the generic path does.  The governor is passed down the
+    rows, as the generic path does.  A pinned DISTINCT block (above)
+    polls once per candidate its search meets, charges each prefix it
+    extends by one source's row as one joined row, and crosses a step's
+    chaos points when it first reaches the step ([Join_probe] for an
+    index, [Join_build] then [Join_probe] for a hash table, none for a
+    cartesian step); its one row or none is then charged as the block's
+    projection, as a joined view is.  The governor is passed down the
     evaluator, not set process-wide, so runs on concurrent threads each
     charge their own governor.
     @raise Governor.Exhausted when the armed budget is exceeded;

@@ -64,20 +64,9 @@ module Make (R : Runtime.S) = struct
               row))
       (Database.find_table t.main Perso.Profile_store.table_name)
 
-  let create ?cache ?profile_lru ?persist ?(replicas = 1) ~shards main =
-    if replicas <> 1 then
-      invalid_arg "Sharded_store.create: replicas must be 1";
-    let n = max 1 shards in
-    let stores =
-      match persist with
-      | None -> Array.make n None
-      | Some root ->
-          if not (Sys.file_exists root) then Sys.mkdir root 0o755;
-          check_shard_marker root n;
-          Array.init n (fun i ->
-              Some
-                (Perso_store.Store.open_ (Perso_store.Store.shard_dir root i)))
-    in
+  (* The shards over [stores], seeded from [main]'s profile rows when the
+     stores are empty (or absent), restored from them otherwise. *)
+  let seed_or_restore ?cache ?profile_lru ~check ~n stores main =
     let mk i =
       let sdb = Database.create () in
       Perso.Profile_store.install sdb;
@@ -111,7 +100,7 @@ module Make (R : Runtime.S) = struct
          their typed load errors); revision high-water marks follow
          their users so shard counters continue above any saves made
          in [main] before the server started. *)
-      move_rows t ~check:(persist <> None);
+      move_rows t ~check;
       let revs = Perso.Profile_store.revisions main in
       Array.iteri
         (fun i sh ->
@@ -145,6 +134,41 @@ module Make (R : Runtime.S) = struct
        never start-time rows.  merge_back rebuilds it at stop. *)
     Database.remove_table main Perso.Profile_store.table_name;
     t
+
+  (* A start that raises after opening stores closes their descriptors
+     and writes nothing more: what it wrote is already synced, and the
+     next open recovers it. *)
+  let release stores = List.iter (Option.iter Perso_store.Store.abandon) stores
+
+  let create ?cache ?profile_lru ?persist ?(replicas = 1) ~shards main =
+    if replicas <> 1 then
+      invalid_arg "Sharded_store.create: replicas must be 1";
+    let n = max 1 shards in
+    let stores =
+      match persist with
+      | None -> Array.make n None
+      | Some root ->
+          if not (Sys.file_exists root) then Sys.mkdir root 0o755;
+          check_shard_marker root n;
+          let opened = ref [] in
+          (try
+             for i = 0 to n - 1 do
+               opened :=
+                 Perso_store.Store.open_ (Perso_store.Store.shard_dir root i)
+                 :: !opened
+             done
+           with e ->
+             release (List.map Option.some !opened);
+             raise e);
+          Array.of_list (List.rev_map Option.some !opened)
+    in
+    match
+      seed_or_restore ?cache ?profile_lru ~check:(persist <> None) ~n stores main
+    with
+    | t -> t
+    | exception e ->
+        release (Array.to_list stores);
+        raise e
 
   let with_user_read t ~user f =
     let sh = shard_for t user in

@@ -6,9 +6,9 @@
 
 val choose : int -> int -> int
 (** [choose n k] = binomial coefficient C(n, k); 0 when [k < 0] or
-    [k > n].  Overflow-safe for the small arguments personalization uses
-    (n ≤ 60 in the paper's experiments), computed with intermediate
-    division. *)
+    [k > n].  Saturating: [max_int] when C(n, k) does not fit in an
+    [int], exact otherwise.  O(min(k, n − k)) divisions, so it sizes
+    {!subsets} before anything is enumerated. *)
 
 val subsets : 'a list -> int -> 'a list list
 (** [subsets xs k] enumerates every k-element subset of [xs], each subset

@@ -39,10 +39,10 @@ let test_bind_errors () =
     "non-numeric"
 
 (* A ranked MQ as [Integrate.mq] prints it, and single-fault mutations
-   of it.  Binding the personalized query is the only schema check a
-   profile's atoms get on the served path, so each mutant must fail with
-   exactly this text: (what the fault is, text replaced, replacement,
-   error). *)
+   of it.  The binder is the only schema check a profile's atoms get on
+   the served path (integration binds each instantiated condition with
+   it), so each mutant must fail with exactly this text: (what the fault
+   is, text replaced, replacement, error). *)
 let ranked_mq =
   "select temp.title as title, degree_of_conjunction(temp.doi, temp.pref) \
    as doi from ((select distinct mv.title as title, 0.9 as doi, 0 as pref \

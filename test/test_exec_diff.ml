@@ -484,6 +484,232 @@ let test_mq_row_budget () =
     mqs;
   Alcotest.(check bool) "budgets tripped" true (!trips >= 20)
 
+(* ---------------------- pinned DISTINCT blocks ------------------------ *)
+
+(* A DISTINCT block whose WHERE pins every output attribute to a
+   constant has at most one row, and [Auto] searches for it instead of
+   joining.  Random blocks over two small tables, each column indexed
+   or not at random, must come back from [Auto] exactly as from
+   [Naive]: the same rows with the same bits, in the same order when
+   the query orders every output, as sorted lists otherwise.  Every
+   column holds values of one form, so the representative DISTINCT
+   keeps is the same whichever equal row comes first; the mixed-form
+   case is pinned by its own test below. *)
+
+let dates = [| "2001-03-04"; "2002-11-30"; "2003-07-02" |]
+
+let pin_db rng =
+  let int n = Random.State.int rng n in
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.make ~name:"emp"
+       ~cols:[ ("id", Value.TInt); ("name", TStr); ("dept", TInt); ("hired", TDate) ]
+       ());
+  Database.add_table db
+    (Schema.make ~name:"dept"
+       ~cols:[ ("did", Value.TInt); ("dname", TStr); ("floor", TInt) ]
+       ());
+  let date i = Option.get (Value.parse_date dates.(i)) in
+  for _ = 1 to 3 + int 5 do
+    Database.insert db "emp"
+      [
+        Value.Int (int 5);
+        Value.Str [| "ann"; "bob"; "cy" |].(int 3);
+        Value.Int (int 4);
+        date (int 3);
+      ]
+  done;
+  for _ = 1 to 2 + int 4 do
+    Database.insert db "dept"
+      [ Value.Int (int 4); Value.Str [| "ops"; "dev" |].(int 2); Value.Int (1 + int 3) ]
+  done;
+  List.iter
+    (fun t ->
+      Array.iter
+        (fun c -> if Random.State.bool rng then Table.build_index t c)
+        (Schema.col_names (Table.schema t)))
+    (Database.tables db);
+  db
+
+(* A random DISTINCT block as SQL text, and what it is made of. *)
+let pin_block rng =
+  let int n = Random.State.int rng n and chance p = Random.State.float rng 1. < p in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let nv = 1 + int 3 in
+  let tables = Array.init nv (fun _ -> if chance 0.6 then "emp" else "dept") in
+  let ints = function "emp" -> [| "id"; "dept" |] | _ -> [| "did"; "floor" |] in
+  let cols = function "emp" -> [| "id"; "name"; "dept"; "hired" |] | _ -> [| "did"; "dname"; "floor" |] in
+  let attr i c = Printf.sprintf "t%d.%s" i c in
+  let iattr i = attr i (pick (ints tables.(i))) in
+  (* A constant for column [c]: usually one the tables hold. *)
+  let const c =
+    let hit = chance 0.8 in
+    match c with
+    | "name" -> (`Str, Printf.sprintf "'%s'" (if hit then pick [| "ann"; "bob"; "cy" |] else "zed"))
+    | "dname" -> (`Str, Printf.sprintf "'%s'" (if hit then pick [| "ops"; "dev" |] else "hr"))
+    | "hired" -> (`Date, Printf.sprintf "'%s'" (if hit then pick dates else "1999-01-01"))
+    | _ -> (`Num, string_of_int (if hit then int 5 else 9))
+  in
+  let edges = ref [] and connected = ref true in
+  for i = 1 to nv - 1 do
+    if chance 0.8 then edges := Printf.sprintf "%s = %s" (iattr i) (iattr (int i)) :: !edges
+    else connected := false
+  done;
+  let outputs =
+    List.sort_uniq compare
+      (List.init (1 + int 2) (fun _ ->
+           let i = int nv in
+           (i, pick (cols tables.(i)))))
+  in
+  let pins = List.map (fun o -> (o, chance 0.8)) outputs in
+  let all_pinned = List.for_all snd pins in
+  let kinds = List.filter_map (fun ((_, c), p) -> if p then Some (fst (const c)) else None) pins in
+  let dnf = all_pinned && chance 0.3 in
+  let pin_preds =
+    List.mapi
+      (fun k ((i, c), p) ->
+        if not p then []
+        else if dnf && k = 0 then
+          [ Printf.sprintf "(%s = %s or %s = %s)" (attr i c) (snd (const c)) (attr i c) (snd (const c)) ]
+        else [ Printf.sprintf "%s = %s" (attr i c) (snd (const c)) ])
+      pins
+    |> List.concat
+  in
+  let residual = nv >= 2 && chance 0.3 in
+  let extra =
+    (if residual then [ Printf.sprintf "%s %s %s" (iattr 0) (pick [| "<="; "<>" |]) (iattr (nv - 1)) ]
+     else [])
+    @ if chance 0.3 then [ Printf.sprintf "%s >= %d" (iattr (int nv)) (1 + int 3) ] else []
+  in
+  let where = !edges @ pin_preds @ extra in
+  let out = List.map (fun (i, c) -> attr i c) outputs in
+  let ordered = dnf || chance 0.5 in
+  let sql =
+    Printf.sprintf "select distinct %s from %s%s%s" (String.concat ", " out)
+      (String.concat ", " (Array.to_list (Array.mapi (fun i t -> Printf.sprintf "%s t%d" t i) tables)))
+      (if where = [] then "" else " where " ^ String.concat " and " where)
+      (if ordered then " order by " ^ String.concat ", " out else "")
+  in
+  let self_join =
+    let a = Array.copy tables in
+    Array.sort compare a;
+    let rec dup i = i + 1 < Array.length a && (a.(i) = a.(i + 1) || dup (i + 1)) in
+    dup 0
+  in
+  (sql, all_pinned, kinds, dnf, ordered, residual, self_join, !connected,
+   List.length outputs = 2 && List.length kinds = 1)
+
+let test_pinned_blocks () =
+  (* How many pinned blocks of each kind the run met. *)
+  let met = Hashtbl.create 16 in
+  let count kind = Option.value (Hashtbl.find_opt met kind) ~default:0 in
+  let saw kind = Hashtbl.replace met kind (count kind + 1) in
+  let prop =
+    QCheck.Test.make ~name:"pinned DISTINCT blocks: Auto = Naive" ~count:600
+      QCheck.(int_bound 1_000_000_000)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let db = pin_db rng in
+        let sql, pinned, kinds, dnf, ordered, residual, self_join, connected, half =
+          pin_block rng
+        in
+        let q = Binder.bind db (Sql_parser.parse sql) in
+        let auto = Exec.run db q and naive = Exec.run ~strategy:`Naive db q in
+        let norm r = if ordered then r else Exec.sort_rows r in
+        (try same_rows sql (norm auto) (norm naive)
+         with e -> QCheck.Test.fail_reportf "%s: %s" sql (Printexc.to_string e));
+        if pinned then begin
+          saw "in all";
+          saw (if auto.rows = [] then "with no row" else "with a row");
+          List.iter
+            (function
+              | `Str -> saw "pinned by a string"
+              | `Date -> saw "pinned by a date"
+              | `Num -> saw "pinned by a number")
+            kinds;
+          if self_join then saw "joining a table to itself";
+          if residual then saw "with a residual";
+          if not connected then saw "without a connecting edge";
+          if dnf && ordered then saw "split into ordered DNF branches"
+        end;
+        if half then saw "with one of two outputs pinned";
+        true)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 31 |]) prop;
+  List.iter
+    (fun (kind, n) ->
+      if count kind < n then
+        Alcotest.failf "only %d pinned blocks %s (want %d)" (count kind) kind n)
+    [
+      ("in all", 200);
+      ("with a row", 50);
+      ("with no row", 50);
+      ("pinned by a string", 20);
+      ("pinned by a date", 20);
+      ("pinned by a number", 20);
+      ("with one of two outputs pinned", 20);
+      ("joining a table to itself", 20);
+      ("with a residual", 20);
+      ("without a connecting edge", 20);
+      ("split into ordered DNF branches", 20);
+    ]
+
+(* An INT column may hold 3 and 3.0, which are equal: DISTINCT keeps one
+   of them, the one its first equal row carries.  A pinned block's reply
+   carries the form of the first joined row the search reaches: the
+   driving (smallest) source's rows in order, each step's candidates in
+   its access path's order, an index bucket or a hash chain from its
+   last row.  Naive's first row follows the FROM order. *)
+let test_pinned_forms () =
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.make ~name:"t" ~cols:[ ("x", Value.TInt); ("y", Value.TInt) ] ());
+  Database.add_table db (Schema.make ~name:"u" ~cols:[ ("y", Value.TInt) ] ());
+  Database.insert db "t" [ Value.Float 3.; Value.Int 2 ];
+  Database.insert db "t" [ Value.Int 3; Value.Int 2 ];
+  Database.insert db "t" [ Value.Int 4; Value.Int 2 ];
+  Database.insert db "u" [ Value.Int 2 ];
+  let rows strategy sql =
+    (Exec.run ~strategy db (Binder.bind db (Sql_parser.parse sql))).rows
+  in
+  let check label want got =
+    if not (List.length want = List.length got && List.for_all2 (Array.for_all2 same_value) want got)
+    then
+      Alcotest.failf "%s: got %s" label
+        (String.concat "; "
+           (List.map (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r))) got))
+  in
+  let alone = "select distinct t.x from t where t.x = 3" in
+  (* One source: its first stored row, 3.0, for both strategies. *)
+  check "one table, Auto" [ [| Value.Float 3. |] ] (rows `Auto alone);
+  check "one table, Naive" [ [| Value.Float 3. |] ] (rows `Naive alone);
+  (* Driving u (one row), the search meets t's rows from the last: 3.
+     Naive crosses t first: 3.0. *)
+  let joined = "select distinct t.x from t, u where t.y = u.y and t.x = 3" in
+  check "joined, Auto" [ [| Value.Int 3 |] ] (rows `Auto joined);
+  check "joined, Naive" [ [| Value.Float 3. |] ] (rows `Naive joined);
+  (* A float constant past 2^53 pins nothing: two integers equal it and
+     differ from each other, and both come back. *)
+  Database.insert db "t" [ Value.Int (1 lsl 53); Value.Int 1 ];
+  Database.insert db "t" [ Value.Int ((1 lsl 53) + 1); Value.Int 1 ];
+  let big = "select distinct t.x from t where t.x = 9007199254740992.0" in
+  check "past 2^53, Auto"
+    [ [| Value.Int (1 lsl 53) |]; [| Value.Int ((1 lsl 53) + 1) |] ]
+    (rows `Auto big);
+  check "past 2^53, Naive"
+    [ [| Value.Int (1 lsl 53) |]; [| Value.Int ((1 lsl 53) + 1) |] ]
+    (rows `Naive big);
+  (* Nor does a number whose int and float forms hash apart (2^50 does,
+     see Value.hash): DISTINCT keeps both forms, and so does Auto. *)
+  Database.insert db "t" [ Value.Int (1 lsl 50); Value.Int 1 ];
+  Database.insert db "t" [ Value.Float (Float.of_int (1 lsl 50)); Value.Int 1 ];
+  List.iter
+    (fun sql -> check (sql ^ ", Auto = Naive") (rows `Naive sql) (rows `Auto sql))
+    [
+      "select distinct t.x from t where t.x = 1125899906842624";
+      "select distinct t.x from t where t.x = 1125899906842624.0";
+    ]
+
 let () =
   Alcotest.run "exec-diff"
     [
@@ -499,5 +725,12 @@ let () =
           Alcotest.test_case "every MQ = Naive, bit for bit" `Quick test_mq_streamed;
           Alcotest.test_case "near-miss shapes fall back" `Quick test_mq_near_misses;
           Alcotest.test_case "row budget trips alike" `Quick test_mq_row_budget;
+        ] );
+      ( "pinned blocks",
+        [
+          Alcotest.test_case "random pinned blocks = Naive, bit for bit" `Quick
+            test_pinned_blocks;
+          Alcotest.test_case "which of 3 and 3.0 a pinned reply carries" `Quick
+            test_pinned_forms;
         ] );
     ]

@@ -108,6 +108,41 @@ let test_instantiate_date_coercion () =
          contains 0)
   | _ -> Alcotest.fail "one preference expected"
 
+(* Instantiation binds each condition: a stored atom the catalog cannot
+   bind fails with the binder's own text, the one binding the whole
+   personalized query gave, and a date string becomes a date. *)
+let test_instantiate_binds () =
+  let db = Moviedb.Personas.tiny_db () in
+  let q = Binder.bind db (Sql_parser.parse "select mv.title from movie mv") in
+  let qg = Qgraph.of_query db q in
+  let inst atoms =
+    Integrate.instantiate db qg
+      (Select.select db (Pgraph.of_profile (Profile.of_list atoms)) qg (Criteria.top_r 5))
+  in
+  let play = (Atom.join ("movie", "mid") ("play", "mid"), d 0.9) in
+  List.iter
+    (fun (what, atoms, expected) ->
+      match inst atoms with
+      | _ -> Alcotest.failf "%s: instantiated" what
+      | exception Binder.Bind_error e -> Alcotest.(check string) what expected e)
+    [
+      ("unknown column", [ (Atom.sel "movie" "foo" (Value.Int 1), d 0.9) ],
+       "tuple variable mv has no column foo");
+      ("unlike types", [ (Atom.sel "movie" "year" (str "x"), d 0.9) ],
+       "predicate compares int with string");
+      ("unparsable date", [ play; (Atom.sel "play" "date" (str "2003-13-45"), d 0.5) ],
+       "string \"2003-13-45\" is not a valid date literal");
+    ];
+  match inst [ play; (Atom.sel "play" "date" (str "2/7/2003"), d 0.5) ] with
+  | [ { pred; _ } ] ->
+      Alcotest.(check bool) "the paper's date format becomes a date" true
+        (List.exists
+           (function
+             | Sql_ast.P_cmp (_, _, Sql_ast.S_const (Value.Date _)) -> true
+             | _ -> false)
+           (Sql_ast.conjuncts pred))
+  | _ -> Alcotest.fail "one preference expected"
+
 (* Each new tuple variable is the first name among base, base1, base2,
    … (base: its relation's first two letters) that is neither a variable
    of the query nor one allocated before it, in path order.  The query
@@ -420,6 +455,107 @@ let prop_sq_mq_random =
             if l <= 1 then rs = rm
             else List.for_all (fun r -> List.mem r rm) rs)
 
+(* SQ at K = 60, L = 30 on a 200-selection profile asks for C(K − M, 30)
+   subsets, about 10^17 at K − M = 60.  It is refused before one is
+   built, as a typed resource exhaustion, and the ladder answers: in
+   bounded time and memory, where it used to exhaust memory. *)
+let test_sq_size_bound () =
+  let db = Moviedb.Datagen.(generate (scale ~seed:11 300)) in
+  let profile =
+    Moviedb.Profile_gen.generate db
+      { Moviedb.Profile_gen.default with seed = 600; n_selections = 200 }
+  in
+  let q = Sql_parser.parse "select movie.title from movie, genre where movie.mid = genre.mid" in
+  let qg = Qgraph.of_query db (Binder.bind db q) in
+  let insts =
+    Integrate.instantiate db qg
+      (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 60))
+  in
+  let n = List.length insts in
+  if Putil.Combin.choose n (min 30 n) <= Integrate.sq_max_conjunctions then
+    Alcotest.failf "only %d optional preferences: the request fits the cap" n;
+  (match Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:(min 30 n) with
+  | _ -> Alcotest.fail "SQ built past the cap"
+  | exception Governor.Exhausted _ -> ());
+  let params =
+    { Personalize.default_params with k = Criteria.top_r 60; l = `At_least 30; method_ = `SQ }
+  in
+  let words0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let r = Personalize.personalize_r ~params db profile q in
+  let words = Gc.minor_words () -. words0 and secs = Unix.gettimeofday () -. t0 in
+  if secs > 5. || words > 1e8 then
+    Alcotest.failf "took %.1f s and %.0f words" secs words;
+  match r with
+  | Ok { outcome; result; degradations = Reduced { cause = Resource_exhausted _; _ } :: rest } ->
+      (* Halved to K = 30, L = 15, still past the cap: the plain query. *)
+      if outcome = None then begin
+        (match rest with
+        | [ Unpersonalized { cause = Resource_exhausted _ } ] -> ()
+        | _ -> Alcotest.fail "expected one unpersonalized step after the reduced one");
+        Alcotest.(check bool) "plain rows" true
+          (Exec.result_equal_list result (Engine.run_query db q))
+      end
+  | Ok _ -> Alcotest.fail "the first rung was not refused as a resource exhaustion"
+  | Error e -> Alcotest.(check string) "typed" "resource-exhausted" (Error.family_name e)
+
+(* Integration builds its queries from a bound Q and instantiated
+   preferences, so they are bound by construction: executing one as
+   built returns what binding it once more and executing returns — the
+   same columns and the same rows, in order and bit for bit. *)
+let prop_runs_as_built =
+  let tiny = lazy (Moviedb.Personas.tiny_db ()) in
+  let synthetic =
+    lazy
+      (Moviedb.Datagen.generate
+         { Moviedb.Datagen.default with movies = 150; actors = 60; directors = 15; theatres = 6 })
+  in
+  let same_value a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+    | _ -> a = b
+  in
+  QCheck.Test.make ~name:"a personalized query runs as built" ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let int n = Random.State.int rng n and flip () = Random.State.bool rng in
+      let db, profile =
+        if int 4 = 0 then
+          ( Lazy.force tiny,
+            if flip () then Moviedb.Personas.julie () else Moviedb.Personas.rob () )
+        else
+          let db = Lazy.force synthetic in
+          ( db,
+            Moviedb.Profile_gen.generate db
+              { Moviedb.Profile_gen.default with seed; n_selections = 10 + int 50 } )
+      in
+      let q = Moviedb.Workload.random_query db (Putil.Rng.create seed) in
+      let method_ = if flip () then `SQ else `MQ in
+      let l =
+        if method_ = `MQ && int 3 = 0 then `Min_doi (Random.State.float rng 0.9)
+        else `At_least (int 3)
+      in
+      let params =
+        {
+          Personalize.k = Criteria.top_r (1 + int 10);
+          m = `Count (int 3);
+          l;
+          method_;
+          rank = flip ();
+        }
+      in
+      match Personalize.personalize ~params db profile q with
+      | exception Integrate.Integration_error _ -> true (* every combination conflicts *)
+      | o ->
+          let built = Exec.run db o.personalized
+          and rebound = Engine.run_query db o.personalized in
+          built.cols = rebound.cols
+          && List.length built.rows = List.length rebound.rows
+          && List.for_all2
+               (fun x y -> Array.length x = Array.length y && Array.for_all2 same_value x y)
+               built.rows rebound.rows
+          || QCheck.Test.fail_reportf "%s" (Sql_print.query_to_string o.personalized))
+
 let () =
   Alcotest.run "integrate"
     [
@@ -430,6 +566,7 @@ let () =
             test_instantiate_to_one_prefix_shared;
           Alcotest.test_case "to-many branches" `Quick test_instantiate_to_many_branches;
           Alcotest.test_case "date coercion" `Quick test_instantiate_date_coercion;
+          Alcotest.test_case "conditions bound" `Quick test_instantiate_binds;
           Alcotest.test_case "alias allocation order" `Quick test_instantiate_alias_order;
         ] );
       ( "sq",
@@ -439,6 +576,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_sq_errors;
           Alcotest.test_case "conflicting combos" `Quick test_sq_conflicting_combos_dropped;
           Alcotest.test_case "dedup conjuncts" `Quick test_dedup_conjuncts;
+          Alcotest.test_case "size bound: K = 60, L = 30" `Quick test_sq_size_bound;
         ] );
       ( "mq",
         [
@@ -457,5 +595,6 @@ let () =
           Alcotest.test_case "SQ=MQ with mandatory" `Quick
             test_sq_mq_equivalence_with_mandatory;
           QCheck_alcotest.to_alcotest prop_sq_mq_random;
+          QCheck_alcotest.to_alcotest prop_runs_as_built;
         ] );
     ]

@@ -270,6 +270,8 @@ let test_choose_values () =
     [
       (0, 0, 1); (5, 0, 1); (5, 5, 1); (5, 1, 5); (5, 2, 10); (10, 3, 120);
       (60, 1, 60); (10, 5, 252); (5, 6, 0); (5, -1, 0); (52, 5, 2598960);
+      (60, 30, 118264581564861424); (62, 31, 465428353255261088);
+      (200, 100, max_int); (1000, 3, 166167000);
     ]
 
 let test_subsets_exhaustive () =

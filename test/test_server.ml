@@ -1074,6 +1074,58 @@ let test_refused_export_writes_no_store () =
       Alcotest.(check string) (u ^ " exported") "condition|degree\n'GENRE.genre = ''comedy'''|0.9" r)
     users loads
 
+(* A refused start closes every store it opened: five starts refused at
+   the first export (a malformed row) and five refused by the last
+   shard's recovery (its WAL path a directory) leave the process with
+   the descriptors it had. *)
+let test_refused_starts_close_stores () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let catalog ~degree =
+    let db = Moviedb.Personas.tiny_db () in
+    Perso.Profile_store.install db;
+    List.iter
+      (fun u ->
+        Relal.Database.insert db Perso.Profile_store.table_name
+          [ Relal.Value.Str u; Relal.Value.Str "GENRE.genre = 'comedy'"; degree ])
+      [ "alice"; "bob"; "carol"; "dave"; "erin"; "frank" ];
+    db
+  in
+  let root = fresh_store_root () in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
+  @@ fun () ->
+  let cfg cfg = { cfg with Server_core.shards = 3; store_dir = Some root } in
+  let refused what db =
+    let before = open_fds () in
+    for _ = 1 to 5 do
+      match
+        Perso.Error.guard (fun () ->
+            Server.start (cfg (Server.default_config ~socket_path:(fresh_socket ()))) db)
+      with
+      | Error (Perso.Error.Storage _) -> ()
+      | Error e -> Alcotest.failf "%s: expected a storage error, got %s" what (Perso.Error.to_string e)
+      | Ok t ->
+          ignore (Server.stop t : Server.drain_outcome);
+          Alcotest.failf "%s: the start was not refused" what
+    done;
+    Alcotest.(check int) (what ^ ": open descriptors") before (open_fds ())
+  in
+  refused "refused export" (catalog ~degree:Relal.Value.Null);
+  (* Seed the root, then break the last shard's WAL. *)
+  ignore
+    (with_server ~db:(catalog ~degree:(Relal.Value.Float 0.9)) cfg (fun _t socket ->
+         run_script socket [ "PING" ])
+      : string list);
+  let shard = Perso_store.Store.shard_dir root 2 in
+  Array.iter
+    (fun f ->
+      if String.length f > 4 && String.sub f 0 4 = "wal-" then begin
+        Sys.remove (Filename.concat shard f);
+        Sys.mkdir (Filename.concat shard f) 0o755
+      end)
+    (Sys.readdir shard);
+  refused "recovery error" (catalog ~degree:(Relal.Value.Float 0.9))
+
 let () =
   Alcotest.run "server"
     [
@@ -1135,6 +1187,8 @@ let () =
             test_disk_memory_differential;
           Alcotest.test_case "refused first export writes no store" `Quick
             test_refused_export_writes_no_store;
+          Alcotest.test_case "refused starts close their stores" `Quick
+            test_refused_starts_close_stores;
         ] );
       ( "catalog",
         [
