@@ -75,7 +75,8 @@ sim: build
 # sharded-store figures, the served-shape figure, and a positive
 # allocated-words count for every figure.  The served-shape figures are
 # served_mq_k5 and served_mq_k5_pinned (queries whose own WHERE pins
-# their projection).
+# their projection).  The sq_integrate section times Integrate.sq alone
+# at (K, L) = (20, 3), (30, 3) and (40, 4).
 bench-exec: build
 	BENCH_SCALE=quick BENCH_EXEC_OUT=$(BENCH_JSON) dune exec bench/main.exe -- exec
 	python3 -m json.tool $(BENCH_JSON) > /dev/null
@@ -87,7 +88,11 @@ bench-exec: build
 	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
 	bad=[f['name'] for f in d['figures'] if not f.get('words_per_query', 0) > 0]; \
 	sys.exit(0 if d['figures'] and not bad else sys.stderr.write('bench-exec: no words_per_query for %s\n' % (bad or 'any figure')) or 1)" \
-	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 and served_mq_k5_pinned among them, + sharded_store)"
+	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
+	pts=d.get('sq_integrate', {}).get('points', []); \
+	ok=[(p['k'], p['l']) for p in pts if p['calls'] > 0 and p['words_per_call'] > 0] == [(20, 3), (30, 3), (40, 4)]; \
+	sys.exit(0 if ok else sys.stderr.write('bench-exec: no sq_integrate points at (K, L) = (20, 3), (30, 3), (40, 4)\n') or 1)" \
+	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 and served_mq_k5_pinned among them, + sharded_store + sq_integrate)"
 
 # Alternating A/B of the working tree against REV over the repository
 # benchmark (BENCHMARK.json, bench/perf/): PAIRS pairs per

@@ -589,6 +589,70 @@ let ablation_index () =
 
 let min_sample_ms = 100.
 
+(* One figure's [pass]: the words it allocates, and the median of
+   [cell_reps] timed samples after a warm-up pass, a sample repeating
+   the pass to last [min_sample_ms] except at quick scale.  Returns the
+   warm-up pass's result, the repeats, the ms per pass and the words. *)
+let measure_pass pass =
+  (* Building the inputs and the previous figure leave major-GC work
+     pending; finish it before this figure's passes. *)
+  Gc.full_major ();
+  let r, warm_ms = time pass in
+  let repeats =
+    if scale.label = "quick" then 1
+    else max 1 (int_of_float (Float.ceil (min_sample_ms /. warm_ms)))
+  in
+  let _, words = allocated_words pass in
+  let ms =
+    median
+      (List.init cell_reps (fun _ ->
+           let (), ms =
+             time (fun () ->
+                 for _ = 1 to repeats do
+                   ignore (pass ())
+                 done)
+           in
+           ms /. float_of_int repeats))
+  in
+  (r, repeats, ms, words)
+
+(* SQ integration alone ([Integrate.sq] on instantiated preferences) at
+   three (K, L) points over the 200-selection profiles and the workload
+   queries: ms and words per call, and how many calls were refused
+   ([Governor.Exhausted]) or found every combination conflicting. *)
+let sq_integrate_points db =
+  let queries = queries_for 210 scale.queries in
+  let profiles = profiles_for ~seed0:600 ~size:200 scale.profiles in
+  List.map
+    (fun (k, l) ->
+      let calls =
+        List.concat_map
+          (fun profile ->
+            let g = Pgraph.of_profile profile in
+            List.map
+              (fun q ->
+                let qg = Qgraph.of_query db (Relal.Binder.bind db q) in
+                let insts =
+                  Integrate.instantiate db qg (Select.select db g qg (Criteria.Top_r k))
+                in
+                (qg, insts, min l (List.length insts)))
+              queries)
+          profiles
+      in
+      let pass () =
+        List.fold_left
+          (fun (refused, conflicting) (qg, optional, l) ->
+            match Integrate.sq db qg ~mandatory:[] ~optional ~l with
+            | _ -> (refused, conflicting)
+            | exception Relal.Governor.Exhausted _ -> (refused + 1, conflicting)
+            | exception Integrate.Integration_error _ -> (refused, conflicting + 1))
+          (0, 0) calls
+      in
+      let (refused, conflicting), _, ms, words = measure_pass pass in
+      let n = float_of_int (max 1 (List.length calls)) in
+      (k, l, List.length calls, ms /. n, words /. n, refused, conflicting))
+    [ (20, 3); (30, 3); (40, 4) ]
+
 let bench_exec () =
   let db = Lazy.force db in
   let personalized ~method_ ~k ~l ~size ~seed0 =
@@ -676,26 +740,7 @@ let bench_exec () =
         let run_all () =
           List.fold_left (fun acc q -> acc + List.length (run q).Relal.Exec.rows) 0 qs
         in
-        (* Building the queries and the previous figure leave major-GC
-           work pending; finish it before this figure's passes. *)
-        Gc.full_major ();
-        let rows, warm_ms = time run_all in
-        let repeats =
-          if scale.label = "quick" then 1
-          else max 1 (int_of_float (Float.ceil (min_sample_ms /. warm_ms)))
-        in
-        let _, words = allocated_words run_all in
-        let ms =
-          median
-            (List.init cell_reps (fun _ ->
-                 let (), ms =
-                   time (fun () ->
-                       for _ = 1 to repeats do
-                         ignore (run_all () : int)
-                       done)
-                 in
-                 ms /. float_of_int repeats))
-        in
+        let rows, repeats, ms, words = measure_pass run_all in
         let n = List.length qs in
         let per_query x = x /. float_of_int (max 1 n) in
         let wpq = per_query words in
@@ -705,6 +750,17 @@ let bench_exec () =
       figures
   in
   let total_ms = List.fold_left (fun a (_, _, _, ms, _, _) -> a +. ms) 0. results in
+  let sq_points = sq_integrate_points db in
+  Printf.printf
+    "\n## SQ integration (Integrate.sq alone; %d profiles of 200 selections x %d queries)\n"
+    scale.profiles scale.queries;
+  Printf.printf "%-4s %-4s %8s %12s %14s %8s %12s\n" "K" "L" "calls" "ms_per_call"
+    "words_per_call" "refused" "conflicting";
+  List.iter
+    (fun (k, l, calls, ms, words, refused, conflicting) ->
+      Printf.printf "%-4d %-4d %8d %12.4f %14.0f %8d %12d\n%!" k l calls ms words refused
+        conflicting)
+    sq_points;
   (* ---- sharded profile store: serve-path throughput ---------------- *)
   (* Mixed PROFILE SAVE / PROFILE LOAD pressure through the server core
      (no sockets): with one shard every save excludes everything; with
@@ -793,6 +849,17 @@ let bench_exec () =
         (float_of_int store_reqs /. ms *. 1000.)
         (if i = List.length store_results - 1 then "" else ","))
     store_results;
+  Printf.fprintf oc "  ]},\n";
+  Printf.fprintf oc "  \"sq_integrate\": {\"profiles\": %d, \"queries\": %d, \"points\": [\n"
+    scale.profiles scale.queries;
+  List.iteri
+    (fun i (k, l, calls, ms, words, refused, conflicting) ->
+      Printf.fprintf oc
+        "    {\"k\": %d, \"l\": %d, \"calls\": %d, \"ms_per_call\": %.4f, \
+         \"words_per_call\": %.0f, \"refused\": %d, \"all_conflicting\": %d}%s\n"
+        k l calls ms words refused conflicting
+        (if i = List.length sq_points - 1 then "" else ","))
+    sq_points;
   Printf.fprintf oc "  ]},\n  \"total_ms\": %.3f\n}\n" total_ms;
   close_out oc;
   Printf.printf "# wrote %s (total %.3f ms)\n%!" path total_ms

@@ -14,7 +14,6 @@
      .unlike [ COND, D ]   add one dislike (negative preference)
      .k N | .l N | .m N    personalization parameters
      .method sq|mq         integration method
-     .cache [on|off]       plan-cache stats, or toggle it
      .plain SQL            run SQL without personalization
      .show                 session state (db summary, profile, params)
      .explain SQL          show the personalized SQL without running it
@@ -31,12 +30,6 @@ type session = {
   mutable l : int;
   mutable m : int;
   mutable method_ : [ `SQ | `MQ ];
-  (* Plan cache over the current db.  The shell has no Profile_store —
-     the profile lives in [profile] — so instead of store revisions it
-     keys entries on [rev], bumped on every profile edit. *)
-  mutable cache : Perso.Perso_cache.t option;
-  mutable cache_on : bool;
-  mutable rev : int;
 }
 
 let fresh () =
@@ -49,24 +42,7 @@ let fresh () =
     l = 1;
     m = 0;
     method_ = `MQ;
-    cache = None;
-    cache_on = true;
-    rev = 0;
   }
-
-let cache_of s =
-  match s.cache with
-  | Some c -> c
-  | None ->
-      let c = Perso.Perso_cache.create s.db in
-      s.cache <- Some c;
-      c
-
-(* A db switch orphans the cache (entries personalize against the old
-   schema); a profile edit just moves the revision, so no entry computed
-   before it is served again. *)
-let switched_db s = s.cache <- None
-let edited_profile s = s.rev <- s.rev + 1
 
 let params s =
   {
@@ -125,20 +101,6 @@ let run_personalized s sql =
         o.Perso.Negative.rows;
       Printf.printf "(%d rows)\n" (List.length o.Perso.Negative.rows)
     end
-    else if s.cache_on then begin
-      let q = Relal.Sql_parser.parse sql in
-      let outcome, src =
-        Perso.Perso_cache.personalize (cache_of s) ~params:(params s)
-          ~user:"session" ~revision:s.rev s.profile q
-      in
-      Printf.printf "preferences used: %d (cache %s)\n"
-        (List.length outcome.Perso.Personalize.selected)
-        (match src with
-        | Perso.Perso_cache.Hit -> "hit"
-        | Perso.Perso_cache.Miss | Perso.Perso_cache.Incremental -> "miss"
-        | Perso.Perso_cache.Bypass -> "bypass");
-      print_result (Perso.Personalize.execute s.db outcome)
-    end
     else begin
       let outcome, res =
         Perso.Personalize.personalize_sql ~params:(params s) s.db s.profile sql
@@ -171,33 +133,9 @@ let explain s sql =
 let help () =
   print_string
     "commands: .help .load DIR .tiny .gen N .profile FILE .like [COND, D]\n\
-    \          .unlike [COND, D] .k N .l N .m N .method sq|mq .cache [on|off]\n\
+    \          .unlike [COND, D] .k N .l N .m N .method sq|mq\n\
     \          .plain SQL .show .explain SQL .quit — anything else runs as \
      personalized SQL\n"
-
-let cache_command s arg =
-  match String.trim arg with
-  | "on" ->
-      s.cache_on <- true;
-      Printf.printf "cache on\n"
-  | "off" ->
-      s.cache_on <- false;
-      Printf.printf "cache off\n"
-  | "" ->
-      if not s.cache_on then Printf.printf "cache off\n"
-      else
-        let st =
-          match s.cache with
-          | Some c -> Perso.Perso_cache.stats c
-          | None -> Perso.Perso_cache.stats (cache_of s)
-        in
-        Printf.printf
-          "cache on: %d hits, %d misses, %d evictions, %d invalidations, %d \
-           entries\n"
-          st.Perso.Perso_cache.hits st.Perso.Perso_cache.misses
-          st.Perso.Perso_cache.evictions
-          st.Perso.Perso_cache.invalidations st.Perso.Perso_cache.entries
-  | other -> report_error "unknown cache argument" other
 
 let int_arg arg ~default =
   match int_of_string_opt (String.trim arg) with Some n when n >= 0 -> n | _ -> default
@@ -216,20 +154,17 @@ let handle_command s line =
   | ".tiny" ->
       s.db <- Moviedb.Personas.tiny_db ();
       s.db_desc <- "tiny example database";
-      switched_db s;
       Printf.printf "switched to %s\n" s.db_desc
   | ".gen" ->
       let n = int_arg arg ~default:2000 in
       s.db <- Moviedb.Datagen.(generate (scale n));
       s.db_desc <- Printf.sprintf "synthetic database (%d movies)" n;
-      switched_db s;
       Printf.printf "switched to %s\n" s.db_desc
   | ".load" -> (
       match Relal.Csv.load_db_r ~dir:arg with
       | Ok db ->
           s.db <- db;
           s.db_desc <- "loaded from " ^ arg;
-          switched_db s;
           Printf.printf "loaded %s\n" arg
       | Error e ->
           print_endline
@@ -238,14 +173,12 @@ let handle_command s line =
       match Perso.Profile.load arg with
       | Ok p ->
           s.profile <- p;
-          edited_profile s;
           Printf.printf "loaded %d preferences\n" (Perso.Profile.cardinal p)
       | Error e -> report_error "profile error" e)
   | ".like" -> (
       match parse_pref_line arg with
       | Ok (atom, deg) ->
           s.profile <- Perso.Profile.add s.profile atom deg;
-          edited_profile s;
           Printf.printf "added %s (%s)\n" (Perso.Atom.to_string atom)
             (Perso.Degree.to_string deg)
       | Error e -> report_error "preference error" e)
@@ -253,7 +186,6 @@ let handle_command s line =
       match parse_pref_line arg with
       | Ok (atom, deg) ->
           s.dislikes <- Perso.Profile.add s.dislikes atom deg;
-          edited_profile s;
           Printf.printf "added dislike %s (%s)\n" (Perso.Atom.to_string atom)
             (Perso.Degree.to_string deg)
       | Error e -> report_error "preference error" e)
@@ -265,7 +197,6 @@ let handle_command s line =
       | "sq" -> s.method_ <- `SQ
       | "mq" -> s.method_ <- `MQ
       | other -> report_error "unknown method" other)
-  | ".cache" -> cache_command s arg
   | ".plain" -> print_result (Relal.Engine.run_sql s.db arg)
   | ".show" -> show s
   | ".explain" -> explain s arg

@@ -190,12 +190,6 @@ let uniquified_outputs (q : Sql_ast.query) =
           cand)
     names
 
-let conflict_free db insts =
-  not
-    (List.exists
-       (fun (a, b) -> Conflict.paths_conflict db a.path b.path)
-       (Putil.Combin.pairs insts))
-
 let preds insts = List.map (fun i -> i.pred) insts
 
 let trefs_of insts = List.concat_map (fun i -> i.trefs) insts
@@ -254,7 +248,79 @@ let partial ?select ?limit qg ~mandatory inst =
 (* SQ                                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let sq_max_conjunctions = 100_000
+let sq_max_visits = 1_000_000
+
+let refuse exhausted =
+  raise
+    (Governor.Exhausted { exhausted; rows_produced = 0; expansions = 0; elapsed_ms = 0. })
+
+(* The conjunctions of the conflict-free [l]-subsets of [optional], in
+   the lexicographic order of positions, repeated conditions removed, and
+   their members in order of first occurrence.  The walk extends a prefix
+   only by a later candidate that conflicts with none of its members.
+   It stops past [Exec.max_branches] conjunctions or [sq_max_visits]
+   steps (pairs the matrix decides, prefixes formed). *)
+let conjunctions db optional l =
+  let a = Array.of_list optional in
+  let n = Array.length a in
+  let visits = ref 0 in
+  let step () =
+    incr visits;
+    if !visits > sq_max_visits then
+      refuse
+        (Printf.sprintf "SQ conjunctions: past the cap of %d enumeration steps"
+           sq_max_visits)
+  in
+  (* The matrix's upper triangle, row by row; below L = 2 no pair is
+     ever tested. *)
+  let conflicts =
+    Array.init (if l < 2 then 0 else n) (fun i ->
+        Bytes.init n (fun j ->
+            if j <= i then '\000'
+            else begin
+              step ();
+              if Conflict.paths_conflict db a.(i).path a.(j).path then '\001' else '\000'
+            end))
+  in
+  let chosen = Array.make l 0 and combos = ref [] and count = ref 0 in
+  let emit () =
+    incr count;
+    if !count > Exec.max_branches then
+      refuse
+        (Printf.sprintf "SQ conjunctions: more than the executor's %d branches"
+           Exec.max_branches);
+    combos := Array.to_list chosen :: !combos
+  in
+  (* Does [j] conflict with none of the first [depth] members chosen? *)
+  let rec clear depth j k =
+    k = depth
+    || (Bytes.get conflicts.(chosen.(k)) j = '\000' && clear depth j (k + 1))
+  in
+  let rec extend depth from =
+    if depth = l then emit ()
+    else
+      for j = from to n - l + depth do
+        step ();
+        if clear depth j 0 then begin
+          chosen.(depth) <- j;
+          extend (depth + 1) (j + 1)
+        end
+      done
+  in
+  extend 0 0;
+  let combos = List.rev !combos and keys = Array.map (fun i -> pred_key i.pred) a in
+  let conj c =
+    let kept, _ = dedup (Array.get keys) c in
+    Sql_ast.conj (List.map (fun i -> a.(i).pred) kept)
+  in
+  let vars, _ = dedup Fun.id (List.concat combos) in
+  (List.map conj combos, List.map (Array.get a) vars)
+
+let rec pairwise_conflict_free db = function
+  | [] -> true
+  | x :: rest ->
+      List.for_all (fun y -> not (Conflict.paths_conflict db x.path y.path)) rest
+      && pairwise_conflict_free db rest
 
 let sq db qg ~mandatory ~optional ~l =
   let q0 = Qgraph.query qg in
@@ -262,47 +328,12 @@ let sq db qg ~mandatory ~optional ~l =
   let n = List.length optional in
   if l < 0 then err "SQ: negative L";
   if l > n then err "SQ: L = %d exceeds the %d optional preferences" l n;
-  (* Sized before a single subset is built: C(60, 30) subsets would
-     exhaust memory long before a governor poll. *)
-  if Putil.Combin.choose n l > sq_max_conjunctions then
-    raise
-      (Relal.Governor.Exhausted
-         {
-           exhausted =
-             Printf.sprintf "SQ conjunctions: C(%d, %d) past the cap of %d" n l
-               sq_max_conjunctions;
-           rows_produced = 0;
-           expansions = 0;
-           elapsed_ms = 0.;
-         });
-  let combos =
-    if l = 0 then []
-    else List.filter (conflict_free db) (Putil.Combin.subsets optional l)
-  in
-  if l > 0 && combos = [] then
+  let conjs, vars = conjunctions db optional l in
+  if conjs = [] then
     err "SQ: every %d-combination of the optional preferences conflicts" l;
-  let used_opt =
-    let seen = Hashtbl.create 16 in
-    List.concat_map
-      (fun combo ->
-        List.filter
-          (fun inst ->
-            if Hashtbl.mem seen inst.index then false
-            else begin
-              Hashtbl.add seen inst.index ();
-              true
-            end)
-          combo)
-      combos
-  in
-  let disjunction =
-    if l = 0 then Sql_ast.P_true
-    else
-      Sql_ast.disj
-        (List.map (fun combo -> Sql_ast.conj (dedup_conjuncts (preds combo))) combos)
-  in
-  let q = joined (prefix q0 ~mandatory) ~vars:used_opt ~cond:disjunction in
-  if conflict_free db mandatory then q else { q with Sql_ast.where = Sql_ast.P_false }
+  let q = joined (prefix q0 ~mandatory) ~vars ~cond:(Sql_ast.disj conjs) in
+  if pairwise_conflict_free db mandatory then q
+  else { q with Sql_ast.where = Sql_ast.P_false }
 
 (* ------------------------------------------------------------------ *)
 (* MQ                                                                  *)

@@ -9,8 +9,9 @@
       the conjunction of the mandatory conditions, AND the disjunction of
       all [C(K−M, L)] conjunctions of [L] optional conditions.
       Conjunctions containing pairwise-conflicting conditions are
-      excluded (§6(a)); repeated conditions are removed; the result uses
-      [SELECT DISTINCT].
+      excluded (§6(a)) — never built, since the enumeration prunes a
+      prefix at its first conflicting pair; repeated conditions are
+      removed; the result uses [SELECT DISTINCT].
     - {b MQ} (multiple queries): one partial query per optional
       preference ([Q] AND mandatory AND that preference, [SELECT
       DISTINCT], plus constant columns [doi] — the preference's degree —
@@ -88,11 +89,11 @@ val split_mandatory :
 
 exception Integration_error of string
 
-val sq_max_conjunctions : int
-(** 100,000: the most L-combinations of the optional preferences, C(K −
-    M, L), that {!sq} enumerates (before dropping conflicting ones).  At
-    the cap, SQ's disjunction takes about 0.1 s and 13 M words to build
-    on a 200-selection profile. *)
+val sq_max_visits : int
+(** 1,000,000: the most steps {!sq}'s enumeration takes, a step being a
+    pair of optional preferences its conflict matrix decides (none at
+    L < 2) or a prefix it forms.  The matrix holds at most 2 MB; 10{^6}
+    steps took 31 ms over 40 preferences at L = 11 (x86-64 Xeon). *)
 
 val sq :
   Relal.Database.t ->
@@ -102,12 +103,24 @@ val sq :
   l:int ->
   Relal.Sql_ast.query
 (** The SQ personalized query.  [l = 0] yields [Q] AND the mandatory
-    conditions.  @raise Integration_error if [l] exceeds the number of
-    optional preferences or the projection is not attribute-only.
+    conditions.  A backtracking walk over the conflict matrix of the
+    optional preferences, computed once, extends each conflict-free
+    prefix only by a later preference that conflicts with none of its
+    members: conflict-free combinations only are built, in the
+    lexicographic order of positions.  The optional tuple variables join
+    FROM in order of first occurrence over them.  A mandatory pair that
+    conflicts makes the qualification [FALSE].
+    @raise Integration_error if [l] exceeds the number of optional
+    preferences, if every [l]-combination conflicts, or if the projection
+    is not attribute-only.
     @raise Relal.Governor.Exhausted, typed [Resource_exhausted] by
-    {!Error}, when C(K − M, L) exceeds {!sq_max_conjunctions}: counted,
-    saturating, before any combination is built, so the degradation
-    ladder retries under halved K and L and then runs the plain query. *)
+    {!Error}, when there are more than {!Relal.Exec.max_branches}
+    conflict-free conjunctions (the most the executor splits into
+    branches; a larger disjunction would run as one residual filter), or
+    when the enumeration passes {!sq_max_visits} steps.  The degradation
+    ladder then retries under halved K and L, and then runs the plain
+    query.  (SQ was refused past 100,000 combinations, conflicting ones
+    included; 4,097 and more ran through that residual filter.) *)
 
 val mq :
   ?rank:bool ->

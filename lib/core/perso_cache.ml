@@ -171,16 +171,12 @@ let params_fp (p : Personalize.params) =
 (* ------------------------------ lookup ------------------------------ *)
 
 (* [personalize] on a query already bound. *)
-let personalize_bound t ~params ?gov ~user ?revision profile bound =
+let personalize_bound t ~params ?gov ~user profile bound =
   let user = String.lowercase_ascii user in
   let key =
     String.concat "\x01" [ user; params_fp params; Sql_print.query_to_key bound ]
   in
-  let rev =
-    match revision with
-    | Some r -> r
-    | None -> Profile_store.revision t.store_db ~user
-  in
+  let rev = Profile_store.revision t.store_db ~user in
   let fresh =
     t.lock.with_lock (fun () ->
         match Hashtbl.find_opt t.tbl key with
@@ -209,12 +205,10 @@ let personalize_bound t ~params ?gov ~user ?revision profile bound =
           store t ~key ~user ~rev outcome);
       (outcome, Miss)
 
-let personalize t ?(params = Personalize.default_params) ?gov ~user ?revision
-    profile q =
-  personalize_bound t ~params ?gov ~user ?revision profile (Binder.bind t.db q)
+let personalize t ?(params = Personalize.default_params) ?gov ~user profile q =
+  personalize_bound t ~params ?gov ~user profile (Binder.bind t.db q)
 
-let personalize_sql_r ?cache ?user ?revision ?params ?budget ?related db
-    profile sql =
+let personalize_sql_r ?cache ?user ?params ?budget ?related db profile sql =
   let result, src =
     match (cache, user, related) with
     | Some t, Some u, None when t.db == db -> (
@@ -231,7 +225,7 @@ let personalize_sql_r ?cache ?user ?revision ?params ?budget ?related db
                never reported as cache-served. *)
             let compute ~params:ps ~gov =
               if ps = params0 then (
-                let o, s = personalize_bound t ~params:ps ?gov ~user:u ?revision profile q in
+                let o, s = personalize_bound t ~params:ps ?gov ~user:u profile q in
                 src := s;
                 o)
               else (

@@ -75,24 +75,20 @@ val personalize :
   ?params:Personalize.params ->
   ?gov:Relal.Governor.t ->
   user:string ->
-  ?revision:int ->
   Profile.t ->
   Relal.Sql_ast.query ->
   Personalize.outcome * source
 (** Cache-aware {!Personalize.personalize} against the cache's
     database.  [profile] must be the user's current profile; its
-    current revision is read from {!Profile_store.revision} unless
-    [revision] overrides it (the REPL keys its session-local, never
-    stored profile this way).  A [Hit] returns the cached outcome
-    (including the cold run's [selection_stats]); anything else is a
-    [Miss], computed cold and stored.  [gov] meters only the cold
-    computation.  Raises exactly as [personalize] does (nothing is
-    cached on a raise). *)
+    current revision is read from {!Profile_store.revision}.  A [Hit]
+    returns the cached outcome (including the cold run's
+    [selection_stats]); anything else is a [Miss], computed cold and
+    stored.  [gov] meters only the cold computation.  Raises exactly as
+    [personalize] does (nothing is cached on a raise). *)
 
 val personalize_sql_r :
   ?cache:t ->
   ?user:string ->
-  ?revision:int ->
   ?params:Personalize.params ->
   ?budget:Relal.Governor.budget ->
   ?related:(Path.t -> bool) ->

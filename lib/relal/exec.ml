@@ -340,29 +340,21 @@ let tvs_of_pred p = List.sort_uniq String.compare (pred_tvs [] p)
 (* A constant predicate (no attributes) evaluated against no row. *)
 let const_pred_holds p = compile_pred (empty_vrel [||]) p 0
 
+let max_branches = 4096
+
 let rec contains_or = function
   | P_or _ -> true
   | P_and ps -> List.exists contains_or ps
   | P_not p -> contains_or p
   | _ -> false
 
-(* Does one of [conjuncts] pin [a], an equality with a constant whose
-   every equal value is one DISTINCT key?  A number has an int and a
-   float form; they must hash alike, or DISTINCT keeps both, and a float
-   must stand for one integer at most (below 2^62; several integers
-   equal 2^62 and beyond). *)
+(* Does one of [conjuncts] pin [a], an equality with a constant?  Every
+   value equal to the constant is one DISTINCT key, numbers included. *)
 let pinned conjuncts (a : attr) =
-  let one_key c =
-    match c with
-    | Value.Int i -> Value.hash c = Value.hash (Value.Float (float_of_int i))
-    | Value.Float f when Float.is_integer f ->
-        Float.abs f < 0x1p62 && Value.hash c = Value.hash (Value.Int (Float.to_int f))
-    | _ -> true
-  in
   List.exists
     (function
-      | P_cmp (Eq, S_attr b, S_const c) | P_cmp (Eq, S_const c, S_attr b) ->
-          equal_attr a b && one_key c
+      | P_cmp (Eq, S_attr b, S_const _) | P_cmp (Eq, S_const _, S_attr b) ->
+          equal_attr a b
       | _ -> false)
     conjuncts
 
@@ -531,7 +523,6 @@ let mq_shape (q : query) : mq option =
             | Sel_const (pref, _) :: Sel_const (doi, _) :: keys
               when List.length keys = width
                    && List.for_all (function Sel_attr _ -> true | _ -> false) keys
-                   && Value.equal pref pref
                    && not (Row_tbl.mem prefs [| pref |]) -> (
                 Row_tbl.add prefs [| pref |] ();
                 match doi with
@@ -1552,7 +1543,7 @@ and run_generic gov db (q : query) : result =
   let dnf_eligible =
     q.distinct && q.group_by = [] && (not has_aggs) && contains_or q.where
   in
-  let dnf = if dnf_eligible then dnf_branches 4096 q.where else None in
+  let dnf = if dnf_eligible then dnf_branches max_branches q.where else None in
   match dnf with
   | Some branches ->
       (* Each conjunctive branch runs over only the tuple variables it (or

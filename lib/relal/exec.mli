@@ -21,12 +21,13 @@
       so the access path never changes a reply.  For DISTINCT queries
       whose qualification contains disjunctions — the shape the SQ
       integration method produces (paper §6) — the qualification is split
-      into DNF branches, each executed as a conjunctive plan over the
-      tuple variables it references.  The branches project, one after
-      another, straight into the tail (below), whose DISTINCT keeps each
-      row's first occurrence across all of them; this is semantically
-      equivalent under DISTINCT and avoids the cross-product blow-up a
-      naive evaluation of SQ's FROM list would suffer.
+      into at most {!max_branches} DNF branches, each executed as a
+      conjunctive plan over the tuple variables it references.  The
+      branches project, one after another, straight into the tail
+      (below), whose DISTINCT keeps each row's first occurrence across
+      all of them; this is semantically equivalent under DISTINCT and
+      avoids the cross-product blow-up a naive evaluation of SQ's FROM
+      list would suffer.
       [`Auto] runs MQ (paper §6), ranked or not, in one pass; see
       {!streams_mq} for the shape.  Each partial query's joined view
       streams straight into one table of groups (key, latest partial,
@@ -67,9 +68,7 @@
       stored values equal as values can differ in form ([3] and [3.0]
       in an INT column): the reply carries the form of that first row,
       which can differ from the one [`Naive], following the FROM order,
-      keeps.  A number pins only if its int and float forms are one
-      DISTINCT key: not past 10{^15}, where {!Value.hash} tells them
-      apart, and never a float that several integers equal.
+      keeps.
     - [`Naive]: textbook semantics — cross product of the FROM list,
       filter, then the same post-pipeline.  Exponential; used as the test
       oracle on small data.  It materializes MQ's derived table and
@@ -83,6 +82,11 @@
     stable ORDER BY, then LIMIT. *)
 
 exception Exec_error of string
+
+val max_branches : int
+(** 4,096: the most DNF branches {!run} splits a DISTINCT disjunction
+    into.  A longer one stays a residual filter on one join of the whole
+    FROM list, which can take seconds; [Integrate.sq] builds no more. *)
 
 type result = { cols : string array; rows : Value.t array list }
 (** Output column names (SELECT order) and rows. *)

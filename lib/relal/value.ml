@@ -28,6 +28,15 @@ let compatible a b =
   | TInt, TFloat | TFloat, TInt -> true
   | _ -> a = b
 
+(* [Int x] against [Float y] by the numbers they stand for, NaN lowest as
+   in [Float.compare].  Below 2^62, [Float.to_int] truncates exactly. *)
+let compare_int_float x y =
+  if Float.is_nan y || y < -0x1p62 then 1
+  else if y >= 0x1p62 then -1
+  else
+    let t = Float.to_int y in
+    if x < t then -1 else if x > t then 1 else Float.compare (Float.of_int t) y
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
@@ -35,8 +44,8 @@ let compare a b =
   | _, Null -> 1
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | Str x, Str y -> String.compare x y
   | Bool x, Bool y -> Bool.compare x y
   | Date x, Date y -> Int.compare x y
@@ -46,30 +55,28 @@ let compare a b =
            (match ty_of a with Some t -> ty_name t | None -> "null")
            (match ty_of b with Some t -> ty_name t | None -> "null"))
 
+(* Is [y] an integer in int range, so that [Float.to_int y] is exact? *)
+let int_valued y = Float.is_integer y && y >= -0x1p62 && y < 0x1p62
+
 let equal a b =
   match (a, b) with
   | Null, Null -> true
   | Int x, Int y -> x = y
-  | Float x, Float y -> x = y
-  | Int x, Float y | Float y, Int x -> float_of_int x = y
+  | Float x, Float y -> Float.equal x y
+  | Int x, Float y | Float y, Int x -> int_valued y && Float.to_int y = x
   | Str x, Str y -> String.equal x y
   | Bool x, Bool y -> x = y
   | Date x, Date y -> x = y
   | _ -> false
 
-(* Must agree with [equal] across the Int/Float overlap: [Int x] and
-   [Float (float_of_int x)] compare equal, so an integral float hashes
-   through its integer image.  Hashing an immediate int does not allocate
-   — the Int arm is the executor's join-probe hot path, so it must not
-   box (the previous [Hashtbl.hash (Float.of_int x)] boxed a float per
-   probe). *)
+(* Must agree with [equal]: a float equal to an int hashes as that int.
+   Hashing an immediate int does not allocate — the Int arm is the
+   executor's join-probe hot path, so it must not box. *)
 let hash = function
   | Null -> 0
   | Int x -> Hashtbl.hash x
   | Float x ->
-      if Float.is_integer x && Float.abs x <= 1e15 then
-        Hashtbl.hash (Float.to_int x)
-      else Hashtbl.hash x
+      if int_valued x then Hashtbl.hash (Float.to_int x) else Hashtbl.hash x
   | Str s -> Hashtbl.hash s
   | Bool b -> Hashtbl.hash b
   | Date d -> Hashtbl.hash (d lxor 0x44)

@@ -26,17 +26,20 @@ val compatible : ty -> ty -> bool
 
 val compare : t -> t -> int
 (** Total order used by ORDER BY and DISTINCT.  [Null] sorts first;
-    numeric values compare by magnitude across [Int]/[Float]; comparing
+    numbers compare exactly by the number they stand for, across
+    [Int]/[Float] too; NaN sorts below every other number.  Comparing
     other mixed types raises [Invalid_argument] (the binder prevents it
-    for well-typed queries). *)
+    for well-typed queries).  [compare a b = 0] exactly when [equal a b]. *)
 
 val equal : t -> t -> bool
 (** SQL-style equality except that [Null] equals [Null] (the engine uses
     two-valued logic; the personalization framework never relies on
-    three-valued NULL semantics). *)
+    three-valued NULL semantics).  [Int x] equals [Float y] exactly when
+    [y] is an integer in int range and [Float.to_int y = x]; NaN equals
+    NaN, [-0.0] equals [0.0]: [equal] is an equivalence relation. *)
 
 val hash : t -> int
-(** Hash consistent with {!equal} (numeric values hash by float value). *)
+(** Equal values hash alike (a float equal to an int as that int). *)
 
 val date_of_ymd : int -> int -> int -> t
 (** [date_of_ymd y m d] builds a [Date].  @raise Invalid_argument on an

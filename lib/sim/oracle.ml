@@ -72,6 +72,86 @@ let rank_of_atom paths (s : Atom.selection) =
   in
   go 0 paths
 
+(* SQ's guarantees (§6, DESIGN §5), with the same top-10 preferences:
+   SQ and MQ return the same rows at L = 1, SQ a subset of MQ's at
+   L = 2 (SQ's L conditions need one witness of Q's variables, MQ's one
+   each).  The conflict rule: at L = 3 over the top 20, no conjunction
+   of SQ holds a pair that [Conflict] flags; over the top 200, [Conflict]
+   flags no two selections at the end of one chain with a to-many join. *)
+let sq_checks db qg g check =
+  let insts k = Integrate.instantiate db qg (Select.select db g qg (Criteria.top_r k)) in
+  let sq optional l =
+    try Some (Integrate.sq db qg ~mandatory:[] ~optional ~l)
+    with Integrate.Integration_error _ -> None
+  in
+  let rows q = rows_multiset (Exec.run db q) in
+  let against_mq name l rel =
+    let optional = insts 10 in
+    let l = min l (List.length optional) in
+    let both () =
+      let mq = Integrate.mq ~rank:false db qg ~mandatory:[] ~optional ~l:(`At_least l) () in
+      (Option.map rows (sq optional l), rows mq)
+    in
+    match Error.guard both with
+    | Ok (None, _) -> check name true "every combination conflicts; vacuous"
+    | Ok (Some rs, rm) ->
+        let n = List.length in
+        check name (rel rs rm) (Printf.sprintf "L=%d: SQ %d, MQ %d rows" l (n rs) (n rm))
+    | Error e -> check name false (Error.to_string e)
+  in
+  let conflict_rule () =
+    let optional = Array.of_list (insts 20) in
+    let path i = optional.(i).Integrate.path and conflicts = Conflict.paths_conflict db in
+    (* A conjunction's members: the preferences whose every condition it
+       holds. *)
+    let keys p = List.map Sql_print.pred_to_string (Sql_ast.conjuncts p) in
+    let members c =
+      let have = keys c in
+      List.filter
+        (fun i -> List.for_all (fun k -> List.mem k have) (keys optional.(i).pred))
+        (List.init (Array.length optional) Fun.id)
+    in
+    let flagged_pair ms =
+      let clash i j = i < j && conflicts (path i) (path j) in
+      List.exists (fun i -> List.exists (clash i) ms) ms
+    in
+    let chain (p : Path.t) = (p.anchor_tv, Path.join_atoms p) in
+    let to_many p = not (Conflict.joins_all_to_one db (snd (chain p))) in
+    let paths = Select.select db g qg (Criteria.top_r 200) in
+    let shared =
+      List.concat_map
+        (fun p ->
+          List.filter_map
+            (fun p' ->
+              if p != p' && chain p = chain p' && to_many p then Some (p, p') else None)
+            paths)
+        paths
+    in
+    let flagged = List.filter (fun (p, p') -> conflicts p p') shared in
+    let l = min 3 (Array.length optional) in
+    match Error.guard (fun () -> sq (Array.to_list optional) l) with
+    | Error e -> check "sq-conflict-rule" false (Error.to_string e)
+    | Ok built ->
+        let conjs =
+          match Option.map Sql_ast.(fun q -> List.rev (conjuncts q.where)) built with
+          | Some (Sql_ast.P_or ds :: _) -> ds
+          | Some cs -> [ Sql_ast.conj cs ]
+          | None -> []
+        in
+        let bad = List.filter (fun c -> flagged_pair (members c)) conjs in
+        check "sq-conflict-rule" (bad = [] && flagged = [])
+          (Printf.sprintf
+             "L=%d over %d: %d conjunctions, %d holding a flagged pair; %d ordered \
+              pairs on a to-many chain, %d flagged"
+             l (Array.length optional) (List.length conjs) (List.length bad)
+             (List.length shared) (List.length flagged))
+  in
+  [
+    against_mq "sq-eq-mq-l1" 1 ( = );
+    against_mq "sq-sub-mq-l2" 2 sub_multiset;
+    conflict_rule ();
+  ]
+
 let case_checks ~movies ~selections case_seed tag =
   let db, profile, q = setting ~movies ~selections case_seed in
   let qg = Qgraph.of_query db q in
@@ -213,6 +293,9 @@ let case_checks ~movies ~selections case_seed tag =
               (List.length plain.Exec.rows)))
   | Error e ->
       add (check "subset" false ("execution failed: " ^ Error.to_string e)));
+
+  (* ----- SQ: its rows against MQ's, and the conflict rule ----- *)
+  List.iter add (sq_checks db qg g check);
 
   List.rev !checks
 

@@ -141,10 +141,15 @@ let prop_combinator_chain =
    L1 >= L2 (satisfying more of fewer/better preferences is strictly
    harder), and the theorem requires degree(c1) >= degree(c2) where
    degree(any L of K) = f∨ over the f∧ of every L-subset of the top K. *)
+let rec subsets xs k =
+  match (xs, k) with
+  | _, 0 -> [ [] ]
+  | [], _ -> []
+  | x :: rest, k -> List.map (fun s -> x :: s) (subsets rest (k - 1)) @ subsets rest k
+
 let any_l_of_k_degree ds l k =
   let top_k = List.filteri (fun i _ -> i < k) ds in
-  let subsets = Putil.Combin.subsets top_k l in
-  Degree.disj (List.map Degree.conj subsets)
+  Degree.disj (List.map Degree.conj (subsets top_k l))
 
 let prop_subsumption =
   QCheck.Test.make ~name:"subsumption theorem (any-L-of-K monotonicity)" ~count:200

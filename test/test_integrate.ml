@@ -455,10 +455,190 @@ let prop_sq_mq_random =
             if l <= 1 then rs = rm
             else List.for_all (fun r -> List.mem r rm) rs)
 
-(* SQ at K = 60, L = 30 on a 200-selection profile asks for C(K − M, 30)
-   subsets, about 10^17 at K − M = 60.  It is refused before one is
-   built, as a typed resource exhaustion, and the ladder answers: in
-   bounded time and memory, where it used to exhaust memory. *)
+(* ------------------- SQ's enumeration and its bounds ------------------- *)
+
+let rec subsets xs k =
+  match (xs, k) with
+  | _, 0 -> [ [] ]
+  | [], _ -> []
+  | x :: rest, k -> List.map (fun s -> x :: s) (subsets rest (k - 1)) @ subsets rest k
+
+let pairwise_free db insts =
+  let rec go = function
+    | [] -> true
+    | (x : Integrate.instantiated) :: rest ->
+        List.for_all
+          (fun (y : Integrate.instantiated) ->
+            not (Conflict.paths_conflict db x.path y.path))
+          rest
+        && go rest
+  in
+  go insts
+
+(* SQ as §6 states it, built the slow way: every L-subset of the optional
+   preferences in the lexicographic order of positions, kept when no
+   pair in it conflicts; each kept subset the conjunction of its
+   conditions, repeats removed; the optional variables in order of first
+   occurrence over the kept subsets.  [None] when every subset
+   conflicts.  Without mandatory preferences. *)
+let reference_sq db qg ~optional ~l =
+  match List.filter (pairwise_free db) (subsets optional l) with
+  | [] -> None
+  | combos ->
+      let q0 = Qgraph.query qg in
+      let seen = Hashtbl.create 16 in
+      let vars =
+        List.filter
+          (fun (i : Integrate.instantiated) ->
+            (not (Hashtbl.mem seen i.index)) && (Hashtbl.add seen i.index (); true))
+          (List.concat combos)
+      in
+      let aliases = Hashtbl.create 16 in
+      let trefs =
+        List.filter
+          (fun (r : Sql_ast.table_ref) ->
+            (not (Hashtbl.mem aliases r.alias)) && (Hashtbl.add aliases r.alias (); true))
+          (List.concat_map (fun (i : Integrate.instantiated) -> i.trefs) vars)
+      in
+      let conds = Integrate.dedup_conjuncts (Sql_ast.conjuncts q0.where) in
+      let disj =
+        Sql_ast.disj
+          (List.map
+             (fun c ->
+               Sql_ast.conj
+                 (Integrate.dedup_conjuncts
+                    (List.map (fun (i : Integrate.instantiated) -> i.pred) c)))
+             combos)
+      in
+      let repeated =
+        List.mem (Sql_print.pred_to_string disj) (List.map Sql_print.pred_to_string conds)
+      in
+      Some
+        {
+          q0 with
+          Sql_ast.distinct = true;
+          from = q0.from @ List.map (fun r -> Sql_ast.F_rel r) trefs;
+          where = Sql_ast.conj (conds @ if repeated then [] else [ disj ]);
+        }
+
+(* Conflicts forced into a profile: several MOVIE.year selections
+   (conflicting on a movie variable) and selections at the end of to-one
+   chains (DIRECTOR.name through DIRECTED, THEATRE.region from PLAY),
+   with the joins that reach them. *)
+let with_conflicts rng profile =
+  let int n = Random.State.int rng n in
+  let deg () = d (0.3 +. Random.State.float rng 0.7) in
+  let add p atom = Profile.add p atom (deg ()) in
+  let p =
+    List.fold_left add profile
+      [
+        Atom.join ("movie", "mid") ("directed", "mid");
+        Atom.join ("directed", "did") ("director", "did");
+        Atom.join ("play", "mid") ("movie", "mid");
+        Atom.join ("play", "tid") ("theatre", "tid");
+      ]
+  in
+  let p =
+    List.fold_left add p
+      (List.init (2 + int 3) (fun i -> Atom.sel "movie" "year" (Value.Int (1990 + i))))
+  in
+  let p =
+    List.fold_left add p
+      (List.init (1 + int 3) (fun i -> Atom.sel "director" "name" (str (Printf.sprintf "D%d" i))))
+  in
+  List.fold_left add p
+    (List.init (1 + int 3) (fun i -> Atom.sel "theatre" "region" (str (Printf.sprintf "R%d" i))))
+
+(* The enumeration builds the conjunctions, the variables and so every
+   byte of the query that the filter over all L-subsets builds, and
+   raises where that filter keeps nothing. *)
+let test_sq_enumeration () =
+  let tiny = lazy (Moviedb.Personas.tiny_db ()) in
+  let synthetic =
+    lazy
+      (Moviedb.Datagen.generate
+         { Moviedb.Datagen.default with movies = 150; actors = 60; directors = 15; theatres = 6 })
+  in
+  let met = Hashtbl.create 8 in
+  let saw kind = Hashtbl.replace met kind (1 + Option.value ~default:0 (Hashtbl.find_opt met kind)) in
+  let prop =
+    QCheck.Test.make ~name:"SQ = the conflict-free L-subsets, in order" ~count:300
+      QCheck.(int_bound 1_000_000)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let int n = Random.State.int rng n in
+        let db, base =
+          if int 3 = 0 then
+            ( Lazy.force tiny,
+              if int 2 = 0 then Moviedb.Personas.julie () else Moviedb.Personas.rob () )
+          else
+            let db = Lazy.force synthetic in
+            ( db,
+              Moviedb.Profile_gen.generate db
+                { Moviedb.Profile_gen.default with seed; n_selections = 5 + int 20 } )
+        in
+        let q =
+          if int 2 = 0 then Moviedb.Workload.tonight_query ()
+          else Moviedb.Workload.random_query db (Putil.Rng.create seed)
+        in
+        let qg = Qgraph.of_query db (Binder.bind db q) in
+        let pk =
+          Select.select db
+            (Pgraph.of_profile (with_conflicts rng base))
+            qg
+            (Criteria.top_r (1 + int 14))
+        in
+        let optional = Integrate.instantiate db qg pk in
+        let l = min (1 + int 4) (List.length optional) in
+        let built =
+          match Integrate.sq db qg ~mandatory:[] ~optional ~l with
+          | q -> Some (Sql_print.query_to_string q)
+          | exception Integrate.Integration_error _ -> None
+        in
+        let want = Option.map Sql_print.query_to_string (reference_sq db qg ~optional ~l) in
+        if l >= 2 then begin
+          let all = subsets optional l in
+          let kept = List.length (List.filter (pairwise_free db) all) in
+          if kept = 0 then saw "every combination conflicting"
+          else if kept < List.length all then saw "some combinations conflicting"
+          else saw "no combination conflicting"
+        end;
+        built = want
+        || QCheck.Test.fail_reportf "L = %d\nbuilt: %s\nwant:  %s" l
+             (Option.value built ~default:"(every combination conflicts)")
+             (Option.value want ~default:"(every combination conflicts)"))
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 32 |]) prop;
+  List.iter
+    (fun kind ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt met kind) in
+      if n < 20 then Alcotest.failf "only %d cases with %s" n kind)
+    [ "every combination conflicting"; "some combinations conflicting"; "no combination conflicting" ]
+
+let words_and_secs f =
+  let words0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Gc.minor_words () -. words0, Unix.gettimeofday () -. t0)
+
+let bounded what (words, secs) =
+  if secs > 5. || words > 1e8 then Alcotest.failf "%s took %.1f s and %.0f words" what secs words
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let exhausted_by cause build =
+  match build () with
+  | exception Governor.Exhausted p ->
+      if not (contains p.Governor.exhausted cause) then
+        Alcotest.failf "exhausted by %S, not %S" p.Governor.exhausted cause
+  | (_ : Sql_ast.query) -> Alcotest.failf "SQ built past the %s" cause
+
+(* SQ at K = 60, L = 30 on a 200-selection profile: C(60, 30) is about
+   10^17 combinations, and the walk shows in a few thousand steps that
+   every one of them holds a conflicting pair.  The ladder halves K and
+   L, meets the same at L = 15, and answers with the plain rows. *)
 let test_sq_size_bound () =
   let db = Moviedb.Datagen.(generate (scale ~seed:11 300)) in
   let profile =
@@ -471,32 +651,186 @@ let test_sq_size_bound () =
     Integrate.instantiate db qg
       (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 60))
   in
-  let n = List.length insts in
-  if Putil.Combin.choose n (min 30 n) <= Integrate.sq_max_conjunctions then
-    Alcotest.failf "only %d optional preferences: the request fits the cap" n;
-  (match Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:(min 30 n) with
-  | _ -> Alcotest.fail "SQ built past the cap"
-  | exception Governor.Exhausted _ -> ());
+  Alcotest.(check int) "60 optional preferences" 60 (List.length insts);
+  (match Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:30 with
+  | _ -> Alcotest.fail "SQ built a 30-combination"
+  | exception Integrate.Integration_error e ->
+      Alcotest.(check string) "cause"
+        "SQ: every 30-combination of the optional preferences conflicts" e);
   let params =
     { Personalize.default_params with k = Criteria.top_r 60; l = `At_least 30; method_ = `SQ }
   in
-  let words0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
-  let r = Personalize.personalize_r ~params db profile q in
-  let words = Gc.minor_words () -. words0 and secs = Unix.gettimeofday () -. t0 in
-  if secs > 5. || words > 1e8 then
-    Alcotest.failf "took %.1f s and %.0f words" secs words;
+  let r, words, secs = words_and_secs (fun () -> Personalize.personalize_r ~params db profile q) in
+  bounded "the ladder" (words, secs);
   match r with
-  | Ok { outcome; result; degradations = Reduced { cause = Resource_exhausted _; _ } :: rest } ->
-      (* Halved to K = 30, L = 15, still past the cap: the plain query. *)
-      if outcome = None then begin
-        (match rest with
-        | [ Unpersonalized { cause = Resource_exhausted _ } ] -> ()
-        | _ -> Alcotest.fail "expected one unpersonalized step after the reduced one");
-        Alcotest.(check bool) "plain rows" true
-          (Exec.result_equal_list result (Engine.run_query db q))
-      end
-  | Ok _ -> Alcotest.fail "the first rung was not refused as a resource exhaustion"
-  | Error e -> Alcotest.(check string) "typed" "resource-exhausted" (Error.family_name e)
+  | Ok
+      {
+        outcome = None;
+        result;
+        degradations =
+          [ Reduced { cause = Internal c1; _ }; Unpersonalized { cause = Internal c2 } ];
+      } ->
+      Alcotest.(check string) "first rung"
+        "integration: SQ: every 30-combination of the optional preferences conflicts" c1;
+      Alcotest.(check string) "reduced rung"
+        "integration: SQ: every 15-combination of the optional preferences conflicts" c2;
+      Alcotest.(check bool) "plain rows" true
+        (Exec.result_equal_list result (Engine.run_query db q))
+  | Ok _ -> Alcotest.fail "expected a reduced step and then the plain rows"
+  | Error e -> Alcotest.failf "untyped ladder: %s" (Error.to_string e)
+
+(* Names reached through to-many joins (a movie has many cast rows and
+   many genre rows) never conflict, so every L-combination is a
+   conjunction: C(20, 4) = 4,845 is past the executor's branch limit and
+   refused, where C(20, 3) = 1,140 is built.  The ladder answers at
+   K = 10, L = 2. *)
+let test_sq_branch_limit () =
+  let db = Moviedb.Personas.tiny_db () in
+  let sel rel att i name = (Atom.sel rel att (str name), d (0.9 -. (0.01 *. float_of_int i))) in
+  let profile =
+    Profile.of_list
+      ([
+         (Atom.join ("movie", "mid") ("cast", "mid"), d 1.0);
+         (Atom.join ("cast", "aid") ("actor", "aid"), d 1.0);
+         (Atom.join ("movie", "mid") ("genre", "mid"), d 1.0);
+       ]
+      @ List.mapi (fun i n -> sel "actor" "name" i n)
+          [ "I. Rossellini"; "A. Hopkins"; "N. Kidman"; "W. Allen"; "D. Lynch"; "A1"; "A2";
+            "A3"; "A4"; "A5"; "A6"; "A7" ]
+      @ List.mapi (fun i g -> sel "genre" "genre" (i + 12) g)
+          [ "comedy"; "drama"; "thriller"; "G1"; "G2"; "G3"; "G4"; "G5" ])
+  in
+  let q = Sql_parser.parse "select mv.title from movie mv" in
+  let qg = Qgraph.of_query db (Binder.bind db q) in
+  let insts =
+    Integrate.instantiate db qg
+      (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 20))
+  in
+  Alcotest.(check int) "20 optional preferences" 20 (List.length insts);
+  Alcotest.(check bool) "none conflicts" true (pairwise_free db insts);
+  (match (Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:3).Sql_ast.where with
+  | Sql_ast.P_or ds -> Alcotest.(check int) "C(20, 3) conjunctions" 1140 (List.length ds)
+  | _ -> Alcotest.fail "a disjunction expected");
+  exhausted_by "branches" (fun () -> Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:4);
+  let params =
+    { Personalize.default_params with k = Criteria.top_r 20; l = `At_least 4; method_ = `SQ }
+  in
+  match Personalize.personalize_r ~params db profile q with
+  | Ok { outcome = Some _; degradations = [ Reduced { params; cause = Resource_exhausted _ } ]; _ } ->
+      Alcotest.(check string) "reduced" "top 10" (Criteria.to_string params.k)
+  | Ok _ -> Alcotest.fail "expected the reduced rung to answer"
+  | Error e -> Alcotest.failf "untyped ladder: %s" (Error.to_string e)
+
+(* Ten groups of four selections, each group on one attribute of one
+   variable (or at the end of one to-one chain), so two of a group
+   conflict and two of different groups do not: no 11-combination is
+   free of conflicts (two of its members share a group), but 5^10
+   prefixes are.  The walk stops at its visit cap. *)
+let test_sq_visit_cap () =
+  let db = Moviedb.Personas.tiny_db () in
+  let sels =
+    List.concat_map
+      (fun i ->
+        let s = Printf.sprintf "%s%d" and n = 100 + i in
+        [
+          Atom.sel "movie" "year" (Value.Int (1990 + i));
+          Atom.sel "movie" "title" (str (s "T" i));
+          Atom.sel "movie" "mid" (Value.Int n);
+          Atom.sel "directed" "did" (Value.Int n);
+          Atom.sel "director" "name" (str (s "D" i));
+          Atom.sel "play" "tid" (Value.Int n);
+          Atom.sel "play" "mid" (Value.Int n);
+          Atom.sel "theatre" "region" (str (s "R" i));
+          Atom.sel "theatre" "name" (str (s "N" i));
+          Atom.sel "theatre" "phone" (str (s "P" i));
+        ])
+      [ 0; 1; 2; 3 ]
+  in
+  let profile =
+    Profile.of_list
+      (List.map
+         (fun j -> (j, d 1.0))
+         [
+           Atom.join ("play", "tid") ("theatre", "tid");
+           Atom.join ("movie", "mid") ("directed", "mid");
+           Atom.join ("directed", "did") ("director", "did");
+         ]
+      @ List.mapi (fun i s -> (s, d (0.9 -. (0.001 *. float_of_int i)))) sels)
+  in
+  let q = Sql_parser.parse "select mv.title from movie mv, play pl where mv.mid = pl.mid" in
+  let qg = Qgraph.of_query db (Binder.bind db q) in
+  let insts =
+    Integrate.instantiate db qg
+      (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 100))
+  in
+  Alcotest.(check int) "40 optional preferences" 40 (List.length insts);
+  let groups =
+    List.sort_uniq compare
+      (List.map
+         (fun (i : Integrate.instantiated) ->
+           match Path.selection i.path with
+           | Some (s, _) -> (i.path.anchor_tv, Path.join_atoms i.path, s.Atom.s_rel, s.Atom.s_att)
+           | None -> Alcotest.fail "a selection path expected")
+         insts)
+  in
+  Alcotest.(check int) "10 groups" 10 (List.length groups);
+  let (), words, secs =
+    words_and_secs (fun () ->
+        exhausted_by "enumeration steps" (fun () ->
+            Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:11))
+  in
+  bounded "the walk" (words, secs)
+
+(* Query 7 of the first 8 workload queries (seed 210) at K = 40, L = 4
+   over 2,000 movies and a 200-selection profile (seed 600) keeps
+   17,988 of the C(40, 4) = 91,390 combinations: past the branch limit,
+   it would run as one join with the disjunction as a residual filter
+   (10 s, under a 5 M-row budget).  It is refused on the first rung,
+   and the ladder answers at K = 20, L = 2. *)
+let test_sq_query7 () =
+  let db = Moviedb.Datagen.(generate (scale ~seed:42 2000)) in
+  let profile =
+    Moviedb.Profile_gen.generate db
+      { Moviedb.Profile_gen.default with seed = 600; n_selections = 200 }
+  in
+  let q = List.nth (Moviedb.Workload.queries db ~n:8 ~seed:210) 7 in
+  let qg = Qgraph.of_query db (Binder.bind db q) in
+  let insts =
+    Array.of_list
+      (Integrate.instantiate db qg
+         (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 40)))
+  in
+  let n = Array.length insts in
+  Alcotest.(check int) "40 optional preferences" 40 n;
+  let free i j = not (Conflict.paths_conflict db insts.(i).path insts.(j).path) in
+  let kept = ref 0 in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      if free a b then
+        for c = b + 1 to n - 1 do
+          if free a c && free b c then
+            for e = c + 1 to n - 1 do
+              if free a e && free b e && free c e then incr kept
+            done
+        done
+    done
+  done;
+  Alcotest.(check int) "conflict-free 4-combinations" 17_988 !kept;
+  exhausted_by "branches" (fun () ->
+      Integrate.sq db qg ~mandatory:[] ~optional:(Array.to_list insts) ~l:4);
+  let params =
+    { Personalize.default_params with k = Criteria.top_r 40; l = `At_least 4; method_ = `SQ }
+  in
+  let budget = { Governor.unlimited with max_rows = Some 5_000_000 } in
+  let r, words, secs =
+    words_and_secs (fun () -> Personalize.personalize_r ~params ~budget db profile q)
+  in
+  bounded "the ladder" (words, secs);
+  match r with
+  | Ok { outcome = Some _; degradations = [ Reduced { params; cause = Resource_exhausted _ } ]; _ } ->
+      Alcotest.(check string) "reduced" "top 20" (Criteria.to_string params.k)
+  | Ok _ -> Alcotest.fail "expected the reduced rung to answer"
+  | Error e -> Alcotest.failf "untyped ladder: %s" (Error.to_string e)
 
 (* Integration builds its queries from a bound Q and instantiated
    preferences, so they are bound by construction: executing one as
@@ -577,6 +911,11 @@ let () =
           Alcotest.test_case "conflicting combos" `Quick test_sq_conflicting_combos_dropped;
           Alcotest.test_case "dedup conjuncts" `Quick test_dedup_conjuncts;
           Alcotest.test_case "size bound: K = 60, L = 30" `Quick test_sq_size_bound;
+          Alcotest.test_case "enumeration = filtered L-subsets" `Quick test_sq_enumeration;
+          Alcotest.test_case "branch limit: selections that never conflict" `Quick
+            test_sq_branch_limit;
+          Alcotest.test_case "visit cap: conflicting groups" `Quick test_sq_visit_cap;
+          Alcotest.test_case "query 7's shape: refused, then reduced" `Quick test_sq_query7;
         ] );
       ( "mq",
         [

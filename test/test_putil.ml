@@ -261,46 +261,9 @@ let test_zipf_bucket_ranks_monotone () =
     true
     (b0 > b1 && b1 > b2)
 
-(* ----------------------------- Combin ----------------------------- *)
-
-let test_choose_values () =
-  List.iter
-    (fun (n, k, expected) ->
-      Alcotest.(check int) (Printf.sprintf "C(%d,%d)" n k) expected (Combin.choose n k))
-    [
-      (0, 0, 1); (5, 0, 1); (5, 5, 1); (5, 1, 5); (5, 2, 10); (10, 3, 120);
-      (60, 1, 60); (10, 5, 252); (5, 6, 0); (5, -1, 0); (52, 5, 2598960);
-      (60, 30, 118264581564861424); (62, 31, 465428353255261088);
-      (200, 100, max_int); (1000, 3, 166167000);
-    ]
-
-let test_subsets_exhaustive () =
-  let ss = Combin.subsets [ 1; 2; 3; 4 ] 2 in
-  Alcotest.(check int) "C(4,2) subsets" 6 (List.length ss);
-  Alcotest.(check (list (list int))) "lexicographic order"
-    [ [ 1; 2 ]; [ 1; 3 ]; [ 1; 4 ]; [ 2; 3 ]; [ 2; 4 ]; [ 3; 4 ] ]
-    ss
-
-let test_subsets_edges () =
-  Alcotest.(check (list (list int))) "k=0" [ [] ] (Combin.subsets [ 1; 2 ] 0);
-  Alcotest.(check (list (list int))) "k>n" [] (Combin.subsets [ 1; 2 ] 3);
-  Alcotest.(check (list (list int))) "empty base k=0" [ [] ] (Combin.subsets [] 0)
-
-let prop_subsets_count =
-  QCheck.Test.make ~name:"|subsets xs k| = C(|xs|,k)" ~count:100
-    QCheck.(pair (list_of_size Gen.(0 -- 8) small_int) (int_range 0 8))
-    (fun (xs, k) ->
-      List.length (Combin.subsets xs k) = Combin.choose (List.length xs) k)
-
-let test_pairs () =
-  Alcotest.(check (list (pair int int))) "pairs"
-    [ (1, 2); (1, 3); (2, 3) ]
-    (Combin.pairs [ 1; 2; 3 ]);
-  Alcotest.(check (list (pair int int))) "empty" [] (Combin.pairs [])
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_pqueue_matches_sort; prop_pqueue_ops_model; prop_subsets_count ]
+    [ prop_pqueue_matches_sort; prop_pqueue_ops_model ]
 
 let () =
   Alcotest.run "putil"
@@ -337,13 +300,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_pqueue_interleaved;
           Alcotest.test_case "to_sorted_list" `Quick test_pqueue_to_sorted_list;
-        ] );
-      ( "combin",
-        [
-          Alcotest.test_case "choose" `Quick test_choose_values;
-          Alcotest.test_case "subsets exhaustive" `Quick test_subsets_exhaustive;
-          Alcotest.test_case "subsets edges" `Quick test_subsets_edges;
-          Alcotest.test_case "pairs" `Quick test_pairs;
         ] );
       ("properties", qsuite);
     ]

@@ -34,6 +34,67 @@ let test_value_hash_consistent () =
   Alcotest.(check bool) "equal values hash equal" true
     (Value.hash (Int 3) = Value.hash (Float 3.))
 
+(* Numbers at the edges of exact int/float identity, in both forms where
+   the float exists: 2^53 + 1 has no float, 2^62 − 1 none (the float
+   rounds up to 2^62, past int range), and the non-integral floats none
+   as ints. *)
+let numeric_boundaries =
+  let p53 = 1 lsl 53 and p50 = 1 lsl 50 in
+  let ints =
+    [ 0; p50; -p50; 1_000_000_000_000_000 - 1; 1_000_000_000_000_000 + 1; p53; -p53;
+      p53 + 1; -p53 - 1; max_int; min_int ]
+  in
+  List.concat_map (fun i -> [ Value.Int i; Value.Float (Float.of_int i) ]) ints
+  @ List.map
+      (fun f -> Value.Float f)
+      [ -0.0; 0x1p62; -0x1p62; 0.5; -0.5; 1e15 +. 0.5; 2.5; Float.nan; Float.infinity;
+        Float.neg_infinity; 0x1p52 +. 0.5 ]
+
+(* [equal] is an equivalence that [hash] and [compare] agree with, on
+   every pair and triple of boundary values. *)
+let prop_value_identity =
+  let arb = QCheck.make ~print:Value.to_string (QCheck.Gen.oneofl numeric_boundaries) in
+  QCheck.Test.make ~name:"equal, hash and compare agree on numbers" ~count:2000
+    (QCheck.triple arb arb arb) (fun (a, b, c) ->
+      let eq = Value.equal in
+      (not (eq a b) || Value.hash a = Value.hash b)
+      && eq a b = (Value.compare a b = 0)
+      && Value.compare a b = -Value.compare b a
+      && ((not (eq a b && eq b c)) || eq a c)
+      && eq a a)
+
+let test_value_exact_identity () =
+  let p53 = 1 lsl 53 in
+  Alcotest.(check bool) "2^53 + 1 is not the float 2^53" false
+    (Value.equal (Int (p53 + 1)) (Float (Float.of_int p53)));
+  Alcotest.(check bool) "2^53 + 1 is above it" true
+    (Value.compare (Int (p53 + 1)) (Float (Float.of_int p53)) > 0);
+  Alcotest.(check bool) "2^62 - 1 is below the float 2^62" true
+    (Value.compare (Int max_int) (Float 0x1p62) < 0);
+  Alcotest.(check bool) "-2^62 is the float -2^62" true
+    (Value.equal (Int min_int) (Float (-0x1p62)));
+  Alcotest.(check bool) "NaN equals NaN" true (Value.equal (Float Float.nan) (Float Float.nan));
+  Alcotest.(check bool) "NaN is below every number" true
+    (Value.compare (Float Float.nan) (Int min_int) < 0);
+  Alcotest.(check bool) "-0.0 is 0" true (Value.equal (Float (-0.0)) (Int 0))
+
+(* An INT column holding 2^50 as an int and as a float: one DISTINCT
+   row, and an index on the column changes no reply. *)
+let test_value_int_float_rows () =
+  let db = Database.create () in
+  Database.add_table db (Schema.make ~name:"t" ~cols:[ ("x", Value.TInt) ] ());
+  let p50 = 1 lsl 50 in
+  Database.insert db "t" [ Value.Int p50 ];
+  Database.insert db "t" [ Value.Float (Float.of_int p50) ];
+  let rows sql = Helpers.rows_to_list (Helpers.run db sql) in
+  Alcotest.(check int) "one DISTINCT row" 1
+    (List.length (rows "select distinct t.x from t"));
+  let where = "select t.x from t where t.x = 1125899906842624" in
+  let scanned = rows where in
+  Alcotest.(check int) "both forms match" 2 (List.length scanned);
+  Table.build_index (Database.table db "t") "x";
+  Alcotest.(check (list (list v))) "same rows through the index" scanned (rows where)
+
 let test_value_dates () =
   Alcotest.(check v) "iso parse" (Value.date_of_ymd 2003 7 2)
     (Option.get (Value.parse_date "2003-07-02"));
@@ -410,6 +471,10 @@ let () =
           Alcotest.test_case "compare incompatible" `Quick test_value_compare_incompatible;
           Alcotest.test_case "equal" `Quick test_value_equal;
           Alcotest.test_case "hash" `Quick test_value_hash_consistent;
+          Alcotest.test_case "exact int/float identity" `Quick test_value_exact_identity;
+          Alcotest.test_case "int and float rows of one number" `Quick
+            test_value_int_float_rows;
+          QCheck_alcotest.to_alcotest prop_value_identity;
           Alcotest.test_case "dates" `Quick test_value_dates;
           Alcotest.test_case "to_string" `Quick test_value_to_string;
         ] );
