@@ -109,7 +109,9 @@ check: build test chaos crash-recovery scrub-sweep serve-smoke sim bench-exec
 	BENCH_SCALE=quick BENCH_STORE_OUT=$(BENCH_STORE_JSON) dune exec bench/main.exe -- store
 	python3 -m json.tool $(BENCH_STORE_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_STORE_JSON)')); \
-	r=d['recovery']; sys.exit(0 if r['records'] > 0 and r['reopen_ms'] >= 0 and d['sizes'] else 1)"
+	r=d['recovery']; rt=d.get('root', {}); \
+	ok=r['records'] > 0 and r['reopen_ms'] >= 0 and d['sizes'] and rt.get('create_cpu_ms', 0) > 0 and rt.get('reopen_cpu_ms', 0) > 0; \
+	sys.exit(0 if ok else sys.stderr.write('bench store: no recovery, sizes, or root create_cpu_ms/reopen_cpu_ms\\n') or 1)"
 	@echo "check: OK ($(BENCH_JSON), $(BENCH_PERSO_JSON), $(BENCH_STORE_JSON) valid; plan-cache warm >= 5x)"
 
 clean:

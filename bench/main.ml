@@ -298,12 +298,7 @@ let sq_mq_point ~k ~l ~size ~seed0 =
   let samples method_ =
     List.concat_map
       (fun profile ->
-        List.filter_map
-          (fun q ->
-            match run_cell ~method_ ~k ~l db profile q with
-            | r -> Some r
-            | exception Integrate.Integration_error _ -> None)
-          queries)
+        List.map (fun q -> run_cell ~method_ ~k ~l db profile q) queries)
       profiles
   in
   let sq = samples `SQ and mq = samples `MQ in
@@ -441,9 +436,7 @@ let kernels () =
       (* Figure 9 kernel: SQ's combination blow-up at L=5 (C(10,5)=252). *)
       Test.make ~name:"fig9/integrate-sq-K10-L5"
         (Staged.stage (fun () ->
-             match Integrate.sq db qg ~mandatory:[] ~optional:insts_small ~l:5 with
-             | q -> Some q
-             | exception Integrate.Integration_error _ -> None));
+             Integrate.sq db qg ~mandatory:[] ~optional:insts_small ~l:5));
       (* Figure 9 execution kernel: the SQ query itself. *)
       Test.make ~name:"fig9/exec-sq-K10-L1"
         (Staged.stage (fun () -> Relal.Exec.run db sq));
@@ -643,9 +636,9 @@ let sq_integrate_points db =
         List.fold_left
           (fun (refused, conflicting) (qg, optional, l) ->
             match Integrate.sq db qg ~mandatory:[] ~optional ~l with
+            | { Relal.Sql_ast.where = Relal.Sql_ast.P_false; _ } -> (refused, conflicting + 1)
             | _ -> (refused, conflicting)
-            | exception Relal.Governor.Exhausted _ -> (refused + 1, conflicting)
-            | exception Integrate.Integration_error _ -> (refused, conflicting + 1))
+            | exception Relal.Governor.Exhausted _ -> (refused + 1, conflicting))
           (0, 0) calls
       in
       let (refused, conflicting), _, ms, words = measure_pass pass in
@@ -660,7 +653,7 @@ let bench_exec () =
     let profiles = profiles_for ~seed0 ~size scale.profiles in
     List.concat_map
       (fun profile ->
-        List.filter_map
+        List.map
           (fun q ->
             let bound = Relal.Binder.bind db q in
             let qg = Qgraph.of_query db bound in
@@ -669,14 +662,10 @@ let bench_exec () =
             let insts = Integrate.instantiate db qg selected in
             let l = min l (List.length insts) in
             match method_ with
-            | `SQ -> (
-                match Integrate.sq db qg ~mandatory:[] ~optional:insts ~l with
-                | q' -> Some q'
-                | exception Integrate.Integration_error _ -> None)
+            | `SQ -> Integrate.sq db qg ~mandatory:[] ~optional:insts ~l
             | `MQ ->
-                Some
-                  (Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
-                     ~l:(`At_least l) ()))
+                Integrate.mq ~rank:false db qg ~mandatory:[] ~optional:insts
+                  ~l:(`At_least l) ())
           queries)
       profiles
   in
@@ -1033,11 +1022,67 @@ let bench_perso () =
 (* Durable store benchmark — machine-readable (BENCH_STORE.json)         *)
 (* --------------------------------------------------------------------- *)
 
+(* A server root's first open on edit-churn's shape: 500 users with
+   30-selection profiles over the 2,000-movie catalog (seed 11), on 4
+   shards (fewer users and movies at quick scale).  The CPU ms of
+   [Sharded_store.create] on a fresh root, which exports every profile,
+   and of its reopen, which recovers them: medians over [runs] rounds,
+   each a fresh root made and then reopened. *)
+let root_open () =
+  let module Shards = Perso_server.Sharded_store.Make (Perso_server.Runtime.Threads) in
+  let users, movies, runs =
+    if scale.label = "quick" then (100, 300, 3) else (500, 2_000, 7)
+  in
+  let selections = 30 and shards = 4 in
+  let db = Moviedb.Datagen.(generate (scale ~seed:11 movies)) in
+  Perso.Profile_store.install db;
+  let t = Relal.Database.table db Perso.Profile_store.table_name in
+  for u = 0 to users - 1 do
+    let p =
+      Moviedb.Profile_gen.generate db
+        { Moviedb.Profile_gen.default with seed = (23 * 100_003) + u; n_selections = selections }
+    in
+    List.iter
+      (fun { Perso_store.Codec.cond; degree } ->
+        Relal.Table.insert t
+          [| Relal.Value.Str (Printf.sprintf "u%d" u); Relal.Value.Str cond; Relal.Value.Float degree |])
+      (Perso.Profile_store.entries_of_profile p)
+  done;
+  let rows = Relal.Table.cardinality t in
+  (* [merge_back] closes the stores and puts the rows back in [db]. *)
+  let cpu_ms root =
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    let s = Shards.create ~persist:root ~shards db in
+    let ms = (Sys.time () -. t0) *. 1000. in
+    Shards.merge_back s;
+    ms
+  in
+  let rounds =
+    List.init runs (fun _ ->
+        let root = Filename.temp_file "bench_root" "" in
+        Sys.remove root;
+        let fresh = cpu_ms root in
+        let reopen = cpu_ms root in
+        Relal.Csv.rm_rf root;
+        (fresh, reopen))
+  in
+  let create_ms = median (List.map fst rounds) and reopen_ms = median (List.map snd rounds) in
+  Printf.printf
+    "  root: %d users (%d rows) on %d shards: create %.1f ms CPU, reopen %.1f ms CPU \
+     (medians of %d)\n%!"
+    users rows shards create_ms reopen_ms runs;
+  Printf.sprintf
+    "  \"root\": {\"users\": %d, \"selections\": %d, \"rows\": %d, \"shards\": %d, \
+     \"runs\": %d, \"create_cpu_ms\": %.3f, \"reopen_cpu_ms\": %.3f}"
+    users selections rows shards runs create_ms reopen_ms
+
 (* The I/O face of Figure 6: profile size drives record size, which
    drives save (WAL append + fsync) and point-load latency.  Also times
    what only a durable tier has — cold recovery (reopen replaying
-   sealed segments + WAL) and compaction.  Writes BENCH_STORE.json
-   (override with BENCH_STORE_OUT); `make check` validates it. *)
+   sealed segments + WAL), compaction, and a server root's first open
+   ([root_open]).  Writes BENCH_STORE.json (override with
+   BENCH_STORE_OUT); `make check` validates it. *)
 let bench_store () =
   let module Store = Perso_store.Store in
   Printf.printf "\n== store: durable profile tier (scale=%s) ==\n%!"
@@ -1111,6 +1156,7 @@ let bench_store () =
   let s'', reopen2_ms = time (fun () -> Store.open_ ~config dir) in
   let live = (Store.stats s'').Store.live_users in
   Store.close s'';
+  let root = root_open () in
   let path =
     Option.value ~default:"BENCH_STORE.json" (Sys.getenv_opt "BENCH_STORE_OUT")
   in
@@ -1136,10 +1182,11 @@ let bench_store () =
     \  \"recovery\": {\"records\": %d, \"reopen_ms\": %.3f, \
      \"reopen_compacted_ms\": %.3f, \"live_users\": %d},\n\
     \  \"compaction\": {\"segments_before\": %d, \"segments_after\": %d, \
-     \"ms\": %.3f}\n\
+     \"ms\": %.3f},\n\
+     %s\n\
      }\n"
     appends work.Store.rotations work.Store.compactions appends reopen_ms
-    reopen2_ms live before.Store.segments after.Store.segments compact_ms;
+    reopen2_ms live before.Store.segments after.Store.segments compact_ms root;
   close_out oc;
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
   Printf.printf "# wrote %s\n%!" path

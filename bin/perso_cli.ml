@@ -528,7 +528,8 @@ let serve_cmd =
    CRCs and records.  DIR is either one store directory (a MANIFEST, or
    an older build's set of copies, which the scan refuses by name) or a
    serve-layout store root (SHARDS marker + shard-NN subdirectories); a
-   path that is neither holds no store to vouch for, a storage error. *)
+   path that is neither holds no store to vouch for, a storage error.
+   Damage is reported exactly where recovery would refuse. *)
 let scrub dir =
   guarded (fun () ->
       let holds name = Sys.file_exists (Filename.concat dir name) in
@@ -545,23 +546,19 @@ let scrub dir =
             (fun (sh : Perso_store.Scrub.shard) -> (sh.name ^ "/", sh.report))
             (Perso_store.Scrub.scan_root dir)
         else if holds "MANIFEST" || Perso_store.Store.older_root dir then
-          [ ("", Some (Perso_store.Scrub.scan_dir dir)) ]
+          [ ("", Perso_store.Scrub.scan_dir dir) ]
         else no_store "it holds neither a MANIFEST nor a SHARDS marker"
       in
       let damaged = ref 0 in
       List.iter
-        (fun (prefix, report) ->
-          match report with
-          | None ->
-              Printf.printf "%s: missing (recovery creates it empty)\n" prefix
-          | Some (rep : Perso_store.Scrub.report) ->
-              List.iter
-                (fun (fr : Perso_store.Scrub.file_report) ->
-                  Printf.printf "%s%s: %s (%d records)\n" prefix fr.file
-                    (Perso_store.Scrub.status_name fr.status)
-                    fr.records)
-                rep.files;
-              damaged := !damaged + List.length rep.damaged)
+        (fun (prefix, (rep : Perso_store.Scrub.report)) ->
+          List.iter
+            (fun (fr : Perso_store.Scrub.file_report) ->
+              Printf.printf "%s%s: %s (%d records)\n" prefix fr.file
+                (Perso_store.Scrub.status_name fr.status)
+                fr.records)
+            rep.files;
+          damaged := !damaged + List.length rep.damaged)
         stores;
       if !damaged > 0 then begin
         Printf.printf "scrub: %d damaged file(s)\n" !damaged;

@@ -22,7 +22,6 @@ let of_exn = function
   | Relal.Sql_lexer.Lex_error (msg, pos) -> Some (Lex { msg; pos })
   | Relal.Binder.Bind_error e -> Some (Bind e)
   | Qgraph.Not_conjunctive e -> Some (Not_conjunctive e)
-  | Integrate.Integration_error e -> Some (Internal ("integration: " ^ e))
   | Relal.Exec.Exec_error e -> Some (Internal e)
   | Relal.Csv.Csv_error e -> Some (Storage e)
   | Relal.Ddl.Ddl_error e -> Some (Storage e)

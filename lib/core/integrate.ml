@@ -1,9 +1,5 @@
 open Relal
 
-exception Integration_error of string
-
-let err fmt = Format.kasprintf (fun s -> raise (Integration_error s)) fmt
-
 type instantiated = {
   path : Path.t;
   index : int;
@@ -157,12 +153,22 @@ let pred_key = Sql_print.pred_to_string
 let tref_key (r : Sql_ast.table_ref) = r.Sql_ast.alias
 let dedup_conjuncts preds = fst (dedup pred_key preds)
 
-let check_projection (q : Sql_ast.query) =
-  List.iter
+(* Integration joins a query's projection to its partial queries'
+   outputs: one that is not attribute-only is no SPJ query. *)
+let projection_attrs (q : Sql_ast.query) =
+  List.map
     (function
-      | Sql_ast.Sel_attr _ -> ()
-      | _ -> err "personalizable queries must project plain attributes")
+      | Sql_ast.Sel_attr (a, _) -> a
+      | _ ->
+          raise
+            (Qgraph.Not_conjunctive
+               "personalizable queries must project plain attributes"))
     q.Sql_ast.select
+
+let bad_l what l optional =
+  invalid_arg
+    (Printf.sprintf "Integrate.%s: L = %d with %d optional preferences" what l
+       (List.length optional))
 
 (* Output names of the original projection, uniquified for use as the
    derived-table columns of MQ: a repeat of [n] becomes [n_k] for the
@@ -322,15 +328,13 @@ let rec pairwise_conflict_free db = function
       List.for_all (fun y -> not (Conflict.paths_conflict db x.path y.path)) rest
       && pairwise_conflict_free db rest
 
+(* With no conflict-free combination the disjunction is empty: FALSE,
+   as a conflicting mandatory pair makes the whole qualification. *)
 let sq db qg ~mandatory ~optional ~l =
   let q0 = Qgraph.query qg in
-  check_projection q0;
-  let n = List.length optional in
-  if l < 0 then err "SQ: negative L";
-  if l > n then err "SQ: L = %d exceeds the %d optional preferences" l n;
+  ignore (projection_attrs q0 : Sql_ast.attr list);
+  if l < 0 || l > List.length optional then bad_l "sq" l optional;
   let conjs, vars = conjunctions db optional l in
-  if conjs = [] then
-    err "SQ: every %d-combination of the optional preferences conflicts" l;
   let q = joined (prefix q0 ~mandatory) ~vars ~cond:(Sql_ast.disj conjs) in
   if pairwise_conflict_free db mandatory then q
   else { q with Sql_ast.where = Sql_ast.P_false }
@@ -341,11 +345,10 @@ let sq db qg ~mandatory ~optional ~l =
 
 let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
   let q0 = Qgraph.query qg in
-  check_projection q0;
+  let proj_attrs = projection_attrs q0 in
   (match l with
-  | `At_least n when n < 0 -> err "MQ: negative L"
-  | `At_least n when n > List.length optional && optional <> [] ->
-      err "MQ: L = %d exceeds the %d optional preferences" n (List.length optional)
+  | `At_least n when n < 0 || (optional <> [] && n > List.length optional) ->
+      bad_l "mq" n optional
   | _ -> ());
   match (optional, l) with
   | [], _ | _, `At_least 0 ->
@@ -353,13 +356,6 @@ let mq ?(rank = true) db qg ~mandatory ~optional ~l () =
       sq db qg ~mandatory ~optional:[] ~l:0
   | _ ->
       let out_names = uniquified_outputs q0 in
-      let proj_attrs =
-        List.map
-          (function
-            | Sql_ast.Sel_attr (a, _) -> a
-            | _ -> err "personalizable queries must project plain attributes")
-          q0.Sql_ast.select
-      in
       let pre = prefix q0 ~mandatory in
       let branch inst =
         let select =

@@ -87,8 +87,6 @@ val split_mandatory :
     degree ≥ [d] (e.g. 1.0 for the paper's "degree equal to 1 means
     mandatory" criterion). *)
 
-exception Integration_error of string
-
 val sq_max_visits : int
 (** 1,000,000: the most steps {!sq}'s enumeration takes, a step being a
     pair of optional preferences its conflict matrix decides (none at
@@ -109,10 +107,12 @@ val sq :
     members: conflict-free combinations only are built, in the
     lexicographic order of positions.  The optional tuple variables join
     FROM in order of first occurrence over them.  A mandatory pair that
-    conflicts makes the qualification [FALSE].
-    @raise Integration_error if [l] exceeds the number of optional
-    preferences, if every [l]-combination conflicts, or if the projection
-    is not attribute-only.
+    conflicts makes the qualification [FALSE], and so does an [l] whose
+    every combination conflicts (the empty disjunction).
+    @raise Qgraph.Not_conjunctive if the projection is not
+    attribute-only (the ladder then runs the plain query).
+    @raise Invalid_argument if [l] is negative or exceeds the number of
+    optional preferences ({!Personalize} clamps it).
     @raise Relal.Governor.Exhausted, typed [Resource_exhausted] by
     {!Error}, when there are more than {!Relal.Exec.max_branches}
     conflict-free conjunctions (the most the executor splits into
@@ -135,7 +135,8 @@ val mq :
     [DEGREE_OF_CONJUNCTION] output column and the descending ORDER BY.
     With no optional preferences (or [`At_least 0]) the result degrades
     to [Q] AND the mandatory conditions, as in SQ.
-    @raise Integration_error as for {!sq}. *)
+    @raise Qgraph.Not_conjunctive as {!sq} does.
+    @raise Invalid_argument on an [`At_least] as {!sq} does on [l]. *)
 
 val partial :
   ?select:Relal.Sql_ast.select_item list ->

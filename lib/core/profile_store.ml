@@ -238,8 +238,6 @@ let export_entry row =
   | Value.Str user, _, _ -> malformed_export user
   | _ -> malformed_export "<non-string username>"
 
-let check_exportable row = ignore (export_entry row : string * _)
-
 (* One linear pass groups each user's entries newest-first; reversing each
    group restores the user's physical row order. *)
 let export db backend =

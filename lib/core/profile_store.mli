@@ -95,16 +95,12 @@ val attach : Relal.Database.t -> Perso_store.Store.t -> unit
 
 val export : Relal.Database.t -> Perso_store.Store.t -> unit
 (** Push every stored profile into the store at its current
-    registry revision (sorted user order).
+    registry revision (sorted user order).  A server exports only into
+    a store under a root's staging name, so a refused export leaves no
+    store behind ([Perso_server.Sharded_store]).
     @raise Perso_store.Store.Store_error on a profile row that is not
     [(string, string, float)] — hand-edited dumps must fail fast rather
     than be silently dropped from the durable tier. *)
-
-val check_exportable : Relal.Value.t array -> unit
-(** Return on a profiles row {!export} accepts.
-    @raise Perso_store.Store.Store_error the error {!export} raises on
-    it otherwise.  A caller exporting several databases checks every
-    row first, so a refused export writes no store at all. *)
 
 val restore : Relal.Database.t -> Perso_store.Store.t -> unit
 (** Load every profile and revision from the store into the database

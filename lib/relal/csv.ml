@@ -240,12 +240,13 @@ let fsync_dir path =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-(* Dump directories are flat — remove files then the directory. *)
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
 
 let dump_files db =
   ("schema.ddl", Ddl.to_string db)

@@ -72,6 +72,10 @@ val fsync_dir : string -> unit
 (** Fsync a directory so renames/creates inside it are durable.
     Filesystems that refuse directory fsync are tolerated silently. *)
 
+val rm_rf : string -> unit
+(** Remove a file, or a directory and everything under it; nothing when
+    the path does not exist. *)
+
 val save_db_r : dir:string -> Database.t -> (unit, string) result
 (** Atomically (re)write the dump at [dir]: temp directory + fsync +
     rename swap, with a manifest.  Transient injected faults

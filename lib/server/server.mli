@@ -69,8 +69,8 @@ val start : config -> Relal.Database.t -> t
     raises {!Perso.Error.Typed} [(Usage _)] naming it, and leaves no
     socket file behind.  Either refusal comes before the stores open,
     so it creates no store root and exports no profile.  A start that
-    store recovery refuses closes its listeners and leaves no socket
-    file either.  The database is shared — the server takes ownership
+    the store refuses (recovery, the root's rule, the export) closes
+    its listeners and leaves no socket file either.  The database is shared — the server takes ownership
     of coordinating access to it. *)
 
 val request_stop : t -> unit

@@ -59,8 +59,10 @@ type config = {
           root with one store per shard ([--store disk:DIR]), the
           server's one way to persist profiles.  [None] (the default)
           keeps profiles in memory: they last until the server stops.
-          On open, a non-empty store is authoritative — crash recovery
-          replays its WALs and the catalog's profile rows are ignored *)
+          A committed root (it holds [SHARDS]) is authoritative — crash
+          recovery replays its WALs and the catalog's profile rows are
+          ignored; a root never made is made from them, complete or not
+          at all ({!Sharded_store.Make.create}) *)
   replicas : int;
       (** a vestige of the deleted replicated tier, kept so existing
           callers still compile: must be 1 ({!Sharded_store.Make.create}

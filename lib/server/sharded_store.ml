@@ -22,14 +22,18 @@ module Make (R : Runtime.S) = struct
   let shard_for t user =
     t.shards.(shard_index ~shards:(Array.length t.shards) user)
 
-  (* The shard count a persisted store root was created with.  The hash
-     placement of every record depends on it, so reopening with a
-     different [--shards] would silently route users to shards that do
-     not hold their profiles — refuse instead. *)
-  let check_shard_marker root n =
+  (* A committed root (it holds SHARDS): the count it was made with must
+     be this start's, since the hash placement of every record depends
+     on it, and every shard it promises must hold a store.  [false] for
+     a root never made (absent or empty); anything else is refused. *)
+  let committed root n =
     match Perso_store.Store.read_shard_marker root with
-    | None -> Perso_store.Store.write_shard_marker root n
-    | Some stored when stored = n -> ()
+    | None -> false
+    | Some stored when stored = n ->
+        for i = 0 to n - 1 do
+          Perso_store.Store.check_shard root i
+        done;
+        true
     | Some stored ->
         raise
           (Perso_store.Store.Store_error
@@ -44,16 +48,37 @@ module Make (R : Runtime.S) = struct
                       stored stored;
                 }))
 
-  (* Move main's profile rows into the shards: each row array goes to
-     its user's shard as it is, not copied (a malformed username goes to
-     shard 0 so nothing is dropped).  With [check], a row no durable
-     store can hold raises here, before the first export, so a refused
-     first open writes no store. *)
-  let move_rows t ~check =
+  let mk ?cache ?profile_lru () =
+    let sdb = Database.create () in
+    Perso.Profile_store.install sdb;
+    let plru = Option.map (fun f -> f ()) profile_lru in
+    (* Eager invalidation: any effective save/delete on the shard drops
+       the user's hot entry (the revision key already protects against
+       staleness; this keeps dead profiles from lingering). *)
+    Option.iter
+      (fun lru ->
+        Perso.Profile_store.subscribe sdb (fun ~user ->
+            Profile_lru.remove lru ~user))
+      plru;
+    {
+      sdb;
+      lock = Rl.create ();
+      cache = Option.map (fun f -> f ~store_db:sdb) cache;
+      store = None;
+      plru;
+    }
+
+  (* Seed the shards from [main]'s profile rows by raw row move: each
+     row array goes to its user's shard as it is, not copied (a
+     malformed username goes to shard 0 so nothing is dropped), and
+     unparseable rows keep their bytes and their typed load errors.
+     Revision high-water marks follow their users, so shard counters
+     continue above any saves made in [main] before the server
+     started. *)
+  let seed t =
     Option.iter
       (fun tbl ->
         Table.iter tbl (fun row ->
-            if check then Perso.Profile_store.check_exportable row;
             let sh =
               match row.(0) with
               | Value.Str u -> shard_for t u
@@ -62,113 +87,76 @@ module Make (R : Runtime.S) = struct
             Table.insert
               (Database.table sh.sdb Perso.Profile_store.table_name)
               row))
-      (Database.find_table t.main Perso.Profile_store.table_name)
+      (Database.find_table t.main Perso.Profile_store.table_name);
+    List.iter
+      (fun (u, r) ->
+        Perso.Profile_store.seed_revisions (shard_for t u).sdb [ (u, r) ])
+      (Perso.Profile_store.revisions t.main)
 
-  (* The shards over [stores], seeded from [main]'s profile rows when the
-     stores are empty (or absent), restored from them otherwise. *)
-  let seed_or_restore ?cache ?profile_lru ~check ~n stores main =
-    let mk i =
-      let sdb = Database.create () in
-      Perso.Profile_store.install sdb;
-      let plru = Option.map (fun f -> f ()) profile_lru in
-      (* Eager invalidation: any effective save/delete on the shard
-         drops the user's hot entry (the revision key already protects
-         against staleness; this keeps dead profiles from lingering). *)
-      Option.iter
-        (fun lru ->
-          Perso.Profile_store.subscribe sdb (fun ~user ->
-              Profile_lru.remove lru ~user))
-        plru;
-      {
-        sdb;
-        lock = Rl.create ();
-        cache = Option.map (fun f -> f ~store_db:sdb) cache;
-        store = stores.(i);
-        plru;
-      }
-    in
-    let t = { shards = Array.init n mk; main } in
-    let stores_empty =
-      Array.for_all
-        (function
-          | None -> true
-          | Some s -> Perso_store.Store.revisions s = [])
-        stores
-    in
-    if stores_empty then begin
-      (* Seed by raw row move: unparseable rows keep their bytes (and
-         their typed load errors); revision high-water marks follow
-         their users so shard counters continue above any saves made
-         in [main] before the server started. *)
-      move_rows t ~check;
-      let revs = Perso.Profile_store.revisions main in
-      Array.iteri
-        (fun i sh ->
-          let mine =
-            List.filter (fun (u, _) -> shard_index ~shards:n u = i) revs
-          in
-          if mine <> [] then Perso.Profile_store.seed_revisions sh.sdb mine;
-          match sh.store with
-          | None -> ()
-          | Some s ->
-              (* First open of this store: make the seeded state durable,
-                 then write through from here on. *)
-              Perso.Profile_store.export sh.sdb s;
-              Perso.Profile_store.attach sh.sdb s)
-        t.shards
-    end
-    else
-      (* The durable tier has data: it is authoritative, recovered
-         as-of the last acknowledged mutation.  The main catalog's
-         profile rows (from a data dir, or absent entirely) are
-         ignored. *)
-      Array.iter
-        (fun sh ->
-          match sh.store with
-          | None -> ()
-          | Some s ->
-              Perso.Profile_store.restore sh.sdb s)
-        t.shards;
-    (* While serving, the shards hold the only profiles in memory: SQL
-       naming the relation gets the bind error of a catalog without one,
-       never start-time rows.  merge_back rebuilds it at stop. *)
-    Database.remove_table main Perso.Profile_store.table_name;
-    t
-
-  (* A start that raises after opening stores closes their descriptors
-     and writes nothing more: what it wrote is already synced, and the
-     next open recovers it. *)
-  let release stores = List.iter (Option.iter Perso_store.Store.abandon) stores
+  (* Make the root complete: each seeded shard exported into its store
+     under the staging name, unsynced record by record and synced once
+     (nothing is acknowledged before the rename), then the marker.  A
+     row no store can hold raises here, and the staging directory goes
+     with it. *)
+  let make_root t root =
+    let config = { Perso_store.Store.default_config with fsync = false } in
+    Perso_store.Store.build_staged root (fun staging ->
+        Array.iteri
+          (fun i sh ->
+            let s =
+              Perso_store.Store.open_ ~config
+                (Perso_store.Store.shard_dir staging i)
+            in
+            Fun.protect
+              ~finally:(fun () -> Perso_store.Store.abandon s)
+              (fun () ->
+                Perso.Profile_store.export sh.sdb s;
+                Perso_store.Store.close s))
+          t.shards;
+        Perso_store.Store.write_shard_marker staging (Array.length t.shards))
 
   let create ?cache ?profile_lru ?persist ?(replicas = 1) ~shards main =
     if replicas <> 1 then
       invalid_arg "Sharded_store.create: replicas must be 1";
     let n = max 1 shards in
-    let stores =
-      match persist with
-      | None -> Array.make n None
-      | Some root ->
-          if not (Sys.file_exists root) then Sys.mkdir root 0o755;
-          check_shard_marker root n;
-          let opened = ref [] in
-          (try
-             for i = 0 to n - 1 do
-               opened :=
-                 Perso_store.Store.open_ (Perso_store.Store.shard_dir root i)
-                 :: !opened
-             done
-           with e ->
-             release (List.map Option.some !opened);
-             raise e);
-          Array.of_list (List.rev_map Option.some !opened)
+    let t =
+      { shards = Array.init n (fun _ -> mk ?cache ?profile_lru ()); main }
     in
-    match
-      seed_or_restore ?cache ?profile_lru ~check:(persist <> None) ~n stores main
-    with
-    | t -> t
-    | exception e ->
-        release (Array.to_list stores);
-        raise e
+    (match persist with
+    | None -> seed t
+    | Some root ->
+        (* A committed root is authoritative, recovered as-of the last
+           acknowledged mutation, and the main catalog's profile rows
+           (from a data dir, or absent entirely) are ignored.  A root
+           never made is made from them first. *)
+        let committed = committed root n in
+        if not committed then begin
+          seed t;
+          make_root t root
+        end;
+        let opened = ref [] in
+        (try
+           Array.iteri
+             (fun i sh ->
+               let s =
+                 Perso_store.Store.open_ (Perso_store.Store.shard_dir root i)
+               in
+               opened := s :: !opened;
+               if committed then Perso.Profile_store.restore sh.sdb s
+               else Perso.Profile_store.attach sh.sdb s;
+               t.shards.(i) <- { sh with store = Some s })
+             t.shards
+         with e ->
+           (* A start that raises after opening stores closes their
+              descriptors and writes nothing more: what it wrote is
+              already synced, and the next open recovers it. *)
+           List.iter Perso_store.Store.abandon !opened;
+           raise e));
+    (* While serving, the shards hold the only profiles in memory: SQL
+       naming the relation gets the bind error of a catalog without one,
+       never start-time rows.  merge_back rebuilds it at stop. *)
+    Database.remove_table main Perso.Profile_store.table_name;
+    t
 
   let with_user_read t ~user f =
     let sh = shard_for t user in

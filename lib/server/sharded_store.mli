@@ -53,21 +53,27 @@ module Make (R : Runtime.S) : sig
 
       [persist] names a store root directory: each shard gets its own
       {!Perso_store.Store} at [root/shard-NN], attached write-through.
-      On first open (all stores empty) the main catalog's profiles are
-      exported into the stores, once every row has been checked, so a
-      row no store can hold refuses the open with every store still
-      empty; afterwards the stores are authoritative — crash recovery
-      replays them and the main catalog's profile rows are ignored.  A
-      [SHARDS] marker in the root pins the shard count; reopening with a
-      different [--shards] raises a typed [Store_error] (resharding
-      migration is a documented non-goal for now).  A raise leaves the
-      main catalog's profiles relation in place.
+      A root is judged by {!Perso_store.Store}'s rule.  Holding
+      [SHARDS], it is committed: the marker's count must equal [shards]
+      (records are placed by it; resharding migration is a documented
+      non-goal), every promised shard must hold a store
+      ({!Perso_store.Store.check_shard}), each is recovered, and the
+      main catalog's profile rows are ignored whatever the stores hold.
+      Absent or empty, it is made: the main catalog's profiles are
+      exported into its shard stores under a staging name
+      ({!Perso_store.Store.build_staged}), synced once per shard, and
+      the root is renamed into place and opened there, so a kill before
+      the rename leaves no root and the next start seeds again.
+      Anything else is refused.  A raise closes every store it opened
+      and leaves the main catalog's profiles relation in place.
 
       [replicas] is a vestige of the deleted replicated tier, kept so
       existing callers still compile: it must be 1.
-      @raise Perso_store.Store.Store_error on recovery failure (some
-      shard's store damaged), a shard count mismatch, or (first open
-      only) a profile row too malformed to export.
+      @raise Perso_store.Store.Store_error ([Malformed] naming the path)
+      on a root the rule refuses, a shard count mismatch, a promised
+      shard without a store, recovery failure (some shard's store
+      damaged), or (first open only) a profile row too malformed to
+      export.
       @raise Invalid_argument if [replicas <> 1]. *)
 
   val shard_count : t -> int

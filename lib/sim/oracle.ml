@@ -80,21 +80,17 @@ let rank_of_atom paths (s : Atom.selection) =
    flags no two selections at the end of one chain with a to-many join. *)
 let sq_checks db qg g check =
   let insts k = Integrate.instantiate db qg (Select.select db g qg (Criteria.top_r k)) in
-  let sq optional l =
-    try Some (Integrate.sq db qg ~mandatory:[] ~optional ~l)
-    with Integrate.Integration_error _ -> None
-  in
+  let sq optional l = Integrate.sq db qg ~mandatory:[] ~optional ~l in
   let rows q = rows_multiset (Exec.run db q) in
   let against_mq name l rel =
     let optional = insts 10 in
     let l = min l (List.length optional) in
     let both () =
       let mq = Integrate.mq ~rank:false db qg ~mandatory:[] ~optional ~l:(`At_least l) () in
-      (Option.map rows (sq optional l), rows mq)
+      (rows (sq optional l), rows mq)
     in
     match Error.guard both with
-    | Ok (None, _) -> check name true "every combination conflicts; vacuous"
-    | Ok (Some rs, rm) ->
+    | Ok (rs, rm) ->
         let n = List.length in
         check name (rel rs rm) (Printf.sprintf "L=%d: SQ %d, MQ %d rows" l (n rs) (n rm))
     | Error e -> check name false (Error.to_string e)
@@ -133,10 +129,10 @@ let sq_checks db qg g check =
     | Error e -> check "sq-conflict-rule" false (Error.to_string e)
     | Ok built ->
         let conjs =
-          match Option.map Sql_ast.(fun q -> List.rev (conjuncts q.where)) built with
-          | Some (Sql_ast.P_or ds :: _) -> ds
-          | Some cs -> [ Sql_ast.conj cs ]
-          | None -> []
+          match List.rev (Sql_ast.conjuncts built.Sql_ast.where) with
+          | Sql_ast.P_or ds :: _ -> ds
+          | [ Sql_ast.P_false ] -> []
+          | cs -> [ Sql_ast.conj cs ]
         in
         let bad = List.filter (fun c -> flagged_pair (members c)) conjs in
         check "sq-conflict-rule" (bad = [] && flagged = [])

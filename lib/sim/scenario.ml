@@ -210,14 +210,6 @@ let fresh_store_root () =
   Sys.mkdir dir 0o700;
   dir
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
 type mailbox = {
   mm : Sched.mutex;
   mc : Sched.cond;
@@ -277,7 +269,7 @@ let run ~seed steps =
     Relal.Chaos.set_sleep ignore;
     Relal.Chaos.disarm ();
     Server_core.mutate_drop_completed_ok := prev_mutate;
-    Option.iter rm_rf store_root
+    Option.iter Relal.Csv.rm_rf store_root
   in
   Fun.protect ~finally:restore @@ fun () ->
   let main () =

@@ -12,15 +12,27 @@ let table =
          done;
          !c))
 
+let step t c s i =
+  t.((c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (c lsr 8)
+
 let sub s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.sub";
   let t = Lazy.force table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
-         lxor (!c lsr 8)
+    c := step t !c s i
   done;
   !c lxor 0xFFFFFFFF
 
 let string s = sub s ~pos:0 ~len:(String.length s)
+
+let matching_prefix s ~pos crc =
+  if pos < 0 || pos > String.length s then invalid_arg "Crc32.matching_prefix";
+  let t = Lazy.force table in
+  let rec go c i =
+    if c lxor 0xFFFFFFFF = crc then Some (i - pos)
+    else if i = String.length s then None
+    else go (step t c s i) (i + 1)
+  in
+  go 0xFFFFFFFF pos

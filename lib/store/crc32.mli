@@ -11,3 +11,7 @@ val string : string -> int
 
 val sub : string -> pos:int -> len:int -> int
 (** CRC-32 of a substring. @raise Invalid_argument on bad bounds. *)
+
+val matching_prefix : string -> pos:int -> int -> int option
+(** The least [len] with [sub s ~pos ~len = crc], if any, in one pass.
+    @raise Invalid_argument on a bad [pos]. *)

@@ -25,30 +25,21 @@ let scan_file ~dir ~promised name =
   in
   { file = name; size = c.size; records = c.records; status = c.status }
 
-(* A directory without a manifest, by [Store.open_]'s rule: recovery
-   refuses a sealed segment there, and deletes every other store file,
-   which it cannot do to one that is not a regular file (the WAL path
-   being a directory fails the fresh store it then creates).  Both are
-   damage; a regular WAL there is a crash during init, and no damage. *)
-let scan_unmanifested dir =
-  Sys.readdir dir |> Array.to_list |> List.sort compare
-  |> List.filter_map (fun name ->
-         let damaged error =
-           Some
-             { file = name; size = 0; records = 0; status = File_damaged error }
-         in
-         match Store.orphan_segment name with
-         | Some e -> damaged e
-         | None ->
-             if
-               Store.is_store_file name
-               && (Unix.lstat (Filename.concat dir name)).Unix.st_kind
-                  <> Unix.S_REG
-             then
-               damaged
-                 (Store.Malformed
-                    { file = name; detail = "not a regular file" })
-             else None)
+let report dir files =
+  let damaged =
+    List.filter_map
+      (fun fr ->
+        match fr.status with
+        | File_damaged e -> Some { file = fr.file; error = e }
+        | File_ok | File_torn_tail _ -> None)
+      files
+  in
+  { dir; files; damaged }
+
+(* A directory recovery refuses whole, by the verdict it gives. *)
+let refused dir error =
+  report dir
+    [ { file = "MANIFEST"; size = 0; records = 0; status = File_damaged error } ]
 
 let scan_dir dir =
   if Store.older_root dir then
@@ -61,33 +52,24 @@ let scan_dir dir =
                 "a set of copies written by an older build: serve adopts \
                  a one-copy set on its first open and refuses more";
             }));
-  let files =
-    match Store.read_manifest dir with
-    | None -> scan_unmanifested dir
-    | Some (sealed, wal) ->
-        List.map (fun (n, sz) -> scan_file ~dir ~promised:(Some sz) n) sealed
+  match Store.read_manifest dir with
+  | exception Store.Store_error e -> refused dir e
+  | None -> report dir []
+  | Some (sealed, wal) ->
+      report dir
+        (List.map (fun (n, sz) -> scan_file ~dir ~promised:(Some sz) n) sealed
         @
         if Sys.file_exists (Filename.concat dir wal) then
           [ scan_file ~dir ~promised:None wal ]
-        else []
-  in
-  let damaged =
-    List.filter_map
-      (fun fr ->
-        match fr.status with
-        | File_damaged e -> Some { file = fr.file; error = e }
-        | File_ok | File_torn_tail _ -> None)
-      files
-  in
-  { dir; files; damaged }
+        else [])
 
-type shard = { name : string; report : report option }
+type shard = { name : string; report : report }
 
 let scan_root root =
   let promised =
     List.init
       (Option.value ~default:0 (Store.read_shard_marker root))
-      (fun i -> Filename.basename (Store.shard_dir root i))
+      (fun i -> (Filename.basename (Store.shard_dir root i), i))
   in
   let present =
     Sys.readdir root |> Array.to_list
@@ -96,6 +78,13 @@ let scan_root root =
   List.map
     (fun name ->
       let dir = Filename.concat root name in
-      let report = if Sys.file_exists dir then Some (scan_dir dir) else None in
+      let report =
+        match List.assoc_opt name promised with
+        | None -> scan_dir dir
+        | Some i -> (
+            match Store.check_shard root i with
+            | () -> scan_dir dir
+            | exception Store.Store_error e -> refused dir e)
+      in
       { name; report })
-    (List.sort_uniq compare (promised @ present))
+    (List.sort_uniq compare (List.map fst promised @ present))

@@ -10,8 +10,8 @@
     record that does not decode is {e damage}; the active WAL's torn
     tail is the legitimate crash signature ({!File_torn_tail}), and only
     a mid-file CRC mismatch or an undecodable record there counts as
-    damage.  Each file's report carries how many records its valid
-    prefix decodes. *)
+    damage.  A directory recovery refuses whole is damage too.  Each
+    file's report carries how many records its valid prefix decodes. *)
 
 type file_status = Store.file_status =
   | File_ok
@@ -35,24 +35,22 @@ val status_name : file_status -> string
 
 val scan_dir : string -> report
 (** Verify every manifest-named file ([files] in manifest order, active
-    WAL last).  A directory without a manifest is judged by
-    {!Store.open_}'s rule for one: a sealed segment there is damage
-    (recovery's [Malformed] error), and so is a store file name
-    ({!Store.is_store_file}) that is not a regular file, such as a WAL
-    path that is a directory; nothing else is reported.
-    @raise Store.Store_error ([Malformed]) on an unparseable manifest,
-    or on a set of copies an older build wrote ({!Store.older_root}),
-    which this read-only scan does not adopt.
+    WAL last).  A directory recovery refuses whole (files but no
+    [MANIFEST], or an unparseable one) is one damaged [MANIFEST] entry
+    with recovery's error; an absent or empty one reports nothing.
+    @raise Store.Store_error ([Malformed]) on a set of copies an older
+    build wrote ({!Store.older_root}), which this read-only scan does
+    not adopt.
     @raise Relal.Chaos.Crashed / [Injected] under planned scrub faults. *)
 
-type shard = { name : string; report : report option }
-(** One shard of a server root: its directory name ([shard-NN]), and
-    its {!scan_dir} report, or [None] when the directory is missing. *)
+type shard = { name : string; report : report }
+(** One shard of a server root: its directory name ([shard-NN]). *)
 
 val scan_root : string -> shard list
-(** The shards of a server root, by name: every one its [SHARDS] marker
-    promises ({!Store.read_shard_marker}) and any other [shard-]
-    directory present.  A promised shard that is missing is reported
-    with [report = None], not as damage: recovery creates it empty.
+(** The shards of a committed server root, by name: every one its
+    [SHARDS] marker promises ({!Store.read_shard_marker}) and any other
+    [shard-] directory present.  A promised shard {!Store.check_shard}
+    refuses is one damaged [MANIFEST] entry with recovery's error, so
+    the scrub reports damage exactly where recovery refuses.
     @raise Store.Store_error as {!scan_dir} does, and on an unreadable
     marker. *)

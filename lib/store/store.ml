@@ -62,19 +62,41 @@ let is_store_file name =
   || (String.length name >= 4
      && (String.sub name 0 4 = "wal-" || String.sub name 0 4 = "seg-"))
 
-(* Sealed segments exist only after a committed manifest, so one in a
-   directory without a manifest means the manifest was deleted. *)
-let orphan_segment name =
-  if String.length name >= 4 && String.sub name 0 4 = "seg-" then
-    Some
-      (Malformed
-         {
-           file = manifest_name;
-           detail =
-             Printf.sprintf "missing manifest but sealed segment %s present"
-               name;
-         })
-  else None
+(* ----------------------- complete directories ----------------------- *)
+
+(* A durable directory, a store or a server root of stores, exists only
+   once complete ([build_staged]): absent or empty, it was never made;
+   holding files but not its marker ([MANIFEST], [SHARDS]), this build
+   did not make it. *)
+let made ~marker dir =
+  let refuse detail = store_err (Malformed { file = dir; detail }) in
+  if not (Sys.file_exists dir) then false
+  else if not (Sys.is_directory dir) then refuse "not a directory"
+  else if Sys.file_exists (Filename.concat dir marker) then true
+  else if Sys.readdir dir = [||] then false
+  else
+    refuse
+      ("holds files but no " ^ marker
+     ^ ", so this build did not make it; move them away")
+
+(* The staging name starts with a dot, so no [shard-] scan of a root
+   takes it for a shard.  A simulated kill cleans nothing up: the next
+   build removes what it left. *)
+let build_staged dir build =
+  let parent = Filename.dirname dir in
+  let staging = Filename.concat parent ("." ^ Filename.basename dir ^ ".staging") in
+  Csv.rm_rf staging;
+  Sys.mkdir staging 0o755;
+  (try
+     build staging;
+     Csv.fsync_dir staging;
+     Sys.rename staging dir
+   with e ->
+     (match e with
+     | Chaos.Crashed _ -> ()
+     | _ -> ( try Csv.rm_rf staging with Sys_error _ -> ()));
+     raise e);
+  Csv.fsync_dir parent
 
 (* ------------------------- sharded roots -------------------------- *)
 
@@ -82,9 +104,9 @@ let shards_marker = "SHARDS"
 let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%02d" i)
 
 let read_shard_marker root =
-  let path = Filename.concat root shards_marker in
-  if not (Sys.file_exists path) then None
+  if not (made ~marker:shards_marker root) then None
   else
+    let path = Filename.concat root shards_marker in
     let text =
       String.trim (In_channel.with_open_bin path In_channel.input_all)
     in
@@ -141,7 +163,8 @@ let parse_manifest ~file text =
 (* Manifest replacement is the commit point of rotation and compaction:
    tmp + fsync + atomic rename, the same discipline as [Csv.save_db_r].
    The deterministic fault plan can kill or fail it. *)
-let write_manifest t ~sealed ~wal =
+let write_manifest dir ~sealed ~wal =
+  let path = Filename.concat dir in
   let flip = ref None in
   (match Chaos.take_fault Chaos.Manifest_write with
   | None -> ()
@@ -153,17 +176,17 @@ let write_manifest t ~sealed ~wal =
         max 0 (min (String.length text - 1)
                  (int_of_float (frac *. float_of_int (String.length text))))
       in
-      (try Csv.write_file_sync (in_dir t manifest_tmp) (String.sub text 0 keep)
+      (try Csv.write_file_sync (path manifest_tmp) (String.sub text 0 keep)
        with _ -> ());
       raise (Chaos.Crashed { point = Chaos.Manifest_write })
   | Some (Chaos.Short_write _) | Some Chaos.Fsync_fail ->
       raise (Chaos.Injected { point = Chaos.Manifest_write; transient = true }));
   Chaos.point Chaos.Manifest_write;
-  Csv.write_file_sync (in_dir t manifest_tmp) (manifest_text ~sealed ~wal);
-  Sys.rename (in_dir t manifest_tmp) (in_dir t manifest_name);
-  Csv.fsync_dir t.dirname;
+  Csv.write_file_sync (path manifest_tmp) (manifest_text ~sealed ~wal);
+  Sys.rename (path manifest_tmp) (path manifest_name);
+  Csv.fsync_dir dir;
   Option.iter
-    (fun frac -> Chaos.flip_byte_in_file (in_dir t manifest_name) frac)
+    (fun frac -> Chaos.flip_byte_in_file (path manifest_name) frac)
     !flip
 
 (* ----------------------------- recovery ----------------------------- *)
@@ -184,16 +207,17 @@ type file_check = { size : int; records : int; status : file_status }
 
 let check_file ~dir ~promised name f =
   let path = Filename.concat dir name in
+  let empty status = { size = 0; records = 0; status } in
   if not (Sys.file_exists path) then
-    {
-      size = 0;
-      records = 0;
-      status =
-        (if promised = None then File_ok
-         else
-           File_damaged
-             (Torn_log { file = name; detail = "sealed segment missing" }));
-    }
+    empty
+      (if promised = None then File_ok
+       else
+         File_damaged
+           (Torn_log { file = name; detail = "sealed segment missing" }))
+  else if Sys.is_directory path then
+    empty
+      (File_damaged
+         (Malformed { file = name; detail = "a directory, not a file" }))
   else begin
     let data = In_channel.with_open_bin path In_channel.input_all in
     let size = String.length data in
@@ -273,29 +297,6 @@ let remove_strays t ~keep =
         try Sys.remove (in_dir t name) with Sys_error _ -> ())
     (Sys.readdir t.dirname)
 
-let fresh ?(config = default_config) dirname =
-  let t =
-    {
-      dirname;
-      cfg = config;
-      m = Mutex.create ();
-      index = Hashtbl.create 64;
-      wal = Wal.open_append ~fsync:config.fsync
-              (Filename.concat dirname (wal_file 1));
-      wal_name = wal_file 1;
-      sealed = [];
-      seq = 1;
-      closed = false;
-      n_appends = 0;
-      n_rotations = 0;
-      n_compactions = 0;
-      n_compact_failures = 0;
-      n_torn = 0;
-    }
-  in
-  write_manifest t ~sealed:[] ~wal:t.wal_name;
-  t
-
 (* Earlier builds kept each store as a set of copies: member
    directories [r0/], [r1/], ... and a [REPLSTATE] file whose first line
    pins their count.  A one-copy set is a store one level down: adopt
@@ -355,82 +356,69 @@ let adopt_replica_set dirname =
     Csv.fsync_dir dirname
   end
 
-let open_ ?(config = default_config) dirname =
-  if not (Sys.file_exists dirname) then Sys.mkdir dirname 0o755;
-  if not (Sys.is_directory dirname) then
+let read_manifest dirname =
+  if not (made ~marker:manifest_name dirname) then None
+  else
+    Some
+      (parse_manifest ~file:manifest_name
+         (In_channel.with_open_bin
+            (Filename.concat dirname manifest_name)
+            In_channel.input_all))
+
+let check_shard root i =
+  let dir = shard_dir root i in
+  if not (older_root dir || made ~marker:manifest_name dir) then
     store_err
-      (Malformed { file = dirname; detail = "store path is not a directory" });
+      (Malformed
+         { file = dir; detail = "SHARDS promises this shard, but it holds no MANIFEST" })
+
+let open_ ?(config = default_config) dirname =
   adopt_replica_set dirname;
-  let manifest_path = Filename.concat dirname manifest_name in
-  if not (Sys.file_exists manifest_path) then begin
-    (* No manifest: either a fresh directory or a crash during init,
-       before anything was acknowledged.  A sealed segment means the
-       manifest was deleted — refuse to guess. *)
-    let entries = Sys.readdir dirname in
-    Array.iter
-      (fun name -> Option.iter store_err (orphan_segment name))
-      entries;
-    Array.iter
-      (fun name ->
-        if is_store_file name then
-          try Sys.remove (Filename.concat dirname name) with Sys_error _ -> ())
-      entries;
-    fresh ~config dirname
-  end
-  else begin
-    let text = In_channel.with_open_bin manifest_path In_channel.input_all in
-    let sealed, wal_name = parse_manifest ~file:manifest_name text in
-    let index = Hashtbl.create 64 in
-    List.iter
-      (fun (name, size) ->
-        ignore (replay ~dirname ~index ~promised:(Some size) name : int))
+  let sealed, wal_name =
+    match read_manifest dirname with
+    | Some committed -> committed
+    | None ->
+        (* Never made: make it complete, then recover it as any other. *)
+        build_staged dirname (fun staging ->
+            Wal.close (Wal.open_append (Filename.concat staging (wal_file 1)));
+            write_manifest staging ~sealed:[] ~wal:(wal_file 1));
+        ([], wal_file 1)
+  in
+  let index = Hashtbl.create 64 in
+  List.iter
+    (fun (name, size) ->
+      ignore (replay ~dirname ~index ~promised:(Some size) name : int))
+    sealed;
+  let torn = replay ~dirname ~index ~promised:None wal_name in
+  let t =
+    {
+      dirname;
+      cfg = config;
+      m = Mutex.create ();
+      index;
+      wal =
+        Wal.open_append ~fsync:config.fsync (Filename.concat dirname wal_name);
+      wal_name;
       sealed;
-    let torn = replay ~dirname ~index ~promised:None wal_name in
-    let t =
-      {
-        dirname;
-        cfg = config;
-        m = Mutex.create ();
-        index;
-        wal =
-          Wal.open_append ~fsync:config.fsync
-            (Filename.concat dirname wal_name);
-        wal_name;
-        sealed;
-        seq =
-          List.fold_left
-            (fun acc (name, _) -> max acc (seq_of_name name))
-            (seq_of_name wal_name) sealed;
-        closed = false;
-        n_appends = 0;
-        n_rotations = 0;
-        n_compactions = 0;
-        n_compact_failures = 0;
-        n_torn = torn;
-      }
-    in
-    remove_strays t ~keep:(wal_name :: List.map fst sealed);
-    t
-  end
+      seq =
+        List.fold_left
+          (fun acc (name, _) -> max acc (seq_of_name name))
+          (seq_of_name wal_name) sealed;
+      closed = false;
+      n_appends = 0;
+      n_rotations = 0;
+      n_compactions = 0;
+      n_compact_failures = 0;
+      n_torn = torn;
+    }
+  in
+  remove_strays t ~keep:(wal_name :: List.map fst sealed);
+  t
 
 let open_r ?config dirname =
   match open_ ?config dirname with
   | t -> Ok t
   | exception Store_error e -> Error e
-
-(* -------------------- file-set introspection -------------------- *)
-
-(* The scrubber works on the committed file set without opening a
-   handle: the manifest names exactly the files whose bytes matter
-   (plus the active WAL, whose tail may legitimately be torn). *)
-
-let read_manifest dirname =
-  let path = Filename.concat dirname manifest_name in
-  if not (Sys.file_exists path) then None
-  else
-    Some
-      (parse_manifest ~file:manifest_name
-         (In_channel.with_open_bin path In_channel.input_all))
 
 let check_open t = if t.closed then invalid_arg "Store: handle is closed"
 
@@ -445,7 +433,7 @@ let rotate t =
   let new_name = wal_file new_seq in
   let new_wal = Wal.open_append ~fsync:t.cfg.fsync (in_dir t new_name) in
   let sealed' = t.sealed @ [ (t.wal_name, Wal.size t.wal) ] in
-  (try write_manifest t ~sealed:sealed' ~wal:new_name
+  (try write_manifest t.dirname ~sealed:sealed' ~wal:new_name
    with e ->
      (match e with
      | Chaos.Crashed _ -> ()
@@ -522,7 +510,7 @@ let compact t =
            raise
              (Chaos.Injected { point = Chaos.Compact_rename; transient = true }));
        Chaos.point Chaos.Compact_rename;
-       write_manifest t
+       write_manifest t.dirname
          ~sealed:[ (seg_name, Wal.size out) ]
          ~wal:t.wal_name
      with e ->

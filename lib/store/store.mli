@@ -16,7 +16,14 @@
     [Delete] tombstones, which must survive compaction so revision
     high-water marks outlive restarts and deletions.
 
-    {b Recovery} ([open_]) replays sealed segments oldest-first, then
+    {b A directory exists only once complete.}  {!open_} builds a new
+    store with {!build_staged}: its first WAL and [MANIFEST] durable
+    under a sibling staging name, then renamed into place.  So a
+    directory holding a [MANIFEST] is recovered; an absent or empty one
+    is created; anything else is refused with {!Malformed} naming the
+    path, since no build of this store leaves one.
+
+    {b Recovery} replays sealed segments oldest-first, then
     the active WAL.  Sealed segments were fsynced before the manifest
     named them, so any damage there is real corruption: a short or torn
     segment surfaces as {!Torn_log}, a checksum mismatch as {!Bad_crc}.
@@ -24,15 +31,15 @@
     leaves a partial frame, so a torn tail is truncated (counted in
     {!stats}) and everything before it replayed; a CRC mismatch {e not}
     at the tail is still {!Bad_crc}.  Files in the directory that the
-    manifest does not name (crash leftovers from rotation, compaction,
-    or init) are removed.
+    manifest does not name (crash leftovers from rotation or compaction)
+    are removed.
 
     {b Older roots.}  Builds before this one kept each store as a set of
     copies ([r0/], [r1/], … plus a [REPLSTATE] file).  Opening such a
     directory adopts a one-copy set in place, once ([r0]'s data files
     move up, its manifest last, so a crash mid-move resumes on the next
     open), and refuses a set of several copies with {!Malformed} naming
-    the directory.
+    the directory.  The adoption runs before the rule above.
 
     All operations are serialized by an internal mutex; concurrency
     comes from sharding (one store per shard), not from intra-store
@@ -63,8 +70,9 @@ val error_to_string : error -> string
 type t
 
 val open_r : ?config:config -> string -> (t, error) result
-(** Open (creating the directory and an empty store if needed) and run
-    recovery.  Structural damage returns [Error].  A failure to read or
+(** Open the store at a directory by the rule above (creating it if it
+    was never made) and run recovery.  Structural damage, and a
+    directory the rule refuses, return [Error].  A failure to read or
     write a store file (WAL, segment, manifest) raises [Sys_error]
     naming the file, here and in every other operation of this module,
     which [Perso.Error] types as a storage error. *)
@@ -78,31 +86,42 @@ val older_root : string -> bool
 (** Whether a directory is a set of copies an earlier build wrote (it
     holds [REPLSTATE]), which {!open_} adopts or refuses. *)
 
-val is_store_file : string -> bool
-(** Whether a file name is one the store writes: a WAL ([wal-]), a
-    sealed segment ([seg-]) or the manifest's temporary.  In a directory
-    without a manifest, {!open_} deletes every such file. *)
-
-val orphan_segment : string -> error option
-(** [Some] the [Malformed] error {!open_} refuses a directory without a
-    manifest with, when the file name is a sealed segment's: a segment
-    exists only after a committed manifest. *)
+val build_staged : string -> (string -> unit) -> unit
+(** [build_staged dir build] makes [dir] complete or not at all: it
+    replaces any staging directory ([.NAME.staging] beside [dir]) with
+    an empty one, runs [build staging], which leaves its contents
+    durable, and renames it to [dir] (absent or an empty directory),
+    fsyncing both directories.  If [build] raises, the staging
+    directory is removed, except under a simulated kill
+    ([Relal.Chaos.Crashed]), and the exception re-raised. *)
 
 (** {2 Sharded roots}
 
     A server root holds one store per shard, [shard-00/] and on, and a
-    [SHARDS] marker recording how many it was created with. *)
+    [SHARDS] marker recording how many it was created with.  It is made
+    by {!build_staged} too, and judged by the same rule with [SHARDS]
+    as its marker. *)
 
 val shards_marker : string
 val shard_dir : string -> int -> string
 (** [shard_dir root i] is shard [i]'s store directory. *)
 
 val read_shard_marker : string -> int option
-(** The shard count the root's marker records, [None] without one.
-    @raise Store_error ([Malformed]) on an unreadable marker. *)
+(** The shard count a committed root's marker records; [None] when the
+    root is absent or an empty directory.
+    @raise Store_error ([Malformed] naming the path) on an unreadable
+    marker, and where the rule refuses the root. *)
 
 val write_shard_marker : string -> int -> unit
 (** Write the marker durably (file and directory fsynced). *)
+
+val check_shard : string -> int -> unit
+(** [check_shard root i] returns when shard [i] of a committed root
+    holds a [MANIFEST] (or an older build's set of copies, which
+    {!open_} adopts), as every shard was before the root was renamed
+    into place; recovery and the scrubber both judge shards by it.
+    @raise Store_error ([Malformed] naming the shard's directory)
+    otherwise. *)
 
 type file_status =
   | File_ok
@@ -128,20 +147,22 @@ val check_file :
     give.  [promised = Some bytes] for a sealed segment: a missing file,
     a size other than the manifest's, a torn frame or a bad checksum is
     damage.  [None] for the active WAL: a missing file is an empty log,
-    and a torn final frame is {!File_torn_tail}.  Every record of the
+    and a torn final frame is {!File_torn_tail}.  A path that is a
+    directory is damage ([Malformed]) either way.  Every record of the
     valid prefix is decoded and passed to [f] with its frame's offset
     and full length; the first record that does not decode stops the
     calls and is damage ([Malformed]), however sound its checksum.
-    When several faults apply, a missing file wins, then a size
-    mismatch, then an undecodable record, then how the frames end. *)
+    When several faults apply, a missing file wins, then a
+    directory, then a size mismatch, then an undecodable
+    record, then how the frames end. *)
 
 val read_manifest : string -> ((string * int) list * string) option
 (** [read_manifest dirname] parses the committed manifest:
     [(sealed (name, size) list, active wal name)], or [None] when the
-    directory has no manifest (fresh or never-initialized).  The
-    scrubber ({!Scrub}) reads the committed file set this way, without
-    opening a handle.
-    @raise Store_error ([Malformed]) on an unparseable manifest. *)
+    directory is absent or empty (never made).  The scrubber ({!Scrub})
+    reads the committed file set this way, without opening a handle.
+    @raise Store_error ([Malformed]) on an unparseable manifest, and
+    where {!open_} refuses the directory. *)
 
 val save : t -> user:string -> revision:int -> Codec.entry list -> unit
 (** Append a [Put] and fsync.  On return the record is durable; on any

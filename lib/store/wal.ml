@@ -128,15 +128,20 @@ let scan_string data f =
               detail = Printf.sprintf "frame length %d exceeds cap" len;
             } )
       else if pos + header_bytes + len > n then
+        (* A crash mid-append leaves a strict prefix of a frame, whose
+           payload almost never checksums to its CRC: bytes after the
+           header that do were written whole, under a damaged length. *)
+        let detail =
+          Printf.sprintf "frame needs %d payload bytes, %d present" len
+            (n - pos - header_bytes)
+        in
+        let crc = u32le data (pos + 4) in
         ( pos,
-          Torn
-            {
-              at = pos;
-              detail =
-                Printf.sprintf "frame needs %d payload bytes, %d present"
-                  len
-                  (n - pos - header_bytes);
-            } )
+          match Crc32.matching_prefix data ~pos:(pos + header_bytes) crc with
+          | None -> Torn { at = pos; detail }
+          | Some _ ->
+              Corrupt { at = pos; detail = detail ^ ", and they match its checksum" }
+        )
       else begin
         let crc = u32le data (pos + 4) in
         if Crc32.sub data ~pos:(pos + header_bytes) ~len <> crc then

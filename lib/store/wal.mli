@@ -55,7 +55,10 @@ type scan_end =
   | Torn of { at : int; detail : string }
       (** incomplete final frame starting at [at] — truncate to [at] *)
   | Corrupt of { at : int; detail : string }
-      (** complete frame with bad CRC or absurd length at [at] *)
+      (** complete frame with bad CRC or absurd length at [at]; also a
+          frame whose length runs past the end although a prefix of the
+          bytes after its header checksums to its CRC: a frame written
+          whole whose length field was damaged, not a torn tail *)
 
 val scan_string : string -> (pos:int -> string -> unit) -> int * scan_end
 (** Walk frames in [data], calling the callback with each valid

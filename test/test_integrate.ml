@@ -222,17 +222,32 @@ let test_sq_l0_is_query_plus_mandatory () =
   (* All mandatory: every returned movie satisfies both preferences. *)
   Alcotest.(check bool) "runs" true (base.Exec.cols <> [||])
 
+(* An L no optional set can meet is a caller's error ([Personalize]
+   clamps L); a projection that is not attribute-only is no SPJ query,
+   which the ladder runs plain. *)
 let test_sq_errors () =
   let db, qg, insts = setting ~k:2 () in
   Alcotest.(check bool) "l too large" true
     (try
        ignore (Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:5);
        false
-     with Integrate.Integration_error _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "negative l" true
+    (try
+       ignore (Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:(-1));
+       false
+     with Invalid_argument _ -> true);
+  let counted = Binder.bind db (Sql_parser.parse "select count(*) as n from movie mv") in
+  Alcotest.(check bool) "aggregate projection" true
+    (try
+       ignore (Integrate.sq db (Qgraph.of_query db counted) ~mandatory:[] ~optional:[] ~l:0);
+       false
+     with Qgraph.Not_conjunctive _ -> true)
 
 let test_sq_conflicting_combos_dropped () =
   (* Two shared-variable director preferences conflict; with L=2 every
-     combination contains the conflicting pair, which must raise. *)
+     combination contains the conflicting pair: the disjunction is empty,
+     so the qualification is FALSE and no row qualifies. *)
   let profile =
     Profile.of_list
       [
@@ -243,11 +258,10 @@ let test_sq_conflicting_combos_dropped () =
       ]
   in
   let db, qg, insts = setting ~profile () in
-  Alcotest.(check bool) "all-conflicting combos rejected" true
-    (try
-       ignore (Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:2);
-       false
-     with Integrate.Integration_error _ -> true);
+  let none = Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:2 in
+  Alcotest.(check bool) "all-conflicting combos: FALSE" true
+    (none.Sql_ast.where = Sql_ast.P_false);
+  Alcotest.(check int) "no row" 0 (List.length (Engine.run_query db none).Exec.rows);
   (* With L=1 both are usable as alternatives. *)
   let sq = Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:1 in
   let res = Engine.run_query db sq in
@@ -440,20 +454,15 @@ let prop_sq_mq_random =
       let l = min l (List.length optional) in
       if insts = [] then true
       else
-        match Integrate.sq db qg ~mandatory ~optional ~l with
-        | exception Integrate.Integration_error _ -> true (* all combos conflict *)
-        | sq ->
-            let mq =
-              Integrate.mq ~rank:false db qg ~mandatory ~optional ~l:(`At_least l) ()
-            in
-            let rows q' =
-              (Engine.run_query db q').Exec.rows
-              |> List.map (fun r -> Array.map Value.to_string r |> Array.to_list)
-              |> List.sort_uniq compare
-            in
-            let rs = rows sq and rm = rows mq in
-            if l <= 1 then rs = rm
-            else List.for_all (fun r -> List.mem r rm) rs)
+        let sq = Integrate.sq db qg ~mandatory ~optional ~l in
+        let mq = Integrate.mq ~rank:false db qg ~mandatory ~optional ~l:(`At_least l) () in
+        let rows q' =
+          (Engine.run_query db q').Exec.rows
+          |> List.map (fun r -> Array.map Value.to_string r |> Array.to_list)
+          |> List.sort_uniq compare
+        in
+        let rs = rows sq and rm = rows mq in
+        if l <= 1 then rs = rm else List.for_all (fun r -> List.mem r rm) rs)
 
 (* ------------------- SQ's enumeration and its bounds ------------------- *)
 
@@ -479,47 +488,44 @@ let pairwise_free db insts =
    preferences in the lexicographic order of positions, kept when no
    pair in it conflicts; each kept subset the conjunction of its
    conditions, repeats removed; the optional variables in order of first
-   occurrence over the kept subsets.  [None] when every subset
-   conflicts.  Without mandatory preferences. *)
+   occurrence over the kept subsets.  When every subset conflicts the
+   disjunction is empty, FALSE.  Without mandatory preferences. *)
 let reference_sq db qg ~optional ~l =
-  match List.filter (pairwise_free db) (subsets optional l) with
-  | [] -> None
-  | combos ->
-      let q0 = Qgraph.query qg in
-      let seen = Hashtbl.create 16 in
-      let vars =
-        List.filter
-          (fun (i : Integrate.instantiated) ->
-            (not (Hashtbl.mem seen i.index)) && (Hashtbl.add seen i.index (); true))
-          (List.concat combos)
-      in
-      let aliases = Hashtbl.create 16 in
-      let trefs =
-        List.filter
-          (fun (r : Sql_ast.table_ref) ->
-            (not (Hashtbl.mem aliases r.alias)) && (Hashtbl.add aliases r.alias (); true))
-          (List.concat_map (fun (i : Integrate.instantiated) -> i.trefs) vars)
-      in
-      let conds = Integrate.dedup_conjuncts (Sql_ast.conjuncts q0.where) in
-      let disj =
-        Sql_ast.disj
-          (List.map
-             (fun c ->
-               Sql_ast.conj
-                 (Integrate.dedup_conjuncts
-                    (List.map (fun (i : Integrate.instantiated) -> i.pred) c)))
-             combos)
-      in
-      let repeated =
-        List.mem (Sql_print.pred_to_string disj) (List.map Sql_print.pred_to_string conds)
-      in
-      Some
-        {
-          q0 with
-          Sql_ast.distinct = true;
-          from = q0.from @ List.map (fun r -> Sql_ast.F_rel r) trefs;
-          where = Sql_ast.conj (conds @ if repeated then [] else [ disj ]);
-        }
+  let combos = List.filter (pairwise_free db) (subsets optional l) in
+  let q0 = Qgraph.query qg in
+  let seen = Hashtbl.create 16 in
+  let vars =
+    List.filter
+      (fun (i : Integrate.instantiated) ->
+        (not (Hashtbl.mem seen i.index)) && (Hashtbl.add seen i.index (); true))
+      (List.concat combos)
+  in
+  let aliases = Hashtbl.create 16 in
+  let trefs =
+    List.filter
+      (fun (r : Sql_ast.table_ref) ->
+        (not (Hashtbl.mem aliases r.alias)) && (Hashtbl.add aliases r.alias (); true))
+      (List.concat_map (fun (i : Integrate.instantiated) -> i.trefs) vars)
+  in
+  let conds = Integrate.dedup_conjuncts (Sql_ast.conjuncts q0.where) in
+  let disj =
+    Sql_ast.disj
+      (List.map
+         (fun c ->
+           Sql_ast.conj
+             (Integrate.dedup_conjuncts
+                (List.map (fun (i : Integrate.instantiated) -> i.pred) c)))
+         combos)
+  in
+  let repeated =
+    List.mem (Sql_print.pred_to_string disj) (List.map Sql_print.pred_to_string conds)
+  in
+  {
+    q0 with
+    Sql_ast.distinct = true;
+    from = q0.from @ List.map (fun r -> Sql_ast.F_rel r) trefs;
+    where = Sql_ast.conj (conds @ if repeated then [] else [ disj ]);
+  }
 
 (* Conflicts forced into a profile: several MOVIE.year selections
    (conflicting on a movie variable) and selections at the end of to-one
@@ -590,12 +596,8 @@ let test_sq_enumeration () =
         in
         let optional = Integrate.instantiate db qg pk in
         let l = min (1 + int 4) (List.length optional) in
-        let built =
-          match Integrate.sq db qg ~mandatory:[] ~optional ~l with
-          | q -> Some (Sql_print.query_to_string q)
-          | exception Integrate.Integration_error _ -> None
-        in
-        let want = Option.map Sql_print.query_to_string (reference_sq db qg ~optional ~l) in
+        let built = Sql_print.query_to_string (Integrate.sq db qg ~mandatory:[] ~optional ~l) in
+        let want = Sql_print.query_to_string (reference_sq db qg ~optional ~l) in
         if l >= 2 then begin
           let all = subsets optional l in
           let kept = List.length (List.filter (pairwise_free db) all) in
@@ -603,10 +605,7 @@ let test_sq_enumeration () =
           else if kept < List.length all then saw "some combinations conflicting"
           else saw "no combination conflicting"
         end;
-        built = want
-        || QCheck.Test.fail_reportf "L = %d\nbuilt: %s\nwant:  %s" l
-             (Option.value built ~default:"(every combination conflicts)")
-             (Option.value want ~default:"(every combination conflicts)"))
+        built = want || QCheck.Test.fail_reportf "L = %d\nbuilt: %s\nwant:  %s" l built want)
   in
   QCheck.Test.check_exn ~rand:(Random.State.make [| 32 |]) prop;
   List.iter
@@ -637,8 +636,9 @@ let exhausted_by cause build =
 
 (* SQ at K = 60, L = 30 on a 200-selection profile: C(60, 30) is about
    10^17 combinations, and the walk shows in a few thousand steps that
-   every one of them holds a conflicting pair.  The ladder halves K and
-   L, meets the same at L = 15, and answers with the plain rows. *)
+   every one of them holds a conflicting pair.  The disjunction is
+   empty, so the qualification is FALSE: the request is answered at full
+   strength, with no rung of the ladder, and no row qualifies. *)
 let test_sq_size_bound () =
   let db = Moviedb.Datagen.(generate (scale ~seed:11 300)) in
   let profile =
@@ -652,32 +652,19 @@ let test_sq_size_bound () =
       (Select.select db (Pgraph.of_profile profile) qg (Criteria.top_r 60))
   in
   Alcotest.(check int) "60 optional preferences" 60 (List.length insts);
-  (match Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:30 with
-  | _ -> Alcotest.fail "SQ built a 30-combination"
-  | exception Integrate.Integration_error e ->
-      Alcotest.(check string) "cause"
-        "SQ: every 30-combination of the optional preferences conflicts" e);
+  Alcotest.(check bool) "every 30-combination conflicts: FALSE" true
+    ((Integrate.sq db qg ~mandatory:[] ~optional:insts ~l:30).Sql_ast.where = Sql_ast.P_false);
   let params =
     { Personalize.default_params with k = Criteria.top_r 60; l = `At_least 30; method_ = `SQ }
   in
   let r, words, secs = words_and_secs (fun () -> Personalize.personalize_r ~params db profile q) in
-  bounded "the ladder" (words, secs);
+  bounded "the request" (words, secs);
   match r with
-  | Ok
-      {
-        outcome = None;
-        result;
-        degradations =
-          [ Reduced { cause = Internal c1; _ }; Unpersonalized { cause = Internal c2 } ];
-      } ->
-      Alcotest.(check string) "first rung"
-        "integration: SQ: every 30-combination of the optional preferences conflicts" c1;
-      Alcotest.(check string) "reduced rung"
-        "integration: SQ: every 15-combination of the optional preferences conflicts" c2;
-      Alcotest.(check bool) "plain rows" true
-        (Exec.result_equal_list result (Engine.run_query db q))
-  | Ok _ -> Alcotest.fail "expected a reduced step and then the plain rows"
-  | Error e -> Alcotest.failf "untyped ladder: %s" (Error.to_string e)
+  | Ok { outcome = Some o; result; degradations = [] } ->
+      Alcotest.(check int) "K = 60" 60 (List.length o.Personalize.optional);
+      Alcotest.(check int) "no row" 0 (List.length result.Exec.rows)
+  | Ok _ -> Alcotest.fail "expected full strength, with no degradation"
+  | Error e -> Alcotest.failf "refused: %s" (Error.to_string e)
 
 (* Names reached through to-many joins (a movie has many cast rows and
    many genre rows) never conflict, so every L-combination is a
@@ -878,17 +865,15 @@ let prop_runs_as_built =
           rank = flip ();
         }
       in
-      match Personalize.personalize ~params db profile q with
-      | exception Integrate.Integration_error _ -> true (* every combination conflicts *)
-      | o ->
-          let built = Exec.run db o.personalized
-          and rebound = Engine.run_query db o.personalized in
-          built.cols = rebound.cols
-          && List.length built.rows = List.length rebound.rows
-          && List.for_all2
-               (fun x y -> Array.length x = Array.length y && Array.for_all2 same_value x y)
-               built.rows rebound.rows
-          || QCheck.Test.fail_reportf "%s" (Sql_print.query_to_string o.personalized))
+      let o = Personalize.personalize ~params db profile q in
+      let built = Exec.run db o.personalized
+      and rebound = Engine.run_query db o.personalized in
+      built.cols = rebound.cols
+      && List.length built.rows = List.length rebound.rows
+      && List.for_all2
+           (fun x y -> Array.length x = Array.length y && Array.for_all2 same_value x y)
+           built.rows rebound.rows
+      || QCheck.Test.fail_reportf "%s" (Sql_print.query_to_string o.personalized))
 
 let () =
   Alcotest.run "integrate"

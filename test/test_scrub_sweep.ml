@@ -180,66 +180,60 @@ let test_undecodable_record () =
           Alcotest.failf "%s: recovery opened an undecodable record" label)
     (targets pristine)
 
-(* Directories without a manifest, by the rule above.  A sealed
-   segment is damage, with recovery's error; so is a WAL path that is a
-   directory, which fails the fresh store recovery creates; a regular
-   WAL is a crash during init, which recovery discards. *)
+(* A directory holding files but no manifest is none a store of this
+   build made: a store is renamed into place only once its manifest is
+   durable.  Recovery refuses it, naming the directory, and the scrub
+   reports recovery's error as damage.  (A WAL alone is what a crash
+   during an older build's init left.) *)
 let test_no_manifest () =
-  (* The scrub's damage, as "file: error" lines, checked against recovery. *)
-  let case label setup =
-    let work = fresh_dir () in
-    Unix.mkdir work 0o755;
-    setup work;
-    let scrubbed = (Scrub.scan_dir work).Scrub.damaged in
-    check_case label work [];
-    List.map
-      (fun (d : Scrub.damage) -> d.file ^ ": " ^ Store.error_to_string d.error)
-      scrubbed
-  in
-  Alcotest.(check (list string)) "a sealed segment: recovery's error"
-    [
-      "seg-000001.log: malformed store file MANIFEST: missing manifest but \
-       sealed segment seg-000001.log present";
-    ]
-    (case "no manifest, sealed segment" (fun d ->
-         write_file (Filename.concat d "seg-000001.log") "junk"));
-  Alcotest.(check (list string)) "a WAL path that is a directory"
-    [ "wal-000001.log: malformed store file wal-000001.log: not a regular file" ]
-    (case "no manifest, WAL path a directory" (fun d ->
-         Unix.mkdir (Filename.concat d "wal-000001.log") 0o755));
-  Alcotest.(check (list string)) "a regular WAL is no damage" []
-    (case "no manifest, regular WAL" (fun d ->
-         write_file (Filename.concat d "wal-000001.log") ""))
+  let work = fresh_dir () in
+  Unix.mkdir work 0o755;
+  write_file (Filename.concat work "wal-000001.log") "";
+  let scrubbed = (Scrub.scan_dir work).Scrub.damaged in
+  check_case "no manifest, a WAL" work [];
+  match Store.open_r ~config:cfg work with
+  | Error (Store.Malformed { file; _ } as e) ->
+      Alcotest.(check string) "recovery names the directory" work file;
+      Alcotest.(check (list string)) "the scrub reports recovery's error"
+        [ "MANIFEST: " ^ Store.error_to_string e ]
+        (List.map
+           (fun (d : Scrub.damage) -> d.file ^ ": " ^ Store.error_to_string d.error)
+           scrubbed);
+      Alcotest.(check bool) "left as it was" true
+        (Sys.readdir work = [| "wal-000001.log" |])
+  | Error e -> Alcotest.failf "expected malformed, got %s" (Store.error_to_string e)
+  | Ok t ->
+      Store.close t;
+      Alcotest.fail "recovery opened a directory without a manifest"
 
 (* A server root whose SHARDS marker promises a shard that is missing:
-   recovery opens every promised shard, creating the missing one empty,
-   and the scrub lists it without counting it as damage. *)
+   every shard was complete before the root was renamed into place, so
+   recovery refuses the root, naming the shard, and the scrub reports
+   the same error as that shard's damage. *)
 let test_missing_shard () =
-  let pristine, oracle_revisions, _ = build_fixture () in
+  let pristine, _, _ = build_fixture () in
   let root = fresh_dir () in
   Unix.mkdir root 0o755;
   Store.write_shard_marker root 2;
   copy_dir pristine (Store.shard_dir root 0);
   let shards = Scrub.scan_root root in
-  Alcotest.(check (list (pair string bool)))
-    "both promised shards listed, shard-01 missing"
-    [ ("shard-00", true); ("shard-01", false) ]
-    (List.map (fun (sh : Scrub.shard) -> (sh.name, sh.report <> None)) shards);
-  Alcotest.(check int) "no damage" 0
-    (List.fold_left
-       (fun n (sh : Scrub.shard) ->
-         match sh.report with
-         | Some r -> n + List.length r.Scrub.damaged
-         | None -> n)
-       0 shards);
-  let revisions i =
-    let t = Store.open_ ~config:cfg (Store.shard_dir root i) in
-    Fun.protect ~finally:(fun () -> Store.close t) (fun () -> Store.revisions t)
+  let damage (sh : Scrub.shard) =
+    List.map
+      (fun (d : Scrub.damage) -> d.file ^ ": " ^ Store.error_to_string d.error)
+      sh.report.Scrub.damaged
   in
-  Alcotest.(check bool) "shard-00 serves the oracle" true
-    (revisions 0 = oracle_revisions);
-  Alcotest.(check bool) "recovery creates shard-01 empty" true
-    (revisions 1 = [])
+  let module Shards = Perso_server.Sharded_store.Make (Perso_server.Runtime.Threads) in
+  match Shards.create ~persist:root ~shards:2 (Relal.Database.create ()) with
+  | _ -> Alcotest.fail "recovery opened a root missing a promised shard"
+  | exception Store.Store_error (Store.Malformed { file; _ } as e) ->
+      Alcotest.(check string) "recovery names the missing shard"
+        (Store.shard_dir root 1) file;
+      Alcotest.(check (list (pair string (list string))))
+        "shard-00 clean, shard-01 damaged with recovery's error"
+        [ ("shard-00", []); ("shard-01", [ "MANIFEST: " ^ Store.error_to_string e ]) ]
+        (List.map (fun (sh : Scrub.shard) -> (sh.name, damage sh)) shards);
+      Alcotest.(check bool) "shard-01 still missing" false
+        (Sys.file_exists (Store.shard_dir root 1))
 
 (* control: an uncorrupted store scrubs clean and reopens with nothing
    truncated, serving the oracle *)

@@ -840,6 +840,10 @@ let fresh_store_root =
     in
     dir
 
+(* Where a store or root is built before it is renamed into place. *)
+let staging_of dir =
+  Filename.concat (Filename.dirname dir) ("." ^ Filename.basename dir ^ ".staging")
+
 let parity_script =
   [
     "PROFILE SAVE julie [ GENRE.genre = 'comedy', 0.9 ] [ MOVIE.mid = \
@@ -1016,31 +1020,35 @@ let test_catalog_holds_no_profiles () =
         store_dir)
     [ None; Some (fresh_store_root ()) ]
 
-(* A first open that refuses to export a malformed profile row writes
-   no shard store, whichever shard the row lands on: a restart after the
-   row is fixed finds every store empty and exports every user. *)
+(* A first open that refuses to export a malformed profile row leaves
+   no store root, whichever shard the row lands on, and no staging
+   directory: a restart after the row is fixed makes the root and
+   exports every user. *)
+(* A data dir's catalog: six users with one comedy entry each, alice's
+   degree replaceable by a value no store can hold. *)
+let six_users = [ "alice"; "bob"; "carol"; "dave"; "erin"; "frank" ]
+
+let six_user_catalog ?(alice = Relal.Value.Float 0.9) () =
+  let db = Moviedb.Personas.tiny_db () in
+  Perso.Profile_store.install db;
+  List.iter
+    (fun u ->
+      Relal.Database.insert db Perso.Profile_store.table_name
+        [
+          Relal.Value.Str u;
+          Relal.Value.Str "GENRE.genre = 'comedy'";
+          (if u = "alice" then alice else Relal.Value.Float 0.9);
+        ])
+    six_users;
+  db
+
 let test_refused_export_writes_no_store () =
-  let users = [ "alice"; "bob"; "carol"; "dave"; "erin"; "frank" ] in
-  let catalog ~alice_degree =
-    let db = Moviedb.Personas.tiny_db () in
-    Perso.Profile_store.install db;
-    List.iter
-      (fun u ->
-        Relal.Database.insert db Perso.Profile_store.table_name
-          [
-            Relal.Value.Str u;
-            Relal.Value.Str "GENRE.genre = 'comedy'";
-            (if u = "alice" then alice_degree else Relal.Value.Float 0.9);
-          ])
-      users;
-    db
-  in
   let root = fresh_store_root () in
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote root)))
   @@ fun () ->
   let cfg cfg = { cfg with Server_core.shards = 3; store_dir = Some root } in
-  let db = catalog ~alice_degree:Relal.Value.Null in
+  let db = six_user_catalog ~alice:Relal.Value.Null () in
   (match
      Perso.Error.guard (fun () ->
          Server.start (cfg (Server.default_config ~socket_path:(fresh_socket ()))) db)
@@ -1055,31 +1063,24 @@ let test_refused_export_writes_no_store () =
       ignore (Server.stop t : Server.drain_outcome);
       Alcotest.fail "a malformed row was exported");
   Alcotest.(check int) "the catalog keeps its rows" 6 (List.length (profile_rows db));
-  for i = 0 to 2 do
-    let s = Perso_store.Store.open_ (Perso_store.Store.shard_dir root i) in
-    Fun.protect
-      ~finally:(fun () -> Perso_store.Store.close s)
-      (fun () ->
-        Alcotest.(check (list string))
-          (Printf.sprintf "shard %d store empty" i)
-          [] (Perso_store.Store.users s))
-  done;
+  Alcotest.(check bool) "no store root" false (Sys.file_exists root);
+  Alcotest.(check bool) "no staging directory" false (Sys.file_exists (staging_of root));
   let loads =
-    with_server ~db:(catalog ~alice_degree:(Relal.Value.Float 0.9)) cfg
-      (fun _t socket ->
-        run_script socket (List.map (fun u -> "PROFILE LOAD " ^ u) users))
+    with_server ~db:(six_user_catalog ()) cfg (fun _t socket ->
+        run_script socket (List.map (fun u -> "PROFILE LOAD " ^ u) six_users))
   in
   List.iter2
     (fun u r ->
       Alcotest.(check string) (u ^ " exported") "condition|degree\n'GENRE.genre = ''comedy'''|0.9" r)
-    users loads
+    six_users loads
 
 (* A refused start closes every store it opened: five starts refused at
    the first export (a malformed row) and five refused by the last
    shard's recovery (its WAL path a directory) leave the process with
    the descriptors it had. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
 let test_refused_starts_close_stores () =
-  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
   let catalog ~degree =
     let db = Moviedb.Personas.tiny_db () in
     Perso.Profile_store.install db;
@@ -1125,6 +1126,132 @@ let test_refused_starts_close_stores () =
       end)
     (Sys.readdir shard);
   refused "recovery error" (catalog ~degree:(Relal.Value.Float 0.9))
+
+(* ----------------------- refusal points of a start ------------------- *)
+
+(* Every path under [root] with each file's bytes: what a refused start
+   must leave as it found it. *)
+let rec tree path =
+  match Sys.is_directory path with
+  | exception Sys_error _ -> []
+  | true ->
+      (path, "/")
+      :: List.concat_map
+           (fun e -> tree (Filename.concat path e))
+           (List.sort compare (Array.to_list (Sys.readdir path)))
+  | false -> [ (path, In_channel.with_open_bin path In_channel.input_all) ]
+
+(* Each point where [Server.start] can refuse — each listener, the
+   marker check, each shard's open and recovery, and the export — with
+   one invariant checked at each: no socket file of its own, the root
+   as the start found it and no staging directory (a simulated kill may
+   leave one: the next start removes it), no descriptor left open, and
+   the catalog's profiles unchanged. *)
+let test_refusal_points () =
+  let store cfg ~root ~shards = { cfg with Server_core.shards; store_dir = Some root } in
+  (* A committed root, made by a clean start and stop. *)
+  let commit ~root ~shards =
+    ignore
+      (with_server ~db:(six_user_catalog ()) (store ~root ~shards) (fun _t socket ->
+           run_script socket [ "PING" ])
+        : string list)
+  in
+  let refused ?(killed = false) ?(socket = fresh_socket ()) ?(cfg = Fun.id)
+      ?(db = six_user_catalog ()) ~shards ~family what root =
+    let found = tree root and rows = profile_rows db and fds = open_fds () in
+    let live = Sys.file_exists socket in
+    (match
+       Perso.Error.guard (fun () ->
+           Server.start (cfg (store (Server.default_config ~socket_path:socket) ~root ~shards)) db)
+     with
+    | Error e when Perso.Error.family_name e = family -> ()
+    | Error e -> Alcotest.failf "%s: expected a %s error, got %s" what family (Perso.Error.to_string e)
+    | Ok t ->
+        ignore (Server.stop t : Server.drain_outcome);
+        Alcotest.failf "%s: the start was not refused" what);
+    Alcotest.(check bool) (what ^ ": no socket file of its own") live (Sys.file_exists socket);
+    Alcotest.(check (list (pair string string))) (what ^ ": root as found") found (tree root);
+    if not killed then
+      Alcotest.(check bool) (what ^ ": no staging directory") false
+        (Sys.file_exists (staging_of root));
+    Alcotest.(check int) (what ^ ": open descriptors") fds (open_fds ());
+    Alcotest.(check (list string)) (what ^ ": catalog profiles") rows (profile_rows db)
+  in
+  let with_root f =
+    let root = fresh_store_root () in
+    Fun.protect
+      ~finally:(fun () ->
+        Relal.Csv.rm_rf root;
+        Relal.Csv.rm_rf (staging_of root))
+      (fun () -> f root)
+  in
+  (* Listeners: a socket in a missing directory, a live server's
+     socket, a TCP port another socket holds. *)
+  with_root (fun root ->
+      refused ~shards:3 ~family:"usage" ~socket:"./no-such-dir/s.sock" "socket path" root);
+  with_server Fun.id (fun _t socket ->
+      with_root (fun root -> refused ~shards:3 ~family:"usage" ~socket "live socket" root));
+  (let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+   Fun.protect
+     ~finally:(fun () -> Unix.close holder)
+     (fun () ->
+       Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+       Unix.listen holder 1;
+       let port =
+         match Unix.getsockname holder with
+         | Unix.ADDR_INET (_, p) -> p
+         | Unix.ADDR_UNIX _ -> Alcotest.fail "expected an inet address"
+       in
+       with_root (fun root ->
+           refused ~shards:3 ~family:"usage"
+             ~cfg:(fun c -> { c with Server_core.tcp_port = Some port })
+             "held TCP port" root)));
+  (* The marker check: another shard count, a non-empty root without
+     SHARDS, a promised shard missing. *)
+  with_root (fun root ->
+      commit ~root ~shards:2;
+      refused ~shards:3 ~family:"storage" "shard count" root);
+  with_root (fun root ->
+      Sys.mkdir root 0o755;
+      Out_channel.with_open_bin (Filename.concat root "notes.txt") (fun oc ->
+          Out_channel.output_string oc "not a store");
+      refused ~shards:3 ~family:"storage" "root without SHARDS" root);
+  with_root (fun root ->
+      commit ~root ~shards:3;
+      Relal.Csv.rm_rf (Perso_store.Store.shard_dir root 1);
+      refused ~shards:3 ~family:"storage" "promised shard missing" root);
+  (* Each shard's open and recovery: its WAL path a directory. *)
+  for i = 0 to 2 do
+    with_root (fun root ->
+        commit ~root ~shards:3;
+        let wal = Filename.concat (Perso_store.Store.shard_dir root i) "wal-000001.log" in
+        Sys.remove wal;
+        Sys.mkdir wal 0o755;
+        refused ~shards:3 ~family:"storage" (Printf.sprintf "recovery of shard %d" i) root)
+  done;
+  (* The export: a malformed row, planted faults, a simulated kill. *)
+  with_root (fun root ->
+      refused ~shards:3 ~family:"storage" ~db:(six_user_catalog ~alice:Relal.Value.Null ())
+        "malformed row" root);
+  List.iter
+    (fun (what, pt, k, fault) ->
+      with_root (fun root ->
+          let killed = fault = Relal.Chaos.Crash in
+          Relal.Chaos.plan [ (pt, k, fault) ];
+          Fun.protect ~finally:Relal.Chaos.unplan (fun () ->
+              refused ~killed ~shards:3 ~family:"storage" what root);
+          if killed then begin
+            Alcotest.(check bool) "a kill leaves its staging directory" true
+              (Sys.file_exists (staging_of root));
+            commit ~root ~shards:3;
+            Alcotest.(check bool) "the next start removes it" false
+              (Sys.file_exists (staging_of root))
+          end))
+    [
+      ("export fsync failure", Relal.Chaos.Wal_append, 3, Relal.Chaos.Fsync_fail);
+      ("shard store creation", Relal.Chaos.Manifest_write, 1, Relal.Chaos.Short_write 0.5);
+      ("export killed", Relal.Chaos.Wal_append, 3, Relal.Chaos.Crash);
+    ]
 
 let () =
   Alcotest.run "server"
@@ -1189,6 +1316,8 @@ let () =
             test_refused_export_writes_no_store;
           Alcotest.test_case "refused starts close their stores" `Quick
             test_refused_starts_close_stores;
+          Alcotest.test_case "every refusal point of a start" `Quick
+            test_refusal_points;
         ] );
       ( "catalog",
         [

@@ -326,17 +326,38 @@ let test_missing_manifest () =
   let dir = store_with_sealed () in
   Sys.remove (Filename.concat dir "MANIFEST");
   (match Store.open_r ~config:small_config dir with
-  | Error (Store.Malformed _) -> ()
+  | Error (Store.Malformed { file; _ }) ->
+      Alcotest.(check string) "names the directory" dir file
   | Error e -> Alcotest.failf "expected Malformed: %s" (Store.error_to_string e)
   | Ok _ -> Alcotest.fail "manifest-less store with segments opened");
-  (* with only wal files: crash during init, nothing acknowledged —
-     re-initialize fresh *)
+  (* with only a WAL, what an older build's crashed init left: a store
+     of this build appears only with its manifest, so this directory is
+     none it made — refuse it too, and leave it as it is *)
   let dir2 = fresh_dir () in
   Sys.mkdir dir2 0o755;
   write_file (Filename.concat dir2 "wal-000001.log") "partial init";
-  let s = Store.open_ ~config:small_config dir2 in
+  (match Store.open_r ~config:small_config dir2 with
+  | Error (Store.Malformed { file; _ }) ->
+      Alcotest.(check string) "names the directory" dir2 file
+  | Error e -> Alcotest.failf "expected Malformed: %s" (Store.error_to_string e)
+  | Ok _ -> Alcotest.fail "manifest-less directory opened");
+  Alcotest.(check string) "left as it was" "partial init"
+    (read_file (Filename.concat dir2 "wal-000001.log"));
+  (* an empty directory was never made: a fresh store, made in place of
+     it; a staging directory a kill left behind goes first *)
+  let dir3 = fresh_dir () in
+  Sys.mkdir dir3 0o755;
+  let staging =
+    Filename.concat (Filename.dirname dir3) ("." ^ Filename.basename dir3 ^ ".staging")
+  in
+  Sys.mkdir staging 0o755;
+  write_file (Filename.concat staging "wal-000001.log") "killed init";
+  let s = Store.open_ ~config:small_config dir3 in
   Alcotest.(check (list string)) "fresh store" [] (Store.users s);
-  Store.close s
+  Store.close s;
+  Alcotest.(check bool) "stale staging removed" false (Sys.file_exists staging);
+  Alcotest.(check bool) "manifest in place" true
+    (Sys.file_exists (Filename.concat dir3 "MANIFEST"))
 
 let test_empty_manifest_malformed () =
   let dir = fresh_dir () in

@@ -9,7 +9,12 @@
    acknowledged-operations oracle, with the in-flight operation either
    fully present or fully absent (atomicity), never half of it.  The
    run then continues on the recovered handle and the final state must
-   match the oracle again after one more clean reopen. *)
+   match the oracle again after one more clean reopen.
+
+   The second group sweeps a server root's lifecycle the same way: a
+   first start with a data dir, one PROFILE SAVE, and a restart, with a
+   fault planted at each crossing; a start afterwards must serve every
+   user the data dir's profile or their last acknowledged save. *)
 
 open Perso_store
 module Chaos = Relal.Chaos
@@ -198,7 +203,177 @@ let test_clean_control () =
   check_state ~ctx:"control reopen" s' (state_of_oracle oracle);
   Store.close s'
 
+(* --------------------------- root lifecycle -------------------------- *)
+
+module Server = Perso_server.Server
+module Server_core = Perso_server.Server_core
+module Client = Perso_server.Client
+module Protocol = Perso_server.Protocol
+
+let users = [ "alice"; "bob"; "carol"; "dave"; "erin"; "frank" ]
+
+(* What the data dir holds for a user, and what the one save writes. *)
+let seeded = [ [ "'GENRE.genre = ''comedy'''"; "0.9" ] ]
+let saved = [ [ "'GENRE.genre = ''drama'''"; "0.8" ] ]
+let save_cmd = "PROFILE SAVE alice [ GENRE.genre = 'drama', 0.8 ]"
+
+(* A fresh catalog with the data dir's profiles: each start takes its
+   own, as each process loads the data dir anew. *)
+let catalog () =
+  let db = Moviedb.Personas.tiny_db () in
+  Perso.Profile_store.install db;
+  List.iter
+    (fun u ->
+      Relal.Database.insert db Perso.Profile_store.table_name
+        [
+          Relal.Value.Str u;
+          Relal.Value.Str "GENRE.genre = 'comedy'";
+          Relal.Value.Float 0.9;
+        ])
+    users;
+  db
+
+let fresh_socket =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "perso_crash_%d_%d.sock" (Unix.getpid ()) !n)
+
+(* A started server with its socket path. *)
+let start ~shards root =
+  let socket_path = fresh_socket () in
+  let cfg = Server.default_config ~socket_path in
+  ( Server.start { cfg with Server_core.shards; store_dir = Some root } (catalog ()),
+    socket_path )
+
+let stop (t, _) = ignore (Server.stop t : Server.drain_outcome)
+
+let with_client (_, socket) f =
+  let c = Client.connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+(* The run swept: a first start with the data dir, one save, a restart.
+   [acked] records whether the save was acknowledged.  A planted fault
+   ends the run where it fires: a start raises, or the save is refused. *)
+let lifecycle ~shards root acked =
+  let t = start ~shards root in
+  Fun.protect
+    ~finally:(fun () -> stop t)
+    (fun () ->
+      with_client t (fun c ->
+          acked :=
+            match Client.request c save_cmd with
+            | Ok (Protocol.Message _) -> true
+            | _ -> false));
+  stop (start ~shards root)
+
+let rows_of = function
+  | Ok (Protocol.Rows { rows; _ }) -> Some rows
+  | _ -> None
+
+let lifecycle_points =
+  [ Chaos.Wal_append; Chaos.Wal_fsync; Chaos.Manifest_write ]
+let lifecycle_kinds = fault_kinds @ [ Chaos.Flip_byte 0.5 ]
+
+let fresh_root () =
+  let f = Filename.temp_file "rootcrash" "" in
+  Sys.remove f;
+  f
+
+(* One planted fault; [None] when every user is served as required,
+   [Some why] otherwise. *)
+let lifecycle_case ~shards pt k kind =
+  let root = fresh_root () in
+  Fun.protect ~finally:(fun () -> Relal.Csv.rm_rf root) @@ fun () ->
+  let ctx =
+    Printf.sprintf "%d shard(s) %s#%d %s" shards (Chaos.point_name pt) k
+      (kind_name kind)
+  in
+  Chaos.plan [ (pt, k, kind) ];
+  let acked = ref false in
+  (* Only a start raises [Crashed] (the server answers a killed save
+     with a storage error), and only the first start crosses a point. *)
+  let killed =
+    Fun.protect ~finally:Chaos.unplan (fun () ->
+        match lifecycle ~shards root acked with
+        | () -> false
+        | exception Chaos.Crashed _ -> true
+        | exception _ -> false)
+  in
+  let flip = match kind with Chaos.Flip_byte _ -> true | _ -> false in
+  if killed && Sys.file_exists root then
+    Some (ctx ^ ": a kill during the first start left a root")
+  else
+    match start ~shards root with
+    | exception e ->
+        if flip then None
+        else
+          Some
+            (Printf.sprintf "%s: the start after it is refused: %s" ctx
+               (Perso.Error.to_string (Perso.Error.of_exn_any e)))
+    | t ->
+        Fun.protect ~finally:(fun () -> stop t) @@ fun () ->
+        with_client t (fun c ->
+            List.find_map
+              (fun u ->
+                let got = rows_of (Client.request c ("PROFILE LOAD " ^ u)) in
+                let ok =
+                  if u <> "alice" then got = Some seeded
+                  else if !acked then got = Some saved
+                  else got = Some seeded || got = Some saved
+                in
+                if ok then None
+                else
+                  Some
+                    (Printf.sprintf "%s: %s gets %s" ctx u
+                       (match got with
+                       | Some [] -> "an empty profile"
+                       | Some rows ->
+                           string_of_int (List.length rows) ^ " other entries"
+                       | None -> "no rows")))
+              users)
+
+(* Count the crossings of one clean lifecycle, then plant each fault
+   kind at each crossing.  [Wal_fsync] has no planted-fault site (an
+   fsync failure is planted as [Fsync_fail] at [Wal_append]), so it
+   counts none. *)
+let test_root_lifecycle shards () =
+  let root = fresh_root () in
+  Chaos.plan [];
+  let crossings =
+    Fun.protect
+      ~finally:(fun () ->
+        Chaos.unplan ();
+        Relal.Csv.rm_rf root)
+      (fun () ->
+        let acked = ref false in
+        lifecycle ~shards root acked;
+        Alcotest.(check bool) "clean run acknowledges the save" true !acked;
+        List.map (fun pt -> (pt, Chaos.crossings pt)) lifecycle_points)
+  in
+  Alcotest.(check (list int))
+    "crossings: the export and the save append, one manifest per shard"
+    [ List.length users + 1; 0; shards ]
+    (List.map snd crossings);
+  let failures =
+    List.concat_map
+      (fun (pt, n) ->
+        List.concat_map
+          (fun k ->
+            List.filter_map
+              (fun kind -> lifecycle_case ~shards pt k kind)
+              lifecycle_kinds)
+          (List.init n Fun.id))
+      crossings
+  in
+  if failures <> [] then
+    Alcotest.failf "%d case(s) lose a profile:\n%s" (List.length failures)
+      (String.concat "\n" failures)
+
 let () =
+  Relal.Chaos.set_sleep ignore;
   Alcotest.run "store-crash"
     [
       ( "crash-recovery",
@@ -206,5 +381,12 @@ let () =
           Alcotest.test_case "clean control" `Quick test_clean_control;
           Alcotest.test_case "every kill site x every fault" `Quick
             test_every_kill_site;
+        ] );
+      ( "root-lifecycle",
+        [
+          Alcotest.test_case "1 shard: every crossing x every fault" `Quick
+            (test_root_lifecycle 1);
+          Alcotest.test_case "3 shards: every crossing x every fault" `Quick
+            (test_root_lifecycle 3);
         ] );
     ]
