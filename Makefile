@@ -106,13 +106,15 @@ check: build test chaos crash-recovery scrub-sweep serve-smoke sim bench-exec
 	BENCH_SCALE=quick BENCH_PERSO_OUT=$(BENCH_PERSO_JSON) dune exec bench/main.exe -- perso
 	python3 -m json.tool $(BENCH_PERSO_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_PERSO_JSON)')); s=d['speedup_warm']; sys.exit(0 if s >= 5 else sys.stderr.write('plan cache: warm speedup %.1fx < 5x\n' % s) or 1)"
+	@python3 -c "import json,sys; m=json.load(open('$(BENCH_PERSO_JSON)')).get('profile_miss', {}); \
+	sys.exit(0 if m.get('us_per_miss', 0) > 0 and m.get('words_per_miss', 0) > 0 else sys.stderr.write('bench perso: no profile_miss us_per_miss/words_per_miss\n') or 1)"
 	BENCH_SCALE=quick BENCH_STORE_OUT=$(BENCH_STORE_JSON) dune exec bench/main.exe -- store
 	python3 -m json.tool $(BENCH_STORE_JSON) > /dev/null
 	@python3 -c "import json,sys; d=json.load(open('$(BENCH_STORE_JSON)')); \
 	r=d['recovery']; rt=d.get('root', {}); \
 	ok=r['records'] > 0 and r['reopen_ms'] >= 0 and d['sizes'] and rt.get('create_cpu_ms', 0) > 0 and rt.get('reopen_cpu_ms', 0) > 0; \
 	sys.exit(0 if ok else sys.stderr.write('bench store: no recovery, sizes, or root create_cpu_ms/reopen_cpu_ms\\n') or 1)"
-	@echo "check: OK ($(BENCH_JSON), $(BENCH_PERSO_JSON), $(BENCH_STORE_JSON) valid; plan-cache warm >= 5x)"
+	@echo "check: OK ($(BENCH_JSON), $(BENCH_PERSO_JSON), $(BENCH_STORE_JSON) valid; plan-cache warm >= 5x; profile_miss measured)"
 
 clean:
 	dune clean

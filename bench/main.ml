@@ -853,6 +853,53 @@ let bench_exec () =
   close_out oc;
   Printf.printf "# wrote %s (total %.3f ms)\n%!" path total_ms
 
+(* The cost of a parsed-profile LRU miss on the serve path: the user's
+   stored rows decoded into a profile ([Profile_store.load_r]), then its
+   personalization graph built by the first selection
+   ([Pgraph.of_profile]).  cold-users' shape: profiles of 30 selections
+   and all 14 directed joins, 44 rows each, over the 2,000-movie
+   catalog.  Each round loads every user once; µs and words per miss
+   are the medians of 9 rounds (words are the same every round). *)
+let profile_miss () =
+  let db = Moviedb.Datagen.generate (Moviedb.Datagen.scale ~seed:11 2_000) in
+  let users =
+    Array.init
+      (if scale.label = "quick" then 200 else 2_000)
+      (fun u -> Printf.sprintf "u%04d" u)
+  in
+  Array.iteri
+    (fun u user ->
+      Profile_store.save db ~user
+        (Moviedb.Profile_gen.generate db
+           {
+             Moviedb.Profile_gen.default with
+             seed = 23 * 100_003 + u;
+             n_selections = 30;
+           }))
+    users;
+  let rows =
+    Relal.Table.cardinality
+      (Relal.Database.table db Profile_store.table_name)
+  in
+  let miss user =
+    match Profile_store.load_r db ~user with
+    | Ok p -> ignore (Pgraph.of_profile p : Pgraph.t)
+    | Error e -> failwith (Error.to_string e)
+  in
+  let round () =
+    Gc.full_major ();
+    let ((), ms), words =
+      allocated_words (fun () -> time (fun () -> Array.iter miss users))
+    in
+    (ms, words)
+  in
+  let rounds = List.init 9 (fun _ -> round ()) in
+  let per x = x /. float_of_int (Array.length users) in
+  ( Array.length users,
+    rows,
+    per (median (List.map fst rounds)) *. 1000.,
+    per (median (List.map snd rounds)) )
+
 (* --------------------------------------------------------------------- *)
 (* Plan-cache benchmark — machine-readable (BENCH_PERSO.json)            *)
 (* --------------------------------------------------------------------- *)
@@ -873,8 +920,10 @@ let bench_exec () =
    ms in all, is the median of 9 passes, so [speedup_warm] follows the
    cache and not where a GC slice lands.
 
-   Writes BENCH_PERSO.json (override with BENCH_PERSO_OUT); `make check`
-   gates on warm being >= 5x faster than cold. *)
+   Then the cost of a profile-LRU miss ([profile_miss], above).  Writes
+   BENCH_PERSO.json (override with BENCH_PERSO_OUT); `make check` gates
+   on warm being >= 5x faster than cold, and on positive [profile_miss]
+   figures. *)
 
 let bench_perso () =
   let movies = min 1000 scale.movies in
@@ -990,6 +1039,11 @@ let bench_perso () =
   Printf.printf "%-12s %12.3f %14.4f %30s\n" "invalidate" ms_inv (per ms_inv)
     (Printf.sprintf "%d hits, %d cold" inv_hits inv_cold);
   Printf.printf "# speedup: warm %.1fx vs cold\n%!" speedup_warm;
+  let miss_users, miss_rows, us_per_miss, words_per_miss = profile_miss () in
+  Printf.printf
+    "\n## Profile-LRU miss (%d users, %d rows: load_r + Pgraph.of_profile)\n\
+     us_per_miss %.2f  words_per_miss %.0f\n%!"
+    miss_users miss_rows us_per_miss words_per_miss;
   let path =
     Option.value ~default:"BENCH_PERSO.json" (Sys.getenv_opt "BENCH_PERSO_OUT")
   in
@@ -1014,7 +1068,11 @@ let bench_perso () =
     "    {\"name\": \"invalidate\", \"ms_total\": %.3f, \"ms_per_query\": \
      %.4f, \"hits\": %d, \"misses\": %d}\n"
     ms_inv (per ms_inv) inv_hits inv_cold;
-  Printf.fprintf oc "  ],\n  \"speedup_warm\": %.2f\n}\n" speedup_warm;
+  Printf.fprintf oc "  ],\n  \"speedup_warm\": %.2f,\n" speedup_warm;
+  Printf.fprintf oc
+    "  \"profile_miss\": {\"movies\": 2000, \"users\": %d, \"rows\": %d, \
+     \"us_per_miss\": %.3f, \"words_per_miss\": %.1f}\n}\n"
+    miss_users miss_rows us_per_miss words_per_miss;
   close_out oc;
   Printf.printf "# wrote %s\n%!" path
 

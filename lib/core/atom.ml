@@ -90,6 +90,20 @@ let compare a b =
           else compare_values s1.s_val s2.s_val
   | Join j1, Join j2 -> Stdlib.compare j1 j2
 
+(* Consistent with [compare]: atoms it orders equal print alike, so a
+   selection hashes its value's printed form (only a date prints like
+   another constructor's value: the string of its text). *)
+let hash = function
+  | Join j -> Hashtbl.hash j
+  | Sel s -> (
+      match s.s_val with
+      | Value.Str x -> Hashtbl.hash x
+      | Value.Int i -> Hashtbl.hash i
+      | Value.Date _ as d ->
+          let p = Value.to_string d in
+          Hashtbl.hash (String.sub p 1 (String.length p - 2))
+      | v -> Hashtbl.hash (Value.to_string v))
+
 let cmp_str = function
   | Sql_ast.Eq -> "="
   | Ne -> "<>"
@@ -171,3 +185,132 @@ let of_pred = function
         (Join
            { j_from_rel = a.tv; j_from_att = a.col; j_to_rel = b.tv; j_to_att = b.col })
   | p -> Error ("not an atomic condition: " ^ Relal.Sql_print.pred_to_string p)
+
+type error = Syntax of string | Not_atomic of string
+
+let of_parsed s =
+  match Sql_parser.parse_pred s with
+  | exception Sql_parser.Parse_error e -> Error (Syntax e)
+  | exception Sql_lexer.Lex_error (e, _) -> Error (Syntax e)
+  | p -> Result.map_error (fun e -> Not_atomic e) (of_pred p)
+
+(* The grammar [to_string] prints, read in place: [REL.att op literal]
+   and [REL.att = REL.att], blanks between tokens as the lexer skips
+   them.  Each step takes exactly the token the lexer would, or raises
+   [Exit] and leaves the text to the parser: a keyword, a literal on
+   the left, parentheses, every error.  Where the lexer would read a
+   longer token (a float's [.] or [e] after the digits, a doubled
+   quote), bytes are left after the condition, which is [Exit] too. *)
+let rec skip s i =
+  if i < String.length s && Sql_lexer.is_blank (String.unsafe_get s i) then
+    skip s (i + 1)
+  else i
+
+(* The lexer's identifier bytes as a table: one load per byte scanned. *)
+let ident_byte =
+  String.init 256 (fun c -> if Sql_lexer.is_ident_char (Char.chr c) then 'y' else 'n')
+
+(* The end of the identifier at [i]; [i] when none starts there. *)
+let ident_end s i =
+  let n = String.length s in
+  if i < n && Sql_lexer.is_ident_start (String.unsafe_get s i) then begin
+    let j = ref (i + 1) in
+    while
+      !j < n
+      && String.unsafe_get ident_byte (Char.code (String.unsafe_get s !j)) = 'y'
+    do
+      incr j
+    done;
+    !j
+  end
+  else i
+
+let lower_sub s i j =
+  let b = Bytes.create (j - i) in
+  for k = i to j - 1 do
+    Bytes.unsafe_set b (k - i) (Char.lowercase_ascii (String.unsafe_get s k))
+  done;
+  Bytes.unsafe_to_string b
+
+(* The identifier at [i], lower-cased, ending at [j]: a name, never a
+   keyword. *)
+let name s i j =
+  if j = i then raise Exit;
+  let w = lower_sub s i j in
+  if Sql_lexer.is_keyword w then raise Exit;
+  w
+
+(* The start of the column after a relation name ending at [i].  (A
+   dot before a digit starts a number to the lexer; no identifier
+   starts with a digit, so [name] refuses the column then.) *)
+let column_start s i =
+  let i = skip s i in
+  if i < String.length s && s.[i] = '.' then skip s (i + 1) else raise Exit
+
+let decode s =
+  let n = String.length s in
+  let i = skip s 0 in
+  let j = ident_end s i in
+  let rel = name s i j in
+  let i = column_start s j in
+  let j = ident_end s i in
+  let att = name s i j in
+  let i = skip s j in
+  if i >= n then raise Exit;
+  let next = if i + 1 < n then s.[i + 1] else ' ' in
+  let op, width =
+    match (s.[i], next) with
+    | '=', _ -> (Sql_ast.Eq, 1)
+    | '<', '=' -> (Le, 2)
+    | '<', '>' -> (Ne, 2)
+    | '<', _ -> (Lt, 1)
+    | '>', '=' -> (Ge, 2)
+    | '>', _ -> (Gt, 1)
+    | '!', '=' -> (Ne, 2)
+    | _ -> raise Exit
+  in
+  let i = skip s (i + width) in
+  if i >= n then raise Exit;
+  let stop = ref n in
+  let sel v = Sel { s_rel = rel; s_att = att; s_op = op; s_val = v } in
+  let atom =
+    if s.[i] = '\'' then begin
+      match String.index_from_opt s (i + 1) '\'' with
+      | Some j ->
+          stop := j + 1;
+          sel (Value.Str (String.sub s (i + 1) (j - i - 1)))
+      | None -> raise Exit
+    end
+    else if Sql_lexer.is_digit s.[i] then begin
+      let j = ref (i + 1) in
+      while !j < n && Sql_lexer.is_digit s.[!j] do
+        incr j
+      done;
+      let j = !j in
+      stop := j;
+      match int_of_string_opt (String.sub s i (j - i)) with
+      | Some v -> sel (Value.Int v)
+      | None -> raise Exit
+    end
+    else begin
+      let j = ident_end s i in
+      if j = i then raise Exit;
+      stop := j;
+      match lower_sub s i j with
+      | "true" -> sel (Value.Bool true)
+      | "false" -> sel (Value.Bool false)
+      | "null" -> sel Value.Null
+      | w when Sql_lexer.is_keyword w || op <> Sql_ast.Eq -> raise Exit
+      | to_rel ->
+          let i = column_start s j in
+          let j = ident_end s i in
+          let to_att = name s i j in
+          stop := j;
+          Join
+            { j_from_rel = rel; j_from_att = att; j_to_rel = to_rel; j_to_att = to_att }
+    end
+  in
+  if skip s !stop <> n then raise Exit;
+  atom
+
+let of_string s = match decode s with a -> Ok a | exception Exit -> of_parsed s

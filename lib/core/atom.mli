@@ -51,6 +51,9 @@ val validate : Relal.Database.t -> t -> (unit, string) result
     date column must parse as a date, as {!Relal.Binder} requires), join
     ends type-compatible. *)
 
+val hash : t -> int
+(** Consistent with {!compare}: atoms it orders equal hash alike. *)
+
 val to_string : t -> string
 (** SQL-condition syntax: [GENRE.genre = 'comedy'],
     [MOVIE.mid = PLAY.mid]. *)
@@ -62,3 +65,17 @@ val of_pred : Relal.Sql_ast.pred -> (t, string) result
     variable position) as an atom — the profile text format's reader.
     Attribute-vs-constant becomes [Sel]; attribute-vs-attribute becomes a
     [Join] directed left-to-right. *)
+
+type error =
+  | Syntax of string  (** the lexer's or the parser's message *)
+  | Not_atomic of string  (** {!of_pred}'s message *)
+
+val of_string : string -> (t, error) result
+(** Decode condition text: on every input, the atom or error of
+    [of_pred (Sql_parser.parse_pred s)], with the parser's exceptions
+    as [Syntax].  Never raises.  The grammar {!to_string} prints
+    ([REL.att op literal], [REL.att = REL.att]) is read in place, one
+    pass over the bytes with no token list; any other text (a float, a
+    doubled quote, a literal on the left, parentheses, keywords, every
+    error) goes to the parser.  The profile readers
+    ({!Profile.parse_line}, {!Profile_store.load}) decode with it. *)

@@ -17,7 +17,11 @@
     The graph lives with the profile value it was built from
     ({!Profile.adjacency}): the first {!of_profile} on a value builds it,
     and every later selection against the same value (a reused
-    in-process profile, an LRU-held parsed profile) reads it back. *)
+    in-process profile, an LRU-held parsed profile) reads it back.  The
+    build is one pass over {!Profile.entries}, already in decreasing
+    degree: each edge goes onto the front of its relation's list, runs
+    of one degree taken last first, each run's joins before its
+    selections.  No partition, sort or merge. *)
 
 type t
 

@@ -6,24 +6,55 @@ end)
 
 type adjacency = (string, (Atom.t * Degree.t) list) Hashtbl.t
 
-(* [graph] starts empty in every value and is filled by the first
-   {!adjacency} call (threads racing on it store equal graphs).  Every
-   function that returns a profile builds its record through [make],
-   never [{ t with map }], which would share the parent's [Atomic.t].
+(* One set of entries in two forms: the list in entries order (degree
+   descending, then atom) and the atom map.  A value is made with one
+   and derives the other on first use; a load makes only the list, an
+   edit only the map.  [graph] starts empty and is filled by the first
+   {!adjacency} call.  Every slot is filled as [graph] is: threads
+   racing on an empty one store equal values.  Every function that
+   returns a profile builds its record through [of_sorted] or [of_map],
+   never [{ t with ... }], which would share the parent's slots.
    [Atomic], not [Lazy]: systhreads sharing one parsed profile may take
-   its graph at once, and [Lazy.force] raises [Lazy.Undefined] then. *)
-type t = { map : Degree.t AMap.t; graph : adjacency option Atomic.t }
+   a slot at once, and [Lazy.force] raises [Lazy.Undefined] then. *)
+type t = {
+  sorted : (Atom.t * Degree.t) list option Atomic.t;
+  map : Degree.t AMap.t option Atomic.t;
+  graph : adjacency option Atomic.t;
+}
 
-let make map = { map; graph = Atomic.make None }
-let empty = make AMap.empty
+let of_sorted l =
+  { sorted = Atomic.make (Some l); map = Atomic.make None; graph = Atomic.make None }
 
-let adjacency t ~build =
-  match Atomic.get t.graph with
-  | Some g -> g
+let of_map m =
+  { sorted = Atomic.make None; map = Atomic.make (Some m); graph = Atomic.make None }
+
+let empty =
+  {
+    sorted = Atomic.make (Some []);
+    map = Atomic.make (Some AMap.empty);
+    graph = Atomic.make None;
+  }
+
+let fill slot build =
+  match Atomic.get slot with
+  | Some v -> v
   | None ->
-      let g = build t in
-      Atomic.set t.graph (Some g);
-      g
+      let v = build () in
+      Atomic.set slot (Some v);
+      v
+
+let entry_order (a1, d1) (a2, d2) =
+  match Degree.compare_desc d1 d2 with 0 -> Atom.compare a1 a2 | c -> c
+
+(* A value holds at least one form, so neither build recurses twice. *)
+let rec entries t =
+  fill t.sorted (fun () -> List.sort entry_order (AMap.bindings (map t)))
+
+and map t =
+  fill t.map (fun () ->
+      List.fold_left (fun m (a, d) -> AMap.add a d m) AMap.empty (entries t))
+
+let adjacency t ~build = fill t.graph (fun () -> build t)
 
 let check_degree atom d =
   if Degree.equal d Degree.zero then
@@ -32,10 +63,47 @@ let check_degree atom d =
 
 let add t atom d =
   check_degree atom d;
-  make (AMap.add atom d t.map)
+  of_map (AMap.add atom d (map t))
+
+(* One pass: rows distinct and each after the one before in entries
+   order are the entries as they stand.  Distinctness is checked in a
+   table of the atoms seen so far, [2n] buckets by {!Atom.hash}.
+   Anything else goes through the map, where a later row replaces an
+   earlier one's degree. *)
+let of_entries l =
+  let buckets = Array.make (max 1 (2 * List.length l)) [] in
+  let rec seen a = function
+    | [] -> false
+    | b :: rest -> Atom.compare a b = 0 || seen a rest
+  in
+  let fresh a =
+    let h = Atom.hash a mod Array.length buckets in
+    let bucket = Array.unsafe_get buckets h in
+    (not (seen a bucket))
+    && (Array.unsafe_set buckets h (a :: bucket);
+        true)
+  in
+  let rec ordered prev = function
+    | [] -> true
+    | ((a, d) as e) :: rest ->
+        check_degree a d;
+        entry_order prev e < 0 && fresh a && ordered e rest
+  in
+  match l with
+  | [] -> empty
+  | ((a, d) as first) :: rest ->
+      check_degree a d;
+      if fresh a && ordered first rest then of_sorted l
+      else
+        of_map
+          (List.fold_left
+             (fun m (a, d) ->
+               check_degree a d;
+               AMap.add a d m)
+             AMap.empty l)
 
 let of_list l =
-  make
+  of_map
     (List.fold_left
        (fun acc (a, d) ->
          if AMap.mem a acc then
@@ -44,15 +112,8 @@ let of_list l =
          AMap.add a d acc)
        AMap.empty l)
 
-let remove t atom = make (AMap.remove atom t.map)
-let find t atom = AMap.find_opt atom t.map
-
-let entries t =
-  AMap.bindings t.map
-  |> List.sort (fun (a1, d1) (a2, d2) ->
-         match Degree.compare_desc d1 d2 with
-         | 0 -> Atom.compare a1 a2
-         | c -> c)
+let remove t atom = of_map (AMap.remove atom (map t))
+let find t atom = AMap.find_opt atom (map t)
 
 let selections t =
   List.filter_map
@@ -62,19 +123,27 @@ let selections t =
 let joins t =
   List.filter_map (function Atom.Join j, d -> Some (j, d) | _ -> None) (entries t)
 
-let equal a b = AMap.equal Degree.equal a.map b.map
-let size t = List.length (selections t)
-let cardinal t = AMap.cardinal t.map
-let union a b = make (AMap.union (fun _ _ db -> Some db) a.map b.map)
+let equal a b =
+  List.equal
+    (fun (a1, d1) (a2, d2) -> Atom.compare a1 a2 = 0 && Degree.equal d1 d2)
+    (entries a) (entries b)
+
+let size t =
+  List.fold_left
+    (fun n -> function Atom.Sel _, _ -> n + 1 | Atom.Join _, _ -> n)
+    0 (entries t)
+
+let cardinal t = List.length (entries t)
+let union a b = of_map (AMap.union (fun _ _ db -> Some db) (map a) (map b))
 
 let validate db t =
   let errs =
-    AMap.fold
-      (fun a _ acc ->
-        match Atom.validate db a with Ok () -> acc | Error e -> e :: acc)
-      t.map []
+    List.filter_map
+      (fun (a, _) ->
+        match Atom.validate db a with Ok () -> None | Error e -> Some e)
+      (entries t)
   in
-  if errs = [] then Ok () else Error (List.rev errs)
+  if errs = [] then Ok () else Error errs
 
 let entry_to_string (a, d) =
   Printf.sprintf "[ %s, %s ]" (Atom.to_string a) (Degree.to_string d)
@@ -102,15 +171,12 @@ let parse_line line =
             match Degree.of_float_opt f with
             | None -> Error (Printf.sprintf "degree %g out of [0,1] in %S" f line)
             | Some d -> (
-                match Relal.Sql_parser.parse_pred cond with
-                | exception Relal.Sql_parser.Parse_error e ->
+                match Atom.of_string cond with
+                | Ok a -> Ok (Some (a, d))
+                | Error (Atom.Syntax e) ->
                     Error (Printf.sprintf "bad condition in %S: %s" line e)
-                | exception Relal.Sql_lexer.Lex_error (e, _) ->
-                    Error (Printf.sprintf "bad condition in %S: %s" line e)
-                | p -> (
-                    match Atom.of_pred p with
-                    | Ok a -> Ok (Some (a, d))
-                    | Error e -> Error (Printf.sprintf "in %S: %s" line e)))))
+                | Error (Atom.Not_atomic e) ->
+                    Error (Printf.sprintf "in %S: %s" line e))))
   end
 
 (* An entry ends at the first ']' outside a quoted literal (an escaped
@@ -145,7 +211,7 @@ let of_string s =
     |> List.concat
   in
   let rec go acc = function
-    | [] -> Ok (make acc)
+    | [] -> Ok (of_entries (List.rev acc))
     | (n, entry) :: rest -> (
         match parse_line entry with
         | Error e -> Error (Printf.sprintf "line %d: %s" n e)
@@ -153,9 +219,9 @@ let of_string s =
         | Ok (Some (a, d)) ->
             if Degree.equal d Degree.zero then
               Error (Printf.sprintf "line %d: zero-valued preference" n)
-            else go (AMap.add a d acc) rest)
+            else go ((a, d) :: acc) rest)
   in
-  go AMap.empty entries
+  go [] entries
 
 let load path =
   Relal.Chaos.point Relal.Chaos.Profile_load;

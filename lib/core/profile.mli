@@ -16,11 +16,17 @@
     entries, so the lines of {!to_string} joined by spaces (the wire
     form of [PROFILE SAVE]) read back as the same profile.
 
-    A profile value also carries a slot for its personalization graph
-    ({!Pgraph}), filled by the first {!Pgraph.of_profile} on that value
-    and reused by every later selection against it.  Every function
-    that returns a profile returns a value whose slot is empty, so a
-    derived profile never sees its parent's graph. *)
+    A profile value holds its entries in one of two forms, the list in
+    {!entries} order or the atom map, and derives the other on first
+    use: a loaded profile ({!of_entries}, {!of_string}) holds the list,
+    and builds the map only if {!find}, {!add}, {!remove} or {!union}
+    asks for it; an edited one holds the map, and sorts it into
+    entries once, on the first call that reads them.  It also carries
+    a slot for its personalization graph ({!Pgraph}), filled by the
+    first {!Pgraph.of_profile} on that value and reused by every later
+    selection against it.  Every function that returns a profile
+    returns a value whose derived slots are empty, so a derived
+    profile never sees its parent's graph. *)
 
 type t
 
@@ -30,6 +36,14 @@ val empty : t
 
 val of_list : (Atom.t * Degree.t) list -> t
 (** @raise Invalid_argument on a duplicate atom or a zero degree. *)
+
+val of_entries : (Atom.t * Degree.t) list -> t
+(** The profile holding these entries; for a repeated atom, the last
+    one's degree.  Entries that are distinct and in {!entries} order
+    (decreasing degree, then atom), as every stored profile's rows are,
+    become the profile as they stand, in one pass: no map, no sort.
+    Any other list is built through the atom map.
+    @raise Invalid_argument on a zero degree. *)
 
 val add : t -> Atom.t -> Degree.t -> t
 (** Functional update; replaces the degree if the atom is present.
@@ -45,7 +59,8 @@ val equal : t -> t -> bool
     [Hashtbl.hash], on profiles. *)
 
 val entries : t -> (Atom.t * Degree.t) list
-(** In decreasing order of degree (ties: atom order). *)
+(** In decreasing order of degree (ties: atom order).  No sort on a
+    loaded profile; an edited one sorts on its first call only. *)
 
 val selections : t -> (Atom.selection * Degree.t) list
 val joins : t -> (Atom.join * Degree.t) list
@@ -71,7 +86,7 @@ val to_string : t -> string
 
 val parse_line : string -> ((Atom.t * Degree.t) option, string) result
 (** One line of the text format: [None] for a blank or comment line.
-    Never raises. *)
+    The condition is decoded by {!Atom.of_string}.  Never raises. *)
 
 val entry_lines : string -> string list
 (** Cut a line of entries ("[ a, 0.9 ] [ b, 1 ]") into one {!parse_line}
@@ -81,7 +96,9 @@ val entry_lines : string -> string list
     server a [PROFILE SAVE]'s entries. *)
 
 val of_string : string -> (t, string) result
-(** Parse the text format; errors carry the offending line. *)
+(** Parse the text format; errors carry the offending line.  The entries
+    are read as {!of_entries} reads them, so the text {!to_string}
+    prints loads in one pass. *)
 
 val load : string -> (t, string) result
 (** Read a profile file. *)
@@ -101,6 +118,7 @@ val adjacency : t -> build:(t -> adjacency) -> adjacency
 (** The graph stored with this value; on the first call, [build t] is
     run and its result published with [Atomic.set].  Threads racing on
     an empty slot may each build (the graphs are equal, the last store
-    stays); none blocks and none raises.  Called by {!Pgraph.of_profile}
+    stays); none blocks and none raises.  The entries and the atom map
+    derived on first use are published the same way.  Called by {!Pgraph.of_profile}
     only: building waits for the first selection, so loading a profile
     costs nothing extra. *)

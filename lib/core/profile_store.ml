@@ -157,34 +157,31 @@ let save db ~user profile =
     notify db ~user
   end
 
+(* One pass over the user's rows, last to first so that each list is
+   built in row order.  Rows the server wrote are distinct and in
+   entries order, and become the profile's entries as they are. *)
 let load db ~user =
   Chaos.point Chaos.Profile_load;
   let user = String.lowercase_ascii user in
   match Database.find_table db table_name with
   | None -> Ok Profile.empty
   | Some t ->
-      let errors = ref [] in
-      let profile = ref Profile.empty in
-      List.iter
-        (fun row ->
-          match (row.(1), row.(2)) with
-          | Value.Str cond, Value.Float deg -> (
-              match
-                ( Atom.of_pred (Sql_parser.parse_pred cond),
-                  Degree.of_float_opt deg )
-              with
-              | Ok atom, Some d when not (Degree.equal d Degree.zero) ->
-                  profile := Profile.add !profile atom d
-              | Ok _, _ ->
-                  errors := Printf.sprintf "bad degree %g for %s" deg cond :: !errors
-              | Error e, _ -> errors := e :: !errors
-              | exception Sql_parser.Parse_error e ->
-                  errors := Printf.sprintf "%s: %s" cond e :: !errors
-              | exception Sql_lexer.Lex_error (e, _) ->
-                  errors := Printf.sprintf "%s: %s" cond e :: !errors)
-          | _ -> errors := "malformed profile row" :: !errors)
-        (user_rows t user);
-      if !errors = [] then Ok !profile else Error (List.rev !errors)
+      let ids = Table.lookup_ids t "username" (Value.Str user) in
+      let entries = ref [] and errors = ref [] in
+      let error e = errors := e :: !errors in
+      for k = Array.length ids - 1 downto 0 do
+        let row = Table.get t ids.(k) in
+        match (row.(1), row.(2)) with
+        | Value.Str cond, Value.Float deg -> (
+            match (Atom.of_string cond, Degree.of_float_opt deg) with
+            | Ok atom, Some d when not (Degree.equal d Degree.zero) ->
+                entries := (atom, d) :: !entries
+            | Ok _, _ -> error (Printf.sprintf "bad degree %g for %s" deg cond)
+            | Error (Atom.Syntax e), _ -> error (Printf.sprintf "%s: %s" cond e)
+            | Error (Atom.Not_atomic e), _ -> error e)
+        | _ -> error "malformed profile row"
+      done;
+      if !errors = [] then Ok (Profile.of_entries !entries) else Error !errors
 
 let load_r db ~user =
   match Error.guard (fun () -> load db ~user) with

@@ -32,7 +32,12 @@ val save : Relal.Database.t -> user:string -> Profile.t -> unit
 val load : Relal.Database.t -> user:string -> (Profile.t, string list) result
 (** Reconstruct a user's profile; an unknown user yields an empty
     profile.  Errors collect unparseable stored rows (e.g. after careless
-    hand edits of a CSV dump). *)
+    hand edits of a CSV dump), in row order.  One pass over the user's
+    rows: each condition is decoded by {!Atom.of_string}, and the
+    entries go to {!Profile.of_entries}, so rows {!save} wrote (distinct,
+    in entries order) become the profile with no map and no sort; any
+    other rows give the profile adding them one by one would, the last
+    of a repeated atom winning. *)
 
 val load_r : Relal.Database.t -> user:string -> (Profile.t, Error.t) result
 (** {!load} with the failure modes folded into the {!Error} taxonomy:

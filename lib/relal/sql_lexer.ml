@@ -29,6 +29,7 @@ let is_keyword = function
       true
   | _ -> false
 
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
@@ -40,7 +41,7 @@ let tokenize s =
   let i = ref 0 in
   while !i < n do
     let c = s.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
+    if is_blank c then incr i
     else if c = '(' then (emit LPAREN; incr i)
     else if c = ')' then (emit RPAREN; incr i)
     else if c = ',' then (emit COMMA; incr i)

@@ -26,6 +26,18 @@ type token =
 exception Lex_error of string * int
 (** Message and byte offset. *)
 
+val is_keyword : string -> bool
+(** A lower-cased word the lexer reads as [KW], not [IDENT]. *)
+
+val is_blank : char -> bool
+(** A byte the lexer skips between tokens. *)
+
+val is_ident_start : char -> bool
+val is_ident_char : char -> bool
+(** The bytes that start and continue an identifier. *)
+
+val is_digit : char -> bool
+
 val tokenize : string -> token list
 (** @raise Lex_error on an illegal character, an unterminated string, or
     a numeric literal out of range (an integer past [max_int], a float

@@ -40,7 +40,9 @@ val find : t -> user:string -> revision:int -> Perso.Profile.t option
 
 val put : t -> user:string -> revision:int -> Perso.Profile.t -> unit
 (** Insert (replacing any entry for the user), evicting the
-    least-recently-used entry when at capacity. *)
+    least-recently-used entry when at capacity: the one a hit or a put
+    touched longest ago.  Entries sit on a list in order of last use,
+    so the victim is its tail, found in O(1). *)
 
 val remove : t -> user:string -> unit
 (** Eager invalidation — the subscriber-hook path. *)

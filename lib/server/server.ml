@@ -193,7 +193,10 @@ let acceptor_loop t =
 
 (* A socket file at [path] that accepts a connection belongs to a live
    server: refuse to take its path over.  One whose connect is refused
-   is a stale leftover, which [listen_unix] replaces. *)
+   is a stale leftover, which [listen_unix] replaces.  The probe sends
+   nothing and waits (at most a second) for the live server to close its
+   end, so the refusal returns with the probe's connection gone on both
+   sides. *)
 let refuse_live_socket path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } ->
@@ -203,7 +206,13 @@ let refuse_live_socket path =
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
             match Unix.connect fd (Unix.ADDR_UNIX path) with
-            | () -> true
+            | () ->
+                (try
+                   Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
+                   ignore (Unix.read fd (Bytes.create 1) 0 1 : int)
+                 with Unix.Unix_error _ -> ());
+                true
             | exception Unix.Unix_error _ -> false)
       in
       if live then

@@ -58,10 +58,7 @@ let scan_dir dir =
   | Some (sealed, wal) ->
       report dir
         (List.map (fun (n, sz) -> scan_file ~dir ~promised:(Some sz) n) sealed
-        @
-        if Sys.file_exists (Filename.concat dir wal) then
-          [ scan_file ~dir ~promised:None wal ]
-        else [])
+        @ [ scan_file ~dir ~promised:None wal ])
 
 type shard = { name : string; report : report }
 

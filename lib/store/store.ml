@@ -199,8 +199,11 @@ let seq_of_name name =
 
 (* One verdict per committed file, shared by recovery and the scrubber
    so the two cannot disagree (the interface lists the verdicts).  A
-   missing active WAL is an empty one: rotation creates the file before
-   the manifest names it, so only a hand deletion removes it. *)
+   missing active WAL is damage to the manifest: the first open and
+   every rotation create the file before the manifest names it, so a
+   name with no file behind it is a damaged manifest (or a hand
+   deletion), refused before [remove_strays] could delete the WAL the
+   manifest meant. *)
 type file_status = File_ok | File_torn_tail of int | File_damaged of error
 
 type file_check = { size : int; records : int; status : file_status }
@@ -210,10 +213,17 @@ let check_file ~dir ~promised name f =
   let empty status = { size = 0; records = 0; status } in
   if not (Sys.file_exists path) then
     empty
-      (if promised = None then File_ok
-       else
-         File_damaged
-           (Torn_log { file = name; detail = "sealed segment missing" }))
+      (File_damaged
+         (match promised with
+         | None ->
+             Malformed
+               {
+                 file = manifest_name;
+                 detail =
+                   Printf.sprintf "names the active WAL %s, which does not exist"
+                     name;
+               }
+         | Some _ -> Torn_log { file = name; detail = "sealed segment missing" }))
   else if Sys.is_directory path then
     empty
       (File_damaged

@@ -146,8 +146,10 @@ val check_file :
     file, the one both recovery ({!open_}) and the scrubber ({!Scrub})
     give.  [promised = Some bytes] for a sealed segment: a missing file,
     a size other than the manifest's, a torn frame or a bad checksum is
-    damage.  [None] for the active WAL: a missing file is an empty log,
-    and a torn final frame is {!File_torn_tail}.  A path that is a
+    damage.  [None] for the active WAL: a missing file is damage to the
+    manifest that names it ([Malformed], naming [MANIFEST]; the first
+    open and every rotation create the WAL before the manifest names
+    it), and a torn final frame is {!File_torn_tail}.  A path that is a
     directory is damage ([Malformed]) either way.  Every record of the
     valid prefix is decoded and passed to [f] with its frame's offset
     and full length; the first record that does not decode stops the

@@ -322,6 +322,64 @@ let fuzz_entry_lines_idempotent =
   QCheck.Test.make ~count:2000 ~name:"Profile.entry_lines cuts an entry once"
     gen_profile_wire entry_lines_idempotent
 
+(* The profile readers under them: [Atom.of_string] on condition text,
+   and [Profile_store.load] over stored rows of random bytes and
+   degrees (and NULL or integer cells the loader does not accept),
+   return a value or their typed
+   errors and never raise. *)
+let atom_total text =
+  match Perso.Atom.of_string text with
+  | Ok _ | Error _ -> true
+  | exception _ -> false
+
+let fuzz_atom_of_string =
+  QCheck.Test.make ~count:2000 ~name:"Atom.of_string total on condition text"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         frequency
+           [
+             (3, map (String.concat "") (list_size (0 -- 8) profile_fragment));
+             (1, string_size ~gen:char (0 -- 40));
+           ]))
+    atom_total
+
+let gen_stored_row =
+  let open QCheck.Gen in
+  let cond =
+    frequency
+      [
+        (3, map (fun s -> Value.Str s) (string_size ~gen:char (0 -- 30)));
+        ( 3,
+          map
+            (fun l -> Value.Str (String.concat "" l))
+            (list_size (0 -- 6) profile_fragment) );
+        (1, return Value.Null);
+      ]
+  in
+  let degree =
+    frequency
+      [
+        (4, map (fun f -> Value.Float f) (float_range (-0.5) 1.5));
+        (1, map (fun f -> Value.Float f) (oneofl [ 0.; 1.; Float.nan; infinity ]));
+        (1, map (fun i -> Value.Int i) small_int);
+        (1, return Value.Null);
+      ]
+  in
+  map2 (fun c d -> [| Value.Str "u"; c; d |]) cond degree
+
+let fuzz_profile_load_rows =
+  QCheck.Test.make ~count:1000 ~name:"Profile_store.load total on random rows"
+    (QCheck.make QCheck.Gen.(list_size (0 -- 12) gen_stored_row))
+    (fun rows ->
+      let db = Database.create () in
+      Perso.Profile_store.install db;
+      List.iter
+        (Table.insert (Database.table db Perso.Profile_store.table_name))
+        rows;
+      match Perso.Profile_store.load db ~user:"u" with
+      | Ok _ | Error _ -> true
+      | exception _ -> false)
+
 (* [read_response] reads from a pipe holding exactly [bytes], then EOF. *)
 let response_total bytes =
   let rd, wr = Unix.pipe ~cloexec:true () in
@@ -498,7 +556,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             fuzz_profile_text; fuzz_profile_random_bytes; fuzz_profile_wire;
-            fuzz_entry_lines_idempotent;
+            fuzz_entry_lines_idempotent; fuzz_atom_of_string;
+            fuzz_profile_load_rows;
           ] );
       ( "protocol",
         List.map QCheck_alcotest.to_alcotest

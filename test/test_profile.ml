@@ -122,6 +122,83 @@ let prop_atom_compare =
        QCheck.Gen.(pair gen_atom gen_atom))
     (fun (a, b) -> Int.compare (Atom.compare a b) 0 = Int.compare (ref_compare a b) 0)
 
+(* [Atom.of_string] reads the printed grammar in place and hands the
+   rest to the parser; on every input it must answer what the parser
+   and [of_pred] answer, error texts included.  Inputs: printed atoms
+   (with their case and blanks varied) and text spliced from SQL
+   fragments, near the grammar and far from it. *)
+let parsed_of_string s =
+  match Sql_parser.parse_pred s with
+  | exception Sql_parser.Parse_error e -> Error (Atom.Syntax e)
+  | exception Sql_lexer.Lex_error (e, _) -> Error (Atom.Syntax e)
+  | p -> Result.map_error (fun e -> Atom.Not_atomic e) (Atom.of_pred p)
+
+let condition_fragment =
+  QCheck.Gen.oneofl
+    [
+      "MOVIE"; "movie"; "Genre"; "_x1"; "title"; "order"; "not"; "true"; "FALSE";
+      "null"; "and"; "."; ".5"; "5."; " "; "\t"; "\n"; "="; "<"; ">"; "<="; ">=";
+      "<>"; "!="; "!"; "'"; "'a'"; "''"; "'it''s'"; "'a]b'"; "12"; "007"; "1.5";
+      "1e3"; "2E-1"; "99999999999999999999"; "3x"; "-"; "("; ")"; ","; ";"; "\xff";
+      "\x00";
+    ]
+
+(* The printed grammar's shape, [REL.att op rhs], with every slot drawn
+   from names, keywords, literals and junk, blanks around each. *)
+let gen_shaped_condition =
+  let open QCheck.Gen in
+  let blank = oneofl [ ""; ""; " "; "\t"; "\n " ] in
+  let name =
+    oneofl
+      [ "MOVIE"; "movie"; "Genre"; "_x1"; "title"; "x"; "order"; "not"; "true";
+        "null"; "and"; "select"; "5"; "" ]
+  in
+  let dot = oneofl [ "."; "."; "."; ""; ".5"; ".." ] in
+  let op = oneofl [ "="; "<"; ">"; "<="; ">="; "<>"; "!="; "=="; "!"; "=<" ] in
+  let rhs =
+    oneof
+      [
+        oneofl
+          [ "'a'"; "''"; "'it''s'"; "'a'b'"; "'open"; "12"; "007"; "1.5"; "1e3";
+            "5x"; "TRUE"; "false"; "NULL"; "99999999999999999999"; "-3"; "(1)" ];
+        map (String.concat "") (flatten_l [ name; dot; name ]);
+      ]
+  in
+  map (String.concat "")
+    (flatten_l
+       [ blank; name; blank; dot; blank; name; blank; op; blank; rhs; blank;
+         oneofl [ ""; ""; ""; ";"; " and x.y = 1"; "'"; ")" ] ])
+
+let gen_condition_text =
+  let open QCheck.Gen in
+  let vary s =
+    (* Each byte outside a literal may change case, and blanks may
+       appear between bytes: the same atom to the parser, or not. *)
+    map2
+      (fun upper blanks ->
+        String.concat ""
+          (List.mapi
+             (fun i c ->
+               let c = if upper then Char.uppercase_ascii c else c in
+               if List.mem i blanks then " " ^ String.make 1 c else String.make 1 c)
+             (List.of_seq (String.to_seq s))))
+      bool
+      (list_size (0 -- 3) (int_range 0 (String.length s)))
+  in
+  frequency
+    [
+      (4, map Atom.to_string gen_atom);
+      (4, gen_shaped_condition);
+      (2, gen_atom >>= fun a -> vary (Atom.to_string a));
+      (3, map (String.concat "") (list_size (0 -- 8) condition_fragment));
+      (1, string_size ~gen:char (0 -- 24));
+    ]
+
+let prop_atom_of_string =
+  QCheck.Test.make ~name:"Atom.of_string = of_pred . parse_pred" ~count:5000
+    (QCheck.make ~print:String.escaped gen_condition_text)
+    (fun s -> Atom.of_string s = parsed_of_string s)
+
 (* Entries come out by decreasing degree, then by the reference atom
    order, on random and on generated profiles. *)
 let in_reference_order entries =
@@ -310,6 +387,24 @@ let test_profile_validate () =
       Alcotest.(check bool) "mentions relation" true
         (String.length e > 0)
   | _ -> Alcotest.fail "one error expected"
+
+(* Errors come in entry order (decreasing degree), as PROFILE LOAD
+   prints the entries, not in atom order. *)
+let test_profile_validate_order () =
+  let db = Moviedb.Movie_schema.create () in
+  let p =
+    Profile.of_list
+      [
+        (Atom.sel "zzz" "a" (Value.Int 1), d 0.9);
+        (Atom.sel "movie" "nope" (Value.Int 1), d 0.5);
+        (Atom.sel "aaa" "b" (Value.Int 1), d 0.2);
+      ]
+  in
+  Alcotest.(check (result unit (list string)))
+    "entry order"
+    (Error
+       [ "unknown relation zzz"; "unknown attribute movie.nope"; "unknown relation aaa" ])
+    (Profile.validate db p)
 
 (* ------------------------------ Pgraph ------------------------------ *)
 
@@ -536,6 +631,114 @@ let test_store_unknown_user_and_bad_rows () =
   | Error [ _ ] -> ()
   | _ -> Alcotest.fail "expected one parse error"
 
+(* The loader before the one-pass load: every row parsed, then added
+   to the profile one by one (a later row replacing an earlier one's
+   degree), errors in row order. *)
+let reference_load rows =
+  let errors = ref [] and profile = ref Profile.empty in
+  List.iter
+    (fun row ->
+      match (row.(1), row.(2)) with
+      | Value.Str cond, Value.Float deg -> (
+          match
+            (Atom.of_pred (Sql_parser.parse_pred cond), Degree.of_float_opt deg)
+          with
+          | Ok atom, Some dg when not (Degree.equal dg Degree.zero) ->
+              profile := Profile.add !profile atom dg
+          | Ok _, _ -> errors := Printf.sprintf "bad degree %g for %s" deg cond :: !errors
+          | Error e, _ -> errors := e :: !errors
+          | exception Sql_parser.Parse_error e ->
+              errors := Printf.sprintf "%s: %s" cond e :: !errors
+          | exception Sql_lexer.Lex_error (e, _) ->
+              errors := Printf.sprintf "%s: %s" cond e :: !errors)
+      | _ -> errors := "malformed profile row" :: !errors)
+    rows;
+  if !errors = [] then Ok !profile else Error (List.rev !errors)
+
+(* Rows as the server writes them (a profile's entries, in order), then
+   disturbed: swapped, repeated with another degree, given a zero,
+   out-of-range or NULL degree, undecodable text or a NULL condition. *)
+let gen_stored_rows =
+  let open QCheck.Gen in
+  let degree = map (fun i -> d (float_of_int i /. 4.)) (int_range 1 4) in
+  let row cond deg = [| Value.Str "u"; cond; deg |] in
+  let entry_row (a, dg) =
+    row (Value.Str (Atom.to_string a)) (Value.Float (Degree.to_float dg))
+  in
+  let disturb rows =
+    let n = List.length rows in
+    let arr = Array.of_list rows in
+    frequency
+      [
+        (3, return rows);
+        ( 2,
+          map2
+            (fun i j ->
+              if n > 0 then begin
+                let t = arr.(i mod n) in
+                arr.(i mod n) <- arr.(j mod n);
+                arr.(j mod n) <- t
+              end;
+              Array.to_list arr)
+            nat nat );
+        ( 2,
+          map2
+            (fun i dg ->
+              if n = 0 then rows
+              else
+                let r = Array.copy arr.(i mod n) in
+                r.(2) <- Value.Float (Degree.to_float dg);
+                rows @ [ r ])
+            nat degree );
+        ( 2,
+          map2
+            (fun bad at ->
+              if n = 0 then [ bad ]
+              else
+                List.concat
+                  (List.mapi
+                     (fun k r -> if k = at mod n then [ bad; r ] else [ r ])
+                     rows))
+            (oneof
+               [
+                 map (row (Value.Str "GENRE.genre = 'x'"))
+                   (oneofl
+                      [ Value.Float 0.; Value.Float 1.5; Value.Float (-0.25);
+                        Value.Float Float.nan; Value.Null; Value.Int 1 ]);
+                 map (fun c -> row (Value.Str c) (Value.Float 0.5))
+                   (oneofl [ "not a condition"; "a.x = 1 and a.y = 2"; "'x' = "; "" ]);
+                 return (row Value.Null (Value.Float 0.5));
+               ])
+            nat );
+      ]
+  in
+  list_size (0 -- 20) (pair gen_atom degree) >>= fun l ->
+  let p = List.fold_left (fun p (a, dg) -> Profile.add p a dg) Profile.empty l in
+  disturb (List.map entry_row (Profile.entries p))
+
+let prop_load_is_reference =
+  QCheck.Test.make ~name:"load = the map-based load" ~count:2000
+    (QCheck.make
+       ~print:(fun rows ->
+         String.concat "\n"
+           (List.map
+              (fun r -> Value.to_string r.(1) ^ " | " ^ Value.to_string r.(2))
+              rows))
+       gen_stored_rows)
+    (fun rows ->
+      let db = Relal.Database.create () in
+      Profile_store.install db;
+      List.iter
+        (Relal.Table.insert (Relal.Database.table db Profile_store.table_name))
+        rows;
+      match (Profile_store.load db ~user:"u", reference_load rows) with
+      | Ok p, Ok q ->
+          Profile.equal p q
+          && Profile.entries p = Profile.entries q
+          && Profile.to_string p = Profile.to_string q
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+
 let test_store_queryable_and_survives_dump () =
   (* The store is an ordinary table: SQL sees it, and it travels with
      CSV dumps. *)
@@ -653,6 +856,7 @@ let () =
           Alcotest.test_case "validate" `Quick test_atom_validate;
           Alcotest.test_case "of_pred" `Quick test_atom_of_pred;
           QCheck_alcotest.to_alcotest prop_atom_compare;
+          QCheck_alcotest.to_alcotest prop_atom_of_string;
         ] );
       ( "profile",
         [
@@ -668,6 +872,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           Alcotest.test_case "generated entries order" `Quick
             test_generated_entries_order;
+          Alcotest.test_case "validate: errors in entry order" `Quick
+            test_profile_validate_order;
         ] );
       ( "store",
         [
@@ -679,6 +885,7 @@ let () =
             test_store_index_differential;
           Alcotest.test_case "queryable + dumps" `Quick
             test_store_queryable_and_survives_dump;
+          QCheck_alcotest.to_alcotest prop_load_is_reference;
         ] );
       ( "pgraph",
         [

@@ -206,6 +206,40 @@ let test_no_manifest () =
       Store.close t;
       Alcotest.fail "recovery opened a directory without a manifest"
 
+(* A manifest whose wal line names a file that is not there (the last
+   byte of the name changed).  The first open and every rotation create
+   a WAL before the manifest names it, so the name is damage, not an
+   empty log: recovery refuses the store naming the MANIFEST, the scrub
+   reports the same error, and no file is removed, the WAL the manifest
+   meant included. *)
+let test_missing_wal () =
+  let pristine, _, _ = build_fixture () in
+  let work = fresh_dir () in
+  copy_dir pristine work;
+  let manifest = Filename.concat work "MANIFEST" in
+  write_file manifest
+    (String.split_on_char '\n' (read_file manifest)
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "wal"; name ] ->
+               "wal " ^ String.sub name 0 (String.length name - 1) ^ "3"
+           | _ -> line)
+    |> String.concat "\n");
+  let files () = List.sort compare (Array.to_list (Sys.readdir work)) in
+  let before = files () in
+  let scrubbed = (Scrub.scan_dir work).Scrub.damaged in
+  match Store.open_r ~config:cfg work with
+  | Error (Store.Malformed { file; _ } as e) ->
+      Alcotest.(check string) "recovery names the manifest" "MANIFEST" file;
+      Alcotest.(check (list string)) "the scrub reports recovery's error"
+        [ Store.error_to_string e ]
+        (List.map (fun (d : Scrub.damage) -> Store.error_to_string d.error) scrubbed);
+      Alcotest.(check (list string)) "no file removed" before (files ())
+  | Error e -> Alcotest.failf "expected malformed, got %s" (Store.error_to_string e)
+  | Ok t ->
+      Store.close t;
+      Alcotest.fail "recovery read a WAL that is not there as an empty log"
+
 (* A server root whose SHARDS marker promises a shard that is missing:
    every shard was complete before the root was renamed into place, so
    recovery refuses the root, naming the shard, and the scrub reports
@@ -266,5 +300,7 @@ let () =
           Alcotest.test_case "no manifest: recovery's rule" `Quick
             test_no_manifest;
           Alcotest.test_case "missing promised shard" `Quick test_missing_shard;
+          Alcotest.test_case "manifest names a missing WAL" `Quick
+            test_missing_wal;
         ] );
     ]

@@ -106,6 +106,134 @@ let test_profile_lru_disabled () =
   let s = L.stats lru in
   Alcotest.(check int) "no entries" 0 s.entries
 
+(* The LRU before its entry list: the victim was found by folding the
+   whole table for the smallest tick, a hit or a put taking the next
+   tick.  Entries hold the number of the put that stored them. *)
+module Fold_lru = struct
+  type entry = { revision : int; put : int; mutable tick : int }
+
+  type t = {
+    capacity : int;
+    tbl : (string, entry) Hashtbl.t;
+    mutable clock : int;
+    mutable stats : Perso_server.Profile_lru.stats;
+  }
+
+  let create capacity =
+    {
+      capacity;
+      tbl = Hashtbl.create 8;
+      clock = 0;
+      stats = { hits = 0; misses = 0; evictions = 0; invalidations = 0; entries = 0 };
+    }
+
+  let miss t = t.stats <- { t.stats with misses = t.stats.misses + 1 }
+
+  let find t ~user ~revision =
+    match Hashtbl.find_opt t.tbl user with
+    | Some e when e.revision = revision ->
+        t.clock <- t.clock + 1;
+        e.tick <- t.clock;
+        t.stats <- { t.stats with hits = t.stats.hits + 1 };
+        Some e.put
+    | Some _ ->
+        Hashtbl.remove t.tbl user;
+        miss t;
+        None
+    | None ->
+        miss t;
+        None
+
+  let evict_lru t =
+    let victim =
+      Hashtbl.fold
+        (fun user e acc ->
+          match acc with
+          | Some (_, tick) when tick <= e.tick -> acc
+          | _ -> Some (user, e.tick))
+        t.tbl None
+    in
+    match victim with
+    | Some (user, _) ->
+        Hashtbl.remove t.tbl user;
+        t.stats <- { t.stats with evictions = t.stats.evictions + 1 }
+    | None -> ()
+
+  let put t ~user ~revision put =
+    if t.capacity > 0 then begin
+      if (not (Hashtbl.mem t.tbl user)) && Hashtbl.length t.tbl >= t.capacity then
+        evict_lru t;
+      t.clock <- t.clock + 1;
+      Hashtbl.replace t.tbl user { revision; put; tick = t.clock }
+    end
+
+  let remove t ~user =
+    if Hashtbl.mem t.tbl user then begin
+      Hashtbl.remove t.tbl user;
+      t.stats <- { t.stats with invalidations = t.stats.invalidations + 1 }
+    end
+
+  let stats t = { t.stats with entries = Hashtbl.length t.tbl }
+end
+
+type lru_op = Find of string * int | Put of string * int | Remove of string
+
+let prop_profile_lru_reference =
+  let open QCheck.Gen in
+  let user = oneofl [ "a"; "b"; "c"; "d"; "e"; "f" ] in
+  let op =
+    frequency
+      [
+        (4, map2 (fun u r -> Find (u, r)) user (int_range 1 3));
+        (4, map2 (fun u r -> Put (u, r)) user (int_range 1 3));
+        (1, map (fun u -> Remove u) user);
+      ]
+  in
+  let print (cap, ops) =
+    Printf.sprintf "capacity %d: %s" cap
+      (String.concat "; "
+         (List.map
+            (function
+              | Find (u, r) -> Printf.sprintf "find %s@%d" u r
+              | Put (u, r) -> Printf.sprintf "put %s@%d" u r
+              | Remove u -> "remove " ^ u)
+            ops))
+  in
+  QCheck.Test.make ~name:"evicts as the fold did" ~count:1000
+    (QCheck.make ~print (pair (int_range 1 8) (list_size (0 -- 80) op)))
+    (fun (capacity, ops) ->
+      let module L = Perso_server.Profile_lru in
+      let lru = L.create ~capacity () and reference = Fold_lru.create capacity in
+      (* One profile value per put, told apart physically, to tell which
+         put a hit returns. *)
+      let stored = ref [] in
+      let put_of p = snd (List.find (fun (q, _) -> q == p) !stored) in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Find (user, revision) ->
+                Option.map put_of (L.find lru ~user ~revision)
+                = Fold_lru.find reference ~user ~revision
+            | Put (user, revision) ->
+                let n = List.length !stored in
+                let p =
+                  Perso.Profile.add Perso.Profile.empty
+                    (Perso.Atom.sel "movie" "year" (Relal.Value.Int n))
+                    Perso.Degree.one
+                in
+                stored := (p, n) :: !stored;
+                L.put lru ~user ~revision p;
+                Fold_lru.put reference ~user ~revision n;
+                true
+            | Remove user ->
+                L.remove lru ~user;
+                Fold_lru.remove reference ~user;
+                true
+          in
+          same && L.stats lru = Fold_lru.stats reference)
+        ops)
+
 (* --------------------------- server helpers -------------------------- *)
 
 let fresh_socket =
@@ -1267,6 +1395,7 @@ let () =
           Alcotest.test_case "hit/miss/evict/invalidate" `Quick test_profile_lru;
           Alcotest.test_case "capacity 0 disables" `Quick
             test_profile_lru_disabled;
+          QCheck_alcotest.to_alcotest prop_profile_lru_reference;
         ] );
       ( "admission",
         [
