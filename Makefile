@@ -114,7 +114,10 @@ check: build test chaos crash-recovery scrub-sweep serve-smoke sim bench-exec
 	r=d['recovery']; rt=d.get('root', {}); \
 	ok=r['records'] > 0 and r['reopen_ms'] >= 0 and d['sizes'] and rt.get('create_cpu_ms', 0) > 0 and rt.get('reopen_cpu_ms', 0) > 0; \
 	sys.exit(0 if ok else sys.stderr.write('bench store: no recovery, sizes, or root create_cpu_ms/reopen_cpu_ms\\n') or 1)"
-	@echo "check: OK ($(BENCH_JSON), $(BENCH_PERSO_JSON), $(BENCH_STORE_JSON) valid; plan-cache warm >= 5x; profile_miss measured)"
+	@python3 -c "import json,sys; d=json.load(open('$(BENCH_STORE_JSON)')); \
+	w=d['workload']; ok=w.get('compactions', 0) > 0 and 'rotations' not in w and d['compaction']['segments_after'] == 1; \
+	sys.exit(0 if ok else sys.stderr.write('bench store: the workload reached no automatic maintenance, or maintenance left other than one segment\\n') or 1)"
+	@echo "check: OK ($(BENCH_JSON), $(BENCH_PERSO_JSON), $(BENCH_STORE_JSON) valid; plan-cache warm >= 5x; profile_miss measured; store maintenance reached)"
 
 clean:
 	dune clean

@@ -1155,7 +1155,7 @@ let bench_store () =
   in
   let dir = Filename.temp_file "bench_store" "" in
   Sys.remove dir;
-  (* Small segments so the workload crosses rotation and compaction. *)
+  (* Small segments so the workload reaches automatic maintenance. *)
   let config =
     { Store.default_config with segment_bytes = 64 * 1024 }
   in
@@ -1235,15 +1235,14 @@ let bench_store () =
     rows;
   Printf.fprintf oc
     "  ],\n\
-    \  \"workload\": {\"appends\": %d, \"rotations\": %d, \
-     \"compactions\": %d},\n\
+    \  \"workload\": {\"appends\": %d, \"compactions\": %d},\n\
     \  \"recovery\": {\"records\": %d, \"reopen_ms\": %.3f, \
      \"reopen_compacted_ms\": %.3f, \"live_users\": %d},\n\
     \  \"compaction\": {\"segments_before\": %d, \"segments_after\": %d, \
      \"ms\": %.3f},\n\
      %s\n\
      }\n"
-    appends work.Store.rotations work.Store.compactions appends reopen_ms
+    appends work.Store.compactions appends reopen_ms
     reopen2_ms live before.Store.segments after.Store.segments compact_ms root;
   close_out oc;
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir));

@@ -30,5 +30,3 @@ let outcome_report (o : Personalize.outcome) =
   Buffer.add_string b (Relal.Sql_print.query_to_pretty o.personalized);
   Buffer.add_string b "\n";
   Buffer.contents b
-
-let pp_outcome fmt o = Format.pp_print_string fmt (outcome_report o)

@@ -12,5 +12,3 @@ val selection_report : Path.t list -> string
 val outcome_report : Personalize.outcome -> string
 (** Full trace: selected preferences, mandatory/optional split,
     selection statistics and the personalized SQL (pretty-printed). *)
-
-val pp_outcome : Format.formatter -> Personalize.outcome -> unit

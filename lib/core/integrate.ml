@@ -64,24 +64,21 @@ let instantiate db qg paths =
           in
           all_to_one := !all_to_one && to_one;
           Buffer.add_string prefix ("|" ^ Atom.to_string (Join j));
-          let target_tv, is_new =
+          let target_tv =
             if !all_to_one then begin
               let key = Buffer.contents prefix in
               match Hashtbl.find_opt shared key with
-              | Some tv -> (tv, false)
+              | Some tv -> tv
               | None ->
                   let tv = fresh j.Atom.j_to_rel in
                   Hashtbl.add shared key tv;
-                  (tv, true)
+                  tv
             end
-            else (fresh j.Atom.j_to_rel, true)
+            else fresh j.Atom.j_to_rel
           in
-          if is_new then
-            trefs := { Sql_ast.rel = j.Atom.j_to_rel; alias = target_tv } :: !trefs
-          else
-            (* Shared variable: the tref must still be attached to this
-               instantiation so FROM collection remains per-preference. *)
-            trefs := { Sql_ast.rel = j.Atom.j_to_rel; alias = target_tv } :: !trefs;
+          (* A shared variable's tref is attached to this instantiation
+             too, so FROM collection remains per-preference. *)
+          trefs := { Sql_ast.rel = j.Atom.j_to_rel; alias = target_tv } :: !trefs;
           preds :=
             Sql_ast.P_cmp
               ( Eq,

@@ -50,8 +50,6 @@ let remove b ids =
 
 let unsafe_rows b = b.data
 
-let of_rows rows = { data = rows; len = Array.length rows }
-
 let of_list l =
   let rows = Array.of_list l in
   { data = rows; len = Array.length rows }

@@ -37,9 +37,6 @@ val unsafe_rows : t -> Value.t array array
     rows; the tail is garbage.  Callers must not mutate it — exposed so
     hot loops can skip the bounds check in {!get}. *)
 
-val of_rows : Value.t array array -> t
-(** Wrap an array of rows (takes ownership; no copy). *)
-
 val of_list : Value.t array list -> t
 val to_list : t -> Value.t array list
 

@@ -99,23 +99,7 @@ let simple ?distinct ~select ~from ~where () =
 
 let equal_attr a b = String.equal a.tv b.tv && String.equal a.col b.col
 
-let compare_attr a b =
-  match String.compare a.tv b.tv with 0 -> String.compare a.col b.col | c -> c
-
 let conjuncts p = match p with P_and ps -> ps | P_true -> [] | p -> [ p ]
-
-let pred_attrs p =
-  let scalar acc = function S_attr a -> a :: acc | S_const _ -> acc in
-  let rec go acc = function
-    | P_true | P_false -> acc
-    | P_cmp (_, a, b) -> scalar (scalar acc a) b
-    | P_and ps | P_or ps -> List.fold_left go acc ps
-    | P_not p -> go acc p
-  in
-  List.rev (go [] p)
-
-let query_tvs q =
-  List.filter_map (function F_rel r -> Some r | F_derived _ -> None) q.from
 
 let select_output_names q =
   List.map

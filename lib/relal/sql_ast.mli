@@ -117,17 +117,10 @@ val query :
 (** {1 Observations} *)
 
 val equal_attr : attr -> attr -> bool
-val compare_attr : attr -> attr -> int
 
 val conjuncts : pred -> pred list
 (** Top-level conjunctive factors ([P_and] flattened; anything else is a
     single factor). *)
-
-val pred_attrs : pred -> attr list
-(** All attributes mentioned, with duplicates. *)
-
-val query_tvs : query -> table_ref list
-(** The plain table refs of the FROM clause (derived tables excluded). *)
 
 val select_output_names : query -> string list
 (** Output column names, in order (alias if given, else the column). *)

@@ -38,6 +38,10 @@ let tokenize s =
   let n = String.length s in
   let toks = ref [] in
   let emit t = toks := t :: !toks in
+  (* A digit, or a dot and a digit, starts a number at [j]. *)
+  let number_at j =
+    j < n && (is_digit s.[j] || (s.[j] = '.' && j + 1 < n && is_digit s.[j + 1]))
+  in
   let i = ref 0 in
   while !i < n do
     let c = s.[!i] in
@@ -45,7 +49,7 @@ let tokenize s =
     else if c = '(' then (emit LPAREN; incr i)
     else if c = ')' then (emit RPAREN; incr i)
     else if c = ',' then (emit COMMA; incr i)
-    else if c = '.' && not (!i + 1 < n && is_digit s.[!i + 1]) then (emit DOT; incr i)
+    else if c = '.' && not (number_at !i) then (emit DOT; incr i)
     else if c = '*' then (emit STAR; incr i)
     else if c = '=' then (emit EQ; incr i)
     else if c = '<' then begin
@@ -81,8 +85,10 @@ let tokenize s =
       done;
       emit (STRING (Buffer.contents buf))
     end
-    else if is_digit c || (c = '.' && !i + 1 < n && is_digit s.[!i + 1]) then begin
+    else if number_at !i || (c = '-' && number_at (!i + 1)) then begin
+      (* A sign is read with its digits, so [min_int] reads back. *)
       let start = !i in
+      if c = '-' then incr i;
       let is_float = ref false in
       while !i < n && (is_digit s.[!i] || s.[!i] = '.' || s.[!i] = 'e' || s.[!i] = 'E'
                       || ((s.[!i] = '+' || s.[!i] = '-') && !i > start

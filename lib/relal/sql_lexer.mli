@@ -2,7 +2,10 @@
 
     Keywords are case-insensitive; identifiers are lower-cased (the whole
     engine is case-insensitive, like the paper's Oracle prototype).
-    String literals use single quotes with [''] escaping. *)
+    String literals use single quotes with [''] escaping.  A [-] directly
+    before a digit, or before a dot and a digit, is the sign of a numeric
+    literal (there is no arithmetic), so every finite number
+    {!Value.to_string} prints reads back. *)
 
 type token =
   | IDENT of string  (** lower-cased identifier *)

@@ -269,5 +269,3 @@ and pretty_pred b depth p =
   | p -> add_pred b 0 p
 
 let query_to_pretty = render 512 (fun b -> pretty_query b 0)
-
-let pp_query fmt q = Format.pp_print_string fmt (query_to_pretty q)

@@ -28,6 +28,3 @@ val query_to_key : Sql_ast.query -> string
 val query_to_pretty : Sql_ast.query -> string
 (** Multi-line, indented rendering for human consumption (examples, CLI,
     EXPERIMENTS.md excerpts). *)
-
-val pp_query : Format.formatter -> Sql_ast.query -> unit
-(** [query_to_pretty] through a formatter. *)

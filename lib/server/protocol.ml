@@ -75,16 +75,6 @@ let parse_command line =
   | "QUIT" -> Ok Quit
   | other -> Error (Printf.sprintf "unknown command %s" other)
 
-let command_name = function
-  | Run _ -> "RUN"
-  | Personalize _ -> "PERSONALIZE"
-  | Profile_save _ -> "PROFILE SAVE"
-  | Profile_show _ -> "PROFILE LOAD"
-  | Health -> "HEALTH"
-  | Ping -> "PING"
-  | Shutdown -> "SHUTDOWN"
-  | Quit -> "QUIT"
-
 (* ------------------------------ responses --------------------------- *)
 
 type response =

@@ -82,9 +82,6 @@ val parse_header_line : string -> (header -> header) option
 
 val parse_command : string -> (command, string) result
 
-val command_name : command -> string
-(** The leading keyword, for logs and counters. *)
-
 (** {1 Response formatting / parsing}
 
     Writers emit one complete response and flush.  The reader returns

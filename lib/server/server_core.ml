@@ -354,6 +354,8 @@ module Make (R : Runtime.S) = struct
           ("store_backend", backend_name);
           ("store_appends", sstat (fun s -> s.Perso_store.Store.appends));
           ("store_compactions", sstat (fun s -> s.Perso_store.Store.compactions));
+          ( "store_compact_failures",
+            sstat (fun s -> s.Perso_store.Store.compact_failures) );
           ( "store_torn_truncated",
             sstat (fun s -> s.Perso_store.Store.torn_truncated) );
           ("queue_depth", string_of_int (Queue.length t.queue));

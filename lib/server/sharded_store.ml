@@ -260,7 +260,6 @@ module Make (R : Runtime.S) = struct
                  let st = Perso_store.Store.stats s in
                  {
                    Perso_store.Store.appends = acc.appends + st.appends;
-                   rotations = acc.rotations + st.rotations;
                    compactions = acc.compactions + st.compactions;
                    compact_failures =
                      acc.compact_failures + st.compact_failures;
@@ -271,7 +270,6 @@ module Make (R : Runtime.S) = struct
                  })
            {
              Perso_store.Store.appends = 0;
-             rotations = 0;
              compactions = 0;
              compact_failures = 0;
              torn_truncated = 0;

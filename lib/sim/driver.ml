@@ -13,17 +13,6 @@ type options = {
   oracle_selections : int;
 }
 
-let default_options ~seed =
-  {
-    seed;
-    runs = 5;
-    steps = None;
-    mutate = false;
-    oracle_cases = 2;
-    oracle_movies = 1200;
-    oracle_selections = 120;
-  }
-
 let short digest =
   if String.length digest > 12 then String.sub digest 0 12 else digest
 

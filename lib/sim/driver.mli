@@ -24,10 +24,6 @@ type options = {
   oracle_selections : int;
 }
 
-val default_options : seed:int -> options
-(** runs = 5, no replay, no mutation, oracle at 2 cases × 1200 movies
-    × 120 selections. *)
-
 val main : options -> int
 (** Runs the selected mode, printing deterministic one-line reports to
     stdout; returns the process exit code (0 pass, 1 fail, 2 bad

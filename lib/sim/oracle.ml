@@ -10,7 +10,6 @@ type report = {
   checks : check list;
 }
 
-let all_ok r = List.for_all (fun c -> c.ok) r.checks
 let failures r = List.filter (fun c -> not c.ok) r.checks
 
 (* One generated setting: a scaled database, a synthetic profile over

@@ -52,5 +52,4 @@ val cache_checks :
     ["recomputed=R edits=E over N steps"]).  Exposed separately so the
     unit suite can sweep it across many seeds. *)
 
-val all_ok : report -> bool
 val failures : report -> check list

@@ -88,10 +88,6 @@ let add_probe p =
   let s = sch () in
   s.probes <- s.probes @ [ p ]
 
-let trace_note note =
-  let s = sch () in
-  tracef s "note %s" note
-
 (* -------------------------------- tasks ------------------------------ *)
 
 let finish_task s task =

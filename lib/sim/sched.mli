@@ -75,6 +75,3 @@ val fail : string -> 'a
 val add_probe : (unit -> unit) -> unit
 (** Register an invariant check to run before every scheduling
     decision (typically calls {!fail} on violation). *)
-
-val trace_note : string -> unit
-(** Append an application-level event to the trace (and digest). *)

@@ -1,10 +1,9 @@
 module Chaos = Relal.Chaos
 module Csv = Relal.Csv
 
-type config = { segment_bytes : int; compact_segments : int; fsync : bool }
+type config = { segment_bytes : int; fsync : bool }
 
-let default_config =
-  { segment_bytes = 4 lsl 20; compact_segments = 4; fsync = true }
+let default_config = { segment_bytes = 4 lsl 20; fsync = true }
 
 type error =
   | Torn_log of { file : string; detail : string }
@@ -25,7 +24,7 @@ let store_err e = raise (Store_error e)
 
 (* Index entry: where the user's latest record lives.  [loc = None] is
    a tombstone — the user is deleted but the revision high-water mark
-   must survive (compaction rewrites tombstones, never drops them). *)
+   must survive (maintenance rewrites tombstones, never drops them). *)
 type meta = {
   loc : (int * int) option;  (* frame (offset, full length) in [file] *)
   revision : int;
@@ -41,15 +40,13 @@ type t = {
   mutable wal_name : string;
   mutable sealed : (string * int) list;  (* (file, bytes), oldest first *)
   mutable seq : int;  (* last file sequence number handed out *)
+  mutable grown_from : int;  (* WAL size at the last maintenance attempt *)
   mutable closed : bool;
   mutable n_appends : int;
-  mutable n_rotations : int;
   mutable n_compactions : int;
   mutable n_compact_failures : int;
   mutable n_torn : int;
 }
-
-let dir t = t.dirname
 
 let manifest_name = "MANIFEST"
 let manifest_tmp = "MANIFEST.tmp"
@@ -160,7 +157,7 @@ let parse_manifest ~file text =
       in
       (List.rev !sealed, wal)
 
-(* Manifest replacement is the commit point of rotation and compaction:
+(* Manifest replacement is the commit point of maintenance:
    tmp + fsync + atomic rename, the same discipline as [Csv.save_db_r].
    The deterministic fault plan can kill or fail it. *)
 let write_manifest dir ~sealed ~wal =
@@ -200,7 +197,7 @@ let seq_of_name name =
 (* One verdict per committed file, shared by recovery and the scrubber
    so the two cannot disagree (the interface lists the verdicts).  A
    missing active WAL is damage to the manifest: the first open and
-   every rotation create the file before the manifest names it, so a
+   every maintenance create the file before the manifest names it, so a
    name with no file behind it is a damaged manifest (or a hand
    deletion), refused before [remove_strays] could delete the WAL the
    manifest meant. *)
@@ -414,9 +411,9 @@ let open_ ?(config = default_config) dirname =
         List.fold_left
           (fun acc (name, _) -> max acc (seq_of_name name))
           (seq_of_name wal_name) sealed;
+      grown_from = 0;
       closed = false;
       n_appends = 0;
-      n_rotations = 0;
       n_compactions = 0;
       n_compact_failures = 0;
       n_torn = torn;
@@ -432,125 +429,107 @@ let open_r ?config dirname =
 
 let check_open t = if t.closed then invalid_arg "Store: handle is closed"
 
-(* ----------------------------- rotation ----------------------------- *)
+(* ---------------------------- maintenance ---------------------------- *)
 
-(* Disk first, memory after: the new WAL file is created and the
-   manifest committed before any in-memory state changes, so a failure
-   at any point leaves the handle consistent with the old manifest. *)
-let rotate t =
-  Wal.sync t.wal;
-  let new_seq = t.seq + 1 in
-  let new_name = wal_file new_seq in
-  let new_wal = Wal.open_append ~fsync:t.cfg.fsync (in_dir t new_name) in
-  let sealed' = t.sealed @ [ (t.wal_name, Wal.size t.wal) ] in
-  (try write_manifest t.dirname ~sealed:sealed' ~wal:new_name
-   with e ->
-     (match e with
-     | Chaos.Crashed _ -> ()
-     | _ ->
-         Wal.close new_wal;
-         (try Sys.remove (in_dir t new_name) with Sys_error _ -> ()));
-     raise e);
-  let old = t.wal in
-  t.sealed <- sealed';
-  t.wal <- new_wal;
-  t.wal_name <- new_name;
-  t.seq <- new_seq;
-  t.n_rotations <- t.n_rotations + 1;
-  Wal.close old
+(* Every user's latest record, tombstones included so revision
+   high-water marks survive, in user order into one fresh segment,
+   fsynced; the new index entries that point into it. *)
+let write_segment t ~name ~path =
+  let users =
+    Hashtbl.fold (fun user m acc -> (user, m) :: acc) t.index []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let seg = Wal.open_append ~fsync:false path in
+  Fun.protect
+    ~finally:(fun () -> try Wal.close seg with Sys_error _ -> ())
+    (fun () ->
+      let moved =
+        List.map
+          (fun (user, m) ->
+            let payload =
+              match m.loc with
+              | Some (off, len) -> (
+                  match Wal.read_frame ~path:(in_dir t m.file) ~off ~len with
+                  | Ok p -> p
+                  | Error detail -> store_err (Bad_crc { file = m.file; detail }))
+              | None ->
+                  Codec.encode_record (Codec.Delete { user; revision = m.revision })
+            in
+            let off = Wal.append ~point:Chaos.Compact_write seg payload in
+            let loc =
+              Option.map
+                (fun _ -> (off, Wal.header_bytes + String.length payload))
+                m.loc
+            in
+            (user, { loc; revision = m.revision; file = name }))
+          users
+      in
+      Wal.sync seg;
+      (moved, Wal.size seg))
 
-(* ---------------------------- compaction ---------------------------- *)
+(* The one maintenance step: the live set into a fresh segment, a fresh
+   empty WAL, and one manifest swap that commits both.  Disk first,
+   memory after: a failure before the swap removes the step's new files
+   and leaves the handle as it was (a simulated kill leaves them for
+   recovery's stray sweep); after it, the old segments and WAL go.  The
+   step takes its two file numbers even when it fails, so no later
+   attempt meets what this one left. *)
+let maintain t =
+  let seg_name = seg_file (t.seq + 1) and wal_name = wal_file (t.seq + 2) in
+  t.seq <- t.seq + 2;
+  let remove names =
+    List.iter (fun name -> try Sys.remove (in_dir t name) with Sys_error _ -> ()) names
+  in
+  let moved, seg_size, wal =
+    try
+      let moved, seg_size = write_segment t ~name:seg_name ~path:(in_dir t seg_name) in
+      (match Chaos.take_fault Chaos.Compact_rename with
+      | None -> ()
+      | Some (Chaos.Flip_byte frac) ->
+          (* Latent sealed-segment corruption: the step commits, but the
+             fresh segment carries a flipped byte. *)
+          Chaos.flip_byte_in_file (in_dir t seg_name) frac
+      | Some Chaos.Crash | Some (Chaos.Torn_write _) ->
+          raise (Chaos.Crashed { point = Chaos.Compact_rename })
+      | Some (Chaos.Short_write _) | Some Chaos.Fsync_fail ->
+          raise
+            (Chaos.Injected { point = Chaos.Compact_rename; transient = true }));
+      Chaos.point Chaos.Compact_rename;
+      let wal = Wal.open_append ~fsync:t.cfg.fsync (in_dir t wal_name) in
+      (try write_manifest t.dirname ~sealed:[ (seg_name, seg_size) ] ~wal:wal_name
+       with e ->
+         (try Wal.close wal with Sys_error _ -> ());
+         raise e);
+      (moved, seg_size, wal)
+    with e ->
+      (match e with
+      | Chaos.Crashed _ -> ()
+      | _ -> remove [ seg_name; wal_name; manifest_tmp ]);
+      raise e
+  in
+  let old_files = t.wal_name :: List.map fst t.sealed in
+  (try Wal.close t.wal with Sys_error _ -> ());
+  t.wal <- wal;
+  t.wal_name <- wal_name;
+  t.sealed <- [ (seg_name, seg_size) ];
+  List.iter (fun (user, m) -> Hashtbl.replace t.index user m) moved;
+  t.n_compactions <- t.n_compactions + 1;
+  t.grown_from <- 0;
+  remove old_files
 
-(* Rewrite the latest record of every user whose record lives in a
-   sealed segment into one fresh segment — tombstones included, so
-   revision high-water marks survive — then commit by manifest swap and
-   delete the old segments.  Records whose latest version is in the
-   active WAL are left alone: the WAL replays after sealed segments, so
-   it wins on reopen regardless. *)
-let compact t =
-  if t.sealed <> [] then begin
-    let sealed_names = List.map fst t.sealed in
-    let victims =
-      Hashtbl.fold
-        (fun user m acc ->
-          if List.mem m.file sealed_names then (user, m) :: acc else acc)
-        t.index []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    let new_seq = t.seq + 1 in
-    let seg_name = seg_file new_seq in
-    let seg_path = in_dir t seg_name in
-    let out = Wal.open_append ~fsync:false seg_path in
-    let moved = ref [] in
-    (try
-       List.iter
-         (fun (user, m) ->
-           let payload =
-             match m.loc with
-             | Some (off, len) -> (
-                 match
-                   Wal.read_frame ~path:(in_dir t m.file) ~off ~len
-                 with
-                 | Ok p -> p
-                 | Error detail ->
-                     store_err (Bad_crc { file = m.file; detail }))
-             | None ->
-                 Codec.encode_record
-                   (Codec.Delete { user; revision = m.revision })
-           in
-           let off = Wal.append ~point:Chaos.Compact_write out payload in
-           let loc =
-             match m.loc with
-             | Some _ -> Some (off, Wal.header_bytes + String.length payload)
-             | None -> None
-           in
-           moved := (user, { loc; revision = m.revision; file = seg_name })
-                    :: !moved)
-         victims;
-       Wal.sync out;
-       (match Chaos.take_fault Chaos.Compact_rename with
-       | None -> ()
-       | Some (Chaos.Flip_byte frac) ->
-           (* Latent sealed-segment corruption: the compaction commits,
-              but the fresh segment carries a flipped byte. *)
-           Chaos.flip_byte_in_file seg_path frac
-       | Some Chaos.Crash | Some (Chaos.Torn_write _) ->
-           raise (Chaos.Crashed { point = Chaos.Compact_rename })
-       | Some (Chaos.Short_write _) | Some Chaos.Fsync_fail ->
-           raise
-             (Chaos.Injected { point = Chaos.Compact_rename; transient = true }));
-       Chaos.point Chaos.Compact_rename;
-       write_manifest t.dirname
-         ~sealed:[ (seg_name, Wal.size out) ]
-         ~wal:t.wal_name
-     with e ->
-       (try Wal.close out with Sys_error _ -> ());
-       (match e with
-       | Chaos.Crashed _ -> ()
-       | _ -> ( try Sys.remove seg_path with Sys_error _ -> ()));
-       raise e);
-    (* Committed: swap in-memory state and drop the old segments. *)
-    let seg_size = Wal.size out in
-    Wal.close out;
-    List.iter
-      (fun (name, _) ->
-        try Sys.remove (in_dir t name) with Sys_error _ -> ())
-      t.sealed;
-    t.sealed <- [ (seg_name, seg_size) ];
-    t.seq <- new_seq;
-    List.iter (fun (user, m) -> Hashtbl.replace t.index user m) !moved;
-    t.n_compactions <- t.n_compactions + 1
-  end
+let sealed_bytes t = List.fold_left (fun acc (_, size) -> acc + size) 0 t.sealed
 
-(* Auto-compaction rides on an already-acknowledged append, so a
-   transient injected fault must not fail the save it rode on: note it
-   and try again after the next rotation.  Simulated crashes and real
-   corruption still propagate. *)
-let maybe_compact t =
-  if List.length t.sealed >= t.cfg.compact_segments then
-    try compact t
-    with Chaos.Injected _ ->
-      t.n_compact_failures <- t.n_compact_failures + 1
+(* Maintenance rides on an append that is already durable, so no
+   failure of it may fail that append: it is counted, and the next
+   attempt waits for the same growth again.  Simulated kills still
+   propagate. *)
+let maintain_after_append t =
+  if Wal.size t.wal - t.grown_from >= max t.cfg.segment_bytes (sealed_bytes t)
+  then
+    try maintain t
+    with Sys_error _ | Unix.Unix_error _ | Store_error _ | Chaos.Injected _ ->
+      t.n_compact_failures <- t.n_compact_failures + 1;
+      t.grown_from <- Wal.size t.wal
 
 (* ------------------------------ writes ------------------------------ *)
 
@@ -560,7 +539,6 @@ let locked t f =
 
 let append_record t record =
   check_open t;
-  if Wal.size t.wal >= t.cfg.segment_bytes then rotate t;
   let payload = Codec.encode_record record in
   let off = Wal.append t.wal payload in
   t.n_appends <- t.n_appends + 1;
@@ -572,7 +550,7 @@ let append_record t record =
     | Codec.Delete _ -> None
   in
   Hashtbl.replace t.index user { loc; revision; file = t.wal_name };
-  maybe_compact t
+  maintain_after_append t
 
 let save t ~user ~revision entries =
   locked t (fun () ->
@@ -637,7 +615,6 @@ let iter t f =
 
 type stats = {
   appends : int;
-  rotations : int;
   compactions : int;
   compact_failures : int;
   torn_truncated : int;
@@ -650,7 +627,6 @@ let stats t =
   locked t (fun () ->
       {
         appends = t.n_appends;
-        rotations = t.n_rotations;
         compactions = t.n_compactions;
         compact_failures = t.n_compact_failures;
         torn_truncated = t.n_torn;
@@ -665,10 +641,7 @@ let stats t =
 let compact_now t =
   locked t (fun () ->
       check_open t;
-      if Wal.size t.wal > 0 then rotate t;
-      compact t)
-
-let sync t = locked t (fun () -> if not t.closed then Wal.sync t.wal)
+      maintain t)
 
 let close t =
   locked t (fun () ->

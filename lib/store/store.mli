@@ -4,17 +4,23 @@
 
     {v
     MANIFEST            committed file set (tmp + fsync + atomic rename)
+    seg-000006.dat      sealed segment: each user's latest record
     wal-000007.log      active write-ahead log (CRC-framed records)
-    seg-000005.dat      sealed segments, replayed oldest-first
     v}
 
     Every mutation is one {!Codec.record} appended to the active WAL and
-    fsynced before it is acknowledged.  When the WAL passes
-    [segment_bytes] it is sealed into the segment list and a fresh one
-    started; when enough sealed segments pile up they are compacted into
-    a single segment holding each user's latest record — including
-    [Delete] tombstones, which must survive compaction so revision
-    high-water marks outlive restarts and deletions.
+    fsynced before it is acknowledged.  {b Maintenance} is one step: it
+    writes each user's latest record into a fresh segment — including
+    [Delete] tombstones, which must survive so revision high-water marks
+    outlive restarts and deletions — creates a fresh empty WAL, and
+    commits both with one [MANIFEST] swap, after which the old segments
+    and WAL are removed.  It runs after an append once the WAL has grown
+    by max([segment_bytes], the sealed segments' bytes) since the last
+    attempt, so its cost stays proportional to the bytes appended.  It
+    never fails that append: a failed attempt (an I/O error such as a
+    full disk, a damaged frame it re-reads, an injected fault) removes
+    its new files, is counted in {!stats}, and the next attempt waits
+    for the same growth again.
 
     {b A directory exists only once complete.}  {!open_} builds a new
     store with {!build_staged}: its first WAL and [MANIFEST] durable
@@ -31,8 +37,9 @@
     leaves a partial frame, so a torn tail is truncated (counted in
     {!stats}) and everything before it replayed; a CRC mismatch {e not}
     at the tail is still {!Bad_crc}.  Files in the directory that the
-    manifest does not name (crash leftovers from rotation or compaction)
-    are removed.
+    manifest does not name (crash leftovers from maintenance) are
+    removed.  Any number of sealed segments recovers, the layout earlier
+    builds wrote; the first maintenance folds them into one.
 
     {b Older roots.}  Builds before this one kept each store as a set of
     copies ([r0/], [r1/], … plus a [REPLSTATE] file).  Opening such a
@@ -46,13 +53,13 @@
     parallelism. *)
 
 type config = {
-  segment_bytes : int;  (** seal the active WAL beyond this size *)
-  compact_segments : int;  (** compact when this many sealed segments *)
+  segment_bytes : int;
+      (** the least WAL growth between two maintenance attempts *)
   fsync : bool;  (** fsync each acknowledged append (tests turn off) *)
 }
 
 val default_config : config
-(** 4 MiB segments, compaction at 4 sealed segments, fsync on. *)
+(** 4 MiB segments, fsync on. *)
 
 type error =
   | Torn_log of { file : string; detail : string }
@@ -79,8 +86,6 @@ val open_r : ?config:config -> string -> (t, error) result
 
 val open_ : ?config:config -> string -> t
 (** {!open_r}, raising {!Store_error}. *)
-
-val dir : t -> string
 
 val older_root : string -> bool
 (** Whether a directory is a set of copies an earlier build wrote (it
@@ -148,7 +153,7 @@ val check_file :
     a size other than the manifest's, a torn frame or a bad checksum is
     damage.  [None] for the active WAL: a missing file is damage to the
     manifest that names it ([Malformed], naming [MANIFEST]; the first
-    open and every rotation create the WAL before the manifest names
+    open and every maintenance create the WAL before the manifest names
     it), and a torn final frame is {!File_torn_tail}.  A path that is a
     directory is damage ([Malformed]) either way.  Every record of the
     valid prefix is decoded and passed to [f] with its frame's offset
@@ -167,13 +172,15 @@ val read_manifest : string -> ((string * int) list * string) option
     where {!open_} refuses the directory. *)
 
 val save : t -> user:string -> revision:int -> Codec.entry list -> unit
-(** Append a [Put] and fsync.  On return the record is durable; on any
-    exception it is guaranteed absent (failed appends truncate back),
-    except under a simulated crash where recovery enforces the same
-    all-or-nothing outcome. *)
+(** Append a [Put] and fsync, then run maintenance if it is due.  On
+    return the record is durable; on any exception it is guaranteed
+    absent (failed appends truncate back, and a failed maintenance is
+    contained and counted, never raised), except under a simulated crash
+    where recovery enforces the same all-or-nothing outcome. *)
 
 val delete : t -> user:string -> revision:int -> unit
-(** Append a [Delete] tombstone (revision is kept across restarts). *)
+(** Append a [Delete] tombstone (revision is kept across restarts), with
+    {!save}'s contract. *)
 
 val load : t -> user:string -> Codec.entry list option
 (** Point lookup by re-reading the record's frame from disk (CRC
@@ -193,11 +200,13 @@ val iter : t -> (user:string -> revision:int -> Codec.entry list -> unit) -> uni
 
 type stats = {
   appends : int;  (** acknowledged WAL appends since open *)
-  rotations : int;
-  compactions : int;
-  compact_failures : int;  (** auto-compactions aborted by faults *)
+  compactions : int;  (** maintenance steps committed since open *)
+  compact_failures : int;
+      (** maintenance attempts after an append that failed and were
+          contained *)
   torn_truncated : int;  (** torn WAL tails truncated at recovery *)
-  segments : int;  (** sealed segments currently on disk *)
+  segments : int;
+      (** sealed segments on disk: one after any maintenance *)
   live_users : int;
   wal_bytes : int;  (** size of the active WAL *)
 }
@@ -205,11 +214,11 @@ type stats = {
 val stats : t -> stats
 
 val compact_now : t -> unit
-(** Seal the active WAL (if non-empty) and compact everything into a
-    single segment.  Benchmarks and tests; the serve path relies on the
-    automatic trigger. *)
+(** Run the maintenance step now, leaving one segment and an empty WAL.
+    Benchmarks and tests; the serve path relies on the automatic
+    trigger.  Unlike that trigger it raises what the step raised, after
+    removing the step's new files. *)
 
-val sync : t -> unit
 val close : t -> unit
 
 val abandon : t -> unit

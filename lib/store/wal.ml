@@ -29,7 +29,6 @@ let open_append ?(fsync = true) path =
   let size = (Unix.fstat fd).Unix.st_size in
   { path; fd; fsync; size }
 
-let path t = t.path
 let size t = t.size
 
 let write_all fd s pos len =
@@ -155,10 +154,6 @@ let scan_string data f =
     end
   in
   go 0
-
-let scan_file path f =
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  scan_string data f
 
 let read_frame ~path ~off ~len =
   if len < header_bytes then

@@ -9,7 +9,7 @@
     the file (open, write, fsync, close) raises [Sys_error] naming it
     ({!Relal.Csv.file_io}).
 
-    {!scan} classifies the tail of a log precisely: [Torn] means the
+    {!scan_string} classifies the tail of a log precisely: [Torn] means the
     last frame is incomplete (header or payload cut short) — the
     signature of a crash mid-append, safe to truncate; [Corrupt] means a
     structurally complete frame whose checksum or length field is wrong
@@ -28,8 +28,6 @@ val open_append : ?fsync:bool -> string -> t
 (** Open (creating if absent) for appends at the current end of file.
     [fsync] (default true) controls whether {!append} syncs each frame;
     sealed-segment writers turn it off and {!sync} once at the end. *)
-
-val path : t -> string
 
 val size : t -> int
 (** Bytes of acknowledged frames (the pre-append offset of the next
@@ -64,9 +62,6 @@ val scan_string : string -> (pos:int -> string -> unit) -> int * scan_end
 (** Walk frames in [data], calling the callback with each valid
     payload and its frame offset; returns the byte length of the valid
     prefix and how the data ends. *)
-
-val scan_file : string -> (pos:int -> string -> unit) -> int * scan_end
-(** {!scan_string} over a whole file. [Sys_error] propagates. *)
 
 val read_frame : path:string -> off:int -> len:int -> (string, string) result
 (** Re-read one frame (full frame length [len] at [off]) and verify its

@@ -139,7 +139,8 @@ let condition_fragment =
       "MOVIE"; "movie"; "Genre"; "_x1"; "title"; "order"; "not"; "true"; "FALSE";
       "null"; "and"; "."; ".5"; "5."; " "; "\t"; "\n"; "="; "<"; ">"; "<="; ">=";
       "<>"; "!="; "!"; "'"; "'a'"; "''"; "'it''s'"; "'a]b'"; "12"; "007"; "1.5";
-      "1e3"; "2E-1"; "99999999999999999999"; "3x"; "-"; "("; ")"; ","; ";"; "\xff";
+      "1e3"; "2E-1"; "99999999999999999999"; "3x"; "-"; "-5"; "-.5"; "-1e-05";
+      "("; ")"; ","; ";"; "\xff";
       "\x00";
     ]
 
@@ -160,7 +161,9 @@ let gen_shaped_condition =
       [
         oneofl
           [ "'a'"; "''"; "'it''s'"; "'a'b'"; "'open"; "12"; "007"; "1.5"; "1e3";
-            "5x"; "TRUE"; "false"; "NULL"; "99999999999999999999"; "-3"; "(1)" ];
+            "5x"; "TRUE"; "false"; "NULL"; "99999999999999999999"; "-3"; "(1)";
+            "-0.5"; "-.5"; "-1e-05"; "-0.0"; "-4611686018427387904";
+            "-4611686018427387905"; "- 3"; "--3"; "-x"; "-" ];
         map (String.concat "") (flatten_l [ name; dot; name ]);
       ]
   in
@@ -602,6 +605,29 @@ let test_store_roundtrip () =
         (Profile.to_string p)
   | Error es -> Alcotest.failf "load errors: %s" (String.concat "; " es)
 
+(* Negative selections read back: through the text format, and through
+   a save and a load. *)
+let test_store_negative_literals () =
+  let p =
+    Profile.of_list
+      [
+        (Atom.sel ~op:Sql_ast.Gt "movie" "year" (Value.Int (-5)), d 0.5);
+        (Atom.sel "movie" "year" (Value.Int min_int), d 0.6);
+        (Atom.sel ~op:Sql_ast.Lt "movie" "rating" (Value.Float (-1.5)), d 0.7);
+        (Atom.sel "movie" "rating" (Value.Float (-1e-05)), d 0.8);
+        (Atom.sel "movie" "rating" (Value.Float (-0.)), d 0.9);
+      ]
+  in
+  let text = Profile.to_string p in
+  (match Profile.of_string text with
+  | Ok p' -> Alcotest.(check string) "of_string . to_string" text (Profile.to_string p')
+  | Error e -> Alcotest.failf "of_string: %s" e);
+  let db = Moviedb.Personas.tiny_db () in
+  Profile_store.save db ~user:"neg" p;
+  match Profile_store.load db ~user:"neg" with
+  | Ok p' -> Alcotest.(check string) "save then load" text (Profile.to_string p')
+  | Error es -> Alcotest.failf "load: %s" (String.concat "; " es)
+
 let test_store_replace_and_delete () =
   let db = Moviedb.Personas.tiny_db () in
   Profile_store.save db ~user:"u" (Moviedb.Personas.julie ());
@@ -879,6 +905,7 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_store_roundtrip;
           Alcotest.test_case "replace/delete" `Quick test_store_replace_and_delete;
+          Alcotest.test_case "negative literals" `Quick test_store_negative_literals;
           Alcotest.test_case "unknown user / bad rows" `Quick
             test_store_unknown_user_and_bad_rows;
           Alcotest.test_case "index = scan after dump" `Quick

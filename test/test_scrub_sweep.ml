@@ -32,9 +32,9 @@ let copy_dir src dst =
 
 let e cond degree = { Codec.cond; degree }
 
-(* Tiny segments so the fixture spans the whole file-set shape: sealed
-   segments plus a non-empty active WAL. *)
-let cfg = { Store.segment_bytes = 96; compact_segments = 100; fsync = false }
+(* Tiny segments so the fixture spans the whole file-set shape: the
+   sealed segment maintenance writes plus a non-empty active WAL. *)
+let cfg = { Store.segment_bytes = 96; fsync = false }
 
 type kind = Flip_early | Flip_late | Truncate_tail
 
@@ -51,7 +51,7 @@ let corrupt kind path =
       let s = read_file path in
       write_file path (String.sub s 0 (String.length s - 3))
 
-(* Build a pristine store with rotated segments, an active WAL, and a
+(* Build a pristine store with a sealed segment, an active WAL, and a
    tombstone; return it with the oracle state. *)
 let build_fixture () =
   let root = fresh_dir () in
@@ -119,8 +119,8 @@ let check_case label root oracle_revisions =
 let test_sweep () =
   let pristine, oracle_revisions, _ = build_fixture () in
   let files = targets pristine in
-  Alcotest.(check bool) "fixture spans sealed segments and a WAL" true
-    (List.length files >= 2);
+  Alcotest.(check int) "fixture spans one sealed segment and a non-empty WAL" 2
+    (List.length files);
   let cases = ref 0 in
   List.iter
     (fun file ->
@@ -207,7 +207,7 @@ let test_no_manifest () =
       Alcotest.fail "recovery opened a directory without a manifest"
 
 (* A manifest whose wal line names a file that is not there (the last
-   byte of the name changed).  The first open and every rotation create
+   byte of the name changed).  The first open and every maintenance create
    a WAL before the manifest names it, so the name is damage, not an
    empty log: recovery refuses the store naming the MANIFEST, the scrub
    reports the same error, and no file is removed, the WAL the manifest

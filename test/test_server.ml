@@ -1269,6 +1269,84 @@ let rec tree path =
            (List.sort compare (Array.to_list (Sys.readdir path)))
   | false -> [ (path, In_channel.with_open_bin path In_channel.input_all) ]
 
+(* A maintenance that fails after an acknowledged save (a directory
+   where its segment goes: a real I/O error, as a full disk gives) is
+   counted in HEALTH, and the save stands, across a restart too. *)
+let test_failed_maintenance_in_health () =
+  let module Store = Perso_store.Store in
+  let root = fresh_store_root () in
+  Fun.protect ~finally:(fun () -> Relal.Csv.rm_rf root) @@ fun () ->
+  let cfg cfg = { cfg with Server_core.shards = 1; store_dir = Some root } in
+  with_server cfg (fun _t _socket -> ());
+  (* Grow the shard's WAL past the served segment size, so the next
+     append is followed by maintenance; the shard's store holds
+     wal-000001.log, so that step writes seg-000002.dat. *)
+  let shard = Store.shard_dir root 0 in
+  let s = Store.open_ ~config:{ Store.segment_bytes = max_int; fsync = false } shard in
+  Store.save s ~user:"filler" ~revision:1
+    [ { Perso_store.Codec.cond = String.make Store.default_config.segment_bytes 'x'; degree = 0.5 } ];
+  Store.close s;
+  Sys.mkdir (Filename.concat shard "seg-000002.dat") 0o755;
+  let served, health =
+    with_server cfg (fun _t socket ->
+        let served =
+          run_script socket
+            [ "PROFILE SAVE julie [ GENRE.genre = 'drama', 0.8 ]"; "PROFILE LOAD julie" ]
+        in
+        (served, health_of socket))
+  in
+  (match served with
+  | [ ack; _ ] when String.length ack > 4 && String.sub ack 0 4 = "msg:" -> ()
+  | _ -> Alcotest.failf "save not acknowledged: %s" (String.concat " / " served));
+  Alcotest.(check (pair int int)) "store_compact_failures, store_compactions" (1, 0)
+    (stat "store_compact_failures" health, stat "store_compactions" health);
+  let restarted =
+    with_server cfg (fun _t socket -> run_script socket [ "PROFILE LOAD julie" ])
+  in
+  Alcotest.(check (list string)) "a restart serves the save" [ List.nth served 1 ]
+    restarted
+
+(* The loopback TCP listener serves what the Unix socket serves: each
+   request, sent over both back to back, gets the same reply. *)
+let test_tcp_serves () =
+  let port =
+    let probe = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close probe)
+      (fun () ->
+        Unix.bind probe (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+        match Unix.getsockname probe with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> Alcotest.fail "expected an inet address")
+  in
+  with_server
+    (fun cfg -> { cfg with Server_core.tcp_port = Some port })
+    (fun _t socket ->
+      ignore
+        (run_script socket
+           [ "PROFILE SAVE julie [ GENRE.genre = 'comedy', 0.9 ] [ MOVIE.mid = GENRE.mid, 0.9 ]" ]
+          : string list);
+      let tcp = Client.connect_tcp ~wait_ms:1000. ~port () in
+      let local = Client.connect socket in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close tcp;
+          Client.close local)
+        (fun () ->
+          List.iter
+            (fun cmd ->
+              let over_tcp = render_response (Client.request tcp cmd) in
+              if String.starts_with ~prefix:"err:" over_tcp
+                 || String.starts_with ~prefix:"failed:" over_tcp
+              then Alcotest.failf "%s over TCP: %s" cmd over_tcp;
+              Alcotest.(check string) cmd
+                (render_response (Client.request local cmd))
+                over_tcp)
+            [
+              "PING"; "RUN select count(*) as n from movie m";
+              "PERSONALIZE julie " ^ pers_sql; "HEALTH";
+            ]))
+
 (* Each point where [Server.start] can refuse — each listener, the
    marker check, each shard's open and recovery, and the export — with
    one invariant checked at each: no socket file of its own, the root
@@ -1416,6 +1494,8 @@ let () =
           Alcotest.test_case "live socket not taken over" `Quick
             test_live_socket_refused;
           Alcotest.test_case "held TCP port refused" `Quick test_tcp_port_held;
+          Alcotest.test_case "TCP serves what the socket serves" `Quick
+            test_tcp_serves;
         ] );
       ( "profile-bounds",
         [
@@ -1447,6 +1527,8 @@ let () =
             test_refused_starts_close_stores;
           Alcotest.test_case "every refusal point of a start" `Quick
             test_refusal_points;
+          Alcotest.test_case "a failed maintenance is counted in HEALTH" `Quick
+            test_failed_maintenance_in_health;
         ] );
       ( "catalog",
         [

@@ -51,6 +51,41 @@ let test_lexer_errors () =
       "select 99999999999999999999 as n from movie m";
     ]
 
+(* A [-] before a digit is a literal's sign: every finite number the
+   printer writes reads back as itself and prints again the same, the
+   extremes and negative zero included. *)
+let test_lexer_negative_literals () =
+  List.iter
+    (fun v ->
+      let pred = Sql_ast.P_cmp (Eq, S_attr (Sql_ast.attr "a" "x"), S_const v) in
+      let printed = Sql_print.pred_to_string pred in
+      let parsed = Sql_parser.parse_pred printed in
+      Alcotest.(check string) printed printed (Sql_print.pred_to_string parsed);
+      match (v, parsed) with
+      | Value.Float f, P_cmp (Eq, _, S_const (Value.Float f')) ->
+          Alcotest.(check bool) (printed ^ " bit for bit") true
+            (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f'))
+      | _, P_cmp (Eq, _, S_const v') ->
+          Alcotest.(check bool) (printed ^ " value") true (Value.equal v v')
+      | _ -> Alcotest.failf "%s: not a comparison" printed)
+    Value.
+      [
+        Int 0; Int 1; Int (-1); Int min_int; Int max_int; Float 0.; Float 1.;
+        Float (-1.); Float (-0.); Float (-1.5); Float (-1e-05); Float (-0.5);
+      ];
+  let open Sql_lexer in
+  (match tokenize "m.year > -5 and -.5 < 1e-5" with
+  | [ IDENT "m"; DOT; IDENT "year"; GT; INT (-5); KW "and"; FLOAT a; LT; FLOAT b; EOF ] ->
+      Alcotest.(check (float 0.)) "-.5" (-0.5) a;
+      Alcotest.(check (float 0.)) "1e-5" 1e-5 b
+  | _ -> Alcotest.fail "unexpected tokenization");
+  (* a dash before anything else is still no token *)
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "%S refused" text) true
+        (match tokenize text with _ -> false | exception Lex_error _ -> true))
+    [ "a - 5"; "-a"; "--5"; "-."; "- .5" ]
+
 (* ------------------------------ Parser ------------------------------ *)
 
 let parse = Sql_parser.parse
@@ -193,7 +228,7 @@ let gen_pred =
     oneof
       [
         map (fun a -> Sql_ast.S_attr a) attr_g;
-        map (fun i -> Sql_ast.S_const (Value.Int i)) small_int;
+        map (fun i -> Sql_ast.S_const (Value.Int i)) small_signed_int;
         map (fun s -> Sql_ast.S_const (Value.Str s)) (oneofl [ "v"; "it's"; "" ]);
       ]
   in
@@ -695,6 +730,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_lexer_basic;
           Alcotest.test_case "numbers" `Quick test_lexer_numbers;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "negative literals" `Quick test_lexer_negative_literals;
         ] );
       ( "parser",
         [

@@ -1,6 +1,5 @@
 (* The log-structured profile store: codec round trips, WAL tail
-   classification, rotation, compaction, recovery, and damage
-   detection. *)
+   classification, maintenance, recovery, and damage detection. *)
 
 open Perso_store
 
@@ -143,8 +142,30 @@ let test_wal_append_read () =
 
 (* ------------------------------- store ------------------------------ *)
 
-let small_config =
-  { Store.default_config with segment_bytes = 128; fsync = false }
+let small_config = { Store.segment_bytes = 128; fsync = false }
+
+let files_in dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let has_prefix prefix name =
+  String.length name >= String.length prefix
+  && String.sub name 0 (String.length prefix) = prefix
+
+(* What any maintenance leaves: the manifest, one segment and an empty
+   WAL, the two files it names. *)
+let check_maintained ctx dir =
+  match files_in dir with
+  | [ "MANIFEST"; seg; wal ] when has_prefix "seg-" seg && has_prefix "wal-" wal ->
+      Alcotest.(check int) (ctx ^ ": empty WAL") 0
+        (String.length (read_file (Filename.concat dir wal)));
+      Alcotest.(check (option (pair (list string) string)))
+        (ctx ^ ": the manifest names them")
+        (Some ([ seg ], wal))
+        (Option.map
+           (fun (sealed, wal) -> (List.map fst sealed, wal))
+           (Store.read_manifest dir))
+  | files ->
+      Alcotest.failf "%s: expected MANIFEST, one segment and one WAL, got %s" ctx
+        (String.concat " " files)
 
 let test_store_basics () =
   let dir = fresh_dir () in
@@ -171,7 +192,7 @@ let test_store_basics () =
 let test_reopen_replays () =
   let dir = fresh_dir () in
   let s = Store.open_ ~config:small_config dir in
-  (* enough traffic to force several rotations *)
+  (* enough traffic to reach maintenance several times *)
   for i = 1 to 40 do
     Store.save s
       ~user:(Printf.sprintf "u%02d" (i mod 7))
@@ -181,9 +202,9 @@ let test_reopen_replays () =
   Store.delete s ~user:"u03" ~revision:41;
   let want_users = Store.users s in
   let want_revs = Store.revisions s in
-  let rotations = (Store.stats s).Store.rotations in
+  let maintenances = (Store.stats s).Store.compactions in
   Store.close s;
-  Alcotest.(check bool) "rotated" true (rotations > 0);
+  Alcotest.(check bool) "maintained" true (maintenances > 1);
   let s' = Store.open_ ~config:small_config dir in
   Alcotest.(check (list string)) "users survive" want_users (Store.users s');
   Alcotest.(check (list (pair string int)))
@@ -206,6 +227,7 @@ let test_compaction () =
   let st = Store.stats s in
   Alcotest.(check int) "one sealed segment" 1 st.Store.segments;
   Alcotest.(check bool) "compacted" true (st.Store.compactions > 0);
+  check_maintained "compact_now" dir;
   Alcotest.(check (list string)) "live users" [ "u1"; "u2" ] (Store.users s);
   Store.close s;
   (* the compacted state recovers *)
@@ -217,6 +239,177 @@ let test_compaction () =
   Alcotest.(check bool) "u1 content intact" true
     (Store.load s' ~user:"u1" <> None);
   Store.close s'
+
+(* ---------------------------- maintenance ---------------------------- *)
+
+let frame_bytes record = Wal.header_bytes + String.length (Codec.encode_record record)
+
+(* A fresh store holds wal-000001.log, so its first maintenance writes
+   seg-000002.dat; a directory there fails that step with a real I/O
+   error, as a full or failing disk would. *)
+let squat_first_segment dir =
+  let squat = Filename.concat dir "seg-000002.dat" in
+  Sys.mkdir squat 0o755;
+  squat
+
+(* The append a maintenance follows is durable before the step runs, so
+   a failed step is counted and the save returns; the record survives a
+   reopen, and the next attempt waits for the same growth again. *)
+let test_failed_maintenance_keeps_save () =
+  let dir = fresh_dir () in
+  let config = { Store.segment_bytes = 256; fsync = false } in
+  let s = Store.open_ ~config dir in
+  Store.save s ~user:"julie" ~revision:1 [ e "a" 0.9 ];
+  Store.save s ~user:"julie" ~revision:2 [ e "b" 0.8 ];
+  let squat = squat_first_segment dir in
+  let before = files_in dir in
+  let big n = [ e (String.make 300 n) 0.7 ] in
+  Store.save s ~user:"julie" ~revision:3 (big 'c');
+  let st = Store.stats s in
+  Alcotest.(check (pair int int)) "one failure, no maintenance" (1, 0)
+    (st.Store.compact_failures, st.Store.compactions);
+  Alcotest.(check (list string)) "the step's new files removed" before (files_in dir);
+  Store.close s;
+  let s = Store.open_ ~config dir in
+  Alcotest.(check (option entries_t)) "the save is durable" (Some (big 'c'))
+    (Store.load s ~user:"julie");
+  Alcotest.(check int) "and its revision" 3 (Store.revision s ~user:"julie");
+  (* Reopened, the WAL is past the trigger: the next append's step meets
+     the directory again; after it, a small append starts none. *)
+  Store.save s ~user:"bob" ~revision:1 [ e "d" 0.5 ];
+  Store.save s ~user:"bob" ~revision:2 [ e "e" 0.5 ];
+  Alcotest.(check (pair int int)) "one attempt until the WAL grows again" (1, 0)
+    ((Store.stats s).Store.compact_failures, (Store.stats s).Store.compactions);
+  (* grown again: the step takes fresh file numbers and commits *)
+  Store.save s ~user:"julie" ~revision:4 (big 'f');
+  Alcotest.(check (pair int int)) "the next attempt commits" (1, 1)
+    ((Store.stats s).Store.compact_failures, (Store.stats s).Store.compactions);
+  Sys.rmdir squat;
+  check_maintained "after the failure" dir;
+  Store.close s;
+  let s = Store.open_ ~config dir in
+  Alcotest.(check (option entries_t)) "julie" (Some (big 'f')) (Store.load s ~user:"julie");
+  Alcotest.(check (option entries_t)) "bob" (Some [ e "e" 0.5 ]) (Store.load s ~user:"bob");
+  Store.close s
+
+(* The same failure under a profile save: no error, and what memory
+   serves is what a restart restores. *)
+let test_profile_save_through_failed_maintenance () =
+  let module PS = Perso.Profile_store in
+  let profile title =
+    Perso.Profile.of_list
+      [ (Perso.Atom.sel "movie" "title" (Relal.Value.Str title), Perso.Degree.of_float 0.9) ]
+  in
+  let dir = fresh_dir () in
+  let config = { Store.segment_bytes = 256; fsync = false } in
+  let db = Relal.Database.create () in
+  PS.install db;
+  let s = Store.open_ ~config dir in
+  PS.attach db s;
+  PS.save db ~user:"julie" (profile "a");
+  PS.save db ~user:"julie" (profile "b");
+  ignore (squat_first_segment dir : string);
+  let third = profile (String.make 300 'c') in
+  PS.save db ~user:"julie" third;
+  Alcotest.(check int) "failure counted" 1 (Store.stats s).Store.compact_failures;
+  Alcotest.(check (pair int int)) "registry and store agree on the revision" (3, 3)
+    (PS.revision db ~user:"julie", Store.revision s ~user:"julie");
+  let served db =
+    match PS.load db ~user:"julie" with
+    | Ok p -> Perso.Profile.to_string p
+    | Error errs -> Alcotest.failf "load: %s" (String.concat "; " errs)
+  in
+  let in_memory = served db in
+  Alcotest.(check string) "memory serves the save" (Perso.Profile.to_string third)
+    in_memory;
+  Store.close s;
+  let restarted = Relal.Database.create () in
+  let s = Store.open_ ~config dir in
+  PS.restore restarted s;
+  Alcotest.(check string) "a restart restores what memory served" in_memory
+    (served restarted);
+  Store.close s
+
+(* With L live bytes (a fixed set of users saved again and again),
+   appending A bytes runs at most ceil(A / max(segment_bytes, L)) + 1
+   maintenances, each leaving one segment and an empty WAL. *)
+let test_amortized ~segment_bytes ~users ~live_vs_segment () =
+  let dir = fresh_dir () in
+  let s = Store.open_ ~config:{ Store.segment_bytes; fsync = false } dir in
+  let save user revision =
+    let entries = [ e (Printf.sprintf "COND.%s = 'x'" user) 0.5 ] in
+    let n = (Store.stats s).Store.compactions in
+    Store.save s ~user ~revision entries;
+    if (Store.stats s).Store.compactions > n then
+      check_maintained (Printf.sprintf "%s at %d" user revision) dir;
+    frame_bytes (Codec.Put { user; revision; entries })
+  in
+  let names = List.init users (Printf.sprintf "u%03d") in
+  let live = List.fold_left (fun acc user -> acc + save user 1) 0 names in
+  Alcotest.(check int) "live bytes against segment_bytes" live_vs_segment
+    (compare live segment_bytes);
+  let before = (Store.stats s).Store.compactions in
+  let appended = ref 0 in
+  for revision = 2 to 60 do
+    List.iter (fun user -> appended := !appended + save user revision) names
+  done;
+  let runs = (Store.stats s).Store.compactions - before in
+  let every = max segment_bytes live in
+  let bound = ((!appended + every - 1) / every) + 1 in
+  if runs > bound || runs < bound - 3 then
+    Alcotest.failf "%d maintenances for %d bytes appended (L = %d): expected %d at most, \
+                    and no fewer than %d" runs !appended live bound (bound - 3);
+  Alcotest.(check int) "no failure" 0 (Store.stats s).Store.compact_failures;
+  Store.close s
+
+(* The layout earlier builds wrote: sealed WALs beside a compacted
+   segment, three sealed files in all, and an active WAL.  It opens
+   with every record, revision and tombstone, and its first maintenance
+   leaves one segment. *)
+let test_earlier_layout () =
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  let put user revision cond = Codec.Put { user; revision; entries = [ e cond 0.5 ] } in
+  let sealed =
+    [
+      ("seg-000004.dat", [ put "ann" 1 "a1"; put "bob" 1 "b1"; put "carl" 1 "c1" ]);
+      ("wal-000005.log", [ put "ann" 2 "a2"; Codec.Delete { user = "bob"; revision = 2 } ]);
+      ("wal-000006.log", [ put "dana" 1 "d1"; put "carl" 2 "c2" ]);
+    ]
+  and wal = ("wal-000007.log", [ put "erin" 1 "e1"; put "ann" 3 "a3" ]) in
+  let write (name, records) =
+    let data = String.concat "" (List.map (fun r -> Wal.frame (Codec.encode_record r)) records) in
+    write_file (Filename.concat dir name) data;
+    Printf.sprintf "segment %s %d\n" name (String.length data)
+  in
+  let segment_lines = List.map write sealed in
+  ignore (write wal : string);
+  write_file (Filename.concat dir "MANIFEST")
+    (String.concat "" (("perso-store 1\n" :: segment_lines) @ [ "wal wal-000007.log\n" ]));
+  let expect ctx s =
+    Alcotest.(check (list (pair string int)))
+      (ctx ^ ": revisions, the tombstone's included")
+      [ ("ann", 3); ("bob", 2); ("carl", 2); ("dana", 1); ("erin", 1) ]
+      (Store.revisions s);
+    Alcotest.(check (list (pair string (option entries_t))))
+      (ctx ^ ": latest records")
+      [
+        ("ann", Some [ e "a3" 0.5 ]); ("bob", None); ("carl", Some [ e "c2" 0.5 ]);
+        ("dana", Some [ e "d1" 0.5 ]); ("erin", Some [ e "e1" 0.5 ]);
+      ]
+      (List.map (fun u -> (u, Store.load s ~user:u)) [ "ann"; "bob"; "carl"; "dana"; "erin" ])
+  in
+  let s = Store.open_ ~config:small_config dir in
+  expect "opened" s;
+  Alcotest.(check int) "three sealed segments" 3 (Store.stats s).Store.segments;
+  Store.compact_now s;
+  expect "maintained" s;
+  Alcotest.(check int) "one segment" 1 (Store.stats s).Store.segments;
+  check_maintained "first maintenance" dir;
+  Store.close s;
+  let s = Store.open_ ~config:small_config dir in
+  expect "reopened" s;
+  Store.close s
 
 (* ------------------------------ damage ------------------------------ *)
 
@@ -479,6 +672,19 @@ let () =
           Alcotest.test_case "basics" `Quick test_store_basics;
           Alcotest.test_case "reopen replays" `Quick test_reopen_replays;
           Alcotest.test_case "compaction" `Quick test_compaction;
+        ] );
+      ( "maintenance",
+        [
+          Alcotest.test_case "a failed step keeps the save" `Quick
+            test_failed_maintenance_keeps_save;
+          Alcotest.test_case "profile save through a failed step" `Quick
+            test_profile_save_through_failed_maintenance;
+          Alcotest.test_case "amortized, live bytes below segment_bytes" `Quick
+            (test_amortized ~segment_bytes:2048 ~users:8 ~live_vs_segment:(-1));
+          Alcotest.test_case "amortized, live bytes above segment_bytes" `Quick
+            (test_amortized ~segment_bytes:128 ~users:24 ~live_vs_segment:1);
+          Alcotest.test_case "earlier layout: three sealed segments" `Quick
+            test_earlier_layout;
         ] );
       ( "damage",
         [

@@ -25,7 +25,7 @@ let fresh_dir () =
   Sys.remove f;
   f
 
-let config = { Store.segment_bytes = 96; compact_segments = 2; fsync = false }
+let config = { Store.segment_bytes = 96; fsync = false }
 
 let e cond degree = { Codec.cond; degree }
 
@@ -198,6 +198,9 @@ let test_clean_control () =
   let oracle = List.fold_left apply SMap.empty ops in
   List.iter (run_op s) ops;
   check_state ~ctx:"control" s (state_of_oracle oracle);
+  let explicit = List.length (List.filter (fun op -> op = Compact) ops) in
+  Alcotest.(check bool) "the workload reaches automatic maintenance twice" true
+    ((Store.stats s).Store.compactions - explicit >= 2);
   Store.close s;
   let s' = Store.open_ ~config dir in
   check_state ~ctx:"control reopen" s' (state_of_oracle oracle);
