@@ -76,7 +76,8 @@ sim: build
 # allocated-words count for every figure.  The served-shape figures are
 # served_mq_k5 and served_mq_k5_pinned (queries whose own WHERE pins
 # their projection).  The sq_integrate section times Integrate.sq alone
-# at (K, L) = (20, 3), (30, 3) and (40, 4).
+# at (K, L) = (20, 3), (30, 3) and (40, 4); the join_kernels section an
+# index-nested-loop join and an int- and a string-keyed hash join.
 bench-exec: build
 	BENCH_SCALE=quick BENCH_EXEC_OUT=$(BENCH_JSON) dune exec bench/main.exe -- exec
 	python3 -m json.tool $(BENCH_JSON) > /dev/null
@@ -92,7 +93,11 @@ bench-exec: build
 	pts=d.get('sq_integrate', {}).get('points', []); \
 	ok=[(p['k'], p['l']) for p in pts if p['calls'] > 0 and p['words_per_call'] > 0] == [(20, 3), (30, 3), (40, 4)]; \
 	sys.exit(0 if ok else sys.stderr.write('bench-exec: no sq_integrate points at (K, L) = (20, 3), (30, 3), (40, 4)\n') or 1)" \
-	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 and served_mq_k5_pinned among them, + sharded_store + sq_integrate)"
+	  && python3 -c "import json,sys; d=json.load(open('$(BENCH_JSON)')); \
+	ks=d.get('join_kernels', []); \
+	ok=[k['name'] for k in ks if k['ns_per_probe_row'] > 0 and k['words_per_call'] > 0] == ['inlj_directed_movie', 'hash_int_cast_movie', 'hash_str_cast_movie']; \
+	sys.exit(0 if ok else sys.stderr.write('bench-exec: no join_kernels figures with positive ns_per_probe_row and words_per_call\n') or 1)" \
+	  && echo "bench-exec: OK (see $(BENCH_JSON): figures with words per query, served_mq_k5 and served_mq_k5_pinned among them, + sharded_store + sq_integrate + join_kernels)"
 
 # Alternating A/B of the working tree against REV over the repository
 # benchmark (BENCHMARK.json, bench/perf/): PAIRS pairs per

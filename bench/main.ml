@@ -646,6 +646,61 @@ let sq_integrate_points db =
       (k, l, List.length calls, ms /. n, words /. n, refused, conflicting))
     [ (20, 3); (30, 3); (40, 4) ]
 
+(* Three joins through [Exec.run], each query bound once: ns per probe
+   row (the call's time over its probe side's rows) and words per call.
+   - [inlj_directed_movie]: every [directed] row (2,000 at default
+     scale) probes [movie.mid]'s index;
+   - [hash_int_cast_movie]: on an unindexed copy of the catalog, the
+     [cast] rows of one role, a table of their own so that no filter
+     runs in the call, are the build side of a hash join that every
+     movie probes on the int [mid];
+   - [hash_str_cast_movie]: the same shape with both [mid] columns
+     stored as strings, which hash: the control that value-indexed
+     chains leave alone. *)
+let join_kernels () =
+  let open Relal in
+  let indexed = Lazy.force db in
+  let plain =
+    Moviedb.Datagen.generate ~index:false (Moviedb.Datagen.scale ~seed:42 scale.movies)
+  in
+  let add name cols rows =
+    Database.add_table plain (Schema.make ~name ~cols ());
+    List.iter (fun row -> Table.insert (Database.table plain name) row) rows
+  in
+  let lead =
+    List.filter
+      (fun row -> Value.equal row.(3) (Value.Str "lead"))
+      (Table.to_list (Database.table plain "cast"))
+  in
+  let movies = Table.to_list (Database.table plain "movie") in
+  let str = function Value.Int i -> Value.Str (string_of_int i) | v -> v in
+  add "lead_cast" [ ("mid", Value.TInt) ] (List.map (fun row -> [| row.(0) |]) lead);
+  add "lead_cast_s" [ ("mid", Value.TStr) ] (List.map (fun row -> [| str row.(0) |]) lead);
+  add "movie_s"
+    [ ("mid", Value.TStr); ("year", Value.TInt) ]
+    (List.map (fun row -> [| str row.(0); row.(2) |]) movies);
+  List.map
+    (fun (name, db, probe_table, sql) ->
+      let q = Binder.bind db (Sql_parser.parse sql) in
+      let pass () = List.length (Exec.run db q).Exec.rows in
+      let rows, _, ms, words = measure_pass pass in
+      let probes = Table.cardinality (Database.table db probe_table) in
+      (name, probes, rows, ms *. 1e6 /. float_of_int (max 1 probes), words))
+    [
+      ( "inlj_directed_movie",
+        indexed,
+        "directed",
+        "select m.year from directed d, movie m where d.mid = m.mid" );
+      ( "hash_int_cast_movie",
+        plain,
+        "movie",
+        "select m.year from lead_cast c, movie m where c.mid = m.mid" );
+      ( "hash_str_cast_movie",
+        plain,
+        "movie_s",
+        "select m.year from lead_cast_s c, movie_s m where c.mid = m.mid" );
+    ]
+
 let bench_exec () =
   let db = Lazy.force db in
   let personalized ~method_ ~k ~l ~size ~seed0 =
@@ -739,6 +794,14 @@ let bench_exec () =
       figures
   in
   let total_ms = List.fold_left (fun a (_, _, _, ms, _, _) -> a +. ms) 0. results in
+  let kernels = join_kernels () in
+  Printf.printf "\n## Join kernels (Exec.run, one query bound once)\n";
+  Printf.printf "%-22s %10s %8s %18s %14s\n" "join" "probe_rows" "rows"
+    "ns_per_probe_row" "words_per_call";
+  List.iter
+    (fun (name, probes, rows, ns, words) ->
+      Printf.printf "%-22s %10d %8d %18.1f %14.0f\n%!" name probes rows ns words)
+    kernels;
   let sq_points = sq_integrate_points db in
   Printf.printf
     "\n## SQ integration (Integrate.sq alone; %d profiles of 200 selections x %d queries)\n"
@@ -839,6 +902,16 @@ let bench_exec () =
         (if i = List.length store_results - 1 then "" else ","))
     store_results;
   Printf.fprintf oc "  ]},\n";
+  Printf.fprintf oc "  \"join_kernels\": [\n";
+  List.iteri
+    (fun i (name, probes, rows, ns, words) ->
+      Printf.fprintf oc
+        "    {\"name\": %S, \"probe_rows\": %d, \"rows\": %d, \"ns_per_probe_row\": \
+         %.1f, \"words_per_call\": %.0f}%s\n"
+        name probes rows ns words
+        (if i = List.length kernels - 1 then "" else ","))
+    kernels;
+  Printf.fprintf oc "  ],\n";
   Printf.fprintf oc "  \"sq_integrate\": {\"profiles\": %d, \"queries\": %d, \"points\": [\n"
     scale.profiles scale.queries;
   List.iteri
@@ -1136,7 +1209,8 @@ let root_open () =
     users selections rows shards runs create_ms reopen_ms
 
 (* The I/O face of Figure 6: profile size drives record size, which
-   drives save (WAL append + fsync) and point-load latency.  Also times
+   drives save (WAL append + fsync) and point-load latency, each the
+   median of [cell_reps] timed passes over the size's users.  Also times
    what only a durable tier has — cold recovery (reopen replaying
    sealed segments + WAL), compaction, and a server root's first open
    ([root_open]).  Writes BENCH_STORE.json (override with
@@ -1174,19 +1248,19 @@ let bench_store () =
           List.mapi (fun i _ -> Printf.sprintf "s%d-u%03d" n_selections i)
             entries
         in
-        let (), save_ms =
-          time (fun () ->
+        (* A pass saves, or loads, every user once; each figure is the
+           median pass after a warm-up ([measure_pass]). *)
+        let (), _, save_ms, _ =
+          measure_pass (fun () ->
               List.iter2
                 (fun user es ->
                   incr rev;
                   Store.save !s ~user ~revision:!rev es)
                 usernames entries)
         in
-        let (), load_ms =
-          time (fun () ->
-              List.iter
-                (fun user -> ignore (Store.load !s ~user))
-                usernames)
+        let (), _, load_ms, _ =
+          measure_pass (fun () ->
+              List.iter (fun user -> ignore (Store.load !s ~user)) usernames)
         in
         let ops = float_of_int users_per_size in
         Printf.printf
@@ -1221,10 +1295,11 @@ let bench_store () =
   let oc = open_out path in
   json_header oc "store";
   Printf.fprintf oc
-    "  \"movies\": %d,\n\
+    "  \"reps\": %d,\n\
+    \  \"movies\": %d,\n\
     \  \"users_per_size\": %d,\n\
     \  \"sizes\": [\n"
-    movies users_per_size;
+    cell_reps movies users_per_size;
   List.iteri
     (fun i (n, save_ms, load_ms) ->
       Printf.fprintf oc

@@ -89,47 +89,49 @@ let col_idx_exn v a =
   | Some i -> i
   | None -> err "executor: unresolved attribute %s.%s" a.tv a.col
 
-(* Compiled column accessor: resolves the part and local column once and
-   returns a closure reading the value of output row [r].  This is the
-   cached form of the seed's per-row [col_idx] + [Array.append]-widened
-   row indexing. *)
-let reader v gi =
+(* Column [gi] of [v], resolved once: its part's storage rows, the
+   part's row ids, and the column within the part.  Output row [r]'s
+   value is [rows.(rid.(r)).(lc)], which a join kernel's loop reads with
+   no closure call per row. *)
+let column v gi =
   let np = Array.length v.parts in
   let rec find p =
     if p >= np then err "executor: column %d out of range" gi
     else begin
       let { batch; off; width } = v.parts.(p) in
-      if gi >= off && gi < off + width then begin
-        let rows = Batch.unsafe_rows batch in
-        let rid = v.rids.(p) in
-        let lc = gi - off in
-        fun r -> rows.(rid.(r)).(lc)
-      end
+      if gi >= off && gi < off + width then
+        (Batch.unsafe_rows batch, v.rids.(p), gi - off)
       else find (p + 1)
     end
   in
   find 0
 
-let attr_reader v a = reader v (col_idx_exn v a)
+(* Compiled column accessor: a closure reading the value of output row
+   [r] through [column]. *)
+let attr_reader v a =
+  let rows, rid, lc = column v (col_idx_exn v a) in
+  fun r -> rows.(rid.(r)).(lc)
 
-(* Keep output rows whose index is in [sel] (in [sel] order). *)
-let select_rows v sel =
-  let n = Array.length sel in
-  {
-    v with
-    nrows = n;
-    rids = Array.map (fun rid -> Array.init n (fun i -> rid.(sel.(i)))) v.rids;
-  }
+(* [rid.(sel.(i))] for each of [sel]'s first [n] entries. *)
+let gather rid sel n =
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    out.(i) <- rid.(sel.(i))
+  done;
+  out
+
+(* Keep the output rows [sel.(0)] .. [sel.(n - 1)], in that order. *)
+let select_rows v sel n =
+  { v with nrows = n; rids = Array.map (fun rid -> gather rid sel n) v.rids }
 
 (* Concatenate two views row-wise under selection vectors: output row i
-   is left row lsel.(i) widened with right row rsel.(i) — except nothing
-   is widened; both sides' rid columns are gathered and the right part
-   offsets shifted.  This is the join "materialization" step: O(parts)
-   int-array gathers, no value copies. *)
-let join_vrels left lsel right rsel =
+   (i < n) is left row lsel.(i) widened with right row rsel.(i) — except
+   nothing is widened; both sides' rid columns are gathered and the right
+   part offsets shifted.  This is the join "materialization" step:
+   O(parts) int-array gathers, no value copies.  The vectors may be
+   longer than [n]. *)
+let join_vrels left lsel right rsel n =
   let lw = Array.length left.header in
-  let n = Array.length lsel in
-  let gather rid sel = Array.init n (fun i -> rid.(sel.(i))) in
   {
     header = Array.append left.header right.header;
     parts =
@@ -138,23 +140,23 @@ let join_vrels left lsel right rsel =
     nrows = n;
     rids =
       Array.append
-        (Array.map (fun rid -> gather rid lsel) left.rids)
-        (Array.map (fun rid -> gather rid rsel) right.rids);
+        (Array.map (fun rid -> gather rid lsel n) left.rids)
+        (Array.map (fun rid -> gather rid rsel n) right.rids);
   }
 
 (* Like [join_vrels] but the right side is a raw base batch whose row ids
-   are already the selection vector (index-nested-loop output). *)
+   are already the selection vector (index-nested-loop output), both
+   vectors exactly [n] long. *)
 let append_base left lsel bh batch bsel =
   let lw = Array.length left.header in
   let n = Array.length lsel in
-  let gather rid = Array.init n (fun i -> rid.(lsel.(i))) in
   {
     header = Array.append left.header bh;
     parts =
       Array.append left.parts
         [| { batch; off = lw; width = Array.length bh } |];
     nrows = n;
-    rids = Array.append (Array.map gather left.rids) [| bsel |];
+    rids = Array.append (Array.map (fun rid -> gather rid lsel n) left.rids) [| bsel |];
   }
 
 (* Growable int array for selection vectors and rid-pair output. *)
@@ -171,8 +173,6 @@ module Ibuf = struct
     end;
     b.a.(b.n) <- i;
     b.n <- b.n + 1
-
-  let to_array b = Array.sub b.a 0 b.n
 end
 
 (* A FROM item the join loop has not touched yet.  Base tables stay lazy
@@ -304,11 +304,25 @@ let compile_base_pred alias tbl p =
       fun bi -> rows.(bi).(ci))
     p
 
-(* Reorder (current, base) row-id pairs into the order [hash_join] emits
-   when it builds on the current side and probes with the base table's
-   filtered rows: base row ascending, then current row descending. *)
-let hash_join_order csel bsel =
-  let perm = Array.init (Array.length csel) Fun.id in
+(* [Some (lo, hi)] when the [n] values [key 0] .. [key (n - 1)] are all
+   ints ({!Value.int_key}) and span [lo .. hi], a {!Table.dense} span:
+   the keys a join's chains can be indexed by. *)
+let int_span n key =
+  let rec go r lo hi =
+    if r = n then if Table.dense ~lo ~hi n then Some (lo, hi) else None
+    else
+      let k = Value.int_key (key r) in
+      if k = min_int then None
+      else go (r + 1) (if k < lo then k else lo) (if k > hi then k else hi)
+  in
+  go 0 max_int min_int
+
+(* Reorder the first [n] (current, base) row-id pairs into the order
+   [hash_join] emits when it builds on the current side and probes with
+   the base table's filtered rows: base row ascending, then current row
+   descending. *)
+let hash_join_order csel bsel n =
+  let perm = Array.init n Fun.id in
   Array.stable_sort
     (fun i j ->
       match Int.compare bsel.(i) bsel.(j) with
@@ -613,103 +627,127 @@ and filter_vrel gov v preds =
         if f r then Ibuf.add sel r
       done;
       g_rows gov sel.Ibuf.n;
-      if sel.Ibuf.n = v.nrows then v else select_rows v (Ibuf.to_array sel)
+      if sel.Ibuf.n = v.nrows then v else select_rows v sel.Ibuf.a sel.Ibuf.n
 
-(* Hash join producing row-id pairs.  The build side is a chained hash
-   table in two int arrays: [head.(s)] is the last build row whose key
-   hash falls in slot [s] (-1 if none), and [next.(r)] the build row
-   before [r] in its slot's chain.  Rows are pushed in ascending order,
-   so every chain runs in descending row order, and a probe row meets
-   its matches build row descending.  No key arrays, no per-row boxes:
-   probe hits verify the actual key values.  Output rows are (left-id,
-   right-id) selection vectors handed to [join_vrels] — tuples are not
-   widened here. *)
+(* Hash join producing row-id pairs.  The build side is a chained table
+   in two int arrays: [head.(s)] is the last build row in slot [s] (-1 if
+   none), and [next.(r)] the build row before [r] in its slot's chain.
+   Rows are pushed in ascending order, so every chain runs in descending
+   row order, and a probe row meets its matches build row descending.
+   A single key whose build values are all ints ({!Value.int_key}) in a
+   {!Table.dense} span, which one pass over them finds out, indexes the
+   slots by key value: a chain then holds exactly one key's rows, and a
+   probe reads its slot with no hash and no comparison.  Any other build
+   side hashes its keys into a power-of-two table, and a probe verifies
+   each candidate's key values.  No key arrays, no per-row boxes.  Output
+   rows are (left-id, right-id) selection vectors handed to
+   [join_vrels] — tuples are not widened here. *)
 and hash_join gov left right keys =
-  let lread =
-    Array.of_list (List.map (fun (a, _) -> attr_reader left a) keys)
-  in
-  let rread =
-    Array.of_list (List.map (fun (_, b) -> attr_reader right b) keys)
-  in
-  let nk = Array.length lread in
   (* Build on the smaller input. *)
   let swap = right.nrows < left.nrows in
-  let bread, bn, pread, pn =
-    if swap then (rread, right.nrows, lread, left.nrows)
-    else (lread, left.nrows, rread, right.nrows)
+  let build, probe = if swap then (right, left) else (left, right) in
+  let bkeys, pkeys =
+    if swap then (List.map snd keys, List.map fst keys)
+    else (List.map fst keys, List.map snd keys)
   in
-  let hash_row reads r =
-    let h = ref 17 in
-    for i = 0 to nk - 1 do
-      h := (!h * 31) + Value.hash (reads.(i) r)
-    done;
-    !h
-  in
-  Chaos.point Chaos.Join_build;
+  let bn = build.nrows and pn = probe.nrows in
+  let bsel = Ibuf.create () and psel = Ibuf.create () in
   (* A power of two at least [bn]: one slot per build row or more. *)
-  let slots =
+  let hash_slots () =
     let rec grow s = if s >= bn then s else grow (2 * s) in
     grow 1
   in
-  let mask = slots - 1 in
-  let head = Array.make slots (-1) and next = Array.make bn (-1) in
-  let push r h =
-    let s = h land mask in
-    next.(r) <- head.(s);
-    head.(s) <- r
-  in
-  if nk = 1 then begin
-    let bread0 = bread.(0) in
-    for r = 0 to bn - 1 do
-      g_poll gov;
-      push r (Value.hash (bread0 r))
-    done
-  end
-  else
-    for r = 0 to bn - 1 do
-      g_poll gov;
-      push r (hash_row bread r)
-    done;
-  Chaos.point Chaos.Join_probe;
-  (* Single-key joins (the overwhelmingly common case) skip the key loop:
-     one hash, one reader call, one equality per candidate. *)
-  let bsel = Ibuf.create () and psel = Ibuf.create () in
-  if nk = 1 then begin
-    let bread0 = bread.(0) and pread0 = pread.(0) in
-    for pr = 0 to pn - 1 do
-      g_poll gov;
-      let pv = pread0 pr in
-      let br = ref head.(Value.hash pv land mask) in
-      while !br >= 0 do
-        if Value.equal (bread0 !br) pv then begin
-          Ibuf.add bsel !br;
-          Ibuf.add psel pr
-        end;
-        br := next.(!br)
-      done
-    done
-  end
-  else begin
-    let rec keys_eq br pr i =
-      i >= nk
-      || (Value.equal (bread.(i) br) (pread.(i) pr) && keys_eq br pr (i + 1))
-    in
-    for pr = 0 to pn - 1 do
-      g_poll gov;
-      let br = ref head.(hash_row pread pr land mask) in
-      while !br >= 0 do
-        if keys_eq !br pr 0 then begin
-          Ibuf.add bsel !br;
-          Ibuf.add psel pr
-        end;
-        br := next.(!br)
-      done
-    done
-  end;
-  g_rows gov psel.Ibuf.n;
-  let bsel = Ibuf.to_array bsel and psel = Ibuf.to_array psel in
-  let lsel, rsel = if swap then (psel, bsel) else (bsel, psel) in
-  join_vrels left lsel right rsel
+  let chains slots = (Array.make slots (-1), Array.make bn (-1)) in
+  (match (bkeys, pkeys) with
+  | [ ba ], [ pa ] ->
+      let brows, brid, bc = column build (col_idx_exn build ba) in
+      let prows, prid, pc = column probe (col_idx_exn probe pa) in
+      Chaos.point Chaos.Join_build;
+      (match int_span bn (fun r -> brows.(brid.(r)).(bc)) with
+      | Some (lo, hi) ->
+          let head, next = chains (hi - lo + 1) in
+          for r = 0 to bn - 1 do
+            g_poll gov;
+            let s = Value.int_key brows.(brid.(r)).(bc) - lo in
+            next.(r) <- head.(s);
+            head.(s) <- r
+          done;
+          Chaos.point Chaos.Join_probe;
+          for pr = 0 to pn - 1 do
+            g_poll gov;
+            let k = Value.int_key prows.(prid.(pr)).(pc) in
+            if k >= lo && k <= hi then begin
+              let br = ref head.(k - lo) in
+              while !br >= 0 do
+                Ibuf.add bsel !br;
+                Ibuf.add psel pr;
+                br := next.(!br)
+              done
+            end
+          done
+      | None ->
+          let mask = hash_slots () - 1 in
+          let head, next = chains (mask + 1) in
+          for r = 0 to bn - 1 do
+            g_poll gov;
+            let s = Value.hash brows.(brid.(r)).(bc) land mask in
+            next.(r) <- head.(s);
+            head.(s) <- r
+          done;
+          Chaos.point Chaos.Join_probe;
+          for pr = 0 to pn - 1 do
+            g_poll gov;
+            let pv = prows.(prid.(pr)).(pc) in
+            let br = ref head.(Value.hash pv land mask) in
+            while !br >= 0 do
+              if Value.equal brows.(brid.(!br)).(bc) pv then begin
+                Ibuf.add bsel !br;
+                Ibuf.add psel pr
+              end;
+              br := next.(!br)
+            done
+          done)
+  | _ ->
+      let bread = Array.of_list (List.map (attr_reader build) bkeys) in
+      let pread = Array.of_list (List.map (attr_reader probe) pkeys) in
+      let nk = Array.length bread in
+      let hash_row reads r =
+        let h = ref 17 in
+        for i = 0 to nk - 1 do
+          h := (!h * 31) + Value.hash (reads.(i) r)
+        done;
+        !h
+      in
+      let rec keys_eq br pr i =
+        i >= nk
+        || (Value.equal (bread.(i) br) (pread.(i) pr) && keys_eq br pr (i + 1))
+      in
+      Chaos.point Chaos.Join_build;
+      let mask = hash_slots () - 1 in
+      let head, next = chains (mask + 1) in
+      for r = 0 to bn - 1 do
+        g_poll gov;
+        let s = hash_row bread r land mask in
+        next.(r) <- head.(s);
+        head.(s) <- r
+      done;
+      Chaos.point Chaos.Join_probe;
+      for pr = 0 to pn - 1 do
+        g_poll gov;
+        let br = ref head.(hash_row pread pr land mask) in
+        while !br >= 0 do
+          if keys_eq !br pr 0 then begin
+            Ibuf.add bsel !br;
+            Ibuf.add psel pr
+          end;
+          br := next.(!br)
+        done
+      done);
+  let n = psel.Ibuf.n in
+  g_rows gov n;
+  let bsel = bsel.Ibuf.a and psel = psel.Ibuf.a in
+  if swap then join_vrels left psel right bsel n
+  else join_vrels left bsel right psel n
 
 and cross_product gov left right =
   let n = left.nrows * right.nrows in
@@ -727,7 +765,7 @@ and cross_product gov left right =
     done;
     g_poll gov
   done;
-  join_vrels left lsel right rsel
+  join_vrels left lsel right rsel n
 
 (* Push a base table's local predicates down, choosing an access path:
    if some equality predicate lands on an indexed column the matching row
@@ -774,10 +812,13 @@ and filtered_source gov ~preds alias tbl : source =
    checked on each match.  Cost is proportional to |current| plus the
    matches — never a scan of the base table — and the output is row-id
    pairs into [current] and the table batch, current row ascending, then
-   base row descending.  With [?filter], the table's local predicates,
-   it stands in for a hash join with the table's filtered view: each
-   match must also pass [filter], and the pairs come in that hash join's
-   order ([hash_join_order]). *)
+   base row descending.  A first pass probes each current row once,
+   keeping its bucket, and sums the buckets' lengths, so the selection
+   vectors are allocated once at their final size (an upper bound when
+   matches are checked).  With [?filter], the table's
+   local predicates, it stands in for a hash join with the table's
+   filtered view: each match must also pass [filter], and the pairs come
+   in that hash join's order ([hash_join_order]). *)
 and index_nl_join gov ?filter current keys alias tbl : vrel option =
   let indexed, others =
     List.partition
@@ -788,7 +829,7 @@ and index_nl_join gov ?filter current keys alias tbl : vrel option =
   | [] -> None
   | (pa, pb) :: rest_indexed ->
       let others = rest_indexed @ others in
-      let pread = attr_reader current pa in
+      let prows, prid, pc = column current (col_idx_exn current pa) in
       let bh = base_header alias tbl in
       let brows = Batch.unsafe_rows (Table.batch tbl) in
       let checks =
@@ -807,15 +848,29 @@ and index_nl_join gov ?filter current keys alias tbl : vrel option =
         | None -> err "executor: index vanished on %s.%s" alias pb.col
       in
       Chaos.point Chaos.Join_probe;
+      (* Each current row's bucket, probed once; their lengths sum to the
+         output's size, or bound it when matches are checked. *)
+      let n = current.nrows in
+      let buckets =
+        if n = 0 then [||] else Array.make n (probe prows.(prid.(0)).(pc))
+      in
+      let total = ref 0 in
+      for r = 0 to n - 1 do
+        let b = probe prows.(prid.(r)).(pc) in
+        buckets.(r) <- b;
+        total := !total + b.Table.len
+      done;
+      let csel = Array.make !total 0 and bsel = Array.make !total 0 in
+      let k = ref 0 in
       (* Each bucket is walked from its end: base rows descending. *)
-      let csel = Ibuf.create () and bsel = Ibuf.create () in
       if nc = 0 && Option.is_none local then
-        for r = 0 to current.nrows - 1 do
+        for r = 0 to n - 1 do
           g_poll gov;
-          let { Table.ids; len } = probe (pread r) in
+          let { Table.ids; len } = buckets.(r) in
           for i = len - 1 downto 0 do
-            Ibuf.add csel r;
-            Ibuf.add bsel ids.(i)
+            csel.(!k) <- r;
+            bsel.(!k) <- ids.(i);
+            incr k
           done
         done
       else begin
@@ -826,22 +881,23 @@ and index_nl_join gov ?filter current keys alias tbl : vrel option =
           Value.equal (cread r) brows.(bi).(bci) && check_ok r bi (i + 1)
         in
         let keep = Option.value local ~default:(fun _ -> true) in
-        for r = 0 to current.nrows - 1 do
+        for r = 0 to n - 1 do
           g_poll gov;
-          let { Table.ids; len } = probe (pread r) in
+          let { Table.ids; len } = buckets.(r) in
           for i = len - 1 downto 0 do
             let bi = ids.(i) in
             if keep bi && check_ok r bi 0 then begin
-              Ibuf.add csel r;
-              Ibuf.add bsel bi
+              csel.(!k) <- r;
+              bsel.(!k) <- bi;
+              incr k
             end
           done
         done
       end;
-      g_rows gov csel.Ibuf.n;
-      let csel = Ibuf.to_array csel and bsel = Ibuf.to_array bsel in
+      g_rows gov !k;
       let csel, bsel =
-        if Option.is_some filter then hash_join_order csel bsel
+        if Option.is_some filter then hash_join_order csel bsel !k
+        else if !k < !total then (Array.sub csel 0 !k, Array.sub bsel 0 !k)
         else (csel, bsel)
       in
       Some (append_base current csel bh (Table.batch tbl) bsel)
@@ -1099,21 +1155,41 @@ and search_plan gov (plan : plan) : vrel =
         | [ p ] -> Value.hash (value p x)
         | _ -> List.fold_left (fun h p -> (h * 31) + Value.hash (value p x)) 17 pairs
       in
-      let slots =
-        let rec grow s = if s >= nb then s else grow (2 * s) in
-        grow 1
+      (* A candidate row's slot, and the prefix's (-1: no candidate).  As
+         in [hash_join], a single key whose candidates are all ints in a
+         dense span is slotted by value, any other key by its hash. *)
+      let span =
+        match pairs with [ (_, cb) ] -> int_span nb (fun b -> cb (id b)) | _ -> None
       in
-      let mask = slots - 1 in
+      let slots, row_slot, prefix_slot =
+        match (pairs, span) with
+        | [ (pa, cb) ], Some (lo, hi) ->
+            ( hi - lo + 1,
+              (fun r -> Value.int_key (cb r) - lo),
+              fun () ->
+                let k = Value.int_key (pa 0) in
+                if k >= lo && k <= hi then k - lo else -1 )
+        | _ ->
+            let slots =
+              let rec grow s = if s >= nb then s else grow (2 * s) in
+              grow 1
+            in
+            let mask = slots - 1 in
+            ( slots,
+              (fun r -> hash (fun (_, cb) r -> cb r) r land mask),
+              fun () -> hash (fun (pa, _) () -> pa 0) () land mask )
+      in
       let head = Array.make slots (-1) and next = Array.make nb (-1) in
       for b = 0 to nb - 1 do
         g_poll gov;
-        let sl = hash (fun (_, cb) r -> cb r) (id b) land mask in
+        let sl = row_slot (id b) in
         next.(b) <- head.(sl);
         head.(sl) <- b
       done;
       if first then Chaos.point Chaos.Join_probe;
       fun k ->
-        let b = ref head.(hash (fun (pa, _) () -> pa 0) () land mask) in
+        let s = prefix_slot () in
+        let b = ref (if s < 0 then -1 else head.(s)) in
         while !b >= 0 do
           g_poll gov;
           let r = id !b in

@@ -14,9 +14,15 @@
       join builds on the smaller input (the left one on a tie), a
       chained table in two int arrays (a head per slot, a next link per
       build row), and emits probe rows ascending, each with its
-      matching build rows descending.  The index-nested loop walks each
-      index bucket ({!Table.bucket}) from its end: current rows
-      ascending, each with its matching base rows descending.  A probe
+      matching build rows descending.  On a single key whose build
+      values are all ints ({!Value.int_key}) in a {!Table.dense} span,
+      which one pass over them finds out, the slots are the key values:
+      a chain holds one key's rows, and a probe reads its slot with no
+      hash and no comparison; other build sides, and joins on several
+      keys, hash.  The index-nested loop walks each index bucket
+      ({!Table.bucket}) from its end: current rows ascending, each with
+      its matching base rows descending; it sums the buckets' lengths
+      first and writes its output at that size.  A probe
       that stands in for a hash join emits that hash join's row order,
       so the access path never changes a reply.  For DISTINCT queries
       whose qualification contains disjunctions — the shape the SQ

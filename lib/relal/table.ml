@@ -12,7 +12,22 @@ type bucket = { mutable ids : int array; mutable len : int }
    [lookup_ids] answer in row order with one blit.  A stored bucket is
    never empty. *)
 
-type index = { col : int; buckets : bucket H.t }
+(* An index maps each key to its bucket in one of two places.  A
+   directory holds the int keys [lo .. hi], by value: [dir.(k - lo)] is
+   the bucket of [Int k] (and of a float equal to it, see
+   {!Value.int_key}), [no_rows] when no row holds it.  [build_index]
+   makes one when the column's int keys are [dense]; there is none when
+   [hi < lo].  The hash holds every other key: [Null], strings,
+   non-integral floats, and ints outside the span (an append never
+   widens it).  [dir_keys] counts the directory's non-empty slots. *)
+type index = {
+  col : int;
+  buckets : bucket H.t;
+  lo : int;
+  hi : int;
+  dir : bucket array;
+  mutable dir_keys : int;
+}
 
 type t = { sch : Schema.t; batch : Batch.t; mutable indexes : index list }
 
@@ -51,12 +66,65 @@ let lower_bound a n x =
   done;
   !lo
 
-(* The miss answer of [prober]: shared, so never written. *)
+(* The miss answer of [prober], and an empty directory slot: shared, so
+   never written. *)
 let no_rows = { ids = [||]; len = 0 }
+
+let dense ~lo ~hi n =
+  let span = hi - lo in
+  (* [span < 0] when it overflows. *)
+  n > 0 && span >= 0 && span < 4 * n
+
+(* [v]'s directory slot, or -1 when the hash holds it. *)
+let slot idx v =
+  if idx.hi < idx.lo then -1
+  else
+    let k = Value.int_key v in
+    if k >= idx.lo && k <= idx.hi then k - idx.lo else -1
+
+(* [v]'s bucket, or [no_rows]. *)
+let find idx v =
+  let s = slot idx v in
+  if s >= 0 then idx.dir.(s)
+  else match H.find idx.buckets v with b -> b | exception Not_found -> no_rows
+
+(* [v]'s bucket, stored empty first if no row holds [v]. *)
+let find_or_add idx v =
+  let s = slot idx v in
+  if s >= 0 then begin
+    let b = idx.dir.(s) in
+    if b != no_rows then b
+    else begin
+      let b = { ids = [||]; len = 0 } in
+      idx.dir.(s) <- b;
+      idx.dir_keys <- idx.dir_keys + 1;
+      b
+    end
+  end
+  else
+    match H.find idx.buckets v with
+    | b -> b
+    | exception Not_found ->
+        let b = { ids = [||]; len = 0 } in
+        H.add idx.buckets v b;
+        b
+
+(* Forget [v], whose bucket has emptied. *)
+let drop idx v =
+  let s = slot idx v in
+  if s >= 0 then begin
+    idx.dir.(s) <- no_rows;
+    idx.dir_keys <- idx.dir_keys - 1
+  end
+  else H.remove idx.buckets v
+
+let iter_buckets idx f =
+  H.iter (fun _ b -> f b) idx.buckets;
+  Array.iter (fun b -> if b != no_rows then f b) idx.dir
 
 let push b rowid =
   if b.len = Array.length b.ids then begin
-    let ids = Array.make (max 2 (2 * b.len)) 0 in
+    let ids = Array.make (max 1 (2 * b.len)) 0 in
     Array.blit b.ids 0 ids 0 b.len;
     b.ids <- ids
   end;
@@ -64,33 +132,26 @@ let push b rowid =
   b.len <- b.len + 1
 
 (* [rowid] must exceed every id already indexed: appends only. *)
-let index_add idx rowid v =
-  match H.find idx.buckets v with
-  | b -> push b rowid
-  | exception Not_found -> H.add idx.buckets v { ids = [| rowid |]; len = 1 }
+let index_add idx rowid v = push (find_or_add idx v) rowid
 
 (* Overwrites move a slot between buckets at an arbitrary id, so these
    two keep the ascending order explicitly. *)
 let index_insert idx rowid v =
-  match H.find idx.buckets v with
-  | exception Not_found -> H.add idx.buckets v { ids = [| rowid |]; len = 1 }
-  | b ->
-      let p = lower_bound b.ids b.len rowid in
-      push b rowid;
-      Array.blit b.ids p b.ids (p + 1) (b.len - 1 - p);
-      b.ids.(p) <- rowid
+  let b = find_or_add idx v in
+  let p = lower_bound b.ids b.len rowid in
+  push b rowid;
+  Array.blit b.ids p b.ids (p + 1) (b.len - 1 - p);
+  b.ids.(p) <- rowid
 
 let index_remove idx rowid v =
-  match H.find idx.buckets v with
-  | exception Not_found -> ()
-  | b ->
-      let p = lower_bound b.ids b.len rowid in
-      if p < b.len && b.ids.(p) = rowid then
-        if b.len = 1 then H.remove idx.buckets v
-        else begin
-          Array.blit b.ids (p + 1) b.ids p (b.len - 1 - p);
-          b.len <- b.len - 1
-        end
+  let b = find idx v in
+  let p = lower_bound b.ids b.len rowid in
+  if p < b.len && b.ids.(p) = rowid then
+    if b.len = 1 then drop idx v
+    else begin
+      Array.blit b.ids (p + 1) b.ids p (b.len - 1 - p);
+      b.len <- b.len - 1
+    end
 
 let append t row =
   let rowid = Batch.length t.batch in
@@ -124,27 +185,44 @@ let build_index t col =
   let ci = col_index_exn "build_index" t col in
   if not (List.exists (fun idx -> idx.col = ci) t.indexes) then begin
     let n = Batch.length t.batch in
-    let buckets = H.create (max 16 n) in
     let rows = Batch.unsafe_rows t.batch in
+    (* The span of the int keys, and how many rows hold one. *)
+    let lo = ref max_int and hi = ref min_int and ints = ref 0 in
+    for i = 0 to n - 1 do
+      let k = Value.int_key rows.(i).(ci) in
+      if k <> min_int then begin
+        incr ints;
+        if k < !lo then lo := k;
+        if k > !hi then hi := k
+      end
+    done;
+    let dense = dense ~lo:!lo ~hi:!hi !ints in
+    let lo, hi = if dense then (!lo, !hi) else (0, -1) in
+    let idx =
+      {
+        col = ci;
+        buckets = H.create (max 16 (if dense then n - !ints else n));
+        lo;
+        hi;
+        dir = Array.make (hi - lo + 1) no_rows;
+        dir_keys = 0;
+      }
+    in
     (* Count each key's rows first, so that every bucket is allocated at
        its exact size, then fill the buckets in row order. *)
     for i = 0 to n - 1 do
-      match H.find buckets rows.(i).(ci) with
-      | b -> b.len <- b.len + 1
-      | exception Not_found ->
-          H.add buckets rows.(i).(ci) { ids = [||]; len = 1 }
+      let b = find_or_add idx rows.(i).(ci) in
+      b.len <- b.len + 1
     done;
-    H.iter
-      (fun _ b ->
+    iter_buckets idx (fun b ->
         b.ids <- Array.make b.len 0;
-        b.len <- 0)
-      buckets;
+        b.len <- 0);
     for i = 0 to n - 1 do
-      let b = H.find buckets rows.(i).(ci) in
+      let b = find idx rows.(i).(ci) in
       b.ids.(b.len) <- i;
       b.len <- b.len + 1
     done;
-    t.indexes <- { col = ci; buckets } :: t.indexes
+    t.indexes <- idx :: t.indexes
   end
 
 let index_on t col =
@@ -162,10 +240,9 @@ let indexed_columns t =
 let lookup_ids t col v =
   let ci = col_index_exn "lookup" t col in
   match List.find_opt (fun idx -> idx.col = ci) t.indexes with
-  | Some idx -> (
-      match H.find_opt idx.buckets v with
-      | None -> [||]
-      | Some b -> Array.sub b.ids 0 b.len)
+  | Some idx ->
+      let b = find idx v in
+      Array.sub b.ids 0 b.len
   | None ->
       let rows = Batch.unsafe_rows t.batch in
       let acc = ref [] in
@@ -178,29 +255,14 @@ let lookup t col v =
   let rows = Batch.unsafe_rows t.batch in
   Array.fold_right (fun i acc -> rows.(i) :: acc) (lookup_ids t col v) []
 
-let prober t col =
-  Option.map
-    (fun idx ->
-      (* [find] + exception rather than [find_opt]: no option allocation
-         on the hit path, which is every probe of an index-nested-loop
-         join. *)
-      fun v ->
-        match H.find idx.buckets v with
-        | b -> b
-        | exception Not_found -> no_rows)
-    (index_on t col)
-
-let count t col v =
-  Option.map
-    (fun idx ->
-      match H.find_opt idx.buckets v with None -> 0 | Some b -> b.len)
-    (index_on t col)
+let prober t col = Option.map find (index_on t col)
+let count t col v = Option.map (fun idx -> (find idx v).len) (index_on t col)
 
 let fanout t col =
   Option.map
     (fun idx ->
       float_of_int (cardinality t)
-      /. float_of_int (max 1 (H.length idx.buckets)))
+      /. float_of_int (max 1 (H.length idx.buckets + idx.dir_keys)))
     (index_on t col)
 
 (* ---------------------------- keyed replace -------------------------- *)
@@ -227,25 +289,35 @@ let remove_ids t dead =
   if n > 0 then begin
     Batch.remove t.batch dead;
     let first = dead.(0) in
+    (* Is [b] empty once rewritten? *)
+    let emptied b =
+      if b.ids.(b.len - 1) < first then false
+      else begin
+        let w = ref (lower_bound b.ids b.len first) in
+        for r = !w to b.len - 1 do
+          let i = b.ids.(r) in
+          let k = lower_bound dead n i in
+          if k >= n || dead.(k) <> i then begin
+            b.ids.(!w) <- i - k;
+            incr w
+          end
+        done;
+        b.len <- !w;
+        !w = 0
+      end
+    in
     List.iter
       (fun idx ->
         H.filter_map_inplace
-          (fun _ b ->
-            if b.ids.(b.len - 1) < first then Some b
-            else begin
-              let w = ref (lower_bound b.ids b.len first) in
-              for r = !w to b.len - 1 do
-                let i = b.ids.(r) in
-                let k = lower_bound dead n i in
-                if k >= n || dead.(k) <> i then begin
-                  b.ids.(!w) <- i - k;
-                  incr w
-                end
-              done;
-              b.len <- !w;
-              if !w = 0 then None else Some b
+          (fun _ b -> if emptied b then None else Some b)
+          idx.buckets;
+        Array.iteri
+          (fun s b ->
+            if b != no_rows && emptied b then begin
+              idx.dir.(s) <- no_rows;
+              idx.dir_keys <- idx.dir_keys - 1
             end)
-          idx.buckets)
+          idx.dir)
       t.indexes
   end
 
@@ -283,4 +355,8 @@ let replace ?(hook = ignore) t col key rows =
 
 let clear t =
   Batch.clear t.batch;
-  t.indexes <- List.map (fun idx -> { idx with buckets = H.create 16 }) t.indexes
+  t.indexes <-
+    List.map
+      (fun idx ->
+        { idx with buckets = H.create 16; lo = 0; hi = -1; dir = [||]; dir_keys = 0 })
+      t.indexes

@@ -1,15 +1,22 @@
 (** A stored relation: a schema plus a mutable bag of rows, with optional
-    hash indexes for equality lookups.
+    indexes for equality lookups.
 
     Rows are [Value.t array]s positionally matching the schema.  The table
     validates arity and column types on insert, so downstream operators
     can trust stored data.
 
     An index maps each key to a {!bucket}: the ids of the rows holding
-    that key, ascending.  Readers share buckets with the index, so a
-    bucket, like the rest of the table, is mutated only under its
-    owner's write lock: the shard rwlock for the server's profile
-    tables; the catalog is read-only while serving. *)
+    that key, ascending.  It keeps the buckets in two places.  When
+    {!build_index} finds the column's int keys {!dense} (every foreign
+    and primary key of the movie catalog), a directory holds one slot
+    per int in their span, so an int key, or a float equal to one
+    ({!Value.int_key}), finds its bucket by value.  A hash under
+    {!Value.equal} holds every other key: [Null], strings, non-integral
+    floats, and ints outside the span, which an append never widens.
+    Every write keeps both, and no read writes either.  Readers share
+    buckets with the index, so a bucket, like the rest of the table, is
+    mutated only under its owner's write lock: the shard rwlock for the
+    server's profile tables; the catalog is read-only while serving. *)
 
 type t
 
@@ -47,17 +54,24 @@ val to_list : t -> Value.t array list
 (** All rows, in row order.  Shares row arrays with the table. *)
 
 val build_index : t -> string -> unit
-(** Ensure a hash index exists on the named column.  Indexes stay in sync
-    with subsequent inserts and replaces.  @raise Invalid_argument on
-    unknown column. *)
+(** Ensure an index exists on the named column, with a directory when
+    the int keys its rows hold are {!dense}.  Indexes stay in sync with
+    subsequent inserts and replaces.  @raise Invalid_argument on unknown
+    column. *)
+
+val dense : lo:int -> hi:int -> int -> bool
+(** [dense ~lo ~hi n]: are [n] int keys spanning [lo .. hi] worth an
+    array of one slot per value in the span?  Yes when [n > 0] and the
+    span has fewer than [4 n] values: the rule for {!build_index}'s
+    directory and for the executor's value-indexed hash-join chains. *)
 
 val has_index : t -> string -> bool
-(** Does a hash index exist on the named column?  (The executor only
+(** Does an index exist on the named column?  (The executor only
     chooses index access paths — selection pushdown into an index probe,
     index-nested-loop joins — where one exists.) *)
 
 val indexed_columns : t -> string list
-(** Names of the columns carrying a hash index, in schema order — what a
+(** Names of the columns carrying an index, in schema order — what a
     dump declares ({!Ddl.to_string}) so a reload rebuilds them. *)
 
 val lookup : t -> string -> Value.t -> Value.t array list
@@ -77,12 +91,13 @@ type bucket = private { mutable ids : int array; mutable len : int }
     [ids], and do not keep it across a write to the table. *)
 
 val prober : t -> string -> (Value.t -> bucket) option
-(** [prober t col] resolves the column and its hash index {e once} and
+(** [prober t col] resolves the column and its index {e once} and
     returns a probe closure mapping a value to its bucket (one with
     [len = 0] when no row holds the value), or [None] when the column
     has no index.  This is the inner loop of the index-nested-loop join:
-    per-probe cost is one hash lookup, with no string resolution and no
-    allocation. *)
+    a key in the directory costs one range check and one array read,
+    any other key one hash lookup; no string resolution and no
+    allocation either way. *)
 
 val count : t -> string -> Value.t -> int option
 (** [count t col v] is the number of rows with [col = v], the length of
@@ -91,7 +106,7 @@ val count : t -> string -> Value.t -> int option
     materializing the rows. *)
 
 val fanout : t -> string -> float option
-(** Mean rows per distinct key of the column's hash index: the
+(** Mean rows per distinct key of the column's index: the
     cardinality over the index's distinct keys (at least 1 on a
     non-empty table), or [None] when [col] has no index.  A mean, so a
     skewed column's hot keys match more rows than it says. *)
@@ -103,7 +118,7 @@ val replace :
     slots are overwritten in row order, rows beyond them are appended, and
     slots left over when the key shrinks (an empty [rows] deletes the key)
     are closed by an order-preserving compaction; every other row keeps
-    its relative order.  With a hash index on [col] the cost is the key's
+    its relative order.  With an index on [col] the cost is the key's
     rows, plus the rows after its first freed slot when it shrinks;
     without one, a scan finds the slots.
 

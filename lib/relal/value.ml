@@ -69,6 +69,14 @@ let equal a b =
   | Date x, Date y -> x = y
   | _ -> false
 
+(* Must agree with [equal]: two values get one key exactly when they are
+   equal ints (an integral float as the int it equals); [min_int] is left
+   to every other value, so [Int min_int] shares it with them. *)
+let int_key = function
+  | Int k -> k
+  | Float f when int_valued f -> Float.to_int f
+  | _ -> min_int
+
 (* Must agree with [equal]: a float equal to an int hashes as that int.
    Hashing an immediate int does not allocate — the Int arm is the
    executor's join-probe hot path, so it must not box. *)
@@ -114,6 +122,9 @@ let parse_date s =
    interpretation around it: the bytes are the same. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* The last decimal digit of [x >= 0]. *)
+let add_digit b x = Buffer.add_char b (Char.unsafe_chr (48 + (x mod 10)))
+
 let add_to_buffer b = function
   | Null -> Buffer.add_string b "NULL"
   | Int i -> Buffer.add_string b (Int.to_string i)
@@ -137,6 +148,22 @@ let add_to_buffer b = function
       go 0;
       Buffer.add_char b '\''
   | Bool v -> Buffer.add_string b (if v then "TRUE" else "FALSE")
+  | Date d when d >= 0 && d < 100_000_000 ->
+      (* What the [Printf] arm below prints for a four-digit year, one
+         digit at a time: a tenth of its cost. *)
+      let y = d / 10000 and m = d / 100 mod 100 and dd = d mod 100 in
+      Buffer.add_char b '\'';
+      add_digit b (y / 1000);
+      add_digit b (y / 100);
+      add_digit b (y / 10);
+      add_digit b y;
+      Buffer.add_char b '-';
+      add_digit b (m / 10);
+      add_digit b m;
+      Buffer.add_char b '-';
+      add_digit b (dd / 10);
+      add_digit b dd;
+      Buffer.add_char b '\''
   | Date d ->
       Printf.bprintf b "'%04d-%02d-%02d'" (d / 10000) (d / 100 mod 100) (d mod 100)
 

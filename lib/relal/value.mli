@@ -41,6 +41,14 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** Equal values hash alike (a float equal to an int as that int). *)
 
+val int_key : t -> int
+(** [int_key v] is [k] when [v] equals [Int k] ([Int k] itself, or an
+    integral [Float] in int range) and [k > min_int]; [min_int] for every
+    other value, [Int min_int] included.  Equal values get equal keys,
+    and two values with one key other than [min_int] are equal: indexes
+    and joins address int keys by it, and leave the values at [min_int]
+    to a hash. *)
+
 val date_of_ymd : int -> int -> int -> t
 (** [date_of_ymd y m d] builds a [Date].  @raise Invalid_argument on an
     impossible month/day. *)

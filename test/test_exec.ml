@@ -509,21 +509,39 @@ let test_filtered_join c () =
 
 (* Random equi-joins of two tables [l] and [r] (id, a, b), where [id] is
    the row id, compared row for row with a nested loop in the documented
-   order.  Keys come from a small range, so both sides repeat them; the
-   join is on [a] or on [a] and [b]; each side has 1–300 rows, so a hash
-   table's slots collide.  The plan starts from the smaller table (the
-   first in FROM on a tie).  Unindexed, the other table is hash-joined:
-   the build side is the smaller input, and the join emits probe rows
-   ascending, then each probe row's matching build rows descending.
-   With [a] indexed on both tables, the other table is probed through
-   its index: current rows ascending, then each one's matching base
-   rows descending. *)
+   order, matching keys by [Value.equal].  The join is on [a] or on [a]
+   and [b] (b in 0..2).  Keys [a] come from a dense range, the same range
+   shifted to hold negative keys, or a sparse one whose far outliers
+   include 2^40, [max_int] and [min_int]; some rows store a key as the
+   float [k.0] or as [Null].  Each side has 1–300 rows, so a hash table's
+   slots collide, and [a] may be indexed on both tables, built after
+   [index_at]% of the rows, so later rows reach the index by append,
+   inside or outside its directory's span.  With [filtered], [r] keeps
+   its rows with [b = 0].  The plan starts from the smaller source (the
+   first in FROM on a tie), counting a filtered [r] by its kept rows.
+   The other is joined by:
+   - an index-nested loop when it is an unfiltered indexed table:
+     current rows ascending, then each one's matching base rows
+     descending;
+   - for the filtered [r], indexed, when |l| x the fanout of [r.a] is
+     below its kept rows: the probe with [~filter], which emits the hash
+     join it stands in for, built on [l];
+   - otherwise a hash join, built on the smaller input (the current one
+     on a tie): probe rows ascending, then each one's matching build
+     rows descending. *)
+type key_range = Dense | Negative | Sparse
+
 type order_case = {
   ln : int;
   rn : int;
-  key_range : int;
+  range : key_range;
+  width : int;
+  floats : bool;
+  nulls : bool;
   two_keys : bool;
   indexed : bool;
+  index_at : int;
+  filtered : bool;
   seed : int;
 }
 
@@ -532,27 +550,44 @@ let order_case_arb =
   let side = int_range 1 300 in
   let case =
     map3
-      (fun (ln, rn) (key_range, two_keys) (indexed, seed) ->
-        { ln; rn; key_range; two_keys; indexed; seed })
-      (pair side side)
-      (pair (oneof [ int_range 1 8; int_range 1 400 ]) bool)
-      (pair bool int)
+      (fun (ln, rn, range) (width, floats, nulls, two_keys)
+           (indexed, index_at, filtered, seed) ->
+        { ln; rn; range; width; floats; nulls; two_keys; indexed; index_at; filtered; seed })
+      (triple side side (oneofl [ Dense; Negative; Sparse ]))
+      (quad (oneof [ int_range 1 8; int_range 1 400 ]) bool bool bool)
+      (quad bool (oneofl [ 0; 50; 100 ]) bool int)
   in
   QCheck.make
     ~print:(fun c ->
-      Printf.sprintf "l=%d r=%d keys<%d two_keys=%b indexed=%b seed=%d" c.ln
-        c.rn c.key_range c.two_keys c.indexed c.seed)
+      Printf.sprintf
+        "l=%d r=%d keys %s<%d floats=%b nulls=%b two_keys=%b indexed=%b@%d%% \
+         filtered=%b seed=%d"
+        c.ln c.rn
+        (match c.range with Dense -> "dense" | Negative -> "negative" | Sparse -> "sparse")
+        c.width c.floats c.nulls c.two_keys c.indexed c.index_at c.filtered c.seed)
     case
 
 let prop_join_row_order =
-  QCheck.Test.make ~name:"join rows in kernel order" ~count:200 order_case_arb
+  QCheck.Test.make ~name:"join rows in kernel order" ~count:300 order_case_arb
     (fun c ->
       let st = Random.State.make [| c.seed |] in
-      let keys n =
-        Array.init n (fun _ ->
-            (Random.State.int st c.key_range, Random.State.int st 3))
+      let outliers = [| 1 lsl 40; -(1 lsl 40); max_int; min_int; min_int + 1 |] in
+      let key () =
+        let k =
+          match c.range with
+          | Dense -> Random.State.int st c.width
+          | Negative -> Random.State.int st c.width - (c.width / 2) - 1
+          | Sparse ->
+              if Random.State.int st 8 = 0 then
+                outliers.(Random.State.int st (Array.length outliers))
+              else Random.State.int st c.width
+        in
+        if c.nulls && Random.State.int st 10 = 0 then Value.Null
+        else if c.floats && Random.State.bool st then Value.Float (float_of_int k)
+        else Value.Int k
       in
-      let l = keys c.ln and r = keys c.rn in
+      let rows n = Array.init n (fun _ -> (key (), Random.State.int st 3)) in
+      let l = rows c.ln and r = rows c.rn in
       let db = Database.create () in
       List.iter
         (fun (name, rows) ->
@@ -561,15 +596,18 @@ let prop_join_row_order =
                ~cols:
                  [ ("id", Value.TInt); ("a", Value.TInt); ("b", Value.TInt) ]
                ());
+          let at = Array.length rows * c.index_at / 100 in
           Array.iteri
             (fun i (a, b) ->
-              Database.insert db name [ Value.Int i; Value.Int a; Value.Int b ])
+              if c.indexed && i = at then Table.build_index (Database.table db name) "a";
+              Database.insert db name [ Value.Int i; a; Value.Int b ])
             rows;
           if c.indexed then Table.build_index (Database.table db name) "a")
         [ ("l", l); ("r", r) ];
       let sql =
         "select l.id, r.id from l, r where l.a = r.a"
-        ^ if c.two_keys then " and l.b = r.b" else ""
+        ^ (if c.two_keys then " and l.b = r.b" else "")
+        ^ if c.filtered then " and r.b = 0" else ""
       in
       let got =
         List.map
@@ -579,34 +617,48 @@ let prop_join_row_order =
           (run db sql).Exec.rows
       in
       let matches i j =
-        fst l.(i) = fst r.(j) && ((not c.two_keys) || snd l.(i) = snd r.(j))
+        Value.equal (fst l.(i)) (fst r.(j))
+        && ((not c.two_keys) || snd l.(i) = snd r.(j))
       in
-      (* [s] is a row of the table the plan starts from, [g] one of the
-         other; [ids s g] is their output row (l.id, r.id). *)
-      let l_first = c.ln <= c.rn in
-      let small, large = if l_first then (c.ln, c.rn) else (c.rn, c.ln) in
-      let ids s g = if l_first then (s, g) else (g, s) in
-      let expected = ref [] in
-      let emit s g =
-        let i, j = ids s g in
-        if matches i j then expected := (i, j) :: !expected
+      let l_ids = List.init c.ln Fun.id in
+      let r_ids =
+        List.filter (fun j -> (not c.filtered) || snd r.(j) = 0) (List.init c.rn Fun.id)
       in
-      if c.indexed then
-        for s = 0 to small - 1 do
-          for g = large - 1 downto 0 do emit s g done
-        done
-      else
-        for g = 0 to large - 1 do
-          for s = small - 1 downto 0 do emit s g done
-        done;
-      if got <> List.rev !expected then
+      let nr = List.length r_ids in
+      (* Each [outer] row ascending, then its matching [inner] rows
+         descending, as (l.id, r.id) pairs. *)
+      let nested ~outer ~inner ~l_outer =
+        List.concat_map
+          (fun o ->
+            List.filter_map
+              (fun i ->
+                let lid, rid = if l_outer then (o, i) else (i, o) in
+                if matches lid rid then Some (lid, rid) else None)
+              (List.rev inner))
+          outer
+      in
+      let expected =
+        let l_outer = nested ~outer:l_ids ~inner:r_ids ~l_outer:true
+        and r_outer = nested ~outer:r_ids ~inner:l_ids ~l_outer:false in
+        if c.ln <= nr then
+          (* [l] drives; [r] is the step. *)
+          if c.filtered then
+            (* The probe with [~filter] and the hash join built on [l]
+               emit one order. *)
+            r_outer
+          else if c.indexed then l_outer
+          else r_outer
+        else if c.indexed then r_outer (* [r] drives; [l] is probed *)
+        else l_outer
+      in
+      if got <> expected then
         QCheck.Test.fail_reportf "%d rows, %d expected; first difference at %d"
-          (List.length got) (List.length !expected)
+          (List.length got) (List.length expected)
           (let rec first i = function
              | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else i
              | _ -> i
            in
-           first 0 (got, List.rev !expected));
+           first 0 (got, expected));
       true)
 
 (* --------------------------- Oracle property --------------------------- *)

@@ -119,6 +119,25 @@ let test_value_to_string () =
   Alcotest.(check string) "null" "NULL" (Value.to_string Null);
   Alcotest.(check string) "bool" "TRUE" (Value.to_string (Bool true))
 
+(* A date renders as the [Printf] form [Value] had before its digit
+   writer, on any int: four-digit years, negative and five-digit ones. *)
+let prop_date_rendering =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 0 99_999_999);
+          (1, int_range (-99_999_999) (-1));
+          (1, int_range 100_000_000 999_999_999);
+          (1, oneofl [ 0; 99_999_999; 100_000_000; -1; max_int; min_int ]);
+          (1, int);
+        ])
+  in
+  QCheck.Test.make ~name:"dates render as Printf renders them" ~count:2000
+    (QCheck.make ~print:string_of_int gen) (fun d ->
+      Value.to_string (Date d)
+      = Printf.sprintf "'%04d-%02d-%02d'" (d / 10000) (d / 100 mod 100) (d mod 100))
+
 (* ------------------------------ Schema ------------------------------ *)
 
 let movie_schema () =
@@ -291,26 +310,47 @@ let test_table_compaction_buckets () =
   Alcotest.(check (option (float 0.))) "value fanout: 5 rows over 4 values"
     (Some 1.25) (Table.fanout t "v")
 
-(* Model test: random inserts and replaces over five keys, on tables
-   with no index, a key index, or key and value indexes.  The model is
-   the exact physical order: the key's j-th slot takes the j-th new row,
-   leftover slots vanish, extra rows go to the end.  A hook that raises
-   at a chosen crossing must leave rows and indexes untouched. *)
-type kv_op = Ins of int * int | Rep of int * int list * int option
+(* Model test: random inserts and replaces on a table (k int, v int,
+   s string) with no index, or indexes on k, k and v, or k, v and s.  The
+   first rows, keys 0..4, are inserted before the indexes are built, so
+   that [k] and [v] get a directory; the ops then write keys -3..9 (into
+   and out of its span), as ints, as the floats [k.0], as [Null] and as
+   2.5, and [s] is a string or [Null].  The model is the exact physical
+   order: the key's j-th slot takes the j-th new row (matched by
+   [Value.equal]), leftover slots vanish, extra rows go to the end.
+   Every probe value, on every column, must find the rows a scan finds,
+   in bucket and count alike, and each index's fanout is its rows over
+   their distinct keys.  A hook that raises at a chosen crossing must
+   leave rows and indexes untouched. *)
+type kv_op = Ins of Value.t * int | Rep of Value.t * int list * int option
 
 exception Hook_fault
 
 let show_op = function
-  | Ins (k, v) -> Printf.sprintf "ins %d=%d" k v
+  | Ins (k, v) -> Printf.sprintf "ins %s=%d" (Value.to_string k) v
   | Rep (k, vs, f) ->
-      Printf.sprintf "rep %d=[%s]%s" k
+      Printf.sprintf "rep %s=[%s]%s" (Value.to_string k)
         (String.concat ";" (List.map string_of_int vs))
         (match f with Some i -> Printf.sprintf " fail@%d" i | None -> "")
+
+(* The written keys, and the values every column is probed with. *)
+let kv_keys =
+  List.concat_map (fun k -> [ Value.Int k; Value.Float (float_of_int k) ]) (List.init 13 (fun k -> k - 3))
+  @ [ Value.Null; Value.Float 2.5 ]
+
+let kv_s v = if v mod 4 = 0 then Value.Null else Value.Str (Printf.sprintf "s%d" (v mod 3))
+let kvs k v = [| k; Value.Int v; kv_s v |]
+
+let kvs_table () =
+  Table.create
+    (Schema.make ~name:"kvs"
+       ~cols:[ ("k", Value.TInt); ("v", Value.TInt); ("s", Value.TStr) ]
+       ())
 
 let model_replace rows k vs =
   let rec go vs = function
     | [] -> List.map (fun v -> (k, v)) vs
-    | (k', _) :: tl when k' = k -> (
+    | (k', _) :: tl when Value.equal k' k -> (
         match vs with v :: vs -> (k, v) :: go vs tl | [] -> go [] tl)
     | r :: tl -> r :: go vs tl
   in
@@ -318,62 +358,79 @@ let model_replace rows k vs =
 
 let kv_ops_arb =
   let open QCheck.Gen in
+  let key = oneofl kv_keys in
   let op =
     frequency
       [
-        (2, map2 (fun k v -> Ins (k, v)) (int_bound 4) (int_bound 5));
+        (2, map2 (fun k v -> Ins (k, v)) key (int_bound 5));
         ( 3,
           map3
             (fun k vs f -> Rep (k, vs, f))
-            (int_bound 4)
+            key
             (list_size (int_bound 6) (int_bound 5))
             (opt (int_bound 6)) );
       ]
   in
   QCheck.make
-    ~print:(fun (variant, ops) ->
-      Printf.sprintf "variant %d: %s" variant
+    ~print:(fun (variant, init, ops) ->
+      Printf.sprintf "variant %d, %d first rows: %s" variant (List.length init)
         (String.concat ", " (List.map show_op ops)))
-    (pair (int_bound 2) (list_size (int_range 1 40) op))
+    (triple (int_bound 3)
+       (list_size (int_range 2 12) (pair (int_bound 4) (int_bound 5)))
+       (list_size (int_range 1 40) op))
 
 let prop_replace_model =
   QCheck.Test.make ~name:"keyed replace = list model, index = scan" ~count:300
-    kv_ops_arb (fun (variant, ops) ->
-      let indexes = List.filteri (fun i _ -> i < variant) [ "k"; "v" ] in
-      let t = kv_table indexes in
-      (* Every key and value probe, through the table and by list scan. *)
+    kv_ops_arb (fun (variant, init, ops) ->
+      let cols = [ ("k", fun (k, _) -> k); ("v", fun (_, v) -> Value.Int v); ("s", fun (_, v) -> kv_s v) ] in
+      let indexes = List.filteri (fun i _ -> i < variant) (List.map fst cols) in
+      let t = kvs_table () in
+      let init = List.map (fun (k, v) -> (Value.Int k, v)) init in
+      List.iter (fun (k, v) -> Table.insert t (kvs k v)) init;
+      List.iter (Table.build_index t) indexes;
+      let probe_values col =
+        if col = "s" then [ Value.Null; Value.Str "s0"; Value.Str "s1"; Value.Str "s2"; Value.Str "s3" ]
+        else kv_keys
+      in
+      (* Every probe, through the table and by list scan. *)
       let probes () =
         List.concat_map
-          (fun col ->
-            List.init 7 (fun x ->
-                Array.to_list (Table.lookup_ids t col (Value.Int x))))
-          [ "k"; "v" ]
+          (fun (col, _) ->
+            List.map (fun x -> Array.to_list (Table.lookup_ids t col x)) (probe_values col))
+          cols
       in
       let scan model proj x =
         List.concat
-          (List.mapi (fun i r -> if proj r = x then [ i ] else []) model)
+          (List.mapi (fun i r -> if Value.equal (proj r) x then [ i ] else []) model)
       in
       let scans model =
-        List.concat_map (fun proj -> List.init 7 (scan model proj)) [ fst; snd ]
+        List.concat_map (fun (col, proj) -> List.map (scan model proj) (probe_values col)) cols
       in
       let check step model =
-        if kv_rows t <> model then
+        if Table.to_list t <> List.map (fun (k, v) -> kvs k v) model then
           QCheck.Test.fail_reportf "%s: rows differ from the model" step;
         if probes () <> scans model then
           QCheck.Test.fail_reportf "%s: lookup_ids differs from a scan" step;
         List.iter
           (fun col ->
-            let proj = if col = "k" then fst else snd in
-            for x = 0 to 6 do
-              let ids = scan model proj x in
-              if bucket_ids t col (Value.Int x) <> ids then
-                QCheck.Test.fail_reportf "%s: bucket of %s=%d out of order"
-                  step col x;
-              if Table.count t col (Value.Int x) <> Some (List.length ids) then
-                QCheck.Test.fail_reportf "%s: count of %s=%d is not %d" step
-                  col x (List.length ids)
-            done;
-            let keys = List.sort_uniq compare (List.map proj model) in
+            let proj = List.assoc col cols in
+            List.iter
+              (fun x ->
+                let ids = scan model proj x in
+                if bucket_ids t col x <> ids then
+                  QCheck.Test.fail_reportf "%s: bucket of %s=%s out of order"
+                    step col (Value.to_string x);
+                if Table.count t col x <> Some (List.length ids) then
+                  QCheck.Test.fail_reportf "%s: count of %s=%s is not %d" step
+                    col (Value.to_string x) (List.length ids))
+              (probe_values col);
+            let keys =
+              List.fold_left
+                (fun acc r ->
+                  let x = proj r in
+                  if List.exists (Value.equal x) acc then acc else x :: acc)
+                [] model
+            in
             if
               Table.fanout t col
               <> Some
@@ -382,6 +439,7 @@ let prop_replace_model =
             then QCheck.Test.fail_reportf "%s: fanout of %s" step col)
           indexes
       in
+      check "first rows" init;
       ignore
         (List.fold_left
            (fun model op ->
@@ -389,7 +447,7 @@ let prop_replace_model =
              let model =
                match op with
                | Ins (k, v) ->
-                   Table.insert t (kv k v);
+                   Table.insert t (kvs k v);
                    model @ [ (k, v) ]
                | Rep (k, vs, fail_at) -> (
                    let crossings = ref 0 in
@@ -399,8 +457,7 @@ let prop_replace_model =
                    in
                    let before = probes () in
                    match
-                     Table.replace ~hook t "k" (Value.Int k)
-                       (List.map (kv k) vs)
+                     Table.replace ~hook t "k" k (List.map (kvs k) vs)
                    with
                    | () ->
                        if !crossings <> List.length vs then
@@ -414,7 +471,7 @@ let prop_replace_model =
              in
              check step model;
              model)
-           [] ops);
+           init ops);
       true)
 
 (* ----------------------------- Database ----------------------------- *)
@@ -476,6 +533,7 @@ let () =
             test_value_int_float_rows;
           QCheck_alcotest.to_alcotest prop_value_identity;
           Alcotest.test_case "dates" `Quick test_value_dates;
+          QCheck_alcotest.to_alcotest prop_date_rendering;
           Alcotest.test_case "to_string" `Quick test_value_to_string;
         ] );
       ( "schema",
